@@ -35,7 +35,7 @@ from .kernels import (
     zero_kernel,
 )
 from .metrics import (
-    MetricConfig,
+    SKOROKHOD_JUMP_CAP,
     PowerLawFit,
     feasible_eps,
     fit_powerlaw,

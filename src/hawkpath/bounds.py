@@ -146,7 +146,7 @@ def bound_set(
         sk_bounded = delta * (1.0 + T) * (1.0 + jump_rate.sup_norm) + mart + T * cr
 
     pvar_shape = None
-    if not kernel.singular_at_zero and kernel.sup_norm is not None:
+    if kernel.bounded:
         pv = p_variation(kernel, p, T)
         pvar_shape = (
             pv.value * T ** ((p - 1.0) / p) * delta ** (1.0 / p)

@@ -21,6 +21,7 @@ from .errors import ConfigError, HawkpathError, InstabilityError
 from .harness import (
     ExperimentConfig,
     _build_all,
+    _build_thinnable,
     run_convergence,
     verdicts_csv_text,
     verdicts_json,
@@ -62,7 +63,7 @@ def _json_text(obj) -> str:
 
 
 def _cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
-    kernel, jump_rate, marks = _build_all(cfg)
+    kernel, jump_rate, marks = _build_thinnable(cfg)
     atoms = sample_atoms(
         cfg.horizon, default_ceiling(jump_rate, kernel, marks), marks, (cfg.seed, 0)
     )
@@ -86,7 +87,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_couple(cfg: ExperimentConfig, out: Path) -> int:
-    kernel, jump_rate, marks = _build_all(cfg)
+    kernel, jump_rate, marks = _build_thinnable(cfg)
     delta = cfg.delta_ladder[-1]
     atoms = sample_atoms(
         cfg.horizon, default_ceiling(jump_rate, kernel, marks), marks, (cfg.seed, 0)
@@ -197,6 +198,10 @@ def cli_main(argv: list[str] | None = None) -> int:
     out = Path(args.output_dir or cfg.output_dir or ".")
     try:
         return _COMMANDS[args.command](cfg, out)
+    except ConfigError as exc:
+        # a config the command cannot run (commands check before any work)
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except InstabilityError as exc:
         print(f"instability error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE

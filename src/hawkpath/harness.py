@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -33,7 +34,7 @@ from .kernels import (
     zero_kernel,
 )
 from .metrics import (
-    MetricConfig,
+    SKOROKHOD_JUMP_CAP,
     PowerLawFit,
     fit_powerlaw,
     modulus_sparse,
@@ -43,16 +44,20 @@ from .metrics import (
 )
 from .randomness import MarkModel, mark_moments, sample_atoms
 from .simulate import (
+    ContinuousPath,
+    DiscreteTrace,
     JumpRate,
+    StepPath,
     clipped_affine,
     constant_rate,
-    couple,
+    default_ceiling,
     eval_intensity,
     integrate_intensity,
     path_to_step,
     relu_affine,
     sigmoid_rate,
     simulate_continuous,
+    simulate_discrete,
 )
 
 __all__ = [
@@ -75,12 +80,35 @@ METRIC_NAMES = (
     "skorokhod_upper",
 )
 
-SKOROKHOD_JUMP_CAP = 500
-
 
 # --------------------------------------------------------------------------
 # Configuration
 # --------------------------------------------------------------------------
+
+def _finite(value, what: str) -> float:
+    """A finite real number; booleans, strings and other types are mistyped."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return number
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _typed(value, kind: type | tuple[type, ...], what: str):
+    if not isinstance(value, kind):
+        raise ConfigError(f"{what} has the wrong type: {value!r}")
+    return value
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -101,52 +129,60 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        """Validate every field, and build every component, before any work."""
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
         required = ("kernel", "jump_rate", "marks", "horizon", "delta_ladder", "trials")
         for key in required:
             if key not in doc:
                 raise ConfigError(f"config is missing required key {key!r}")
-        ladder = tuple(float(d) for d in doc["delta_ladder"])
+        horizon = _finite(doc["horizon"], "horizon")
+        if horizon <= 0:
+            raise ConfigError("horizon must be positive")
+        ladder = tuple(
+            _finite(d, "delta_ladder entry")
+            for d in _typed(doc["delta_ladder"], (list, tuple), "delta_ladder")
+        )
         if len(ladder) == 0:
             raise ConfigError("delta_ladder must be nonempty")
         if any(b >= a for a, b in zip(ladder[:-1], ladder[1:])):
             raise ConfigError("delta_ladder must be strictly decreasing")
-        horizon = float(doc["horizon"])
-        if horizon <= 0:
-            raise ConfigError("horizon must be positive")
         for d in ladder:
+            if not 0 < d < horizon:
+                raise ConfigError(f"delta={d} must lie in (0, horizon)")
             ratio = horizon / d
-            if d <= 0 or abs(ratio - round(ratio)) > 1e-9 * max(ratio, 1.0):
+            if abs(ratio - round(ratio)) > 1e-9 * max(ratio, 1.0):
                 raise ConfigError(f"horizon must be an integer multiple of delta={d}")
-        trials = int(doc["trials"])
+        trials = _integer(doc["trials"], "trials")
         if trials < 2:
             raise ConfigError("trials must be >= 2")
-        metrics = tuple(doc.get("metrics", ["terminal_count"]))
+        metrics = tuple(_typed(doc.get("metrics", ["terminal_count"]), (list, tuple), "metrics"))
         for m in metrics:
             if m not in METRIC_NAMES:
                 raise ConfigError(f"unknown metric {m!r}; choose from {METRIC_NAMES}")
-        eta = float(doc.get("sobolev_eta", 0.25))
+        eta = _finite(doc.get("sobolev_eta", 0.25), "sobolev_eta")
         if not 0.0 < eta < 1.0:
             raise ConfigError("sobolev_eta must lie in (0, 1)")
+        seed = _integer(doc.get("seed", 0), "seed")
+        if seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        workers = doc.get("workers")
         cfg = cls(
-            kernel=dict(doc["kernel"]),
-            jump_rate=dict(doc["jump_rate"]),
-            marks=dict(doc["marks"]),
+            kernel=dict(_typed(doc["kernel"], dict, "kernel")),
+            jump_rate=dict(_typed(doc["jump_rate"], dict, "jump_rate")),
+            marks=dict(_typed(doc["marks"], dict, "marks")),
             horizon=horizon,
             delta_ladder=ladder,
             trials=trials,
             metrics=metrics,
             sobolev_eta=eta,
-            seed=int(doc.get("seed", 0)),
-            allow_unstable=bool(doc.get("allow_unstable", False)),
-            output_dir=doc.get("output_dir"),
-            workers=(int(doc["workers"]) if doc.get("workers") is not None else None),
+            seed=seed,
+            allow_unstable=_typed(doc.get("allow_unstable", False), bool, "allow_unstable"),
+            output_dir=_typed(doc.get("output_dir"), (str, type(None)), "output_dir"),
+            workers=None if workers is None else _integer(workers, "workers"),
         )
         # fail fast on bad component specs
-        build_kernel(cfg.kernel, cfg.horizon)
-        build_jump_rate(cfg.jump_rate)
-        build_mark_model(cfg.marks)
+        _build_all(cfg)
         return cfg
 
     def to_dict(self) -> dict:
@@ -155,7 +191,23 @@ class ExperimentConfig:
     def effective_workers(self) -> int:
         if self.workers is not None:
             return max(1, self.workers)
-        return max(1, int(os.environ.get("HAWKPATH_WORKERS", "1")))
+        raw = os.environ.get("HAWKPATH_WORKERS", "1")
+        try:
+            return max(1, int(raw))
+        except ValueError:
+            raise ConfigError(f"HAWKPATH_WORKERS must be an integer, got {raw!r}") from None
+
+
+def _check_numbers(value, what: str) -> None:
+    """Every leaf of a parameter block is a finite number."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_numbers(item, f"{what}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _check_numbers(item, what)
+    else:
+        _finite(value, what)
 
 
 def _require(spec: dict, key: str, context: str):
@@ -164,10 +216,16 @@ def _require(spec: dict, key: str, context: str):
     return spec[key]
 
 
+def _params(spec: dict, context: str) -> dict:
+    params = _typed(spec.get("params", {}), dict, f"{context} params")
+    _check_numbers(params, f"{context} params")
+    return params
+
+
 def build_kernel(spec: dict, horizon: float) -> Kernel:
     """Construct a kernel from its config block {family, params...}."""
     family = _require(spec, "family", "kernel")
-    params = spec.get("params", {})
+    params = _params(spec, "kernel")
     try:
         if family == "exponential":
             return exponential_kernel(params["amplitude"], params["decay"], horizon)
@@ -193,12 +251,14 @@ def build_kernel(spec: dict, horizon: float) -> Kernel:
             return tabulated_kernel(params["points"], horizon)
     except KeyError as exc:
         raise ConfigError(f"kernel family {family!r} is missing parameter {exc}") from exc
+    except ValueError as exc:  # ParameterError, or a ragged point table
+        raise ConfigError(f"kernel family {family!r}: {exc}") from exc
     raise ConfigError(f"unknown kernel family {family!r}")
 
 
 def build_jump_rate(spec: dict) -> JumpRate:
     family = _require(spec, "family", "jump_rate")
-    params = spec.get("params", {})
+    params = _params(spec, "jump_rate")
     try:
         if family == "relu-affine":
             return relu_affine(params["baseline"])
@@ -210,14 +270,18 @@ def build_jump_rate(spec: dict) -> JumpRate:
             return constant_rate(params["value"])
     except KeyError as exc:
         raise ConfigError(f"jump_rate family {family!r} is missing parameter {exc}") from exc
+    except ParameterError as exc:
+        raise ConfigError(f"jump_rate family {family!r}: {exc}") from exc
     raise ConfigError(f"unknown jump_rate family {family!r}")
 
 
 def build_mark_model(spec: dict) -> MarkModel:
-    dist = _require(spec, "distribution", "marks")
-    mod = spec.get("modulation", {"family": "constant-one"})
+    dist = _typed(_require(spec, "distribution", "marks"), dict, "marks.distribution")
+    mod = _typed(spec.get("modulation", {"family": "constant-one"}), dict, "marks.modulation")
     dfam = _require(dist, "family", "marks.distribution")
     mfam = _require(mod, "family", "marks.modulation")
+    for block, what in ((dist, "marks.distribution"), (mod, "marks.modulation")):
+        _check_numbers({k: v for k, v in block.items() if k != "family"}, what)
     try:
         if dfam == "point-mass":
             dist_params = (float(dist["value"]),)
@@ -254,95 +318,148 @@ def _build_all(cfg: ExperimentConfig) -> tuple[Kernel, JumpRate, MarkModel]:
     )
 
 
+def _build_thinnable(cfg: ExperimentConfig) -> tuple[Kernel, JumpRate, MarkModel]:
+    """Components for a command that thins in continuous time.
+
+    A kernel unbounded at lag zero is refused here, before any work: no
+    finite atom ceiling dominates its post-event spikes.  Only the bound
+    evaluation accepts such kernels.
+    """
+    kernel, jump_rate, marks = _build_all(cfg)
+    if not kernel.bounded:
+        raise ConfigError(
+            f"kernel family {kernel.family!r} is unbounded at lag zero and cannot "
+            "be thinned in continuous time; only `bounds` accepts it"
+        )
+    return kernel, jump_rate, marks
+
+
 # --------------------------------------------------------------------------
-# Per-trial metric evaluation
+# Per-trial evaluation
 # --------------------------------------------------------------------------
 
-def _trial_metrics(
-    kernel: Kernel,
-    jump_rate: JumpRate,
-    marks: MarkModel,
+_PATH_METRICS = frozenset({"sobolev", "skorokhod_exact", "skorokhod_upper"})
+
+# One ladder cell of one trial: (metric values, fell back to the surrogate)
+Cell = tuple[dict[str, float], bool]
+
+
+def _cell_metrics(
     cfg: ExperimentConfig,
     delta: float,
-    trial: int,
-) -> tuple[dict[str, float], bool]:
-    """Evaluate every requested metric on one coupled pair; returns (values, downgraded)."""
-    T = cfg.horizon
-    M = round(T / delta)
-    metric_cfg = MetricConfig(eta=cfg.sobolev_eta, skorokhod_max_jumps=SKOROKHOD_JUMP_CAP)
-    cont, disc = couple(
-        kernel, jump_rate, marks, T, delta,
-        seed=(cfg.seed, trial), allow_unstable=cfg.allow_unstable,
-    )
+    cont: ContinuousPath,
+    rc: StepPath | None,
+    disc: DiscreteTrace,
+) -> Cell:
+    """Every requested metric on one coupled pair.
+
+    ``rc`` is the continuous risk path, shared by the trial's cells (None
+    when no path metric is requested).  The grid surrogate is computed at
+    most once, whether ``skorokhod_upper`` asks for it or ``skorokhod_exact``
+    falls back to it past the jump cap.
+    """
     values: dict[str, float] = {}
     downgraded = False
-    rc = rd = None
-    path_metrics = {"sobolev", "skorokhod_exact", "skorokhod_upper"}
-    if path_metrics & set(cfg.metrics):
-        rc = path_to_step(cont, "risk")
-        rd = path_to_step(disc, "risk")
-
-    def surrogate() -> float:
-        grid = delta * np.arange(M + 1)
-        return skorokhod_upper_bound(
-            rc.value_at(grid), disc.risk, modulus_sparse(rc, delta), delta
-        )
-
+    surrogate = None
+    rd = path_to_step(disc, "risk") if rc is not None else None
     for name in cfg.metrics:
         if name == "terminal_count":
             values[name] = float(abs(cont.terminal_count - disc.terminal_count))
         elif name == "terminal_risk":
             values[name] = abs(cont.terminal_risk - disc.terminal_risk)
         elif name == "sobolev":
-            values[name] = sobolev_distance(rc, rd, metric_cfg.eta)
-        elif name == "skorokhod_upper":
-            values[name] = surrogate()
-        elif name == "skorokhod_exact":
-            if max(rc.jump_count, rd.jump_count) <= metric_cfg.skorokhod_max_jumps:
-                values[name] = skorokhod_distance(
-                    rc, rd,
-                    tol=metric_cfg.skorokhod_tol,
-                    max_jumps=metric_cfg.skorokhod_max_jumps,
+            values[name] = sobolev_distance(rc, rd, cfg.sobolev_eta)
+        elif name == "skorokhod_exact" and max(rc.jump_count, rd.jump_count) <= SKOROKHOD_JUMP_CAP:
+            values[name] = skorokhod_distance(rc, rd)
+        else:  # skorokhod_upper, or skorokhod_exact past the jump cap
+            if surrogate is None:
+                grid = delta * np.arange(disc.count + 1)
+                surrogate = skorokhod_upper_bound(
+                    rc.value_at(grid), disc.risk, modulus_sparse(rc, delta), delta
                 )
-            else:
-                values[name] = surrogate()
-                downgraded = True
+            values[name] = surrogate
+            downgraded = downgraded or name == "skorokhod_exact"
     return values, downgraded
 
 
-def _pool_worker(payload: tuple[dict, float, list[int]]) -> list[tuple[int, dict, bool]]:
-    """Process-pool entry point: rebuilds components and runs a trial chunk."""
-    doc, delta, trials = payload
+def _run_trials(
+    kernel: Kernel,
+    jump_rate: JumpRate,
+    marks: MarkModel,
+    cfg: ExperimentConfig,
+    trials: range,
+) -> list[list[Cell] | str]:
+    """The cells of a range of trials, per ladder delta, in trial order.
+
+    Each trial draws its atoms once and thins the continuous path once; the
+    discrete scheme then runs at every delta on those atoms.  This is exact:
+    a ceiling extension is the strip keyed by its index, whichever process
+    asks for it first, and atoms above a process's own ceiling never pass
+    its thinning.  A delta whose cell hits the runaway guard is replaced by
+    the guard's error name and skipped for the remaining trials.
+    """
+    T = cfg.horizon
+    ceiling = default_ceiling(jump_rate, kernel, marks)
+    wants_paths = bool(_PATH_METRICS & set(cfg.metrics))
+    cells: list[list[Cell] | str] = [[] for _ in cfg.delta_ladder]
+    for trial in trials:
+        live = [i for i, c in enumerate(cells) if not isinstance(c, str)]
+        if not live:
+            break
+        atoms = sample_atoms(T, ceiling, marks, (cfg.seed, trial))
+        try:
+            cont = simulate_continuous(
+                kernel, jump_rate, marks, T, atoms, allow_unstable=cfg.allow_unstable
+            )
+        except RunawayIntensityError as exc:
+            for i in live:
+                cells[i] = exc.__class__.__name__
+            break
+        rc = path_to_step(cont, "risk") if wants_paths else None
+        for i in live:
+            delta = cfg.delta_ladder[i]
+            try:
+                disc = simulate_discrete(
+                    kernel, jump_rate, marks, delta, round(T / delta), atoms,
+                    allow_unstable=cfg.allow_unstable,
+                )
+            except RunawayIntensityError as exc:
+                cells[i] = exc.__class__.__name__
+                continue
+            cells[i].append(_cell_metrics(cfg, delta, cont, rc, disc))
+    return cells
+
+
+def _pool_worker(payload: tuple[dict, range]) -> list[list[Cell] | str]:
+    """Process-pool entry point: rebuilds components and runs a trial range."""
+    doc, trials = payload
     cfg = ExperimentConfig.from_dict(doc)
-    kernel, jump_rate, marks = _build_all(cfg)
-    out = []
-    for t in trials:
-        vals, downgraded = _trial_metrics(kernel, jump_rate, marks, cfg, delta, t)
-        out.append((t, vals, downgraded))
-    return out
+    return _run_trials(*_build_all(cfg), cfg, trials)
 
 
 def _map_trials(
-    cfg: ExperimentConfig, delta: float
-) -> tuple[list[dict[str, float]], bool]:
-    """All trials for one ladder cell, in trial order regardless of workers."""
+    cfg: ExperimentConfig, kernel: Kernel, jump_rate: JumpRate, marks: MarkModel
+) -> list[list[Cell] | str]:
+    """Every trial at every ladder delta, in trial order regardless of workers.
+
+    With several workers, one process pool runs contiguous trial ranges
+    that each cover the whole ladder; a delta aborted in any range is
+    aborted, under the error name of its earliest aborted trial.
+    """
     workers = cfg.effective_workers()
     n = cfg.trials
     if workers <= 1:
-        kernel, jump_rate, marks = _build_all(cfg)
-        results = [
-            _trial_metrics(kernel, jump_rate, marks, cfg, delta, t) for t in range(n)
-        ]
-        return [vals for vals, _ in results], any(d for _, d in results)
-    chunks = [list(range(i, n, workers)) for i in range(workers)]
+        return _run_trials(kernel, jump_rate, marks, cfg, range(n))
+    edges = [n * k // workers for k in range(workers + 1)]
+    chunks = [range(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
     doc = cfg.to_dict()
-    collected: dict[int, tuple[dict, bool]] = {}
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        for part in ex.map(_pool_worker, [(doc, delta, c) for c in chunks if c]):
-            for t, vals, downgraded in part:
-                collected[t] = (vals, downgraded)
-    ordered = [collected[t] for t in range(n)]
-    return [vals for vals, _ in ordered], any(d for _, d in ordered)
+    with ProcessPoolExecutor(max_workers=len(chunks)) as ex:
+        parts = list(ex.map(_pool_worker, [(doc, c) for c in chunks]))
+    merged: list[list[Cell] | str] = []
+    for per_chunk in zip(*parts):
+        aborted = [c for c in per_chunk if isinstance(c, str)]
+        merged.append(aborted[0] if aborted else [cell for c in per_chunk for cell in c])
+    return merged
 
 
 # --------------------------------------------------------------------------
@@ -413,33 +530,38 @@ def _theory_shape(cfg: ExperimentConfig, metric: str, delta: float, bset) -> flo
 def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     """Run the full delta ladder and fit error-vs-delta power laws.
 
-    A runaway-intensity error aborts the affected ladder cell only; its rows
-    carry NaN statistics and an ``aborted`` flag.
+    Trials run trial-major: one atom draw and one continuous path per
+    trial, shared by every delta.  A runaway-intensity error aborts the
+    affected ladder cell only; its rows carry NaN statistics and an
+    ``aborted`` flag.
     """
-    kernel, jump_rate, marks = _build_all(config)
+    kernel, jump_rate, marks = _build_thinnable(config)
+    bsets = [
+        bound_set(
+            kernel, delta, config.horizon, jump_rate, marks,
+            eta=config.sobolev_eta, allow_unstable=config.allow_unstable,
+        )
+        for delta in config.delta_ladder
+    ]
+    cells = _map_trials(config, kernel, jump_rate, marks)
     report = ConvergenceReport(trials=config.trials)
     per_metric_points: dict[str, list[tuple[float, float]]] = {
         m: [] for m in config.metrics
     }
-    for delta in config.delta_ladder:
-        bset = bound_set(
-            kernel, delta, config.horizon, jump_rate, marks,
-            eta=config.sobolev_eta, allow_unstable=config.allow_unstable,
-        )
-        try:
-            trial_values, downgraded = _map_trials(config, delta)
-        except RunawayIntensityError as exc:
+    for delta, bset, cell in zip(config.delta_ladder, bsets, cells):
+        if isinstance(cell, str):
             for metric in config.metrics:
                 report.rows.append(
                     ConvergenceRow(
                         delta, metric, math.nan, math.nan,
                         _theory_shape(config, metric, delta, bset),
-                        flag=f"aborted:{exc.__class__.__name__}",
+                        flag=f"aborted:{cell}",
                     )
                 )
             continue
+        downgraded = any(d for _, d in cell)
         for metric in config.metrics:
-            arr = np.array([v[metric] for v in trial_values])
+            arr = np.array([v[metric] for v, _ in cell])
             mean = float(arr.mean())
             se = float(arr.std(ddof=1) / math.sqrt(len(arr)))
             flag = ""
@@ -504,10 +626,11 @@ def verify_bounds(config: ExperimentConfig, *, scaling_slope_min: float = 0.45) 
     3T/4) must scale with a log-log slope of at least ``scaling_slope_min``
     across the ladder (zero errors pass trivially).
     """
-    kernel, jump_rate, marks = _build_all(config)
+    kernel, jump_rate, marks = _build_thinnable(config)
     T = config.horizon
     moments = mark_moments(marks)
-    delta_min = config.delta_ladder[-1]
+    ladder = config.delta_ladder
+    delta_min = ladder[-1]
     M_min = round(T / delta_min)
     verdicts: list[BoundVerdict] = []
 
@@ -524,7 +647,9 @@ def verify_bounds(config: ExperimentConfig, *, scaling_slope_min: float = 0.45) 
         )
     )
 
-    # one coupled pass at the smallest step feeds the mean and martingale checks
+    # each trial is coupled once across the ladder: one atom draw and one
+    # continuous path feed the increment mismatch at every delta, and the
+    # finest-delta trace feeds the mean and martingale checks
     n = config.trials
     ts = T * np.arange(1, 21) / 20.0
     grid_idx = np.unique(np.linspace(1, M_min, 20, dtype=int))
@@ -532,11 +657,24 @@ def verify_bounds(config: ExperimentConfig, *, scaling_slope_min: float = 0.45) 
     l_samples = np.empty((n, len(grid_idx)))
     xi_cont = np.empty(n)
     xi_disc = np.empty(n)
+    s_t = (0.25 * T, 0.75 * T)
+    mismatches = np.empty((len(ladder), n))
+    ceiling = default_ceiling(jump_rate, kernel, marks)
     for t in range(n):
-        cont, disc = couple(
-            kernel, jump_rate, marks, T, delta_min,
-            seed=(config.seed, t), allow_unstable=config.allow_unstable,
+        atoms = sample_atoms(T, ceiling, marks, (config.seed, t))
+        cont = simulate_continuous(
+            kernel, jump_rate, marks, T, atoms, allow_unstable=config.allow_unstable
         )
+        rc = path_to_step(cont, "risk")
+        inc_c = float(rc.value_at(s_t[1]) - rc.value_at(s_t[0]))
+        for i, delta in enumerate(ladder):
+            disc = simulate_discrete(
+                kernel, jump_rate, marks, delta, round(T / delta), atoms,
+                allow_unstable=config.allow_unstable,
+            )
+            rd = path_to_step(disc, "risk")
+            inc_d = float(rd.value_at(s_t[1]) - rd.value_at(s_t[0]))
+            mismatches[i, t] = abs(inc_c - inc_d)
         lam_samples[t] = [eval_intensity(cont, kernel, jump_rate, u) for u in ts]
         l_samples[t] = disc.intensity[grid_idx]
         xi_cont[t] = cont.terminal_risk - moments.mean * integrate_intensity(
@@ -601,21 +739,7 @@ def verify_bounds(config: ExperimentConfig, *, scaling_slope_min: float = 0.45) 
         )
 
     # increment mismatch at fixed times across the ladder
-    s_t = (0.25 * T, 0.75 * T)
-    ladder_means = []
-    for delta in config.delta_ladder:
-        vals = np.empty(n)
-        for t in range(n):
-            cont, disc = couple(
-                kernel, jump_rate, marks, T, delta,
-                seed=(config.seed, t), allow_unstable=config.allow_unstable,
-            )
-            rc = path_to_step(cont, "risk")
-            rd = path_to_step(disc, "risk")
-            inc_c = float(rc.value_at(s_t[1]) - rc.value_at(s_t[0]))
-            inc_d = float(rd.value_at(s_t[1]) - rd.value_at(s_t[0]))
-            vals[t] = abs(inc_c - inc_d)
-        ladder_means.append((delta, float(vals.mean())))
+    ladder_means = [(delta, float(row.mean())) for delta, row in zip(ladder, mismatches)]
     if all(m < 1e-12 for _, m in ladder_means):
         verdicts.append(
             BoundVerdict("increment_scaling", 0.0, scaling_slope_min, 0.0, True,

@@ -11,7 +11,7 @@ otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -118,7 +118,9 @@ class Kernel:
     Optional analytic metadata (validated against quadrature in the test
     suite to 1e-6 relative):
 
-    - ``l1_closed_form``    -- integral of |h| over the full horizon,
+    - ``l1_closed_form``    -- integral of |h| over the full horizon; the
+                               families without a closed form fill it by one
+                               quadrature at construction,
     - ``sup_norm``          -- sup of |h| on (0, T]; None for unbounded families,
     - ``abs_antiderivative``-- H(x) = integral of |h| over [0, x],
     - ``monotone_breaks``   -- boundaries of monotone pieces, 0 and T included,
@@ -144,6 +146,11 @@ class Kernel:
 
     def __call__(self, t):
         return self.evaluate(t)
+
+    @property
+    def bounded(self) -> bool:
+        """Whether |h| has a finite sup on (0, T], which continuous thinning needs."""
+        return self.sup_norm is not None and not self.singular_at_zero
 
 
 @dataclass(frozen=True)
@@ -256,14 +263,14 @@ def cosine_decay_kernel(amplitude: float = 0.6, horizon: float = 5.0) -> Kernel:
         z for z in (math.pi / 2 + k * math.pi for k in range(int(T / math.pi) + 1)) if z < T
     )
     extrema = _local_extrema(h, T)
-    return Kernel(
+    return _with_l1(Kernel(
         evaluate=h,
         horizon=T,
         family="cosine-decay",
         sup_norm=abs(a),
         monotone_breaks=(0.0, *extrema, T),
         nonsmooth_points=zeros,
-    )
+    ))
 
 
 def inverse_sqrt_kernel(
@@ -399,14 +406,19 @@ def tabulated_kernel(points: list[tuple[float, float]] | np.ndarray, horizon: fl
         for i in range(len(slopes) - 1)
         if slopes[i] * slopes[i + 1] < 0
     ]
-    return Kernel(
+    return _with_l1(Kernel(
         evaluate=h,
         horizon=float(horizon),
         family="custom",
         sup_norm=float(np.abs(vs).max()),
         monotone_breaks=(0.0, *interior, float(horizon)),
         nonsmooth_points=tuple(float(t) for t in ts if 0.0 < t < horizon),
-    )
+    ))
+
+
+def _with_l1(kernel: Kernel) -> Kernel:
+    """Attach ||h||_1 over the horizon, integrated once, so no trial redoes it."""
+    return replace(kernel, l1_closed_form=_abs_integral(kernel, 0.0, kernel.horizon))
 
 
 # --------------------------------------------------------------------------
@@ -624,7 +636,7 @@ def p_variation(kernel: Kernel, p: float = 1.0, T: float | None = None) -> PVari
         raise ParameterError("p must be >= 1")
     if T is None:
         T = kernel.horizon
-    if kernel.singular_at_zero or kernel.sup_norm is None:
+    if not kernel.bounded:
         raise InfiniteVariationError(
             f"kernel family {kernel.family!r} is unbounded on (0, T]"
         )

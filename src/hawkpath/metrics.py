@@ -19,7 +19,7 @@ from .errors import ParameterError
 from .simulate import StepPath, make_step_path
 
 __all__ = [
-    "MetricConfig",
+    "SKOROKHOD_JUMP_CAP",
     "PowerLawFit",
     "step_sub",
     "uniform_distance",
@@ -33,22 +33,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MetricConfig:
-    """Settings shared by the path metrics.
-
-    ``skorokhod_tol`` of None means 1e-9 times the horizon.  Paths with more
-    jumps than ``skorokhod_max_jumps`` are refused by the exact algorithm
-    (callers fall back to the grid surrogate).
-    """
-
-    eta: float = 0.25
-    skorokhod_tol: float | None = None
-    skorokhod_max_jumps: int = 500
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eta < 1.0:
-            raise ParameterError("eta must lie in (0, 1)")
+# Jumps per path above which the exact Skorokhod algorithm refuses a pair;
+# callers fall back to the grid surrogate.
+SKOROKHOD_JUMP_CAP = 500
 
 
 def _require_same_horizon(f: StepPath, g: StepPath) -> float:
@@ -212,7 +199,7 @@ def skorokhod_distance(
     g: StepPath,
     *,
     tol: float | None = None,
-    max_jumps: int = 500,
+    max_jumps: int = SKOROKHOD_JUMP_CAP,
 ) -> float:
     """Skorokhod distance between canonical step paths, by bisection.
 

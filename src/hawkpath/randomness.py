@@ -62,6 +62,10 @@ class MarkModel:
             raise ParameterError(f"unknown distribution {self.distribution!r}")
         if self.modulation not in _MODULATIONS:
             raise ParameterError(f"unknown modulation {self.modulation!r}")
+        if self.distribution == "exponential" and not self.dist_params[0] > 0:
+            raise ParameterError("exponential mark rate must be positive")
+        if self.distribution in ("lognormal", "gaussian") and not self.dist_params[1] >= 0:
+            raise ParameterError("mark sd must be nonnegative")
         if self.distribution == "custom" and self.sampler is None:
             raise ParameterError("custom distribution requires a sampler")
         if self.modulation == "custom" and self.modulation_fn is None:

@@ -300,7 +300,7 @@ def simulate_continuous(
         raise ParameterError("T exceeds the atoms' horizon")
     if T > kernel.horizon * (1 + _REL_TOL):
         raise ParameterError("T exceeds the kernel horizon")
-    if kernel.sup_norm is None or kernel.singular_at_zero:
+    if not kernel.bounded:
         raise ParameterError(
             "continuous thinning requires a bounded kernel; only the discrete "
             "scheme supports kernels unbounded at lag zero"

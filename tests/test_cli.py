@@ -1,5 +1,8 @@
 import json
 import os
+
+import pytest
+
 from hawkpath.cli import cli_main
 
 
@@ -50,6 +53,52 @@ class TestExitCodes:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert cli_main(["bounds", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"horizon": float("nan")},
+            {"horizon": float("inf")},
+            {"delta_ladder": [0.5, float("nan")]},
+            {"sobolev_eta": "quarter"},
+            {"trials": "forty"},
+            {"kernel": {"family": "exponential", "params": {"amplitude": 0.5, "decay": -1.0}}},
+            {"marks": {"distribution": {"family": "exponential", "rate": -1.0}}},
+            {"seed": -1},
+        ],
+        ids=[
+            "horizon-nan", "horizon-inf", "ladder-nan", "eta-text", "trials-text",
+            "negative-decay", "negative-mark-rate", "negative-seed",
+        ],
+    )
+    def test_bad_field_exits_2_without_outputs(self, tmp_path, override):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = write_config(tmp_path, {**base_doc(out), **override})
+        assert cli_main(["convergence", str(cfg)]) == 2
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, code",
+        [("convergence", 2), ("verify", 2), ("couple", 2), ("simulate", 2), ("bounds", 0)],
+    )
+    def test_singular_kernel_only_for_bounds(self, tmp_path, command, code):
+        # no finite ceiling thins h(t) = c / sqrt(t) in continuous time
+        out = tmp_path / "out"
+        out.mkdir()
+        doc = base_doc(out)
+        doc["kernel"] = {"family": "inverse-sqrt", "params": {"target_rho": 0.5}}
+        cfg = write_config(tmp_path, doc)
+        assert cli_main([command, str(cfg)]) == code
+        assert (list(out.iterdir()) == []) == (code == 2)
+
+    def test_non_integer_worker_env_exits_2(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = write_config(tmp_path, base_doc(out))
+        monkeypatch.setenv("HAWKPATH_WORKERS", "two")
+        assert cli_main(["convergence", str(cfg)]) == 2
+        assert list(out.iterdir()) == []
 
     def test_unstable_exits_3(self, tmp_path):
         out = tmp_path / "out"

@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
-from hawkpath.errors import ConfigError
+from hawkpath import harness
+from hawkpath.errors import ConfigError, RunawayIntensityError
 from hawkpath.harness import (
     ExperimentConfig,
     build_jump_rate,
@@ -142,6 +145,46 @@ class TestRunConvergence:
         )
         report = run_convergence(cfg)
         assert report.rows[0].flag == "surrogate"
+
+    def test_surrogate_computed_once_per_cell(self, monkeypatch):
+        # a cap of 5 jumps makes exact Skorokhod fall back on every cell
+        monkeypatch.setattr(harness, "SKOROKHOD_JUMP_CAP", 5)
+        calls = []
+        real = harness.modulus_sparse
+
+        def counting(path, delta):
+            calls.append(delta)
+            return real(path, delta)
+
+        monkeypatch.setattr(harness, "modulus_sparse", counting)
+        cfg = null_config(trials=3, metrics=["skorokhod_exact", "skorokhod_upper"])
+        report = run_convergence(cfg)
+        assert len(calls) == cfg.trials * len(cfg.delta_ladder)
+        for delta in cfg.delta_ladder:
+            exact, upper = (r for r in report.rows if r.delta == delta)
+            assert exact.flag == "surrogate"
+            assert (exact.mean, exact.stderr) == (upper.mean, upper.stderr)
+
+    def test_runaway_aborts_only_its_cell(self, monkeypatch):
+        cfg = exponential_config(trials=12, metrics=["terminal_count", "terminal_risk"])
+        clean = run_convergence(cfg).to_csv_text().splitlines()
+        real = harness.simulate_discrete
+
+        def runaway_at_quarter(kernel, jump_rate, marks, delta, count, atoms, **kwargs):
+            if delta == 0.25 and atoms.seed_entropy == (cfg.seed, 5):
+                raise RunawayIntensityError("injected")
+            return real(kernel, jump_rate, marks, delta, count, atoms, **kwargs)
+
+        monkeypatch.setattr(harness, "simulate_discrete", runaway_at_quarter)
+        patched = run_convergence(cfg).to_csv_text().splitlines()
+        assert len(patched) == len(clean) == 1 + 3 * 2
+        for before, after in zip(clean, patched):
+            if after.startswith("0.25,"):
+                delta, metric, mean, stderr, _, flag = after.split(",")
+                assert math.isnan(float(mean)) and math.isnan(float(stderr))
+                assert flag == "aborted:RunawayIntensityError"
+            else:
+                assert after == before
 
     def test_deterministic_rerun(self):
         a = run_convergence(null_config()).to_csv_text()

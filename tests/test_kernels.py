@@ -232,6 +232,17 @@ class TestMetadataAgainstQuadrature:
                 lambda t: 0.1 / math.sqrt(t),
                 (),
             ),
+            # no closed form: filled by one quadrature at construction
+            (
+                hp.cosine_decay_kernel(0.6, 5.0),
+                lambda t: 0.6 * math.cos(t) / (1 + t * t),
+                (math.pi / 2, 3 * math.pi / 2),
+            ),
+            (
+                hp.tabulated_kernel([(0.0, 1.0), (1.0, -0.5), (5.0, 0.0)], 5.0),
+                lambda t: float(np.interp(t, [0.0, 1.0, 5.0], [1.0, -0.5, 0.0])),
+                (2.0 / 3.0, 1.0),
+            ),
         ]
         for kernel, fn, pts in cases:
             oracle = quad_abs_l1(fn, kernel.horizon, points=pts)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hawkpath as hp
 from hawkpath.errors import (
@@ -16,6 +18,8 @@ from hawkpath.simulate import (
     integrate_intensity,
     make_step_path,
     path_to_step,
+    simulate_continuous,
+    simulate_discrete,
     step_from_jumps,
 )
 
@@ -374,3 +378,65 @@ class TestPathToStep:
         assert np.array_equal(sp.breakpoints, [0.0, 0.6])
         with pytest.raises(ParameterError):
             hp.StepPath(np.array([0.0, 0.5, 0.5]), np.array([0.0, 1.0, 2.0]), 1.0)
+
+
+# The trial-major ladder rests on this invariance: for one seed, the
+# continuous path and every delta's discrete trace are the same whichever
+# process extended the shared atom ceiling first.  A ceiling of 0.5 sits
+# below the empty-past rate, so both processes extend it in every example.
+_INV_T = 4.0
+_INV_DELTAS = (1.0, 0.5, 0.25, 0.1, 0.05)
+_INV_KERNEL = hp.exponential_kernel(0.604, 1.0, _INV_T)
+_INV_RATE = hp.relu_affine(1.0)
+_INV_MARKS = hp.MarkModel("exponential", (1.0,))
+
+
+def _inv_atoms(seed):
+    return hp.sample_atoms(_INV_T, 0.5, _INV_MARKS, seed)
+
+
+def _inv_continuous(atoms):
+    return simulate_continuous(_INV_KERNEL, _INV_RATE, _INV_MARKS, _INV_T, atoms)
+
+
+def _inv_discrete(delta, atoms):
+    return simulate_discrete(
+        _INV_KERNEL, _INV_RATE, _INV_MARKS, delta, round(_INV_T / delta), atoms
+    )
+
+
+def _same_arrays(a, b, fields):
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in fields)
+
+
+class TestSharedAtomInvariance:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        deltas=st.lists(st.sampled_from(_INV_DELTAS), min_size=1, max_size=3),
+    )
+    def test_continuous_path_ignores_discrete_extensions(self, seed, deltas):
+        fresh = _inv_continuous(_inv_atoms(seed))
+        atoms = _inv_atoms(seed)
+        for delta in deltas:
+            _inv_discrete(delta, atoms)
+        shared = _inv_continuous(atoms)
+        assert _same_arrays(fresh, shared, ("times", "marks", "weights", "intensities"))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        order=st.permutations(_INV_DELTAS),
+        continuous_first=st.booleans(),
+    )
+    def test_discrete_trace_ignores_earlier_deltas(self, seed, order, continuous_first):
+        atoms = _inv_atoms(seed)
+        if continuous_first:
+            _inv_continuous(atoms)
+        for delta in order:
+            shared = _inv_discrete(delta, atoms)
+            fresh = _inv_discrete(delta, _inv_atoms(seed))
+            assert _same_arrays(fresh, shared, ("intensity", "mass", "events", "risk"))
+            for field in ("bin_times", "bin_marks"):
+                pairs = zip(getattr(fresh, field), getattr(shared, field))
+                assert all(np.array_equal(x, y) for x, y in pairs)
