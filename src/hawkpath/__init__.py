@@ -64,7 +64,6 @@ from .simulate import (
     clipped_affine,
     constant_rate,
     couple,
-    custom_rate,
     default_ceiling,
     eval_intensity,
     integrate_intensity,
@@ -74,7 +73,6 @@ from .simulate import (
     sigmoid_rate,
     simulate_continuous,
     simulate_discrete,
-    simulate_discrete_fast,
     step_from_jumps,
 )
 

@@ -185,9 +185,6 @@ class ExperimentConfig:
         _build_all(cfg)
         return cfg
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def effective_workers(self) -> int:
         if self.workers is not None:
             return max(1, self.workers)
@@ -430,10 +427,9 @@ def _run_trials(
     return cells
 
 
-def _pool_worker(payload: tuple[dict, range]) -> list[list[Cell] | str]:
-    """Process-pool entry point: rebuilds components and runs a trial range."""
-    doc, trials = payload
-    cfg = ExperimentConfig.from_dict(doc)
+def _pool_worker(payload: tuple[ExperimentConfig, range]) -> list[list[Cell] | str]:
+    """Process-pool entry point: builds the components once, runs a trial range."""
+    cfg, trials = payload
     return _run_trials(*_build_all(cfg), cfg, trials)
 
 
@@ -452,9 +448,8 @@ def _map_trials(
         return _run_trials(kernel, jump_rate, marks, cfg, range(n))
     edges = [n * k // workers for k in range(workers + 1)]
     chunks = [range(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
-    doc = cfg.to_dict()
     with ProcessPoolExecutor(max_workers=len(chunks)) as ex:
-        parts = list(ex.map(_pool_worker, [(doc, c) for c in chunks]))
+        parts = list(ex.map(_pool_worker, [(cfg, c) for c in chunks]))
     merged: list[list[Cell] | str] = []
     for per_chunk in zip(*parts):
         aborted = [c for c in per_chunk if isinstance(c, str)]

@@ -3,8 +3,7 @@
 Both processes are built by thinning the *same* materialized Poisson atoms:
 the continuous process accepts an atom (tau, theta, y) when theta is below
 the left-limit intensity at tau, the discrete scheme freezes its intensity
-per time bin and accepts bin atoms under that frozen level.  A fast
-compound-Poisson sampler reproduces the discrete marginals without atoms.
+per time bin and accepts bin atoms under that frozen level.
 """
 
 from __future__ import annotations
@@ -34,12 +33,10 @@ __all__ = [
     "clipped_affine",
     "sigmoid_rate",
     "constant_rate",
-    "custom_rate",
     "simulate_continuous",
     "eval_intensity",
     "integrate_intensity",
     "simulate_discrete",
-    "simulate_discrete_fast",
     "couple",
     "default_ceiling",
     "path_to_step",
@@ -118,16 +115,6 @@ def constant_rate(value: float) -> JumpRate:
     return JumpRate("constant", fn, lipschitz=0.0, at_zero=c, sup_norm=c)
 
 
-def custom_rate(
-    fn: Callable[[np.ndarray], np.ndarray],
-    lipschitz: float,
-    *,
-    sup_norm: float | None = None,
-) -> JumpRate:
-    at_zero = float(np.asarray(fn(0.0)))
-    return JumpRate("custom", fn, float(lipschitz), at_zero, sup_norm)
-
-
 # --------------------------------------------------------------------------
 # Path containers
 # --------------------------------------------------------------------------
@@ -161,8 +148,9 @@ class DiscreteTrace:
 
     Index n holds the bin ((n-1)*delta, n*delta]; index 0 is the initial
     state.  ``intensity[0] == intensity[1]`` equals the empty-past rate.
-    ``risk`` is the cumulative mark sum at the grid points.  ``bin_times``
-    is None when produced by the fast sampler (no atom times exist there).
+    ``risk`` is the cumulative mark sum at the grid points.  ``times`` and
+    ``marks`` hold the accepted atoms in bin order; bin n's atoms are the
+    slice ``cumsum(events)[n-1]:cumsum(events)[n]``.
     """
 
     delta: float
@@ -171,8 +159,8 @@ class DiscreteTrace:
     mass: np.ndarray                # X_0 .. X_M (modulated per-bin mass)
     events: np.ndarray              # D_0 .. D_M (accepted counts)
     risk: np.ndarray                # R at 0, delta, ..., M*delta
-    bin_marks: tuple[np.ndarray, ...]
-    bin_times: tuple[np.ndarray, ...] | None = None
+    times: np.ndarray               # accepted atom times, in bin order
+    marks: np.ndarray               # their marks
 
     @property
     def horizon(self) -> float:
@@ -491,9 +479,13 @@ def simulate_discrete(
 
     Bins are right-closed, ((n-1)*delta, n*delta].  The convolution driving
     the next intensity is truncated to the trailing nonzero kernel lags, so
-    compact-support kernels cost O(r * M) instead of O(M^2).  An unstable
-    step ratio warns rather than fails; allow_unstable acknowledges it and
-    silences the warning.
+    compact-support kernels cost O(r * M) instead of O(M^2).  Every bin
+    costs that convolution and one jump-rate call; only bins that hold atoms
+    are thinned, and a bin without atoms keeps mass and count 0.  The
+    accepted atoms are read off in one pass at the end: an atom added by a
+    later ceiling extension has a theta above every earlier bin intensity,
+    so it passes no earlier bin.  An unstable step ratio warns rather than
+    fails; allow_unstable acknowledges it and silences the warning.
     """
     M = int(count)
     T = delta * M
@@ -505,16 +497,20 @@ def simulate_discrete(
     cap = atoms.initial_ceiling * ceiling_cap_factor
     psi = jump_rate.fn
     span = _discrete_recursion_span(coeffs)
+    grid = delta * np.arange(M + 1)
 
-    tau, theta, y, _ = atoms.merged()
-    b = mark_model.modulate(y)
+    def read_atoms():
+        """Merged atoms, their modulation and the atom index of every grid point."""
+        tau, theta, y, _ = atoms.merged()
+        edges = np.searchsorted(tau, grid, side="right").tolist()
+        return tau, theta, y, mark_model.modulate(y), edges
+
+    tau, theta, y, b, edges = read_atoms()
+    ceiling = atoms.ceiling
 
     intensity = np.empty(M + 1)
     mass = np.zeros(M + 1)
-    events = np.zeros(M + 1, dtype=np.int64)
-    risk = np.zeros(M + 1)
-    bin_marks: list[np.ndarray] = [np.empty(0)] * (M + 1)
-    bin_times: list[np.ndarray] = [np.empty(0)] * (M + 1)
+    gain = np.zeros(M + 1)          # mark sum accepted per bin
 
     intensity[0] = jump_rate.at_zero
     for n in range(1, M + 1):
@@ -525,98 +521,34 @@ def simulate_discrete(
             width = n - k0
             s = float(np.dot(coeffs[:width], mass[k0:n][::-1])) if width > 0 else 0.0
             l_n = float(psi(s))
-        while l_n > atoms.ceiling:
-            new_ceiling = atoms.ceiling * 2.0
-            if new_ceiling > cap:
+        while l_n > ceiling:
+            ceiling *= 2.0
+            if ceiling > cap:
                 raise RunawayIntensityError(
                     f"bin intensity {l_n:.4g} needs a ceiling beyond the hard cap {cap:.4g}"
                 )
-            extend_ceiling(atoms, new_ceiling)
-            tau, theta, y, _ = atoms.merged()
-            b = mark_model.modulate(y)
+            extend_ceiling(atoms, ceiling)
+            tau, theta, y, b, edges = read_atoms()
         intensity[n] = l_n
-        lo = int(np.searchsorted(tau, (n - 1) * delta, side="right"))
-        hi = int(np.searchsorted(tau, n * delta, side="right"))
+        lo, hi = edges[n - 1], edges[n]
+        if lo == hi:
+            continue
         sel = theta[lo:hi] <= l_n
         mass[n] = float(b[lo:hi][sel].sum())
-        events[n] = int(sel.sum())
-        risk[n] = risk[n - 1] + float(y[lo:hi][sel].sum())
-        bin_marks[n] = y[lo:hi][sel].copy()
-        bin_times[n] = tau[lo:hi][sel].copy()
+        gain[n] = float(y[lo:hi][sel].sum())
 
+    lo, hi = edges[0], edges[M]
+    bin_of = np.repeat(np.arange(1, M + 1), np.diff(edges))
+    accept = theta[lo:hi] <= intensity[bin_of]
     return DiscreteTrace(
         delta=float(delta),
         count=M,
         intensity=intensity,
         mass=mass,
-        events=events,
-        risk=risk,
-        bin_marks=tuple(bin_marks),
-        bin_times=tuple(bin_times),
-    )
-
-
-def simulate_discrete_fast(
-    kernel: Kernel,
-    jump_rate: JumpRate,
-    mark_model: MarkModel,
-    delta: float,
-    count: int,
-    seed: int | tuple[int, ...],
-    *,
-    poisson_cap: float = 1e9,
-) -> DiscreteTrace:
-    """Sample the discrete scheme directly: each bin is compound Poisson.
-
-    Marginally equal in law to the atom-based scheme, with no pathwise
-    coupling to the continuous process.
-    """
-    M = int(count)
-    coeffs = grid_coefficients(kernel, delta, M).values
-    _check_discrete_stability(coeffs, delta, jump_rate, mark_model, False)
-    span = _discrete_recursion_span(coeffs)
-    psi = jump_rate.fn
-
-    entropy = (seed,) if isinstance(seed, int) else tuple(seed)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=entropy))
-
-    intensity = np.empty(M + 1)
-    mass = np.zeros(M + 1)
-    events = np.zeros(M + 1, dtype=np.int64)
-    risk = np.zeros(M + 1)
-    bin_marks: list[np.ndarray] = [np.empty(0)] * (M + 1)
-
-    intensity[0] = jump_rate.at_zero
-    for n in range(1, M + 1):
-        if n == 1:
-            l_n = jump_rate.at_zero
-        else:
-            k0 = max(1, n - span)
-            width = n - k0
-            s = float(np.dot(coeffs[:width], mass[k0:n][::-1])) if width > 0 else 0.0
-            l_n = float(psi(s))
-        lam_bin = delta * l_n
-        if lam_bin > poisson_cap:
-            raise RunawayIntensityError(
-                f"bin Poisson parameter {lam_bin:.4g} exceeds the sampler cap"
-            )
-        intensity[n] = l_n
-        d = int(rng.poisson(lam_bin))
-        marks = mark_model.sample(rng, d)
-        events[n] = d
-        mass[n] = float(mark_model.modulate(marks).sum())
-        risk[n] = risk[n - 1] + float(marks.sum())
-        bin_marks[n] = marks
-
-    return DiscreteTrace(
-        delta=float(delta),
-        count=M,
-        intensity=intensity,
-        mass=mass,
-        events=events,
-        risk=risk,
-        bin_marks=tuple(bin_marks),
-        bin_times=None,
+        events=np.bincount(bin_of[accept], minlength=M + 1),
+        risk=np.cumsum(gain),
+        times=tau[lo:hi][accept],
+        marks=y[lo:hi][accept],
     )
 
 

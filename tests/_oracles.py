@@ -8,9 +8,14 @@ minimax alignment instead of the interval DP.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 from scipy.integrate import quad
 
+from hawkpath.errors import RunawayIntensityError
+from hawkpath.kernels import grid_coefficients
+from hawkpath.randomness import extend_ceiling
 from hawkpath.simulate import StepPath, make_step_path
 
 
@@ -159,3 +164,80 @@ def random_step_path(
         steps[np.abs(steps) < 0.05] = 0.25
     values = np.concatenate(([0.0], np.cumsum(steps)))
     return make_step_path(np.concatenate(([0.0], times)), values, horizon)
+
+
+def discrete_scheme_reference(kernel, jump_rate, mark_model, delta, count, atoms):
+    """The discrete scheme thinned bin by bin, every bin on its own.
+
+    Each bin looks up its atoms with two searches, selects the ones under the
+    frozen bin intensity and keeps them as a separate array, so the accepted
+    atoms come out as per-bin lists.  The ceiling is doubled in the bin that
+    needs it, exactly as in the scheme under test.
+    """
+    M = int(count)
+    coeffs = grid_coefficients(kernel, delta, M).values
+    nz = np.nonzero(coeffs)[0]
+    span = int(nz[-1]) + 1 if len(nz) else 0
+    cap = atoms.initial_ceiling * 2.0**20
+    psi = jump_rate.fn
+
+    tau, theta, y, _ = atoms.merged()
+    b = mark_model.modulate(y)
+
+    intensity = np.empty(M + 1)
+    mass = np.zeros(M + 1)
+    events = np.zeros(M + 1, dtype=np.int64)
+    risk = np.zeros(M + 1)
+    bin_marks = [np.empty(0)] * (M + 1)
+    bin_times = [np.empty(0)] * (M + 1)
+
+    intensity[0] = jump_rate.at_zero
+    for n in range(1, M + 1):
+        if n == 1:
+            l_n = jump_rate.at_zero
+        else:
+            k0 = max(1, n - span)
+            width = n - k0
+            s = float(np.dot(coeffs[:width], mass[k0:n][::-1])) if width > 0 else 0.0
+            l_n = float(psi(s))
+        while l_n > atoms.ceiling:
+            new_ceiling = atoms.ceiling * 2.0
+            if new_ceiling > cap:
+                raise RunawayIntensityError("bin intensity needs a ceiling beyond the cap")
+            extend_ceiling(atoms, new_ceiling)
+            tau, theta, y, _ = atoms.merged()
+            b = mark_model.modulate(y)
+        intensity[n] = l_n
+        lo = int(np.searchsorted(tau, (n - 1) * delta, side="right"))
+        hi = int(np.searchsorted(tau, n * delta, side="right"))
+        sel = theta[lo:hi] <= l_n
+        mass[n] = float(b[lo:hi][sel].sum())
+        events[n] = int(sel.sum())
+        risk[n] = risk[n - 1] + float(y[lo:hi][sel].sum())
+        bin_marks[n] = y[lo:hi][sel].copy()
+        bin_times[n] = tau[lo:hi][sel].copy()
+
+    return SimpleNamespace(
+        intensity=intensity, mass=mass, events=events, risk=risk,
+        bin_times=bin_times, bin_marks=bin_marks,
+    )
+
+
+def compound_poisson_scheme(kernel, jump_rate, mark_model, delta, count, seed):
+    """The discrete scheme sampled without atoms: each bin is compound Poisson.
+
+    Equal in law to the atom-based scheme (a bin's accepted atoms are a
+    Poisson number of independent marks given the past), with no pathwise
+    coupling to anything.  Returns the per-bin event counts.
+    """
+    M = int(count)
+    coeffs = grid_coefficients(kernel, delta, M).values
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=tuple(seed)))
+    mass = np.zeros(M + 1)
+    events = np.zeros(M + 1, dtype=np.int64)
+    for n in range(1, M + 1):
+        s = float(np.dot(coeffs[: n - 1], mass[1:n][::-1]))
+        d = int(rng.poisson(delta * float(jump_rate.fn(s))))
+        events[n] = d
+        mass[n] = float(mark_model.modulate(mark_model.sample(rng, d)).sum())
+    return events

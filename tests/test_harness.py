@@ -186,6 +186,20 @@ class TestRunConvergence:
             else:
                 assert after == before
 
+    def test_pool_worker_builds_components_once(self, monkeypatch):
+        cfg = exponential_config(trials=4)
+        calls = []
+        real = harness.build_kernel
+
+        def counting(spec, horizon):
+            calls.append(spec)
+            return real(spec, horizon)
+
+        monkeypatch.setattr(harness, "build_kernel", counting)
+        cells = harness._pool_worker((cfg, range(1, 3)))
+        assert len(calls) == 1
+        assert [len(c) for c in cells] == [2] * len(cfg.delta_ladder)
+
     def test_deterministic_rerun(self):
         a = run_convergence(null_config()).to_csv_text()
         b = run_convergence(null_config()).to_csv_text()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hawkpath as hp
+from _oracles import compound_poisson_scheme, discrete_scheme_reference
 from hawkpath.errors import (
     InstabilityError,
     InstabilityWarning,
@@ -165,7 +166,7 @@ class TestSimulateDiscrete:
         disc = hp.simulate_discrete(zero, rate, unit_marks, 0.5, 20, atoms)
         assert disc.terminal_count == cont.terminal_count
         assert disc.terminal_risk == cont.terminal_risk
-        assert np.array_equal(np.sort(np.concatenate(disc.bin_times)), cont.times)
+        assert np.array_equal(disc.times, cont.times)
 
     def test_no_atoms(self, unit_marks):
         atoms = atoms_from_triples(3.0, 4.0, [], unit_marks)
@@ -235,44 +236,96 @@ class TestSimulateDiscrete:
         assert not [w for w in record if issubclass(w.category, InstabilityWarning)]
 
 
-class TestSimulateDiscreteFast:
-    def test_zero_rate_gives_zero_trace(self, unit_marks):
-        disc = hp.simulate_discrete_fast(
-            hp.zero_kernel(5.0), hp.constant_rate(0.0), unit_marks, 0.5, 10, seed=5
+# The discrete scheme against the bin-by-bin reference: same bits in every
+# array.  The ceilings start below the empty-past rate or near it, so the
+# ladder extends in the first bin or partway through; the coarse steps put
+# eight or more non-integer marks into some bins.
+_REF_T = 4.0
+_REF_KERNELS = {
+    "exponential": hp.exponential_kernel(0.5, 1.5, _REF_T),      # span = M
+    "compact-support": hp.compact_kernel(0.6, 0.7, _REF_T),   # span < M
+    "zero": hp.zero_kernel(_REF_T),
+}
+_REF_RATES = {
+    "relu": hp.relu_affine(2.0),
+    "clipped": hp.clipped_affine(1.5, 6.0),
+    "sigmoid": hp.sigmoid_rate(5.0),
+}
+_REF_MARKS = {
+    "point-mass": hp.MarkModel("point-mass", (1.0,)),
+    "exponential-indicator": hp.MarkModel(
+        "exponential", (0.8,), modulation="indicator", mod_params=(0.5,)
+    ),
+}
+
+
+def _assert_matches_reference(kernel, rate, marks, delta, count, make_atoms):
+    ref = discrete_scheme_reference(kernel, rate, marks, delta, count, make_atoms())
+    atoms = make_atoms()
+    disc = simulate_discrete(kernel, rate, marks, delta, count, atoms, allow_unstable=True)
+    for field in ("intensity", "mass", "events", "risk"):
+        assert np.array_equal(getattr(disc, field), getattr(ref, field)), field
+    assert np.array_equal(disc.times, np.concatenate(ref.bin_times))
+    assert np.array_equal(disc.marks, np.concatenate(ref.bin_marks))
+    return disc, atoms
+
+
+class TestDiscreteReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kernel=st.sampled_from(sorted(_REF_KERNELS)),
+        rate=st.sampled_from(sorted(_REF_RATES)),
+        marks=st.sampled_from(sorted(_REF_MARKS)),
+        delta=st.sampled_from((2.0, 1.0, 0.5, 0.1, 0.02)),
+        ceiling=st.sampled_from((0.25, 1.0, 2.5, 4.0)),
+    )
+    def test_bits_match_bin_by_bin_reference(self, seed, kernel, rate, marks, delta, ceiling):
+        model = _REF_MARKS[marks]
+        _assert_matches_reference(
+            _REF_KERNELS[kernel], _REF_RATES[rate], model, delta, round(_REF_T / delta),
+            lambda: hp.sample_atoms(_REF_T, ceiling, model, seed),
         )
-        assert np.all(disc.mass == 0) and np.all(disc.risk == 0)
-        assert disc.bin_times is None
 
-    def test_flat_rate_mean(self, unit_marks):
-        total = np.empty(10_000)
-        zero = hp.zero_kernel(10.0)
-        rate = hp.constant_rate(2.0)
-        for s in range(len(total)):
-            disc = hp.simulate_discrete_fast(zero, rate, unit_marks, 0.1, 100, seed=s)
-            total[s] = disc.terminal_count
-        assert total.mean() == pytest.approx(20.0, abs=3 * math.sqrt(20.0) / 100)
+    def test_coarse_bins_hold_many_marks(self):
+        # pins the summation order: from 8 marks on, numpy's pairwise sum
+        # departs from a left-to-right loop, and in this example it shows
+        model = _REF_MARKS["exponential-indicator"]
+        disc, atoms = _assert_matches_reference(
+            _REF_KERNELS["exponential"], _REF_RATES["relu"], model, 2.0, 2,
+            lambda: hp.sample_atoms(_REF_T, 0.25, model, 26),
+        )
+        first_bin = disc.marks[: disc.events[1]]
+        assert len(first_bin) >= 8 and len(atoms.strips) > 1
+        assert disc.risk[1] != sum(first_bin.tolist())
 
+    def test_atoms_on_grid_points(self, unit_marks):
+        triples = [(0.5, 0.1, 1.0), (1.0, 0.2, 1.0), (1.0, 0.9, 1.0), (1.25, 0.3, 1.0),
+                   (1.5, 0.1, 1.0), (2.0, 0.4, 1.0)]
+        disc, _ = _assert_matches_reference(
+            hp.exponential_kernel(0.5, 1.0, 2.0), hp.relu_affine(0.5), unit_marks, 0.5, 4,
+            lambda: atoms_from_triples(2.0, 4.0, triples, unit_marks),
+        )
+        assert list(disc.events) == [0, 1, 1, 2, 1]
+        assert np.array_equal(disc.times, [0.5, 1.0, 1.25, 1.5, 2.0])
+
+
+class TestDiscreteLaw:
     def test_distribution_matches_atom_scheme(self, unit_marks):
         from test_randomness import _two_sample_chisquare_pvalue
 
         kernel = hp.exponential_kernel(0.604, 1.0, 5.0)
         jr = hp.relu_affine(1.0)
         n = 8000
-        fast = np.empty(n, dtype=int)
-        slow = np.empty(n, dtype=int)
+        sampled = np.empty(n, dtype=int)
+        thinned = np.empty(n, dtype=int)
         for s in range(n):
-            fast[s] = hp.simulate_discrete_fast(
+            sampled[s] = compound_poisson_scheme(
                 kernel, jr, unit_marks, 0.25, 20, seed=(s, 0)
-            ).terminal_count
+            ).sum()
             atoms = hp.sample_atoms(5.0, 10.0, unit_marks, (s, 1))
-            slow[s] = hp.simulate_discrete(kernel, jr, unit_marks, 0.25, 20, atoms).terminal_count
-        assert _two_sample_chisquare_pvalue(fast, slow) > 0.01
-
-    def test_sampler_overflow_guard(self, unit_marks):
-        with pytest.raises(RunawayIntensityError):
-            hp.simulate_discrete_fast(
-                hp.zero_kernel(5.0), hp.constant_rate(1e12), unit_marks, 0.5, 10, seed=1
-            )
+            thinned[s] = hp.simulate_discrete(kernel, jr, unit_marks, 0.25, 20, atoms).terminal_count
+        assert _two_sample_chisquare_pvalue(sampled, thinned) > 0.01
 
 
 class TestCouple:
@@ -282,7 +335,7 @@ class TestCouple:
         )
         assert cont.terminal_count == disc.terminal_count
         assert cont.terminal_risk == disc.terminal_risk
-        assert np.array_equal(np.sort(np.concatenate(disc.bin_times)), cont.times)
+        assert np.array_equal(disc.times, cont.times)
         # the grid restrictions coincide, so the grid discrepancy term vanishes
         rc = path_to_step(cont, "risk")
         grid = 0.5 * np.arange(21)
@@ -351,7 +404,8 @@ class TestPathToStep:
             mass=np.array([0.0, 0.0, 2.0, 0.0, 1.0]),
             events=np.array([0, 0, 2, 0, 1]),
             risk=np.array([0.0, 0.0, 2.0, 2.0, 3.0]),
-            bin_marks=tuple(np.empty(0) for _ in range(5)),
+            times=np.array([0.3, 0.4, 0.9]),
+            marks=np.array([1.0, 1.0, 1.0]),
         )
         sp = path_to_step(trace, "mass")
         assert np.array_equal(sp.breakpoints, [0.0, 2 * delta, 4 * delta])
@@ -436,7 +490,6 @@ class TestSharedAtomInvariance:
         for delta in order:
             shared = _inv_discrete(delta, atoms)
             fresh = _inv_discrete(delta, _inv_atoms(seed))
-            assert _same_arrays(fresh, shared, ("intensity", "mass", "events", "risk"))
-            for field in ("bin_times", "bin_marks"):
-                pairs = zip(getattr(fresh, field), getattr(shared, field))
-                assert all(np.array_equal(x, y) for x, y in pairs)
+            assert _same_arrays(
+                fresh, shared, ("intensity", "mass", "events", "risk", "times", "marks")
+            )
