@@ -454,40 +454,16 @@ def l1_norm(kernel: Kernel, T: float | None = None, *, tol: float = 1e-9) -> flo
     return _abs_integral(kernel, 0.0, T, tol)
 
 
-def grid_coefficients(
-    kernel: Kernel, delta: float, count: int, *, averaged: bool = False
-) -> GridCoefficients:
-    """Sample h at k*delta for k = 1..count (t = 0 is never evaluated).
-
-    ``averaged=True`` replaces the point samples by per-cell averages
-    (integral of h over ((k-1)*delta, k*delta] divided by delta), an
-    alternative coefficient choice that is smoother but costlier for general
-    kernels; the default point sampling is what the rest of the package
-    assumes.
-    """
+def grid_coefficients(kernel: Kernel, delta: float, count: int) -> GridCoefficients:
+    """Sample h at k*delta for k = 1..count (t = 0 is never evaluated)."""
     if delta <= 0:
         raise ParameterError("delta must be positive")
     if count < 1:
         raise ParameterError("count must be >= 1")
     if count * delta > kernel.horizon * _MACHINE_SLACK:
         raise ParameterError("count * delta exceeds the kernel horizon")
-    if not averaged:
-        lags = delta * np.arange(1, count + 1)
-        values = np.asarray(kernel.evaluate(lags), dtype=float)
-    else:
-        values = np.empty(count)
-        for k in range(1, count + 1):
-            lo, hi = (k - 1) * delta, k * delta
-            if k == 1 and kernel.monotone_decreasing and kernel.abs_antiderivative:
-                cell = kernel.abs_antiderivative(hi) - kernel.abs_antiderivative(lo)
-            else:
-                cell = integrate(
-                    lambda t: float(kernel.evaluate(np.array([max(t, 1e-300)]))[0]),
-                    lo,
-                    hi,
-                    breakpoints=kernel.nonsmooth_points,
-                )
-            values[k - 1] = cell / delta
+    lags = delta * np.arange(1, count + 1)
+    values = np.asarray(kernel.evaluate(lags), dtype=float)
     return GridCoefficients(delta=float(delta), count=int(count), values=values)
 
 

@@ -2,10 +2,10 @@
 
 All metrics here are exact for step paths: the fractional Sobolev norm
 reduces to a closed-form double sum over segment pairs, the Skorokhod
-distance to a bisection over a feasibility decision computed by dynamic
-programming on the interleaved jumps, and the sparse modulus to a minimax
-partition search over a finite candidate set.  Every operation is a pure
-function, safe for concurrent use.
+distance to a binary search over finitely many critical values, each step a
+feasibility decision computed by dynamic programming on the interleaved
+jumps, and the sparse modulus to a minimax partition search over a finite
+candidate set.  Every operation is a pure function, safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -124,90 +124,100 @@ def feasible_eps(f: StepPath, g: StepPath, eps: float) -> bool:
     time interval of positive length (a bijection cannot delete a segment).
     States therefore record how they were entered: by an f-jump (position
     fixed at that jump) or by a g-jump (an interval of feasible positions).
-    Monotone in eps; the caller's bisection tolerance absorbs the closure
-    of the strict inequalities.
+    The states are swept one anti-diagonal i + j at a time, visiting only
+    those the previous diagonal reached.  Monotone in eps.  Some of the
+    comparisons are strict, so the feasible set need not be closed: the
+    answer at a critical value of ``skorokhod_distance`` may be False while
+    every larger eps up to the next critical value is feasible.
     """
     T = _require_same_horizon(f, g)
     if eps < 0:
         raise ParameterError("eps must be nonnegative")
-    fa = f.breakpoints[1:]
-    ga = g.breakpoints[1:]
-    fv = f.values
-    gv = g.values
+    fa = f.breakpoints[1:].tolist()
+    ga = g.breakpoints[1:].tolist()
+    fv = f.values.tolist()
+    gv = g.values.tolist()
     m, n = len(fa), len(ga)
 
     # t = 0 and t = T are fixed by the time change
     if abs(fv[0] - gv[0]) > eps or abs(fv[m] - gv[n]) > eps:
         return False
 
-    # Entry flavors per state.  An f-entry position is always the jump into
+    # Reached states of the current diagonal, keyed by i, as [clean, tied,
+    # g-entry intervals].  An f-entry position is always the jump into
     # segment i, so booleans suffice; "clean" records that the previous
     # g-jump sits strictly below it (a further g-jump may still land on it),
     # "tied" that a g-jump already occupies that exact position.
-    clean = np.zeros((m + 1, n + 1), dtype=bool)
-    tied = np.zeros((m + 1, n + 1), dtype=bool)
-    by_g: dict[tuple[int, int], list[tuple[float, float]]] = {(0, 0): [(0.0, 0.0)]}
-
-    for diag in range(m + n + 1):
-        for i in range(min(diag, m), -1, -1):
+    frontier = {0: [False, False, [(0.0, 0.0)]]}
+    for diag in range(m + n):
+        reached: dict[int, list] = {}
+        for i in sorted(frontier, reverse=True):
+            clean, tied, ivs = frontier[i]
             j = diag - i
-            if j > n:
-                break
-            ivs = by_g.get((i, j))
             if ivs:
                 ivs = _merge_intervals(ivs)
-                by_g[(i, j)] = ivs
-            from_f = bool(clean[i, j] or tied[i, j])
-            if not ivs and not from_f:
-                continue
+            from_f = clean or tied
             matches = abs(fv[i] - gv[j]) <= eps
-            a0 = float(fa[i - 1]) if i >= 1 else 0.0
-            lows = []
-            if ivs:
-                lows.append(ivs[0][0])
+            a0 = fa[i - 1] if i >= 1 else 0.0
+            min_pos = ivs[0][0] if ivs else a0
             if from_f:
-                lows.append(a0)
-            min_pos = min(lows)
+                min_pos = min(min_pos, a0)
             if i < m:
-                a = float(fa[i])
+                a = fa[i]
+                at_a = bool(ivs) and any(lo <= a <= hi for lo, hi in ivs)
                 if matches and min_pos <= a:
                     # leaving through a gap of positive width (or a tie from
                     # an f-entry, whose previous g-jump is already below a)
                     if from_f or (ivs and ivs[0][0] < a):
-                        clean[i + 1, j] = True
-                    if ivs and any(lo <= a <= hi for lo, hi in ivs):
-                        tied[i + 1, j] = True
-                elif not matches and ivs and any(lo <= a <= hi for lo, hi in ivs):
-                    tied[i + 1, j] = True  # g-jump placed exactly at a
+                        reached.setdefault(i + 1, [False, False, []])[0] = True
+                    if at_a:
+                        reached.setdefault(i + 1, [False, False, []])[1] = True
+                elif not matches and at_a:
+                    # g-jump placed exactly at a
+                    reached.setdefault(i + 1, [False, False, []])[1] = True
             if j < n:
-                c = float(ga[j])
+                c = ga[j]
                 wlo, whi = max(c - eps, 0.0), min(c + eps, T)
                 if wlo <= whi:
                     if matches and min_pos <= whi:
                         nlo = max(min_pos, wlo)
                         if nlo <= whi:
-                            by_g.setdefault((i, j + 1), []).append((nlo, whi))
-                    if not matches and clean[i, j] and wlo <= a0 <= whi:
+                            reached.setdefault(i, [False, False, []])[2].append((nlo, whi))
+                    if not matches and clean and wlo <= a0 <= whi:
                         # place the g-jump exactly on the entering f-jump;
                         # legal only when no g-jump occupies it yet
-                        by_g.setdefault((i, j + 1), []).append((a0, a0))
-    return bool(clean[m, n] or tied[m, n]) or bool(by_g.get((m, n)))
+                        reached.setdefault(i, [False, False, []])[2].append((a0, a0))
+        if not reached:
+            return False
+        frontier = reached
+    # the last diagonal holds the single state (m, n), reached by any entry
+    return True
 
 
 def skorokhod_distance(
     f: StepPath,
     g: StepPath,
     *,
-    tol: float | None = None,
     max_jumps: int = SKOROKHOD_JUMP_CAP,
 ) -> float:
-    """Skorokhod distance between canonical step paths, by bisection.
+    """Exact Skorokhod distance between canonical step paths.
 
-    Bisects the feasibility predicate on [0, uniform distance]; the result
-    overestimates the infimum by at most ``tol`` (default 1e-9 * T) and never
-    exceeds the uniform distance.  Exact computation is limited to paths
-    with at most ``max_jumps`` jumps each; larger paths should use the grid
-    surrogate instead.
+    Every comparison ``feasible_eps`` makes sets eps against one of the
+    critical values: 0, a value gap |f_i - g_j|, a jump-time gap
+    |a_i - c_j|, or a jump's distance to 0 or T (a_i, T - a_i, c_j, T - c_j).
+    So feasibility is constant on each open gap (c_k, c_{k+1}) between
+    consecutive critical values and, being monotone, switches on at most
+    once.  The infimum of the feasible eps is therefore the critical value
+    c_k below the first gap whose midpoint is feasible, found by binary
+    search over the gaps in about log2(#critical values) calls.  Midpoints
+    are tested rather than the critical values themselves because the DP's
+    strict inequalities, and the rounding of c - eps and c + eps, can make
+    eps = c_k itself infeasible although it is the infimum.  Only critical
+    values up to the uniform distance are kept: the uniform distance is a
+    value gap and always feasible (identity time change), so it is the
+    largest and the answer when no midpoint passes.
+    Exact computation is limited to paths with at most ``max_jumps`` jumps
+    each; larger paths should use the grid surrogate instead.
     """
     T = _require_same_horizon(f, g)
     if f.jump_count > max_jumps or g.jump_count > max_jumps:
@@ -216,19 +226,26 @@ def skorokhod_distance(
         )
     if f.equals(g):
         return 0.0
-    hi = uniform_distance(f, g)
-    if hi == 0.0:
+    u = uniform_distance(f, g)
+    if u == 0.0:
         return 0.0
-    if tol is None:
-        tol = 1e-9 * T
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible_eps(f, g, mid):
-            hi = mid
+    fa = f.breakpoints[1:]
+    ga = g.breakpoints[1:]
+    cands = np.concatenate((
+        [0.0],
+        np.abs(np.subtract.outer(f.values, g.values)).ravel(),
+        np.abs(np.subtract.outer(fa, ga)).ravel(),
+        fa, T - fa, ga, T - ga,
+    ))
+    crit = np.unique(cands[cands <= u])
+    lo, hi = 0, len(crit) - 1  # search the gaps (crit[k], crit[k + 1]), k < hi
+    while lo < hi:
+        k = (lo + hi) // 2
+        if feasible_eps(f, g, 0.5 * (float(crit[k]) + float(crit[k + 1]))):
+            hi = k
         else:
-            lo = mid
-    return hi
+            lo = k + 1
+    return float(crit[lo])
 
 
 # --------------------------------------------------------------------------
@@ -241,7 +258,10 @@ def modulus_sparse(path: StepPath, delta: float) -> float:
     Exact for step paths: it suffices to search partitions whose points are
     jump times, midpoints between consecutive jumps, or the endpoints, since
     a cell's oscillation only changes when a boundary crosses a jump.  Cells
-    are right-open, gaps strictly greater than delta.
+    are right-open, gaps strictly greater than delta.  The minimax DP over
+    the sorted candidates fills one row per right end k in one numpy step:
+    the oscillation of every cell [pos_c, pos_k) is a suffix max minus a
+    suffix min of the segment values, gathered at the segment holding pos_c.
     """
     T = path.horizon
     if not 0.0 < delta < T:
@@ -260,26 +280,15 @@ def modulus_sparse(path: StepPath, delta: float) -> float:
     start_seg = np.searchsorted(bp, pos, side="right") - 1
     end_seg = np.searchsorted(bp, pos, side="left") - 1
 
-    INF = math.inf
-    dp = np.full(K, INF)
+    dp = np.full(K, math.inf)
     dp[0] = 0.0
     for k in range(1, K):
-        hi_seg = end_seg[k]
-        cur_lo = INF
-        cur_hi = -INF
-        a_idx = hi_seg + 1  # segments covered so far: [a_idx, hi_seg]
-        for c in range(k - 1, -1, -1):
-            new_a = start_seg[c]
-            if new_a <= hi_seg and new_a < a_idx:
-                chunk = vals[new_a:min(a_idx, hi_seg + 1)]
-                cur_lo = min(cur_lo, float(chunk.min()))
-                cur_hi = max(cur_hi, float(chunk.max()))
-                a_idx = new_a
-            if pos[k] - pos[c] > delta and dp[c] < INF:
-                osc = (cur_hi - cur_lo) if cur_hi >= cur_lo else 0.0
-                cand = max(dp[c], osc)
-                if cand < dp[k]:
-                    dp[k] = cand
+        # segments [start_seg[c], end_seg[k]] meet the cell [pos[c], pos[k])
+        covered = vals[: end_seg[k] + 1][::-1]
+        lo = np.minimum.accumulate(covered)[::-1][start_seg[:k]]
+        hi = np.maximum.accumulate(covered)[::-1][start_seg[:k]]
+        wide = pos[k] - pos[:k] > delta
+        dp[k] = np.maximum(dp[:k], hi - lo)[wide].min(initial=math.inf)
     return float(dp[-1])
 
 

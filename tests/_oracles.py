@@ -3,11 +3,15 @@
 Every oracle here deliberately uses a different algorithm (or a different
 library) from the code under test: scipy QUADPACK instead of the package's
 adaptive Simpson, dense Riemann sums instead of closed forms, a lattice
-minimax alignment instead of the interval DP.
+minimax alignment instead of the interval DP, a float bisection over the
+full-grid feasibility walk instead of the critical-value search over
+reachable states, a Python double loop instead of the row-vectorized
+sparse modulus.
 """
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +19,7 @@ from scipy.integrate import quad
 
 from hawkpath.errors import RunawayIntensityError
 from hawkpath.kernels import grid_coefficients
+from hawkpath.metrics import uniform_distance
 from hawkpath.randomness import extend_ceiling
 from hawkpath.simulate import StepPath, make_step_path
 
@@ -135,6 +140,147 @@ def skorokhod_lattice(f: StepPath, g: StepPath, n: int = 2000) -> float:
         cost = np.maximum(np.abs(ts[i] - ts[j]), np.abs(fv[i] - gv[j]))
         dp[i, j] = np.maximum(cost, best)
     return float(dp[n, n])
+
+
+def _merge_intervals(ivs):
+    ivs.sort()
+    out = [ivs[0]]
+    for lo, hi in ivs[1:]:
+        plo, phi = out[-1]
+        if lo <= phi:
+            out[-1] = (plo, max(phi, hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def feasible_eps_grid(f: StepPath, g: StepPath, eps: float) -> bool:
+    """The Skorokhod feasibility DP walked over every cell of the state grid.
+
+    Same states and transitions as ``metrics.feasible_eps``, but every
+    anti-diagonal is scanned in full over (m + 1) x (n + 1) boolean arrays
+    and a dict of interval lists, with numpy scalar reads; unreached cells
+    are skipped one by one.
+    """
+    T = f.horizon
+    fa = f.breakpoints[1:]
+    ga = g.breakpoints[1:]
+    fv = f.values
+    gv = g.values
+    m, n = len(fa), len(ga)
+
+    if abs(fv[0] - gv[0]) > eps or abs(fv[m] - gv[n]) > eps:
+        return False
+
+    clean = np.zeros((m + 1, n + 1), dtype=bool)
+    tied = np.zeros((m + 1, n + 1), dtype=bool)
+    by_g = {(0, 0): [(0.0, 0.0)]}
+
+    for diag in range(m + n + 1):
+        for i in range(min(diag, m), -1, -1):
+            j = diag - i
+            if j > n:
+                break
+            ivs = by_g.get((i, j))
+            if ivs:
+                ivs = _merge_intervals(ivs)
+                by_g[(i, j)] = ivs
+            from_f = bool(clean[i, j] or tied[i, j])
+            if not ivs and not from_f:
+                continue
+            matches = abs(fv[i] - gv[j]) <= eps
+            a0 = float(fa[i - 1]) if i >= 1 else 0.0
+            lows = []
+            if ivs:
+                lows.append(ivs[0][0])
+            if from_f:
+                lows.append(a0)
+            min_pos = min(lows)
+            if i < m:
+                a = float(fa[i])
+                if matches and min_pos <= a:
+                    if from_f or (ivs and ivs[0][0] < a):
+                        clean[i + 1, j] = True
+                    if ivs and any(lo <= a <= hi for lo, hi in ivs):
+                        tied[i + 1, j] = True
+                elif not matches and ivs and any(lo <= a <= hi for lo, hi in ivs):
+                    tied[i + 1, j] = True
+            if j < n:
+                c = float(ga[j])
+                wlo, whi = max(c - eps, 0.0), min(c + eps, T)
+                if wlo <= whi:
+                    if matches and min_pos <= whi:
+                        nlo = max(min_pos, wlo)
+                        if nlo <= whi:
+                            by_g.setdefault((i, j + 1), []).append((nlo, whi))
+                    if not matches and clean[i, j] and wlo <= a0 <= whi:
+                        by_g.setdefault((i, j + 1), []).append((a0, a0))
+    return bool(clean[m, n] or tied[m, n]) or bool(by_g.get((m, n)))
+
+
+def skorokhod_bisection(f: StepPath, g: StepPath, tol: float | None = None) -> float:
+    """Bisection of ``feasible_eps_grid`` on [0, uniform distance].
+
+    Returns a feasible eps at most ``tol`` (default 1e-9 * T) above the
+    infimum, never above the uniform distance.
+    """
+    if f.equals(g):
+        return 0.0
+    hi = uniform_distance(f, g)
+    if hi == 0.0:
+        return 0.0
+    if tol is None:
+        tol = 1e-9 * f.horizon
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if feasible_eps_grid(f, g, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def modulus_sparse_quadratic(path: StepPath, delta: float) -> float:
+    """The sparse-modulus minimax DP as a Python double loop over candidates.
+
+    For each right end k it walks the left ends c downwards, growing the
+    covered segment range one chunk at a time and keeping its running min
+    and max as Python floats.
+    """
+    T = path.horizon
+    jumps = [float(t) for t in path.breakpoints[1:]]
+    cands = {0.0, T}
+    cands.update(jumps)
+    cands.update(0.5 * (a + b) for a, b in zip(jumps[:-1], jumps[1:]))
+    pos = np.array(sorted(c for c in cands if 0.0 <= c <= T))
+    K = len(pos)
+    bp = path.breakpoints
+    vals = path.values
+    start_seg = np.searchsorted(bp, pos, side="right") - 1
+    end_seg = np.searchsorted(bp, pos, side="left") - 1
+
+    INF = math.inf
+    dp = np.full(K, INF)
+    dp[0] = 0.0
+    for k in range(1, K):
+        hi_seg = end_seg[k]
+        cur_lo = INF
+        cur_hi = -INF
+        a_idx = hi_seg + 1
+        for c in range(k - 1, -1, -1):
+            new_a = start_seg[c]
+            if new_a <= hi_seg and new_a < a_idx:
+                chunk = vals[new_a:min(a_idx, hi_seg + 1)]
+                cur_lo = min(cur_lo, float(chunk.min()))
+                cur_hi = max(cur_hi, float(chunk.max()))
+                a_idx = new_a
+            if pos[k] - pos[c] > delta and dp[c] < INF:
+                osc = (cur_hi - cur_lo) if cur_hi >= cur_lo else 0.0
+                cand = max(dp[c], osc)
+                if cand < dp[k]:
+                    dp[k] = cand
+    return float(dp[-1])
 
 
 def brute_uniform(f: StepPath, g: StepPath, n: int = 20001) -> float:

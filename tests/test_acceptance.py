@@ -144,14 +144,14 @@ def test_criterion_4_skorokhod_exactness():
     """Crafted pairs match the lattice oracle at 1e-3; d <= uniform on 1e4 pairs."""
     with criterion(4, "Skorokhod distance exactness"):
         for f, g in _crafted_pairs():
-            exact = skorokhod_distance(f, g, tol=1e-9)
+            exact = skorokhod_distance(f, g)
             oracle = skorokhod_lattice(f, g, n=2000)
             assert exact == pytest.approx(oracle, abs=1e-3)
         rng = np.random.default_rng(4044)
         for _ in range(10_000):
             f = random_step_path(rng, max_jumps=4)
             g = random_step_path(rng, max_jumps=4)
-            d = skorokhod_distance(f, g, tol=1e-6)
+            d = skorokhod_distance(f, g)
             assert d <= uniform_distance(f, g) + 1e-12
 
 

@@ -76,17 +76,6 @@ class TestGridCoefficients:
         with pytest.raises(ParameterError):
             grid_coefficients(hp.zero_kernel(5.0), 0.5, 11)
 
-    def test_averaged_coefficients_option(self):
-        k = hp.exponential_kernel(1.0, 1.0, 5.0)
-        g = grid_coefficients(k, 0.5, 4, averaged=True)
-        expected = [
-            (math.exp(-(j - 1) * 0.5) - math.exp(-j * 0.5)) / 0.5 for j in range(1, 5)
-        ]
-        assert g.values == pytest.approx(expected, abs=1e-9)
-        # the singular family averages its first cell through the antiderivative
-        gi = grid_coefficients(hp.inverse_sqrt_kernel(2.0, 0.1), 0.25, 4, averaged=True)
-        assert gi.values[0] == pytest.approx(2 * 0.1 * math.sqrt(0.25) / 0.25, abs=1e-12)
-
 
 class TestShiftModulus:
     def test_zero_kernel(self):

@@ -18,7 +18,15 @@ from hawkpath.metrics import (
 )
 from hawkpath.simulate import make_step_path, path_to_step
 
-from _oracles import brute_uniform, random_step_path, skorokhod_lattice, sobolev_riemann
+from _oracles import (
+    brute_uniform,
+    feasible_eps_grid,
+    modulus_sparse_quadratic,
+    random_step_path,
+    skorokhod_bisection,
+    skorokhod_lattice,
+    sobolev_riemann,
+)
 
 
 def indicator_path(a, b, T, height=1.0):
@@ -65,6 +73,36 @@ def step_paths(draw, horizon=1.0, max_jumps=5):
     signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
     values = np.concatenate(([0.0], np.cumsum(np.array(steps) * np.array(signs))))
     return make_step_path(np.concatenate(([0.0], times)), values, horizon)
+
+
+def monotone(path):
+    """The path with every jump replaced by its absolute size."""
+    return make_step_path(
+        path.breakpoints,
+        np.cumsum(np.abs(np.diff(path.values, prepend=0.0))),
+        path.horizon,
+    )
+
+
+def critical_values(f, g):
+    """0, value gaps, jump-time gaps and the jumps' distances to 0 and T."""
+    T = f.horizon
+    fa, ga = f.breakpoints[1:].tolist(), g.breakpoints[1:].tolist()
+    crit = {0.0}
+    crit.update(abs(x - y) for x in f.values.tolist() for y in g.values.tolist())
+    crit.update(abs(a - c) for a in fa for c in ga)
+    crit.update(fa + ga)
+    crit.update(T - t for t in fa + ga)
+    return sorted(crit)
+
+
+def poisson_pair(seed, T=20.0, delta=0.5):
+    """Risk paths of a rate-2.5 Poisson process and its discrete scheme (~50 jumps)."""
+    cont, disc = hp.couple(
+        hp.zero_kernel(T), hp.constant_rate(2.5), hp.MarkModel("point-mass", (1.0,)),
+        T, delta, seed=seed,
+    )
+    return path_to_step(cont, "risk"), path_to_step(disc, "risk")
 
 
 class TestSobolevNorm:
@@ -171,6 +209,18 @@ class TestSkorokhodDistance:
         f = make_step_path([0.0, 0.5], [0.0, 1.0], 1.0)
         g = make_step_path([0.0, 0.6], [0.0, 1.0], 1.0)
         assert skorokhod_distance(f, g) == pytest.approx(0.1, abs=1e-6)
+        # the infimum is the jump-time gap itself, as the float it computes to
+        assert skorokhod_distance(f, g) == abs(0.6 - 0.5)
+
+    def test_infimum_returned_where_it_is_infeasible(self):
+        # 0.7000000000000001 - 0.5 rounds above 0.2: at eps = 0.5 the g-jump
+        # window misses the f-jump, at every larger eps it reaches it
+        f = make_step_path([0.0, 0.2], [0.0, 1.0], 1.0)
+        g = make_step_path([0.0, 0.7000000000000001], [0.0, 1.0], 1.0)
+        d = skorokhod_distance(f, g)
+        assert d == 0.5
+        assert not feasible_eps(f, g, d)
+        assert feasible_eps(f, g, np.nextafter(d, 1.0))
 
     def test_mismatched_heights(self):
         f = make_step_path([0.0, 0.5], [0.0, 1.0], 1.0)
@@ -191,7 +241,7 @@ class TestSkorokhodDistance:
             ),
         ]
         for f, g in pairs:
-            exact = skorokhod_distance(f, g, tol=1e-9)
+            exact = skorokhod_distance(f, g)
             oracle = skorokhod_lattice(f, g, n=2000)
             assert exact == pytest.approx(oracle, abs=1e-3)
 
@@ -209,12 +259,29 @@ class TestSkorokhodDistance:
     @settings(max_examples=25, deadline=None)
     @given(f=step_paths(max_jumps=4), g=step_paths(max_jumps=4))
     def test_symmetry_and_uniform_bound(self, f, g):
-        d_fg = skorokhod_distance(f, g, tol=1e-7)
-        d_gf = skorokhod_distance(g, f, tol=1e-7)
+        d_fg = skorokhod_distance(f, g)
+        d_gf = skorokhod_distance(g, f)
         assert abs(d_fg - d_gf) <= 1e-5
         assert d_fg <= uniform_distance(f, g) + 1e-12
         if not f.equals(g):
             assert d_fg > 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=step_paths(max_jumps=4), g=step_paths(max_jumps=4))
+    def test_critical_value_within_bisection_oracle(self, f, g):
+        d = skorokhod_distance(f, g)
+        bisection = skorokhod_bisection(f, g)
+        assert bisection - 1e-9 * f.horizon <= d <= bisection
+        assert d in critical_values(f, g)
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_coupled_poisson_pairs_within_bisection_oracle(self, seed):
+        rc, rd = poisson_pair(seed)
+        d = skorokhod_distance(rc, rd)
+        bisection = skorokhod_bisection(rc, rd)
+        assert bisection - 1e-9 * rc.horizon <= d <= bisection
+        assert d in critical_values(rc, rd)
 
 
 class TestFeasibleEps:
@@ -245,6 +312,27 @@ class TestFeasibleEps:
         if feasible_eps(f, g, lo * u):
             assert feasible_eps(f, g, hi * u)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        f=step_paths(max_jumps=4),
+        g=step_paths(max_jumps=4),
+        fracs=st.lists(st.floats(min_value=0.0, max_value=1.2), min_size=1, max_size=4),
+    )
+    def test_agrees_with_grid_oracle(self, f, g, fracs):
+        crit = critical_values(f, g)
+        mids = [0.5 * (a + b) for a, b in zip(crit[:-1], crit[1:])]
+        u = uniform_distance(f, g)
+        for eps in crit + mids + [x * u for x in fracs]:
+            assert feasible_eps(f, g, eps) == feasible_eps_grid(f, g, eps), eps
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), frac=st.floats(min_value=0.0, max_value=1.0))
+    def test_agrees_with_grid_oracle_on_coupled_pairs(self, seed, frac):
+        rc, rd = poisson_pair(seed)
+        d = skorokhod_distance(rc, rd)
+        for eps in (d, np.nextafter(d, np.inf), frac * uniform_distance(rc, rd)):
+            assert feasible_eps(rc, rd, eps) == feasible_eps_grid(rc, rd, eps), eps
+
 
 class TestModulusSparse:
     def test_constant_path(self):
@@ -272,9 +360,7 @@ class TestModulusSparse:
         # larger, unisolatable one
         if f.jump_count < 2:
             return
-        mono = make_step_path(
-            f.breakpoints, np.cumsum(np.abs(np.diff(f.values, prepend=0.0))), f.horizon
-        )
+        mono = monotone(f)
         drop = 1 + idx % mono.jump_count
         inc = mono.values[drop] - mono.values[drop - 1]
         values = mono.values.copy()
@@ -287,6 +373,29 @@ class TestModulusSparse:
     @given(f=step_paths(max_jumps=5))
     def test_monotone_in_delta(self, f):
         assert modulus_sparse(f, 0.1) <= modulus_sparse(f, 0.2) + 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        f=step_paths(max_jumps=7),
+        ends=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+        make_monotone=st.booleans(),
+    )
+    def test_equals_quadratic_oracle(self, f, ends, make_monotone):
+        if make_monotone:
+            f = monotone(f)
+        # deltas equal to a gap between two jumps (or endpoints) probe the
+        # strict inequality of the cell widths
+        points = np.append(f.breakpoints, f.horizon)
+        a, b = sorted(points[i % len(points)] for i in ends)
+        for delta in (b - a, 0.5 * (b - a), 0.1):
+            if 0.0 < delta < f.horizon:
+                assert modulus_sparse(f, delta) == modulus_sparse_quadratic(f, delta)
+
+    def test_equals_quadratic_oracle_on_coupled_paths(self):
+        for seed in range(5):
+            for path in poisson_pair(seed):
+                for delta in (0.25, 0.5, float(np.diff(path.breakpoints).min())):
+                    assert modulus_sparse(path, delta) == modulus_sparse_quadratic(path, delta)
 
 
 class TestSkorokhodUpperBound:
@@ -310,7 +419,7 @@ class TestSkorokhodUpperBound:
             cont, disc = hp.couple(exp_kernel, jr, unit_marks, 5.0, delta, seed=(3, s))
             rc = path_to_step(cont, "risk")
             rd = path_to_step(disc, "risk")
-            exact = skorokhod_distance(rc, rd, tol=1e-9)
+            exact = skorokhod_distance(rc, rd)
             grid = delta * np.arange(M + 1)
             bound = skorokhod_upper_bound(
                 rc.value_at(grid), disc.risk, modulus_sparse(rc, delta), delta
