@@ -9,6 +9,7 @@ per time bin and accepts bin atoms under that frozen level.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -150,7 +151,9 @@ class DiscreteTrace:
     state.  ``intensity[0] == intensity[1]`` equals the empty-past rate.
     ``risk`` is the cumulative mark sum at the grid points.  ``times`` and
     ``marks`` hold the accepted atoms in bin order; bin n's atoms are the
-    slice ``cumsum(events)[n-1]:cumsum(events)[n]``.
+    slice ``cumsum(events)[n-1]:cumsum(events)[n]``.  ``intensity[n]`` for
+    n >= 2 is psi of the feedback sum of ``coeffs[n-1-j] * mass[j]`` over the
+    earlier bins j, added in IEEE double oldest bin first.
     """
 
     delta: float
@@ -477,15 +480,19 @@ def simulate_discrete(
 ) -> DiscreteTrace:
     """Euler-type scheme: per-bin thinning under the frozen bin intensity.
 
-    Bins are right-closed, ((n-1)*delta, n*delta].  The convolution driving
-    the next intensity is truncated to the trailing nonzero kernel lags, so
-    compact-support kernels cost O(r * M) instead of O(M^2).  Every bin
-    costs that convolution and one jump-rate call; only bins that hold atoms
-    are thinned, and a bin without atoms keeps mass and count 0.  The
-    accepted atoms are read off in one pass at the end: an atom added by a
-    later ceiling extension has a theta above every earlier bin intensity,
-    so it passes no earlier bin.  An unstable step ratio warns rather than
-    fails; allow_unstable acknowledges it and silences the warning.
+    Bins are right-closed, ((n-1)*delta, n*delta].  Only bins that hold
+    atoms take a Python step: a bin j that accepts mass m_j pushes
+    coeffs[:w] * m_j onto the feedback of the next w bins once, so every
+    feedback entry is summed oldest bin first (w is the span of nonzero
+    kernel lags: compact-support kernels cost O(r) per such bin), and every
+    run of bins up to the next bin with atoms costs one jump-rate call on its
+    feedback.  A level above the ceiling doubles it at the first bin that
+    needs it, and the walk resumes there with the new strips' atoms.  A bin
+    without atoms keeps mass and count 0.  The accepted atoms are read off in
+    one pass at the end: an atom added by a later ceiling extension has a
+    theta above every earlier bin intensity, so it passes no earlier bin.  An
+    unstable step ratio warns rather than fails; allow_unstable acknowledges
+    it and silences the warning.
     """
     M = int(count)
     T = delta * M
@@ -500,42 +507,54 @@ def simulate_discrete(
     grid = delta * np.arange(M + 1)
 
     def read_atoms():
-        """Merged atoms, their modulation and the atom index of every grid point."""
+        """Merged atoms, their modulation, the atom index of every grid point
+        and the bins that end a run: those holding atoms, then M."""
         tau, theta, y, _ = atoms.merged()
-        edges = np.searchsorted(tau, grid, side="right").tolist()
-        return tau, theta, y, mark_model.modulate(y), edges
+        edges = np.searchsorted(tau, grid, side="right")
+        stops = (np.flatnonzero(np.diff(edges)) + 1).tolist() + [M]
+        return tau, theta, y, mark_model.modulate(y), edges.tolist(), stops
 
-    tau, theta, y, b, edges = read_atoms()
+    tau, theta, y, b, edges, stops = read_atoms()
     ceiling = atoms.ceiling
 
     intensity = np.empty(M + 1)
     mass = np.zeros(M + 1)
     gain = np.zeros(M + 1)          # mark sum accepted per bin
+    feedback = np.zeros(M + 1)      # sum of coeffs[n-1-j] * mass[j], oldest j first
 
     intensity[0] = jump_rate.at_zero
-    for n in range(1, M + 1):
+    n = 1
+    while n <= M:
+        stop = stops[bisect_left(stops, n)]
+        levels = psi(feedback[n : stop + 1])
         if n == 1:
-            l_n = jump_rate.at_zero
-        else:
-            k0 = max(1, n - span)
-            width = n - k0
-            s = float(np.dot(coeffs[:width], mass[k0:n][::-1])) if width > 0 else 0.0
-            l_n = float(psi(s))
-        while l_n > ceiling:
-            ceiling *= 2.0
-            if ceiling > cap:
-                raise RunawayIntensityError(
-                    f"bin intensity {l_n:.4g} needs a ceiling beyond the hard cap {cap:.4g}"
-                )
-            extend_ceiling(atoms, ceiling)
-            tau, theta, y, b, edges = read_atoms()
-        intensity[n] = l_n
-        lo, hi = edges[n - 1], edges[n]
+            levels[0] = jump_rate.at_zero
+        over = levels > ceiling
+        if over.any():
+            k = int(over.argmax())
+            intensity[n : n + k] = levels[:k]
+            n += k
+            l_n = float(levels[k])
+            while l_n > ceiling:
+                ceiling *= 2.0
+                if ceiling > cap:
+                    raise RunawayIntensityError(
+                        f"bin intensity {l_n:.4g} needs a ceiling beyond the hard cap {cap:.4g}"
+                    )
+                extend_ceiling(atoms, ceiling)
+            tau, theta, y, b, edges, stops = read_atoms()
+            continue
+        intensity[n : stop + 1] = levels
+        n = stop + 1
+        lo, hi = edges[stop - 1], edges[stop]
         if lo == hi:
             continue
-        sel = theta[lo:hi] <= l_n
-        mass[n] = float(b[lo:hi][sel].sum())
-        gain[n] = float(y[lo:hi][sel].sum())
+        sel = theta[lo:hi] <= levels[-1]
+        mass[stop] = m = float(b[lo:hi][sel].sum())
+        gain[stop] = float(y[lo:hi][sel].sum())
+        if m:
+            w = min(span, M - stop)
+            feedback[n : n + w] += coeffs[:w] * m
 
     lo, hi = edges[0], edges[M]
     bin_of = np.repeat(np.arange(1, M + 1), np.diff(edges))

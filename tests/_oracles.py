@@ -343,8 +343,9 @@ def discrete_scheme_reference(kernel, jump_rate, mark_model, delta, count, atoms
             l_n = jump_rate.at_zero
         else:
             k0 = max(1, n - span)
-            width = n - k0
-            s = float(np.dot(coeffs[:width], mass[k0:n][::-1])) if width > 0 else 0.0
+            s = 0.0
+            for j in range(k0, n):
+                s += coeffs[n - 1 - j] * mass[j]
             l_n = float(psi(s))
         while l_n > atoms.ceiling:
             new_ceiling = atoms.ceiling * 2.0

@@ -299,6 +299,48 @@ class TestDiscreteReference:
         assert len(first_bin) >= 8 and len(atoms.strips) > 1
         assert disc.risk[1] != sum(first_bin.tolist())
 
+    def test_feedback_summed_oldest_bin_first(self):
+        # pins the feedback order: bins 1-3 all feed bin 4, and their
+        # chronological sum is not the value np.dot gives for the same terms
+        kernel, rate = _REF_KERNELS["exponential"], _REF_RATES["relu"]
+        model = _REF_MARKS["point-mass"]
+        disc, _ = _assert_matches_reference(
+            kernel, rate, model, 1.0, 4, lambda: hp.sample_atoms(_REF_T, 1.0, model, 9),
+        )
+        coeffs = hp.grid_coefficients(kernel, 1.0, 4).values
+        assert np.count_nonzero(disc.mass[1:4]) == 3
+        dot = float(np.dot(coeffs[:3], disc.mass[1:4][::-1]))
+        assert disc.intensity[4] != float(rate.fn(dot))
+
+    def test_extension_inside_atom_free_run(self, unit_marks):
+        # bins 2-4 hold no atom under the ceiling 0.5; bin 4's level crosses
+        # it, and the strip that doubles the ceiling puts an atom into bin 4,
+        # which its level then accepts
+        triples = [(0.05, 0.01, 1.0), (0.1, 0.01, 1.0), (0.15, 0.01, 1.0)]
+        disc, atoms = _assert_matches_reference(
+            hp.erlang_kernel(1.0, 3, 1.0, 2.0), hp.relu_affine(0.25), unit_marks, 0.25, 8,
+            lambda: atoms_from_triples(2.0, 0.5, triples, unit_marks),
+        )
+        assert disc.intensity[3] <= 0.5 < disc.intensity[4]
+        assert list(disc.events) == [0, 3, 0, 0, 1, 0, 0, 0, 0]
+        assert 0.75 < disc.times[3] <= 1.0 and disc.times[3] in atoms.strips[1].tau
+        assert disc.mass[4] == 1.0
+
+    def test_runaway_inside_atom_free_run(self, unit_marks):
+        # the same scenario under a cap of 1.5 times the first ceiling: the
+        # doubling that bin 4 needs is refused, at the level the reference
+        # records for bin 4, before any strip is drawn
+        kernel, rate = hp.erlang_kernel(1.0, 3, 1.0, 2.0), hp.relu_affine(0.25)
+        triples = [(0.05, 0.01, 1.0), (0.1, 0.01, 1.0), (0.15, 0.01, 1.0)]
+        ref = discrete_scheme_reference(
+            kernel, rate, unit_marks, 0.25, 8, atoms_from_triples(2.0, 0.5, triples, unit_marks)
+        )
+        atoms = atoms_from_triples(2.0, 0.5, triples, unit_marks)
+        with pytest.raises(RunawayIntensityError, match=f"^bin intensity {ref.intensity[4]:.4g} "):
+            simulate_discrete(kernel, rate, unit_marks, 0.25, 8, atoms, ceiling_cap_factor=1.5)
+        assert len(atoms.strips) == 1
+        assert np.all(ref.intensity[:4] <= 0.5)
+
     def test_atoms_on_grid_points(self, unit_marks):
         triples = [(0.5, 0.1, 1.0), (1.0, 0.2, 1.0), (1.0, 0.9, 1.0), (1.25, 0.3, 1.0),
                    (1.5, 0.1, 1.0), (2.0, 0.4, 1.0)]
