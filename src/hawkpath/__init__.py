@@ -12,7 +12,6 @@ from .errors import (
     InstabilityWarning,
     ParameterError,
     RunawayIntensityError,
-    UnsupportedMomentError,
 )
 from .kernels import (
     GridCoefficients,

@@ -25,7 +25,7 @@ from .kernels import (
     l1_norm,
     p_variation,
 )
-from .randomness import MarkModel, mark_moments, require_second_moment
+from .randomness import MarkModel, mark_moments
 
 __all__ = [
     "BoundSet",
@@ -50,8 +50,8 @@ def rho_discrete(grid: GridCoefficients, lipschitz: float, mark_model: MarkModel
 class BoundSet:
     """Evaluated stability constants and theorem shapes at one (delta, T).
 
-    ``None`` marks a bound whose hypothesis fails (bounded jump rate,
-    square-integrable kernel or marks, finite p-variation).  Shapes carry an
+    ``None`` marks a bound whose hypothesis fails (stability, bounded jump
+    rate, square-integrable kernel, finite p-variation).  Shapes carry an
     implicit multiplicative constant of 1.
     """
 
@@ -117,26 +117,24 @@ def bound_set(
     mean_disc = psi0 / (1.0 - rho_d) if stable_d else None
     shift_const = (moments.mod_mean * L * psi0 / (1.0 - rho)) if stable else None
 
-    # second moments need E b(Y)^2 and square-integrable kernels
+    # second moments need square-integrable kernels
     second_cont = None
     second_disc = None
-    if moments.second is not None and moments.mod_second is not None:
-        _, mod_second = require_second_moment(moments)
-        if stable_d:
-            h2_disc = grid.abs_l2_sq
-            second_disc = (
-                psi0**2 + L**2 * mod_second * (psi0 / (1.0 - rho_d)) * h2_disc
-            ) / (1.0 - rho_d) ** 2
-        if stable and not kernel.singular_at_zero:
-            h2 = integrate(
-                lambda t: float(kernel.evaluate(np.array([max(t, 1e-300)]))[0]) ** 2,
-                0.0,
-                T,
-                breakpoints=kernel.nonsmooth_points,
-            )
-            second_cont = (
-                psi0**2 + L**2 * mod_second * (psi0 / (1.0 - rho)) * h2
-            ) / (1.0 - rho) ** 2
+    if stable_d:
+        h2_disc = grid.abs_l2_sq
+        second_disc = (
+            psi0**2 + L**2 * moments.mod_second * (psi0 / (1.0 - rho_d)) * h2_disc
+        ) / (1.0 - rho_d) ** 2
+    if stable and not kernel.singular_at_zero:
+        h2 = integrate(
+            lambda t: float(kernel.evaluate(np.array([max(t, 1e-300)]))[0]) ** 2,
+            0.0,
+            T,
+            breakpoints=kernel.nonsmooth_points,
+        )
+        second_cont = (
+            psi0**2 + L**2 * moments.mod_second * (psi0 / (1.0 - rho)) * h2
+        ) / (1.0 - rho) ** 2
 
     sobolev = T**2 * cr + T * delta ** (1.0 - eta)
     mart = math.sqrt(T * cr)

@@ -21,10 +21,6 @@ class InfiniteVariationError(HawkpathError):
     """p-variation requested for a kernel family that is unbounded on (0, T]."""
 
 
-class UnsupportedMomentError(HawkpathError):
-    """A mark-distribution moment was requested that is not declared finite."""
-
-
 class InstabilityError(HawkpathError):
     """The stability ratio is >= 1 and no override was given."""
 

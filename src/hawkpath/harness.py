@@ -10,12 +10,14 @@ byte-identical.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -343,65 +345,73 @@ Cell = tuple[dict[str, float], bool]
 
 def _cell_metrics(
     cfg: ExperimentConfig,
-    delta: float,
+    parts: tuple[Kernel, JumpRate, MarkModel],
+    trial: int,
     cont: ContinuousPath,
-    rc: StepPath | None,
-    disc: DiscreteTrace,
-) -> Cell:
-    """Every requested metric on one coupled pair.
+    traces: list[DiscreteTrace | None],
+) -> list[Cell | None]:
+    """One trial of ``convergence``: every requested metric at each delta still running.
 
-    ``rc`` is the continuous risk path, shared by the trial's cells (None
-    when no path metric is requested).  The grid surrogate is computed at
-    most once, whether ``skorokhod_upper`` asks for it or ``skorokhod_exact``
-    falls back to it past the jump cap.
+    The continuous risk path is shared by the trial's cells.  The grid
+    surrogate is computed at most once per cell, whether ``skorokhod_upper``
+    asks for it or ``skorokhod_exact`` falls back to it past the jump cap.
     """
-    values: dict[str, float] = {}
-    downgraded = False
-    surrogate = None
-    rd = path_to_step(disc, "risk") if rc is not None else None
-    for name in cfg.metrics:
-        if name == "terminal_count":
-            values[name] = float(abs(cont.terminal_count - disc.terminal_count))
-        elif name == "terminal_risk":
-            values[name] = abs(cont.terminal_risk - disc.terminal_risk)
-        elif name == "sobolev":
-            values[name] = sobolev_distance(rc, rd, cfg.sobolev_eta)
-        elif name == "skorokhod_exact" and max(rc.jump_count, rd.jump_count) <= SKOROKHOD_JUMP_CAP:
-            values[name] = skorokhod_distance(rc, rd)
-        else:  # skorokhod_upper, or skorokhod_exact past the jump cap
-            if surrogate is None:
-                grid = delta * np.arange(disc.count + 1)
-                surrogate = skorokhod_upper_bound(
-                    rc.value_at(grid), disc.risk, modulus_sparse(rc, delta), delta
-                )
-            values[name] = surrogate
-            downgraded = downgraded or name == "skorokhod_exact"
-    return values, downgraded
+    rc = path_to_step(cont, "risk") if _PATH_METRICS & set(cfg.metrics) else None
+    cells: list[Cell | None] = []
+    for delta, disc in zip(cfg.delta_ladder, traces):
+        if disc is None:
+            cells.append(None)
+            continue
+        values: dict[str, float] = {}
+        downgraded = False
+        surrogate = None
+        rd = path_to_step(disc, "risk") if rc is not None else None
+        for name in cfg.metrics:
+            if name == "terminal_count":
+                values[name] = float(abs(cont.terminal_count - disc.terminal_count))
+            elif name == "terminal_risk":
+                values[name] = abs(cont.terminal_risk - disc.terminal_risk)
+            elif name == "sobolev":
+                values[name] = sobolev_distance(rc, rd, cfg.sobolev_eta)
+            elif name == "skorokhod_exact" and max(rc.jump_count, rd.jump_count) <= SKOROKHOD_JUMP_CAP:
+                values[name] = skorokhod_distance(rc, rd)
+            else:  # skorokhod_upper, or skorokhod_exact past the jump cap
+                if surrogate is None:
+                    grid = delta * np.arange(disc.count + 1)
+                    surrogate = skorokhod_upper_bound(
+                        rc.value_at(grid), disc.risk, modulus_sparse(rc, delta), delta
+                    )
+                values[name] = surrogate
+                downgraded = downgraded or name == "skorokhod_exact"
+        cells.append((values, downgraded))
+    return cells
 
 
 def _run_trials(
-    kernel: Kernel,
-    jump_rate: JumpRate,
-    marks: MarkModel,
+    parts: tuple[Kernel, JumpRate, MarkModel],
     cfg: ExperimentConfig,
     trials: range,
-) -> list[list[Cell] | str]:
-    """The cells of a range of trials, per ladder delta, in trial order.
+    measure: Callable,
+) -> tuple[list[RunawayIntensityError | None], list]:
+    """Couple a range of trials across the ladder and measure each one.
 
     Each trial draws its atoms once and thins the continuous path once; the
     discrete scheme then runs at every delta on those atoms.  This is exact:
     a ceiling extension is the strip keyed by its index, whichever process
     asks for it first, and atoms above a process's own ceiling never pass
-    its thinning.  A delta whose cell hits the runaway guard is replaced by
-    the guard's error name and skipped for the remaining trials.
+    its thinning.  ``measure(cfg, parts, trial, cont, traces)``, a
+    module-level function or a partial of one, so that a process pool can
+    send it, turns a trial into its sample; ``traces`` is None at every
+    delta whose cell has hit the runaway guard.  Returns, per delta, the
+    error that aborted its cell (or None), and the samples in trial order.
     """
+    kernel, jump_rate, marks = parts
     T = cfg.horizon
     ceiling = default_ceiling(jump_rate, kernel, marks)
-    wants_paths = bool(_PATH_METRICS & set(cfg.metrics))
-    cells: list[list[Cell] | str] = [[] for _ in cfg.delta_ladder]
+    aborted: list[RunawayIntensityError | None] = [None] * len(cfg.delta_ladder)
+    samples = []
     for trial in trials:
-        live = [i for i, c in enumerate(cells) if not isinstance(c, str)]
-        if not live:
+        if all(a is not None for a in aborted):
             break
         atoms = sample_atoms(T, ceiling, marks, (cfg.seed, trial))
         try:
@@ -409,52 +419,51 @@ def _run_trials(
                 kernel, jump_rate, marks, T, atoms, allow_unstable=cfg.allow_unstable
             )
         except RunawayIntensityError as exc:
-            for i in live:
-                cells[i] = exc.__class__.__name__
+            aborted = [exc if a is None else a for a in aborted]
             break
-        rc = path_to_step(cont, "risk") if wants_paths else None
-        for i in live:
-            delta = cfg.delta_ladder[i]
+        traces: list[DiscreteTrace | None] = [None] * len(cfg.delta_ladder)
+        for i, delta in enumerate(cfg.delta_ladder):
+            if aborted[i] is not None:
+                continue
             try:
-                disc = simulate_discrete(
+                traces[i] = simulate_discrete(
                     kernel, jump_rate, marks, delta, round(T / delta), atoms,
                     allow_unstable=cfg.allow_unstable,
                 )
             except RunawayIntensityError as exc:
-                cells[i] = exc.__class__.__name__
-                continue
-            cells[i].append(_cell_metrics(cfg, delta, cont, rc, disc))
-    return cells
+                aborted[i] = exc
+        samples.append(measure(cfg, parts, trial, cont, traces))
+    return aborted, samples
 
 
-def _pool_worker(payload: tuple[ExperimentConfig, range]) -> list[list[Cell] | str]:
+def _pool_worker(payload: tuple[ExperimentConfig, range, Callable]) -> tuple[list, list]:
     """Process-pool entry point: builds the components once, runs a trial range."""
-    cfg, trials = payload
-    return _run_trials(*_build_all(cfg), cfg, trials)
+    cfg, trials, measure = payload
+    return _run_trials(_build_all(cfg), cfg, trials, measure)
 
 
 def _map_trials(
-    cfg: ExperimentConfig, kernel: Kernel, jump_rate: JumpRate, marks: MarkModel
-) -> list[list[Cell] | str]:
-    """Every trial at every ladder delta, in trial order regardless of workers.
+    cfg: ExperimentConfig, parts: tuple[Kernel, JumpRate, MarkModel], measure: Callable
+) -> tuple[list[RunawayIntensityError | None], list]:
+    """``_run_trials`` over every trial, in trial order regardless of workers.
 
     With several workers, one process pool runs contiguous trial ranges
     that each cover the whole ladder; a delta aborted in any range is
-    aborted, under the error name of its earliest aborted trial.
+    aborted, with the error of its earliest aborted trial.
     """
     workers = cfg.effective_workers()
     n = cfg.trials
     if workers <= 1:
-        return _run_trials(kernel, jump_rate, marks, cfg, range(n))
+        return _run_trials(parts, cfg, range(n), measure)
     edges = [n * k // workers for k in range(workers + 1)]
     chunks = [range(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
     with ProcessPoolExecutor(max_workers=len(chunks)) as ex:
-        parts = list(ex.map(_pool_worker, [(cfg, c) for c in chunks]))
-    merged: list[list[Cell] | str] = []
-    for per_chunk in zip(*parts):
-        aborted = [c for c in per_chunk if isinstance(c, str)]
-        merged.append(aborted[0] if aborted else [cell for c in per_chunk for cell in c])
-    return merged
+        results = list(ex.map(_pool_worker, [(cfg, c, measure) for c in chunks]))
+    aborted = [
+        next((a for a in per_range if a is not None), None)
+        for per_range in zip(*(a for a, _ in results))
+    ]
+    return aborted, [s for _, samples in results for s in samples]
 
 
 # --------------------------------------------------------------------------
@@ -538,22 +547,23 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
         )
         for delta in config.delta_ladder
     ]
-    cells = _map_trials(config, kernel, jump_rate, marks)
+    aborted, per_trial = _map_trials(config, (kernel, jump_rate, marks), _cell_metrics)
     report = ConvergenceReport(trials=config.trials)
     per_metric_points: dict[str, list[tuple[float, float]]] = {
         m: [] for m in config.metrics
     }
-    for delta, bset, cell in zip(config.delta_ladder, bsets, cells):
-        if isinstance(cell, str):
+    for i, (delta, bset) in enumerate(zip(config.delta_ladder, bsets)):
+        if aborted[i] is not None:
             for metric in config.metrics:
                 report.rows.append(
                     ConvergenceRow(
                         delta, metric, math.nan, math.nan,
                         _theory_shape(config, metric, delta, bset),
-                        flag=f"aborted:{cell}",
+                        flag=f"aborted:{type(aborted[i]).__name__}",
                     )
                 )
             continue
+        cell = [cells[i] for cells in per_trial]
         downgraded = any(d for _, d in cell)
         for metric in config.metrics:
             arr = np.array([v[metric] for v, _ in cell])
@@ -608,29 +618,86 @@ class BoundVerdict:
     detail: str = ""
 
 
+# the increment mismatch at (T/4, 3T/4) must fall at least this fast in delta
+SCALING_SLOPE_MIN = 0.45
+
+
 def _mc_mean_se(arr: np.ndarray) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr)))
 
 
-def verify_bounds(config: ExperimentConfig, *, scaling_slope_min: float = 0.45) -> list[BoundVerdict]:
+class _VerifySample(NamedTuple):
+    """What one trial contributes to the Monte Carlo verdicts of ``verify``."""
+
+    mismatch: list[float]        # risk-increment mismatch on (T/4, 3T/4], per delta
+    intensity: list[float]       # continuous intensity at T k / 20, k = 1..20
+    grid_intensity: np.ndarray   # finest-delta intensity at up to 20 grid points
+    xi_continuous: float         # terminal risk minus its compensator
+    xi_discrete: float           # the same at the finest delta
+    modulus: float               # sparse modulus of the compound Poisson path
+
+
+def _verify_sample(
+    rate: float,
+    cfg: ExperimentConfig,
+    parts: tuple[Kernel, JumpRate, MarkModel],
+    trial: int,
+    cont: ContinuousPath,
+    traces: list[DiscreteTrace | None],
+) -> _VerifySample | None:
+    """One trial of ``verify``; None once a delta has aborted, which fails the run.
+
+    ``rate`` is the rate of the compound Poisson path whose modulus is sampled.
+    """
+    if any(disc is None for disc in traces):
+        return None
+    kernel, jump_rate, marks = parts
+    T = cfg.horizon
+    delta_min = cfg.delta_ladder[-1]
+    s, t = 0.25 * T, 0.75 * T
+    rc = path_to_step(cont, "risk")
+    inc_c = float(rc.value_at(t) - rc.value_at(s))
+    mismatch = []
+    for disc in traces:
+        rd = path_to_step(disc, "risk")
+        mismatch.append(abs(inc_c - float(rd.value_at(t) - rd.value_at(s))))
+    disc = traces[-1]
+    grid_idx = np.unique(np.linspace(1, round(T / delta_min), 20, dtype=int))
+    mark_mean = mark_moments(marks).mean
+    # the compound Poisson path draws from its own stream, (seed, trial, 1)
+    modulus = math.nan
+    if rate > 0:
+        atoms = sample_atoms(T, rate, marks, (cfg.seed, trial, 1))
+        path = simulate_continuous(zero_kernel(T), constant_rate(rate), marks, T, atoms)
+        modulus = modulus_sparse(path_to_step(path, "risk"), delta_min)
+    return _VerifySample(
+        mismatch,
+        [eval_intensity(cont, kernel, jump_rate, u) for u in T * np.arange(1, 21) / 20.0],
+        disc.intensity[grid_idx],
+        cont.terminal_risk - mark_mean * integrate_intensity(cont, kernel, jump_rate),
+        disc.terminal_risk - mark_mean * float(disc.intensity[1:].sum() * delta_min),
+        modulus,
+    )
+
+
+def verify_bounds(config: ExperimentConfig) -> list[BoundVerdict]:
     """Monte Carlo checks of the lemma-level bounds and the increment scaling.
 
     Stability verdicts are pure arithmetic; the intensity mean bounds,
     martingale zero-means and modulus bound are tested at ``mean <= bound +
     3 standard errors``; the increment mismatch at fixed (s, t) = (T/4,
-    3T/4) must scale with a log-log slope of at least ``scaling_slope_min``
-    across the ladder (zero errors pass trivially).
+    3T/4) must scale with a log-log slope of at least ``SCALING_SLOPE_MIN``
+    across the ladder (zero errors pass trivially).  The trials run on the
+    engine of ``convergence``; a runaway at any delta raises.
     """
     kernel, jump_rate, marks = _build_thinnable(config)
     T = config.horizon
-    moments = mark_moments(marks)
     ladder = config.delta_ladder
     delta_min = ladder[-1]
-    M_min = round(T / delta_min)
     verdicts: list[BoundVerdict] = []
 
     rho = rho_continuous(kernel, jump_rate.lipschitz, marks)
-    grid = grid_coefficients(kernel, delta_min, M_min)
+    grid = grid_coefficients(kernel, delta_min, round(T / delta_min))
     rho_d = rho_discrete(grid, jump_rate.lipschitz, marks)
     verdicts.append(
         BoundVerdict("stability_continuous", rho, 1.0, 1.0 - rho, rho < 1.0)
@@ -642,42 +709,15 @@ def verify_bounds(config: ExperimentConfig, *, scaling_slope_min: float = 0.45) 
         )
     )
 
-    # each trial is coupled once across the ladder: one atom draw and one
-    # continuous path feed the increment mismatch at every delta, and the
-    # finest-delta trace feeds the mean and martingale checks
-    n = config.trials
-    ts = T * np.arange(1, 21) / 20.0
-    grid_idx = np.unique(np.linspace(1, M_min, 20, dtype=int))
-    lam_samples = np.empty((n, len(ts)))
-    l_samples = np.empty((n, len(grid_idx)))
-    xi_cont = np.empty(n)
-    xi_disc = np.empty(n)
-    s_t = (0.25 * T, 0.75 * T)
-    mismatches = np.empty((len(ladder), n))
-    ceiling = default_ceiling(jump_rate, kernel, marks)
-    for t in range(n):
-        atoms = sample_atoms(T, ceiling, marks, (config.seed, t))
-        cont = simulate_continuous(
-            kernel, jump_rate, marks, T, atoms, allow_unstable=config.allow_unstable
-        )
-        rc = path_to_step(cont, "risk")
-        inc_c = float(rc.value_at(s_t[1]) - rc.value_at(s_t[0]))
-        for i, delta in enumerate(ladder):
-            disc = simulate_discrete(
-                kernel, jump_rate, marks, delta, round(T / delta), atoms,
-                allow_unstable=config.allow_unstable,
-            )
-            rd = path_to_step(disc, "risk")
-            inc_d = float(rd.value_at(s_t[1]) - rd.value_at(s_t[0]))
-            mismatches[i, t] = abs(inc_c - inc_d)
-        lam_samples[t] = [eval_intensity(cont, kernel, jump_rate, u) for u in ts]
-        l_samples[t] = disc.intensity[grid_idx]
-        xi_cont[t] = cont.terminal_risk - moments.mean * integrate_intensity(
-            cont, kernel, jump_rate
-        )
-        xi_disc[t] = disc.terminal_risk - moments.mean * float(
-            disc.intensity[1:].sum() * delta_min
-        )
+    # each trial also samples the modulus of a compound Poisson path at the
+    # dominating rate, for the constant-free modulus bound
+    rate = jump_rate.at_zero / (1.0 - rho) if rho < 1.0 else jump_rate.at_zero
+    aborted, per_trial = _map_trials(
+        config, (kernel, jump_rate, marks), functools.partial(_verify_sample, rate)
+    )
+    for exc in aborted:
+        if exc is not None:
+            raise exc
 
     def mean_bound_verdict(name: str, samples: np.ndarray, bound: float | None):
         if bound is None:
@@ -698,32 +738,26 @@ def verify_bounds(config: ExperimentConfig, *, scaling_slope_min: float = 0.45) 
         )
 
     mean_bound_verdict(
-        "mean_intensity_continuous", lam_samples,
+        "mean_intensity_continuous", np.array([s.intensity for s in per_trial]),
         jump_rate.at_zero / (1.0 - rho) if rho < 1.0 else None,
     )
     mean_bound_verdict(
-        "mean_intensity_discrete", l_samples,
+        "mean_intensity_discrete", np.array([s.grid_intensity for s in per_trial]),
         jump_rate.at_zero / (1.0 - rho_d) if rho_d < 1.0 else None,
     )
 
-    for name, arr in (("martingale_continuous", xi_cont), ("martingale_discrete", xi_disc)):
+    for name, arr in (
+        ("martingale_continuous", np.array([s.xi_continuous for s in per_trial])),
+        ("martingale_discrete", np.array([s.xi_discrete for s in per_trial])),
+    ):
         mean, se = _mc_mean_se(arr)
         margin = 3.0 * se - abs(mean)
         verdicts.append(
             BoundVerdict(name, mean, 0.0, margin, margin >= 0.0, detail=f"3se={3*se:.4g}")
         )
 
-    # constant-free modulus bound for a compound Poisson path at the dominating rate
-    rate = jump_rate.at_zero / (1.0 - rho) if rho < 1.0 else jump_rate.at_zero
     if rate > 0:
-        flat_kernel = zero_kernel(T)
-        flat_rate = constant_rate(rate)
-        mods = np.empty(n)
-        for t in range(n):
-            atoms = sample_atoms(T, rate, marks, (config.seed, t, 1))
-            path = simulate_continuous(flat_kernel, flat_rate, marks, T, atoms)
-            mods[t] = modulus_sparse(path_to_step(path, "risk"), delta_min)
-        mean, se = _mc_mean_se(mods)
+        mean, se = _mc_mean_se(np.array([s.modulus for s in per_trial]))
         bound = modulus_poisson_bound(rate, T, delta_min, marks)
         margin = bound + 3.0 * se - mean
         verdicts.append(
@@ -734,10 +768,11 @@ def verify_bounds(config: ExperimentConfig, *, scaling_slope_min: float = 0.45) 
         )
 
     # increment mismatch at fixed times across the ladder
+    mismatches = np.array([s.mismatch for s in per_trial]).T
     ladder_means = [(delta, float(row.mean())) for delta, row in zip(ladder, mismatches)]
     if all(m < 1e-12 for _, m in ladder_means):
         verdicts.append(
-            BoundVerdict("increment_scaling", 0.0, scaling_slope_min, 0.0, True,
+            BoundVerdict("increment_scaling", 0.0, SCALING_SLOPE_MIN, 0.0, True,
                          detail="all increments match exactly")
         )
     else:
@@ -746,14 +781,14 @@ def verify_bounds(config: ExperimentConfig, *, scaling_slope_min: float = 0.45) 
             fit = fit_powerlaw(positive)
             verdicts.append(
                 BoundVerdict(
-                    "increment_scaling", fit.exponent, scaling_slope_min,
-                    fit.exponent - scaling_slope_min, fit.exponent >= scaling_slope_min,
+                    "increment_scaling", fit.exponent, SCALING_SLOPE_MIN,
+                    fit.exponent - SCALING_SLOPE_MIN, fit.exponent >= SCALING_SLOPE_MIN,
                     detail=f"fit over {len(positive)} deltas",
                 )
             )
         else:
             verdicts.append(
-                BoundVerdict("increment_scaling", math.nan, scaling_slope_min,
+                BoundVerdict("increment_scaling", math.nan, SCALING_SLOPE_MIN,
                              math.nan, False, detail="too few positive points")
             )
     return verdicts

@@ -589,24 +589,13 @@ class PVariationResult:
     exact: bool
 
 
-def _pvar_partition_dp(values: np.ndarray, p: float) -> float:
-    # sup over subsets of the sample points of (sum |increments|^p); the
-    # obviously-correct O(n^2) recursion, vectorized over predecessors
-    n = len(values)
-    cum = np.zeros(n)
-    for j in range(1, n):
-        cum[j] = np.max(cum[:j] + np.abs(values[j] - values[:j]) ** p)
-    return float(cum[-1]) ** (1.0 / p)
-
-
 def p_variation(kernel: Kernel, p: float = 1.0, T: float | None = None) -> PVariationResult:
-    """p-variation of h on [0, T].
+    """p-variation of h on [0, T], read off the declared monotone-piece boundaries.
 
-    Exact for p = 1 when monotone-piece boundaries are declared (the supremum
-    is attained on the extrema partition).  For p > 1 the extrema-partition
-    value is returned and flagged as a certified lower bound.  Without
-    declared boundaries, a dyadic-grid search at three refinement levels is
-    used, also flagged as a lower bound.
+    Exact for p = 1 (the supremum is attained on the extrema partition).  For
+    p > 1 the extrema-partition value is returned and flagged as a certified
+    lower bound.  Every bounded built-in family declares its boundaries; a
+    kernel without them is refused.
     """
     if p < 1:
         raise ParameterError("p must be >= 1")
@@ -616,17 +605,14 @@ def p_variation(kernel: Kernel, p: float = 1.0, T: float | None = None) -> PVari
         raise InfiniteVariationError(
             f"kernel family {kernel.family!r} is unbounded on (0, T]"
         )
-    if kernel.monotone_breaks is not None:
-        pts = np.array(sorted({min(b, T) for b in kernel.monotone_breaks} | {0.0, T}))
-        vals = np.asarray(kernel.evaluate(np.maximum(pts, 1e-300)), dtype=float)
-        if p == 1.0:
-            return PVariationResult(float(np.abs(np.diff(vals)).sum()), exact=True)
-        return PVariationResult(
-            float((np.abs(np.diff(vals)) ** p).sum() ** (1.0 / p)), exact=False
+    if kernel.monotone_breaks is None:
+        raise ParameterError(
+            f"kernel family {kernel.family!r} declares no monotone_breaks"
         )
-    best = 0.0
-    for level in (8, 9, 10):
-        ts = np.linspace(0.0, T, 2 ** level + 1)
-        vals = np.asarray(kernel.evaluate(np.maximum(ts, 1e-300)), dtype=float)
-        best = max(best, _pvar_partition_dp(vals, p))
-    return PVariationResult(best, exact=False)
+    pts = np.array(sorted({min(b, T) for b in kernel.monotone_breaks} | {0.0, T}))
+    vals = np.asarray(kernel.evaluate(np.maximum(pts, 1e-300)), dtype=float)
+    if p == 1.0:
+        return PVariationResult(float(np.abs(np.diff(vals)).sum()), exact=True)
+    return PVariationResult(
+        float((np.abs(np.diff(vals)) ** p).sum() ** (1.0 / p)), exact=False
+    )

@@ -99,18 +99,6 @@ def sobolev_distance(f: StepPath, g: StepPath, eta: float) -> float:
 # Skorokhod distance
 # --------------------------------------------------------------------------
 
-def _merge_intervals(ivs: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    ivs.sort()
-    out = [ivs[0]]
-    for lo, hi in ivs[1:]:
-        plo, phi = out[-1]
-        if lo <= phi:
-            out[-1] = (plo, max(phi, hi))
-        else:
-            out.append((lo, hi))
-    return out
-
-
 def feasible_eps(f: StepPath, g: StepPath, eps: float) -> bool:
     """Decide whether a time change achieves distortion and mismatch <= eps.
 
@@ -125,68 +113,69 @@ def feasible_eps(f: StepPath, g: StepPath, eps: float) -> bool:
     States therefore record how they were entered: by an f-jump (position
     fixed at that jump) or by a g-jump (an interval of feasible positions).
     The states are swept one anti-diagonal i + j at a time, visiting only
-    those the previous diagonal reached.  Monotone in eps.  Some of the
-    comparisons are strict, so the feasible set need not be closed: the
-    answer at a critical value of ``skorokhod_distance`` may be False while
+    those the previous diagonal reached.  Monotone in eps.
+
+    A placement is never rounded to the float c - eps or c + eps: whether
+    f-jump a lies in the window of g-jump c is decided by comparing the
+    float a - c (or c - a) with eps, the same difference the critical values
+    of ``skorokhod_distance`` are built from.  So the answer changes only at
+    critical values.  Some of the comparisons are strict, so the feasible set
+    need not be closed: the answer at a critical value may be False while
     every larger eps up to the next critical value is feasible.
     """
-    T = _require_same_horizon(f, g)
+    _require_same_horizon(f, g)
     if eps < 0:
         raise ParameterError("eps must be nonnegative")
-    fa = f.breakpoints[1:].tolist()
-    ga = g.breakpoints[1:].tolist()
+    fb = f.breakpoints.tolist()  # fb[i]: the jump into f-segment i (fb[0] = 0)
+    gb = g.breakpoints.tolist()
     fv = f.values.tolist()
     gv = g.values.tolist()
-    m, n = len(fa), len(ga)
+    m, n = len(fb) - 1, len(gb) - 1
 
     # t = 0 and t = T are fixed by the time change
     if abs(fv[0] - gv[0]) > eps or abs(fv[m] - gv[n]) > eps:
         return False
 
     # Reached states of the current diagonal, keyed by i, as [clean, tied,
-    # g-entry intervals].  An f-entry position is always the jump into
-    # segment i, so booleans suffice; "clean" records that the previous
-    # g-jump sits strictly below it (a further g-jump may still land on it),
-    # "tied" that a g-jump already occupies that exact position.
-    frontier = {0: [False, False, [(0.0, 0.0)]]}
+    # g-entry].  An f-entry position is always the jump fb[i], so booleans
+    # suffice; "clean" records that the last g-jump sits strictly below it
+    # (a further g-jump may still land on it), "tied" that a g-jump already
+    # occupies that exact position.  A g-entry places the last g-jump gb[j]
+    # at (lo, False), or anywhere in [lo, gb[j] + eps] as (lo, True), where
+    # lo is an f-jump time or None for gb[j] - eps.
+    frontier = {0: [False, False, (0.0, False)]}
     for diag in range(m + n):
         reached: dict[int, list] = {}
         for i in sorted(frontier, reverse=True):
-            clean, tied, ivs = frontier[i]
+            clean, tied, entry = frontier[i]
             j = diag - i
-            if ivs:
-                ivs = _merge_intervals(ivs)
+            a0, c = fb[i], gb[j]
             from_f = clean or tied
             matches = abs(fv[i] - gv[j]) <= eps
-            a0 = fa[i - 1] if i >= 1 else 0.0
-            min_pos = ivs[0][0] if ivs else a0
-            if from_f:
-                min_pos = min(min_pos, a0)
+            lo, window = entry if entry is not None else (a0, False)
+            # the lowest position of the last placed jump (None: c - eps)
+            low = lo
+            if from_f and (c - a0 > eps if lo is None else a0 < lo):
+                low = a0
             if i < m:
-                a = fa[i]
-                at_a = bool(ivs) and any(lo <= a <= hi for lo, hi in ivs)
-                if matches and min_pos <= a:
-                    # leaving through a gap of positive width (or a tie from
-                    # an f-entry, whose previous g-jump is already below a)
-                    if from_f or (ivs and ivs[0][0] < a):
-                        reached.setdefault(i + 1, [False, False, []])[0] = True
-                    if at_a:
-                        reached.setdefault(i + 1, [False, False, []])[1] = True
-                elif not matches and at_a:
-                    # g-jump placed exactly at a
-                    reached.setdefault(i + 1, [False, False, []])[1] = True
+                a = fb[i + 1]
+                gap = c - a < eps if lo is None else lo < a
+                at_a = window and (lo is None or lo <= a) and abs(a - c) <= eps
+                # leave through a gap of positive width (or a tie from an
+                # f-entry, whose last g-jump is already below a)
+                if matches and (from_f or gap):
+                    reached.setdefault(i + 1, [False, False, None])[0] = True
+                if at_a:  # a g-jump placed exactly at a
+                    reached.setdefault(i + 1, [False, False, None])[1] = True
             if j < n:
-                c = ga[j]
-                wlo, whi = max(c - eps, 0.0), min(c + eps, T)
-                if wlo <= whi:
-                    if matches and min_pos <= whi:
-                        nlo = max(min_pos, wlo)
-                        if nlo <= whi:
-                            reached.setdefault(i, [False, False, []])[2].append((nlo, whi))
-                    if not matches and clean and wlo <= a0 <= whi:
-                        # place the g-jump exactly on the entering f-jump;
-                        # legal only when no g-jump occupies it yet
-                        reached.setdefault(i, [False, False, []])[2].append((a0, a0))
+                c1 = gb[j + 1]
+                if matches and (low is None or low - c1 <= eps):
+                    lo = low if low is not None and c1 - low <= eps else None
+                    reached.setdefault(i, [False, False, None])[2] = (lo, True)
+                elif not matches and clean and abs(a0 - c1) <= eps:
+                    # place the g-jump exactly on the entering f-jump;
+                    # legal only when no g-jump occupies it yet
+                    reached.setdefault(i, [False, False, None])[2] = (a0, False)
         if not reached:
             return False
         frontier = reached
@@ -203,16 +192,17 @@ def skorokhod_distance(
     """Exact Skorokhod distance between canonical step paths.
 
     Every comparison ``feasible_eps`` makes sets eps against one of the
-    critical values: 0, a value gap |f_i - g_j|, a jump-time gap
-    |a_i - c_j|, or a jump's distance to 0 or T (a_i, T - a_i, c_j, T - c_j).
-    So feasibility is constant on each open gap (c_k, c_{k+1}) between
-    consecutive critical values and, being monotone, switches on at most
-    once.  The infimum of the feasible eps is therefore the critical value
-    c_k below the first gap whose midpoint is feasible, found by binary
-    search over the gaps in about log2(#critical values) calls.  Midpoints
-    are tested rather than the critical values themselves because the DP's
-    strict inequalities, and the rounding of c - eps and c + eps, can make
-    eps = c_k itself infeasible although it is the infimum.  Only critical
+    critical values, computed as the same floats: 0, a value gap
+    |f_i - g_j|, a jump-time gap |a_i - c_j|, or a jump's distance to 0 or T
+    (a_i, T - a_i, c_j, T - c_j).  So feasibility is constant on each open
+    gap (c_k, c_{k+1}) between consecutive critical values and, being
+    monotone, switches on at most once.  The infimum of the feasible eps is
+    therefore the critical value c_k below the first gap whose midpoint is
+    feasible, found by binary search over the gaps in about
+    log2(#critical values) calls, and every eps above it is feasible.
+    Midpoints are tested rather than the critical values themselves because
+    the DP's strict inequalities can make eps = c_k itself infeasible
+    although it is the infimum.  Only critical
     values up to the uniform distance are kept: the uniform distance is a
     value gap and always feasible (identity time change), so it is the
     largest and the answer when no midpoint passes.

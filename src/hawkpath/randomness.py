@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedMomentError
+from .errors import ParameterError
 
 __all__ = [
     "MarkModel",
@@ -27,8 +26,8 @@ __all__ = [
     "mark_moments",
 ]
 
-_DISTRIBUTIONS = ("point-mass", "exponential", "lognormal", "gaussian", "custom")
-_MODULATIONS = ("constant-one", "indicator", "absolute-value", "custom")
+_DISTRIBUTIONS = ("point-mass", "exponential", "lognormal", "gaussian")
+_MODULATIONS = ("constant-one", "indicator", "absolute-value")
 
 
 def _phi(x: float) -> float:
@@ -42,20 +41,13 @@ class MarkModel:
 
     ``dist_params``: point-mass -> (value,); exponential -> (rate,);
     lognormal / gaussian -> (m, s).  ``mod_params``: indicator -> (threshold,).
-    Custom distributions supply ``sampler(rng, size)``; custom modulations
-    supply ``modulation_fn`` (positive, array-aware).  A custom distribution
-    that is declared heavy-tailed (``finite_second_moment=False``) refuses
-    second-moment requests.
+    Every distribution and modulation has closed-form moments.
     """
 
     distribution: str = "point-mass"
     dist_params: tuple[float, ...] = (1.0,)
     modulation: str = "constant-one"
     mod_params: tuple[float, ...] = ()
-    sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
-    modulation_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    finite_second_moment: bool = True
-    mc_samples: int = 10**6
 
     def __post_init__(self) -> None:
         if self.distribution not in _DISTRIBUTIONS:
@@ -66,10 +58,6 @@ class MarkModel:
             raise ParameterError("exponential mark rate must be positive")
         if self.distribution in ("lognormal", "gaussian") and not self.dist_params[1] >= 0:
             raise ParameterError("mark sd must be nonnegative")
-        if self.distribution == "custom" and self.sampler is None:
-            raise ParameterError("custom distribution requires a sampler")
-        if self.modulation == "custom" and self.modulation_fn is None:
-            raise ParameterError("custom modulation requires modulation_fn")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.distribution == "point-mass":
@@ -79,10 +67,8 @@ class MarkModel:
         if self.distribution == "lognormal":
             m, s = self.dist_params
             return rng.lognormal(m, s, size)
-        if self.distribution == "gaussian":
-            m, s = self.dist_params
-            return rng.normal(m, s, size)
-        return np.asarray(self.sampler(rng, size), dtype=float)
+        m, s = self.dist_params  # gaussian
+        return rng.normal(m, s, size)
 
     def modulate(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -90,22 +76,18 @@ class MarkModel:
             return np.ones_like(y)
         if self.modulation == "indicator":
             return (y >= self.mod_params[0]).astype(float)
-        if self.modulation == "absolute-value":
-            return np.abs(y)
-        return np.asarray(self.modulation_fn(y), dtype=float)
+        return np.abs(y)  # absolute-value
 
 
 @dataclass(frozen=True)
 class MarkMoments:
-    """First/second moments of Y and b(Y); None where not declared finite."""
+    """First and second moments of Y and b(Y)."""
 
-    mean: float            # E Y
-    abs_mean: float        # E |Y|
-    second: float | None   # E Y^2
-    mod_mean: float        # E b(Y)
-    mod_second: float | None  # E b(Y)^2
-    mc_samples: int = 0
-    mc_standard_error: float = 0.0
+    mean: float        # E Y
+    abs_mean: float    # E |Y|
+    second: float      # E Y^2
+    mod_mean: float    # E b(Y)
+    mod_second: float  # E b(Y)^2
 
 
 def _closed_form_dist_moments(model: MarkModel) -> tuple[float, float, float]:
@@ -142,61 +124,17 @@ def _tail_probability(model: MarkModel, a: float) -> float:
     return 1.0 - _phi((a - m) / s)
 
 
-def mark_moments(model: MarkModel, *, seed: int = 0) -> MarkMoments:
-    """Closed-form moments for built-ins; Monte Carlo fallback otherwise.
-
-    The fallback draws ``model.mc_samples`` marks from a stream keyed by
-    ``seed`` and records the worst per-moment standard error.
-    """
-    needs_mc = model.distribution == "custom" or model.modulation == "custom"
-    if not needs_mc:
-        mean, abs_mean, second = _closed_form_dist_moments(model)
-        if model.modulation == "constant-one":
-            mm, ms = 1.0, 1.0
-        elif model.modulation == "indicator":
-            mm = _tail_probability(model, model.mod_params[0])
-            ms = mm
-        else:  # absolute-value
-            mm, ms = abs_mean, second
-        return MarkMoments(mean, abs_mean, second, mm, ms)
-
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(97,)))
-    y = model.sample(rng, model.mc_samples)
-    b = model.modulate(y)
-    n = len(y)
-    second = None
-    mod_second = None
-    se = 0.0
-    if model.finite_second_moment:
-        second = float(np.mean(y * y))
-        mod_second = float(np.mean(b * b))
-        se = max(
-            float(np.std(y * y, ddof=1)),
-            float(np.std(b * b, ddof=1)),
-        ) / math.sqrt(n)
-    se = max(
-        se,
-        float(np.std(np.abs(y), ddof=1)) / math.sqrt(n),
-        float(np.std(b, ddof=1)) / math.sqrt(n),
-    )
-    return MarkMoments(
-        mean=float(np.mean(y)),
-        abs_mean=float(np.mean(np.abs(y))),
-        second=second,
-        mod_mean=float(np.mean(b)),
-        mod_second=mod_second,
-        mc_samples=n,
-        mc_standard_error=se,
-    )
-
-
-def require_second_moment(moments: MarkMoments) -> tuple[float, float]:
-    """(E Y^2, E b(Y)^2), raising when the declaration does not allow them."""
-    if moments.second is None or moments.mod_second is None:
-        raise UnsupportedMomentError(
-            "second moment requested for a distribution not declared square-integrable"
-        )
-    return moments.second, moments.mod_second
+def mark_moments(model: MarkModel) -> MarkMoments:
+    """Closed-form moments of the mark Y and of its modulation b(Y)."""
+    mean, abs_mean, second = _closed_form_dist_moments(model)
+    if model.modulation == "constant-one":
+        mm, ms = 1.0, 1.0
+    elif model.modulation == "indicator":
+        mm = _tail_probability(model, model.mod_params[0])
+        ms = mm
+    else:  # absolute-value
+        mm, ms = abs_mean, second
+    return MarkMoments(mean, abs_mean, second, mm, ms)
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ sparse modulus.
 
 from __future__ import annotations
 
+import functools
 import math
 from types import SimpleNamespace
 
@@ -142,13 +143,37 @@ def skorokhod_lattice(f: StepPath, g: StepPath, n: int = 2000) -> float:
     return float(dp[n, n])
 
 
-def _merge_intervals(ivs):
-    ivs.sort()
+def _pos_le(x, y, eps, strict=False):
+    """x <= y (x < y if strict) for positions (t, k) standing for t + k * eps.
+
+    Decided on the float difference t_x - t_y against (k_y - k_x) * eps, so
+    no position is ever rounded to a float of its own.
+    """
+    (tx, kx), (ty, ky) = x, y
+    lhs, rhs = (tx, ty) if kx == ky else (tx - ty, (ky - kx) * eps)
+    return lhs < rhs if strict else lhs <= rhs
+
+
+def _pos_min(x, y, eps):
+    return x if _pos_le(x, y, eps) else y
+
+
+def _pos_max(x, y, eps):
+    return y if _pos_le(x, y, eps) else x
+
+
+def _merge_intervals(ivs, eps):
+    def cmp(x, y):
+        if not _pos_le(x, y, eps):
+            return 1
+        return 0 if _pos_le(y, x, eps) else -1
+
+    ivs.sort(key=functools.cmp_to_key(lambda u, v: cmp(u[0], v[0]) or cmp(u[1], v[1])))
     out = [ivs[0]]
     for lo, hi in ivs[1:]:
         plo, phi = out[-1]
-        if lo <= phi:
-            out[-1] = (plo, max(phi, hi))
+        if _pos_le(lo, phi, eps):
+            out[-1] = (plo, _pos_max(phi, hi, eps))
         else:
             out.append((lo, hi))
     return out
@@ -160,7 +185,9 @@ def feasible_eps_grid(f: StepPath, g: StepPath, eps: float) -> bool:
     Same states and transitions as ``metrics.feasible_eps``, but every
     anti-diagonal is scanned in full over (m + 1) x (n + 1) boolean arrays
     and a dict of interval lists, with numpy scalar reads; unreached cells
-    are skipped one by one.
+    are skipped one by one.  Window edges stay symbolic, as positions
+    (c, -1) and (c, +1) for c - eps and c + eps, clipped to (0, 0) and
+    (T, 0), and every comparison goes through ``_pos_le``.
     """
     T = f.horizon
     fa = f.breakpoints[1:]
@@ -174,7 +201,10 @@ def feasible_eps_grid(f: StepPath, g: StepPath, eps: float) -> bool:
 
     clean = np.zeros((m + 1, n + 1), dtype=bool)
     tied = np.zeros((m + 1, n + 1), dtype=bool)
-    by_g = {(0, 0): [(0.0, 0.0)]}
+    by_g = {(0, 0): [((0.0, 0), (0.0, 0))]}
+
+    def le(x, y):
+        return _pos_le(x, y, eps)
 
     for diag in range(m + n + 1):
         for i in range(min(diag, m), -1, -1):
@@ -183,37 +213,39 @@ def feasible_eps_grid(f: StepPath, g: StepPath, eps: float) -> bool:
                 break
             ivs = by_g.get((i, j))
             if ivs:
-                ivs = _merge_intervals(ivs)
+                ivs = _merge_intervals(ivs, eps)
                 by_g[(i, j)] = ivs
             from_f = bool(clean[i, j] or tied[i, j])
             if not ivs and not from_f:
                 continue
             matches = abs(fv[i] - gv[j]) <= eps
-            a0 = float(fa[i - 1]) if i >= 1 else 0.0
+            a0 = (float(fa[i - 1]) if i >= 1 else 0.0, 0)
             lows = []
             if ivs:
                 lows.append(ivs[0][0])
             if from_f:
                 lows.append(a0)
-            min_pos = min(lows)
+            min_pos = functools.reduce(lambda x, y: _pos_min(x, y, eps), lows)
             if i < m:
-                a = float(fa[i])
-                if matches and min_pos <= a:
-                    if from_f or (ivs and ivs[0][0] < a):
+                a = (float(fa[i]), 0)
+                at_a = bool(ivs) and any(le(lo, a) and le(a, hi) for lo, hi in ivs)
+                if matches and le(min_pos, a):
+                    if from_f or (ivs and _pos_le(ivs[0][0], a, eps, strict=True)):
                         clean[i + 1, j] = True
-                    if ivs and any(lo <= a <= hi for lo, hi in ivs):
+                    if at_a:
                         tied[i + 1, j] = True
-                elif not matches and ivs and any(lo <= a <= hi for lo, hi in ivs):
+                elif not matches and at_a:
                     tied[i + 1, j] = True
             if j < n:
                 c = float(ga[j])
-                wlo, whi = max(c - eps, 0.0), min(c + eps, T)
-                if wlo <= whi:
-                    if matches and min_pos <= whi:
-                        nlo = max(min_pos, wlo)
-                        if nlo <= whi:
+                wlo = _pos_max((c, -1), (0.0, 0), eps)
+                whi = _pos_min((c, 1), (T, 0), eps)
+                if le(wlo, whi):
+                    if matches and le(min_pos, whi):
+                        nlo = _pos_max(min_pos, wlo, eps)
+                        if le(nlo, whi):
                             by_g.setdefault((i, j + 1), []).append((nlo, whi))
-                    if not matches and clean[i, j] and wlo <= a0 <= whi:
+                    if not matches and clean[i, j] and le(wlo, a0) and le(a0, whi):
                         by_g.setdefault((i, j + 1), []).append((a0, a0))
     return bool(clean[m, n] or tied[m, n]) or bool(by_g.get((m, n)))
 

@@ -272,7 +272,10 @@ def test_criterion_9_inverse_sqrt_regularity_exponent():
 
 
 def test_criterion_10_cli_reproducibility(tmp_path):
-    """Same seed, different worker counts: byte-identical CSV and JSON outputs."""
+    """Same seed, different worker counts: byte-identical CSV and JSON outputs.
+
+    Both commands that run trials, ``convergence`` and ``verify``, are checked.
+    """
     with criterion(10, "CLI reproducibility across workers"):
         doc = {
             "kernel": {"family": "exponential", "params": {"amplitude": 0.604, "decay": 1.0}},
@@ -293,12 +296,16 @@ def test_criterion_10_cli_reproducibility(tmp_path):
             for workers in ("1", "3"):
                 os.environ["HAWKPATH_WORKERS"] = workers
                 out = tmp_path / f"w{workers}"
-                assert cli_main(
-                    ["convergence", str(cfg_path), "--output-dir", str(out)]
-                ) == 0
-                outputs[workers] = (
-                    (out / "convergence.csv").read_bytes(),
-                    (out / "convergence_summary.json").read_bytes(),
+                for command in ("convergence", "verify"):
+                    assert cli_main(
+                        [command, str(cfg_path), "--output-dir", str(out)]
+                    ) == 0
+                outputs[workers] = tuple(
+                    (out / name).read_bytes()
+                    for name in (
+                        "convergence.csv", "convergence_summary.json",
+                        "verify.csv", "verify.json",
+                    )
                 )
         finally:
             if old is None:

@@ -1,8 +1,11 @@
+import json
 import math
+from dataclasses import asdict
 
 import pytest
 
 from hawkpath import harness
+from hawkpath.cli import cli_main
 from hawkpath.errors import ConfigError, RunawayIntensityError
 from hawkpath.harness import (
     ExperimentConfig,
@@ -196,9 +199,10 @@ class TestRunConvergence:
             return real(spec, horizon)
 
         monkeypatch.setattr(harness, "build_kernel", counting)
-        cells = harness._pool_worker((cfg, range(1, 3)))
+        aborted, samples = harness._pool_worker((cfg, range(1, 3), harness._cell_metrics))
         assert len(calls) == 1
-        assert [len(c) for c in cells] == [2] * len(cfg.delta_ladder)
+        assert aborted == [None] * len(cfg.delta_ladder)
+        assert [len(cells) for cells in samples] == [len(cfg.delta_ladder)] * 2
 
     def test_deterministic_rerun(self):
         a = run_convergence(null_config()).to_csv_text()
@@ -234,6 +238,24 @@ class TestVerifyBounds:
         assert verdicts["martingale_discrete"].passed
         assert verdicts["modulus_poisson"].passed
         assert verdicts["increment_scaling"].passed
+
+    def test_runaway_in_one_cell_fails_the_run(self, monkeypatch, tmp_path):
+        cfg = exponential_config(trials=12, workers=1)
+        real = harness.simulate_discrete
+
+        def runaway_at_quarter(kernel, jump_rate, marks, delta, count, atoms, **kwargs):
+            if delta == 0.25 and atoms.seed_entropy == (cfg.seed, 5):
+                raise RunawayIntensityError("injected")
+            return real(kernel, jump_rate, marks, delta, count, atoms, **kwargs)
+
+        monkeypatch.setattr(harness, "simulate_discrete", runaway_at_quarter)
+        with pytest.raises(RunawayIntensityError, match="injected"):
+            verify_bounds(cfg)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(asdict(cfg)), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_main(["verify", str(path), "--output-dir", str(out)]) == 4
+        assert not out.exists()
 
     def test_unstable_override_fails_stability_but_completes(self):
         cfg = exponential_config(

@@ -183,14 +183,12 @@ class TestPVariation:
         assert res.exact
         assert res.value == pytest.approx(4.0, abs=1e-12)
 
-    def test_dyadic_fallback_is_lower_bound(self):
+    def test_kernel_without_breaks_refused(self):
         k = hp.custom_kernel(
             lambda t: np.cos(np.asarray(t, dtype=float)), 2 * math.pi, sup_norm=1.0
         )
-        res = p_variation(k, 1.0)
-        assert not res.exact
-        assert res.value == pytest.approx(4.0, rel=1e-3)
-        assert res.value <= 4.0 + 1e-9
+        with pytest.raises(ParameterError, match="monotone_breaks"):
+            p_variation(k, 1.0)
 
     def test_p_above_one_flagged_lower_bound(self, cos_kernel):
         res = p_variation(cos_kernel, 2.0, 5.0)

@@ -212,15 +212,22 @@ class TestSkorokhodDistance:
         # the infimum is the jump-time gap itself, as the float it computes to
         assert skorokhod_distance(f, g) == abs(0.6 - 0.5)
 
-    def test_infimum_returned_where_it_is_infeasible(self):
-        # 0.7000000000000001 - 0.5 rounds above 0.2: at eps = 0.5 the g-jump
-        # window misses the f-jump, at every larger eps it reaches it
-        f = make_step_path([0.0, 0.2], [0.0, 1.0], 1.0)
-        g = make_step_path([0.0, 0.7000000000000001], [0.0, 1.0], 1.0)
+    @pytest.mark.parametrize(
+        "a, c",
+        [
+            # at eps = c - a = 0.5 the rounded window edge c - eps lies above a
+            (0.2, 0.7000000000000001),
+            # at eps = 0.4 < a - c the rounded window edge c + eps reaches a
+            (6 * 0.1, 2 * 0.1),
+        ],
+    )
+    def test_infimum_compares_jump_time_differences(self, a, c):
+        f = make_step_path([0.0, a], [0.0, 1.0], 1.0)
+        g = make_step_path([0.0, c], [0.0, 1.0], 1.0)
         d = skorokhod_distance(f, g)
-        assert d == 0.5
-        assert not feasible_eps(f, g, d)
-        assert feasible_eps(f, g, np.nextafter(d, 1.0))
+        assert d == abs(a - c)
+        assert feasible_eps(f, g, d)
+        assert not feasible_eps(f, g, np.nextafter(d, 0.0))
 
     def test_mismatched_heights(self):
         f = make_step_path([0.0, 0.5], [0.0, 1.0], 1.0)
@@ -273,6 +280,12 @@ class TestSkorokhodDistance:
         bisection = skorokhod_bisection(f, g)
         assert bisection - 1e-9 * f.horizon <= d <= bisection
         assert d in critical_values(f, g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=step_paths(max_jumps=4), g=step_paths(max_jumps=4))
+    def test_every_eps_above_the_distance_is_feasible(self, f, g):
+        d = skorokhod_distance(f, g)
+        assert feasible_eps(f, g, np.nextafter(d, np.inf))
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))

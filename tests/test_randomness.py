@@ -5,8 +5,8 @@ import pytest
 from scipy import stats
 
 import hawkpath as hp
-from hawkpath.errors import ParameterError, UnsupportedMomentError
-from hawkpath.randomness import mark_moments, require_second_moment
+from hawkpath.errors import ParameterError
+from hawkpath.randomness import mark_moments
 
 
 def _poisson_chisquare_pvalue(counts, lam):
@@ -167,29 +167,6 @@ class TestMarkMoments:
         m = mark_moments(hp.MarkModel("lognormal", (0.1, 0.4)))
         assert m.abs_mean == pytest.approx(math.exp(0.1 + 0.08), rel=1e-12)
         assert m.second == pytest.approx(math.exp(0.2 + 0.32), rel=1e-12)
-
-    def test_monte_carlo_fallback_matches_closed_form(self):
-        model = hp.MarkModel(
-            "custom",
-            sampler=lambda rng, size: rng.exponential(1.0, size),
-            mc_samples=200_000,
-        )
-        m = mark_moments(model)
-        assert m.mc_samples == 200_000
-        assert m.mc_standard_error > 0.0
-        assert m.abs_mean == pytest.approx(1.0, abs=5 * m.mc_standard_error)
-
-    def test_heavy_tail_second_moment_refused(self):
-        model = hp.MarkModel(
-            "custom",
-            sampler=lambda rng, size: rng.pareto(1.5, size),
-            finite_second_moment=False,
-            mc_samples=1000,
-        )
-        m = mark_moments(model)
-        assert m.second is None
-        with pytest.raises(UnsupportedMomentError):
-            require_second_moment(m)
 
     def test_indicator_tail_probabilities(self):
         m = mark_moments(
