@@ -126,8 +126,10 @@ def bound_set(
             psi0**2 + L**2 * moments.mod_second * (psi0 / (1.0 - rho_d)) * h2_disc
         ) / (1.0 - rho_d) ** 2
     if stable and not kernel.singular_at_zero:
+        # float_power squares through libm pow, like a Python float ** 2;
+        # np.square (x * x) differs from it in the last bit of some values
         h2 = integrate(
-            lambda t: float(kernel.evaluate(np.array([max(t, 1e-300)]))[0]) ** 2,
+            lambda t: np.float_power(kernel.evaluate(np.maximum(t, 1e-300)), 2.0),
             0.0,
             T,
             breakpoints=kernel.nonsmooth_points,

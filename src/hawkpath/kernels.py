@@ -6,6 +6,16 @@ theory shapes) is driven by integrals of the kernel and of its shift /
 grid-projection differences, so those integrals are computed here, with
 closed forms wherever a family admits one and adaptive Simpson quadrature
 otherwise.
+
+The quadrature is adaptive Simpson refined level by level (see
+``integrate``).  Its integrand is an array function, called once per
+refinement level on the new midpoints of every open panel of a whole batch
+of integrals.  The 33 shift integrals of the eps profile form one batch,
+each of its two local refinements another, and the cells of the
+grid-projection modulus a third, so ``c_r`` evaluates a kernel a few dozen
+times.  Every integral is bit-identical to the classic depth-first
+recursion, which the tests keep as their oracle; ``_MAX_FRONTIER`` caps the
+open panels of one level.
 """
 
 from __future__ import annotations
@@ -47,60 +57,130 @@ _MACHINE_SLACK = 1.0 + 64.0 * np.finfo(float).eps
 # Quadrature
 # --------------------------------------------------------------------------
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int) -> float:
-    """Classic adaptive Simpson on [a, b] to absolute tolerance tol."""
-    fa = float(f(a))
-    fb = float(f(b))
+_MAX_DEPTH = 50
+# Most panels one refinement level may hold, summed over every integral
+# refined together.  A panel refines until its error estimate passes, for at
+# most _MAX_DEPTH levels; an integrand that fails the estimate everywhere
+# (nan on a whole interval) would instead double the frontier at every level.
+_MAX_FRONTIER = 1 << 17
+# Panels started together: a larger batch is refined in chunks of this many,
+# one after another, so the many panels of a long horizon stay below the cap.
+_CHUNK = _MAX_FRONTIER // 16
+
+
+def _simpson_levels(f, a, b, tol, owner) -> np.ndarray:
+    """Adaptive Simpson on every panel [a_i, b_i] to absolute tolerance tol_i.
+
+    The open panels of all integrals are refined together, one level at a
+    time: ``f(x, owner)`` is called once per level on every new midpoint,
+    ``owner`` naming the integral each point belongs to.  Each node does the
+    IEEE operations of the classic depth-first recursion, and the tree is
+    summed bottom-up as left + right per parent, so every panel value is
+    bit-identical to it.  Returns the panel values.
+    """
+    n = len(a)
     m = 0.5 * (a + b)
-    fm = float(f(m))
+    x, at = np.concatenate((a, b, m)), np.concatenate((owner,) * 3)
+    fx = np.asarray(f(x, at), dtype=float)
+    fa, fb, fm = fx[:n], fx[n:2 * n], fx[2 * n:]
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(f, a, fa, m, fm, b, fb, whole, tol, max_depth)
+    node = np.stack((a, fa, m, fm, b, fb, whole, tol))
+    levels = []
+    depth = _MAX_DEPTH
+    while True:
+        a, fa, m, fm, b, fb, whole, tol = node
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        x, at = np.concatenate((lm, rm)), np.concatenate((owner,) * 2)
+        fx = np.asarray(f(x, at), dtype=float)
+        flm, frm = fx[:n], fx[n:]
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        err = left + right - whole
+        split = np.flatnonzero(~(np.abs(err) <= 15.0 * tol))
+        levels.append((left + right + err / 15.0, split))
+        if len(split) == 0:
+            break
+        if depth <= 0 or 2 * len(split) > _MAX_FRONTIER:
+            # the recursion raises at the first failing node it meets: the
+            # leftmost one of the deepest level
+            i = split[0]
+            why = "" if depth <= 0 else f" with more than {_MAX_FRONTIER} panels open"
+            raise DivergingKernelError(
+                f"quadrature did not converge on [{a[i]:g}, {b[i]:g}] (residual "
+                f"{abs(err[i]):.3e}){why}; kernel may have a non-integrable singularity"
+            )
+        # each split node's left child (a, lm, m), then its right child
+        # (m, rm, b), both at half its tolerance
+        cols = np.stack(
+            (a, fa, lm, flm, m, fm, left, rm, frm, b, fb, right, 0.5 * tol)
+        )[:, split]
+        node = np.empty((8, len(split), 2))
+        node[:, :, 0] = cols[[0, 1, 2, 3, 4, 5, 6, 12]]
+        node[:, :, 1] = cols[[4, 5, 7, 8, 9, 10, 11, 12]]
+        node = node.reshape(8, -1)
+        owner = np.repeat(owner[split], 2)
+        n = 2 * len(split)
+        depth -= 1
+    total = levels[-1][0]
+    for value, split in reversed(levels[:-1]):
+        value[split] = total[0::2] + total[1::2]
+        total = value
+    return total
 
 
-def _simpson_step(f, a, fa, m, fm, b, fb, whole, tol, depth) -> float:
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = float(f(lm))
-    frm = float(f(rm))
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    if depth <= 0:
-        raise DivergingKernelError(
-            f"quadrature did not converge on [{a:g}, {b:g}] "
-            f"(residual {abs(err):.3e}); kernel may have a non-integrable singularity"
-        )
-    return (
-        _simpson_step(f, a, fa, lm, flm, m, fm, left, 0.5 * tol, depth - 1)
-        + _simpson_step(f, m, fm, rm, frm, b, fb, right, 0.5 * tol, depth - 1)
-    )
+def _integrate_batch(f, spans, tol: float) -> list[float]:
+    """Integral j of ``f(x, j)`` over ``spans[j] = (a, b, breakpoints)``, all batched.
+
+    Each integral is split at its breakpoints inside (a, b) into panels of
+    tolerance tol / (number of panels); its panel values are added left to
+    right, starting from 0.  At most ``_CHUNK`` panels are refined together.
+    """
+    lo, hi, ptol, owner = [], [], [], []
+    for j, (a, b, breakpoints) in enumerate(spans):
+        if b <= a:
+            continue
+        edges = [a, *sorted(p for p in breakpoints if a < p < b), b]
+        lo += edges[:-1]
+        hi += edges[1:]
+        ptol += [tol / (len(edges) - 1)] * (len(edges) - 1)
+        owner += [j] * (len(edges) - 1)
+    lo, hi, ptol = (np.array(x, dtype=float) for x in (lo, hi, ptol))
+    at = np.array(owner, dtype=int)
+    out = [0.0] * len(spans)
+    for i in range(0, len(lo), _CHUNK):
+        chunk = slice(i, i + _CHUNK)
+        values = _simpson_levels(f, lo[chunk], hi[chunk], ptol[chunk], at[chunk])
+        for j, v in zip(owner[chunk], values.tolist()):
+            out[j] += v
+    return out
 
 
 def integrate(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     *,
     tol: float = 1e-9,
     breakpoints: tuple[float, ...] = (),
-    max_depth: int = 50,
 ) -> float:
     """Integrate f over [a, b] by adaptive Simpson, subdividing at breakpoints.
 
-    Declared non-smooth points inside (a, b) become panel boundaries so the
-    adaptive rule only ever sees smooth integrands.
+    ``f`` takes a 1-d array of abscissae and returns their values; it is
+    called once for the panel ends and midpoints, then once per refinement
+    level on every new midpoint of every open panel.  Declared non-smooth
+    points inside (a, b) become panel boundaries so the adaptive rule only
+    ever sees smooth integrands; each of the n panels gets tolerance tol / n.
+
+    A panel is accepted when its Richardson error estimate is within 15 times
+    its tolerance, and split in two halves of half the tolerance otherwise.
+    The result is bit-identical to the classic depth-first recursion: each
+    node does the same IEEE operations, the tree is summed bottom-up as
+    left + right, and the panels are added left to right.  A panel still
+    open at ``_MAX_DEPTH`` levels, or a level that would hold more than
+    ``_MAX_FRONTIER`` panels, raises ``DivergingKernelError``.
     """
-    if b <= a:
-        return 0.0
-    cuts = sorted(p for p in breakpoints if a < p < b)
-    edges = [a, *cuts, b]
-    n_panels = len(edges) - 1
-    return sum(
-        _adaptive_simpson(f, lo, hi, tol / n_panels, max_depth)
-        for lo, hi in zip(edges[:-1], edges[1:])
-    )
+    return _integrate_batch(lambda x, _: f(x), [(a, b, breakpoints)], tol)[0]
 
 
 # --------------------------------------------------------------------------
@@ -435,11 +515,7 @@ def _abs_integral(kernel: Kernel, a: float, b: float, tol: float = 1e-9) -> floa
     if kernel.singular_at_zero and a <= 0.0:
         raise DivergingKernelError("singular kernel without a declared antiderivative")
     return integrate(
-        lambda t: abs(float(kernel.evaluate(np.array([t]))[0])),
-        a,
-        b,
-        tol=tol,
-        breakpoints=kernel.nonsmooth_points,
+        lambda t: np.abs(kernel.evaluate(t)), a, b, tol=tol, breakpoints=kernel.nonsmooth_points
     )
 
 
@@ -467,32 +543,34 @@ def grid_coefficients(kernel: Kernel, delta: float, count: int) -> GridCoefficie
     return GridCoefficients(delta=float(delta), count=int(count), values=values)
 
 
-def _shift_integral(kernel: Kernel, eps: float, upper: float, tol: float) -> float:
-    """Integral over [0, upper] of |h(y + eps) - h(y)| dy at one eps."""
-    if eps == 0.0:
-        return 0.0
-    if kernel.monotone_decreasing:
+def _shift_integrals(kernel: Kernel, eps: np.ndarray, upper: float, tol: float) -> np.ndarray:
+    """Integral over [0, upper] of |h(y + e) - h(y)| dy for every e in eps."""
+    out = np.zeros(len(eps))
+    H = kernel.abs_antiderivative
+    live = [i for i, e in enumerate(eps) if e != 0.0]
+    if kernel.monotone_decreasing and H is not None:
         # decreasing h >= 0: |h(y+eps) - h(y)| telescopes to a difference of
         # two integrals of h itself, which survives the singular families
-        H = kernel.abs_antiderivative
-        if H is not None:
-            return H(upper) - (H(upper + eps) - H(eps))
-    breaks = set(kernel.nonsmooth_points)
-    breaks.update(p - eps for p in kernel.nonsmooth_points)
+        for i in live:
+            out[i] = H(upper) - (H(upper + eps[i]) - H(eps[i]))
+        return out
+    pts = kernel.nonsmooth_points
+    spans = [(0.0, upper, tuple({*pts, *(p - eps[i] for p in pts)})) for i in live]
+    shifts = eps[live]
 
-    def g(y: float) -> float:
-        pair = kernel.evaluate(np.array([y + eps, max(y, 1e-300)]))
-        return abs(float(pair[0]) - float(pair[1]))
+    def g(y: np.ndarray, j: np.ndarray) -> np.ndarray:
+        pair = kernel.evaluate(np.concatenate((y + shifts[j], np.maximum(y, 1e-300))))
+        return np.abs(pair[:len(y)] - pair[len(y):])
 
-    return integrate(g, 0.0, upper, tol=tol, breakpoints=tuple(breaks))
+    out[live] = _integrate_batch(g, spans, tol)
+    return out
 
 
 def _shift_profile(
     kernel: Kernel, delta: float, T: float, grid: int, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     eps = np.linspace(0.0, delta, grid)
-    vals = np.array([_shift_integral(kernel, e, T - delta, tol) for e in eps])
-    return eps, vals
+    return eps, _shift_integrals(kernel, eps, T - delta, tol)
 
 
 def shift_modulus(
@@ -508,7 +586,8 @@ def shift_modulus(
     The supremum is approximated on a ``grid``-point eps mesh including both
     endpoints, then refined locally around the maximizer.  Kernels declared
     monotone decreasing use the exact telescoping identity per eps, for which
-    the maximizer is the right endpoint.
+    the maximizer is the right endpoint.  The integrals of the mesh, and of
+    each refinement, are computed as one quadrature batch.
     """
     if T is None:
         T = kernel.horizon
@@ -521,7 +600,7 @@ def shift_modulus(
     hi = eps[min(k + 1, grid - 1)]
     for _ in range(2):
         fine = np.linspace(lo, hi, 5)
-        fvals = np.array([_shift_integral(kernel, e, T - delta, tol) for e in fine])
+        fvals = _shift_integrals(kernel, fine, T - delta, tol)
         j = int(np.argmax(fvals))
         best = max(best, float(fvals[j]))
         lo = fine[max(j - 1, 0)]
@@ -535,31 +614,36 @@ def grid_projection_modulus(
     """Integral over [0, T - delta] of |h(y) - h((y)_grid + delta)| dy.
 
     (y)_grid is the projection of y onto the delta-grid from below, so each
-    grid cell compares h against its value at the cell's right endpoint.
+    grid cell compares h against its value at the cell's right endpoint.  The
+    cells are integrated as one quadrature batch and added in order.
     """
     if T is None:
         T = kernel.horizon
     if not 0 < delta < T:
         raise ParameterError("need 0 < delta < T")
     upper = T - delta
-    total = 0.0
+    cells = []
     k = 1
-    H = kernel.abs_antiderivative
     while (k - 1) * delta < upper - 1e-15:
-        lo = (k - 1) * delta
-        hi = min(k * delta, upper)
-        target = float(kernel.evaluate(np.array([k * delta]))[0])
-        if kernel.monotone_decreasing and H is not None:
-            # h >= target on the whole cell: the absolute value drops
-            total += (H(hi) - H(lo)) - (hi - lo) * target
-        else:
-            def g(y: float, c: float = target) -> float:
-                return abs(float(kernel.evaluate(np.array([max(y, 1e-300)]))[0]) - c)
-
-            total += integrate(
-                g, lo, hi, tol=tol, breakpoints=kernel.nonsmooth_points
-            )
+        cells.append(((k - 1) * delta, min(k * delta, upper)))
         k += 1
+    targets = np.asarray(kernel.evaluate(delta * np.arange(1, k)), dtype=float)
+    H = kernel.abs_antiderivative
+    if kernel.monotone_decreasing and H is not None:
+        # h >= target on the whole cell: the absolute value drops
+        parts = [
+            (H(hi) - H(lo)) - (hi - lo) * c for (lo, hi), c in zip(cells, targets.tolist())
+        ]
+    else:
+        def g(y: np.ndarray, j: np.ndarray) -> np.ndarray:
+            return np.abs(kernel.evaluate(np.maximum(y, 1e-300)) - targets[j])
+
+        parts = _integrate_batch(
+            g, [(lo, hi, kernel.nonsmooth_points) for lo, hi in cells], tol
+        )
+    total = 0.0
+    for part in parts:
+        total += part
     return total
 
 

@@ -2,7 +2,9 @@
 
 Every oracle here deliberately uses a different algorithm (or a different
 library) from the code under test: scipy QUADPACK instead of the package's
-adaptive Simpson, dense Riemann sums instead of closed forms, a lattice
+adaptive Simpson, the depth-first recursive Simpson with one scalar
+integrand call per node instead of the level-batched one, dense Riemann
+sums instead of closed forms, a lattice
 minimax alignment instead of the interval DP, a float bisection over the
 full-grid feasibility walk instead of the critical-value search over
 reachable states, a Python double loop instead of the row-vectorized
@@ -18,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.integrate import quad
 
-from hawkpath.errors import RunawayIntensityError
+from hawkpath.errors import DivergingKernelError, RunawayIntensityError
 from hawkpath.kernels import grid_coefficients
 from hawkpath.metrics import uniform_distance
 from hawkpath.randomness import extend_ceiling
@@ -59,6 +61,108 @@ def riemann_projection_modulus(fn, delta, T, n=2**22):
     y = (np.arange(n) + 0.5) * dx
     target = (np.floor(y / delta) + 1.0) * delta
     return float(np.abs(fn(y) - fn(target)).sum() * dx)
+
+
+def _simpson_step_reference(f, a, fa, m, fm, b, fb, whole, tol, depth):
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = float(f(lm))
+    frm = float(f(rm))
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    err = left + right - whole
+    if abs(err) <= 15.0 * tol:
+        return left + right + err / 15.0
+    if depth <= 0:
+        raise DivergingKernelError(
+            f"quadrature did not converge on [{a:g}, {b:g}] "
+            f"(residual {abs(err):.3e}); kernel may have a non-integrable singularity"
+        )
+    return (
+        _simpson_step_reference(f, a, fa, lm, flm, m, fm, left, 0.5 * tol, depth - 1)
+        + _simpson_step_reference(f, m, fm, rm, frm, b, fb, right, 0.5 * tol, depth - 1)
+    )
+
+
+def adaptive_simpson_reference(f, a, b, tol=1e-9, breakpoints=(), max_depth=50):
+    """Adaptive Simpson as the classic depth-first recursion, f called per scalar.
+
+    Same panels, per-panel tolerance tol / n and acceptance test as
+    ``kernels.integrate``; the panels are added left to right from 0.
+    """
+    if b <= a:
+        return 0.0
+    edges = [a, *sorted(p for p in breakpoints if a < p < b), b]
+    n_panels = len(edges) - 1
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        fa = float(f(lo))
+        fb = float(f(hi))
+        m = 0.5 * (lo + hi)
+        fm = float(f(m))
+        whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
+        total += _simpson_step_reference(
+            f, lo, fa, m, fm, hi, fb, whole, tol / n_panels, max_depth
+        )
+    return total
+
+
+def _h_scalar(kernel, t):
+    return float(kernel.evaluate(np.array([t]))[0])
+
+
+def _shift_integral_reference(kernel, eps, upper, tol):
+    if eps == 0.0:
+        return 0.0
+    H = kernel.abs_antiderivative
+    if kernel.monotone_decreasing and H is not None:
+        return H(upper) - (H(upper + eps) - H(eps))
+    breaks = set(kernel.nonsmooth_points)
+    breaks.update(p - eps for p in kernel.nonsmooth_points)
+    return adaptive_simpson_reference(
+        lambda y: abs(_h_scalar(kernel, y + eps) - _h_scalar(kernel, max(y, 1e-300))),
+        0.0, upper, tol, tuple(breaks),
+    )
+
+
+def regularity_terms_reference(kernel, delta, T, tol=1e-9):
+    """(head, shift modulus, grid-projection modulus) of ``kernels.c_r``, one
+    scalar integral after another through ``adaptive_simpson_reference``."""
+    H = kernel.abs_antiderivative
+    if H is not None:
+        head = H(delta) - H(0.0)
+    else:
+        head = adaptive_simpson_reference(
+            lambda t: abs(_h_scalar(kernel, t)), 0.0, delta, tol, kernel.nonsmooth_points
+        )
+
+    upper = T - delta
+    eps = np.linspace(0.0, delta, 33)
+    vals = [_shift_integral_reference(kernel, e, upper, tol) for e in eps]
+    k = int(np.argmax(vals))
+    shift = float(vals[k])
+    lo, hi = eps[max(k - 1, 0)], eps[min(k + 1, 32)]
+    for _ in range(2):
+        fine = np.linspace(lo, hi, 5)
+        fvals = [_shift_integral_reference(kernel, e, upper, tol) for e in fine]
+        j = int(np.argmax(fvals))
+        shift = max(shift, float(fvals[j]))
+        lo, hi = fine[max(j - 1, 0)], fine[min(j + 1, 4)]
+
+    proj = 0.0
+    k = 1
+    while (k - 1) * delta < upper - 1e-15:
+        lo, hi = (k - 1) * delta, min(k * delta, upper)
+        target = _h_scalar(kernel, k * delta)
+        if kernel.monotone_decreasing and H is not None:
+            proj += (H(hi) - H(lo)) - (hi - lo) * target
+        else:
+            proj += adaptive_simpson_reference(
+                lambda y, c=target: abs(_h_scalar(kernel, max(y, 1e-300)) - c),
+                lo, hi, tol, kernel.nonsmooth_points,
+            )
+        k += 1
+    return head, shift, proj
 
 
 def sobolev_riemann(

@@ -1,11 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
 import hawkpath as hp
+from hawkpath import bounds
 from hawkpath.bounds import bound_set, modulus_poisson_bound, rho_continuous, rho_discrete
 from hawkpath.errors import InstabilityError, ParameterError
 from hawkpath.kernels import c_r, grid_coefficients, grid_projection_modulus, p_variation
+
+from _oracles import adaptive_simpson_reference
 
 
 class TestStabilityRatios:
@@ -95,6 +99,31 @@ class TestBoundSet:
         h22 = c * c * T
         expected = (1.0 + (1.0 / (1.0 - rho)) * h22) / (1.0 - rho) ** 2
         assert bs.second_moment_continuous == pytest.approx(expected, rel=1e-6)
+
+    def test_square_integral_matches_the_scalar_recursion(
+        self, cos_kernel, unit_marks, monkeypatch
+    ):
+        # the integrand of h^2 squares each value as a Python float ** 2 does
+        # (libm pow), which differs from x * x in the last bit of some values
+        calls = []
+        real = bounds.integrate
+
+        def recording(f, *args, **kwargs):
+            calls.append((f, real(f, *args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(bounds, "integrate", recording)
+        bound_set(cos_kernel, 0.25, 5.0, hp.relu_affine(1.0), unit_marks)
+
+        def scalar(t):
+            return float(cos_kernel.evaluate(np.array([max(t, 1e-300)]))[0]) ** 2
+
+        [(f, got)] = calls
+        ts = np.linspace(0.0, 5.0, 20001)
+        assert f(ts).tolist() == [scalar(t) for t in ts.tolist()]
+        assert got == adaptive_simpson_reference(
+            scalar, 0.0, 5.0, breakpoints=cos_kernel.nonsmooth_points
+        )
 
     def test_bounded_rate_fills_bounded_shape(self, exp_kernel, unit_marks):
         bounded = bound_set(exp_kernel, 0.1, 5.0, hp.clipped_affine(1.0, 3.0), unit_marks)

@@ -1,22 +1,35 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hawkpath as hp
 from hawkpath.errors import DivergingKernelError, InfiniteVariationError, ParameterError
 from hawkpath.kernels import (
+    _CHUNK,
+    _MAX_FRONTIER,
     _abs_integral,
     _shift_profile,
     c_r,
     grid_coefficients,
     grid_projection_modulus,
+    integrate,
     l1_norm,
     p_variation,
     shift_modulus,
 )
 
-from _oracles import dense_shift_modulus, quad_abs_l1, riemann_projection_modulus
+from _oracles import (
+    adaptive_simpson_reference,
+    dense_shift_modulus,
+    quad_abs_l1,
+    regularity_terms_reference,
+    riemann_projection_modulus,
+)
 
 
 class TestL1Norm:
@@ -43,12 +56,130 @@ class TestL1Norm:
     def test_nonintegrable_singularity_raises(self):
         bad = hp.custom_kernel(lambda t: 1.0 / np.asarray(t, dtype=float), 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            with pytest.raises(DivergingKernelError):
+            with pytest.raises(DivergingKernelError) as reference:
+                adaptive_simpson_reference(
+                    lambda t: abs(float(bad.evaluate(np.array([t]))[0])), 0.0, 1.0
+                )
+            with pytest.raises(DivergingKernelError) as got:
                 l1_norm(bad)
+        # the leftmost panel at the depth limit, as the recursion reports it
+        assert str(got.value) == str(reference.value)
+        assert "[0, 8.88178e-16] (residual nan)" in str(got.value)
 
     def test_horizon_precondition(self):
         with pytest.raises(ParameterError):
             l1_norm(hp.zero_kernel(5.0), 6.0)
+
+
+@st.composite
+def quadrature_kernels(draw):
+    """Kernels of every family whose regularity terms go through quadrature."""
+    family = draw(st.sampled_from(
+        ["cosine-decay", "tabulated", "erlang", "exponential-negative", "custom"]
+    ))
+    horizon = draw(st.floats(min_value=1.0, max_value=6.0))
+    amplitude = draw(st.floats(min_value=0.1, max_value=1.0))
+    decay = draw(st.floats(min_value=0.5, max_value=3.0))
+    if family == "cosine-decay":
+        return hp.cosine_decay_kernel(amplitude, horizon)
+    if family == "tabulated":
+        fracs = draw(st.lists(
+            st.floats(min_value=0.05, max_value=0.95), min_size=1, max_size=5, unique=True
+        ))
+        ts = [0.0, *sorted({f * horizon for f in fracs}), horizon]
+        vs = draw(st.lists(
+            st.floats(min_value=-1.0, max_value=1.0), min_size=len(ts), max_size=len(ts)
+        ))
+        return hp.tabulated_kernel(list(zip(ts, vs)), horizon)
+    if family == "erlang":
+        shape = draw(st.integers(min_value=1, max_value=3))
+        return hp.erlang_kernel(amplitude, shape, decay, horizon)
+    if family == "exponential-negative":
+        return hp.exponential_kernel(-amplitude, decay, horizon)
+
+    # no metadata at all: every term, the L1 norm included, is a quadrature
+    def h(t):
+        t = np.asarray(t, dtype=float)
+        return amplitude * np.exp(-decay * t) * np.cos(3.0 * t)
+
+    return hp.custom_kernel(h, horizon)
+
+
+tolerances = st.floats(min_value=1e-10, max_value=1e-5)
+
+
+class TestQuadratureMatchesRecursion:
+    """The level-batched quadrature against the depth-first recursion, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kernel=quadrature_kernels(),
+        ends=st.tuples(
+            st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0)
+        ),
+        tol=tolerances,
+    )
+    def test_integrate(self, kernel, ends, tol):
+        a, b = (kernel.horizon * e for e in sorted(ends))
+        got = integrate(
+            lambda t: np.abs(kernel.evaluate(t)), a, b,
+            tol=tol, breakpoints=kernel.nonsmooth_points,
+        )
+        reference = adaptive_simpson_reference(
+            lambda t: abs(float(kernel.evaluate(np.array([t]))[0])), a, b,
+            tol, kernel.nonsmooth_points,
+        )
+        assert got == reference
+
+    def test_integrate_across_chunks(self, cos_kernel):
+        # more panels than one chunk refines: the chunks' panels are still
+        # added in order
+        cuts = tuple(np.linspace(0.0, 5.0, _CHUNK + 1000)[1:-1].tolist())
+        got = integrate(lambda t: np.abs(cos_kernel.evaluate(t)), 0.0, 5.0, breakpoints=cuts)
+        reference = adaptive_simpson_reference(
+            lambda t: abs(float(cos_kernel.evaluate(np.array([t]))[0])), 0.0, 5.0,
+            breakpoints=cuts,
+        )
+        assert got == reference
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kernel=quadrature_kernels(),
+        frac=st.floats(min_value=0.005, max_value=0.4),
+        tol=tolerances,
+    )
+    def test_regularity_terms(self, kernel, frac, tol):
+        T = kernel.horizon
+        delta = frac * T
+        head, shift, proj = regularity_terms_reference(kernel, delta, T, tol)
+        assert shift_modulus(kernel, delta, T, tol=tol) == shift
+        assert grid_projection_modulus(kernel, delta, T, tol=tol) == proj
+        assert c_r(kernel, delta, T, tol=tol) == head + shift + proj
+
+    def test_frontier_cap_stops_an_integrand_that_never_converges(self):
+        # nan everywhere fails every error test, so the open panels double per
+        # level until the cap: a bounded amount of work and memory
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                DivergingKernelError, match=f"more than {_MAX_FRONTIER} panels open"
+            ):
+                integrate(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * _MAX_FRONTIER
+
+    def test_c_r_calls_the_kernel_once_per_refinement_level(self):
+        kernel = hp.cosine_decay_kernel(0.6, 5.0)
+        calls = []
+
+        def counting(t):
+            calls.append(np.size(t))
+            return kernel.evaluate(t)
+
+        c_r(replace(kernel, evaluate=counting), 0.0125, 5.0)
+        assert len(calls) <= 200
 
 
 class TestGridCoefficients:
