@@ -396,7 +396,8 @@ def _run_trials(
     """Couple a range of trials across the ladder and measure each one.
 
     Each trial draws its atoms once and thins the continuous path once; the
-    discrete scheme then runs at every delta on those atoms.  This is exact:
+    discrete scheme then runs at every delta on those atoms, with the grid
+    coefficients of each delta built once for the whole range.  This is exact:
     a ceiling extension is the strip keyed by its index, whichever process
     asks for it first, and atoms above a process's own ceiling never pass
     its thinning.  ``measure(cfg, parts, trial, cont, traces)``, a
@@ -408,7 +409,8 @@ def _run_trials(
     kernel, jump_rate, marks = parts
     T = cfg.horizon
     ceiling = default_ceiling(jump_rate, kernel, marks)
-    aborted: list[RunawayIntensityError | None] = [None] * len(cfg.delta_ladder)
+    grids = [grid_coefficients(kernel, delta, round(T / delta)) for delta in cfg.delta_ladder]
+    aborted: list[RunawayIntensityError | None] = [None] * len(grids)
     samples = []
     for trial in trials:
         if all(a is not None for a in aborted):
@@ -421,14 +423,13 @@ def _run_trials(
         except RunawayIntensityError as exc:
             aborted = [exc if a is None else a for a in aborted]
             break
-        traces: list[DiscreteTrace | None] = [None] * len(cfg.delta_ladder)
-        for i, delta in enumerate(cfg.delta_ladder):
+        traces: list[DiscreteTrace | None] = [None] * len(grids)
+        for i, grid in enumerate(grids):
             if aborted[i] is not None:
                 continue
             try:
                 traces[i] = simulate_discrete(
-                    kernel, jump_rate, marks, delta, round(T / delta), atoms,
-                    allow_unstable=cfg.allow_unstable,
+                    grid, jump_rate, marks, atoms, allow_unstable=cfg.allow_unstable
                 )
             except RunawayIntensityError as exc:
                 aborted[i] = exc

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -240,6 +241,12 @@ class GridCoefficients:
     delta: float
     count: int
     values: np.ndarray
+
+    @cached_property
+    def span(self) -> int:
+        """Number of lags that can carry feedback: the index of the last nonzero h_k."""
+        nz = np.flatnonzero(self.values)
+        return int(nz[-1]) + 1 if len(nz) else 0
 
     @property
     def abs_l1(self) -> float:
@@ -587,24 +594,23 @@ def shift_modulus(
     endpoints, then refined locally around the maximizer.  Kernels declared
     monotone decreasing use the exact telescoping identity per eps, for which
     the maximizer is the right endpoint.  The integrals of the mesh, and of
-    each refinement, are computed as one quadrature batch.
+    each refinement's three interior eps, are computed as one quadrature
+    batch; a refinement's endpoints are mesh points already integrated.
     """
     if T is None:
         T = kernel.horizon
     if not 0 < delta < T:
         raise ParameterError("need 0 < delta < T")
     eps, vals = _shift_profile(kernel, delta, T, grid, tol)
-    k = int(np.argmax(vals))
-    best = float(vals[k])
-    lo = eps[max(k - 1, 0)]
-    hi = eps[min(k + 1, grid - 1)]
+    best = float(vals.max())
     for _ in range(2):
-        fine = np.linspace(lo, hi, 5)
-        fvals = _shift_integrals(kernel, fine, T - delta, tol)
-        j = int(np.argmax(fvals))
-        best = max(best, float(fvals[j]))
-        lo = fine[max(j - 1, 0)]
-        hi = fine[min(j + 1, 4)]
+        k = int(np.argmax(vals))
+        lo, hi = max(k - 1, 0), min(k + 1, len(eps) - 1)
+        # linspace keeps both endpoints exact, so their integrals are known
+        eps = np.linspace(eps[lo], eps[hi], 5)
+        inner = _shift_integrals(kernel, eps[1:4], T - delta, tol)
+        vals = np.concatenate(([vals[lo]], inner, [vals[hi]]))
+        best = max(best, float(vals.max()))
     return best
 
 

@@ -202,7 +202,10 @@ def skorokhod_distance(
     log2(#critical values) calls, and every eps above it is feasible.
     Midpoints are tested rather than the critical values themselves because
     the DP's strict inequalities can make eps = c_k itself infeasible
-    although it is the infimum.  Only critical
+    although it is the infimum.  A gap between two adjacent floats has no
+    midpoint (it rounds onto an endpoint) and no eps inside, so it is
+    decided at c_k itself: an infeasible c_k sends the search to the gaps
+    above it.  Only critical
     values up to the uniform distance are kept: the uniform distance is a
     value gap and always feasible (identity time change), so it is the
     largest and the answer when no midpoint passes.
@@ -231,7 +234,10 @@ def skorokhod_distance(
     lo, hi = 0, len(crit) - 1  # search the gaps (crit[k], crit[k + 1]), k < hi
     while lo < hi:
         k = (lo + hi) // 2
-        if feasible_eps(f, g, 0.5 * (float(crit[k]) + float(crit[k + 1]))):
+        c, nxt = float(crit[k]), float(crit[k + 1])
+        mid = 0.5 * (c + nxt)
+        # adjacent floats: no eps lies inside the gap, so decide it at c
+        if feasible_eps(f, g, c if mid in (c, nxt) else mid):
             hi = k
         else:
             lo = k + 1

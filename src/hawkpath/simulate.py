@@ -9,7 +9,6 @@ per time bin and accepts bin atoms under that frozen level.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -153,7 +152,9 @@ class DiscreteTrace:
     ``marks`` hold the accepted atoms in bin order; bin n's atoms are the
     slice ``cumsum(events)[n-1]:cumsum(events)[n]``.  ``intensity[n]`` for
     n >= 2 is psi of the feedback sum of ``coeffs[n-1-j] * mass[j]`` over the
-    earlier bins j, added in IEEE double oldest bin first.
+    earlier bins j, added in IEEE double oldest bin first.  Filling it costs
+    one psi call per change of that feedback (a bin with nonzero mass whose
+    push reaches a later bin), one per ceiling extension and one to start.
     """
 
     delta: float
@@ -448,14 +449,7 @@ def integrate_intensity(
 # Discrete scheme
 # --------------------------------------------------------------------------
 
-def _discrete_recursion_span(coeffs: np.ndarray) -> int:
-    """Number of trailing bins that can contribute: index of last nonzero lag."""
-    nz = np.nonzero(coeffs)[0]
-    return int(nz[-1]) + 1 if len(nz) else 0
-
-
-def _check_discrete_stability(coeffs, delta, jump_rate, mark_model, allow_unstable):
-    grid = GridCoefficients(delta=float(delta), count=len(coeffs), values=coeffs)
+def _check_discrete_stability(grid, jump_rate, mark_model, allow_unstable):
     rho = rho_discrete(grid, jump_rate.lipschitz, mark_model)
     if rho >= 1.0 and not allow_unstable:
         warnings.warn(
@@ -468,11 +462,9 @@ def _check_discrete_stability(coeffs, delta, jump_rate, mark_model, allow_unstab
 
 
 def simulate_discrete(
-    kernel: Kernel,
+    grid: GridCoefficients,
     jump_rate: JumpRate,
     mark_model: MarkModel,
-    delta: float,
-    count: int,
     atoms: PoissonAtoms,
     *,
     allow_unstable: bool = False,
@@ -480,41 +472,47 @@ def simulate_discrete(
 ) -> DiscreteTrace:
     """Euler-type scheme: per-bin thinning under the frozen bin intensity.
 
-    Bins are right-closed, ((n-1)*delta, n*delta].  Only bins that hold
-    atoms take a Python step: a bin j that accepts mass m_j pushes
-    coeffs[:w] * m_j onto the feedback of the next w bins once, so every
-    feedback entry is summed oldest bin first (w is the span of nonzero
-    kernel lags: compact-support kernels cost O(r) per such bin), and every
-    run of bins up to the next bin with atoms costs one jump-rate call on its
-    feedback.  A level above the ceiling doubles it at the first bin that
-    needs it, and the walk resumes there with the new strips' atoms.  A bin
-    without atoms keeps mass and count 0.  The accepted atoms are read off in
-    one pass at the end: an atom added by a later ceiling extension has a
-    theta above every earlier bin intensity, so it passes no earlier bin.  An
-    unstable step ratio warns rather than fails; allow_unstable acknowledges
-    it and silences the warning.
+    ``grid`` holds the kernel samples h(k*delta), k = 1..count, of the grid
+    0, delta, ..., count*delta; build it once per delta with
+    ``grid_coefficients`` and share it across trials.  Bins are right-closed,
+    ((n-1)*delta, n*delta].  The walk costs one jump-rate call per change of
+    the feedback: from bin n it takes the levels of every later bin at once,
+    as psi of the feedback so far, and tests every atom of the bins below the
+    first level above the ceiling against its bin's level.  The bins holding
+    accepted atoms are visited in order; a bin j that accepts a nonzero mass
+    m_j pushes coeffs[:w] * m_j onto the feedback of the next w bins, so
+    every feedback entry is summed oldest bin first (w is the span of nonzero
+    kernel lags: compact-support kernels cost O(r) per such bin), and the
+    walk resumes at bin j + 1 with fresh levels.  A bin whose accepted mass is
+    0, or whose push reaches no later bin, leaves every later level as it
+    was.  If no bin moves the feedback before the first level above the
+    ceiling, the ceiling is doubled there and the walk resumes at that bin
+    with the new strips' atoms.  The accepted atoms are read off in one pass
+    at the end: an atom added by a later ceiling extension has a theta above
+    every earlier bin intensity, so it passes no earlier bin.  An unstable
+    step ratio warns rather than fails; allow_unstable acknowledges it and
+    silences the warning.
     """
-    M = int(count)
-    T = delta * M
-    if T > atoms.horizon * (1 + _REL_TOL):
+    delta, M = grid.delta, grid.count
+    if delta * M > atoms.horizon * (1 + _REL_TOL):
         raise ParameterError("count * delta exceeds the atoms' horizon")
-    coeffs = grid_coefficients(kernel, delta, M).values
-    _check_discrete_stability(coeffs, delta, jump_rate, mark_model, allow_unstable)
+    _check_discrete_stability(grid, jump_rate, mark_model, allow_unstable)
 
     cap = atoms.initial_ceiling * ceiling_cap_factor
     psi = jump_rate.fn
-    span = _discrete_recursion_span(coeffs)
-    grid = delta * np.arange(M + 1)
+    coeffs = grid.values
+    span = grid.span
+    points = delta * np.arange(M + 1)
 
     def read_atoms():
         """Merged atoms, their modulation, the atom index of every grid point
-        and the bins that end a run: those holding atoms, then M."""
+        and the bin of every atom up to T."""
         tau, theta, y, _ = atoms.merged()
-        edges = np.searchsorted(tau, grid, side="right")
-        stops = (np.flatnonzero(np.diff(edges)) + 1).tolist() + [M]
-        return tau, theta, y, mark_model.modulate(y), edges.tolist(), stops
+        edges = np.searchsorted(tau, points, side="right")
+        bin_of = np.repeat(np.arange(M + 1), np.diff(edges, prepend=0))
+        return tau, theta, y, mark_model.modulate(y), edges.tolist(), bin_of
 
-    tau, theta, y, b, edges, stops = read_atoms()
+    tau, theta, y, b, edges, bin_of = read_atoms()
     ceiling = atoms.ceiling
 
     intensity = np.empty(M + 1)
@@ -525,46 +523,51 @@ def simulate_discrete(
     intensity[0] = jump_rate.at_zero
     n = 1
     while n <= M:
-        stop = stops[bisect_left(stops, n)]
-        levels = psi(feedback[n : stop + 1])
+        levels = psi(feedback[n:])
         if n == 1:
             levels[0] = jump_rate.at_zero
         over = levels > ceiling
-        if over.any():
-            k = int(over.argmax())
+        k = int(over.argmax()) if over.any() else len(levels)
+        lo, hi = edges[n - 1], edges[n - 1 + k]
+        hits = np.flatnonzero(theta[lo:hi] <= levels[bin_of[lo:hi] - n])
+        last = 0
+        for j in bin_of[lo + hits].tolist():
+            if j == last:
+                continue
+            last = j
+            a, z = edges[j - 1], edges[j]
+            sel = theta[a:z] <= levels[j - n]
+            mass[j] = m = float(b[a:z][sel].sum())
+            gain[j] = float(y[a:z][sel].sum())
+            w = min(span, M - j)
+            if m and w:
+                feedback[j + 1 : j + 1 + w] += coeffs[:w] * m
+                intensity[n : j + 1] = levels[: j + 1 - n]
+                n = j + 1
+                break
+        else:
             intensity[n : n + k] = levels[:k]
             n += k
-            l_n = float(levels[k])
-            while l_n > ceiling:
-                ceiling *= 2.0
-                if ceiling > cap:
-                    raise RunawayIntensityError(
-                        f"bin intensity {l_n:.4g} needs a ceiling beyond the hard cap {cap:.4g}"
-                    )
-                extend_ceiling(atoms, ceiling)
-            tau, theta, y, b, edges, stops = read_atoms()
-            continue
-        intensity[n : stop + 1] = levels
-        n = stop + 1
-        lo, hi = edges[stop - 1], edges[stop]
-        if lo == hi:
-            continue
-        sel = theta[lo:hi] <= levels[-1]
-        mass[stop] = m = float(b[lo:hi][sel].sum())
-        gain[stop] = float(y[lo:hi][sel].sum())
-        if m:
-            w = min(span, M - stop)
-            feedback[n : n + w] += coeffs[:w] * m
+            if n <= M:
+                l_n = float(levels[k])
+                while l_n > ceiling:
+                    ceiling *= 2.0
+                    if ceiling > cap:
+                        raise RunawayIntensityError(
+                            f"bin intensity {l_n:.4g} needs a ceiling beyond "
+                            f"the hard cap {cap:.4g}"
+                        )
+                    extend_ceiling(atoms, ceiling)
+                tau, theta, y, b, edges, bin_of = read_atoms()
 
     lo, hi = edges[0], edges[M]
-    bin_of = np.repeat(np.arange(1, M + 1), np.diff(edges))
-    accept = theta[lo:hi] <= intensity[bin_of]
+    accept = theta[lo:hi] <= intensity[bin_of[lo:hi]]
     return DiscreteTrace(
         delta=float(delta),
         count=M,
         intensity=intensity,
         mass=mass,
-        events=np.bincount(bin_of[accept], minlength=M + 1),
+        events=np.bincount(bin_of[lo:hi][accept], minlength=M + 1),
         risk=np.cumsum(gain),
         times=tau[lo:hi][accept],
         marks=y[lo:hi][accept],
@@ -624,7 +627,8 @@ def couple(
         kernel, jump_rate, mark_model, T, atoms, allow_unstable=allow_unstable
     )
     disc = simulate_discrete(
-        kernel, jump_rate, mark_model, delta, M, atoms, allow_unstable=allow_unstable
+        grid_coefficients(kernel, delta, M), jump_rate, mark_model, atoms,
+        allow_unstable=allow_unstable,
     )
     return cont, disc
 

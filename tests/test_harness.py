@@ -173,10 +173,10 @@ class TestRunConvergence:
         clean = run_convergence(cfg).to_csv_text().splitlines()
         real = harness.simulate_discrete
 
-        def runaway_at_quarter(kernel, jump_rate, marks, delta, count, atoms, **kwargs):
-            if delta == 0.25 and atoms.seed_entropy == (cfg.seed, 5):
+        def runaway_at_quarter(grid, jump_rate, marks, atoms, **kwargs):
+            if grid.delta == 0.25 and atoms.seed_entropy == (cfg.seed, 5):
                 raise RunawayIntensityError("injected")
-            return real(kernel, jump_rate, marks, delta, count, atoms, **kwargs)
+            return real(grid, jump_rate, marks, atoms, **kwargs)
 
         monkeypatch.setattr(harness, "simulate_discrete", runaway_at_quarter)
         patched = run_convergence(cfg).to_csv_text().splitlines()
@@ -243,10 +243,10 @@ class TestVerifyBounds:
         cfg = exponential_config(trials=12, workers=1)
         real = harness.simulate_discrete
 
-        def runaway_at_quarter(kernel, jump_rate, marks, delta, count, atoms, **kwargs):
-            if delta == 0.25 and atoms.seed_entropy == (cfg.seed, 5):
+        def runaway_at_quarter(grid, jump_rate, marks, atoms, **kwargs):
+            if grid.delta == 0.25 and atoms.seed_entropy == (cfg.seed, 5):
                 raise RunawayIntensityError("injected")
-            return real(kernel, jump_rate, marks, delta, count, atoms, **kwargs)
+            return real(grid, jump_rate, marks, atoms, **kwargs)
 
         monkeypatch.setattr(harness, "simulate_discrete", runaway_at_quarter)
         with pytest.raises(RunawayIntensityError, match="injected"):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hawkpath as hp
+from hawkpath import kernels
 from hawkpath.errors import DivergingKernelError, InfiniteVariationError, ParameterError
 from hawkpath.kernels import (
     _CHUNK,
@@ -235,6 +236,22 @@ class TestShiftModulus:
     def test_monotone_kernel_maximizer_is_right_endpoint(self, exp_kernel):
         eps, vals = _shift_profile(exp_kernel, 0.2, 5.0, 33, 1e-9)
         assert int(np.argmax(vals)) == 32
+
+    def test_refinements_integrate_only_new_eps(self, cos_kernel, monkeypatch):
+        # 32 nonzero mesh eps, then the three interior eps of each of the two
+        # refinements: their endpoints are eps integrated before
+        counted = []
+        real = kernels._shift_integrals
+
+        def counting(kernel, eps, upper, tol):
+            counted.append(np.count_nonzero(eps))
+            return real(kernel, eps, upper, tol)
+
+        monkeypatch.setattr(kernels, "_shift_integrals", counting)
+        for delta in (0.5, 0.25, 0.1, 0.05, 0.025, 0.0125):
+            counted.clear()
+            shift_modulus(cos_kernel, delta, 5.0)
+            assert counted == [32, 3, 3]
 
     def test_log_slope_near_one_for_cosine_decay(self, cos_kernel):
         # bounded-variation kernels have a shift modulus linear in the step

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hawkpath as hp
@@ -252,6 +252,35 @@ class TestSkorokhodDistance:
         assert d == abs(a - c)
         assert feasible_eps(f, g, d)
         assert not feasible_eps(f, g, np.nextafter(d, 0.0))
+
+    def test_gap_between_adjacent_float_critical_values(self):
+        # 0.5 - 0.2 = 0.3 and 0.8 - 0.5 are adjacent floats: the gap between
+        # them has no midpoint, and 0.3 itself is infeasible
+        f = make_step_path([0.0, 0.1, 0.5], [0.0, 1.0, 2.0], 1.0)
+        g = make_step_path([0.0, 0.2, 0.8], [0.0, 1.0, 2.0], 1.0)
+        d = skorokhod_distance(f, g)
+        assert d == 0.8 - 0.5 == np.nextafter(0.5 - 0.2, 1.0)
+        assert 0.5 - 0.2 in critical_values(f, g)
+        assert feasible_eps(f, g, d)
+        assert not feasible_eps(f, g, 0.5 - 0.2)
+
+    @settings(max_examples=120, deadline=None)
+    @given(pair=path_pairs)
+    @example(pair=(
+        make_step_path([0.0, 0.1, 0.5], [0.0, 1.0, 2.0], 1.0),
+        make_step_path([0.0, 0.2, 0.8], [0.0, 1.0, 2.0], 1.0),
+    ))
+    def test_distance_is_feasible_or_the_infimum_of_a_feasible_gap(self, pair):
+        # an infeasible distance must be a critical value with a float, and
+        # so a feasible eps, strictly between it and the next critical value;
+        # random pairs hit adjacent-float gaps about once in 20,000, hence
+        # the explicit example
+        f, g = pair
+        d = skorokhod_distance(f, g)
+        if not feasible_eps(f, g, d):
+            crit = critical_values(f, g)
+            assert d in crit
+            assert np.nextafter(d, np.inf) < crit[crit.index(d) + 1]
 
     def test_mismatched_heights(self):
         f = make_step_path([0.0, 0.5], [0.0, 1.0], 1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from hawkpath.errors import (
     ParameterError,
     RunawayIntensityError,
 )
+from hawkpath.kernels import grid_coefficients
 from hawkpath.randomness import PoissonAtoms, Strip
 from hawkpath.simulate import (
     eval_intensity,
@@ -163,7 +165,7 @@ class TestSimulateDiscrete:
         rate = hp.constant_rate(2.0)
         atoms = hp.sample_atoms(10.0, 4.0, unit_marks, 21)
         cont = hp.simulate_continuous(zero, rate, unit_marks, 10.0, atoms)
-        disc = hp.simulate_discrete(zero, rate, unit_marks, 0.5, 20, atoms)
+        disc = hp.simulate_discrete(hp.grid_coefficients(zero, 0.5, 20), rate, unit_marks, atoms)
         assert disc.terminal_count == cont.terminal_count
         assert disc.terminal_risk == cont.terminal_risk
         assert np.array_equal(disc.times, cont.times)
@@ -171,8 +173,8 @@ class TestSimulateDiscrete:
     def test_no_atoms(self, unit_marks):
         atoms = atoms_from_triples(3.0, 4.0, [], unit_marks)
         disc = hp.simulate_discrete(
-            hp.exponential_kernel(0.5, 1.0, 3.0), hp.relu_affine(1.0), unit_marks,
-            0.5, 6, atoms,
+            hp.grid_coefficients(hp.exponential_kernel(0.5, 1.0, 3.0), 0.5, 6),
+            hp.relu_affine(1.0), unit_marks, atoms,
         )
         assert np.all(disc.intensity == 1.0)
         assert np.all(disc.mass == 0.0)
@@ -184,7 +186,7 @@ class TestSimulateDiscrete:
         atoms = atoms_from_triples(
             3.0, 4.0, [(0.5, 0.01, 1.0), (1.5, 0.01, 1.0)], unit_marks
         )
-        disc = hp.simulate_discrete(kernel, jr, unit_marks, 1.0, 3, atoms)
+        disc = hp.simulate_discrete(hp.grid_coefficients(kernel, 1.0, 3), jr, unit_marks, atoms)
         assert disc.intensity[0] == disc.intensity[1] == 1.0
         assert disc.mass[0] == 0.0 and disc.events[0] == 0
         assert disc.intensity[2] == pytest.approx(1.0 + math.exp(-1.0), abs=1e-12)
@@ -196,15 +198,17 @@ class TestSimulateDiscrete:
         # an atom exactly at a grid point belongs to the earlier bin
         atoms = atoms_from_triples(2.0, 4.0, [(1.0, 0.01, 1.0)], unit_marks)
         disc = hp.simulate_discrete(
-            hp.zero_kernel(2.0), hp.constant_rate(1.0), unit_marks, 1.0, 2, atoms
+            hp.grid_coefficients(hp.zero_kernel(2.0), 1.0, 2), hp.constant_rate(1.0),
+            unit_marks, atoms,
         )
         assert disc.events[1] == 1 and disc.events[2] == 0
 
     def test_predictability_recomputation(self, exp_kernel, unit_marks):
         jr = hp.relu_affine(1.0)
         atoms = hp.sample_atoms(5.0, 8.0, unit_marks, 31)
-        disc = hp.simulate_discrete(exp_kernel, jr, unit_marks, 0.25, 20, atoms)
-        coeffs = hp.grid_coefficients(exp_kernel, 0.25, 20).values
+        grid = hp.grid_coefficients(exp_kernel, 0.25, 20)
+        disc = hp.simulate_discrete(grid, jr, unit_marks, atoms)
+        coeffs = grid.values
         for n in range(1, 20):
             s = sum(coeffs[n - k] * disc.mass[k] for k in range(1, n + 1))
             assert disc.intensity[n + 1] == pytest.approx(float(jr.fn(s)), abs=1e-12)
@@ -215,22 +219,22 @@ class TestSimulateDiscrete:
         jr = hp.relu_affine(1.0)
         a1 = hp.sample_atoms(5.0, 8.0, unit_marks, 17)
         a2 = hp.sample_atoms(5.0, 8.0, unit_marks, 17)
-        d1 = hp.simulate_discrete(compact, jr, unit_marks, 0.125, 40, a1)
-        d2 = hp.simulate_discrete(dense, jr, unit_marks, 0.125, 40, a2)
+        d1 = hp.simulate_discrete(hp.grid_coefficients(compact, 0.125, 40), jr, unit_marks, a1)
+        d2 = hp.simulate_discrete(hp.grid_coefficients(dense, 0.125, 40), jr, unit_marks, a2)
         assert np.allclose(d1.intensity, d2.intensity, atol=1e-12)
         assert np.array_equal(d1.events, d2.events)
 
     def test_unstable_step_warns(self, unit_marks):
-        k = hp.constant_kernel(0.25, 5.0)  # discrete ratio 1.25 at any step
+        grid = hp.grid_coefficients(hp.constant_kernel(0.25, 5.0), 0.5, 10)  # ratio 1.25
         atoms = hp.sample_atoms(5.0, 4.0, unit_marks, 2)
         with pytest.warns(InstabilityWarning):
-            hp.simulate_discrete(k, hp.relu_affine(1.0), unit_marks, 0.5, 10, atoms)
+            hp.simulate_discrete(grid, hp.relu_affine(1.0), unit_marks, atoms)
         # an explicit override acknowledges the instability and silences it
         import warnings
 
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            hp.simulate_discrete(k, hp.relu_affine(1.0), unit_marks, 0.5, 10,
+            hp.simulate_discrete(grid, hp.relu_affine(1.0), unit_marks,
                                  hp.sample_atoms(5.0, 4.0, unit_marks, 3),
                                  allow_unstable=True)
         assert not [w for w in record if issubclass(w.category, InstabilityWarning)]
@@ -262,12 +266,29 @@ _REF_MARKS = {
 def _assert_matches_reference(kernel, rate, marks, delta, count, make_atoms):
     ref = discrete_scheme_reference(kernel, rate, marks, delta, count, make_atoms())
     atoms = make_atoms()
-    disc = simulate_discrete(kernel, rate, marks, delta, count, atoms, allow_unstable=True)
+    disc = simulate_discrete(
+        grid_coefficients(kernel, delta, count), rate, marks, atoms, allow_unstable=True
+    )
     for field in ("intensity", "mass", "events", "risk"):
         assert np.array_equal(getattr(disc, field), getattr(ref, field)), field
     assert np.array_equal(disc.times, np.concatenate(ref.bin_times))
     assert np.array_equal(disc.marks, np.concatenate(ref.bin_marks))
     return disc, atoms
+
+
+def _psi_calls(kernel, rate, marks, delta, count, atoms):
+    """Jump-rate calls of one discrete run, and its trace."""
+    calls = []
+
+    def counting(x):
+        calls.append(len(x))
+        return rate.fn(x)
+
+    disc = simulate_discrete(
+        grid_coefficients(kernel, delta, count), dataclasses.replace(rate, fn=counting),
+        marks, atoms, allow_unstable=True,
+    )
+    return len(calls), disc
 
 
 class TestDiscreteReference:
@@ -337,7 +358,8 @@ class TestDiscreteReference:
         )
         atoms = atoms_from_triples(2.0, 0.5, triples, unit_marks)
         with pytest.raises(RunawayIntensityError, match=f"^bin intensity {ref.intensity[4]:.4g} "):
-            simulate_discrete(kernel, rate, unit_marks, 0.25, 8, atoms, ceiling_cap_factor=1.5)
+            simulate_discrete(grid_coefficients(kernel, 0.25, 8), rate, unit_marks, atoms,
+                              ceiling_cap_factor=1.5)
         assert len(atoms.strips) == 1
         assert np.all(ref.intensity[:4] <= 0.5)
 
@@ -351,6 +373,78 @@ class TestDiscreteReference:
         assert list(disc.events) == [0, 1, 1, 2, 1]
         assert np.array_equal(disc.times, [0.5, 1.0, 1.25, 1.5, 2.0])
 
+    def test_zero_mass_bins_reuse_the_levels(self):
+        # bins 1 and 2 accept marks below the indicator threshold, so their
+        # modulated mass is 0 and the feedback stays; bin 3 moves it, bin 4
+        # accepts under the levels computed after bin 3
+        model = _REF_MARKS["exponential-indicator"]
+        kernel, rate = _REF_KERNELS["exponential"], _REF_RATES["relu"]
+        triples = [(0.2, 0.1, 0.3), (0.7, 0.1, 0.2), (1.2, 0.1, 1.0), (1.7, 0.1, 0.1)]
+        disc, _ = _assert_matches_reference(
+            kernel, rate, model, 0.5, 8, lambda: atoms_from_triples(_REF_T, 4.0, triples, model),
+        )
+        assert list(disc.events[1:5]) == [1, 1, 1, 1]
+        assert list(disc.mass[1:5]) == [0.0, 0.0, 1.0, 0.0]
+        assert disc.intensity[3] == disc.intensity[1] < disc.intensity[4]
+        calls, _ = _psi_calls(
+            kernel, rate, model, 0.5, 8, atoms_from_triples(_REF_T, 4.0, triples, model)
+        )
+        assert calls == 2
+
+    def test_zero_kernel_accepts_every_atom(self):
+        # the ceiling equals the rate, so every atom passes; the feedback
+        # never moves and the whole walk costs one jump-rate call
+        kernel, rate, model = _REF_KERNELS["zero"], _REF_RATES["relu"], _REF_MARKS["point-mass"]
+        disc, atoms = _assert_matches_reference(
+            kernel, rate, model, 0.02, 200, lambda: hp.sample_atoms(_REF_T, 2.0, model, 4),
+        )
+        assert disc.terminal_count == len(atoms.merged()[0]) > 0
+        assert len(atoms.strips) == 1
+        calls, _ = _psi_calls(
+            kernel, rate, model, 0.02, 200, hp.sample_atoms(_REF_T, 2.0, model, 4)
+        )
+        assert calls == 1
+
+    def test_extension_after_rejecting_atom_bins(self, unit_marks):
+        # bins 2 and 3 hold atoms between their level and the ceiling 0.5, so
+        # they reject everything; bin 4's level crosses the ceiling under the
+        # levels computed after bin 1
+        kernel, rate = hp.erlang_kernel(1.0, 3, 1.0, 2.0), hp.relu_affine(0.25)
+        triples = [(0.05, 0.01, 1.0), (0.1, 0.01, 1.0), (0.15, 0.01, 1.0),
+                   (0.3, 0.4, 1.0), (0.45, 0.45, 1.0), (0.6, 0.49, 1.0)]
+        disc, atoms = _assert_matches_reference(
+            kernel, rate, unit_marks, 0.25, 8,
+            lambda: atoms_from_triples(2.0, 0.5, triples, unit_marks),
+        )
+        assert disc.intensity[3] < 0.49 and disc.intensity[4] > 0.5
+        assert list(disc.events[:5]) == [0, 3, 0, 0, 1]
+        calls, _ = _psi_calls(
+            kernel, rate, unit_marks, 0.25, 8, atoms_from_triples(2.0, 0.5, triples, unit_marks)
+        )
+        # the first walk, one per bin before M that moves the feedback, one
+        # per extension (bins 4, 5 and 6 each double the ceiling once)
+        assert len(atoms.strips) == 4
+        assert calls == 1 + np.count_nonzero(disc.mass[1:8]) + 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kernel=st.sampled_from(sorted(_REF_KERNELS)),
+        rate=st.sampled_from(sorted(_REF_RATES)),
+        marks=st.sampled_from(sorted(_REF_MARKS)),
+        delta=st.sampled_from((1.0, 0.1, 0.02)),
+        ceiling=st.sampled_from((0.25, 1.0, 4.0)),
+    )
+    def test_one_psi_call_per_feedback_change(self, seed, kernel, rate, marks, delta, ceiling):
+        model, count = _REF_MARKS[marks], round(_REF_T / delta)
+        atoms = hp.sample_atoms(_REF_T, ceiling, model, seed)
+        calls, disc = _psi_calls(
+            _REF_KERNELS[kernel], _REF_RATES[rate], model, delta, count, atoms
+        )
+        span = grid_coefficients(_REF_KERNELS[kernel], delta, count).span
+        moving = sum(1 for j in range(1, count + 1) if disc.mass[j] and min(span, count - j))
+        assert calls <= moving + (len(atoms.strips) - 1) + 1
+
 
 class TestDiscreteLaw:
     def test_distribution_matches_atom_scheme(self, unit_marks):
@@ -358,6 +452,7 @@ class TestDiscreteLaw:
 
         kernel = hp.exponential_kernel(0.604, 1.0, 5.0)
         jr = hp.relu_affine(1.0)
+        grid = hp.grid_coefficients(kernel, 0.25, 20)
         n = 8000
         sampled = np.empty(n, dtype=int)
         thinned = np.empty(n, dtype=int)
@@ -366,7 +461,7 @@ class TestDiscreteLaw:
                 kernel, jr, unit_marks, 0.25, 20, seed=(s, 0)
             ).sum()
             atoms = hp.sample_atoms(5.0, 10.0, unit_marks, (s, 1))
-            thinned[s] = hp.simulate_discrete(kernel, jr, unit_marks, 0.25, 20, atoms).terminal_count
+            thinned[s] = hp.simulate_discrete(grid, jr, unit_marks, atoms).terminal_count
         assert _two_sample_chisquare_pvalue(sampled, thinned) > 0.01
 
 
@@ -432,7 +527,8 @@ class TestPathToStep:
         sp = path_to_step(cont, "count")
         assert sp.jump_count == 0 and sp.values[0] == 0.0
         disc = hp.simulate_discrete(
-            hp.zero_kernel(2.0), hp.constant_rate(0.5), unit_marks, 0.5, 4, atoms
+            hp.grid_coefficients(hp.zero_kernel(2.0), 0.5, 4), hp.constant_rate(0.5),
+            unit_marks, atoms,
         )
         lam = path_to_step(disc, "intensity")
         assert lam.jump_count == 0 and lam.values[0] == 0.5
@@ -497,7 +593,8 @@ def _inv_continuous(atoms):
 
 def _inv_discrete(delta, atoms):
     return simulate_discrete(
-        _INV_KERNEL, _INV_RATE, _INV_MARKS, delta, round(_INV_T / delta), atoms
+        grid_coefficients(_INV_KERNEL, delta, round(_INV_T / delta)), _INV_RATE, _INV_MARKS,
+        atoms,
     )
 
 
