@@ -2,10 +2,11 @@
 
 All metrics here are exact for step paths: the fractional Sobolev norm
 reduces to a closed-form double sum over segment pairs, the Skorokhod
-distance to a binary search over finitely many critical values, each step a
-feasibility decision computed by dynamic programming on the interleaved
-jumps, and the sparse modulus to a minimax partition search over a finite
-candidate set.  Every operation is a pure function, safe for concurrent use.
+distance to a bracketed search over finitely many critical values, each
+step a feasibility decision computed by dynamic programming on the
+interleaved jumps, and the sparse modulus to a minimax partition search
+over a finite candidate set.  Every operation is a pure function, safe for
+concurrent use.
 """
 
 from __future__ import annotations
@@ -113,7 +114,10 @@ def feasible_eps(f: StepPath, g: StepPath, eps: float) -> bool:
     States therefore record how they were entered: by an f-jump (position
     fixed at that jump) or by a g-jump (an interval of feasible positions).
     The states are swept one anti-diagonal i + j at a time, visiting only
-    those the previous diagonal reached.  Monotone in eps.
+    those the previous diagonal reached, in any order: each field of a next
+    state is written by one state only (its f-entry flags by the state
+    entering it by an f-jump, its g-entry by the one entering it by a
+    g-jump), and flags are only ever set to True.  Monotone in eps.
 
     A placement is never rounded to the float c - eps or c + eps: whether
     f-jump a lies in the window of g-jump c is decided by comparing the
@@ -146,8 +150,7 @@ def feasible_eps(f: StepPath, g: StepPath, eps: float) -> bool:
     frontier = {0: [False, False, (0.0, False)]}
     for diag in range(m + n):
         reached: dict[int, list] = {}
-        for i in sorted(frontier, reverse=True):
-            clean, tied, entry = frontier[i]
+        for i, (clean, tied, entry) in frontier.items():
             j = diag - i
             a0, c = fb[i], gb[j]
             from_f = clean or tied
@@ -198,17 +201,25 @@ def skorokhod_distance(
     gap (c_k, c_{k+1}) between consecutive critical values and, being
     monotone, switches on at most once.  The infimum of the feasible eps is
     therefore the critical value c_k below the first gap whose midpoint is
-    feasible, found by binary search over the gaps in about
-    log2(#critical values) calls, and every eps above it is feasible.
-    Midpoints are tested rather than the critical values themselves because
-    the DP's strict inequalities can make eps = c_k itself infeasible
-    although it is the infimum.  A gap between two adjacent floats has no
-    midpoint (it rounds onto an endpoint) and no eps inside, so it is
-    decided at c_k itself: an infeasible c_k sends the search to the gaps
-    above it.  Only critical
+    feasible, and every eps above it is feasible.  Midpoints are tested
+    rather than the critical values themselves because the DP's strict
+    inequalities can make eps = c_k itself infeasible although it is the
+    infimum.  A gap between two adjacent floats has no midpoint (it rounds
+    onto an endpoint) and no eps inside, so it is decided at c_k itself: an
+    infeasible c_k sends the search to the gaps above it.  Only critical
     values up to the uniform distance are kept: the uniform distance is a
     value gap and always feasible (identity time change), so it is the
     largest and the answer when no midpoint passes.
+
+    The search brackets the answer with the value gaps: a binary search
+    over the gaps just above the value gaps finds the first passing one, at
+    value gap v, and one call on the gap just below v decides whether v is
+    the answer; only if that gap passes too is the rest of the bracket
+    (above the previous value gap) bisected.  That is about
+    log2(#value gaps <= u) + 1 calls when the answer is a value gap, as on
+    coupled count paths, and log2(#critical values in the bracket) more
+    otherwise.  Every search for the first passing gap of this monotone
+    predicate returns the same critical value.
     Exact computation is limited to paths with at most ``max_jumps`` jumps
     each; larger paths should use the grid surrogate instead.
     """
@@ -224,24 +235,38 @@ def skorokhod_distance(
         return 0.0
     fa = f.breakpoints[1:]
     ga = g.breakpoints[1:]
+    value_gaps = np.abs(np.subtract.outer(f.values, g.values)).ravel()
     cands = np.concatenate((
-        [0.0],
-        np.abs(np.subtract.outer(f.values, g.values)).ravel(),
+        [0.0], value_gaps,
         np.abs(np.subtract.outer(fa, ga)).ravel(),
         fa, T - fa, ga, T - ga,
     ))
     crit = np.unique(cands[cands <= u])
-    lo, hi = 0, len(crit) - 1  # search the gaps (crit[k], crit[k + 1]), k < hi
-    while lo < hi:
-        k = (lo + hi) // 2
+
+    def passes(k: int) -> bool:  # is the gap (crit[k], crit[k + 1]) feasible?
         c, nxt = float(crit[k]), float(crit[k + 1])
         mid = 0.5 * (c + nxt)
         # adjacent floats: no eps lies inside the gap, so decide it at c
-        if feasible_eps(f, g, c if mid in (c, nxt) else mid):
-            hi = k
-        else:
-            lo = k + 1
-    return float(crit[lo])
+        return feasible_eps(f, g, c if mid in (c, nxt) else mid)
+
+    def first_passing(ks) -> int:  # ks ascending, the last known to pass
+        lo, hi = 0, len(ks) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if passes(ks[mid]):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    # positions of the value gaps in crit; the last one is u
+    anchors = np.searchsorted(crit, np.unique(value_gaps[value_gaps <= u])).tolist()
+    s = first_passing(anchors)
+    lo = anchors[s - 1] + 1 if s else 0
+    hi = anchors[s]  # the answer's position lies in [lo, hi]
+    if lo < hi and passes(hi - 1):
+        hi = lo + first_passing(range(lo, hi))
+    return float(crit[hi])
 
 
 # --------------------------------------------------------------------------
@@ -255,9 +280,12 @@ def modulus_sparse(path: StepPath, delta: float) -> float:
     jump times, midpoints between consecutive jumps, or the endpoints, since
     a cell's oscillation only changes when a boundary crosses a jump.  Cells
     are right-open, gaps strictly greater than delta.  The minimax DP over
-    the sorted candidates fills one row per right end k in one numpy step:
-    the oscillation of every cell [pos_c, pos_k) is a suffix max minus a
-    suffix min of the segment values, gathered at the segment holding pos_c.
+    the sorted candidates walks, for each right end k, the left ends c with
+    pos[k] - pos[c] > delta downwards from the last one (a two-pointer, as
+    that set only grows with k), keeping the running min and max of the
+    segment values the cell [pos_c, pos_k) covers.  The oscillation only
+    grows as c falls, so the walk stops once it reaches the best cell so
+    far: no further left end can improve max(dp[c], oscillation).
     """
     T = path.horizon
     if not 0.0 < delta < T:
@@ -268,23 +296,38 @@ def modulus_sparse(path: StepPath, delta: float) -> float:
     cands.update(
         0.5 * (a + b) for a, b in zip(jumps[:-1], jumps[1:])
     )
-    pos = np.array(sorted(c for c in cands if 0.0 <= c <= T))
-    K = len(pos)
+    pos = sorted(c for c in cands if 0.0 <= c <= T)
     bp = path.breakpoints
-    vals = path.values
+    vals = path.values.tolist()
     # segment holding each candidate, and last segment strictly before it
-    start_seg = np.searchsorted(bp, pos, side="right") - 1
-    end_seg = np.searchsorted(bp, pos, side="left") - 1
+    start_seg = (np.searchsorted(bp, pos, side="right") - 1).tolist()
+    end_seg = (np.searchsorted(bp, pos, side="left") - 1).tolist()
 
-    dp = np.full(K, math.inf)
-    dp[0] = 0.0
-    for k in range(1, K):
-        # segments [start_seg[c], end_seg[k]] meet the cell [pos[c], pos[k])
-        covered = vals[: end_seg[k] + 1][::-1]
-        lo = np.minimum.accumulate(covered)[::-1][start_seg[:k]]
-        hi = np.maximum.accumulate(covered)[::-1][start_seg[:k]]
-        wide = pos[k] - pos[:k] > delta
-        dp[k] = np.maximum(dp[:k], hi - lo)[wide].min(initial=math.inf)
+    dp = [0.0] + [math.inf] * (len(pos) - 1)
+    w = -1  # the last left end c with pos[k] - pos[c] > delta
+    for k in range(1, len(pos)):
+        while pos[k] - pos[w + 1] > delta:
+            w += 1
+        if w < 0:
+            continue
+        # segments [a, end_seg[k]] meet the cell [pos[c], pos[k]), c = w first
+        a = start_seg[w]
+        covered = vals[a : end_seg[k] + 1]
+        lo, hi = min(covered), max(covered)
+        best = math.inf
+        for c in range(w, -1, -1):
+            while start_seg[c] < a:  # the segments the cell now also covers
+                a -= 1
+                if vals[a] < lo:
+                    lo = vals[a]
+                elif vals[a] > hi:
+                    hi = vals[a]
+            osc = hi - lo
+            if osc >= best:
+                break
+            if dp[c] < best:
+                best = max(dp[c], osc)
+        dp[k] = best
     return float(dp[-1])
 
 

@@ -7,8 +7,9 @@ integrand call per node instead of the level-batched one, dense Riemann
 sums instead of closed forms, a lattice
 minimax alignment instead of the interval DP, a float bisection over the
 full-grid feasibility walk instead of the critical-value search over
-reachable states, a Python double loop instead of the row-vectorized
-sparse modulus.
+reachable states, a plain binary search over all critical values instead
+of the value-gap-bracketed one, a Python double loop over every candidate
+instead of the pruned sparse-modulus walk.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from scipy.integrate import quad
 
 from hawkpath.errors import DivergingKernelError, RunawayIntensityError
 from hawkpath.kernels import grid_coefficients
-from hawkpath.metrics import uniform_distance
+from hawkpath.metrics import feasible_eps, uniform_distance
 from hawkpath.randomness import extend_ceiling
 from hawkpath.simulate import StepPath, make_step_path
 
@@ -375,6 +376,40 @@ def skorokhod_bisection(f: StepPath, g: StepPath, tol: float | None = None) -> f
         else:
             lo = mid
     return hi
+
+
+def skorokhod_critical_bisection(f: StepPath, g: StepPath) -> float:
+    """Binary search of ``feasible_eps`` over every critical value <= the
+    uniform distance, without the value-gap bracket.
+
+    It tests the midpoint of each gap between consecutive critical values
+    (the lower endpoint when the two are adjacent floats) and returns the
+    critical value below the first feasible gap, or the uniform distance.
+    """
+    if f.equals(g):
+        return 0.0
+    u = uniform_distance(f, g)
+    if u == 0.0:
+        return 0.0
+    T = f.horizon
+    fa, ga = f.breakpoints[1:], g.breakpoints[1:]
+    cands = np.concatenate((
+        [0.0],
+        np.abs(np.subtract.outer(f.values, g.values)).ravel(),
+        np.abs(np.subtract.outer(fa, ga)).ravel(),
+        fa, T - fa, ga, T - ga,
+    ))
+    crit = np.unique(cands[cands <= u])
+    lo, hi = 0, len(crit) - 1
+    while lo < hi:
+        k = (lo + hi) // 2
+        c, nxt = float(crit[k]), float(crit[k + 1])
+        mid = 0.5 * (c + nxt)
+        if feasible_eps(f, g, c if mid in (c, nxt) else mid):
+            hi = k
+        else:
+            lo = k + 1
+    return float(crit[lo])
 
 
 def modulus_sparse_quadratic(path: StepPath, delta: float) -> float:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hawkpath as hp
+from hawkpath import metrics
 from hawkpath.errors import ParameterError
 from hawkpath.metrics import (
     feasible_eps,
@@ -16,7 +17,7 @@ from hawkpath.metrics import (
     step_sub,
     uniform_distance,
 )
-from hawkpath.simulate import make_step_path, path_to_step
+from hawkpath.simulate import make_step_path, path_to_step, step_from_jumps
 
 from _oracles import (
     brute_uniform,
@@ -24,6 +25,7 @@ from _oracles import (
     modulus_sparse_quadratic,
     random_step_path,
     skorokhod_bisection,
+    skorokhod_critical_bisection,
     skorokhod_lattice,
     sobolev_riemann,
 )
@@ -127,6 +129,28 @@ def poisson_pair(seed, T=20.0, delta=0.5):
         T, delta, seed=seed,
     )
     return path_to_step(cont, "risk"), path_to_step(disc, "risk")
+
+
+def sweep_pair(seed, size=500, T=200.0, delta=0.25):
+    """Unit-jump path and its rounding up onto the delta-grid, as in the bench sweep."""
+    rng = np.random.default_rng((seed, size))
+    times = np.sort(rng.uniform(0.0, T, size))
+    rounded = np.minimum(np.ceil(times / delta) * delta, T)
+    return step_from_jumps(times, np.ones(size), T), step_from_jumps(rounded, np.ones(size), T)
+
+
+@pytest.fixture
+def feasibility_calls(monkeypatch):
+    """The eps of every ``feasible_eps`` call ``skorokhod_distance`` makes."""
+    calls = []
+    real = metrics.feasible_eps
+
+    def counting(f, g, eps):
+        calls.append(eps)
+        return real(f, g, eps)
+
+    monkeypatch.setattr(metrics, "feasible_eps", counting)
+    return calls
 
 
 class TestSobolevNorm:
@@ -349,6 +373,47 @@ class TestSkorokhodDistance:
         bisection = skorokhod_bisection(rc, rd)
         assert bisection - 1e-9 * rc.horizon <= d <= bisection
         assert d in critical_values(rc, rd)
+        assert d == skorokhod_critical_bisection(rc, rd)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=path_pairs)
+    @example(pair=(
+        make_step_path([0.0, 0.1, 0.5], [0.0, 1.0, 2.0], 1.0),
+        make_step_path([0.0, 0.2, 0.8], [0.0, 1.0, 2.0], 1.0),
+    ))
+    def test_equals_critical_bisection_oracle(self, pair):
+        f, g = pair
+        assert skorokhod_distance(f, g) == skorokhod_critical_bisection(f, g)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        f=step_paths(max_jumps=8),
+        shifts=st.lists(st.floats(min_value=-0.1, max_value=0.1), min_size=8, max_size=8),
+        scale=st.floats(min_value=0.9, max_value=1.1),
+    )
+    def test_equals_critical_bisection_oracle_on_perturbed_pairs(self, f, shifts, scale):
+        # g moves f's signed float jumps in time and scales them slightly, so
+        # the answer is often a time gap (about one pair in four), which the
+        # value-gap bracket hands to its inner search
+        times = np.sort(f.breakpoints[1:] + shifts[: f.jump_count]).clip(0.01, 0.99)
+        assume(np.all(np.diff(times) > 0))
+        g = make_step_path(np.concatenate(([0.0], times)), scale * f.values, f.horizon)
+        assert skorokhod_distance(f, g) == skorokhod_critical_bisection(f, g)
+
+    def test_value_gap_bracket_bounds_feasibility_calls(self, feasibility_calls):
+        # integer-valued coupled paths: the answer is a value gap, found by
+        # bisecting the few value gaps <= u and one call below the winner
+        for seed in range(20):
+            rc, rd = poisson_pair(seed)
+            feasibility_calls.clear()
+            skorokhod_distance(rc, rd)
+            assert 1 <= len(feasibility_calls) <= 4, seed
+        # the bench sweep's 500-jump pair; a plain search over its critical
+        # values needs 12 to 14 calls
+        for seed in (0, 1, 7, 200):
+            feasibility_calls.clear()
+            skorokhod_distance(*sweep_pair(seed))
+            assert len(feasibility_calls) <= 4, seed
 
 
 class TestFeasibleEps:
@@ -443,8 +508,8 @@ class TestModulusSparse:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        f=step_paths(max_jumps=7),
-        ends=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+        f=step_paths(max_jumps=40),
+        ends=st.tuples(st.integers(0, 41), st.integers(0, 41)),
         make_monotone=st.booleans(),
     )
     def test_equals_quadratic_oracle(self, f, ends, make_monotone):
@@ -456,6 +521,15 @@ class TestModulusSparse:
         a, b = sorted(points[i % len(points)] for i in ends)
         for delta in (b - a, 0.5 * (b - a), 0.1):
             if 0.0 < delta < f.horizon:
+                assert modulus_sparse(f, delta) == modulus_sparse_quadratic(f, delta)
+
+    def test_equals_quadratic_oracle_on_integer_signed_paths(self, rng):
+        # integer values make ties between a cell's oscillation and the best
+        # cell so far common, the boundary of the walk's early stop
+        for _ in range(40):
+            f = random_step_path(rng, horizon=2.0, max_jumps=40, integer_values=True)
+            gap = float(np.diff(np.append(f.breakpoints, f.horizon)).min())
+            for delta in (gap, f.horizon / 10, 0.1):
                 assert modulus_sparse(f, delta) == modulus_sparse_quadratic(f, delta)
 
     def test_equals_quadratic_oracle_on_coupled_paths(self):
