@@ -16,25 +16,15 @@ import json
 import sys
 from pathlib import Path
 
-from .bounds import bound_set
 from .errors import ConfigError, HawkpathError, InstabilityError
 from .harness import (
     ExperimentConfig,
-    _build_all,
-    _build_thinnable,
     run_convergence,
     verdicts_csv_text,
     verdicts_json,
     verify_bounds,
 )
-from .randomness import sample_atoms
-from .simulate import (
-    StepPath,
-    couple,
-    default_ceiling,
-    path_to_step,
-    simulate_continuous,
-)
+from .simulate import StepPath, path_to_step, simulate_continuous, simulate_discrete
 
 __all__ = ["cli_main", "main"]
 
@@ -63,12 +53,10 @@ def _json_text(obj) -> str:
 
 
 def _cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
-    kernel, jump_rate, marks = _build_thinnable(cfg)
-    atoms = sample_atoms(
-        cfg.horizon, default_ceiling(jump_rate, kernel, marks), marks, (cfg.seed, 0)
-    )
+    run = cfg.run.thinnable()
     path = simulate_continuous(
-        kernel, jump_rate, marks, cfg.horizon, atoms, allow_unstable=cfg.allow_unstable
+        run.kernel, run.jump_rate, run.marks, cfg.horizon, run.atoms(0),
+        allow_unstable=cfg.allow_unstable,
     )
     written = []
     for field in ("count", "mass", "risk"):
@@ -87,14 +75,15 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_couple(cfg: ExperimentConfig, out: Path) -> int:
-    kernel, jump_rate, marks = _build_thinnable(cfg)
+    run = cfg.run.thinnable()
     delta = cfg.delta_ladder[-1]
-    atoms = sample_atoms(
-        cfg.horizon, default_ceiling(jump_rate, kernel, marks), marks, (cfg.seed, 0)
+    atoms = run.atoms(0)
+    cont = simulate_continuous(
+        run.kernel, run.jump_rate, run.marks, cfg.horizon, atoms,
+        allow_unstable=cfg.allow_unstable,
     )
-    cont, disc = couple(
-        kernel, jump_rate, marks, cfg.horizon, delta,
-        atoms=atoms, allow_unstable=cfg.allow_unstable,
+    disc = simulate_discrete(
+        run.grids[-1], run.jump_rate, run.marks, atoms, allow_unstable=cfg.allow_unstable
     )
     tau, theta, y, strip = atoms.merged()
     atom_lines = ["tau,theta,y,strip"]
@@ -131,13 +120,9 @@ def _cmd_convergence(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_bounds(cfg: ExperimentConfig, out: Path) -> int:
-    kernel, jump_rate, marks = _build_all(cfg)
     per_delta = {
-        repr(delta): bound_set(
-            kernel, delta, cfg.horizon, jump_rate, marks,
-            eta=cfg.sobolev_eta, allow_unstable=cfg.allow_unstable,
-        ).to_dict()
-        for delta in cfg.delta_ladder
+        repr(delta): bset.to_dict()
+        for delta, bset in zip(cfg.delta_ladder, cfg.run.bound_sets)
     }
     text = _json_text(per_delta)
     _write(out, "bounds.json", text)

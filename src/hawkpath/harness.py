@@ -6,6 +6,13 @@ run with master seed ``s`` draws its randomness from the stream keyed by
 ``(s, i)``, so results are reproducible for any worker count; per-trial
 results are always reduced in trial order to keep floating-point sums
 byte-identical.
+
+What no trial changes lives in one :class:`Run` record, ``config.run``:
+the kernel, jump rate and mark model, the atom ceiling, the grid
+coefficients of each ladder delta, the bound sets (built on first use) and
+the atoms of trial ``i``.  ``from_dict`` builds it to validate the config
+and keeps it.  It holds closures, so it never travels to a pool worker:
+each process builds it at most once.
 """
 
 from __future__ import annotations
@@ -16,12 +23,12 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import bound_set, modulus_poisson_bound, rho_continuous, rho_discrete
+from .bounds import BoundSet, bound_set, modulus_poisson_bound, rho_continuous, rho_discrete
 from .errors import ConfigError, ParameterError, RunawayIntensityError
 from .kernels import (
     Kernel,
@@ -44,7 +51,7 @@ from .metrics import (
     skorokhod_upper_bound,
     sobolev_distance,
 )
-from .randomness import MarkModel, mark_moments, sample_atoms
+from .randomness import MarkModel, PoissonAtoms, mark_moments, sample_atoms
 from .simulate import (
     ContinuousPath,
     DiscreteTrace,
@@ -64,6 +71,7 @@ from .simulate import (
 
 __all__ = [
     "ExperimentConfig",
+    "Run",
     "ConvergenceRow",
     "ConvergenceReport",
     "BoundVerdict",
@@ -131,7 +139,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        """Validate every field, and build every component, before any work."""
+        """Validate every field, and build the run record, before any work."""
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
         required = ("kernel", "jump_rate", "marks", "horizon", "delta_ladder", "trials")
@@ -183,9 +191,17 @@ class ExperimentConfig:
             output_dir=_typed(doc.get("output_dir"), (str, type(None)), "output_dir"),
             workers=None if workers is None else _integer(workers, "workers"),
         )
-        # fail fast on bad component specs
-        _build_all(cfg)
+        cfg.run  # fail fast on bad component specs; the record is kept
         return cfg
+
+    @functools.cached_property
+    def run(self) -> "Run":
+        """The run record, built on first use and kept by this process."""
+        return Run(self)
+
+    def __getstate__(self) -> dict:
+        # only the fields: the record holds closures, so a pool worker builds its own
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def effective_workers(self) -> int:
         if self.workers is not None:
@@ -309,28 +325,44 @@ def build_mark_model(spec: dict) -> MarkModel:
         raise ConfigError(str(exc)) from exc
 
 
-def _build_all(cfg: ExperimentConfig) -> tuple[Kernel, JumpRate, MarkModel]:
-    return (
-        build_kernel(cfg.kernel, cfg.horizon),
-        build_jump_rate(cfg.jump_rate),
-        build_mark_model(cfg.marks),
-    )
+class Run:
+    """Everything about one run that no trial changes (see the module docstring)."""
 
+    def __init__(self, config: ExperimentConfig) -> None:
+        T = config.horizon
+        self.config = config
+        self.kernel = kernel = build_kernel(config.kernel, T)
+        self.jump_rate = jump_rate = build_jump_rate(config.jump_rate)
+        self.marks = marks = build_mark_model(config.marks)
+        self.ceiling = default_ceiling(jump_rate, kernel, marks)
+        self.grids = tuple(grid_coefficients(kernel, d, round(T / d)) for d in config.delta_ladder)
 
-def _build_thinnable(cfg: ExperimentConfig) -> tuple[Kernel, JumpRate, MarkModel]:
-    """Components for a command that thins in continuous time.
+    @functools.cached_property
+    def bound_sets(self) -> list[BoundSet]:
+        """One bound set per ladder delta."""
+        cfg = self.config
+        return [
+            bound_set(
+                self.kernel, delta, cfg.horizon, self.jump_rate, self.marks,
+                eta=cfg.sobolev_eta, allow_unstable=cfg.allow_unstable,
+            )
+            for delta in cfg.delta_ladder
+        ]
 
-    A kernel unbounded at lag zero is refused here, before any work: no
-    finite atom ceiling dominates its post-event spikes.  Only the bound
-    evaluation accepts such kernels.
-    """
-    kernel, jump_rate, marks = _build_all(cfg)
-    if not kernel.bounded:
-        raise ConfigError(
-            f"kernel family {kernel.family!r} is unbounded at lag zero and cannot "
-            "be thinned in continuous time; only `bounds` accepts it"
-        )
-    return kernel, jump_rate, marks
+    def atoms(self, trial: int) -> PoissonAtoms:
+        """The base strip of trial ``trial``, drawn from the stream keyed (seed, trial)."""
+        cfg = self.config
+        return sample_atoms(cfg.horizon, self.ceiling, self.marks, (cfg.seed, trial))
+
+    def thinnable(self) -> "Run":
+        """This record, unless no finite atom ceiling dominates the kernel's
+        post-event spikes (a kernel unbounded at lag zero: only ``bounds`` takes it)."""
+        if not self.kernel.bounded:
+            raise ConfigError(
+                f"kernel family {self.kernel.family!r} is unbounded at lag zero and cannot "
+                "be thinned in continuous time; only `bounds` accepts it"
+            )
+        return self
 
 
 # --------------------------------------------------------------------------
@@ -345,7 +377,6 @@ Cell = tuple[dict[str, float], bool]
 
 def _cell_metrics(
     cfg: ExperimentConfig,
-    parts: tuple[Kernel, JumpRate, MarkModel],
     trial: int,
     cont: ContinuousPath,
     traces: list[DiscreteTrace | None],
@@ -388,63 +419,52 @@ def _cell_metrics(
 
 
 def _run_trials(
-    parts: tuple[Kernel, JumpRate, MarkModel],
-    cfg: ExperimentConfig,
-    trials: range,
-    measure: Callable,
+    cfg: ExperimentConfig, trials: range, measure: Callable
 ) -> tuple[list[RunawayIntensityError | None], list]:
     """Couple a range of trials across the ladder and measure each one.
 
     Each trial draws its atoms once and thins the continuous path once; the
-    discrete scheme then runs at every delta on those atoms, with the grid
-    coefficients of each delta built once for the whole range.  This is exact:
+    discrete scheme then runs at every delta on those atoms.  This is exact:
     a ceiling extension is the strip keyed by its index, whichever process
     asks for it first, and atoms above a process's own ceiling never pass
-    its thinning.  ``measure(cfg, parts, trial, cont, traces)``, a
-    module-level function or a partial of one, so that a process pool can
-    send it, turns a trial into its sample; ``traces`` is None at every
-    delta whose cell has hit the runaway guard.  Returns, per delta, the
-    error that aborted its cell (or None), and the samples in trial order.
+    its thinning.  This is also the process-pool entry point.
+    ``measure(cfg, trial, cont, traces)``, a module-level function or a
+    partial of one, so that a process pool can send it, turns a trial into
+    its sample; ``traces`` is None at every delta whose cell has hit the
+    runaway guard.  Returns, per delta, the error that aborted its cell (or
+    None), and the samples in trial order.
     """
-    kernel, jump_rate, marks = parts
-    T = cfg.horizon
-    ceiling = default_ceiling(jump_rate, kernel, marks)
-    grids = [grid_coefficients(kernel, delta, round(T / delta)) for delta in cfg.delta_ladder]
-    aborted: list[RunawayIntensityError | None] = [None] * len(grids)
+    run = cfg.run
+    aborted: list[RunawayIntensityError | None] = [None] * len(run.grids)
     samples = []
     for trial in trials:
         if all(a is not None for a in aborted):
             break
-        atoms = sample_atoms(T, ceiling, marks, (cfg.seed, trial))
+        atoms = run.atoms(trial)
         try:
             cont = simulate_continuous(
-                kernel, jump_rate, marks, T, atoms, allow_unstable=cfg.allow_unstable
+                run.kernel, run.jump_rate, run.marks, cfg.horizon, atoms,
+                allow_unstable=cfg.allow_unstable,
             )
         except RunawayIntensityError as exc:
             aborted = [exc if a is None else a for a in aborted]
             break
-        traces: list[DiscreteTrace | None] = [None] * len(grids)
-        for i, grid in enumerate(grids):
+        traces: list[DiscreteTrace | None] = [None] * len(run.grids)
+        for i, grid in enumerate(run.grids):
             if aborted[i] is not None:
                 continue
             try:
                 traces[i] = simulate_discrete(
-                    grid, jump_rate, marks, atoms, allow_unstable=cfg.allow_unstable
+                    grid, run.jump_rate, run.marks, atoms, allow_unstable=cfg.allow_unstable
                 )
             except RunawayIntensityError as exc:
                 aborted[i] = exc
-        samples.append(measure(cfg, parts, trial, cont, traces))
+        samples.append(measure(cfg, trial, cont, traces))
     return aborted, samples
 
 
-def _pool_worker(payload: tuple[ExperimentConfig, range, Callable]) -> tuple[list, list]:
-    """Process-pool entry point: builds the components once, runs a trial range."""
-    cfg, trials, measure = payload
-    return _run_trials(_build_all(cfg), cfg, trials, measure)
-
-
 def _map_trials(
-    cfg: ExperimentConfig, parts: tuple[Kernel, JumpRate, MarkModel], measure: Callable
+    cfg: ExperimentConfig, measure: Callable
 ) -> tuple[list[RunawayIntensityError | None], list]:
     """``_run_trials`` over every trial, in trial order regardless of workers.
 
@@ -455,11 +475,11 @@ def _map_trials(
     workers = cfg.effective_workers()
     n = cfg.trials
     if workers <= 1:
-        return _run_trials(parts, cfg, range(n), measure)
+        return _run_trials(cfg, range(n), measure)
     edges = [n * k // workers for k in range(workers + 1)]
     chunks = [range(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
     with ProcessPoolExecutor(max_workers=len(chunks)) as ex:
-        results = list(ex.map(_pool_worker, [(cfg, c, measure) for c in chunks]))
+        results = list(ex.map(_run_trials, [cfg] * len(chunks), chunks, [measure] * len(chunks)))
     aborted = [
         next((a for a in per_range if a is not None), None)
         for per_range in zip(*(a for a, _ in results))
@@ -521,10 +541,14 @@ class ConvergenceReport:
         }
 
 
-def _theory_shape(cfg: ExperimentConfig, metric: str, delta: float, bset) -> float:
+def _mc_mean_se(arr: np.ndarray) -> tuple[float, float]:
+    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr)))
+
+
+def _theory_shape(metric: str, bset: BoundSet) -> float:
     if metric in ("terminal_count", "terminal_risk"):
         # increment-bound shape between 0 and T, constant normalized to 1
-        return bset.kernel_regularity * cfg.horizon + delta
+        return bset.kernel_regularity * bset.horizon + bset.delta
     if metric == "sobolev":
         return bset.sobolev_shape
     if bset.skorokhod_shape_bounded is not None:
@@ -540,45 +564,24 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     affected ladder cell only; its rows carry NaN statistics and an
     ``aborted`` flag.
     """
-    kernel, jump_rate, marks = _build_thinnable(config)
-    bsets = [
-        bound_set(
-            kernel, delta, config.horizon, jump_rate, marks,
-            eta=config.sobolev_eta, allow_unstable=config.allow_unstable,
-        )
-        for delta in config.delta_ladder
-    ]
-    aborted, per_trial = _map_trials(config, (kernel, jump_rate, marks), _cell_metrics)
+    bsets = config.run.thinnable().bound_sets
+    aborted, per_trial = _map_trials(config, _cell_metrics)
     report = ConvergenceReport(trials=config.trials)
     per_metric_points: dict[str, list[tuple[float, float]]] = {
         m: [] for m in config.metrics
     }
     for i, (delta, bset) in enumerate(zip(config.delta_ladder, bsets)):
-        if aborted[i] is not None:
-            for metric in config.metrics:
-                report.rows.append(
-                    ConvergenceRow(
-                        delta, metric, math.nan, math.nan,
-                        _theory_shape(config, metric, delta, bset),
-                        flag=f"aborted:{type(aborted[i]).__name__}",
-                    )
-                )
-            continue
-        cell = [cells[i] for cells in per_trial]
-        downgraded = any(d for _, d in cell)
+        cell = None if aborted[i] else [cells[i] for cells in per_trial]
         for metric in config.metrics:
-            arr = np.array([v[metric] for v, _ in cell])
-            mean = float(arr.mean())
-            se = float(arr.std(ddof=1) / math.sqrt(len(arr)))
-            flag = ""
-            if metric == "skorokhod_exact" and downgraded:
-                flag = "surrogate"
-            report.rows.append(
-                ConvergenceRow(
-                    delta, metric, mean, se,
-                    _theory_shape(config, metric, delta, bset), flag,
-                )
-            )
+            shape = _theory_shape(metric, bset)
+            if cell is None:
+                flag = f"aborted:{type(aborted[i]).__name__}"
+                report.rows.append(ConvergenceRow(delta, metric, math.nan, math.nan, shape, flag))
+                continue
+            mean, se = _mc_mean_se(np.array([values[metric] for values, _ in cell]))
+            downgraded = metric == "skorokhod_exact" and any(d for _, d in cell)
+            flag = "surrogate" if downgraded else ""
+            report.rows.append(ConvergenceRow(delta, metric, mean, se, shape, flag))
             per_metric_points[metric].append((delta, mean))
     for metric, pts in per_metric_points.items():
         positive = [(d, m) for d, m in pts if m > 0 and math.isfinite(m)]
@@ -623,10 +626,6 @@ class BoundVerdict:
 SCALING_SLOPE_MIN = 0.45
 
 
-def _mc_mean_se(arr: np.ndarray) -> tuple[float, float]:
-    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr)))
-
-
 class _VerifySample(NamedTuple):
     """What one trial contributes to the Monte Carlo verdicts of ``verify``."""
 
@@ -641,7 +640,6 @@ class _VerifySample(NamedTuple):
 def _verify_sample(
     rate: float,
     cfg: ExperimentConfig,
-    parts: tuple[Kernel, JumpRate, MarkModel],
     trial: int,
     cont: ContinuousPath,
     traces: list[DiscreteTrace | None],
@@ -652,7 +650,7 @@ def _verify_sample(
     """
     if any(disc is None for disc in traces):
         return None
-    kernel, jump_rate, marks = parts
+    kernel, jump_rate, marks = cfg.run.kernel, cfg.run.jump_rate, cfg.run.marks
     T = cfg.horizon
     delta_min = cfg.delta_ladder[-1]
     s, t = 0.25 * T, 0.75 * T
@@ -691,15 +689,15 @@ def verify_bounds(config: ExperimentConfig) -> list[BoundVerdict]:
     across the ladder (zero errors pass trivially).  The trials run on the
     engine of ``convergence``; a runaway at any delta raises.
     """
-    kernel, jump_rate, marks = _build_thinnable(config)
+    run = config.run.thinnable()
+    jump_rate, marks = run.jump_rate, run.marks
     T = config.horizon
     ladder = config.delta_ladder
     delta_min = ladder[-1]
     verdicts: list[BoundVerdict] = []
 
-    rho = rho_continuous(kernel, jump_rate.lipschitz, marks)
-    grid = grid_coefficients(kernel, delta_min, round(T / delta_min))
-    rho_d = rho_discrete(grid, jump_rate.lipschitz, marks)
+    rho = rho_continuous(run.kernel, jump_rate.lipschitz, marks)
+    rho_d = rho_discrete(run.grids[-1], jump_rate.lipschitz, marks)
     verdicts.append(
         BoundVerdict("stability_continuous", rho, 1.0, 1.0 - rho, rho < 1.0)
     )
@@ -713,9 +711,7 @@ def verify_bounds(config: ExperimentConfig) -> list[BoundVerdict]:
     # each trial also samples the modulus of a compound Poisson path at the
     # dominating rate, for the constant-free modulus bound
     rate = jump_rate.at_zero / (1.0 - rho) if rho < 1.0 else jump_rate.at_zero
-    aborted, per_trial = _map_trials(
-        config, (kernel, jump_rate, marks), functools.partial(_verify_sample, rate)
-    )
+    aborted, per_trial = _map_trials(config, functools.partial(_verify_sample, rate))
     for exc in aborted:
         if exc is not None:
             raise exc

@@ -248,12 +248,12 @@ class GridCoefficients:
         nz = np.flatnonzero(self.values)
         return int(nz[-1]) + 1 if len(nz) else 0
 
-    @property
+    @cached_property
     def abs_l1(self) -> float:
         """Riemann-sum analogue of the L1 norm: sum |h_k| * delta."""
         return float(np.abs(self.values).sum() * self.delta)
 
-    @property
+    @cached_property
     def abs_l2_sq(self) -> float:
         """Squared discrete L2 norm: sum h_k^2 * delta."""
         return float(np.square(self.values).sum() * self.delta)

@@ -604,7 +604,6 @@ def couple(
     seed: int | tuple[int, ...] | None = None,
     *,
     atoms: PoissonAtoms | None = None,
-    initial_ceiling: float | None = None,
     allow_unstable: bool = False,
 ) -> tuple[ContinuousPath, DiscreteTrace]:
     """Run both simulators on one shared atom ladder.
@@ -620,9 +619,7 @@ def couple(
     if atoms is None:
         if seed is None:
             raise ParameterError("either atoms or seed must be given")
-        if initial_ceiling is None:
-            initial_ceiling = default_ceiling(jump_rate, kernel, mark_model)
-        atoms = sample_atoms(T, initial_ceiling, mark_model, seed)
+        atoms = sample_atoms(T, default_ceiling(jump_rate, kernel, mark_model), mark_model, seed)
     cont = simulate_continuous(
         kernel, jump_rate, mark_model, T, atoms, allow_unstable=allow_unstable
     )

@@ -3,7 +3,10 @@ import os
 
 import pytest
 
+from hawkpath import harness
 from hawkpath.cli import cli_main
+
+COMMANDS = ("simulate", "couple", "convergence", "bounds", "verify")
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -104,9 +107,39 @@ class TestExitCodes:
         out = tmp_path / "out"
         doc = base_doc(out)
         doc["kernel"] = {"family": "exponential", "params": {"amplitude": 1.3, "decay": 1.0}}
-        cfg = write_config(tmp_path, doc)
-        assert cli_main(["bounds", str(cfg)]) == 3
-        assert cli_main(["convergence", str(cfg)]) == 3
+        for workers in (1, 2):
+            cfg = write_config(tmp_path, {**doc, "workers": workers})
+            for command in COMMANDS:
+                assert cli_main([command, str(cfg)]) == 3, (command, workers)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unknown_kernel_family_exits_2_without_outputs(self, tmp_path, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = write_config(tmp_path, {**base_doc(out), "kernel": {"family": "warp"}})
+        assert cli_main([command, str(cfg)]) == 2
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_command_builds_the_run_once(self, tmp_path, monkeypatch, command):
+        kernels, grids = [], []
+        build_kernel, grid_coefficients = harness.build_kernel, harness.grid_coefficients
+
+        def counting_kernel(spec, horizon):
+            kernels.append(spec)
+            return build_kernel(spec, horizon)
+
+        def counting_grid(kernel, delta, count):
+            grids.append(delta)
+            return grid_coefficients(kernel, delta, count)
+
+        monkeypatch.setattr(harness, "build_kernel", counting_kernel)
+        monkeypatch.setattr(harness, "grid_coefficients", counting_grid)
+        doc = {**base_doc(tmp_path / "out"), "workers": 1, "trials": 4}
+        assert cli_main([command, str(write_config(tmp_path, doc))]) == 0
+        assert len(kernels) == 1
+        if command == "verify":
+            assert grids == doc["delta_ladder"]
 
 
 class TestSubcommands:

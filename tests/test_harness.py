@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 from dataclasses import asdict
 
 import pytest
@@ -190,7 +191,8 @@ class TestRunConvergence:
                 assert after == before
 
     def test_pool_worker_builds_components_once(self, monkeypatch):
-        cfg = exponential_config(trials=4)
+        # the pool sends the config pickled, which leaves the parent's run record behind
+        cfg = pickle.loads(pickle.dumps(exponential_config(trials=4)))
         calls = []
         real = harness.build_kernel
 
@@ -199,7 +201,7 @@ class TestRunConvergence:
             return real(spec, horizon)
 
         monkeypatch.setattr(harness, "build_kernel", counting)
-        aborted, samples = harness._pool_worker((cfg, range(1, 3), harness._cell_metrics))
+        aborted, samples = harness._run_trials(cfg, range(1, 3), harness._cell_metrics)
         assert len(calls) == 1
         assert aborted == [None] * len(cfg.delta_ladder)
         assert [len(cells) for cells in samples] == [len(cfg.delta_ladder)] * 2
