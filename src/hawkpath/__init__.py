@@ -2,7 +2,14 @@
 discrete-time approximation, with exact path metrics and Monte Carlo
 convergence tooling."""
 
-from .bounds import BoundSet, bound_set, modulus_poisson_bound, rho_continuous, rho_discrete
+from .bounds import (
+    BoundSet,
+    bound_set,
+    bound_sets,
+    modulus_poisson_bound,
+    rho_continuous,
+    rho_discrete,
+)
 from .errors import (
     ConfigError,
     DivergingKernelError,

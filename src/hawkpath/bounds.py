@@ -6,11 +6,17 @@ through scaling checks (log-log slopes, monotonicity), never through level
 comparisons.  The lemma-level quantities (mean and second-moment intensity
 bounds, the compound-Poisson modulus bound) are constant-free and directly
 testable.
+
+``bound_sets`` evaluates a whole delta ladder from the grid coefficients a
+run has already sampled: what no step changes is computed once, and the
+regularity constants of all steps are one quadrature batch.  ``bound_set``
+is the one-step case.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -19,7 +25,7 @@ from .errors import InstabilityError, ParameterError
 from .kernels import (
     GridCoefficients,
     Kernel,
-    c_r,
+    _c_r_ladder,
     grid_coefficients,
     integrate,
     l1_norm,
@@ -32,6 +38,7 @@ __all__ = [
     "rho_continuous",
     "rho_discrete",
     "bound_set",
+    "bound_sets",
     "modulus_poisson_bound",
 ]
 
@@ -80,9 +87,16 @@ class BoundSet:
         return asdict(self)
 
 
-def bound_set(
+def _check_domain(eta: float, deltas: Sequence[float], T: float) -> None:
+    if not 0 < eta < 1:
+        raise ParameterError("eta must lie in (0, 1)")
+    if not all(0 < delta < T for delta in deltas):
+        raise ParameterError("need 0 < delta < T")
+
+
+def bound_sets(
     kernel: Kernel,
-    delta: float,
+    grids: Sequence[GridCoefficients],
     T: float,
     jump_rate,
     mark_model: MarkModel,
@@ -90,41 +104,36 @@ def bound_set(
     p: float = 1.0,
     *,
     allow_unstable: bool = False,
-) -> BoundSet:
-    """Evaluate every constant and theorem shape for one configuration."""
-    if not 0 < eta < 1:
-        raise ParameterError("eta must lie in (0, 1)")
-    if not 0 < delta < T:
-        raise ParameterError("need 0 < delta < T")
+) -> list[BoundSet]:
+    """Evaluate every constant and theorem shape at the step of each grid.
+
+    ``grids[i]`` holds the kernel samples at step delta_i up to T.  What no
+    step changes (rho, the mark moments, the integral of h^2 and the
+    p-variation) is computed once; the regularity constants of all steps are
+    one quadrature batch.  Every step's stability is checked before any
+    quadrature.
+    """
+    deltas = [grid.delta for grid in grids]
+    _check_domain(eta, deltas, T)
     moments = mark_moments(mark_model)
     L = jump_rate.lipschitz
     psi0 = jump_rate.at_zero
 
     rho = rho_continuous(kernel, L, mark_model)
-    M = round(T / delta)
-    grid = grid_coefficients(kernel, delta, M)
-    rho_d = rho_discrete(grid, L, mark_model)
+    rhos_d = [rho_discrete(grid, L, mark_model) for grid in grids]
     stable = rho < 1.0
-    stable_d = rho_d < 1.0
-    if not (stable and stable_d) and not allow_unstable:
-        raise InstabilityError(
-            f"stability ratios ({rho:.4g}, {rho_d:.4g}) not both < 1"
-        )
+    for rho_d in rhos_d:
+        if not (stable and rho_d < 1.0) and not allow_unstable:
+            raise InstabilityError(
+                f"stability ratios ({rho:.4g}, {rho_d:.4g}) not both < 1"
+            )
 
-    cr = c_r(kernel, delta, T)
-    cs = (1.0 / (1.0 - rho) + 1.0 / (1.0 - rho_d)) if stable and stable_d else None
+    crs = _c_r_ladder(kernel, deltas, T)
     mean_cont = psi0 / (1.0 - rho) if stable else None
-    mean_disc = psi0 / (1.0 - rho_d) if stable_d else None
     shift_const = (moments.mod_mean * L * psi0 / (1.0 - rho)) if stable else None
 
     # second moments need square-integrable kernels
     second_cont = None
-    second_disc = None
-    if stable_d:
-        h2_disc = grid.abs_l2_sq
-        second_disc = (
-            psi0**2 + L**2 * moments.mod_second * (psi0 / (1.0 - rho_d)) * h2_disc
-        ) / (1.0 - rho_d) ** 2
     if stable and not kernel.singular_at_zero:
         # float_power squares through libm pow, like a Python float ** 2;
         # np.square (x * x) differs from it in the last bit of some values
@@ -137,44 +146,75 @@ def bound_set(
         second_cont = (
             psi0**2 + L**2 * moments.mod_second * (psi0 / (1.0 - rho)) * h2
         ) / (1.0 - rho) ** 2
+    pv = p_variation(kernel, p, T) if kernel.bounded else None
 
-    sobolev = T**2 * cr + T * delta ** (1.0 - eta)
-    mart = math.sqrt(T * cr)
-    sk_unbounded = math.sqrt(delta) * (1.0 + T**1.5) + mart + T * cr
-    sk_bounded = None
-    if jump_rate.sup_norm is not None:
-        sk_bounded = delta * (1.0 + T) * (1.0 + jump_rate.sup_norm) + mart + T * cr
+    out = []
+    for grid, rho_d, cr in zip(grids, rhos_d, crs):
+        delta = grid.delta
+        stable_d = rho_d < 1.0
+        cs = (1.0 / (1.0 - rho) + 1.0 / (1.0 - rho_d)) if stable and stable_d else None
+        mean_disc = psi0 / (1.0 - rho_d) if stable_d else None
+        second_disc = None
+        if stable_d:
+            second_disc = (
+                psi0**2 + L**2 * moments.mod_second * (psi0 / (1.0 - rho_d)) * grid.abs_l2_sq
+            ) / (1.0 - rho_d) ** 2
 
-    pvar_shape = None
-    if kernel.bounded:
-        pv = p_variation(kernel, p, T)
-        pvar_shape = (
-            pv.value * T ** ((p - 1.0) / p) * delta ** (1.0 / p)
-            + delta * kernel.sup_norm
-        )
+        sobolev = T**2 * cr + T * delta ** (1.0 - eta)
+        mart = math.sqrt(T * cr)
+        sk_unbounded = math.sqrt(delta) * (1.0 + T**1.5) + mart + T * cr
+        sk_bounded = None
+        if jump_rate.sup_norm is not None:
+            sk_bounded = delta * (1.0 + T) * (1.0 + jump_rate.sup_norm) + mart + T * cr
+        pvar_shape = None
+        if pv is not None:
+            pvar_shape = (
+                pv.value * T ** ((p - 1.0) / p) * delta ** (1.0 / p)
+                + delta * kernel.sup_norm
+            )
 
-    return BoundSet(
-        delta=float(delta),
-        horizon=float(T),
-        eta=float(eta),
-        p=float(p),
-        rho_continuous=rho,
-        rho_discrete=rho_d,
-        stable_continuous=stable,
-        stable_discrete=stable_d,
-        stability_constant=cs,
-        kernel_regularity=cr,
-        mean_intensity_continuous=mean_cont,
-        mean_intensity_discrete=mean_disc,
-        second_moment_continuous=second_cont,
-        second_moment_discrete=second_disc,
-        intensity_shift_constant=shift_const,
-        sobolev_shape=sobolev,
-        skorokhod_shape_bounded=sk_bounded,
-        skorokhod_shape_unbounded=sk_unbounded,
-        martingale_shape=mart,
-        p_variation_shape=pvar_shape,
-    )
+        out.append(BoundSet(
+            delta=float(delta),
+            horizon=float(T),
+            eta=float(eta),
+            p=float(p),
+            rho_continuous=rho,
+            rho_discrete=rho_d,
+            stable_continuous=stable,
+            stable_discrete=stable_d,
+            stability_constant=cs,
+            kernel_regularity=cr,
+            mean_intensity_continuous=mean_cont,
+            mean_intensity_discrete=mean_disc,
+            second_moment_continuous=second_cont,
+            second_moment_discrete=second_disc,
+            intensity_shift_constant=shift_const,
+            sobolev_shape=sobolev,
+            skorokhod_shape_bounded=sk_bounded,
+            skorokhod_shape_unbounded=sk_unbounded,
+            martingale_shape=mart,
+            p_variation_shape=pvar_shape,
+        ))
+    return out
+
+
+def bound_set(
+    kernel: Kernel,
+    delta: float,
+    T: float,
+    jump_rate,
+    mark_model: MarkModel,
+    eta: float = 0.25,
+    p: float = 1.0,
+    *,
+    allow_unstable: bool = False,
+) -> BoundSet:
+    """Evaluate every constant and theorem shape for one configuration."""
+    _check_domain(eta, (delta,), T)
+    grid = grid_coefficients(kernel, delta, round(T / delta))
+    return bound_sets(
+        kernel, (grid,), T, jump_rate, mark_model, eta, p, allow_unstable=allow_unstable
+    )[0]
 
 
 def modulus_poisson_bound(

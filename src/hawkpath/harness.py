@@ -9,8 +9,9 @@ byte-identical.
 
 What no trial changes lives in one :class:`Run` record, ``config.run``:
 the kernel, jump rate and mark model, the atom ceiling, the grid
-coefficients of each ladder delta, the bound sets (built on first use) and
-the atoms of trial ``i``.  ``from_dict`` builds it to validate the config
+coefficients of each ladder delta, the bound sets and the constants every
+``verify`` trial reads (both built on first use) and the atoms of trial
+``i``.  ``from_dict`` builds it to validate the config
 and keeps it.  It holds closures, so it never travels to a pool worker:
 each process builds it at most once.
 """
@@ -28,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import BoundSet, bound_set, modulus_poisson_bound, rho_continuous, rho_discrete
+from .bounds import BoundSet, bound_sets, modulus_poisson_bound, rho_continuous, rho_discrete
 from .errors import ConfigError, ParameterError, RunawayIntensityError
 from .kernels import (
     Kernel,
@@ -341,13 +342,25 @@ class Run:
     def bound_sets(self) -> list[BoundSet]:
         """One bound set per ladder delta."""
         cfg = self.config
-        return [
-            bound_set(
-                self.kernel, delta, cfg.horizon, self.jump_rate, self.marks,
-                eta=cfg.sobolev_eta, allow_unstable=cfg.allow_unstable,
-            )
-            for delta in cfg.delta_ladder
-        ]
+        return bound_sets(
+            self.kernel, self.grids, cfg.horizon, self.jump_rate, self.marks,
+            eta=cfg.sobolev_eta, allow_unstable=cfg.allow_unstable,
+        )
+
+    @functools.cached_property
+    def verify_plan(self) -> "_VerifyPlan":
+        """What every trial of ``verify`` reads, built once per process."""
+        T = self.config.horizon
+        rho = rho_continuous(self.kernel, self.jump_rate.lipschitz, self.marks)
+        # the dominating rate of the compound Poisson path whose modulus is sampled
+        rate = self.jump_rate.at_zero / (1.0 - rho) if rho < 1.0 else self.jump_rate.at_zero
+        return _VerifyPlan(
+            rate=rate,
+            poisson=(zero_kernel(T), constant_rate(rate)) if rate > 0 else None,
+            times=T * np.arange(1, 21) / 20.0,
+            grid_idx=np.unique(np.linspace(1, self.grids[-1].count, 20, dtype=int)),
+            mark_mean=mark_moments(self.marks).mean,
+        )
 
     def atoms(self, trial: int) -> PoissonAtoms:
         """The base strip of trial ``trial``, drawn from the stream keyed (seed, trial)."""
@@ -373,6 +386,8 @@ _PATH_METRICS = frozenset({"sobolev", "skorokhod_exact", "skorokhod_upper"})
 
 # One ladder cell of one trial: (metric values, fell back to the surrogate)
 Cell = tuple[dict[str, float], bool]
+# A ladder cell stopped by the runaway guard: (trial, error)
+Abort = tuple[int, RunawayIntensityError]
 
 
 def _cell_metrics(
@@ -420,7 +435,7 @@ def _cell_metrics(
 
 def _run_trials(
     cfg: ExperimentConfig, trials: range, measure: Callable
-) -> tuple[list[RunawayIntensityError | None], list]:
+) -> tuple[list[Abort | None], list]:
     """Couple a range of trials across the ladder and measure each one.
 
     Each trial draws its atoms once and thins the continuous path once; the
@@ -431,11 +446,12 @@ def _run_trials(
     ``measure(cfg, trial, cont, traces)``, a module-level function or a
     partial of one, so that a process pool can send it, turns a trial into
     its sample; ``traces`` is None at every delta whose cell has hit the
-    runaway guard.  Returns, per delta, the error that aborted its cell (or
-    None), and the samples in trial order.
+    runaway guard.  A measure that returns None gives up on the run, which
+    ends the range there.  Returns, per delta, the trial and error that
+    aborted its cell (or None), and the samples in trial order.
     """
     run = cfg.run
-    aborted: list[RunawayIntensityError | None] = [None] * len(run.grids)
+    aborted: list[Abort | None] = [None] * len(run.grids)
     samples = []
     for trial in trials:
         if all(a is not None for a in aborted):
@@ -447,7 +463,7 @@ def _run_trials(
                 allow_unstable=cfg.allow_unstable,
             )
         except RunawayIntensityError as exc:
-            aborted = [exc if a is None else a for a in aborted]
+            aborted = [(trial, exc) if a is None else a for a in aborted]
             break
         traces: list[DiscreteTrace | None] = [None] * len(run.grids)
         for i, grid in enumerate(run.grids):
@@ -458,14 +474,17 @@ def _run_trials(
                     grid, run.jump_rate, run.marks, atoms, allow_unstable=cfg.allow_unstable
                 )
             except RunawayIntensityError as exc:
-                aborted[i] = exc
-        samples.append(measure(cfg, trial, cont, traces))
+                aborted[i] = (trial, exc)
+        sample = measure(cfg, trial, cont, traces)
+        if sample is None:
+            break
+        samples.append(sample)
     return aborted, samples
 
 
 def _map_trials(
     cfg: ExperimentConfig, measure: Callable
-) -> tuple[list[RunawayIntensityError | None], list]:
+) -> tuple[list[Abort | None], list]:
     """``_run_trials`` over every trial, in trial order regardless of workers.
 
     With several workers, one process pool runs contiguous trial ranges
@@ -575,7 +594,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
         for metric in config.metrics:
             shape = _theory_shape(metric, bset)
             if cell is None:
-                flag = f"aborted:{type(aborted[i]).__name__}"
+                flag = f"aborted:{type(aborted[i][1]).__name__}"
                 report.rows.append(ConvergenceRow(delta, metric, math.nan, math.nan, shape, flag))
                 continue
             mean, se = _mc_mean_se(np.array([values[metric] for values, _ in cell]))
@@ -626,6 +645,16 @@ class BoundVerdict:
 SCALING_SLOPE_MIN = 0.45
 
 
+class _VerifyPlan(NamedTuple):
+    """What every trial of ``verify`` shares (``Run.verify_plan``)."""
+
+    rate: float                  # rate of the compound Poisson path, 0 for none
+    poisson: tuple[Kernel, JumpRate] | None  # its zero kernel and constant jump rate
+    times: np.ndarray            # T k / 20, k = 1..20: continuous intensity reads
+    grid_idx: np.ndarray         # up to 20 finest-grid bins: discrete intensity reads
+    mark_mean: float             # E Y, for the compensators
+
+
 class _VerifySample(NamedTuple):
     """What one trial contributes to the Monte Carlo verdicts of ``verify``."""
 
@@ -638,19 +667,16 @@ class _VerifySample(NamedTuple):
 
 
 def _verify_sample(
-    rate: float,
     cfg: ExperimentConfig,
     trial: int,
     cont: ContinuousPath,
     traces: list[DiscreteTrace | None],
 ) -> _VerifySample | None:
-    """One trial of ``verify``; None once a delta has aborted, which fails the run.
-
-    ``rate`` is the rate of the compound Poisson path whose modulus is sampled.
-    """
+    """One trial of ``verify``; None once a delta has aborted, which fails the run."""
     if any(disc is None for disc in traces):
         return None
-    kernel, jump_rate, marks = cfg.run.kernel, cfg.run.jump_rate, cfg.run.marks
+    run = cfg.run
+    kernel, jump_rate, marks, plan = run.kernel, run.jump_rate, run.marks, run.verify_plan
     T = cfg.horizon
     delta_min = cfg.delta_ladder[-1]
     s, t = 0.25 * T, 0.75 * T
@@ -661,20 +687,18 @@ def _verify_sample(
         rd = path_to_step(disc, "risk")
         mismatch.append(abs(inc_c - float(rd.value_at(t) - rd.value_at(s))))
     disc = traces[-1]
-    grid_idx = np.unique(np.linspace(1, round(T / delta_min), 20, dtype=int))
-    mark_mean = mark_moments(marks).mean
     # the compound Poisson path draws from its own stream, (seed, trial, 1)
     modulus = math.nan
-    if rate > 0:
-        atoms = sample_atoms(T, rate, marks, (cfg.seed, trial, 1))
-        path = simulate_continuous(zero_kernel(T), constant_rate(rate), marks, T, atoms)
+    if plan.poisson is not None:
+        atoms = sample_atoms(T, plan.rate, marks, (cfg.seed, trial, 1))
+        path = simulate_continuous(*plan.poisson, marks, T, atoms)
         modulus = modulus_sparse(path_to_step(path, "risk"), delta_min)
     return _VerifySample(
         mismatch,
-        [eval_intensity(cont, kernel, jump_rate, u) for u in T * np.arange(1, 21) / 20.0],
-        disc.intensity[grid_idx],
-        cont.terminal_risk - mark_mean * integrate_intensity(cont, kernel, jump_rate),
-        disc.terminal_risk - mark_mean * float(disc.intensity[1:].sum() * delta_min),
+        [eval_intensity(cont, kernel, jump_rate, u) for u in plan.times],
+        disc.intensity[plan.grid_idx],
+        cont.terminal_risk - plan.mark_mean * integrate_intensity(cont, kernel, jump_rate),
+        disc.terminal_risk - plan.mark_mean * float(disc.intensity[1:].sum() * delta_min),
         modulus,
     )
 
@@ -687,7 +711,8 @@ def verify_bounds(config: ExperimentConfig) -> list[BoundVerdict]:
     3 standard errors``; the increment mismatch at fixed (s, t) = (T/4,
     3T/4) must scale with a log-log slope of at least ``SCALING_SLOPE_MIN``
     across the ladder (zero errors pass trivially).  The trials run on the
-    engine of ``convergence``; a runaway at any delta raises.
+    engine of ``convergence``; a runaway at any delta stops the trials and
+    raises the error of the earliest aborted trial.
     """
     run = config.run.thinnable()
     jump_rate, marks = run.jump_rate, run.marks
@@ -710,11 +735,11 @@ def verify_bounds(config: ExperimentConfig) -> list[BoundVerdict]:
 
     # each trial also samples the modulus of a compound Poisson path at the
     # dominating rate, for the constant-free modulus bound
-    rate = jump_rate.at_zero / (1.0 - rho) if rho < 1.0 else jump_rate.at_zero
-    aborted, per_trial = _map_trials(config, functools.partial(_verify_sample, rate))
-    for exc in aborted:
-        if exc is not None:
-            raise exc
+    rate = run.verify_plan.rate
+    aborted, per_trial = _map_trials(config, _verify_sample)
+    failed = [a for a in aborted if a is not None]
+    if failed:
+        raise min(failed, key=lambda a: a[0])[1]
 
     def mean_bound_verdict(name: str, samples: np.ndarray, bound: float | None):
         if bound is None:

@@ -10,12 +10,16 @@ otherwise.
 The quadrature is adaptive Simpson refined level by level (see
 ``integrate``).  Its integrand is an array function, called once per
 refinement level on the new midpoints of every open panel of a whole batch
-of integrals.  The 33 shift integrals of the eps profile form one batch,
-each of its two local refinements another, and the cells of the
-grid-projection modulus a third, so ``c_r`` evaluates a kernel a few dozen
-times.  Every integral is bit-identical to the classic depth-first
-recursion, which the tests keep as their oracle; ``_MAX_FRONTIER`` caps the
-open panels of one level.
+of integrals.  The regularity constant ``c_r`` is computed for a whole
+delta ladder at once: the head integrals of all deltas form one batch, the
+33 shift integrals of every delta's eps profile another, each of the two
+local refinements another, and the cells of every grid-projection modulus
+a last one.  The six-step cosine-decay ladder thus evaluates its kernel 87
+times, where one delta at a time took 449 calls for the same points.  A
+panel refines on its own and each integral adds its panels left to right,
+so every integral is bit-identical to the classic depth-first recursion,
+which the tests keep as their oracle, however the batch is made up;
+``_MAX_FRONTIER`` caps the open panels of one level.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -512,18 +516,27 @@ def _with_l1(kernel: Kernel) -> Kernel:
 # Operations
 # --------------------------------------------------------------------------
 
-def _abs_integral(kernel: Kernel, a: float, b: float, tol: float = 1e-9) -> float:
-    """Integral of |h| over [a, b] <= horizon, closed form when declared."""
-    if b <= a:
-        return 0.0
+def _abs_integrals(
+    kernel: Kernel, ends: Sequence[tuple[float, float]], tol: float = 1e-9
+) -> list[float]:
+    """Integral of |h| over each [a, b] of ``ends`` (b <= horizon), as one batch.
+
+    Closed form when the kernel declares its antiderivative.
+    """
     H = kernel.abs_antiderivative
     if H is not None:
-        return H(b) - H(a)
-    if kernel.singular_at_zero and a <= 0.0:
+        return [H(b) - H(a) if b > a else 0.0 for a, b in ends]
+    if kernel.singular_at_zero and any(a <= 0.0 and b > a for a, b in ends):
         raise DivergingKernelError("singular kernel without a declared antiderivative")
-    return integrate(
-        lambda t: np.abs(kernel.evaluate(t)), a, b, tol=tol, breakpoints=kernel.nonsmooth_points
+    pts = kernel.nonsmooth_points
+    return _integrate_batch(
+        lambda t, _: np.abs(kernel.evaluate(t)), [(a, b, pts) for a, b in ends], tol
     )
+
+
+def _abs_integral(kernel: Kernel, a: float, b: float, tol: float = 1e-9) -> float:
+    """Integral of |h| over [a, b] <= horizon, closed form when declared."""
+    return _abs_integrals(kernel, [(a, b)], tol)[0]
 
 
 def l1_norm(kernel: Kernel, T: float | None = None, *, tol: float = 1e-9) -> float:
@@ -550,20 +563,26 @@ def grid_coefficients(kernel: Kernel, delta: float, count: int) -> GridCoefficie
     return GridCoefficients(delta=float(delta), count=int(count), values=values)
 
 
-def _shift_integrals(kernel: Kernel, eps: np.ndarray, upper: float, tol: float) -> np.ndarray:
-    """Integral over [0, upper] of |h(y + e) - h(y)| dy for every e in eps."""
+def _check_steps(deltas: Sequence[float], T: float) -> None:
+    if not all(0 < delta < T for delta in deltas):
+        raise ParameterError("need 0 < delta < T")
+
+
+def _shift_integrals(kernel: Kernel, eps: np.ndarray, upper: np.ndarray, tol: float) -> np.ndarray:
+    """Integral over [0, upper_i] of |h(y + eps_i) - h(y)| dy for every eps_i;
+    the integrals of the nonzero eps are one quadrature batch."""
     out = np.zeros(len(eps))
+    live = np.flatnonzero(eps != 0.0)
+    shifts = eps[live]
+    uppers = upper[live].tolist()
     H = kernel.abs_antiderivative
-    live = [i for i, e in enumerate(eps) if e != 0.0]
     if kernel.monotone_decreasing and H is not None:
         # decreasing h >= 0: |h(y+eps) - h(y)| telescopes to a difference of
         # two integrals of h itself, which survives the singular families
-        for i in live:
-            out[i] = H(upper) - (H(upper + eps[i]) - H(eps[i]))
+        out[live] = [H(u) - (H(u + e) - H(e)) for e, u in zip(shifts.tolist(), uppers)]
         return out
     pts = kernel.nonsmooth_points
-    spans = [(0.0, upper, tuple({*pts, *(p - eps[i] for p in pts)})) for i in live]
-    shifts = eps[live]
+    spans = [(0.0, u, tuple({*pts, *(p - e for p in pts)})) for e, u in zip(shifts, uppers)]
 
     def g(y: np.ndarray, j: np.ndarray) -> np.ndarray:
         pair = kernel.evaluate(np.concatenate((y + shifts[j], np.maximum(y, 1e-300))))
@@ -573,11 +592,25 @@ def _shift_integrals(kernel: Kernel, eps: np.ndarray, upper: float, tol: float) 
     return out
 
 
-def _shift_profile(
-    kernel: Kernel, delta: float, T: float, grid: int, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    eps = np.linspace(0.0, delta, grid)
-    return eps, _shift_integrals(kernel, eps, T - delta, tol)
+def _shift_moduli(
+    kernel: Kernel, deltas: Sequence[float], T: float, grid: int, tol: float
+) -> list[float]:
+    """``shift_modulus`` at every delta: the eps meshes of all deltas are one
+    quadrature batch, and so are the interior eps of each local refinement."""
+    uppers = np.array([T - delta for delta in deltas])
+    eps = np.array([np.linspace(0.0, delta, grid) for delta in deltas])
+    vals = _shift_integrals(kernel, eps.ravel(), np.repeat(uppers, grid), tol).reshape(eps.shape)
+    best = vals.max(axis=1).tolist()
+    rows = np.arange(len(deltas))
+    for _ in range(2):
+        k = np.argmax(vals, axis=1)
+        lo, hi = np.maximum(k - 1, 0), np.minimum(k + 1, eps.shape[1] - 1)
+        # linspace keeps both endpoints exact, so their integrals are known
+        eps = np.array([np.linspace(a, b, 5) for a, b in zip(eps[rows, lo], eps[rows, hi])])
+        inner = _shift_integrals(kernel, eps[:, 1:4].ravel(), np.repeat(uppers, 3), tol)
+        vals = np.column_stack((vals[rows, lo], inner.reshape(-1, 3), vals[rows, hi]))
+        best = [max(b, v) for b, v in zip(best, vals.max(axis=1).tolist())]
+    return best
 
 
 def shift_modulus(
@@ -599,41 +632,25 @@ def shift_modulus(
     """
     if T is None:
         T = kernel.horizon
-    if not 0 < delta < T:
-        raise ParameterError("need 0 < delta < T")
-    eps, vals = _shift_profile(kernel, delta, T, grid, tol)
-    best = float(vals.max())
-    for _ in range(2):
-        k = int(np.argmax(vals))
-        lo, hi = max(k - 1, 0), min(k + 1, len(eps) - 1)
-        # linspace keeps both endpoints exact, so their integrals are known
-        eps = np.linspace(eps[lo], eps[hi], 5)
-        inner = _shift_integrals(kernel, eps[1:4], T - delta, tol)
-        vals = np.concatenate(([vals[lo]], inner, [vals[hi]]))
-        best = max(best, float(vals.max()))
-    return best
+    _check_steps((delta,), T)
+    return _shift_moduli(kernel, (delta,), T, grid, tol)[0]
 
 
-def grid_projection_modulus(
-    kernel: Kernel, delta: float, T: float | None = None, *, tol: float = 1e-9
-) -> float:
-    """Integral over [0, T - delta] of |h(y) - h((y)_grid + delta)| dy.
-
-    (y)_grid is the projection of y onto the delta-grid from below, so each
-    grid cell compares h against its value at the cell's right endpoint.  The
-    cells are integrated as one quadrature batch and added in order.
-    """
-    if T is None:
-        T = kernel.horizon
-    if not 0 < delta < T:
-        raise ParameterError("need 0 < delta < T")
-    upper = T - delta
-    cells = []
-    k = 1
-    while (k - 1) * delta < upper - 1e-15:
-        cells.append(((k - 1) * delta, min(k * delta, upper)))
-        k += 1
-    targets = np.asarray(kernel.evaluate(delta * np.arange(1, k)), dtype=float)
+def _projection_moduli(
+    kernel: Kernel, deltas: Sequence[float], T: float, tol: float
+) -> list[float]:
+    """``grid_projection_modulus`` at every delta; the cells of all deltas are
+    one quadrature batch, their grid targets one kernel call."""
+    cells, owner, lags = [], [], []
+    for i, delta in enumerate(deltas):
+        upper = T - delta
+        k = 1
+        while (k - 1) * delta < upper - 1e-15:
+            cells.append(((k - 1) * delta, min(k * delta, upper)))
+            k += 1
+        owner += [i] * (k - 1)
+        lags.append(delta * np.arange(1, k))
+    targets = np.asarray(kernel.evaluate(np.concatenate(lags)), dtype=float)
     H = kernel.abs_antiderivative
     if kernel.monotone_decreasing and H is not None:
         # h >= target on the whole cell: the absolute value drops
@@ -647,10 +664,40 @@ def grid_projection_modulus(
         parts = _integrate_batch(
             g, [(lo, hi, kernel.nonsmooth_points) for lo, hi in cells], tol
         )
-    total = 0.0
-    for part in parts:
-        total += part
-    return total
+    totals = [0.0] * len(deltas)
+    for i, part in zip(owner, parts):
+        totals[i] += part
+    return totals
+
+
+def grid_projection_modulus(
+    kernel: Kernel, delta: float, T: float | None = None, *, tol: float = 1e-9
+) -> float:
+    """Integral over [0, T - delta] of |h(y) - h((y)_grid + delta)| dy.
+
+    (y)_grid is the projection of y onto the delta-grid from below, so each
+    grid cell compares h against its value at the cell's right endpoint.  The
+    cells are integrated as one quadrature batch and added in order.
+    """
+    if T is None:
+        T = kernel.horizon
+    _check_steps((delta,), T)
+    return _projection_moduli(kernel, (delta,), T, tol)[0]
+
+
+def _c_r_ladder(
+    kernel: Kernel, deltas: Sequence[float], T: float, tol: float = 1e-9
+) -> list[float]:
+    """``c_r`` at every delta of ``deltas``: each quadrature stage (head
+    integrals, shift mesh, each local refinement, projection cells) is one
+    batch over the whole ladder."""
+    _check_steps(deltas, T)
+    if not deltas:
+        return []
+    heads = _abs_integrals(kernel, [(0.0, delta) for delta in deltas], tol)
+    shifts = _shift_moduli(kernel, deltas, T, grid=33, tol=tol)
+    projections = _projection_moduli(kernel, deltas, T, tol)
+    return [h + s + p for h, s, p in zip(heads, shifts, projections)]
 
 
 def c_r(kernel: Kernel, delta: float, T: float | None = None, *, tol: float = 1e-9) -> float:
@@ -661,14 +708,7 @@ def c_r(kernel: Kernel, delta: float, T: float | None = None, *, tol: float = 1e
     """
     if T is None:
         T = kernel.horizon
-    if not 0 < delta < T:
-        raise ParameterError("need 0 < delta < T")
-    head = _abs_integral(kernel, 0.0, delta, tol)
-    return (
-        head
-        + shift_modulus(kernel, delta, T, tol=tol)
-        + grid_projection_modulus(kernel, delta, T, tol=tol)
-    )
+    return _c_r_ladder(kernel, (delta,), T, tol)[0]
 
 
 @dataclass(frozen=True)

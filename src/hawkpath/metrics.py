@@ -285,7 +285,10 @@ def modulus_sparse(path: StepPath, delta: float) -> float:
     that set only grows with k), keeping the running min and max of the
     segment values the cell [pos_c, pos_k) covers.  The oscillation only
     grows as c falls, so the walk stops once it reaches the best cell so
-    far: no further left end can improve max(dp[c], oscillation).
+    far: no further left end can improve max(dp[c], oscillation).  The
+    first gap exceeds delta, so no partition has a point in (0, delta]:
+    those candidates are left out, and a walk past the first candidate
+    beyond delta steps straight to 0, still covering every segment between.
     """
     T = path.horizon
     if not 0.0 < delta < T:
@@ -296,7 +299,7 @@ def modulus_sparse(path: StepPath, delta: float) -> float:
     cands.update(
         0.5 * (a + b) for a, b in zip(jumps[:-1], jumps[1:])
     )
-    pos = sorted(c for c in cands if 0.0 <= c <= T)
+    pos = sorted(c for c in cands if c == 0.0 or delta < c <= T)
     bp = path.breakpoints
     vals = path.values.tolist()
     # segment holding each candidate, and last segment strictly before it

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,18 @@ class MarkModel:
             return (y >= self.mod_params[0]).astype(float)
         return np.abs(y)  # absolute-value
 
+    @cached_property
+    def _moments(self) -> "MarkMoments":
+        mean, abs_mean, second = _closed_form_dist_moments(self)
+        if self.modulation == "constant-one":
+            mm, ms = 1.0, 1.0
+        elif self.modulation == "indicator":
+            mm = _tail_probability(self, self.mod_params[0])
+            ms = mm
+        else:  # absolute-value
+            mm, ms = abs_mean, second
+        return MarkMoments(mean, abs_mean, second, mm, ms)
+
 
 @dataclass(frozen=True)
 class MarkMoments:
@@ -125,16 +138,9 @@ def _tail_probability(model: MarkModel, a: float) -> float:
 
 
 def mark_moments(model: MarkModel) -> MarkMoments:
-    """Closed-form moments of the mark Y and of its modulation b(Y)."""
-    mean, abs_mean, second = _closed_form_dist_moments(model)
-    if model.modulation == "constant-one":
-        mm, ms = 1.0, 1.0
-    elif model.modulation == "indicator":
-        mm = _tail_probability(model, model.mod_params[0])
-        ms = mm
-    else:  # absolute-value
-        mm, ms = abs_mean, second
-    return MarkMoments(mean, abs_mean, second, mm, ms)
+    """Closed-form moments of the mark Y and of its modulation b(Y), computed
+    once per model."""
+    return model._moments
 
 
 # --------------------------------------------------------------------------

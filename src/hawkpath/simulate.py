@@ -8,6 +8,7 @@ per time bin and accepts bin atoms under that frozen level.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -411,6 +412,15 @@ def eval_intensity(path: ContinuousPath, kernel: Kernel, jump_rate: JumpRate, t:
     return float(jump_rate.fn(s))
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``order``-point rule on [-1, 1], built on first
+    use; read-only, as every call shares them."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def integrate_intensity(
     path: ContinuousPath,
     kernel: Kernel,
@@ -428,7 +438,7 @@ def integrate_intensity(
     if T is None:
         T = path.horizon
     edges = np.unique(np.concatenate(([0.0], path.times[path.times < T], [T])))
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_legendre(order)
     widths = np.diff(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
     ts = (mids[:, None] + 0.5 * widths[:, None] * nodes[None, :]).ravel()

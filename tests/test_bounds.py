@@ -5,7 +5,13 @@ import pytest
 
 import hawkpath as hp
 from hawkpath import bounds
-from hawkpath.bounds import bound_set, modulus_poisson_bound, rho_continuous, rho_discrete
+from hawkpath.bounds import (
+    bound_set,
+    bound_sets,
+    modulus_poisson_bound,
+    rho_continuous,
+    rho_discrete,
+)
 from hawkpath.errors import InstabilityError, ParameterError
 from hawkpath.kernels import c_r, grid_coefficients, grid_projection_modulus, p_variation
 
@@ -157,6 +163,68 @@ class TestBoundSet:
     def test_eta_domain(self, exp_kernel, unit_marks):
         with pytest.raises(ParameterError):
             bound_set(exp_kernel, 0.1, 5.0, hp.relu_affine(1.0), unit_marks, eta=1.5)
+
+
+LADDER = (0.5, 0.25, 0.1, 0.05, 0.0125)
+
+
+def ladder_grids(kernel, T=5.0, ladder=LADDER):
+    return tuple(grid_coefficients(kernel, d, round(T / d)) for d in ladder)
+
+
+class TestBoundSets:
+    @pytest.mark.parametrize("family", [
+        "cosine-decay", "exponential", "compact", "tabulated", "inverse-sqrt", "unstable",
+    ])
+    def test_equals_one_bound_set_per_step(self, family, unit_marks):
+        kernel = {
+            "cosine-decay": hp.cosine_decay_kernel(0.6, 5.0),
+            "exponential": hp.exponential_kernel(0.604, 1.0, 5.0),
+            "compact": hp.compact_kernel(0.5, 1.3, 5.0),
+            "tabulated": hp.tabulated_kernel([(0, 0.3), (1.1, 0.5), (2.3, -0.1), (5, 0.05)], 5.0),
+            "inverse-sqrt": hp.inverse_sqrt_kernel(5.0, 0.1),
+            "unstable": hp.exponential_kernel(1.5, 1.0, 5.0),
+        }[family]
+        allow = family == "unstable"
+        jr = hp.clipped_affine(1.0, 3.0)
+        batched = bound_sets(
+            kernel, ladder_grids(kernel), 5.0, jr, unit_marks, 0.3, allow_unstable=allow
+        )
+        single = [
+            bound_set(kernel, d, 5.0, jr, unit_marks, 0.3, allow_unstable=allow)
+            for d in LADDER
+        ]
+        assert [b.to_dict() for b in batched] == [b.to_dict() for b in single]
+        assert [b.delta for b in batched] == list(LADDER)
+
+    def test_run_invariants_computed_once(self, cos_kernel, unit_marks, monkeypatch):
+        calls = []
+        for name in ("rho_continuous", "integrate", "p_variation", "_c_r_ladder"):
+            real = getattr(bounds, name)
+            monkeypatch.setattr(
+                bounds, name,
+                lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k),
+            )
+        bound_sets(cos_kernel, ladder_grids(cos_kernel), 5.0, hp.relu_affine(1.0), unit_marks)
+        assert sorted(calls) == ["_c_r_ladder", "integrate", "p_variation", "rho_continuous"]
+
+    def test_every_step_checked_before_quadrature(self, unit_marks, monkeypatch):
+        # the finest step is stable, the coarsest is not: no constant is
+        # integrated before the instability is reported
+        k = hp.tabulated_kernel([(0, 0), (0.9, 0), (1, 1.5), (1.1, 0), (5, 0)], 5.0)
+        grids = ladder_grids(k, ladder=(1.0, 0.0125))
+        assert rho_continuous(k, 1.0, unit_marks) < 1.0
+        assert rho_discrete(grids[0], 1.0, unit_marks) >= 1.0
+        assert rho_discrete(grids[1], 1.0, unit_marks) < 1.0
+
+        def never(*args, **kwargs):
+            raise AssertionError("quadrature before the stability check")
+
+        monkeypatch.setattr(bounds, "_c_r_ladder", never)
+        with pytest.raises(InstabilityError):
+            bound_sets(k, grids[::-1], 5.0, hp.relu_affine(1.0), unit_marks)
+        with pytest.raises(ParameterError):
+            bound_sets(k, grids, 1.0, hp.relu_affine(1.0), unit_marks)
 
 
 class TestPVariationDomination:

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hawkpath import harness
+from hawkpath import bounds, harness
 from hawkpath.cli import cli_main
 
 COMMANDS = ("simulate", "couple", "convergence", "bounds", "verify")
@@ -135,11 +138,26 @@ class TestExitCodes:
 
         monkeypatch.setattr(harness, "build_kernel", counting_kernel)
         monkeypatch.setattr(harness, "grid_coefficients", counting_grid)
+        monkeypatch.setattr(bounds, "grid_coefficients", counting_grid)
         doc = {**base_doc(tmp_path / "out"), "workers": 1, "trials": 4}
         assert cli_main([command, str(write_config(tmp_path, doc))]) == 0
         assert len(kernels) == 1
-        if command == "verify":
-            assert grids == doc["delta_ladder"]
+        # the bound sets read the record's grids
+        assert grids == doc["delta_ladder"]
+
+    def test_module_entry_point_exits_2_on_a_missing_config(self, tmp_path):
+        # a checkout without `pip install` runs the CLI as a module
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-m", "hawkpath.cli", "bounds", str(tmp_path / "missing.json")],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+            cwd=tmp_path,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("config error:")
+        assert "Traceback" not in result.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSubcommands:

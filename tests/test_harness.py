@@ -244,8 +244,10 @@ class TestVerifyBounds:
     def test_runaway_in_one_cell_fails_the_run(self, monkeypatch, tmp_path):
         cfg = exponential_config(trials=12, workers=1)
         real = harness.simulate_discrete
+        simulated = []
 
         def runaway_at_quarter(grid, jump_rate, marks, atoms, **kwargs):
+            simulated.append(atoms.seed_entropy[1])
             if grid.delta == 0.25 and atoms.seed_entropy == (cfg.seed, 5):
                 raise RunawayIntensityError("injected")
             return real(grid, jump_rate, marks, atoms, **kwargs)
@@ -253,11 +255,30 @@ class TestVerifyBounds:
         monkeypatch.setattr(harness, "simulate_discrete", runaway_at_quarter)
         with pytest.raises(RunawayIntensityError, match="injected"):
             verify_bounds(cfg)
+        # the run stops at the failed trial: trials 6-11 are never simulated
+        assert simulated == [t for t in range(6) for _ in cfg.delta_ladder]
         path = tmp_path / "config.json"
         path.write_text(json.dumps(asdict(cfg)), encoding="utf-8")
         out = tmp_path / "out"
         assert cli_main(["verify", str(path), "--output-dir", str(out)]) == 4
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_runaway_error_is_the_earliest_trials(self, monkeypatch, workers):
+        # trial 5 fails at a fine step, trial 8 (in the second worker's
+        # range) at the coarsest: whatever the worker count, trial 5's error
+        cfg = exponential_config(trials=12, workers=workers)
+        real = harness.simulate_discrete
+
+        def runaway(grid, jump_rate, marks, atoms, **kwargs):
+            trial = atoms.seed_entropy[1]
+            if (trial, grid.delta) in ((5, 0.25), (8, cfg.delta_ladder[0])):
+                raise RunawayIntensityError(f"trial {trial}")
+            return real(grid, jump_rate, marks, atoms, **kwargs)
+
+        monkeypatch.setattr(harness, "simulate_discrete", runaway)
+        with pytest.raises(RunawayIntensityError, match="trial 5"):
+            verify_bounds(cfg)
 
     def test_unstable_override_fails_stability_but_completes(self):
         cfg = exponential_config(

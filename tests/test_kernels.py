@@ -14,7 +14,7 @@ from hawkpath.kernels import (
     _CHUNK,
     _MAX_FRONTIER,
     _abs_integral,
-    _shift_profile,
+    _shift_integrals,
     c_r,
     grid_coefficients,
     grid_projection_modulus,
@@ -171,6 +171,43 @@ class TestQuadratureMatchesRecursion:
             tracemalloc.stop()
         assert peak < 512 * _MAX_FRONTIER
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kernel=quadrature_kernels(),
+        fracs=st.lists(
+            st.floats(min_value=0.01, max_value=0.4), min_size=1, max_size=4, unique=True
+        ),
+        tol=tolerances,
+    )
+    def test_ladder_batch(self, kernel, fracs, tol):
+        # each stage is one batch over the whole ladder, yet every delta's
+        # constant is the sum of its own three scalar-recursion terms
+        T = kernel.horizon
+        ladder = tuple(f * T for f in sorted(fracs))
+        got = kernels._c_r_ladder(kernel, ladder, T, tol)
+        assert len(got) == len(ladder)
+        for delta, value in zip(ladder, got):
+            head, shift, proj = regularity_terms_reference(kernel, delta, T, tol)
+            assert value == head + shift + proj
+
+    def test_ladder_batch_calls_the_kernel_once_per_stage_level(self):
+        # the six deltas share every refinement level: one delta at a time
+        # took 449 calls for the same points
+        kernel = hp.cosine_decay_kernel(0.6, 5.0)
+        calls = []
+
+        def counting(t):
+            calls.append(np.size(t))
+            return kernel.evaluate(t)
+
+        ladder = (0.5, 0.25, 0.1, 0.05, 0.025, 0.0125)
+        kernels._c_r_ladder(replace(kernel, evaluate=counting), ladder, 5.0)
+        assert len(calls) <= 100
+
+    def test_ladder_batch_checks_every_step_first(self, cos_kernel):
+        with pytest.raises(ParameterError):
+            kernels._c_r_ladder(cos_kernel, (0.5, 5.0), 5.0)
+
     def test_c_r_calls_the_kernel_once_per_refinement_level(self):
         kernel = hp.cosine_decay_kernel(0.6, 5.0)
         calls = []
@@ -234,7 +271,7 @@ class TestShiftModulus:
         assert got == pytest.approx(oracle, abs=1e-6)
 
     def test_monotone_kernel_maximizer_is_right_endpoint(self, exp_kernel):
-        eps, vals = _shift_profile(exp_kernel, 0.2, 5.0, 33, 1e-9)
+        vals = _shift_integrals(exp_kernel, np.linspace(0.0, 0.2, 33), np.full(33, 4.8), 1e-9)
         assert int(np.argmax(vals)) == 32
 
     def test_refinements_integrate_only_new_eps(self, cos_kernel, monkeypatch):

@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -475,6 +478,28 @@ class TestFeasibleEps:
             assert feasible_eps(rc, rd, eps) == feasible_eps_grid(rc, rd, eps), eps
 
 
+def walk_steps(path, delta):
+    """modulus_sparse(path, delta) and the number of left ends its walk visits."""
+    code = modulus_sparse.__code__
+    lines, first = inspect.getsourcelines(modulus_sparse)
+    target = first + next(i for i, line in enumerate(lines) if line.strip() == "osc = hi - lo")
+    steps = 0
+
+    def local(frame, event, arg):
+        nonlocal steps
+        if event == "line" and frame.f_lineno == target:
+            steps += 1
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        value = modulus_sparse(path, delta)
+    finally:
+        sys.settrace(previous)
+    return value, steps
+
+
 class TestModulusSparse:
     def test_constant_path(self):
         c = make_step_path([0.0], [3.0], 1.0)
@@ -534,11 +559,12 @@ class TestModulusSparse:
 
     def test_equals_quadratic_oracle_on_integer_signed_paths(self, rng):
         # integer values make ties between a cell's oscillation and the best
-        # cell so far common, the boundary of the walk's early stop
+        # cell so far common, the boundary of the walk's early stop; the
+        # larger deltas leave many candidates in (0, delta] out of the walk
         for _ in range(40):
             f = random_step_path(rng, horizon=2.0, max_jumps=40, integer_values=True)
             gap = float(np.diff(np.append(f.breakpoints, f.horizon)).min())
-            for delta in (gap, f.horizon / 10, 0.1):
+            for delta in (gap, f.horizon / 10, 0.1, 0.5, 1.0):
                 assert modulus_sparse(f, delta) == modulus_sparse_quadratic(f, delta)
 
     def test_equals_quadratic_oracle_on_coupled_paths(self):
@@ -546,6 +572,15 @@ class TestModulusSparse:
             for path in poisson_pair(seed):
                 for delta in (0.25, 0.5, float(np.diff(path.breakpoints).min())):
                     assert modulus_sparse(path, delta) == modulus_sparse_quadratic(path, delta)
+
+    def test_walk_steps_on_a_long_path(self):
+        # 1,000 unit jumps on [0, 200] at delta = T / 10: no partition has a
+        # point in (0, delta], and leaving those candidates out of the walk
+        # saves a third of its steps (54,422 with them); 118 is the value of
+        # modulus_sparse_quadratic on this path, which takes seconds
+        rng = np.random.default_rng((200, 1000))
+        f = step_from_jumps(np.sort(rng.uniform(0.0, 200.0, 1000)), np.ones(1000), 200.0)
+        assert walk_steps(f, 20.0) == (118.0, 35748)
 
 
 class TestSkorokhodUpperBound:

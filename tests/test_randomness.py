@@ -6,6 +6,7 @@ from scipy import stats
 
 import hawkpath as hp
 from hawkpath.errors import ParameterError
+from hawkpath import randomness
 from hawkpath.randomness import mark_moments
 
 
@@ -167,6 +168,24 @@ class TestMarkMoments:
         m = mark_moments(hp.MarkModel("lognormal", (0.1, 0.4)))
         assert m.abs_mean == pytest.approx(math.exp(0.1 + 0.08), rel=1e-12)
         assert m.second == pytest.approx(math.exp(0.2 + 0.32), rel=1e-12)
+
+    def test_closed_forms_computed_once_per_model(self, monkeypatch):
+        calls = []
+        real = randomness._closed_form_dist_moments
+
+        def counting(model):
+            calls.append(model)
+            return real(model)
+
+        monkeypatch.setattr(randomness, "_closed_form_dist_moments", counting)
+        model = hp.MarkModel("exponential", (2.0,), modulation="indicator", mod_params=(1.0,))
+        first = mark_moments(model)
+        assert all(mark_moments(model) is first for _ in range(3))
+        assert calls == [model]
+        other = hp.MarkModel("lognormal", (0.1, 0.4))
+        mark_moments(other)
+        mark_moments(other)
+        assert calls == [model, other]
 
     def test_indicator_tail_probabilities(self):
         m = mark_moments(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hawkpath as hp
+from hawkpath import simulate
 from _oracles import compound_poisson_scheme, discrete_scheme_reference
 from hawkpath.errors import (
     InstabilityError,
@@ -150,6 +151,27 @@ class TestEvalIntensity:
         t = 3.25
         expected = 0.5 + 0.8 * (math.exp(-2 * (t - 1.0)) + math.exp(-2 * (t - 2.0)))
         assert eval_intensity(path, kernel, jr, t) == pytest.approx(expected, abs=1e-12)
+
+    def test_gauss_legendre_rule_built_once_per_order(self, unit_marks, monkeypatch):
+        calls = []
+        real = np.polynomial.legendre.leggauss
+
+        def counting(order):
+            calls.append(order)
+            return real(order)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        simulate._gauss_legendre.cache_clear()
+        kernel = hp.exponential_kernel(0.6, 1.0, 5.0)
+        jr = hp.relu_affine(1.0)
+        path = hp.simulate_continuous(
+            kernel, jr, unit_marks, 5.0, hp.sample_atoms(5.0, 4.0, unit_marks, 2)
+        )
+        first = integrate_intensity(path, kernel, jr)
+        assert [integrate_intensity(path, kernel, jr) for _ in range(3)] == [first] * 3
+        coarse = [integrate_intensity(path, kernel, jr, order=8) for _ in range(2)]
+        assert calls == [16, 8]
+        assert coarse[0] == coarse[1] == pytest.approx(first, rel=1e-8)
 
     def test_integrated_intensity_flat_case(self, unit_marks):
         atoms = hp.sample_atoms(10.0, 2.0, unit_marks, 3)
