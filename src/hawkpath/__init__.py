@@ -41,7 +41,6 @@ from .kernels import (
     zero_kernel,
 )
 from .metrics import (
-    SKOROKHOD_JUMP_CAP,
     PowerLawFit,
     feasible_eps,
     fit_powerlaw,

@@ -44,7 +44,6 @@ from .kernels import (
     zero_kernel,
 )
 from .metrics import (
-    SKOROKHOD_JUMP_CAP,
     PowerLawFit,
     fit_powerlaw,
     modulus_sparse,
@@ -171,6 +170,8 @@ class ExperimentConfig:
         for m in metrics:
             if m not in METRIC_NAMES:
                 raise ConfigError(f"unknown metric {m!r}; choose from {METRIC_NAMES}")
+        if not metrics or len(set(metrics)) < len(metrics):
+            raise ConfigError("metrics must be a nonempty list of distinct names")
         eta = _finite(doc.get("sobolev_eta", 0.25), "sobolev_eta")
         if not 0.0 < eta < 1.0:
             raise ConfigError("sobolev_eta must lie in (0, 1)")
@@ -384,8 +385,6 @@ class Run:
 
 _PATH_METRICS = frozenset({"sobolev", "skorokhod_exact", "skorokhod_upper"})
 
-# One ladder cell of one trial: (metric values, fell back to the surrogate)
-Cell = tuple[dict[str, float], bool]
 # A ladder cell stopped by the runaway guard: (trial, error)
 Abort = tuple[int, RunawayIntensityError]
 
@@ -395,22 +394,18 @@ def _cell_metrics(
     trial: int,
     cont: ContinuousPath,
     traces: list[DiscreteTrace | None],
-) -> list[Cell | None]:
-    """One trial of ``convergence``: every requested metric at each delta still running.
-
-    The continuous risk path is shared by the trial's cells.  The grid
-    surrogate is computed at most once per cell, whether ``skorokhod_upper``
-    asks for it or ``skorokhod_exact`` falls back to it past the jump cap.
+) -> list[dict[str, float] | None]:
+    """One trial of ``convergence``: every requested metric at each delta still
+    running (None at an aborted one).  The continuous risk path is shared by
+    the trial's cells; ``skorokhod_upper`` takes one sparse modulus per cell.
     """
     rc = path_to_step(cont, "risk") if _PATH_METRICS & set(cfg.metrics) else None
-    cells: list[Cell | None] = []
+    cells: list[dict[str, float] | None] = []
     for delta, disc in zip(cfg.delta_ladder, traces):
         if disc is None:
             cells.append(None)
             continue
         values: dict[str, float] = {}
-        downgraded = False
-        surrogate = None
         rd = path_to_step(disc, "risk") if rc is not None else None
         for name in cfg.metrics:
             if name == "terminal_count":
@@ -419,17 +414,14 @@ def _cell_metrics(
                 values[name] = abs(cont.terminal_risk - disc.terminal_risk)
             elif name == "sobolev":
                 values[name] = sobolev_distance(rc, rd, cfg.sobolev_eta)
-            elif name == "skorokhod_exact" and max(rc.jump_count, rd.jump_count) <= SKOROKHOD_JUMP_CAP:
+            elif name == "skorokhod_exact":
                 values[name] = skorokhod_distance(rc, rd)
-            else:  # skorokhod_upper, or skorokhod_exact past the jump cap
-                if surrogate is None:
-                    grid = delta * np.arange(disc.count + 1)
-                    surrogate = skorokhod_upper_bound(
-                        rc.value_at(grid), disc.risk, modulus_sparse(rc, delta), delta
-                    )
-                values[name] = surrogate
-                downgraded = downgraded or name == "skorokhod_exact"
-        cells.append((values, downgraded))
+            else:  # skorokhod_upper
+                grid = delta * np.arange(disc.count + 1)
+                values[name] = skorokhod_upper_bound(
+                    rc.value_at(grid), disc.risk, modulus_sparse(rc, delta), delta
+                )
+        cells.append(values)
     return cells
 
 
@@ -597,10 +589,8 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
                 flag = f"aborted:{type(aborted[i][1]).__name__}"
                 report.rows.append(ConvergenceRow(delta, metric, math.nan, math.nan, shape, flag))
                 continue
-            mean, se = _mc_mean_se(np.array([values[metric] for values, _ in cell]))
-            downgraded = metric == "skorokhod_exact" and any(d for _, d in cell)
-            flag = "surrogate" if downgraded else ""
-            report.rows.append(ConvergenceRow(delta, metric, mean, se, shape, flag))
+            mean, se = _mc_mean_se(np.array([values[metric] for values in cell]))
+            report.rows.append(ConvergenceRow(delta, metric, mean, se, shape))
             per_metric_points[metric].append((delta, mean))
     for metric, pts in per_metric_points.items():
         positive = [(d, m) for d, m in pts if m > 0 and math.isfinite(m)]

@@ -2,11 +2,11 @@
 
 All metrics here are exact for step paths: the fractional Sobolev norm
 reduces to a closed-form double sum over segment pairs, the Skorokhod
-distance to a bracketed search over finitely many critical values, each
-step a feasibility decision computed by dynamic programming on the
-interleaved jumps, and the sparse modulus to a minimax partition search
-over a finite candidate set.  Every operation is a pure function, safe for
-concurrent use.
+distance (at any jump count) to a bracketed search over finitely many
+critical values, each step a feasibility decision computed by dynamic
+programming on the interleaved jumps, and the sparse modulus to a minimax
+partition search over a finite candidate set.  Every operation is a pure
+function, safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .errors import ParameterError
 from .simulate import StepPath, make_step_path
 
 __all__ = [
-    "SKOROKHOD_JUMP_CAP",
     "PowerLawFit",
     "step_sub",
     "uniform_distance",
@@ -32,11 +31,6 @@ __all__ = [
     "skorokhod_upper_bound",
     "fit_powerlaw",
 ]
-
-
-# Jumps per path above which the exact Skorokhod algorithm refuses a pair;
-# callers fall back to the grid surrogate.
-SKOROKHOD_JUMP_CAP = 500
 
 
 def _require_same_horizon(f: StepPath, g: StepPath) -> float:
@@ -186,12 +180,33 @@ def feasible_eps(f: StepPath, g: StepPath, eps: float) -> bool:
     return True
 
 
-def skorokhod_distance(
-    f: StepPath,
-    g: StepPath,
-    *,
-    max_jumps: int = SKOROKHOD_JUMP_CAP,
-) -> float:
+# Rows per block in ``_gaps_within``: it never holds an m x n table.
+_GAP_ROWS = 256
+
+
+def _gaps_within(x: np.ndarray, y: np.ndarray, u: float) -> np.ndarray:
+    """Every |x_i - y_j| <= u of ascending x and y: the same floats as the
+    dense table ``np.abs(np.subtract.outer(x, y))`` holds, in row blocks.
+
+    Each block of x meets only the columns of y within u of it, plus a few
+    ulps of the largest magnitude to cover rounding (one index either side
+    does not: floats just past x_i - u can sit closer than an ulp of u).
+    """
+    if len(x) == 0 or len(y) == 0:
+        return np.empty(0)
+    # 4 machine epsilons of the largest magnitude (x and y are sorted)
+    reach = u + 2.0**-50 * max(-x[0], x[-1], -y[0], y[-1], u)
+    gaps = []
+    for k in range(0, len(x), _GAP_ROWS):
+        rows = x[k : k + _GAP_ROWS]
+        lo = np.searchsorted(y, rows[0] - reach)
+        hi = np.searchsorted(y, rows[-1] + reach, "right")
+        block = np.abs(np.subtract.outer(rows, y[lo:hi])).ravel()
+        gaps.append(block[block <= u])
+    return np.concatenate(gaps)
+
+
+def skorokhod_distance(f: StepPath, g: StepPath) -> float:
     """Exact Skorokhod distance between canonical step paths.
 
     Every comparison ``feasible_eps`` makes sets eps against one of the
@@ -219,27 +234,19 @@ def skorokhod_distance(
     log2(#value gaps <= u) + 1 calls when the answer is a value gap, as on
     coupled count paths, and log2(#critical values in the bracket) more
     otherwise.  Every search for the first passing gap of this monotone
-    predicate returns the same critical value.
-    Exact computation is limited to paths with at most ``max_jumps`` jumps
-    each; larger paths should use the grid surrogate instead.
+    predicate returns the same critical value.  The gaps up to u come in
+    bounded row blocks from ``_gaps_within``, the value gaps from the sorted
+    values (the set of gaps does not depend on their order).
     """
     T = _require_same_horizon(f, g)
-    if f.jump_count > max_jumps or g.jump_count > max_jumps:
-        raise ParameterError(
-            f"exact Skorokhod computation is capped at {max_jumps} jumps per path"
-        )
-    if f.equals(g):
-        return 0.0
     u = uniform_distance(f, g)
     if u == 0.0:
         return 0.0
     fa = f.breakpoints[1:]
     ga = g.breakpoints[1:]
-    value_gaps = np.abs(np.subtract.outer(f.values, g.values)).ravel()
+    value_gaps = _gaps_within(np.sort(f.values), np.sort(g.values), u)
     cands = np.concatenate((
-        [0.0], value_gaps,
-        np.abs(np.subtract.outer(fa, ga)).ravel(),
-        fa, T - fa, ga, T - ga,
+        [0.0], value_gaps, _gaps_within(fa, ga, u), fa, T - fa, ga, T - ga,
     ))
     crit = np.unique(cands[cands <= u])
 
@@ -260,7 +267,7 @@ def skorokhod_distance(
         return lo
 
     # positions of the value gaps in crit; the last one is u
-    anchors = np.searchsorted(crit, np.unique(value_gaps[value_gaps <= u])).tolist()
+    anchors = np.searchsorted(crit, np.unique(value_gaps)).tolist()
     s = first_passing(anchors)
     lo = anchors[s - 1] + 1 if s else 0
     hi = anchors[s]  # the answer's position lies in [lo, hi]

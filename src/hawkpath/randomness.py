@@ -123,7 +123,7 @@ def _closed_form_dist_moments(model: MarkModel) -> tuple[float, float, float]:
 
 
 def _tail_probability(model: MarkModel, a: float) -> float:
-    """P(Y >= a) for the built-in distributions."""
+    """P(Y >= a) for the built-in distributions (sd = 0 is a point mass)."""
     if model.distribution == "point-mass":
         return 1.0 if model.dist_params[0] >= a else 0.0
     if model.distribution == "exponential":
@@ -132,8 +132,12 @@ def _tail_probability(model: MarkModel, a: float) -> float:
         if a <= 0:
             return 1.0
         m, s = model.dist_params
+        if s == 0:
+            return 1.0 if math.exp(m) >= a else 0.0
         return 1.0 - _phi((math.log(a) - m) / s)
     m, s = model.dist_params  # gaussian
+    if s == 0:
+        return 1.0 if m >= a else 0.0
     return 1.0 - _phi((a - m) / s)
 
 
@@ -172,7 +176,6 @@ class PoissonAtoms:
     mark_model: MarkModel
     seed_entropy: tuple[int, ...]
     strips: list[Strip] = field(default_factory=list)
-    strip_counter: int = 0
     _merged: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
     @property
@@ -239,7 +242,6 @@ def sample_atoms(
     entropy = (seed,) if isinstance(seed, int) else tuple(seed)
     atoms = PoissonAtoms(horizon=float(T), mark_model=mark_model, seed_entropy=entropy)
     atoms.strips.append(_draw_strip(T, 0.0, float(ceiling), mark_model, entropy, 0))
-    atoms.strip_counter = 1
     return atoms
 
 
@@ -253,9 +255,8 @@ def extend_ceiling(atoms: PoissonAtoms, new_ceiling: float) -> PoissonAtoms:
         float(new_ceiling),
         atoms.mark_model,
         atoms.seed_entropy,
-        atoms.strip_counter,
+        len(atoms.strips),
     )
     atoms.strips.append(strip)
-    atoms.strip_counter += 1
     atoms._merged = None
     return atoms

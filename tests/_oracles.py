@@ -8,7 +8,8 @@ sums instead of closed forms, a lattice
 minimax alignment instead of the interval DP, a float bisection over the
 full-grid feasibility walk instead of the critical-value search over
 reachable states, a plain binary search over all critical values instead
-of the value-gap-bracketed one, a Python double loop over every candidate
+of the value-gap-bracketed one, the dense m x n difference table instead
+of the row-blocked gap enumeration, a Python double loop over every candidate
 instead of the pruned sparse-modulus walk.
 """
 
@@ -378,6 +379,12 @@ def skorokhod_bisection(f: StepPath, g: StepPath, tol: float | None = None) -> f
     return hi
 
 
+def dense_gaps_within(x: np.ndarray, y: np.ndarray, u: float) -> np.ndarray:
+    """Every |x_i - y_j| <= u, read off the dense m x n difference table."""
+    gaps = np.abs(np.subtract.outer(x, y)).ravel()
+    return gaps[gaps <= u]
+
+
 def skorokhod_critical_bisection(f: StepPath, g: StepPath) -> float:
     """Binary search of ``feasible_eps`` over every critical value <= the
     uniform distance, without the value-gap bracket.
@@ -394,9 +401,7 @@ def skorokhod_critical_bisection(f: StepPath, g: StepPath) -> float:
     T = f.horizon
     fa, ga = f.breakpoints[1:], g.breakpoints[1:]
     cands = np.concatenate((
-        [0.0],
-        np.abs(np.subtract.outer(f.values, g.values)).ravel(),
-        np.abs(np.subtract.outer(fa, ga)).ravel(),
+        [0.0], dense_gaps_within(f.values, g.values, u), dense_gaps_within(fa, ga, u),
         fa, T - fa, ga, T - ga,
     ))
     crit = np.unique(cands[cands <= u])

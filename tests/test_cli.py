@@ -71,10 +71,13 @@ class TestExitCodes:
             {"kernel": {"family": "exponential", "params": {"amplitude": 0.5, "decay": -1.0}}},
             {"marks": {"distribution": {"family": "exponential", "rate": -1.0}}},
             {"seed": -1},
+            {"metrics": []},
+            {"metrics": ["terminal_count", "terminal_count"]},
         ],
         ids=[
             "horizon-nan", "horizon-inf", "ladder-nan", "eta-text", "trials-text",
             "negative-decay", "negative-mark-rate", "negative-seed",
+            "metrics-empty", "metrics-repeated",
         ],
     )
     def test_bad_field_exits_2_without_outputs(self, tmp_path, override):
@@ -201,6 +204,32 @@ class TestSubcommands:
         assert lines[0] == "check,statistic,bound,margin,passed,detail"
         names = {line.split(",")[0] for line in lines[1:]}
         assert "mean_intensity_continuous" in names
+
+
+class TestDegenerateMarks:
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            {"family": "gaussian", "mean": 1.0, "sd": 0.0},
+            {"family": "lognormal", "mean": 0.0, "sd": 0.0},
+        ],
+        ids=["gaussian", "lognormal"],
+    )
+    def test_zero_sd_is_the_point_mass(self, tmp_path, dist):
+        # sd = 0 puts every mark at 1, so the indicator reads P(Y >= 0.5) = 1
+        outputs = []
+        for name, family in (("point", {"family": "point-mass", "value": 1.0}), ("sd0", dist)):
+            out = tmp_path / name
+            doc = base_doc(out)
+            doc["metrics"] = ["terminal_risk", "skorokhod_exact"]
+            doc["marks"] = {
+                "distribution": family,
+                "modulation": {"family": "indicator", "threshold": 0.5},
+            }
+            assert cli_main(["convergence", str(write_config(tmp_path, doc, f"{name}.json"))]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outputs[0] == outputs[1]
+        assert set(outputs[0]) == {"convergence.csv", "convergence_summary.json"}
 
 
 class TestSeedAndReproducibility:

@@ -3,6 +3,7 @@ import math
 import pickle
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from hawkpath import harness
@@ -16,6 +17,8 @@ from hawkpath.harness import (
     run_convergence,
     verify_bounds,
 )
+from hawkpath.metrics import skorokhod_distance
+from hawkpath.simulate import path_to_step
 
 
 def null_config(**overrides):
@@ -31,6 +34,18 @@ def null_config(**overrides):
     }
     doc.update(overrides)
     return ExperimentConfig.from_dict(doc)
+
+
+def busy_config(**overrides):
+    """Rate-60 Poisson paths on [0, 10]: about 600 jumps each, past the 500
+    jumps at which the exact Skorokhod metric used to give way to the surrogate."""
+    doc = {
+        "jump_rate": {"family": "constant", "params": {"value": 60.0}},
+        "delta_ladder": [0.5],
+        "trials": 2,
+        **overrides,
+    }
+    return null_config(**doc)
 
 
 def exponential_config(**overrides):
@@ -140,19 +155,25 @@ class TestRunConvergence:
         assert lines[0] == "delta,metric,mean,stderr,theory_shape,flag"
         assert len(lines) == 1 + 2 * 3  # ladder cells x metrics
 
-    def test_skorokhod_downgrade_flag(self):
-        cfg = null_config(
-            jump_rate={"family": "constant", "params": {"value": 60.0}},
-            delta_ladder=[0.5],
-            trials=2,
-            metrics=["skorokhod_exact"],
-        )
-        report = run_convergence(cfg)
-        assert report.rows[0].flag == "surrogate"
+    def test_skorokhod_exact_past_500_jumps_is_unflagged(self):
+        (row,) = run_convergence(busy_config(metrics=["skorokhod_exact"])).rows
+        assert row.flag == ""
+        assert math.isfinite(row.mean) and row.mean > 0
 
-    def test_surrogate_computed_once_per_cell(self, monkeypatch):
-        # a cap of 5 jumps makes exact Skorokhod fall back on every cell
-        monkeypatch.setattr(harness, "SKOROKHOD_JUMP_CAP", 5)
+    def test_skorokhod_exact_mean_equals_direct_distances(self):
+        cfg = busy_config(metrics=["skorokhod_exact"])
+        _, pairs = harness._run_trials(
+            cfg, range(cfg.trials),
+            lambda cfg, trial, cont, traces: (
+                path_to_step(cont, "risk"), path_to_step(traces[0], "risk")
+            ),
+        )
+        assert min(rc.jump_count for rc, _ in pairs) > 500
+        direct = np.array([skorokhod_distance(rc, rd) for rc, rd in pairs])
+        (row,) = run_convergence(cfg).rows
+        assert row.mean == float(direct.mean())
+
+    def test_skorokhod_upper_one_modulus_per_cell(self, monkeypatch):
         calls = []
         real = harness.modulus_sparse
 
@@ -161,13 +182,10 @@ class TestRunConvergence:
             return real(path, delta)
 
         monkeypatch.setattr(harness, "modulus_sparse", counting)
-        cfg = null_config(trials=3, metrics=["skorokhod_exact", "skorokhod_upper"])
+        cfg = busy_config(metrics=["skorokhod_exact", "skorokhod_upper"])
         report = run_convergence(cfg)
         assert len(calls) == cfg.trials * len(cfg.delta_ladder)
-        for delta in cfg.delta_ladder:
-            exact, upper = (r for r in report.rows if r.delta == delta)
-            assert exact.flag == "surrogate"
-            assert (exact.mean, exact.stderr) == (upper.mean, upper.stderr)
+        assert [r.flag for r in report.rows] == ["", ""]
 
     def test_runaway_aborts_only_its_cell(self, monkeypatch):
         cfg = exponential_config(trials=12, metrics=["terminal_count", "terminal_risk"])

@@ -1,5 +1,7 @@
 import inspect
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from hawkpath.simulate import make_step_path, path_to_step, step_from_jumps
 
 from _oracles import (
     brute_uniform,
+    dense_gaps_within,
     feasible_eps_grid,
     modulus_sparse_quadratic,
     random_step_path,
@@ -341,17 +344,6 @@ class TestSkorokhodDistance:
             oracle = skorokhod_lattice(f, g, n=2000)
             assert exact == pytest.approx(oracle, abs=1e-3)
 
-    def test_jump_cap_enforced(self, rng):
-        times = np.sort(rng.uniform(0.01, 0.99, 600))
-        f = make_step_path(
-            np.concatenate(([0.0], times)),
-            np.arange(601, dtype=float),
-            1.0,
-        )
-        zero = make_step_path([0.0], [0.0], 1.0)
-        with pytest.raises(ParameterError):
-            skorokhod_distance(f, zero, max_jumps=500)
-
     @settings(max_examples=25, deadline=None)
     @given(f=step_paths(max_jumps=4), g=step_paths(max_jumps=4))
     def test_symmetry_and_uniform_bound(self, f, g):
@@ -426,6 +418,81 @@ class TestSkorokhodDistance:
             feasibility_calls.clear()
             skorokhod_distance(*sweep_pair(seed))
             assert len(feasibility_calls) <= 4, seed
+
+
+def ulp_neighbours(value, k):
+    """value and the k floats on either side of it."""
+    out = [value]
+    lo = hi = value
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [float(lo), float(hi)]
+    return out
+
+
+@st.composite
+def gap_cases(draw):
+    """Ascending x and y (ties allowed, as in sorted path values) and a bound
+    u: decimal grid points, signed floats, and columns a few ulps from some
+    x_i - u or x_i + u, where the rounding of the differences decides which
+    gaps are <= u."""
+    number = st.one_of(
+        st.integers(-200, 200).map(lambda k: k / 10),
+        st.floats(-20.0, 20.0, allow_subnormal=False),
+    )
+    x = draw(st.lists(number, min_size=1, max_size=12))
+    y = draw(st.lists(number, max_size=12))
+    u = abs(draw(number))
+    for xi in draw(st.lists(st.sampled_from(x), max_size=3)):
+        y += ulp_neighbours(xi + draw(st.sampled_from((-u, u))), draw(st.integers(0, 6)))
+    return np.sort(x), np.sort(y), u
+
+
+# the floats around x - u lie closer together than an ulp of u: all 13 gaps
+# are <= u, the first six columns below searchsorted(y, x - u)
+_X, _U = 0.8132702392002724, 0.777793592932154
+ULP_CLUSTER = (np.array([_X]), np.sort(ulp_neighbours(_X - _U, 6)), _U)
+
+
+class TestGapsWithin:
+    @settings(max_examples=300, deadline=None)
+    @given(case=gap_cases(), rows=st.integers(1, 5))
+    @example(case=ULP_CLUSTER, rows=1)
+    def test_equals_dense_oracle(self, case, rows):
+        x, y, u = case
+        with mock.patch.object(metrics, "_GAP_ROWS", rows):
+            gaps = metrics._gaps_within(x, y, u)
+        assert np.array_equal(np.sort(gaps), np.sort(dense_gaps_within(x, y, u)))
+
+    def test_1000_jump_pair_pinned_to_dense_oracle(self):
+        # signed marks, so the value gaps are many and unordered; the rows
+        # span several blocks of the default width
+        rng = np.random.default_rng(1000)
+        T = 400.0
+        times = np.sort(rng.uniform(0.0, T, 1000))
+        marks = rng.normal(0.0, 1.0, 1000)
+        f = step_from_jumps(times, marks, T)
+        g = step_from_jumps(np.minimum(np.ceil(times / 0.25) * 0.25, T), marks, T)
+        assert f.jump_count == 1000 and g.jump_count > metrics._GAP_ROWS
+        u = uniform_distance(f, g)
+        for x, y in (
+            (f.breakpoints[1:], g.breakpoints[1:]),
+            (np.sort(f.values), np.sort(g.values)),
+        ):
+            gaps = metrics._gaps_within(x, y, u)
+            assert np.array_equal(np.sort(gaps), np.sort(dense_gaps_within(x, y, u)))
+        assert skorokhod_distance(f, g) == skorokhod_critical_bisection(f, g)
+
+    def test_5000_jump_pair_in_bounded_memory(self):
+        # the dense candidate tables of this pair peak near 600 MB
+        f, g = sweep_pair(0, size=5000, T=2000.0)
+        tracemalloc.start()
+        try:
+            skorokhod_distance(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
 
 class TestFeasibleEps:

@@ -193,3 +193,13 @@ class TestMarkMoments:
         )
         assert m.mod_mean == pytest.approx(math.exp(-2.0), rel=1e-12)
         assert m.mod_second == m.mod_mean
+
+    @pytest.mark.parametrize(
+        "dist, params", [("gaussian", (1.0, 0.0)), ("lognormal", (0.0, 0.0))]
+    )
+    @pytest.mark.parametrize("threshold, tail", [(0.5, 1.0), (1.0, 1.0), (1.5, 0.0)])
+    def test_zero_sd_tail_is_the_point_mass_at_one(self, dist, params, threshold, tail):
+        m = mark_moments(
+            hp.MarkModel(dist, params, modulation="indicator", mod_params=(threshold,))
+        )
+        assert (m.mod_mean, m.mod_second) == (tail, tail)

@@ -38,7 +38,7 @@ def atoms_from_triples(T, ceiling, triples, mark_model):
         tau = theta = y = np.empty(0)
     strip = Strip(0.0, ceiling, tau, theta, y)
     return PoissonAtoms(
-        horizon=T, mark_model=mark_model, seed_entropy=(0,), strips=[strip], strip_counter=1
+        horizon=T, mark_model=mark_model, seed_entropy=(0,), strips=[strip]
     )
 
 
