@@ -24,7 +24,7 @@ from .harness import (
     verdicts_json,
     verify_bounds,
 )
-from .simulate import StepPath, path_to_step, simulate_continuous, simulate_discrete
+from .simulate import StepPath, couple, path_to_step, simulate_continuous
 
 __all__ = ["cli_main", "main"]
 
@@ -78,12 +78,9 @@ def _cmd_couple(cfg: ExperimentConfig, out: Path) -> int:
     run = cfg.run.thinnable()
     delta = cfg.delta_ladder[-1]
     atoms = run.atoms(0)
-    cont = simulate_continuous(
-        run.kernel, run.jump_rate, run.marks, cfg.horizon, atoms,
-        allow_unstable=cfg.allow_unstable,
-    )
-    disc = simulate_discrete(
-        run.grids[-1], run.jump_rate, run.marks, atoms, allow_unstable=cfg.allow_unstable
+    cont, disc = couple(
+        run.kernel, run.jump_rate, run.marks, cfg.horizon, delta,
+        atoms=atoms, allow_unstable=cfg.allow_unstable,
     )
     tau, theta, y, strip = atoms.merged()
     atom_lines = ["tau,theta,y,strip"]

@@ -26,7 +26,7 @@ class InstabilityError(HawkpathError):
 
 
 class RunawayIntensityError(HawkpathError):
-    """The intensity outgrew the dominating-measure ceiling past its hard cap."""
+    """The intensity needs a dominating-measure ceiling past the atom budget."""
 
 
 class InstabilityWarning(UserWarning):

@@ -51,7 +51,7 @@ from .metrics import (
     skorokhod_upper_bound,
     sobolev_distance,
 )
-from .randomness import MarkModel, PoissonAtoms, mark_moments, sample_atoms
+from .randomness import ATOM_BUDGET, MarkModel, PoissonAtoms, mark_moments, sample_atoms
 from .simulate import (
     ContinuousPath,
     DiscreteTrace,
@@ -67,6 +67,7 @@ from .simulate import (
     sigmoid_rate,
     simulate_continuous,
     simulate_discrete,
+    step_from_jumps,
 )
 
 __all__ = [
@@ -357,7 +358,6 @@ class Run:
         rate = self.jump_rate.at_zero / (1.0 - rho) if rho < 1.0 else self.jump_rate.at_zero
         return _VerifyPlan(
             rate=rate,
-            poisson=(zero_kernel(T), constant_rate(rate)) if rate > 0 else None,
             times=T * np.arange(1, 21) / 20.0,
             grid_idx=np.unique(np.linspace(1, self.grids[-1].count, 20, dtype=int)),
             mark_mean=mark_moments(self.marks).mean,
@@ -370,11 +370,17 @@ class Run:
 
     def thinnable(self) -> "Run":
         """This record, unless no finite atom ceiling dominates the kernel's
-        post-event spikes (a kernel unbounded at lag zero: only ``bounds`` takes it)."""
+        post-event spikes (a kernel unbounded at lag zero) or the base strip
+        at the atom ceiling passes the atom budget; only ``bounds`` takes those."""
         if not self.kernel.bounded:
             raise ConfigError(
                 f"kernel family {self.kernel.family!r} is unbounded at lag zero and cannot "
                 "be thinned in continuous time; only `bounds` accepts it"
+            )
+        if self.ceiling * self.config.horizon > ATOM_BUDGET:
+            raise ConfigError(
+                f"atom ceiling {self.ceiling:.4g} over the horizon {self.config.horizon:.4g} "
+                f"passes the atom budget {ATOM_BUDGET}; only `bounds` accepts it"
             )
         return self
 
@@ -432,9 +438,12 @@ def _run_trials(
 
     Each trial draws its atoms once and thins the continuous path once; the
     discrete scheme then runs at every delta on those atoms.  This is exact:
+    every process raises the shared ceiling through ``PoissonAtoms.cover``,
     a ceiling extension is the strip keyed by its index, whichever process
     asks for it first, and atoms above a process's own ceiling never pass
-    its thinning.  This is also the process-pool entry point.
+    its thinning.  A process whose ceiling would pass the atom budget raises
+    ``RunawayIntensityError``, which aborts its cell.  This is also the
+    process-pool entry point.
     ``measure(cfg, trial, cont, traces)``, a module-level function or a
     partial of one, so that a process pool can send it, turns a trial into
     its sample; ``traces`` is None at every delta whose cell has hit the
@@ -639,7 +648,6 @@ class _VerifyPlan(NamedTuple):
     """What every trial of ``verify`` shares (``Run.verify_plan``)."""
 
     rate: float                  # rate of the compound Poisson path, 0 for none
-    poisson: tuple[Kernel, JumpRate] | None  # its zero kernel and constant jump rate
     times: np.ndarray            # T k / 20, k = 1..20: continuous intensity reads
     grid_idx: np.ndarray         # up to 20 finest-grid bins: discrete intensity reads
     mark_mean: float             # E Y, for the compensators
@@ -677,12 +685,12 @@ def _verify_sample(
         rd = path_to_step(disc, "risk")
         mismatch.append(abs(inc_c - float(rd.value_at(t) - rd.value_at(s))))
     disc = traces[-1]
-    # the compound Poisson path draws from its own stream, (seed, trial, 1)
+    # the compound Poisson path draws from its own stream, (seed, trial, 1):
+    # every atom under the ceiling ``rate`` is one of its jumps
     modulus = math.nan
-    if plan.poisson is not None:
-        atoms = sample_atoms(T, plan.rate, marks, (cfg.seed, trial, 1))
-        path = simulate_continuous(*plan.poisson, marks, T, atoms)
-        modulus = modulus_sparse(path_to_step(path, "risk"), delta_min)
+    if plan.rate > 0:
+        tau, _, y, _ = sample_atoms(T, plan.rate, marks, (cfg.seed, trial, 1)).merged()
+        modulus = modulus_sparse(step_from_jumps(tau, y, T), delta_min)
     return _VerifySample(
         mismatch,
         [eval_intensity(cont, kernel, jump_rate, u) for u in plan.times],

@@ -15,9 +15,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, RunawayIntensityError
 
 __all__ = [
+    "ATOM_BUDGET",
     "MarkModel",
     "MarkMoments",
     "PoissonAtoms",
@@ -151,6 +152,11 @@ def mark_moments(model: MarkModel) -> MarkMoments:
 # Poisson atoms
 # --------------------------------------------------------------------------
 
+# The most atoms a ladder may be expected to hold, ceiling * horizon.  It
+# bounds the memory of a runaway trial, not its time.
+ATOM_BUDGET = 2**24
+
+
 @dataclass(frozen=True)
 class Strip:
     """Atoms of the dominating measure with theta in (theta_low, theta_high]."""
@@ -182,9 +188,29 @@ class PoissonAtoms:
     def ceiling(self) -> float:
         return self.strips[-1].theta_high if self.strips else 0.0
 
-    @property
-    def initial_ceiling(self) -> float:
-        return self.strips[0].theta_high if self.strips else 0.0
+    def cover(self, level: float, what: str) -> bool:
+        """Double the ceiling until it reaches ``level``, one strip per doubling
+        drawn by ``extend_ceiling``; return whether the ceiling grew.
+
+        This is the only place a ceiling rises.  A ceiling whose expected atom
+        count, ceiling * horizon, would pass ``ATOM_BUDGET`` is refused with
+        ``RunawayIntensityError`` before any strip is drawn; ``what`` names
+        the level in its message.
+        """
+        ceilings = []
+        top = self.ceiling
+        while top < level:
+            top *= 2.0
+            if top * self.horizon > ATOM_BUDGET:
+                raise RunawayIntensityError(
+                    f"{what} {level:.4g} needs a ceiling beyond "
+                    f"{ATOM_BUDGET / self.horizon:.4g}, the atom budget "
+                    f"{ATOM_BUDGET} over the horizon {self.horizon:.4g}"
+                )
+            ceilings.append(top)
+        for ceiling in ceilings:
+            extend_ceiling(self, ceiling)
+        return bool(ceilings)
 
     def merged(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(tau, theta, y, strip index) over all strips, sorted by (tau, theta)."""
@@ -233,12 +259,17 @@ def sample_atoms(
     """Draw the base strip (0, ceiling] of the dominating measure.
 
     The output is a pure function of (T, ceiling, seed, mark model): the draw
-    order (count, times, thetas, marks) is fixed.
+    order (count, times, thetas, marks) is fixed.  A strip expected to hold
+    more than ``ATOM_BUDGET`` atoms is refused.
     """
     if T <= 0:
         raise ParameterError("T must be positive")
     if ceiling <= 0:
         raise ParameterError("ceiling must be positive")
+    if ceiling * T > ATOM_BUDGET:
+        raise ParameterError(
+            f"ceiling {ceiling:.4g} over the horizon {T:.4g} passes the atom budget {ATOM_BUDGET}"
+        )
     entropy = (seed,) if isinstance(seed, int) else tuple(seed)
     atoms = PoissonAtoms(horizon=float(T), mark_model=mark_model, seed_entropy=entropy)
     atoms.strips.append(_draw_strip(T, 0.0, float(ceiling), mark_model, entropy, 0))
@@ -246,7 +277,9 @@ def sample_atoms(
 
 
 def extend_ceiling(atoms: PoissonAtoms, new_ceiling: float) -> PoissonAtoms:
-    """Append the strip (old ceiling, new_ceiling]; existing strips untouched."""
+    """Append the strip (old ceiling, new_ceiling]; existing strips untouched.
+
+    The simulators raise a ceiling only through ``PoissonAtoms.cover``."""
     if new_ceiling <= atoms.ceiling:
         raise ParameterError("new ceiling must exceed the current ceiling")
     strip = _draw_strip(

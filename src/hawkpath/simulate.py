@@ -16,14 +16,9 @@ from typing import Callable
 import numpy as np
 
 from .bounds import rho_continuous, rho_discrete
-from .errors import (
-    InstabilityError,
-    InstabilityWarning,
-    ParameterError,
-    RunawayIntensityError,
-)
+from .errors import InstabilityError, InstabilityWarning, ParameterError
 from .kernels import GridCoefficients, Kernel, grid_coefficients
-from .randomness import MarkModel, PoissonAtoms, extend_ceiling, sample_atoms
+from .randomness import MarkModel, PoissonAtoms, sample_atoms
 
 __all__ = [
     "JumpRate",
@@ -271,7 +266,6 @@ def simulate_continuous(
     atoms: PoissonAtoms,
     *,
     allow_unstable: bool = False,
-    ceiling_cap_factor: float = 2.0**20,
 ) -> ContinuousPath:
     """Thin the atoms under the self-exciting intensity, in time order.
 
@@ -280,14 +274,17 @@ def simulate_continuous(
 
         psi(0) + L * ||h||_inf * (accepted modulated mass)
 
-    is maintained and the ladder is doubled whenever the envelope outgrows
-    it; past decisions stay valid because atoms in the new strips carry
-    thetas above the old ceiling, which already dominated the intensity on
-    the scanned region.  This limits exact continuous thinning to bounded
-    kernels: no finite ceiling dominates the post-event spikes of a kernel
-    that is singular at lag zero.  A per-atom exceedance check with rescan
-    from the exceedance time remains as a backstop for kernels whose
-    declared sup norm is wrong.
+    is maintained and ``atoms.cover`` doubles the ladder whenever the
+    envelope outgrows it; past decisions stay valid because atoms in the new
+    strips carry thetas above the old ceiling, which already dominated the
+    intensity on the scanned region.  This limits exact continuous thinning
+    to bounded kernels: no finite ceiling dominates the post-event spikes of
+    a kernel that is singular at lag zero.  A per-atom exceedance check
+    remains as a backstop for kernels whose declared sup norm is wrong: it
+    covers the intensity at the atom and resumes the scan at that atom.
+    After either extension the scan re-reads the merged atoms and resumes at
+    the first undecided one.  A ceiling past the atom budget raises
+    ``RunawayIntensityError``.
     """
     if T > atoms.horizon * (1 + _REL_TOL):
         raise ParameterError("T exceeds the atoms' horizon")
@@ -300,9 +297,7 @@ def simulate_continuous(
         )
     _check_continuous_stability(kernel, jump_rate, mark_model, allow_unstable)
 
-    cap = atoms.initial_ceiling * ceiling_cap_factor
     psi = jump_rate.fn
-    support = kernel.support
     feedback = jump_rate.lipschitz * kernel.sup_norm
 
     def envelope(mass: float) -> float:
@@ -311,82 +306,49 @@ def simulate_continuous(
             env = min(env, jump_rate.sup_norm)
         return env
 
-    def raise_ceiling(target: float) -> None:
-        new_ceiling = atoms.ceiling
-        while new_ceiling < target:
-            new_ceiling *= 2.0
-            if new_ceiling > cap:
-                raise RunawayIntensityError(
-                    f"intensity envelope {target:.4g} needs a ceiling beyond "
-                    f"the hard cap {cap:.4g}"
-                )
-            extend_ceiling(atoms, new_ceiling)
-
     accepted_mass = 0.0
-    if atoms.ceiling < envelope(accepted_mass):
-        raise_ceiling(envelope(accepted_mass))
-
-    tau, theta, y, _ = atoms.merged()
-    b = mark_model.modulate(y)
-    n = len(tau)
-    acc_t = np.empty(n)
-    acc_y = np.empty(n)
-    acc_b = np.empty(n)
-    acc_lam = np.empty(n)
+    atoms.cover(envelope(accepted_mass), "intensity envelope")
+    acc_t = acc_y = acc_b = acc_lam = np.empty(0)
     cnt = 0
-    i = 0
-
-    def regrow(m: int) -> None:
-        nonlocal acc_t, acc_y, acc_b, acc_lam
-        grown = [np.empty(m) for _ in range(4)]
+    undecided = None    # (tau, theta) of the atom to resume at, and 1 to resume past it
+    # one pass per ceiling: read the atoms up to T, scan until an extension
+    while True:
+        tau, theta, y, _ = atoms.merged()
+        b = mark_model.modulate(y)
+        n = int(np.searchsorted(tau, T * (1 + _REL_TOL), side="right"))
+        grown = [np.empty(n) for _ in range(4)]
         for dst, src in zip(grown, (acc_t, acc_y, acc_b, acc_lam)):
             dst[:cnt] = src[:cnt]
         acc_t, acc_y, acc_b, acc_lam = grown
-
-    while i < n:
-        t_i = tau[i]
-        if t_i > T * (1 + _REL_TOL):
+        i = 0
+        if undecided is not None:
+            t_u, theta_u, past = undecided
+            i = int(np.searchsorted(tau, t_u, side="left"))
+            while theta[i] != theta_u:
+                i += 1
+            i += past
+        while i < n:
+            t_i = tau[i]
+            lam = float(psi(_excitation(kernel, acc_t[:cnt], acc_b, t_i)))
+            if lam > atoms.ceiling:
+                # backstop: the declared sup norm failed to bound the kernel
+                atoms.cover(lam, "intensity")
+                undecided = t_i, theta[i], 0
+                break
+            if theta[i] <= lam:
+                acc_t[cnt] = t_i
+                acc_y[cnt] = y[i]
+                acc_b[cnt] = b[i]
+                acc_lam[cnt] = lam
+                cnt += 1
+                accepted_mass += float(b[i])
+                if envelope(accepted_mass) > atoms.ceiling:
+                    atoms.cover(envelope(accepted_mass), "intensity envelope")
+                    undecided = t_i, theta[i], 1
+                    break
+            i += 1
+        else:   # the scan reached T
             break
-        j = cnt
-        while j > 0 and acc_t[j - 1] >= t_i:
-            j -= 1
-        lo = 0
-        if support is not None and j > 0:
-            lo = int(np.searchsorted(acc_t[:j], t_i - support, side="right"))
-        s = 0.0
-        if j > lo:
-            lags = t_i - acc_t[lo:j]
-            s = float(np.dot(np.asarray(kernel.evaluate(lags), dtype=float), acc_b[lo:j]))
-        lam = float(psi(s))
-        if lam > atoms.ceiling:
-            # backstop: the declared sup norm failed to bound the kernel
-            raise_ceiling(lam)
-            tau, theta, y, _ = atoms.merged()
-            b = mark_model.modulate(y)
-            n = len(tau)
-            regrow(n)
-            i = int(np.searchsorted(tau, t_i, side="left"))
-            continue
-        if theta[i] <= lam:
-            acc_t[cnt] = t_i
-            acc_y[cnt] = y[i]
-            acc_b[cnt] = b[i]
-            acc_lam[cnt] = lam
-            cnt += 1
-            accepted_mass += float(b[i])
-            if envelope(accepted_mass) > atoms.ceiling:
-                theta_i = theta[i]
-                raise_ceiling(envelope(accepted_mass))
-                tau, theta, y, _ = atoms.merged()
-                b = mark_model.modulate(y)
-                n = len(tau)
-                regrow(n)
-                # resume just past the atom that was accepted
-                i = int(np.searchsorted(tau, t_i, side="left"))
-                while i < n and tau[i] == t_i and theta[i] <= theta_i:
-                    i += 1
-                continue
-        i += 1
 
     return ContinuousPath(
         horizon=float(T),
@@ -397,19 +359,26 @@ def simulate_continuous(
     )
 
 
+def _excitation(kernel: Kernel, times: np.ndarray, weights: np.ndarray, t: float) -> float:
+    """Kernel-weighted past strictly before t: the sum of weights[k] * h(t - times[k])
+    over the sorted ``times`` in (t - support, t)."""
+    j = len(times)
+    if j and times[-1] >= t:   # a scan's atom lies past every accepted time
+        j = int(times.searchsorted(t, side="left"))
+    lo = 0
+    if kernel.support is not None and j > 0:
+        lo = int(times[:j].searchsorted(t - kernel.support, side="right"))
+    if j <= lo:
+        return 0.0
+    lags = t - times[lo:j]
+    return float(np.dot(np.asarray(kernel.evaluate(lags), dtype=float), weights[lo:j]))
+
+
 def eval_intensity(path: ContinuousPath, kernel: Kernel, jump_rate: JumpRate, t: float) -> float:
     """Left-limit intensity at t: events strictly before t contribute."""
     if not 0 <= t <= path.horizon * (1 + _REL_TOL):
         raise ParameterError("t must lie in [0, T]")
-    j = int(np.searchsorted(path.times, t, side="left"))
-    lo = 0
-    if kernel.support is not None and j > 0:
-        lo = int(np.searchsorted(path.times[:j], t - kernel.support, side="right"))
-    s = 0.0
-    if j > lo:
-        lags = t - path.times[lo:j]
-        s = float(np.dot(np.asarray(kernel.evaluate(lags), dtype=float), path.weights[lo:j]))
-    return float(jump_rate.fn(s))
+    return float(jump_rate.fn(_excitation(kernel, path.times, path.weights, t)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -478,7 +447,6 @@ def simulate_discrete(
     atoms: PoissonAtoms,
     *,
     allow_unstable: bool = False,
-    ceiling_cap_factor: float = 2.0**20,
 ) -> DiscreteTrace:
     """Euler-type scheme: per-bin thinning under the frozen bin intensity.
 
@@ -496,19 +464,19 @@ def simulate_discrete(
     walk resumes at bin j + 1 with fresh levels.  A bin whose accepted mass is
     0, or whose push reaches no later bin, leaves every later level as it
     was.  If no bin moves the feedback before the first level above the
-    ceiling, the ceiling is doubled there and the walk resumes at that bin
-    with the new strips' atoms.  The accepted atoms are read off in one pass
-    at the end: an atom added by a later ceiling extension has a theta above
-    every earlier bin intensity, so it passes no earlier bin.  An unstable
-    step ratio warns rather than fails; allow_unstable acknowledges it and
-    silences the warning.
+    ceiling, ``atoms.cover`` doubles the ceiling up to that level and the
+    walk resumes at that bin with the new strips' atoms; a ceiling past the
+    atom budget raises ``RunawayIntensityError``.  The accepted atoms are read
+    off in one pass at the end: an atom added by a later ceiling extension has
+    a theta above every earlier bin intensity, so it passes no earlier bin.
+    An unstable step ratio warns rather than fails; allow_unstable
+    acknowledges it and silences the warning.
     """
     delta, M = grid.delta, grid.count
     if delta * M > atoms.horizon * (1 + _REL_TOL):
         raise ParameterError("count * delta exceeds the atoms' horizon")
     _check_discrete_stability(grid, jump_rate, mark_model, allow_unstable)
 
-    cap = atoms.initial_ceiling * ceiling_cap_factor
     psi = jump_rate.fn
     coeffs = grid.values
     span = grid.span
@@ -523,7 +491,6 @@ def simulate_discrete(
         return tau, theta, y, mark_model.modulate(y), edges.tolist(), bin_of
 
     tau, theta, y, b, edges, bin_of = read_atoms()
-    ceiling = atoms.ceiling
 
     intensity = np.empty(M + 1)
     mass = np.zeros(M + 1)
@@ -536,7 +503,7 @@ def simulate_discrete(
         levels = psi(feedback[n:])
         if n == 1:
             levels[0] = jump_rate.at_zero
-        over = levels > ceiling
+        over = levels > atoms.ceiling
         k = int(over.argmax()) if over.any() else len(levels)
         lo, hi = edges[n - 1], edges[n - 1 + k]
         hits = np.flatnonzero(theta[lo:hi] <= levels[bin_of[lo:hi] - n])
@@ -559,15 +526,7 @@ def simulate_discrete(
             intensity[n : n + k] = levels[:k]
             n += k
             if n <= M:
-                l_n = float(levels[k])
-                while l_n > ceiling:
-                    ceiling *= 2.0
-                    if ceiling > cap:
-                        raise RunawayIntensityError(
-                            f"bin intensity {l_n:.4g} needs a ceiling beyond "
-                            f"the hard cap {cap:.4g}"
-                        )
-                    extend_ceiling(atoms, ceiling)
+                atoms.cover(float(levels[k]), "bin intensity")
                 tau, theta, y, b, edges, bin_of = read_atoms()
 
     lo, hi = edges[0], edges[M]
@@ -616,10 +575,12 @@ def couple(
     atoms: PoissonAtoms | None = None,
     allow_unstable: bool = False,
 ) -> tuple[ContinuousPath, DiscreteTrace]:
-    """Run both simulators on one shared atom ladder.
+    """Run both simulators on one shared atom ladder: ``atoms`` when given
+    (the ``seed`` is then unused), else the base strip of ``seed`` at the
+    default ceiling.
 
-    Ceiling extensions triggered by either process land in the shared ladder
-    and are visible to the other; because every extension doubles the top,
+    Either process raises the shared ceiling through ``atoms.cover``, and
+    the other sees the new strips; because every extension doubles the top,
     the k-th strip's contents depend only on the seed and k, so the result
     does not depend on which process triggered which extension.
     """

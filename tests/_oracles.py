@@ -25,7 +25,7 @@ from scipy.integrate import quad
 from hawkpath.errors import DivergingKernelError, RunawayIntensityError
 from hawkpath.kernels import grid_coefficients
 from hawkpath.metrics import feasible_eps, uniform_distance
-from hawkpath.randomness import extend_ceiling
+from hawkpath.randomness import ATOM_BUDGET, extend_ceiling
 from hawkpath.simulate import StepPath, make_step_path
 
 
@@ -500,7 +500,6 @@ def discrete_scheme_reference(kernel, jump_rate, mark_model, delta, count, atoms
     coeffs = grid_coefficients(kernel, delta, M).values
     nz = np.nonzero(coeffs)[0]
     span = int(nz[-1]) + 1 if len(nz) else 0
-    cap = atoms.initial_ceiling * 2.0**20
     psi = jump_rate.fn
 
     tau, theta, y, _ = atoms.merged()
@@ -525,8 +524,8 @@ def discrete_scheme_reference(kernel, jump_rate, mark_model, delta, count, atoms
             l_n = float(psi(s))
         while l_n > atoms.ceiling:
             new_ceiling = atoms.ceiling * 2.0
-            if new_ceiling > cap:
-                raise RunawayIntensityError("bin intensity needs a ceiling beyond the cap")
+            if new_ceiling * atoms.horizon > ATOM_BUDGET:
+                raise RunawayIntensityError("bin intensity needs a ceiling beyond the atom budget")
             extend_ceiling(atoms, new_ceiling)
             tau, theta, y, _ = atoms.merged()
             b = mark_model.modulate(y)

@@ -101,6 +101,23 @@ class TestExitCodes:
         assert cli_main([command, str(cfg)]) == code
         assert (list(out.iterdir()) == []) == (code == 2)
 
+    @pytest.mark.parametrize(
+        "command, code",
+        [("convergence", 2), ("verify", 2), ("couple", 2), ("simulate", 2), ("bounds", 0)],
+    )
+    def test_rate_past_the_atom_budget_only_for_bounds(self, tmp_path, capsys, command, code):
+        # a ceiling of 1e9 over T = 5 expects 5e9 atoms, past the budget of 2**24
+        out = tmp_path / "out"
+        out.mkdir()
+        doc = {**base_doc(out), "kernel": {"family": "zero"},
+               "jump_rate": {"family": "constant", "params": {"value": 1e9}}}
+        cfg = write_config(tmp_path, doc)
+        assert cli_main([command, str(cfg)]) == code
+        assert (list(out.iterdir()) == []) == (code == 2)
+        err = capsys.readouterr().err
+        assert err.startswith("config error: atom ceiling 1e+09") == (code == 2)
+        assert "Traceback" not in err
+
     def test_non_integer_worker_env_exits_2(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         out.mkdir()

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 import hawkpath as hp
-from hawkpath.errors import ParameterError
+from hawkpath.errors import ParameterError, RunawayIntensityError
 from hawkpath import randomness
 from hawkpath.randomness import mark_moments
 
@@ -89,6 +89,8 @@ class TestSampleAtoms:
             hp.sample_atoms(0.0, 1.0, unit_marks, 1)
         with pytest.raises(ParameterError):
             hp.sample_atoms(1.0, 0.0, unit_marks, 1)
+        with pytest.raises(ParameterError, match="atom budget"):
+            hp.sample_atoms(2.0, 1e12, unit_marks, 1)
 
 
 class TestExtendCeiling:
@@ -146,6 +148,35 @@ class TestExtendCeiling:
             _, theta, _, _ = hp.sample_atoms(10.0, 3.0, unit_marks, s).merged()
             counts.append(int((theta <= 1.0).sum()))
         assert _poisson_chisquare_pvalue(counts, 10.0) > 0.01
+
+
+class TestCover:
+    def test_level_under_the_ceiling_draws_nothing(self, unit_marks):
+        atoms = hp.sample_atoms(10.0, 3.0, unit_marks, 4)
+        assert atoms.cover(2.0, "level") is False
+        assert atoms.cover(3.0, "level") is False
+        assert len(atoms.strips) == 1 and atoms.ceiling == 3.0
+
+    def test_growth_draws_the_strips_of_chained_extensions(self, unit_marks):
+        atoms = hp.sample_atoms(10.0, 3.0, unit_marks, 55)
+        assert atoms.cover(20.0, "level") is True
+        chained = hp.sample_atoms(10.0, 3.0, unit_marks, 55)
+        for ceiling in (6.0, 12.0, 24.0):
+            hp.extend_ceiling(chained, ceiling)
+        assert [s.theta_high for s in atoms.strips] == [3.0, 6.0, 12.0, 24.0]
+        assert len(atoms.strips) == len(chained.strips)
+        for sa, sb in zip(atoms.strips, chained.strips):
+            assert (sa.theta_low, sa.theta_high) == (sb.theta_low, sb.theta_high)
+            assert np.array_equal(sa.tau, sb.tau)
+            assert np.array_equal(sa.theta, sb.theta)
+            assert np.array_equal(sa.y, sb.y)
+
+    def test_level_over_the_budget_raises_before_drawing(self, unit_marks):
+        # doubling 3 reaches 3 * 2**20 = 3.1e6, and 3.1e6 * 10 atoms pass 2**24
+        atoms = hp.sample_atoms(10.0, 3.0, unit_marks, 4)
+        with pytest.raises(RunawayIntensityError, match="^probe 3e[+]06 needs a ceiling beyond"):
+            atoms.cover(3.0e6, "probe")
+        assert len(atoms.strips) == 1 and atoms.ceiling == 3.0
 
 
 class TestMarkMoments:

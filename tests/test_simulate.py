@@ -16,7 +16,7 @@ from hawkpath.errors import (
     RunawayIntensityError,
 )
 from hawkpath.kernels import grid_coefficients
-from hawkpath.randomness import PoissonAtoms, Strip
+from hawkpath.randomness import ATOM_BUDGET, PoissonAtoms, Strip
 from hawkpath.simulate import (
     eval_intensity,
     integrate_intensity,
@@ -110,12 +110,33 @@ class TestSimulateContinuous:
         assert counts.mean() == pytest.approx(20.0, abs=3 * math.sqrt(20.0 / len(counts)))
 
     def test_hard_cap_raises(self, unit_marks):
-        atoms = hp.sample_atoms(10.0, 0.125, unit_marks, 0)
-        with pytest.raises(RunawayIntensityError):
+        # a rate of 2**25 over T = 1 needs a ceiling past the atom budget of
+        # 2**24 expected atoms: refused before any strip is drawn
+        atoms = hp.sample_atoms(1.0, 0.125, unit_marks, 0)
+        with pytest.raises(RunawayIntensityError, match="^intensity envelope 3.355e[+]07 "):
             hp.simulate_continuous(
-                hp.zero_kernel(10.0), hp.constant_rate(2.0), unit_marks, 10.0, atoms,
-                ceiling_cap_factor=4.0,
+                hp.zero_kernel(1.0), hp.constant_rate(2.0**25), unit_marks, 1.0, atoms
             )
+        assert len(atoms.strips) == 1
+
+    def test_backstop_resumes_at_the_atom_that_fired_it(self, unit_marks):
+        # h = 0.8 on (0, 0.21] but declares a sup norm of 0.01, so the
+        # envelope 0.5 + 0.01 * mass never leaves the ceiling 1; the atom at
+        # 0.3 sees the intensity 1.3 and fires the backstop, which draws the
+        # strip (1, 2] and accepts that atom under 1.3
+        def h(t):
+            return np.where(np.asarray(t, dtype=float) <= 0.21, 0.8, 0.0)
+
+        kernel = hp.custom_kernel(h, 1.0, sup_norm=0.01, l1_closed_form=0.168)
+        triples = [(0.1, 0.2, 1.0), (0.3, 0.9, 1.0), (0.6, 0.7, 1.0), (0.9, 0.3, 1.0)]
+        atoms = atoms_from_triples(1.0, 1.0, triples, unit_marks)
+        path = simulate_continuous(kernel, hp.relu_affine(0.5), unit_marks, 1.0, atoms)
+        assert atoms.ceiling == 2.0 and len(atoms.strips) == 2
+        # the new strip's atoms lie above the intensity, which is at most 1.3
+        # after the spike at 0.3 and 0.5 elsewhere
+        assert np.all(atoms.strips[1].theta > 1.3)
+        assert np.array_equal(path.times, [0.1, 0.3, 0.9])
+        assert np.array_equal(path.intensities, [0.5, 0.5 + 0.8, 0.5])
 
     def test_unstable_kernel_rejected_without_override(self, unit_marks):
         hot = hp.exponential_kernel(1.5, 1.0, 5.0)  # rho about 1.49
@@ -370,18 +391,18 @@ class TestDiscreteReference:
         assert disc.mass[4] == 1.0
 
     def test_runaway_inside_atom_free_run(self, unit_marks):
-        # the same scenario under a cap of 1.5 times the first ceiling: the
-        # doubling that bin 4 needs is refused, at the level the reference
-        # records for bin 4, before any strip is drawn
+        # the same scenario on atoms declared over a horizon of 1.5 * 2**24:
+        # the base strip (0, 0.5] is within the atom budget, the doubling to
+        # 1 that bin 4 needs is not, so it is refused, at the level the
+        # reference records for bin 4, before any strip is drawn
         kernel, rate = hp.erlang_kernel(1.0, 3, 1.0, 2.0), hp.relu_affine(0.25)
         triples = [(0.05, 0.01, 1.0), (0.1, 0.01, 1.0), (0.15, 0.01, 1.0)]
         ref = discrete_scheme_reference(
             kernel, rate, unit_marks, 0.25, 8, atoms_from_triples(2.0, 0.5, triples, unit_marks)
         )
-        atoms = atoms_from_triples(2.0, 0.5, triples, unit_marks)
+        atoms = atoms_from_triples(1.5 * ATOM_BUDGET, 0.5, triples, unit_marks)
         with pytest.raises(RunawayIntensityError, match=f"^bin intensity {ref.intensity[4]:.4g} "):
-            simulate_discrete(grid_coefficients(kernel, 0.25, 8), rate, unit_marks, atoms,
-                              ceiling_cap_factor=1.5)
+            simulate_discrete(grid_coefficients(kernel, 0.25, 8), rate, unit_marks, atoms)
         assert len(atoms.strips) == 1
         assert np.all(ref.intensity[:4] <= 0.5)
 
