@@ -26,6 +26,7 @@ from .kernels import (
     GridCoefficients,
     Kernel,
     _c_r_ladder,
+    _check_steps,
     grid_coefficients,
     integrate,
     l1_norm,
@@ -87,13 +88,6 @@ class BoundSet:
         return asdict(self)
 
 
-def _check_domain(eta: float, deltas: Sequence[float], T: float) -> None:
-    if not 0 < eta < 1:
-        raise ParameterError("eta must lie in (0, 1)")
-    if not all(0 < delta < T for delta in deltas):
-        raise ParameterError("need 0 < delta < T")
-
-
 def bound_sets(
     kernel: Kernel,
     grids: Sequence[GridCoefficients],
@@ -114,7 +108,9 @@ def bound_sets(
     quadrature.
     """
     deltas = [grid.delta for grid in grids]
-    _check_domain(eta, deltas, T)
+    if not 0 < eta < 1:
+        raise ParameterError("eta must lie in (0, 1)")
+    _check_steps(deltas, T)
     moments = mark_moments(mark_model)
     L = jump_rate.lipschitz
     psi0 = jump_rate.at_zero
@@ -210,8 +206,7 @@ def bound_set(
     allow_unstable: bool = False,
 ) -> BoundSet:
     """Evaluate every constant and theorem shape for one configuration."""
-    _check_domain(eta, (delta,), T)
-    grid = grid_coefficients(kernel, delta, round(T / delta))
+    grid = grid_coefficients(kernel, delta, T)
     return bound_sets(
         kernel, (grid,), T, jump_rate, mark_model, eta, p, allow_unstable=allow_unstable
     )[0]

@@ -161,9 +161,6 @@ class ExperimentConfig:
         for d in ladder:
             if not 0 < d < horizon:
                 raise ConfigError(f"delta={d} must lie in (0, horizon)")
-            ratio = horizon / d
-            if abs(ratio - round(ratio)) > 1e-9 * max(ratio, 1.0):
-                raise ConfigError(f"horizon must be an integer multiple of delta={d}")
         trials = _integer(doc["trials"], "trials")
         if trials < 2:
             raise ConfigError("trials must be >= 2")
@@ -338,7 +335,10 @@ class Run:
         self.jump_rate = jump_rate = build_jump_rate(config.jump_rate)
         self.marks = marks = build_mark_model(config.marks)
         self.ceiling = default_ceiling(jump_rate, kernel, marks)
-        self.grids = tuple(grid_coefficients(kernel, d, round(T / d)) for d in config.delta_ladder)
+        try:
+            self.grids = tuple(grid_coefficients(kernel, d, T) for d in config.delta_ladder)
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @functools.cached_property
     def bound_sets(self) -> list[BoundSet]:
@@ -407,7 +407,7 @@ def _cell_metrics(
     """
     rc = path_to_step(cont, "risk") if _PATH_METRICS & set(cfg.metrics) else None
     cells: list[dict[str, float] | None] = []
-    for delta, disc in zip(cfg.delta_ladder, traces):
+    for disc in traces:
         if disc is None:
             cells.append(None)
             continue
@@ -423,9 +423,9 @@ def _cell_metrics(
             elif name == "skorokhod_exact":
                 values[name] = skorokhod_distance(rc, rd)
             else:  # skorokhod_upper
-                grid = delta * np.arange(disc.count + 1)
                 values[name] = skorokhod_upper_bound(
-                    rc.value_at(grid), disc.risk, modulus_sparse(rc, delta), delta
+                    rc.value_at(disc.grid.points), disc.risk,
+                    modulus_sparse(rc, disc.delta), disc.delta,
                 )
         cells.append(values)
     return cells

@@ -55,7 +55,9 @@ __all__ = [
     "p_variation",
 ]
 
-_MACHINE_SLACK = 1.0 + 64.0 * np.finfo(float).eps
+# The one relative tolerance of horizons: for T / delta to be an integer
+# (see ``grid_coefficients``) and for one horizon to pass another.
+REL_TOL = 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -240,10 +242,13 @@ class Kernel:
 
 @dataclass(frozen=True)
 class GridCoefficients:
-    """Kernel samples h(k*delta), k = 1..count, never touching t = 0."""
+    """The bin edges t_k of the delta-grid of [0, horizon], k = 0..count, and
+    the kernel samples h(t_k), k = 1..count (t = 0 is never evaluated)."""
 
     delta: float
     count: int
+    horizon: float
+    points: np.ndarray
     values: np.ndarray
 
     @cached_property
@@ -455,18 +460,7 @@ def constant_kernel(value: float, horizon: float) -> Kernel:
 
 def zero_kernel(horizon: float) -> Kernel:
     """h identically zero: the no-excitation (pure Poisson) case."""
-    k = constant_kernel(0.0, horizon)
-    return Kernel(
-        evaluate=k.evaluate,
-        horizon=k.horizon,
-        family="custom",
-        l1_closed_form=0.0,
-        sup_norm=0.0,
-        abs_antiderivative=lambda x: 0.0,
-        monotone_breaks=(0.0, float(horizon)),
-        support=0.0,
-        monotone_decreasing=True,
-    )
+    return replace(constant_kernel(0.0, horizon), support=0.0)
 
 
 def custom_kernel(
@@ -543,24 +537,35 @@ def l1_norm(kernel: Kernel, T: float | None = None, *, tol: float = 1e-9) -> flo
     """Integral of |h| over [0, T] (T defaults to the kernel horizon)."""
     if T is None:
         T = kernel.horizon
-    if T > kernel.horizon * _MACHINE_SLACK:
+    if T > kernel.horizon * (1 + REL_TOL):
         raise ParameterError("T exceeds the kernel horizon")
     if kernel.l1_closed_form is not None and T == kernel.horizon:
         return kernel.l1_closed_form
     return _abs_integral(kernel, 0.0, T, tol)
 
 
-def grid_coefficients(kernel: Kernel, delta: float, count: int) -> GridCoefficients:
-    """Sample h at k*delta for k = 1..count (t = 0 is never evaluated)."""
-    if delta <= 0:
+def grid_coefficients(kernel: Kernel, delta: float, T: float) -> GridCoefficients:
+    """The delta-grid of [0, T], the one source of its bin count and edges.
+
+    T is a multiple of delta when T / delta lies within REL_TOL *
+    max(T / delta, 1) of an integer M >= 1.  The edges are k*delta for
+    k < M and exactly T at k = M, so the last bin ends at T even where
+    M*delta rounds away from it.
+    """
+    if not delta > 0:
         raise ParameterError("delta must be positive")
-    if count < 1:
-        raise ParameterError("count must be >= 1")
-    if count * delta > kernel.horizon * _MACHINE_SLACK:
-        raise ParameterError("count * delta exceeds the kernel horizon")
-    lags = delta * np.arange(1, count + 1)
-    values = np.asarray(kernel.evaluate(lags), dtype=float)
-    return GridCoefficients(delta=float(delta), count=int(count), values=values)
+    if T > kernel.horizon * (1 + REL_TOL):
+        raise ParameterError("T exceeds the kernel horizon")
+    ratio = T / delta
+    M = round(ratio)
+    if M < 1 or abs(ratio - M) > REL_TOL * max(ratio, 1.0):
+        raise ParameterError(f"horizon {T!r} is not an integer multiple of delta={delta!r}")
+    points = delta * np.arange(M + 1)
+    points[M] = T
+    values = np.asarray(kernel.evaluate(points[1:]), dtype=float)
+    return GridCoefficients(
+        delta=float(delta), count=M, horizon=float(T), points=points, values=values
+    )
 
 
 def _check_steps(deltas: Sequence[float], T: float) -> None:

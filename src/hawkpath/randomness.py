@@ -156,6 +156,8 @@ def mark_moments(model: MarkModel) -> MarkMoments:
 # bounds the memory of a runaway trial, not its time.
 ATOM_BUDGET = 2**24
 
+_NO_ATOMS = (np.empty(0), np.empty(0), np.empty(0), np.empty(0, dtype=int))
+
 
 @dataclass(frozen=True)
 class Strip:
@@ -182,7 +184,8 @@ class PoissonAtoms:
     mark_model: MarkModel
     seed_entropy: tuple[int, ...]
     strips: list[Strip] = field(default_factory=list)
-    _merged: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
+    # how many strips are merged, and their (tau, theta, y, strip index)
+    _merged: tuple[int, tuple[np.ndarray, ...]] = field(default=(0, _NO_ATOMS), repr=False)
 
     @property
     def ceiling(self) -> float:
@@ -213,21 +216,25 @@ class PoissonAtoms:
         return bool(ceilings)
 
     def merged(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(tau, theta, y, strip index) over all strips, sorted by (tau, theta)."""
-        if self._merged is None:
-            tau = np.concatenate([s.tau for s in self.strips]) if self.strips else np.empty(0)
-            theta = np.concatenate([s.theta for s in self.strips]) if self.strips else np.empty(0)
-            y = np.concatenate([s.y for s in self.strips]) if self.strips else np.empty(0)
-            sid = (
-                np.concatenate(
-                    [np.full(len(s.tau), i) for i, s in enumerate(self.strips)]
-                )
-                if self.strips
-                else np.empty(0, dtype=int)
-            )
-            order = np.lexsort((theta, tau))
-            self._merged = (tau[order], theta[order], y[order], sid[order])
-        return self._merged
+        """(tau, theta, y, strip index) over all strips, sorted by (tau, theta).
+
+        A strip is sorted and its thetas top every earlier strip's, so each new
+        strip's atoms go in after the merged atoms of equal or smaller tau: a
+        linear merge, in the order a stable sort of the whole ladder gives."""
+        done, cols = self._merged
+        for i in range(done, len(self.strips)):
+            s = self.strips[i]
+            at = np.searchsorted(cols[0], s.tau, side="right") + np.arange(len(s.tau))
+            kept = np.ones(len(cols[0]) + len(at), dtype=bool)
+            kept[at] = False
+            grown = []
+            for old, new in zip(cols, (s.tau, s.theta, s.y, np.full(len(at), i))):
+                out = np.empty(len(kept), dtype=old.dtype)
+                out[kept], out[at] = old, new
+                grown.append(out)
+            cols = tuple(grown)
+        self._merged = (len(self.strips), cols)
+        return cols
 
 
 def _draw_strip(
@@ -291,5 +298,4 @@ def extend_ceiling(atoms: PoissonAtoms, new_ceiling: float) -> PoissonAtoms:
         len(atoms.strips),
     )
     atoms.strips.append(strip)
-    atoms._merged = None
     return atoms

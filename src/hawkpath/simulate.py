@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import rho_continuous, rho_discrete
 from .errors import InstabilityError, InstabilityWarning, ParameterError
-from .kernels import GridCoefficients, Kernel, grid_coefficients
+from .kernels import REL_TOL, GridCoefficients, Kernel, grid_coefficients
 from .randomness import MarkModel, PoissonAtoms, sample_atoms
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
     "make_step_path",
     "step_from_jumps",
 ]
-
-_REL_TOL = 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -140,12 +138,12 @@ class ContinuousPath:
 
 @dataclass(frozen=True)
 class DiscreteTrace:
-    """Arrays of the discrete scheme on the grid 0, delta, ..., count*delta.
+    """Arrays of the discrete scheme on the points t_0 .. t_count of ``grid``.
 
-    Index n holds the bin ((n-1)*delta, n*delta]; index 0 is the initial
-    state.  ``intensity[0] == intensity[1]`` equals the empty-past rate.
-    ``risk`` is the cumulative mark sum at the grid points.  ``times`` and
-    ``marks`` hold the accepted atoms in bin order; bin n's atoms are the
+    Index n holds the bin (t_{n-1}, t_n]; index 0 is the initial state.
+    ``intensity[0] == intensity[1]`` equals the empty-past rate.  ``risk``
+    is the cumulative mark sum at the grid points.  ``times`` and ``marks``
+    hold the accepted atoms in bin order; bin n's atoms are the
     slice ``cumsum(events)[n-1]:cumsum(events)[n]``.  ``intensity[n]`` for
     n >= 2 is psi of the feedback sum of ``coeffs[n-1-j] * mass[j]`` over the
     earlier bins j, added in IEEE double oldest bin first.  Filling it costs
@@ -153,18 +151,25 @@ class DiscreteTrace:
     push reaches a later bin), one per ceiling extension and one to start.
     """
 
-    delta: float
-    count: int
+    grid: GridCoefficients
     intensity: np.ndarray           # l_0 .. l_M
     mass: np.ndarray                # X_0 .. X_M (modulated per-bin mass)
     events: np.ndarray              # D_0 .. D_M (accepted counts)
-    risk: np.ndarray                # R at 0, delta, ..., M*delta
+    risk: np.ndarray                # R at the grid points
     times: np.ndarray               # accepted atom times, in bin order
     marks: np.ndarray               # their marks
 
     @property
+    def delta(self) -> float:
+        return self.grid.delta
+
+    @property
+    def count(self) -> int:
+        return self.grid.count
+
+    @property
     def horizon(self) -> float:
-        return self.delta * self.count
+        return self.grid.horizon
 
     @property
     def terminal_count(self) -> int:
@@ -249,15 +254,6 @@ def step_from_jumps(times, increments, horizon: float, initial: float = 0.0) -> 
 # Continuous-time thinning
 # --------------------------------------------------------------------------
 
-def _check_continuous_stability(kernel, jump_rate, mark_model, allow_unstable):
-    rho = rho_continuous(kernel, jump_rate.lipschitz, mark_model)
-    if rho >= 1.0 and not allow_unstable:
-        raise InstabilityError(
-            f"stability ratio {rho:.4g} >= 1; pass allow_unstable=True to override"
-        )
-    return rho
-
-
 def simulate_continuous(
     kernel: Kernel,
     jump_rate: JumpRate,
@@ -286,16 +282,20 @@ def simulate_continuous(
     the first undecided one.  A ceiling past the atom budget raises
     ``RunawayIntensityError``.
     """
-    if T > atoms.horizon * (1 + _REL_TOL):
+    if T > atoms.horizon * (1 + REL_TOL):
         raise ParameterError("T exceeds the atoms' horizon")
-    if T > kernel.horizon * (1 + _REL_TOL):
+    if T > kernel.horizon * (1 + REL_TOL):
         raise ParameterError("T exceeds the kernel horizon")
     if not kernel.bounded:
         raise ParameterError(
             "continuous thinning requires a bounded kernel; only the discrete "
             "scheme supports kernels unbounded at lag zero"
         )
-    _check_continuous_stability(kernel, jump_rate, mark_model, allow_unstable)
+    rho = rho_continuous(kernel, jump_rate.lipschitz, mark_model)
+    if rho >= 1.0 and not allow_unstable:
+        raise InstabilityError(
+            f"stability ratio {rho:.4g} >= 1; pass allow_unstable=True to override"
+        )
 
     psi = jump_rate.fn
     feedback = jump_rate.lipschitz * kernel.sup_norm
@@ -315,7 +315,7 @@ def simulate_continuous(
     while True:
         tau, theta, y, _ = atoms.merged()
         b = mark_model.modulate(y)
-        n = int(np.searchsorted(tau, T * (1 + _REL_TOL), side="right"))
+        n = int(np.searchsorted(tau, T, side="right"))
         grown = [np.empty(n) for _ in range(4)]
         for dst, src in zip(grown, (acc_t, acc_y, acc_b, acc_lam)):
             dst[:cnt] = src[:cnt]
@@ -376,7 +376,7 @@ def _excitation(kernel: Kernel, times: np.ndarray, weights: np.ndarray, t: float
 
 def eval_intensity(path: ContinuousPath, kernel: Kernel, jump_rate: JumpRate, t: float) -> float:
     """Left-limit intensity at t: events strictly before t contribute."""
-    if not 0 <= t <= path.horizon * (1 + _REL_TOL):
+    if not 0 <= t <= path.horizon * (1 + REL_TOL):
         raise ParameterError("t must lie in [0, T]")
     return float(jump_rate.fn(_excitation(kernel, path.times, path.weights, t)))
 
@@ -428,18 +428,6 @@ def integrate_intensity(
 # Discrete scheme
 # --------------------------------------------------------------------------
 
-def _check_discrete_stability(grid, jump_rate, mark_model, allow_unstable):
-    rho = rho_discrete(grid, jump_rate.lipschitz, mark_model)
-    if rho >= 1.0 and not allow_unstable:
-        warnings.warn(
-            f"discrete stability ratio {rho:.4g} >= 1; a smaller step restores it "
-            "for regular kernels",
-            InstabilityWarning,
-            stacklevel=3,
-        )
-    return rho
-
-
 def simulate_discrete(
     grid: GridCoefficients,
     jump_rate: JumpRate,
@@ -450,10 +438,10 @@ def simulate_discrete(
 ) -> DiscreteTrace:
     """Euler-type scheme: per-bin thinning under the frozen bin intensity.
 
-    ``grid`` holds the kernel samples h(k*delta), k = 1..count, of the grid
-    0, delta, ..., count*delta; build it once per delta with
+    ``grid`` holds the bin edges t_0 = 0 < ... < t_count = T and the kernel
+    samples h(t_k), k = 1..count; build it once per delta with
     ``grid_coefficients`` and share it across trials.  Bins are right-closed,
-    ((n-1)*delta, n*delta].  The walk costs one jump-rate call per change of
+    (t_{n-1}, t_n].  The walk costs one jump-rate call per change of
     the feedback: from bin n it takes the levels of every later bin at once,
     as psi of the feedback so far, and tests every atom of the bins below the
     first level above the ceiling against its bin's level.  The bins holding
@@ -472,21 +460,27 @@ def simulate_discrete(
     An unstable step ratio warns rather than fails; allow_unstable
     acknowledges it and silences the warning.
     """
-    delta, M = grid.delta, grid.count
-    if delta * M > atoms.horizon * (1 + _REL_TOL):
-        raise ParameterError("count * delta exceeds the atoms' horizon")
-    _check_discrete_stability(grid, jump_rate, mark_model, allow_unstable)
+    M = grid.count
+    if grid.horizon > atoms.horizon * (1 + REL_TOL):
+        raise ParameterError("the grid's horizon exceeds the atoms' horizon")
+    rho = rho_discrete(grid, jump_rate.lipschitz, mark_model)
+    if rho >= 1.0 and not allow_unstable:
+        warnings.warn(
+            f"discrete stability ratio {rho:.4g} >= 1; a smaller step restores it "
+            "for regular kernels",
+            InstabilityWarning,
+            stacklevel=2,
+        )
 
     psi = jump_rate.fn
     coeffs = grid.values
     span = grid.span
-    points = delta * np.arange(M + 1)
 
     def read_atoms():
         """Merged atoms, their modulation, the atom index of every grid point
         and the bin of every atom up to T."""
         tau, theta, y, _ = atoms.merged()
-        edges = np.searchsorted(tau, points, side="right")
+        edges = np.searchsorted(tau, grid.points, side="right")
         bin_of = np.repeat(np.arange(M + 1), np.diff(edges, prepend=0))
         return tau, theta, y, mark_model.modulate(y), edges.tolist(), bin_of
 
@@ -532,8 +526,7 @@ def simulate_discrete(
     lo, hi = edges[0], edges[M]
     accept = theta[lo:hi] <= intensity[bin_of[lo:hi]]
     return DiscreteTrace(
-        delta=float(delta),
-        count=M,
+        grid=grid,
         intensity=intensity,
         mass=mass,
         events=np.bincount(bin_of[lo:hi][accept], minlength=M + 1),
@@ -584,9 +577,7 @@ def couple(
     the k-th strip's contents depend only on the seed and k, so the result
     does not depend on which process triggered which extension.
     """
-    M = round(T / delta)
-    if M < 1 or abs(M * delta - T) > _REL_TOL * max(T, 1.0):
-        raise ParameterError("T must be an integer multiple of delta")
+    grid = grid_coefficients(kernel, delta, T)
     if atoms is None:
         if seed is None:
             raise ParameterError("either atoms or seed must be given")
@@ -595,8 +586,7 @@ def couple(
         kernel, jump_rate, mark_model, T, atoms, allow_unstable=allow_unstable
     )
     disc = simulate_discrete(
-        grid_coefficients(kernel, delta, M), jump_rate, mark_model, atoms,
-        allow_unstable=allow_unstable,
+        grid, jump_rate, mark_model, atoms, allow_unstable=allow_unstable
     )
     return cont, disc
 
@@ -613,8 +603,8 @@ def path_to_step(path: ContinuousPath | DiscreteTrace, field: str) -> StepPath:
     """Embed a simulated process as a canonical step path.
 
     Continuous paths jump at their event times; discrete traces change value
-    only at grid points (the bin content becomes visible at the bin's right
-    endpoint).
+    only at their grid's points (the bin content becomes visible at the bin's
+    right endpoint).
     """
     if isinstance(path, ContinuousPath):
         if field not in _CONTINUOUS_FIELDS:
@@ -628,13 +618,13 @@ def path_to_step(path: ContinuousPath | DiscreteTrace, field: str) -> StepPath:
     if isinstance(path, DiscreteTrace):
         if field not in _DISCRETE_FIELDS:
             raise ParameterError(f"field must be one of {_DISCRETE_FIELDS}")
-        grid = path.delta * np.arange(path.count + 1)
+        points = path.grid.points
         if field == "intensity":
-            return make_step_path(grid, path.intensity, path.horizon)
+            return make_step_path(points, path.intensity, path.horizon)
         series = {
             "count": np.cumsum(path.events),
             "mass": np.cumsum(path.mass),
             "risk": path.risk,
         }[field]
-        return make_step_path(grid, np.asarray(series, dtype=float), path.horizon)
+        return make_step_path(points, np.asarray(series, dtype=float), path.horizon)
     raise ParameterError("path must be a ContinuousPath or DiscreteTrace")

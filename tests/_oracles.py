@@ -497,7 +497,7 @@ def discrete_scheme_reference(kernel, jump_rate, mark_model, delta, count, atoms
     needs it, exactly as in the scheme under test.
     """
     M = int(count)
-    coeffs = grid_coefficients(kernel, delta, M).values
+    coeffs = grid_coefficients(kernel, delta, M * delta).values
     nz = np.nonzero(coeffs)[0]
     span = int(nz[-1]) + 1 if len(nz) else 0
     psi = jump_rate.fn
@@ -553,7 +553,7 @@ def compound_poisson_scheme(kernel, jump_rate, mark_model, delta, count, seed):
     coupling to anything.  Returns the per-bin event counts.
     """
     M = int(count)
-    coeffs = grid_coefficients(kernel, delta, M).values
+    coeffs = grid_coefficients(kernel, delta, M * delta).values
     rng = np.random.default_rng(np.random.SeedSequence(entropy=tuple(seed)))
     mass = np.zeros(M + 1)
     events = np.zeros(M + 1, dtype=np.int64)

@@ -198,7 +198,7 @@ def test_criterion_5_intensity_mean_bounds():
         rho = hp.rho_continuous(_EXP_KERNEL, 1.0, UNIT_MARKS)
         assert rho == pytest.approx(0.6, abs=0.01)
         bound_cont = 1.0 / (1.0 - rho)
-        grid = hp.grid_coefficients(_EXP_KERNEL, data["delta"], data["M"])
+        grid = hp.grid_coefficients(_EXP_KERNEL, data["delta"], data["M"] * data["delta"])
         bound_disc = 1.0 / (1.0 - hp.rho_discrete(grid, 1.0, UNIT_MARKS))
         for samples, bound in ((data["lam"], bound_cont), (data["lvals"], bound_disc)):
             means = samples.mean(axis=0)

@@ -42,11 +42,11 @@ class TestStabilityRatios:
         )
 
     def test_discrete_zero_coefficients(self, unit_marks):
-        grid = grid_coefficients(hp.zero_kernel(5.0), 0.5, 10)
+        grid = grid_coefficients(hp.zero_kernel(5.0), 0.5, 5.0)
         assert rho_discrete(grid, 1.0, unit_marks) == 0.0
 
     def test_discrete_constant_kernel_exact(self, unit_marks):
-        grid = grid_coefficients(hp.constant_kernel(0.1, 5.0), 0.25, 20)
+        grid = grid_coefficients(hp.constant_kernel(0.1, 5.0), 0.25, 5.0)
         assert rho_discrete(grid, 1.0, unit_marks) == pytest.approx(0.5, abs=1e-12)
 
     def test_discrete_dominated_by_continuous_plus_projection(
@@ -56,7 +56,7 @@ class TestStabilityRatios:
         for k in library_kernels.values():
             rho = rho_continuous(k, 1.0, unit_marks)
             for delta in (0.5, 0.1, 0.05):
-                grid = grid_coefficients(k, delta, round(5.0 / delta))
+                grid = grid_coefficients(k, delta, 5.0)
                 rho_d = rho_discrete(grid, 1.0, unit_marks)
                 proj = grid_projection_modulus(k, delta, 5.0)
                 assert rho_d <= rho + proj + 1e-9
@@ -66,7 +66,7 @@ class TestStabilityRatios:
         for k in library_kernels.values():
             assert rho_continuous(k, 1.0, unit_marks) < 1.0
             delta = 0.003125
-            grid = grid_coefficients(k, delta, round(5.0 / delta))
+            grid = grid_coefficients(k, delta, 5.0)
             assert rho_discrete(grid, 1.0, unit_marks) < 1.0
 
 
@@ -169,7 +169,7 @@ LADDER = (0.5, 0.25, 0.1, 0.05, 0.0125)
 
 
 def ladder_grids(kernel, T=5.0, ladder=LADDER):
-    return tuple(grid_coefficients(kernel, d, round(T / d)) for d in ladder)
+    return tuple(grid_coefficients(kernel, d, T) for d in ladder)
 
 
 class TestBoundSets:

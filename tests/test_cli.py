@@ -57,6 +57,20 @@ class TestExitCodes:
         assert cli_main(["convergence", str(cfg)]) == 2
         assert not out.exists()
 
+    def test_decimal_ladder_whose_products_miss_the_horizon(self, tmp_path):
+        # 100 * 0.07 and 50 * 0.14 round to 7.000000000000001: the last bin of
+        # each grid still ends at T = 7, so the path metrics compare paths on
+        # one horizon
+        out = tmp_path / "out"
+        doc = {
+            **base_doc(out), "horizon": 7.0, "delta_ladder": [0.7, 0.35, 0.14, 0.07],
+            "trials": 3, "metrics": ["terminal_count", "sobolev", "skorokhod_exact"],
+        }
+        assert cli_main(["convergence", str(write_config(tmp_path, doc))]) == 0
+        rows = (out / "convergence.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4 * 3
+        assert all(row.endswith(",") for row in rows)  # no aborted cell
+
     def test_missing_file_exits_2(self, tmp_path):
         assert cli_main(["bounds", str(tmp_path / "nope.json")]) == 2
 
@@ -152,9 +166,9 @@ class TestExitCodes:
             kernels.append(spec)
             return build_kernel(spec, horizon)
 
-        def counting_grid(kernel, delta, count):
+        def counting_grid(kernel, delta, T):
             grids.append(delta)
-            return grid_coefficients(kernel, delta, count)
+            return grid_coefficients(kernel, delta, T)
 
         monkeypatch.setattr(harness, "build_kernel", counting_kernel)
         monkeypatch.setattr(harness, "grid_coefficients", counting_grid)

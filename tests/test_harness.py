@@ -76,6 +76,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             null_config(delta_ladder=[0.3])
 
+    def test_step_within_the_multiple_tolerance_builds_its_grid(self):
+        # 3 * 0.33333333334 passes T = 1 by 2e-11, inside the 1e-9 rule
+        cfg = null_config(horizon=1.0, delta_ladder=[0.33333333334])
+        (grid,) = cfg.run.grids
+        assert grid.count == 3 and grid.horizon == 1.0 and grid.points[-1] == 1.0
+
     def test_trials_floor(self):
         with pytest.raises(ConfigError):
             null_config(trials=1)

@@ -222,28 +222,28 @@ class TestQuadratureMatchesRecursion:
 
 class TestGridCoefficients:
     def test_zero_kernel(self):
-        g = grid_coefficients(hp.zero_kernel(5.0), 0.5, 10)
+        g = grid_coefficients(hp.zero_kernel(5.0), 0.5, 5.0)
         assert np.all(g.values == 0.0)
 
     def test_exponential_direct(self):
-        g = grid_coefficients(hp.exponential_kernel(1.0, 1.0, 5.0), 1.0, 3)
+        g = grid_coefficients(hp.exponential_kernel(1.0, 1.0, 5.0), 1.0, 3.0)
         assert g.values == pytest.approx([math.exp(-1), math.exp(-2), math.exp(-3)])
 
     def test_inverse_sqrt_never_hits_zero(self):
         c = 0.3
-        g = grid_coefficients(hp.inverse_sqrt_kernel(1.0, c), 0.25, 4)
+        g = grid_coefficients(hp.inverse_sqrt_kernel(1.0, c), 0.25, 1.0)
         expected = [2 * c, c * math.sqrt(2), 2 * c / math.sqrt(3), c]
         assert g.values == pytest.approx(expected, rel=1e-12)
         assert np.all(np.isfinite(g.values))
 
     def test_values_match_evaluate_exactly(self, cos_kernel):
-        g = grid_coefficients(cos_kernel, 0.25, 20)
+        g = grid_coefficients(cos_kernel, 0.25, 5.0)
         lags = 0.25 * np.arange(1, 21)
         assert np.array_equal(g.values, cos_kernel.evaluate(lags))
 
     def test_horizon_precondition(self):
         with pytest.raises(ParameterError):
-            grid_coefficients(hp.zero_kernel(5.0), 0.5, 11)
+            grid_coefficients(hp.zero_kernel(5.0), 0.5, 5.5)
 
 
 class TestShiftModulus:

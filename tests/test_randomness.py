@@ -150,6 +150,47 @@ class TestExtendCeiling:
         assert _poisson_chisquare_pvalue(counts, 10.0) > 0.01
 
 
+def _lexsorted(atoms):
+    """The whole ladder re-sorted by (tau, theta), strips concatenated in order."""
+    cols = [np.concatenate([getattr(s, c) for s in atoms.strips]) for c in ("tau", "theta", "y")]
+    sid = np.concatenate([np.full(len(s.tau), i) for i, s in enumerate(atoms.strips)])
+    order = np.lexsort((cols[1], cols[0]))
+    return tuple(c[order] for c in (*cols, sid))
+
+
+class TestMerged:
+    def test_each_new_strip_merges_as_a_full_lexsort(self, unit_marks):
+        # tied taus within and across strips, a theta tied across strips
+        # (1.0 tops strip 0 and opens strip 1), and four extensions
+        tau = [0.25, 0.5, 0.5, 0.75, 1.5]
+        theta = [0.2, 0.3, 1.0, 0.9, 0.1]
+        atoms = hp.PoissonAtoms(2.0, unit_marks, (0,), [randomness.Strip(
+            0.0, 1.0, np.array(tau), np.array(theta), np.arange(5.0)
+        )])
+        assert all(np.array_equal(a, b) for a, b in zip(atoms.merged(), _lexsorted(atoms)))
+        for low, taus, thetas in (
+            (1.0, [0.0, 0.5, 0.5, 0.75, 2.0], [1.0, 1.0, 1.5, 1.2, 1.9]),
+            (2.0, [0.25, 0.5, 1.5, 1.5], [3.0, 2.5, 2.1, 2.2]),
+            (4.0, [], []),
+            (8.0, [0.5, 0.5, 1.0], [9.0, 12.0, 8.5]),
+        ):
+            high = 2.0 * low
+            atoms.strips.append(randomness.Strip(
+                low, high, np.array(taus, dtype=float), np.array(thetas, dtype=float),
+                np.full(len(taus), high),
+            ))
+            merged = atoms.merged()
+            assert all(np.array_equal(a, b) for a, b in zip(merged, _lexsorted(atoms)))
+
+    def test_drawn_extensions_merge_as_a_full_lexsort(self, unit_marks):
+        for seed in range(20):
+            atoms = hp.sample_atoms(4.0, 2.0, unit_marks, seed)
+            for ceiling in (4.0, 8.0, 16.0):
+                atoms.merged()
+                hp.extend_ceiling(atoms, ceiling)
+            assert all(np.array_equal(a, b) for a, b in zip(atoms.merged(), _lexsorted(atoms)))
+
+
 class TestCover:
     def test_level_under_the_ceiling_draws_nothing(self, unit_marks):
         atoms = hp.sample_atoms(10.0, 3.0, unit_marks, 4)

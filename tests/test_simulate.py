@@ -208,7 +208,7 @@ class TestSimulateDiscrete:
         rate = hp.constant_rate(2.0)
         atoms = hp.sample_atoms(10.0, 4.0, unit_marks, 21)
         cont = hp.simulate_continuous(zero, rate, unit_marks, 10.0, atoms)
-        disc = hp.simulate_discrete(hp.grid_coefficients(zero, 0.5, 20), rate, unit_marks, atoms)
+        disc = hp.simulate_discrete(hp.grid_coefficients(zero, 0.5, 10.0), rate, unit_marks, atoms)
         assert disc.terminal_count == cont.terminal_count
         assert disc.terminal_risk == cont.terminal_risk
         assert np.array_equal(disc.times, cont.times)
@@ -216,7 +216,7 @@ class TestSimulateDiscrete:
     def test_no_atoms(self, unit_marks):
         atoms = atoms_from_triples(3.0, 4.0, [], unit_marks)
         disc = hp.simulate_discrete(
-            hp.grid_coefficients(hp.exponential_kernel(0.5, 1.0, 3.0), 0.5, 6),
+            hp.grid_coefficients(hp.exponential_kernel(0.5, 1.0, 3.0), 0.5, 3.0),
             hp.relu_affine(1.0), unit_marks, atoms,
         )
         assert np.all(disc.intensity == 1.0)
@@ -229,7 +229,7 @@ class TestSimulateDiscrete:
         atoms = atoms_from_triples(
             3.0, 4.0, [(0.5, 0.01, 1.0), (1.5, 0.01, 1.0)], unit_marks
         )
-        disc = hp.simulate_discrete(hp.grid_coefficients(kernel, 1.0, 3), jr, unit_marks, atoms)
+        disc = hp.simulate_discrete(hp.grid_coefficients(kernel, 1.0, 3.0), jr, unit_marks, atoms)
         assert disc.intensity[0] == disc.intensity[1] == 1.0
         assert disc.mass[0] == 0.0 and disc.events[0] == 0
         assert disc.intensity[2] == pytest.approx(1.0 + math.exp(-1.0), abs=1e-12)
@@ -241,7 +241,7 @@ class TestSimulateDiscrete:
         # an atom exactly at a grid point belongs to the earlier bin
         atoms = atoms_from_triples(2.0, 4.0, [(1.0, 0.01, 1.0)], unit_marks)
         disc = hp.simulate_discrete(
-            hp.grid_coefficients(hp.zero_kernel(2.0), 1.0, 2), hp.constant_rate(1.0),
+            hp.grid_coefficients(hp.zero_kernel(2.0), 1.0, 2.0), hp.constant_rate(1.0),
             unit_marks, atoms,
         )
         assert disc.events[1] == 1 and disc.events[2] == 0
@@ -249,7 +249,7 @@ class TestSimulateDiscrete:
     def test_predictability_recomputation(self, exp_kernel, unit_marks):
         jr = hp.relu_affine(1.0)
         atoms = hp.sample_atoms(5.0, 8.0, unit_marks, 31)
-        grid = hp.grid_coefficients(exp_kernel, 0.25, 20)
+        grid = hp.grid_coefficients(exp_kernel, 0.25, 5.0)
         disc = hp.simulate_discrete(grid, jr, unit_marks, atoms)
         coeffs = grid.values
         for n in range(1, 20):
@@ -262,13 +262,13 @@ class TestSimulateDiscrete:
         jr = hp.relu_affine(1.0)
         a1 = hp.sample_atoms(5.0, 8.0, unit_marks, 17)
         a2 = hp.sample_atoms(5.0, 8.0, unit_marks, 17)
-        d1 = hp.simulate_discrete(hp.grid_coefficients(compact, 0.125, 40), jr, unit_marks, a1)
-        d2 = hp.simulate_discrete(hp.grid_coefficients(dense, 0.125, 40), jr, unit_marks, a2)
+        d1 = hp.simulate_discrete(hp.grid_coefficients(compact, 0.125, 5.0), jr, unit_marks, a1)
+        d2 = hp.simulate_discrete(hp.grid_coefficients(dense, 0.125, 5.0), jr, unit_marks, a2)
         assert np.allclose(d1.intensity, d2.intensity, atol=1e-12)
         assert np.array_equal(d1.events, d2.events)
 
     def test_unstable_step_warns(self, unit_marks):
-        grid = hp.grid_coefficients(hp.constant_kernel(0.25, 5.0), 0.5, 10)  # ratio 1.25
+        grid = hp.grid_coefficients(hp.constant_kernel(0.25, 5.0), 0.5, 5.0)  # ratio 1.25
         atoms = hp.sample_atoms(5.0, 4.0, unit_marks, 2)
         with pytest.warns(InstabilityWarning):
             hp.simulate_discrete(grid, hp.relu_affine(1.0), unit_marks, atoms)
@@ -310,7 +310,7 @@ def _assert_matches_reference(kernel, rate, marks, delta, count, make_atoms):
     ref = discrete_scheme_reference(kernel, rate, marks, delta, count, make_atoms())
     atoms = make_atoms()
     disc = simulate_discrete(
-        grid_coefficients(kernel, delta, count), rate, marks, atoms, allow_unstable=True
+        grid_coefficients(kernel, delta, delta * count), rate, marks, atoms, allow_unstable=True
     )
     for field in ("intensity", "mass", "events", "risk"):
         assert np.array_equal(getattr(disc, field), getattr(ref, field)), field
@@ -328,7 +328,7 @@ def _psi_calls(kernel, rate, marks, delta, count, atoms):
         return rate.fn(x)
 
     disc = simulate_discrete(
-        grid_coefficients(kernel, delta, count), dataclasses.replace(rate, fn=counting),
+        grid_coefficients(kernel, delta, delta * count), dataclasses.replace(rate, fn=counting),
         marks, atoms, allow_unstable=True,
     )
     return len(calls), disc
@@ -371,7 +371,7 @@ class TestDiscreteReference:
         disc, _ = _assert_matches_reference(
             kernel, rate, model, 1.0, 4, lambda: hp.sample_atoms(_REF_T, 1.0, model, 9),
         )
-        coeffs = hp.grid_coefficients(kernel, 1.0, 4).values
+        coeffs = hp.grid_coefficients(kernel, 1.0, 4.0).values
         assert np.count_nonzero(disc.mass[1:4]) == 3
         dot = float(np.dot(coeffs[:3], disc.mass[1:4][::-1]))
         assert disc.intensity[4] != float(rate.fn(dot))
@@ -402,7 +402,7 @@ class TestDiscreteReference:
         )
         atoms = atoms_from_triples(1.5 * ATOM_BUDGET, 0.5, triples, unit_marks)
         with pytest.raises(RunawayIntensityError, match=f"^bin intensity {ref.intensity[4]:.4g} "):
-            simulate_discrete(grid_coefficients(kernel, 0.25, 8), rate, unit_marks, atoms)
+            simulate_discrete(grid_coefficients(kernel, 0.25, 2.0), rate, unit_marks, atoms)
         assert len(atoms.strips) == 1
         assert np.all(ref.intensity[:4] <= 0.5)
 
@@ -484,7 +484,7 @@ class TestDiscreteReference:
         calls, disc = _psi_calls(
             _REF_KERNELS[kernel], _REF_RATES[rate], model, delta, count, atoms
         )
-        span = grid_coefficients(_REF_KERNELS[kernel], delta, count).span
+        span = grid_coefficients(_REF_KERNELS[kernel], delta, _REF_T).span
         moving = sum(1 for j in range(1, count + 1) if disc.mass[j] and min(span, count - j))
         assert calls <= moving + (len(atoms.strips) - 1) + 1
 
@@ -495,7 +495,7 @@ class TestDiscreteLaw:
 
         kernel = hp.exponential_kernel(0.604, 1.0, 5.0)
         jr = hp.relu_affine(1.0)
-        grid = hp.grid_coefficients(kernel, 0.25, 20)
+        grid = hp.grid_coefficients(kernel, 0.25, 5.0)
         n = 8000
         sampled = np.empty(n, dtype=int)
         thinned = np.empty(n, dtype=int)
@@ -560,6 +560,29 @@ class TestCouple:
         with pytest.raises(ParameterError):
             hp.couple(hp.zero_kernel(5.0), hp.constant_rate(1.0), unit_marks, 5.0, 0.3, seed=1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        T=st.sampled_from([0.5, 1.0, 7.0, 10.0, 33.3]),
+        k=st.integers(2, 400),
+        seed=st.integers(0, 2**16),
+    )
+    def test_last_bin_ends_at_the_horizon(self, T, k, seed):
+        # k * (T / k) need not round to T; the grid ends at T all the same
+        kernel = hp.exponential_kernel(0.5, 1.0, T)
+        grid = hp.grid_coefficients(kernel, T / k, T)
+        assert grid.count == k and grid.points[-1] == T
+        cont, disc = hp.couple(
+            kernel, hp.relu_affine(0.5), _REF_MARKS["point-mass"], T, T / k, seed=seed
+        )
+        assert disc.horizon == cont.horizon == T
+        # without feedback both processes accept the same atoms, the last
+        # bin's up to T included
+        cont, disc = hp.couple(
+            hp.zero_kernel(T), hp.constant_rate(2.0), _REF_MARKS["point-mass"], T, T / k,
+            seed=seed,
+        )
+        assert np.array_equal(disc.times, cont.times)
+
 
 class TestPathToStep:
     def test_empty_paths(self, unit_marks):
@@ -570,7 +593,7 @@ class TestPathToStep:
         sp = path_to_step(cont, "count")
         assert sp.jump_count == 0 and sp.values[0] == 0.0
         disc = hp.simulate_discrete(
-            hp.grid_coefficients(hp.zero_kernel(2.0), 0.5, 4), hp.constant_rate(0.5),
+            hp.grid_coefficients(hp.zero_kernel(2.0), 0.5, 2.0), hp.constant_rate(0.5),
             unit_marks, atoms,
         )
         lam = path_to_step(disc, "intensity")
@@ -579,8 +602,7 @@ class TestPathToStep:
     def test_discrete_mass_embedding_example(self, unit_marks):
         delta = 0.25
         trace = hp.DiscreteTrace(
-            delta=delta,
-            count=4,
+            grid=hp.grid_coefficients(hp.zero_kernel(1.0), delta, 1.0),
             intensity=np.ones(5),
             mass=np.array([0.0, 0.0, 2.0, 0.0, 1.0]),
             events=np.array([0, 0, 2, 0, 1]),
@@ -636,7 +658,7 @@ def _inv_continuous(atoms):
 
 def _inv_discrete(delta, atoms):
     return simulate_discrete(
-        grid_coefficients(_INV_KERNEL, delta, round(_INV_T / delta)), _INV_RATE, _INV_MARKS,
+        grid_coefficients(_INV_KERNEL, delta, _INV_T), _INV_RATE, _INV_MARKS,
         atoms,
     )
 
