@@ -91,7 +91,6 @@ class BoundSet:
 def bound_sets(
     kernel: Kernel,
     grids: Sequence[GridCoefficients],
-    T: float,
     jump_rate,
     mark_model: MarkModel,
     eta: float = 0.25,
@@ -101,12 +100,15 @@ def bound_sets(
 ) -> list[BoundSet]:
     """Evaluate every constant and theorem shape at the step of each grid.
 
-    ``grids[i]`` holds the kernel samples at step delta_i up to T.  What no
-    step changes (rho, the mark moments, the integral of h^2 and the
-    p-variation) is computed once; the regularity constants of all steps are
-    one quadrature batch.  Every step's stability is checked before any
-    quadrature.
+    ``grids[i]`` holds the kernel samples at step delta_i up to the horizon T
+    that all grids share.  What no step changes (rho, the mark moments, the
+    integral of h^2 and the p-variation) is computed once; the regularity
+    constants of all steps are one quadrature batch.  Every step's stability
+    is checked before any quadrature.
     """
+    if len({grid.horizon for grid in grids}) != 1:
+        raise ParameterError("the grids must share one horizon")
+    T = grids[0].horizon
     deltas = [grid.delta for grid in grids]
     if not 0 < eta < 1:
         raise ParameterError("eta must lie in (0, 1)")
@@ -208,7 +210,7 @@ def bound_set(
     """Evaluate every constant and theorem shape for one configuration."""
     grid = grid_coefficients(kernel, delta, T)
     return bound_sets(
-        kernel, (grid,), T, jump_rate, mark_model, eta, p, allow_unstable=allow_unstable
+        kernel, (grid,), jump_rate, mark_model, eta, p, allow_unstable=allow_unstable
     )[0]
 
 

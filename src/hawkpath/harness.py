@@ -60,6 +60,7 @@ from .simulate import (
     clipped_affine,
     constant_rate,
     default_ceiling,
+    distinct,
     eval_intensity,
     integrate_intensity,
     path_to_step,
@@ -345,7 +346,7 @@ class Run:
         """One bound set per ladder delta."""
         cfg = self.config
         return bound_sets(
-            self.kernel, self.grids, cfg.horizon, self.jump_rate, self.marks,
+            self.kernel, self.grids, self.jump_rate, self.marks,
             eta=cfg.sobolev_eta, allow_unstable=cfg.allow_unstable,
         )
 
@@ -359,7 +360,7 @@ class Run:
         return _VerifyPlan(
             rate=rate,
             times=T * np.arange(1, 21) / 20.0,
-            grid_idx=np.unique(np.linspace(1, self.grids[-1].count, 20, dtype=int)),
+            grid_idx=distinct(np.linspace(1, self.grids[-1].count, 20, dtype=int))[0],
             mark_mean=mark_moments(self.marks).mean,
         )
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .simulate import StepPath, make_step_path
+from .simulate import StepPath, distinct, make_step_path
 
 __all__ = [
     "PowerLawFit",
@@ -42,14 +42,14 @@ def _require_same_horizon(f: StepPath, g: StepPath) -> float:
 def step_sub(f: StepPath, g: StepPath) -> StepPath:
     """Canonical pointwise difference f - g on the breakpoint union."""
     T = _require_same_horizon(f, g)
-    bp = np.union1d(f.breakpoints, g.breakpoints)
+    bp, _ = distinct(np.concatenate((f.breakpoints, g.breakpoints)))
     return make_step_path(bp, f.value_at(bp) - g.value_at(bp), T)
 
 
 def uniform_distance(f: StepPath, g: StepPath) -> float:
     """sup |f - g|, attained on the breakpoint union."""
     _require_same_horizon(f, g)
-    bp = np.union1d(f.breakpoints, g.breakpoints)
+    bp, _ = distinct(np.concatenate((f.breakpoints, g.breakpoints)))
     return float(np.abs(f.value_at(bp) - g.value_at(bp)).max())
 
 
@@ -248,7 +248,7 @@ def skorokhod_distance(f: StepPath, g: StepPath) -> float:
     cands = np.concatenate((
         [0.0], value_gaps, _gaps_within(fa, ga, u), fa, T - fa, ga, T - ga,
     ))
-    crit = np.unique(cands[cands <= u])
+    crit, _ = distinct(cands[cands <= u])
 
     def passes(k: int) -> bool:  # is the gap (crit[k], crit[k + 1]) feasible?
         c, nxt = float(crit[k]), float(crit[k + 1])
@@ -267,7 +267,7 @@ def skorokhod_distance(f: StepPath, g: StepPath) -> float:
         return lo
 
     # positions of the value gaps in crit; the last one is u
-    anchors = np.searchsorted(crit, np.unique(value_gaps)).tolist()
+    anchors = np.searchsorted(crit, distinct(value_gaps)[0]).tolist()
     s = first_passing(anchors)
     lo = anchors[s - 1] + 1 if s else 0
     hi = anchors[s]  # the answer's position lies in [lo, hi]

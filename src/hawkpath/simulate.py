@@ -147,8 +147,9 @@ class DiscreteTrace:
     slice ``cumsum(events)[n-1]:cumsum(events)[n]``.  ``intensity[n]`` for
     n >= 2 is psi of the feedback sum of ``coeffs[n-1-j] * mass[j]`` over the
     earlier bins j, added in IEEE double oldest bin first.  Filling it costs
-    one psi call per change of that feedback (a bin with nonzero mass whose
-    push reaches a later bin), one per ceiling extension and one to start.
+    one psi call per look-ahead window of atoms (one after each bin that
+    moves the feedback, and one more per doubling of the window) and one on
+    the whole grid per pass (one pass, plus one per ceiling extension).
     """
 
     grid: GridCoefficients
@@ -233,6 +234,19 @@ def make_step_path(breakpoints, values, horizon: float) -> StepPath:
     return StepPath(b[keep].copy(), v[keep].copy(), float(horizon))
 
 
+def distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct entries of a 1-D array and the index of each one's
+    first occurrence, as ``np.unique(values, return_index=True)`` sorts and
+    picks them, without the import of ``numpy.ma`` that ``np.unique`` makes
+    on its first call."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first], order[first]
+
+
 def step_from_jumps(times, increments, horizon: float, initial: float = 0.0) -> StepPath:
     """Cumulative step path jumping by ``increments`` at ``times`` (sorted)."""
     t = np.asarray(times, dtype=float)
@@ -240,7 +254,7 @@ def step_from_jumps(times, increments, horizon: float, initial: float = 0.0) -> 
     if len(t) == 0:
         return StepPath(np.array([0.0]), np.array([float(initial)]), float(horizon))
     # collapse simultaneous jumps
-    uniq, start = np.unique(t, return_index=True)
+    uniq, start = distinct(t)
     sums = np.add.reduceat(inc, start)
     vals = float(initial) + np.cumsum(sums)
     return make_step_path(
@@ -406,7 +420,7 @@ def integrate_intensity(
     """
     if T is None:
         T = path.horizon
-    edges = np.unique(np.concatenate(([0.0], path.times[path.times < T], [T])))
+    edges, _ = distinct(np.concatenate(([0.0], path.times[path.times < T], [T])))
     nodes, weights = _gauss_legendre(order)
     widths = np.diff(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -428,6 +442,11 @@ def integrate_intensity(
 # Discrete scheme
 # --------------------------------------------------------------------------
 
+# Atoms in the discrete walk's first look-ahead window after a push; each
+# window that holds no push doubles the next one.
+_WINDOW = 64
+
+
 def simulate_discrete(
     grid: GridCoefficients,
     jump_rate: JumpRate,
@@ -441,24 +460,27 @@ def simulate_discrete(
     ``grid`` holds the bin edges t_0 = 0 < ... < t_count = T and the kernel
     samples h(t_k), k = 1..count; build it once per delta with
     ``grid_coefficients`` and share it across trials.  Bins are right-closed,
-    (t_{n-1}, t_n].  The walk costs one jump-rate call per change of
-    the feedback: from bin n it takes the levels of every later bin at once,
-    as psi of the feedback so far, and tests every atom of the bins below the
-    first level above the ceiling against its bin's level.  The bins holding
-    accepted atoms are visited in order; a bin j that accepts a nonzero mass
-    m_j pushes coeffs[:w] * m_j onto the feedback of the next w bins, so
-    every feedback entry is summed oldest bin first (w is the span of nonzero
-    kernel lags: compact-support kernels cost O(r) per such bin), and the
-    walk resumes at bin j + 1 with fresh levels.  A bin whose accepted mass is
-    0, or whose push reaches no later bin, leaves every later level as it
-    was.  If no bin moves the feedback before the first level above the
-    ceiling, ``atoms.cover`` doubles the ceiling up to that level and the
-    walk resumes at that bin with the new strips' atoms; a ceiling past the
-    atom budget raises ``RunawayIntensityError``.  The accepted atoms are read
-    off in one pass at the end: an atom added by a later ceiling extension has
-    a theta above every earlier bin intensity, so it passes no earlier bin.
-    An unstable step ratio warns rather than fails; allow_unstable
-    acknowledges it and silences the warning.
+    (t_{n-1}, t_n].  A bin j < count that accepts a nonzero mass m_j pushes
+    coeffs[:w] * m_j onto the feedback of the next w bins, so every feedback
+    entry is summed oldest bin first (w is the span of nonzero kernel lags:
+    compact-support kernels cost O(r) per push).  Only a push moves a later
+    level, so the walk looks for pushes alone and reads levels only at atoms
+    that could push: after each push it calls psi once on the feedback at
+    the bins of the next ``_WINDOW`` such atoms, doubling the window while
+    none of them is accepted.  The cost is one psi call per window, plus one
+    on the whole feedback at the end of each pass; the push itself is O(w).
+
+    A pass ends after the last atom, or early at a pushing atom whose level
+    is above the ceiling.  If some bin's level is then above the ceiling,
+    ``atoms.cover`` doubles the ceiling up to the first such level, the
+    pushes from that bin on are dropped (the feedback is rebuilt by replaying
+    the earlier ones in bin order) and the next pass walks from that bin with
+    the new strips' atoms; a ceiling past the atom budget raises
+    ``RunawayIntensityError``.  The accepted atoms, their counts and sums are
+    read off in one pass at the end: an atom added by a later ceiling
+    extension has a theta above every earlier bin intensity, so it passes no
+    earlier bin.  An unstable step ratio warns rather than fails;
+    allow_unstable acknowledges it and silences the warning.
     """
     M = grid.count
     if grid.horizon > atoms.horizon * (1 + REL_TOL):
@@ -475,64 +497,81 @@ def simulate_discrete(
     psi = jump_rate.fn
     coeffs = grid.values
     span = grid.span
+    feedback = np.zeros(M + 1)      # sum of coeffs[n-1-j] * mass[j], oldest j first
+    pushes = []                     # (j, m_j) of every push, in bin order
 
-    def read_atoms():
-        """Merged atoms, their modulation, the atom index of every grid point
-        and the bin of every atom up to T."""
+    def push(j: int, m: float) -> None:
+        w = min(span, M - j)
+        feedback[j + 1 : j + 1 + w] += coeffs[:w] * m
+
+    start = 1                       # the bin a pass walks from
+    while True:
         tau, theta, y, _ = atoms.merged()
-        edges = np.searchsorted(tau, grid.points, side="right")
-        bin_of = np.repeat(np.arange(M + 1), np.diff(edges, prepend=0))
-        return tau, theta, y, mark_model.modulate(y), edges.tolist(), bin_of
+        lo, hi = np.searchsorted(tau, (0.0, grid.horizon), side="right").tolist()
+        tau, theta, y = tau[lo:hi], theta[lo:hi], y[lo:hi]
+        b = mark_model.modulate(y)
+        bin_of = np.searchsorted(grid.points, tau, side="left")
+        last = int(bin_of.searchsorted(M)) if span else 0
+        # an atom that cannot push (b = 0, or in bin M) never passes here
+        pushing = np.where(b[:last] > 0.0, theta[:last], np.inf)
+        ceiling = atoms.ceiling
+        i, width = int(bin_of.searchsorted(start)), _WINDOW
+        while i < last:
+            e = min(i + width, last)
+            bins = bin_of[i:e]
+            levels = psi(feedback[bins])
+            if bins[0] == 1:
+                levels[: bins.searchsorted(2)] = jump_rate.at_zero
+            passed = pushing[i:e] <= levels
+            k = int(passed.argmax())
+            if not passed[k]:
+                i, width = e, 2 * width
+                continue
+            level = levels[k]
+            if level > ceiling:
+                # the ceiling check below extends at this bin or an earlier one
+                break
+            j = int(bins[k])
+            a, i = bin_of.searchsorted((j, j + 1)).tolist()
+            # a lone term sums to itself: numpy adds it onto 0.0
+            m = float(b[a] if i - a == 1 else b[a:i][theta[a:i] <= level].sum())
+            push(j, m)
+            pushes.append((j, m))
+            width = _WINDOW
+        intensity = psi(feedback)
+        intensity[:2] = jump_rate.at_zero
+        over = intensity > ceiling
+        if not over.any():
+            break
+        start = int(over.argmax())
+        atoms.cover(float(intensity[start]), "bin intensity")
+        if pushes and pushes[-1][0] >= start:
+            pushes = [(j, m) for j, m in pushes if j < start]
+            feedback[:] = 0.0
+            for j, m in pushes:
+                push(j, m)
 
-    tau, theta, y, b, edges, bin_of = read_atoms()
-
-    intensity = np.empty(M + 1)
+    accept = theta <= intensity[bin_of]
+    accepted_bins = bin_of[accept]
+    events = np.bincount(accepted_bins, minlength=M + 1)
+    # per-bin sums equal to numpy's b[a:z][sel].sum(): numpy adds fewer than
+    # 8 terms left to right onto 0.0, as np.add.at does, and more pairwise
+    accepted_b, marks = b[accept], y[accept]
     mass = np.zeros(M + 1)
     gain = np.zeros(M + 1)          # mark sum accepted per bin
-    feedback = np.zeros(M + 1)      # sum of coeffs[n-1-j] * mass[j], oldest j first
-
-    intensity[0] = jump_rate.at_zero
-    n = 1
-    while n <= M:
-        levels = psi(feedback[n:])
-        if n == 1:
-            levels[0] = jump_rate.at_zero
-        over = levels > atoms.ceiling
-        k = int(over.argmax()) if over.any() else len(levels)
-        lo, hi = edges[n - 1], edges[n - 1 + k]
-        hits = np.flatnonzero(theta[lo:hi] <= levels[bin_of[lo:hi] - n])
-        last = 0
-        for j in bin_of[lo + hits].tolist():
-            if j == last:
-                continue
-            last = j
-            a, z = edges[j - 1], edges[j]
-            sel = theta[a:z] <= levels[j - n]
-            mass[j] = m = float(b[a:z][sel].sum())
-            gain[j] = float(y[a:z][sel].sum())
-            w = min(span, M - j)
-            if m and w:
-                feedback[j + 1 : j + 1 + w] += coeffs[:w] * m
-                intensity[n : j + 1] = levels[: j + 1 - n]
-                n = j + 1
-                break
-        else:
-            intensity[n : n + k] = levels[:k]
-            n += k
-            if n <= M:
-                atoms.cover(float(levels[k]), "bin intensity")
-                tau, theta, y, b, edges, bin_of = read_atoms()
-
-    lo, hi = edges[0], edges[M]
-    accept = theta[lo:hi] <= intensity[bin_of[lo:hi]]
+    np.add.at(mass, accepted_bins, accepted_b)
+    np.add.at(gain, accepted_bins, marks)
+    for j in (events >= 8).nonzero()[0].tolist():
+        a, z = accepted_bins.searchsorted((j, j + 1)).tolist()
+        mass[j], gain[j] = accepted_b[a:z].sum(), marks[a:z].sum()
     return DiscreteTrace(
         grid=grid,
         intensity=intensity,
         mass=mass,
-        events=np.bincount(bin_of[lo:hi][accept], minlength=M + 1),
+        events=events,
         risk=np.cumsum(gain),
-        times=tau[lo:hi][accept],
-        marks=y[lo:hi][accept],
+        times=tau[accept],
+        marks=marks,
     )
 
 

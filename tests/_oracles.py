@@ -525,7 +525,9 @@ def discrete_scheme_reference(kernel, jump_rate, mark_model, delta, count, atoms
         while l_n > atoms.ceiling:
             new_ceiling = atoms.ceiling * 2.0
             if new_ceiling * atoms.horizon > ATOM_BUDGET:
-                raise RunawayIntensityError("bin intensity needs a ceiling beyond the atom budget")
+                raise RunawayIntensityError(
+                    f"bin intensity {l_n:.4g} needs a ceiling beyond the atom budget"
+                )
             extend_ceiling(atoms, new_ceiling)
             tau, theta, y, _ = atoms.merged()
             b = mark_model.modulate(y)

@@ -188,7 +188,7 @@ class TestBoundSets:
         allow = family == "unstable"
         jr = hp.clipped_affine(1.0, 3.0)
         batched = bound_sets(
-            kernel, ladder_grids(kernel), 5.0, jr, unit_marks, 0.3, allow_unstable=allow
+            kernel, ladder_grids(kernel), jr, unit_marks, 0.3, allow_unstable=allow
         )
         single = [
             bound_set(kernel, d, 5.0, jr, unit_marks, 0.3, allow_unstable=allow)
@@ -205,7 +205,7 @@ class TestBoundSets:
                 bounds, name,
                 lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k),
             )
-        bound_sets(cos_kernel, ladder_grids(cos_kernel), 5.0, hp.relu_affine(1.0), unit_marks)
+        bound_sets(cos_kernel, ladder_grids(cos_kernel), hp.relu_affine(1.0), unit_marks)
         assert sorted(calls) == ["_c_r_ladder", "integrate", "p_variation", "rho_continuous"]
 
     def test_every_step_checked_before_quadrature(self, unit_marks, monkeypatch):
@@ -222,9 +222,23 @@ class TestBoundSets:
 
         monkeypatch.setattr(bounds, "_c_r_ladder", never)
         with pytest.raises(InstabilityError):
-            bound_sets(k, grids[::-1], 5.0, hp.relu_affine(1.0), unit_marks)
-        with pytest.raises(ParameterError):
-            bound_sets(k, grids, 1.0, hp.relu_affine(1.0), unit_marks)
+            bound_sets(k, grids[::-1], hp.relu_affine(1.0), unit_marks)
+        # grids of two horizons
+        mixed = (grids[1], hp.grid_coefficients(k, 0.0125, 2.0))
+        with pytest.raises(ParameterError, match="one horizon"):
+            bound_sets(k, mixed, hp.relu_affine(1.0), unit_marks)
+
+
+    def test_horizon_comes_from_the_grids(self, exp_kernel, unit_marks):
+        # the T = 2 grids of a kernel built for T = 5 give the T = 2 bounds
+        grids = ladder_grids(exp_kernel, T=2.0, ladder=(0.5, 0.1))
+        batched = bound_sets(exp_kernel, grids, hp.relu_affine(1.0), unit_marks)
+        assert [b.horizon for b in batched] == [2.0, 2.0]
+        assert [b.rho_discrete for b in batched] == [
+            rho_discrete(grid, 1.0, unit_marks) for grid in grids
+        ]
+        single = bound_set(exp_kernel, 0.1, 2.0, hp.relu_affine(1.0), unit_marks)
+        assert batched[1].to_dict() == single.to_dict()
 
 
 class TestPVariationDomination:

@@ -193,6 +193,24 @@ class TestExitCodes:
         assert "Traceback" not in result.stderr
         assert list(tmp_path.iterdir()) == []
 
+    def test_runs_without_numpy_ma(self, tmp_path):
+        # np.unique and np.union1d import numpy.ma on their first call (about
+        # 15 ms); the pipeline dedupes without them
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        doc = {**base_doc(tmp_path / "out"), "workers": 1, "trials": 3,
+               "metrics": ["sobolev", "skorokhod_exact", "skorokhod_upper"]}
+        cfg = write_config(tmp_path, doc)
+        script = (
+            "import sys; from hawkpath.cli import cli_main; "
+            f"codes = [cli_main([c, {str(cfg)!r}]) for c in ('convergence', 'verify')]; "
+            "print(codes, 'numpy.ma' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, cwd=tmp_path,
+        )
+        assert result.stdout.split("\n")[-2] == "[0, 0] False", result.stderr
+
 
 class TestSubcommands:
     def test_simulate_writes_trajectories(self, tmp_path):

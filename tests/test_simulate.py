@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -320,7 +321,8 @@ def _assert_matches_reference(kernel, rate, marks, delta, count, make_atoms):
 
 
 def _psi_calls(kernel, rate, marks, delta, count, atoms):
-    """Jump-rate calls of one discrete run, and its trace."""
+    """The input length of every jump-rate call of one discrete run, and its
+    trace."""
     calls = []
 
     def counting(x):
@@ -331,7 +333,14 @@ def _psi_calls(kernel, rate, marks, delta, count, atoms):
         grid_coefficients(kernel, delta, delta * count), dataclasses.replace(rate, fn=counting),
         marks, atoms, allow_unstable=True,
     )
-    return len(calls), disc
+    return calls, disc
+
+
+def _windows_bound(stretches, atoms):
+    """Most look-ahead windows of a pass whose pushes split its walk into
+    ``stretches``: a stretch of n atoms takes at most 1 + log2(1 + n / W)
+    doubling windows, and the stretches share the pass's atoms."""
+    return stretches * (1 + math.log2(1 + atoms / simulate._WINDOW))
 
 
 class TestDiscreteReference:
@@ -432,11 +441,14 @@ class TestDiscreteReference:
         calls, _ = _psi_calls(
             kernel, rate, model, 0.5, 8, atoms_from_triples(_REF_T, 4.0, triples, model)
         )
-        assert calls == 2
+        # one window over the 4 atoms, whose only pushing atom is bin 3's; one
+        # after bin 3's push (bin 4's atom, which cannot push); the whole grid
+        assert calls == [4, 1, 9]
 
     def test_zero_kernel_accepts_every_atom(self):
         # the ceiling equals the rate, so every atom passes; the feedback
-        # never moves and the whole walk costs one jump-rate call
+        # never moves, so no window is read and the whole walk costs one
+        # jump-rate call, on the whole grid
         kernel, rate, model = _REF_KERNELS["zero"], _REF_RATES["relu"], _REF_MARKS["point-mass"]
         disc, atoms = _assert_matches_reference(
             kernel, rate, model, 0.02, 200, lambda: hp.sample_atoms(_REF_T, 2.0, model, 4),
@@ -446,7 +458,7 @@ class TestDiscreteReference:
         calls, _ = _psi_calls(
             kernel, rate, model, 0.02, 200, hp.sample_atoms(_REF_T, 2.0, model, 4)
         )
-        assert calls == 1
+        assert calls == [201]
 
     def test_extension_after_rejecting_atom_bins(self, unit_marks):
         # bins 2 and 3 hold atoms between their level and the ceiling 0.5, so
@@ -464,10 +476,13 @@ class TestDiscreteReference:
         calls, _ = _psi_calls(
             kernel, rate, unit_marks, 0.25, 8, atoms_from_triples(2.0, 0.5, triples, unit_marks)
         )
-        # the first walk, one per bin before M that moves the feedback, one
-        # per extension (bins 4, 5 and 6 each double the ceiling once)
+        # four passes, as bins 4, 5 and 6 each double the ceiling once, and
+        # each ends on the whole grid (9 levels).  The first pass reads a
+        # window over all 6 atoms and, after bin 1's push, one over the 3
+        # left; the second reads bin 4's new atom, which pushes; the last two
+        # start past every atom that could push
         assert len(atoms.strips) == 4
-        assert calls == 1 + np.count_nonzero(disc.mass[1:8]) + 3
+        assert calls == [6, 3, 9, 1, 9, 9, 9]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -484,9 +499,158 @@ class TestDiscreteReference:
         calls, disc = _psi_calls(
             _REF_KERNELS[kernel], _REF_RATES[rate], model, delta, count, atoms
         )
-        span = grid_coefficients(_REF_KERNELS[kernel], delta, _REF_T).span
-        moving = sum(1 for j in range(1, count + 1) if disc.mass[j] and min(span, count - j))
-        assert calls <= moving + (len(atoms.strips) - 1) + 1
+        tau, _, y, _ = atoms.merged()
+        n = len(tau)
+        passes = len(atoms.strips)      # at most one, and one per extension
+        if passes == 1:
+            # every bin before the last that accepted a nonzero mass pushed
+            pushes = np.count_nonzero(disc.mass[1:count])
+            assert len(calls) <= 1 + _windows_bound(pushes + 1, n)
+        else:
+            # a pass pushes at most once per bin holding an atom that can push
+            bins = np.searchsorted(disc.grid.points, tau[model.modulate(y) > 0], "left")
+            pushing_bins = len(np.unique(bins[bins < count]))
+            assert len(calls) <= passes * (1 + _windows_bound(pushing_bins + 1, n))
+
+
+# The criterion-8 process at a long horizon.  After continuous thinning the
+# ceiling is far above every discrete level; on the base strip at a ceiling
+# of 4 (seed 1) the discrete walk extends it itself, at bin 343, after
+# hundreds of pushes, some of them past that bin.
+_LONG_T = 200.0
+_LONG_KERNEL = hp.exponential_kernel(0.604, 1.0, _LONG_T)
+_LONG_RATE = hp.relu_affine(1.0)
+
+
+@pytest.fixture(scope="module")
+def long_horizon_atoms():
+    """Seed 2's ladder after continuous thinning at T = 200, unit marks."""
+    model = hp.MarkModel()
+    atoms = hp.sample_atoms(
+        _LONG_T, hp.default_ceiling(_LONG_RATE, _LONG_KERNEL, model), model, 2
+    )
+    simulate_continuous(_LONG_KERNEL, _LONG_RATE, model, _LONG_T, atoms)
+    return atoms
+
+
+class TestDiscreteWalk:
+    def test_long_horizon_after_continuous_thinning(self, long_horizon_atoms):
+        strips = len(long_horizon_atoms.strips)
+        disc, _ = _assert_matches_reference(
+            _LONG_KERNEL, _LONG_RATE, hp.MarkModel(), 0.25, 800,
+            lambda: copy.deepcopy(long_horizon_atoms),
+        )
+        assert disc.terminal_count > 400 and strips == len(long_horizon_atoms.strips)
+
+    def test_long_horizon_extension_after_pushes(self, unit_marks):
+        disc, atoms = _assert_matches_reference(
+            _LONG_KERNEL, _LONG_RATE, unit_marks, 0.25, 800,
+            lambda: hp.sample_atoms(_LONG_T, 4.0, unit_marks, 1),
+        )
+        first_over = int(np.argmax(disc.intensity > 4.0))
+        assert first_over == 343 and len(atoms.strips) == 2
+        assert np.count_nonzero(disc.mass[1:first_over]) > 100
+        assert disc.events[first_over:].sum() > 0
+
+    def test_psi_input_at_long_horizon(self, long_horizon_atoms):
+        # one pass: the whole grid once, and windows of at most twice the
+        # atoms they scan plus W per push; far below psi of every later bin
+        # after each push
+        count = round(_LONG_T / 0.0125)
+        calls, disc = _psi_calls(
+            _LONG_KERNEL, _LONG_RATE, hp.MarkModel(), 0.0125, count,
+            copy.deepcopy(long_horizon_atoms),
+        )
+        pushes = np.count_nonzero(disc.mass[1:count])
+        n = len(long_horizon_atoms.merged()[0])
+        assert pushes > 500 and calls.count(count + 1) == 1
+        assert sum(calls) <= count + 1 + 2 * n + simulate._WINDOW * (pushes + 1)
+        assert sum(calls) < count * pushes / 20
+
+    def test_many_marks_in_one_bin(self):
+        # exponential marks with b = |y|: both per-bin sums hold 8 or more
+        # non-integer terms, which numpy adds pairwise, not left to right
+        model = hp.MarkModel("exponential", (1.0,), modulation="absolute-value")
+        disc, _ = _assert_matches_reference(
+            _REF_KERNELS["exponential"], _REF_RATES["relu"], model, 2.0, 2,
+            lambda: hp.sample_atoms(_REF_T, 4.0, model, 157),
+        )
+        first_bin = disc.marks[: disc.events[1]]
+        left_to_right = np.cumsum(first_bin)[-1]
+        assert len(first_bin) >= 8
+        assert disc.mass[1] != left_to_right and disc.risk[1] != left_to_right
+
+    def test_bins_straddling_window_edges(self):
+        # b = |y|.  The first window holds atoms 0-63: bin 2's atoms 60-69 all
+        # pass, so its push counts the ones past the window's edge.  The next
+        # windows start at atom 70 and hold 64, then 128 atoms: bin 3 rejects
+        # its atoms 70-131, passes 132-133 (y = 0, so they cannot push) and
+        # then 134-143, so its push sums all 12 terms pairwise, from before
+        # the window that found it.  The last 10 terms alone would sum to
+        # another float, and give bin 4 another level
+        kernel, rate = hp.exponential_kernel(4.0, 1.5, _REF_T), hp.relu_affine(1e-3)
+        model = hp.MarkModel("exponential", (1.0,), modulation="absolute-value")
+        assert simulate._WINDOW == 64
+        late = [1.0 / (k + 3) for k in range(10)]
+        triples = [(0.5 + k * 1e-3, 3.0, 1.0) for k in range(60)]
+        triples += [(1.5 + k * 1e-3, 1e-4, 1e-4) for k in range(10)]
+        triples += [(2.1 + k * 1e-3, 3.9, 1.0) for k in range(62)]
+        triples += [(2.8 + k * 1e-3, 1e-4, 0.0) for k in range(2)]
+        triples += [(2.9 + k * 1e-3, 1e-4, y) for k, y in enumerate(late)]
+        triples += [(3.5, 0.1, 1.0)]
+        disc, _ = _assert_matches_reference(
+            kernel, rate, model, 1.0, 4, lambda: atoms_from_triples(_REF_T, 4.0, triples, model),
+        )
+        assert list(disc.events) == [0, 0, 10, 12, 1]
+        assert disc.mass[3] == np.sum([0.0, 0.0, *late]) != np.sum(late)
+        coeffs = grid_coefficients(kernel, 1.0, _REF_T).values
+        alone = float(rate.fn(coeffs[1] * disc.mass[2] + coeffs[0] * np.sum(late)))
+        assert disc.intensity[4] != alone
+
+    def test_extension_drops_later_pushes(self, unit_marks):
+        # bin 1 pushes; bin 2, which holds no atom, is over the ceiling 1;
+        # bin 3's level is under it again and bin 3 pushes; bin 4's atom is
+        # over it.  The extension at bin 2 drops bin 3's push, and on atoms
+        # of a horizon where no doubling fits the atom budget it is refused
+        # at bin 2's level, as in the reference
+        kernel, rate = hp.exponential_kernel(2.0, 2.0, _REF_T), hp.relu_affine(0.25)
+        triples = [(0.1, 0.1, 1.0), (0.6, 0.5, 1.0), (0.85, 0.2, 1.0)]
+        disc, atoms = _assert_matches_reference(
+            kernel, rate, unit_marks, 0.25, 16,
+            lambda: atoms_from_triples(_REF_T, 1.0, triples, unit_marks),
+        )
+        assert disc.intensity[2] > 1.0 >= disc.intensity[3] and len(atoms.strips) > 1
+        assert disc.events[1] == disc.events[3] == 1
+        huge = 0.75 * ATOM_BUDGET
+        with pytest.raises(RunawayIntensityError) as ref:
+            discrete_scheme_reference(
+                kernel, rate, unit_marks, 0.25, 16,
+                atoms_from_triples(huge, 1.0, triples, unit_marks),
+            )
+        level = str(ref.value).split(" needs")[0]
+        assert level == f"bin intensity {disc.intensity[2]:.4g}"
+        atoms = atoms_from_triples(huge, 1.0, triples, unit_marks)
+        with pytest.raises(RunawayIntensityError, match=f"^{level} needs"):
+            simulate_discrete(grid_coefficients(kernel, 0.25, _REF_T), rate, unit_marks, atoms)
+        assert len(atoms.strips) == 1
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_short_horizon_is_a_prefix(self, seed, unit_marks):
+        # one ladder drawn at T = 80: the trace on the grid of [0, 30] is the
+        # first 600 bins of the trace on [0, 80]
+        kernel = hp.exponential_kernel(0.604, 1.0, 80.0)
+        atoms = hp.sample_atoms(80.0, 4.0, unit_marks, seed)
+        long = simulate_discrete(
+            grid_coefficients(kernel, 0.05, 80.0), _LONG_RATE, unit_marks, atoms
+        )
+        short, _ = _assert_matches_reference(
+            kernel, _LONG_RATE, unit_marks, 0.05, 600, lambda: atoms
+        )
+        for field in ("intensity", "mass", "events", "risk"):
+            assert np.array_equal(getattr(short, field), getattr(long, field)[:601]), field
+        n = short.terminal_count
+        assert np.array_equal(short.times, long.times[:n]) and long.times[n] > 30.0
+        assert np.array_equal(short.marks, long.marks[:n])
 
 
 class TestDiscreteLaw:
@@ -582,6 +746,20 @@ class TestCouple:
             seed=seed,
         )
         assert np.array_equal(disc.times, cont.times)
+
+
+class TestDistinct:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from([0.0, 0.1, 0.2, 0.30000000000000004, 1.0, 5.0]),
+        st.floats(0.0, 5.0),
+    ), max_size=40))
+    def test_matches_np_unique(self, values):
+        a = np.array(values, dtype=float)
+        uniq, first = np.unique(a, return_index=True)
+        got, got_first = simulate.distinct(a)
+        assert np.array_equal(got, uniq) and np.array_equal(got, np.unique(a))
+        assert np.array_equal(got_first, first) and got_first.dtype == first.dtype
 
 
 class TestPathToStep:
