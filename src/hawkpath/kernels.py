@@ -210,7 +210,9 @@ class Kernel:
                                quadrature at construction,
     - ``sup_norm``          -- sup of |h| on (0, T]; None for unbounded families,
     - ``abs_antiderivative``-- H(x) = integral of |h| over [0, x],
-    - ``monotone_breaks``   -- boundaries of monotone pieces, 0 and T included,
+    - ``monotone_breaks``   -- boundaries of monotone pieces, 0 and T included;
+                               they give the p-variation and the envelope
+                               ``tail_sup`` of continuous thinning,
     - ``support``           -- S with h(t) = 0 for t >= S (compact families),
     - ``nonsmooth_points``  -- kinks / sign changes used to split quadrature panels.
     """
@@ -238,6 +240,30 @@ class Kernel:
     def bounded(self) -> bool:
         """Whether |h| has a finite sup on (0, T], which continuous thinning needs."""
         return self.sup_norm is not None and not self.singular_at_zero
+
+    @cached_property
+    def _tail_peaks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The declared breaks in (0, T], and for each the largest |h| at it or
+        at a later break, then 0 past the last."""
+        breaks = np.array(sorted({min(b, self.horizon) for b in self.monotone_breaks if b > 0}))
+        peaks = np.abs(np.asarray(self.evaluate(breaks), dtype=float))
+        return breaks, np.append(np.maximum.accumulate(peaks[::-1])[::-1], 0.0)
+
+    def tail_sup(self, lags: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """H*(u) = sup over v >= u of |h(v)| at the lags u in (0, T], given
+        ``values`` = h(lags).
+
+        h is monotone between the declared breaks, so |h| peaks at an end of
+        each piece: H*(u) is the larger of |h(u)| and the largest |h| at a
+        break above u, and ``values`` itself for a nonincreasing nonnegative
+        kernel.  A kernel without breaks is bounded by its sup norm.
+        """
+        if self.monotone_breaks is None:
+            return np.full(len(lags), self.sup_norm)
+        if self.monotone_decreasing:
+            return values
+        breaks, peaks = self._tail_peaks
+        return np.maximum(np.abs(values), peaks[breaks.searchsorted(lags, side="right")])
 
 
 @dataclass(frozen=True)
@@ -325,25 +351,23 @@ def erlang_kernel(amplitude: float, shape: int, decay: float, horizon: float) ->
     )
 
 
-def _local_extrema(fn, T: float, scan: int = 4096) -> tuple[float, ...]:
-    """Interior extrema of fn on [0, T] by sign-change scan + bisection."""
-    ts = np.linspace(0.0, T, scan)
-    vals = fn(ts)
-    d = np.diff(vals)
-    sign = np.sign(d)
-    roots: list[float] = []
-    for i in range(len(sign) - 1):
-        if sign[i] != 0 and sign[i + 1] != 0 and sign[i] != sign[i + 1]:
-            lo, hi = ts[i], ts[i + 2]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                left = fn(np.array([mid - 1e-12, mid]))
-                if (left[1] - left[0]) * sign[i] > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
-    return tuple(roots)
+def _local_extrema(fn, T: float) -> tuple[float, ...]:
+    """Interior extrema of fn on [0, T]: a sign-change scan of the steps
+    between max(4096, 16 T) samples brackets each (so extrema of fn at least
+    1/8 apart are all found), then every bracket shrinks to the neighbours of
+    its most extreme of 65 samples, eight times over.  The value found is the
+    extreme one to rounding, though values tell points near an extremum
+    apart only to about sqrt(machine eps) of its position."""
+    ts = np.linspace(0.0, T, max(4096, math.ceil(16 * T)))
+    sign = np.sign(np.diff(fn(ts)))
+    turns = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+    rows = np.arange(len(turns))
+    a, b = ts[turns], ts[turns + 2]
+    for _ in range(8):
+        samples = np.linspace(a, b, 65, axis=1)
+        k = np.argmax(sign[turns, None] * fn(samples), axis=1)
+        a, b = samples[rows, np.maximum(k - 1, 0)], samples[rows, np.minimum(k + 1, 64)]
+    return tuple(samples[rows, k].tolist())
 
 
 def cosine_decay_kernel(amplitude: float = 0.6, horizon: float = 5.0) -> Kernel:
@@ -484,13 +508,13 @@ def tabulated_kernel(points: list[tuple[float, float]] | np.ndarray, horizon: fl
     def h(t):
         return np.interp(np.asarray(t, dtype=float), ts, vs)
 
-    # local extrema of the polyline are exactly the knots where slope changes sign
+    # the polyline's local extrema: where two consecutive nonzero slopes differ
+    # in sign, at the start of the flat run between them (if any)
     slopes = np.diff(vs) / np.diff(ts)
-    interior = [
-        float(ts[i + 1])
-        for i in range(len(slopes) - 1)
-        if slopes[i] * slopes[i + 1] < 0
-    ]
+    moving = np.flatnonzero(slopes)
+    sign = np.sign(slopes[moving])
+    turns = ts[moving[:-1][sign[1:] != sign[:-1]] + 1]
+    interior = [float(t) for t in turns if t < horizon]
     return _with_l1(Kernel(
         evaluate=h,
         horizon=float(horizon),

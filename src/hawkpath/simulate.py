@@ -268,6 +268,12 @@ def step_from_jumps(times, increments, horizon: float, initial: float = 0.0) -> 
 # Continuous-time thinning
 # --------------------------------------------------------------------------
 
+# Atoms in the first look-ahead window of a search: the continuous scan's for
+# the next atom under its envelope, the discrete walk's after a push for the
+# next one that pushes.  Each window that holds none doubles the next one.
+_WINDOW = 64
+
+
 def simulate_continuous(
     kernel: Kernel,
     jump_rate: JumpRate,
@@ -280,21 +286,34 @@ def simulate_continuous(
     """Thin the atoms under the self-exciting intensity, in time order.
 
     Correctness requires the ceiling to dominate the intensity everywhere,
-    not just at materialized atoms, so a running envelope
+    not just at materialized atoms.  After each atom it reads at time tau the
+    scan sets the local envelope (Ogata's local majorant)
 
-        psi(0) + L * ||h||_inf * (accepted modulated mass)
+        E = min(psi(0) + L * sum_j b_j * H*(tau - t_j), sup psi)
 
-    is maintained and ``atoms.cover`` doubles the ladder whenever the
-    envelope outgrows it; past decisions stay valid because atoms in the new
-    strips carry thetas above the old ceiling, which already dominated the
-    intensity on the scanned region.  This limits exact continuous thinning
-    to bounded kernels: no finite ceiling dominates the post-event spikes of
-    a kernel that is singular at lag zero.  A per-atom exceedance check
-    remains as a backstop for kernels whose declared sup norm is wrong: it
-    covers the intensity at the atom and resumes the scan at that atom.
-    After either extension the scan re-reads the merged atoms and resumes at
-    the first undecided one.  A ceiling past the atom budget raises
-    ``RunawayIntensityError``.
+    over the accepted events t_j <= tau, an event just accepted at lag 0
+    included; H*(u) = sup over v >= u of |h(v)| (``Kernel.tail_sup``, from
+    the declared monotone breaks).  H* never increases, b >= 0 and
+    psi(x) <= psi(0) + L|x|, so E bounds the intensity until the next
+    acceptance.  After an acceptance ``atoms.cover`` doubles the ladder up
+    to E; past decisions stay valid because atoms in the new strips carry
+    thetas above the old ceiling, which already dominated the intensity on
+    the scanned region.  This limits exact continuous thinning to bounded
+    kernels: no finite ceiling dominates the post-event spikes of a kernel
+    that is singular at lag zero.
+
+    An atom with theta above E * (1 + REL_TOL) is rejected unread; the
+    margin is more than the rounding of the intensity's dot product.  The
+    scan finds the next atom under that level in windows of ``_WINDOW``
+    atoms, doubling while none is, so the cost is one intensity read per
+    atom under E plus a linear pass over the thetas.  A kernel without
+    monotone breaks has H* equal to its sup norm and reads every atom.
+
+    A per-atom exceedance check remains as a backstop for kernels whose
+    declared sup norm is wrong: it covers the intensity at the atom and
+    resumes the scan at that atom.  After either extension the scan re-reads
+    the merged atoms and resumes at the first undecided one.  A ceiling past
+    the atom budget raises ``RunawayIntensityError``.
     """
     if T > atoms.horizon * (1 + REL_TOL):
         raise ParameterError("T exceeds the atoms' horizon")
@@ -312,16 +331,19 @@ def simulate_continuous(
         )
 
     psi = jump_rate.fn
-    feedback = jump_rate.lipschitz * kernel.sup_norm
+    sup_h = kernel.sup_norm
+    skips = kernel.monotone_breaks is not None      # else every atom is read
+    slack = 1 + REL_TOL
 
-    def envelope(mass: float) -> float:
-        env = jump_rate.at_zero + feedback * mass
+    def envelope(tail: float) -> float:
+        env = jump_rate.at_zero + jump_rate.lipschitz * tail
         if jump_rate.sup_norm is not None:
             env = min(env, jump_rate.sup_norm)
         return env
 
-    accepted_mass = 0.0
-    atoms.cover(envelope(accepted_mass), "intensity envelope")
+    env = envelope(0.0)
+    atoms.cover(env, "intensity envelope")
+    level = env * slack if skips else np.inf    # thetas above it go unread
     acc_t = acc_y = acc_b = acc_lam = np.empty(0)
     cnt = 0
     undecided = None    # (tau, theta) of the atom to resume at, and 1 to resume past it
@@ -334,6 +356,7 @@ def simulate_continuous(
         for dst, src in zip(grown, (acc_t, acc_y, acc_b, acc_lam)):
             dst[:cnt] = src[:cnt]
         acc_t, acc_y, acc_b, acc_lam = grown
+        ceiling = atoms.ceiling
         i = 0
         if undecided is not None:
             t_u, theta_u, past = undecided
@@ -342,24 +365,38 @@ def simulate_continuous(
                 i += 1
             i += past
         while i < n:
+            if theta[i] > level:
+                i = _next_under(theta, i + 1, n, level)
+                continue
             t_i = tau[i]
-            lam = float(psi(_excitation(kernel, acc_t[:cnt], acc_b, t_i)))
-            if lam > atoms.ceiling:
+            x = tail = 0.0      # the excitation, and its bound by H*
+            near = _past(kernel, acc_t[:cnt], acc_b, t_i)
+            if near is not None:
+                lags, values, weights = near
+                x = float(np.dot(values, weights))
+                tail = float(np.dot(kernel.tail_sup(lags, values), weights))
+            lam = float(psi(x))
+            if lam > ceiling:
                 # backstop: the declared sup norm failed to bound the kernel
                 atoms.cover(lam, "intensity")
                 undecided = t_i, theta[i], 0
+                level = np.inf
                 break
-            if theta[i] <= lam:
+            accepted = theta[i] <= lam
+            if accepted:
                 acc_t[cnt] = t_i
                 acc_y[cnt] = y[i]
                 acc_b[cnt] = b[i]
                 acc_lam[cnt] = lam
                 cnt += 1
-                accepted_mass += float(b[i])
-                if envelope(accepted_mass) > atoms.ceiling:
-                    atoms.cover(envelope(accepted_mass), "intensity envelope")
-                    undecided = t_i, theta[i], 1
-                    break
+                tail += float(b[i]) * sup_h
+            env = envelope(tail)
+            if skips:
+                level = env * slack
+            if accepted and env > ceiling:
+                atoms.cover(env, "intensity envelope")
+                undecided = t_i, theta[i], 1
+                break
             i += 1
         else:   # the scan reached T
             break
@@ -373,9 +410,23 @@ def simulate_continuous(
     )
 
 
-def _excitation(kernel: Kernel, times: np.ndarray, weights: np.ndarray, t: float) -> float:
-    """Kernel-weighted past strictly before t: the sum of weights[k] * h(t - times[k])
-    over the sorted ``times`` in (t - support, t)."""
+def _next_under(theta: np.ndarray, i: int, n: int, level: float) -> int:
+    """The first index k in [i, n) with theta[k] <= level, else n: windows of
+    ``_WINDOW`` atoms, each one holding none doubling the next."""
+    width = _WINDOW
+    while i < n:
+        e = min(i + width, n)
+        under = theta[i:e] <= level
+        k = int(under.argmax())
+        if under[k]:
+            return i + k
+        i, width = e, 2 * width
+    return n
+
+
+def _past(kernel: Kernel, times: np.ndarray, weights: np.ndarray, t: float):
+    """The lags t - times[k] of the sorted ``times`` in (t - support, t), h at
+    them and their weights; None when no time lies there."""
     j = len(times)
     if j and times[-1] >= t:   # a scan's atom lies past every accepted time
         j = int(times.searchsorted(t, side="left"))
@@ -383,9 +434,19 @@ def _excitation(kernel: Kernel, times: np.ndarray, weights: np.ndarray, t: float
     if kernel.support is not None and j > 0:
         lo = int(times[:j].searchsorted(t - kernel.support, side="right"))
     if j <= lo:
-        return 0.0
+        return None
     lags = t - times[lo:j]
-    return float(np.dot(np.asarray(kernel.evaluate(lags), dtype=float), weights[lo:j]))
+    return lags, np.asarray(kernel.evaluate(lags), dtype=float), weights[lo:j]
+
+
+def _excitation(kernel: Kernel, times: np.ndarray, weights: np.ndarray, t: float) -> float:
+    """Kernel-weighted past strictly before t: the sum of weights[k] * h(t - times[k])
+    over the sorted ``times`` in (t - support, t)."""
+    past = _past(kernel, times, weights, t)
+    if past is None:
+        return 0.0
+    _, values, weights = past
+    return float(np.dot(values, weights))
 
 
 def eval_intensity(path: ContinuousPath, kernel: Kernel, jump_rate: JumpRate, t: float) -> float:
@@ -441,11 +502,6 @@ def integrate_intensity(
 # --------------------------------------------------------------------------
 # Discrete scheme
 # --------------------------------------------------------------------------
-
-# Atoms in the discrete walk's first look-ahead window after a push; each
-# window that holds no push doubles the next one.
-_WINDOW = 64
-
 
 def simulate_discrete(
     grid: GridCoefficients,

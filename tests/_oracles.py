@@ -10,7 +10,8 @@ full-grid feasibility walk instead of the critical-value search over
 reachable states, a plain binary search over all critical values instead
 of the value-gap-bracketed one, the dense m x n difference table instead
 of the row-blocked gap enumeration, a Python double loop over every candidate
-instead of the pruned sparse-modulus walk.
+instead of the pruned sparse-modulus walk, the atom-by-atom continuous scan
+under the global envelope instead of the local one.
 """
 
 from __future__ import annotations
@@ -544,6 +545,80 @@ def discrete_scheme_reference(kernel, jump_rate, mark_model, delta, count, atoms
     return SimpleNamespace(
         intensity=intensity, mass=mass, events=events, risk=risk,
         bin_times=bin_times, bin_marks=bin_marks,
+    )
+
+
+def _double_to(atoms, level, what):
+    """Double the atoms' ceiling until it reaches ``level``, strip by strip."""
+    while atoms.ceiling < level:
+        if 2.0 * atoms.ceiling * atoms.horizon > ATOM_BUDGET:
+            raise RunawayIntensityError(
+                f"{what} {level:.4g} needs a ceiling beyond the atom budget"
+            )
+        extend_ceiling(atoms, 2.0 * atoms.ceiling)
+
+
+def continuous_scan_reference(kernel, jump_rate, mark_model, T, atoms):
+    """Continuous thinning that reads every atom up to T, in time order.
+
+    The ceiling follows the global envelope psi(0) + L * ||h||_inf * (accepted
+    modulated mass), capped at sup psi, and doubles at the atom where the
+    intensity itself passes it.  After either extension the merged atoms are
+    read again and the scan goes on from the first undecided atom.
+    """
+    psi = jump_rate.fn
+
+    def envelope(mass):
+        env = jump_rate.at_zero + jump_rate.lipschitz * kernel.sup_norm * mass
+        return env if jump_rate.sup_norm is None else min(env, jump_rate.sup_norm)
+
+    times, marks, weights, intensities = [], [], [], []
+    mass = 0.0
+    _double_to(atoms, envelope(mass), "intensity envelope")
+    resume = 0      # where the last pass stopped, in its (tau, theta) order
+    read = atoms.ceiling
+    while True:
+        tau, theta, y, _ = atoms.merged()
+        b = mark_model.modulate(y)
+        keep = tau <= T
+        tau, theta, y, b = tau[keep], theta[keep], y[keep], b[keep]
+        # the last pass read the atoms under its ceiling, which keep their
+        # order among the merged atoms
+        start = int(np.flatnonzero(theta <= read)[resume - 1]) + 1 if resume else 0
+        read = atoms.ceiling
+        for i in range(start, len(tau)):
+            t = tau[i]
+            past_t = np.array(times)
+            past_b = np.array(weights)
+            before = past_t < t
+            if kernel.support is not None:
+                before &= past_t > t - kernel.support
+            idx = np.flatnonzero(before)
+            x = 0.0
+            if len(idx):
+                lags = t - past_t[idx[0] : idx[-1] + 1]
+                x = float(np.dot(np.asarray(kernel.evaluate(lags), dtype=float),
+                                 past_b[idx[0] : idx[-1] + 1]))
+            lam = float(psi(x))
+            if lam > atoms.ceiling:
+                _double_to(atoms, lam, "intensity")
+                resume = i
+                break
+            if theta[i] <= lam:
+                times.append(t)
+                marks.append(y[i])
+                weights.append(b[i])
+                intensities.append(lam)
+                mass += float(b[i])
+                if envelope(mass) > atoms.ceiling:
+                    _double_to(atoms, envelope(mass), "intensity envelope")
+                    resume = i + 1
+                    break
+        else:
+            break
+    return SimpleNamespace(
+        times=np.array(times), marks=np.array(marks),
+        weights=np.array(weights), intensities=np.array(intensities),
     )
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -375,6 +376,18 @@ class TestPVariation:
         with pytest.raises(ParameterError, match="monotone_breaks"):
             p_variation(k, 1.0)
 
+    def test_extremum_on_a_plateau(self):
+        # the slope goes 1, 0, -1: the maximum is the flat run [1, 2], whose
+        # start is the break
+        k = hp.tabulated_kernel([(0, 0), (1, 1), (2, 1), (3, 0)], 3.0)
+        assert k.monotone_breaks == (0.0, 1.0, 3.0)
+        assert p_variation(k, 1.0) == hp.PVariationResult(2.0, exact=True)
+
+    def test_tabulated_breaks_clamped_to_the_horizon(self):
+        # the minimum at t = 3 lies past the horizon 2.5
+        k = hp.tabulated_kernel([(0, 0), (1, 1), (2, 1), (3, 0), (6, 2)], 2.5)
+        assert k.monotone_breaks == (0.0, 1.0, 2.5)
+
     def test_p_above_one_flagged_lower_bound(self, cos_kernel):
         res = p_variation(cos_kernel, 2.0, 5.0)
         assert not res.exact
@@ -383,6 +396,73 @@ class TestPVariation:
     def test_unbounded_family_rejected(self):
         with pytest.raises(InfiniteVariationError):
             p_variation(hp.inverse_sqrt_kernel(2.0, 0.1), 1.0)
+
+
+_TAIL_KERNELS = {
+    "exponential": hp.exponential_kernel(0.604, 1.0, 5.0),
+    "exponential-negative": hp.exponential_kernel(-0.5, 2.0, 5.0),
+    "erlang": hp.erlang_kernel(0.5, 2, 2.0, 5.0),
+    "cosine-decay": hp.cosine_decay_kernel(0.6, 5.0),
+    "compact-support": hp.compact_kernel(0.5, 1.0, 5.0),
+    "constant": hp.constant_kernel(0.1, 5.0),
+    "zero": hp.zero_kernel(5.0),
+    "tabulated": hp.tabulated_kernel([(0, 0.3), (1.1, 0.5), (2.3, -0.1), (5, 0.05)], 5.0),
+    "plateau": hp.tabulated_kernel([(0, 0), (1, 1), (2, 1), (3, 0)], 5.0),
+}
+
+
+class TestTailSup:
+    @pytest.mark.parametrize("family", sorted(_TAIL_KERNELS))
+    def test_dominates_the_sup_of_the_tail(self, family):
+        # on a grid of 50,001 lags, H* at each lag is at least every |h| at
+        # a later lag, and never increases (to rounding: at a lag just past
+        # an extremum's break |h| may top the break's value by an ulp)
+        k = _TAIL_KERNELS[family]
+        u = np.linspace(1e-9, k.horizon, 50_001)
+        values = np.asarray(k.evaluate(u), dtype=float)
+        tail = k.tail_sup(u, values)
+        later = np.maximum.accumulate(np.abs(values)[::-1])[::-1]
+        assert np.all(tail >= later * (1 - 1e-15))
+        assert np.all(np.diff(tail) <= 1e-15 * tail[:-1])
+        assert tail[0] <= k.sup_norm
+
+    def test_cosine_decay_extremum_values(self):
+        # each interior break holds |h| of the derivative's root to rounding
+        k = _TAIL_KERNELS["cosine-decay"]
+
+        def slope(t):
+            return -math.sin(t) * (1 + t * t) - 2 * t * math.cos(t)
+
+        for e in k.monotone_breaks[1:-1]:
+            root = brentq(slope, e - 0.01, e + 0.01, xtol=1e-15)
+            peak = abs(float(k.evaluate(np.array([root]))[0]))
+            assert abs(float(k.evaluate(np.array([e]))[0])) == pytest.approx(peak, rel=1e-15)
+
+    @pytest.mark.parametrize("T", [10_000.0, 20_000.0])
+    def test_cosine_decay_breaks_at_long_horizons(self, T):
+        # one extremum near each k * pi < T; a 4,096-sample scan found 3,182
+        # of 3,183 at T = 10,000 and 1,823 of 6,366 at T = 20,000
+        k = hp.cosine_decay_kernel(0.6, T)
+        assert len(k.monotone_breaks) - 2 == int(T / math.pi)
+
+    def test_plateau_table(self):
+        # |h| rises to the plateau [1, 2], so H* is 1 up to its end
+        k = _TAIL_KERNELS["plateau"]
+        u = np.array([0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
+        tail = k.tail_sup(u, k.evaluate(u))
+        assert np.array_equal(tail, [1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.0, 0.0])
+        assert not np.array_equal(tail, np.abs(k.evaluate(u)))
+
+    def test_nonincreasing_kernel_is_its_own_tail(self):
+        k = _TAIL_KERNELS["exponential"]
+        u = np.array([0.5, 1.0, 2.0])
+        values = k.evaluate(u)
+        assert k.tail_sup(u, values) is values
+
+    def test_kernel_without_breaks_uses_its_sup_norm(self):
+        k = hp.custom_kernel(lambda t: np.exp(-np.asarray(t, dtype=float)), 5.0, sup_norm=1.0)
+        u = np.array([0.5, 4.0])
+        assert np.array_equal(k.tail_sup(u, k.evaluate(u)), [1.0, 1.0])
 
 
 class TestMetadataAgainstQuadrature:

@@ -9,14 +9,18 @@ from hypothesis import strategies as st
 
 import hawkpath as hp
 from hawkpath import simulate
-from _oracles import compound_poisson_scheme, discrete_scheme_reference
+from _oracles import (
+    compound_poisson_scheme,
+    continuous_scan_reference,
+    discrete_scheme_reference,
+)
 from hawkpath.errors import (
     InstabilityError,
     InstabilityWarning,
     ParameterError,
     RunawayIntensityError,
 )
-from hawkpath.kernels import grid_coefficients
+from hawkpath.kernels import REL_TOL, grid_coefficients
 from hawkpath.randomness import ATOM_BUDGET, PoissonAtoms, Strip
 from hawkpath.simulate import (
     eval_intensity,
@@ -148,6 +152,133 @@ class TestSimulateContinuous:
             hot, hp.relu_affine(1.0), unit_marks, 5.0, atoms, allow_unstable=True
         )
         assert path.terminal_count >= 0
+
+
+# Continuous thinning under the local envelope against the atom-by-atom scan
+# under the global one: same bits in every array.  The plateau table and the
+# cosine-decay and Erlang kernels have H* != |h|; the ceilings of 0.25 and 1
+# sit below the empty-past rate or near it, so the ladder extends.
+_SCAN_T = 4.0
+_SCAN_KERNELS = {
+    "exponential": hp.exponential_kernel(0.5, 1.5, _SCAN_T),
+    "erlang": hp.erlang_kernel(0.8, 2, 2.0, _SCAN_T),
+    "cosine-decay": hp.cosine_decay_kernel(0.6, _SCAN_T),
+    "compact-support": hp.compact_kernel(0.6, 0.7, _SCAN_T),
+    "constant": hp.constant_kernel(0.05, _SCAN_T),
+    "zero": hp.zero_kernel(_SCAN_T),
+    "tabulated": hp.tabulated_kernel([(0, 0.3), (1.1, 0.5), (2.3, -0.1), (5, 0.05)], _SCAN_T),
+    "plateau": hp.tabulated_kernel([(0, 0), (1, 0.5), (2, 0.5), (3, 0)], _SCAN_T),
+}
+_SCAN_RATES = {
+    "relu": hp.relu_affine(2.0),
+    "sigmoid": hp.sigmoid_rate(5.0),
+    "clipped": hp.clipped_affine(1.5, 6.0),
+    "constant": hp.constant_rate(2.0),
+}
+_SCAN_MARKS = {
+    "point-mass": hp.MarkModel(),
+    "exponential-indicator": hp.MarkModel(
+        "exponential", (0.8,), modulation="indicator", mod_params=(0.5,)
+    ),
+    "gaussian-absolute": hp.MarkModel("gaussian", (0.3, 0.5), modulation="absolute-value"),
+}
+
+
+def _local_envelopes(path, kernel, rate):
+    """E after each acceptance: psi(0) + L * sum_j b_j H*(t_k - t_j) over the
+    events t_j < t_k inside the support, plus b_k * ||h||_inf, capped at sup psi."""
+    out = []
+    for k, t in enumerate(path.times):
+        near = path.times[:k] > t - (np.inf if kernel.support is None else kernel.support)
+        lags, b = t - path.times[:k][near], path.weights[:k][near]
+        tail = float(np.dot(kernel.tail_sup(lags, kernel.evaluate(lags)), b))
+        env = rate.at_zero + rate.lipschitz * (tail + path.weights[k] * kernel.sup_norm)
+        out.append(env if rate.sup_norm is None else min(env, rate.sup_norm))
+    return np.array(out)
+
+
+class TestLocalEnvelope:
+    @pytest.mark.parametrize("kernel", sorted(_SCAN_KERNELS))
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rate=st.sampled_from(sorted(_SCAN_RATES)),
+        marks=st.sampled_from(sorted(_SCAN_MARKS)),
+        ceiling=st.sampled_from((0.25, 1.0, 4.0)),
+    )
+    def test_bits_match_global_envelope_scan(self, kernel, seed, rate, marks, ceiling):
+        model = _SCAN_MARKS[marks]
+        args = (_SCAN_KERNELS[kernel], _SCAN_RATES[rate], model, _SCAN_T)
+        ref = continuous_scan_reference(*args, hp.sample_atoms(_SCAN_T, ceiling, model, seed))
+        atoms = hp.sample_atoms(_SCAN_T, ceiling, model, seed)
+        path = simulate_continuous(*args, atoms, allow_unstable=True)
+        for field in ("times", "marks", "weights", "intensities"):
+            assert np.array_equal(getattr(path, field), getattr(ref, field)), field
+
+    @pytest.mark.parametrize("kernel", sorted(_SCAN_KERNELS))
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rate=st.sampled_from(sorted(_SCAN_RATES)),
+        marks=st.sampled_from(sorted(_SCAN_MARKS)),
+    )
+    def test_envelope_dominates_intensity(self, kernel, seed, rate, marks):
+        # on a grid of step 0.005 from each acceptance to the next (to T after
+        # the last), and from 0 to the first at psi(0); the ceiling covers it
+        k, jr, model = _SCAN_KERNELS[kernel], _SCAN_RATES[rate], _SCAN_MARKS[marks]
+        atoms = hp.sample_atoms(_SCAN_T, 1.0, model, seed)
+        path = simulate_continuous(k, jr, model, _SCAN_T, atoms, allow_unstable=True)
+        envelopes = np.concatenate(([jr.at_zero], _local_envelopes(path, k, jr)))
+        edges = np.concatenate(([0.0], path.times, [_SCAN_T]))
+        for env, a, b in zip(envelopes, edges[:-1], edges[1:]):
+            assert env <= atoms.ceiling
+            for t in np.linspace(a, b, max(2, int((b - a) / 0.005)))[1:]:
+                assert eval_intensity(path, k, jr, t) <= env * (1 + REL_TOL)
+
+    def test_long_horizon_reads_and_ceiling(self, unit_marks):
+        # T = 200 (seed 2): the global envelope read lambda at 129,072 atoms
+        # under a ceiling of 646.5; the local one stays at the base strip's
+        # 10.1 and reads far fewer atoms than it draws
+        reads = []
+
+        def counting(x):
+            reads.append(x)
+            return _LONG_RATE.fn(x)
+
+        atoms = hp.sample_atoms(
+            _LONG_T, hp.default_ceiling(_LONG_RATE, _LONG_KERNEL, unit_marks), unit_marks, 2
+        )
+        path = simulate_continuous(
+            _LONG_KERNEL, dataclasses.replace(_LONG_RATE, fn=counting), unit_marks, _LONG_T,
+            atoms,
+        )
+        envelopes = _local_envelopes(path, _LONG_KERNEL, _LONG_RATE)
+        assert len(atoms.strips) == 1 and envelopes.max() <= atoms.ceiling < 10.2
+        assert path.terminal_count == 542 and len(reads) < len(atoms.strips[0].tau) / 2
+
+    def test_atoms_per_unit_time_flat_in_the_horizon(self, unit_marks):
+        # the global envelope grew with the accepted mass: 7,949 atoms at
+        # T = 50 and 129,072 at T = 200
+        rates = []
+        for T in (50.0, 200.0):
+            kernel = hp.exponential_kernel(0.604, 1.0, T)
+            atoms = hp.sample_atoms(
+                T, hp.default_ceiling(_LONG_RATE, kernel, unit_marks), unit_marks, 2
+            )
+            simulate_continuous(kernel, _LONG_RATE, unit_marks, T, atoms)
+            rates.append(sum(len(s.tau) for s in atoms.strips) / T)
+        assert rates[1] <= 2 * rates[0] and rates[0] <= 2 * rates[1]
+
+    def test_long_compact_run_completes(self, unit_marks):
+        # the global envelope 0.5 * (accepted count) passed the atom budget
+        # here (ceiling 838.9 at T = 20,000); the local one sees about the
+        # events of the last unit of time
+        T = 20_000.0
+        kernel = hp.compact_kernel(0.5, 1.0, T)
+        rate = hp.relu_affine(1.0)
+        atoms = hp.sample_atoms(T, hp.default_ceiling(rate, kernel, unit_marks), unit_marks, 0)
+        path = simulate_continuous(kernel, rate, unit_marks, T, atoms)
+        assert path.terminal_count == 26_964 and atoms.ceiling < 6.0
 
 
 class TestEvalIntensity:
@@ -514,7 +645,8 @@ class TestDiscreteReference:
 
 
 # The criterion-8 process at a long horizon.  After continuous thinning the
-# ceiling is far above every discrete level; on the base strip at a ceiling
+# ceiling (the base strip's 10.1) is above every discrete level at delta =
+# 0.25 (at most 5.5); on the base strip at a ceiling
 # of 4 (seed 1) the discrete walk extends it itself, at bin 343, after
 # hundreds of pushes, some of them past that bin.
 _LONG_T = 200.0
