@@ -84,15 +84,6 @@ __all__ = [
     "verify_bounds",
 ]
 
-METRIC_NAMES = (
-    "terminal_count",
-    "terminal_risk",
-    "sobolev",
-    "skorokhod_exact",
-    "skorokhod_upper",
-)
-
-
 # --------------------------------------------------------------------------
 # Configuration
 # --------------------------------------------------------------------------
@@ -167,8 +158,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 2")
         metrics = tuple(_typed(doc.get("metrics", ["terminal_count"]), (list, tuple), "metrics"))
         for m in metrics:
-            if m not in METRIC_NAMES:
-                raise ConfigError(f"unknown metric {m!r}; choose from {METRIC_NAMES}")
+            if not isinstance(m, str) or m not in METRICS:
+                raise ConfigError(f"unknown metric {m!r}; choose from {tuple(METRICS)}")
         if not metrics or len(set(metrics)) < len(metrics):
             raise ConfigError("metrics must be a nonempty list of distinct names")
         eta = _finite(doc.get("sobolev_eta", 0.25), "sobolev_eta")
@@ -390,7 +381,47 @@ class Run:
 # Per-trial evaluation
 # --------------------------------------------------------------------------
 
-_PATH_METRICS = frozenset({"sobolev", "skorokhod_exact", "skorokhod_upper"})
+class Metric(NamedTuple):
+    """One convergence metric: ``measure(ref, approx, ref_risk, approx_risk, eta)``
+    on a (reference, approximation) pair, ref a continuous path or a discrete
+    trace and approx a discrete trace; the theorem ``shape`` that bounds it;
+    and whether it reads the pair's risk step paths (else they are None)."""
+
+    measure: Callable[..., float]
+    shape: Callable[[BoundSet], float]
+    reads_paths: bool
+
+
+def _increment_shape(bset: BoundSet) -> float:
+    # increment-bound shape between 0 and T, constant normalized to 1
+    return bset.kernel_regularity * bset.horizon + bset.delta
+
+
+def _skorokhod_shape(bset: BoundSet) -> float:
+    bounded = bset.skorokhod_shape_bounded
+    return bset.skorokhod_shape_unbounded if bounded is None else bounded
+
+
+# The one list of convergence metrics, in output order.  The measures look the
+# metric functions up when called, so a patched module attribute is seen.
+METRICS: dict[str, Metric] = {
+    "terminal_count": Metric(
+        lambda ref, approx, rr, ra, eta: float(abs(ref.terminal_count - approx.terminal_count)),
+        _increment_shape, False),
+    "terminal_risk": Metric(
+        lambda ref, approx, rr, ra, eta: abs(ref.terminal_risk - approx.terminal_risk),
+        _increment_shape, False),
+    "sobolev": Metric(
+        lambda ref, approx, rr, ra, eta: sobolev_distance(rr, ra, eta),
+        lambda bset: bset.sobolev_shape, True),
+    "skorokhod_exact": Metric(
+        lambda ref, approx, rr, ra, eta: skorokhod_distance(rr, ra), _skorokhod_shape, True),
+    "skorokhod_upper": Metric(
+        lambda ref, approx, rr, ra, eta: skorokhod_upper_bound(
+            rr.value_at(approx.grid.points), approx.risk,
+            modulus_sparse(rr, approx.delta), approx.delta),
+        _skorokhod_shape, True),
+}
 
 # A ladder cell stopped by the runaway guard: (trial, error)
 Abort = tuple[int, RunawayIntensityError]
@@ -403,33 +434,21 @@ def _cell_metrics(
     traces: list[DiscreteTrace | None],
 ) -> list[dict[str, float] | None]:
     """One trial of ``convergence``: every requested metric at each delta still
-    running (None at an aborted one).  The continuous risk path is shared by
-    the trial's cells; ``skorokhod_upper`` takes one sparse modulus per cell.
+    running (None at an aborted one), with the continuous path as reference.
+    Its risk step path is embedded once per trial and each trace's once per
+    cell, only when a requested metric reads them; ``skorokhod_upper`` takes
+    one sparse modulus per cell.
     """
-    rc = path_to_step(cont, "risk") if _PATH_METRICS & set(cfg.metrics) else None
-    cells: list[dict[str, float] | None] = []
-    for disc in traces:
-        if disc is None:
-            cells.append(None)
-            continue
-        values: dict[str, float] = {}
-        rd = path_to_step(disc, "risk") if rc is not None else None
-        for name in cfg.metrics:
-            if name == "terminal_count":
-                values[name] = float(abs(cont.terminal_count - disc.terminal_count))
-            elif name == "terminal_risk":
-                values[name] = abs(cont.terminal_risk - disc.terminal_risk)
-            elif name == "sobolev":
-                values[name] = sobolev_distance(rc, rd, cfg.sobolev_eta)
-            elif name == "skorokhod_exact":
-                values[name] = skorokhod_distance(rc, rd)
-            else:  # skorokhod_upper
-                values[name] = skorokhod_upper_bound(
-                    rc.value_at(disc.grid.points), disc.risk,
-                    modulus_sparse(rc, disc.delta), disc.delta,
-                )
-        cells.append(values)
-    return cells
+    rows = {name: METRICS[name] for name in cfg.metrics}
+    paths = any(row.reads_paths for row in rows.values())
+    rc = path_to_step(cont, "risk") if paths else None
+    eta = cfg.sobolev_eta
+
+    def values(disc: DiscreteTrace) -> dict[str, float]:
+        rd = path_to_step(disc, "risk") if paths else None
+        return {name: row.measure(cont, disc, rc, rd, eta) for name, row in rows.items()}
+
+    return [None if disc is None else values(disc) for disc in traces]
 
 
 def _run_trials(
@@ -566,17 +585,6 @@ def _mc_mean_se(arr: np.ndarray) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr)))
 
 
-def _theory_shape(metric: str, bset: BoundSet) -> float:
-    if metric in ("terminal_count", "terminal_risk"):
-        # increment-bound shape between 0 and T, constant normalized to 1
-        return bset.kernel_regularity * bset.horizon + bset.delta
-    if metric == "sobolev":
-        return bset.sobolev_shape
-    if bset.skorokhod_shape_bounded is not None:
-        return bset.skorokhod_shape_bounded
-    return bset.skorokhod_shape_unbounded
-
-
 def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     """Run the full delta ladder and fit error-vs-delta power laws.
 
@@ -588,41 +596,30 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     bsets = config.run.thinnable().bound_sets
     aborted, per_trial = _map_trials(config, _cell_metrics)
     report = ConvergenceReport(trials=config.trials)
-    per_metric_points: dict[str, list[tuple[float, float]]] = {
-        m: [] for m in config.metrics
-    }
     for i, (delta, bset) in enumerate(zip(config.delta_ladder, bsets)):
         cell = None if aborted[i] else [cells[i] for cells in per_trial]
         for metric in config.metrics:
-            shape = _theory_shape(metric, bset)
+            shape = METRICS[metric].shape(bset)
             if cell is None:
                 flag = f"aborted:{type(aborted[i][1]).__name__}"
                 report.rows.append(ConvergenceRow(delta, metric, math.nan, math.nan, shape, flag))
                 continue
             mean, se = _mc_mean_se(np.array([values[metric] for values in cell]))
             report.rows.append(ConvergenceRow(delta, metric, mean, se, shape))
-            per_metric_points[metric].append((delta, mean))
-    for metric, pts in per_metric_points.items():
+    for metric in config.metrics:
+        rows = [r for r in report.rows if r.metric == metric]
+        pts = [(r.delta, r.mean) for r in rows if not r.flag]
         positive = [(d, m) for d, m in pts if m > 0 and math.isfinite(m)]
-        report.fits[metric] = (
-            fit_powerlaw(positive) if len(positive) >= 3 else None
-        )
-        shapes = [
-            (r.delta, r.theory_shape) for r in report.rows
-            if r.metric == metric and r.theory_shape > 0
-        ]
+        fit = report.fits[metric] = fit_powerlaw(positive) if len(positive) >= 3 else None
+        shapes = [(r.delta, r.theory_shape) for r in rows if r.theory_shape > 0]
         finite = [m for _, m in pts if math.isfinite(m)]
         report.shape_checks[metric] = {
             "monotone_decreasing": bool(
                 len(finite) == len(pts)
                 and all(b <= a for a, b in zip(finite[:-1], finite[1:]))
             ),
-            "measured_exponent": (
-                report.fits[metric].exponent if report.fits[metric] else None
-            ),
-            "theory_exponent": (
-                fit_powerlaw(shapes).exponent if len(shapes) >= 3 else None
-            ),
+            "measured_exponent": fit.exponent if fit else None,
+            "theory_exponent": fit_powerlaw(shapes).exponent if len(shapes) >= 3 else None,
         }
     return report
 

@@ -193,6 +193,22 @@ class TestExitCodes:
         assert "Traceback" not in result.stderr
         assert list(tmp_path.iterdir()) == []
 
+    def test_malformed_metric_entry_exits_2_without_traceback(self, tmp_path):
+        # a list entry cannot be looked up in the metric table: a config error
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {**base_doc(out), "metrics": [["sobolev"]]})
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-m", "hawkpath.cli", "convergence", str(cfg)],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+            cwd=tmp_path,
+        )
+        assert result.returncode == 2
+        assert "unknown metric ['sobolev']" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
     def test_runs_without_numpy_ma(self, tmp_path):
         # np.unique and np.union1d import numpy.ma on their first call (about
         # 15 ms); the pipeline dedupes without them

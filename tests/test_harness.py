@@ -17,8 +17,13 @@ from hawkpath.harness import (
     run_convergence,
     verify_bounds,
 )
-from hawkpath.metrics import skorokhod_distance
-from hawkpath.simulate import path_to_step
+from hawkpath.metrics import (
+    modulus_sparse,
+    skorokhod_distance,
+    skorokhod_upper_bound,
+    sobolev_distance,
+)
+from hawkpath.simulate import couple, path_to_step
 
 
 def null_config(**overrides):
@@ -87,8 +92,11 @@ class TestConfigValidation:
             null_config(trials=1)
 
     def test_unknown_metric(self):
-        with pytest.raises(ConfigError):
-            null_config(metrics=["banana"])
+        # entries that are not strings are refused before the table lookup,
+        # where a list or a dict would be unhashable
+        for entry in ("banana", ["sobolev"], {"a": 1}, 1):
+            with pytest.raises(ConfigError, match="unknown metric"):
+                null_config(metrics=[entry])
 
     def test_eta_window(self):
         with pytest.raises(ConfigError):
@@ -246,6 +254,98 @@ class TestRunConvergence:
         se_small = small.rows[0].stderr
         se_big = big.rows[0].stderr
         assert se_big == pytest.approx(se_small / 2.0, rel=0.2)
+
+
+class TestMetricTable:
+    @pytest.mark.parametrize(
+        "jump_rate",
+        [
+            {"family": "relu-affine", "params": {"baseline": 1.0}},
+            {"family": "clipped-affine", "params": {"baseline": 1.0, "cap": 4.0}},
+        ],
+        ids=["unbounded-rate", "bounded-rate"],
+    )
+    def test_theory_shape_column(self, jump_rate):
+        cfg = exponential_config(
+            jump_rate=jump_rate, trials=4,
+            marks={"distribution": {"family": "exponential", "rate": 1.0}},
+            metrics=["terminal_count", "terminal_risk", "sobolev", "skorokhod_exact",
+                     "skorokhod_upper"],
+        )
+        bsets = dict(zip(cfg.delta_ladder, cfg.run.bound_sets))
+        bounded = jump_rate["family"] == "clipped-affine"
+        assert all((b.skorokhod_shape_bounded is not None) == bounded for b in bsets.values())
+        report = run_convergence(cfg)
+        assert [r.metric for r in report.rows] == list(cfg.metrics) * len(cfg.delta_ladder)
+        for row in report.rows:
+            b = bsets[row.delta]
+            skorokhod = b.skorokhod_shape_bounded if bounded else b.skorokhod_shape_unbounded
+            expected = {
+                "terminal_count": b.kernel_regularity * b.horizon + b.delta,
+                "terminal_risk": b.kernel_regularity * b.horizon + b.delta,
+                "sobolev": b.sobolev_shape,
+                "skorokhod_exact": skorokhod,
+                "skorokhod_upper": skorokhod,
+            }[row.metric]
+            assert row.theory_shape == expected, row
+
+    @pytest.mark.parametrize(
+        "metrics, per_trial",
+        [(["terminal_count", "terminal_risk"], 0), (["terminal_count", "sobolev"], 1 + 3)],
+    )
+    def test_risk_paths_embedded_once_and_only_when_read(self, monkeypatch, metrics, per_trial):
+        # one reference path per trial and one per ladder cell, none when no
+        # requested metric reads them
+        calls = []
+        real = harness.path_to_step
+
+        def counting(path, field):
+            calls.append(field)
+            return real(path, field)
+
+        monkeypatch.setattr(harness, "path_to_step", counting)
+        cfg = exponential_config(trials=5, metrics=metrics)
+        run_convergence(cfg)
+        assert calls == ["risk"] * cfg.trials * per_trial
+
+    @staticmethod
+    def coupled_pair():
+        cfg = exponential_config(marks={"distribution": {"family": "exponential", "rate": 1.0}})
+        run = cfg.run
+        cont, disc = couple(run.kernel, run.jump_rate, run.marks, T=5.0, delta=0.125, seed=7)
+        assert cont.terminal_count > 0 and disc.terminal_count > 0
+        return cont, disc
+
+    def test_trace_against_itself(self):
+        # a discrete trace is a reference too: against itself every metric
+        # vanishes but the surrogate, which keeps delta and the sparse modulus
+        _, disc = self.coupled_pair()
+        risk = path_to_step(disc, "risk")
+        for name, metric in harness.METRICS.items():
+            paths = (risk, risk) if metric.reads_paths else (None, None)
+            value = metric.measure(disc, disc, *paths, 0.25)
+            if name == "skorokhod_upper":
+                assert value == disc.delta + modulus_sparse(risk, disc.delta) > disc.delta
+            else:
+                assert value == 0.0, name
+
+    def test_coupled_pair_rows_equal_direct_calls(self):
+        cont, disc = self.coupled_pair()
+        rc, rd = path_to_step(cont, "risk"), path_to_step(disc, "risk")
+        direct = {
+            "terminal_count": float(abs(cont.terminal_count - disc.terminal_count)),
+            "terminal_risk": abs(cont.terminal_risk - disc.terminal_risk),
+            "sobolev": sobolev_distance(rc, rd, 0.25),
+            "skorokhod_exact": skorokhod_distance(rc, rd),
+            "skorokhod_upper": skorokhod_upper_bound(
+                rc.value_at(disc.grid.points), disc.risk,
+                modulus_sparse(rc, disc.delta), disc.delta,
+            ),
+        }
+        assert list(harness.METRICS) == list(direct)
+        assert all(value > 0 for value in direct.values())
+        for name, metric in harness.METRICS.items():
+            assert metric.measure(cont, disc, rc, rd, 0.25) == direct[name], name
 
 
 class TestVerifyBounds:
