@@ -198,30 +198,30 @@ def integrate(
 class Kernel:
     """An excitation kernel h on [0, T].
 
-    ``evaluate`` must accept numpy arrays of lags in (0, T] and return arrays.
+    ``evaluate`` must accept numpy arrays of lags in [0, T] (in (0, T] for
+    a kernel singular at zero) and return arrays.
     Immutable after construction, so instances are safe to share across
     concurrent trials.
 
-    Optional analytic metadata (validated against quadrature in the test
-    suite to 1e-6 relative):
+    A kernel declares h and, optionally:
 
-    - ``l1_closed_form``    -- integral of |h| over the full horizon; the
-                               families without a closed form fill it by one
-                               quadrature at construction,
-    - ``sup_norm``          -- sup of |h| on (0, T]; None for unbounded families,
-    - ``abs_antiderivative``-- H(x) = integral of |h| over [0, x],
+    - ``abs_antiderivative``-- H(x) = integral of |h| over [0, x] (the test
+                               suite checks each family's against quadrature),
     - ``monotone_breaks``   -- boundaries of monotone pieces, 0 and T included;
-                               they give the p-variation and the envelope
-                               ``tail_sup`` of continuous thinning,
+                               they give the sup norm, the p-variation and
+                               the envelope ``tail_sup`` of continuous
+                               thinning, which needs them,
     - ``support``           -- S with h(t) = 0 for t >= S (compact families),
-    - ``nonsmooth_points``  -- kinks / sign changes used to split quadrature panels.
+    - ``nonsmooth_points``  -- kinks / sign changes used to split quadrature panels,
+    - ``monotone_decreasing`` and ``singular_at_zero``.
+
+    What follows from these is derived once, on first use: ``sup_norm``,
+    ``l1`` (the integral of |h| over the horizon) and H*.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     horizon: float
     family: str
-    l1_closed_form: float | None = None
-    sup_norm: float | None = None
     abs_antiderivative: Callable[[float], float] | None = None
     monotone_breaks: tuple[float, ...] | None = None
     support: float | None = None
@@ -236,10 +236,27 @@ class Kernel:
     def __call__(self, t):
         return self.evaluate(t)
 
+    @cached_property
+    def sup_norm(self) -> float | None:
+        """sup of |h| on [0, T]: the largest |h| at lag 0 and at the declared
+        breaks, which bound its monotone pieces.  None without breaks, for a
+        kernel singular at zero, and when h(0) is not finite."""
+        if self.monotone_breaks is None or self.singular_at_zero:
+            return None
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            head = abs(float(np.asarray(self.evaluate(np.zeros(1)), dtype=float)[0]))
+        return max(head, float(self._tail_peaks[1][0])) if math.isfinite(head) else None
+
     @property
     def bounded(self) -> bool:
-        """Whether |h| has a finite sup on (0, T], which continuous thinning needs."""
-        return self.sup_norm is not None and not self.singular_at_zero
+        """Whether |h| has a known finite sup on (0, T], which continuous thinning needs."""
+        return self.sup_norm is not None
+
+    @cached_property
+    def l1(self) -> float:
+        """Integral of |h| over the horizon: the declared antiderivative, else
+        one quadrature."""
+        return _abs_integral(self, 0.0, self.horizon)
 
     @cached_property
     def _tail_peaks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -256,10 +273,8 @@ class Kernel:
         h is monotone between the declared breaks, so |h| peaks at an end of
         each piece: H*(u) is the larger of |h(u)| and the largest |h| at a
         break above u, and ``values`` itself for a nonincreasing nonnegative
-        kernel.  A kernel without breaks is bounded by its sup norm.
+        kernel.
         """
-        if self.monotone_breaks is None:
-            return np.full(len(lags), self.sup_norm)
         if self.monotone_decreasing:
             return values
         breaks, peaks = self._tail_peaks
@@ -310,8 +325,6 @@ def exponential_kernel(amplitude: float, decay: float, horizon: float) -> Kernel
         evaluate=h,
         horizon=float(horizon),
         family="exponential",
-        l1_closed_form=habs(horizon),
-        sup_norm=abs(a),
         abs_antiderivative=habs,
         monotone_breaks=(0.0, float(horizon)),
         monotone_decreasing=a >= 0,
@@ -344,8 +357,6 @@ def erlang_kernel(amplitude: float, shape: int, decay: float, horizon: float) ->
         evaluate=h,
         horizon=T,
         family="erlang",
-        l1_closed_form=habs(T),
-        sup_norm=abs(a) * peak ** k * math.exp(-b * peak),
         abs_antiderivative=habs,
         monotone_breaks=(0.0, peak, T) if peak < T else (0.0, T),
     )
@@ -383,14 +394,13 @@ def cosine_decay_kernel(amplitude: float = 0.6, horizon: float = 5.0) -> Kernel:
         z for z in (math.pi / 2 + k * math.pi for k in range(int(T / math.pi) + 1)) if z < T
     )
     extrema = _local_extrema(h, T)
-    return _with_l1(Kernel(
+    return Kernel(
         evaluate=h,
         horizon=T,
         family="cosine-decay",
-        sup_norm=abs(a),
         monotone_breaks=(0.0, *extrema, T),
         nonsmooth_points=zeros,
-    ))
+    )
 
 
 def inverse_sqrt_kernel(
@@ -426,8 +436,6 @@ def inverse_sqrt_kernel(
         evaluate=h,
         horizon=T,
         family="inverse-sqrt",
-        l1_closed_form=habs(T),
-        sup_norm=None,
         abs_antiderivative=habs,
         monotone_decreasing=True,
         singular_at_zero=True,
@@ -453,8 +461,6 @@ def compact_kernel(amplitude: float, support: float, horizon: float) -> Kernel:
         evaluate=h,
         horizon=T,
         family="compact-support",
-        l1_closed_form=habs(T),
-        sup_norm=abs(a),
         abs_antiderivative=habs,
         monotone_breaks=breaks,
         support=S,
@@ -474,8 +480,6 @@ def constant_kernel(value: float, horizon: float) -> Kernel:
         evaluate=h,
         horizon=T,
         family="custom",
-        l1_closed_form=abs(v) * T,
-        sup_norm=abs(v),
         abs_antiderivative=lambda x: abs(v) * x,
         monotone_breaks=(0.0, T),
         monotone_decreasing=v >= 0,
@@ -492,7 +496,8 @@ def custom_kernel(
     horizon: float,
     **metadata,
 ) -> Kernel:
-    """Wrap an arbitrary array-aware callable; metadata fields are optional."""
+    """Wrap an arbitrary array-aware callable; metadata fields are optional,
+    but continuous thinning needs ``monotone_breaks``."""
     return Kernel(evaluate=evaluate, horizon=float(horizon), family="custom", **metadata)
 
 
@@ -515,19 +520,13 @@ def tabulated_kernel(points: list[tuple[float, float]] | np.ndarray, horizon: fl
     sign = np.sign(slopes[moving])
     turns = ts[moving[:-1][sign[1:] != sign[:-1]] + 1]
     interior = [float(t) for t in turns if t < horizon]
-    return _with_l1(Kernel(
+    return Kernel(
         evaluate=h,
         horizon=float(horizon),
         family="custom",
-        sup_norm=float(np.abs(vs).max()),
         monotone_breaks=(0.0, *interior, float(horizon)),
         nonsmooth_points=tuple(float(t) for t in ts if 0.0 < t < horizon),
-    ))
-
-
-def _with_l1(kernel: Kernel) -> Kernel:
-    """Attach ||h||_1 over the horizon, integrated once, so no trial redoes it."""
-    return replace(kernel, l1_closed_form=_abs_integral(kernel, 0.0, kernel.horizon))
+    )
 
 
 # --------------------------------------------------------------------------
@@ -563,8 +562,8 @@ def l1_norm(kernel: Kernel, T: float | None = None, *, tol: float = 1e-9) -> flo
         T = kernel.horizon
     if T > kernel.horizon * (1 + REL_TOL):
         raise ParameterError("T exceeds the kernel horizon")
-    if kernel.l1_closed_form is not None and T == kernel.horizon:
-        return kernel.l1_closed_form
+    if T == kernel.horizon:
+        return kernel.l1
     return _abs_integral(kernel, 0.0, T, tol)
 
 
@@ -760,13 +759,13 @@ def p_variation(kernel: Kernel, p: float = 1.0, T: float | None = None) -> PVari
         raise ParameterError("p must be >= 1")
     if T is None:
         T = kernel.horizon
+    if kernel.monotone_breaks is None and not kernel.singular_at_zero:
+        raise ParameterError(
+            f"kernel family {kernel.family!r} declares no monotone_breaks"
+        )
     if not kernel.bounded:
         raise InfiniteVariationError(
             f"kernel family {kernel.family!r} is unbounded on (0, T]"
-        )
-    if kernel.monotone_breaks is None:
-        raise ParameterError(
-            f"kernel family {kernel.family!r} declares no monotone_breaks"
         )
     pts = np.array(sorted({min(b, T) for b in kernel.monotone_breaks} | {0.0, T}))
     vals = np.asarray(kernel.evaluate(np.maximum(pts, 1e-300)), dtype=float)

@@ -47,20 +47,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class JumpRate:
-    """Nonnegative Lipschitz map from kernel-weighted past to event rate.
-
-    ``sup_norm`` is None for unbounded families; ``at_zero`` is the rate of
-    an empty past.
+    """Nonnegative Lipschitz map psi from kernel-weighted past to event rate:
+    its family, psi, the Lipschitz constant L and sup psi (``sup_norm``, None
+    for unbounded families).  ``at_zero``, the rate of an empty past, is
+    psi(0) itself.
     """
 
     family: str
     fn: Callable[[np.ndarray], np.ndarray]
     lipschitz: float
-    at_zero: float
     sup_norm: float | None = None
 
     def __call__(self, x):
         return self.fn(x)
+
+    @functools.cached_property
+    def at_zero(self) -> float:
+        return float(self.fn(0.0))
 
 
 def relu_affine(baseline: float) -> JumpRate:
@@ -70,7 +73,7 @@ def relu_affine(baseline: float) -> JumpRate:
     def fn(x):
         return np.maximum(mu + np.asarray(x, dtype=float), 0.0)
 
-    return JumpRate("relu-affine", fn, lipschitz=1.0, at_zero=max(mu, 0.0), sup_norm=None)
+    return JumpRate("relu-affine", fn, lipschitz=1.0, sup_norm=None)
 
 
 def clipped_affine(baseline: float, cap: float) -> JumpRate:
@@ -82,7 +85,7 @@ def clipped_affine(baseline: float, cap: float) -> JumpRate:
     def fn(x):
         return np.clip(mu + np.asarray(x, dtype=float), 0.0, c)
 
-    return JumpRate("clipped-affine", fn, lipschitz=1.0, at_zero=min(max(mu, 0.0), c), sup_norm=c)
+    return JumpRate("clipped-affine", fn, lipschitz=1.0, sup_norm=c)
 
 
 def sigmoid_rate(scale: float) -> JumpRate:
@@ -94,7 +97,7 @@ def sigmoid_rate(scale: float) -> JumpRate:
     def fn(x):
         return lam / (1.0 + np.exp(-np.asarray(x, dtype=float)))
 
-    return JumpRate("sigmoid", fn, lipschitz=lam / 4.0, at_zero=lam / 2.0, sup_norm=lam)
+    return JumpRate("sigmoid", fn, lipschitz=lam / 4.0, sup_norm=lam)
 
 
 def constant_rate(value: float) -> JumpRate:
@@ -106,7 +109,7 @@ def constant_rate(value: float) -> JumpRate:
     def fn(x):
         return np.full_like(np.asarray(x, dtype=float), c)
 
-    return JumpRate("constant", fn, lipschitz=0.0, at_zero=c, sup_norm=c)
+    return JumpRate("constant", fn, lipschitz=0.0, sup_norm=c)
 
 
 # --------------------------------------------------------------------------
@@ -306,12 +309,12 @@ def simulate_continuous(
     margin is more than the rounding of the intensity's dot product.  The
     scan finds the next atom under that level in windows of ``_WINDOW``
     atoms, doubling while none is, so the cost is one intensity read per
-    atom under E plus a linear pass over the thetas.  A kernel without
-    monotone breaks has H* equal to its sup norm and reads every atom.
+    atom under E plus a linear pass over the thetas.  H* needs the kernel's
+    monotone breaks, so a kernel without them is refused.
 
     A per-atom exceedance check remains as a backstop for kernels whose
-    declared sup norm is wrong: it covers the intensity at the atom and
-    resumes the scan at that atom.  After either extension the scan re-reads
+    declared breaks are wrong: it covers the intensity at an atom it reads
+    and resumes the scan at that atom.  After either extension the scan re-reads
     the merged atoms and resumes at the first undecided one.  A ceiling past
     the atom budget raises ``RunawayIntensityError``.
     """
@@ -321,8 +324,8 @@ def simulate_continuous(
         raise ParameterError("T exceeds the kernel horizon")
     if not kernel.bounded:
         raise ParameterError(
-            "continuous thinning requires a bounded kernel; only the discrete "
-            "scheme supports kernels unbounded at lag zero"
+            "continuous thinning requires a kernel bounded at lag zero with declared "
+            "monotone_breaks; only the discrete scheme supports the others"
         )
     rho = rho_continuous(kernel, jump_rate.lipschitz, mark_model)
     if rho >= 1.0 and not allow_unstable:
@@ -332,7 +335,6 @@ def simulate_continuous(
 
     psi = jump_rate.fn
     sup_h = kernel.sup_norm
-    skips = kernel.monotone_breaks is not None      # else every atom is read
     slack = 1 + REL_TOL
 
     def envelope(tail: float) -> float:
@@ -343,7 +345,7 @@ def simulate_continuous(
 
     env = envelope(0.0)
     atoms.cover(env, "intensity envelope")
-    level = env * slack if skips else np.inf    # thetas above it go unread
+    level = env * slack     # thetas above it go unread
     acc_t = acc_y = acc_b = acc_lam = np.empty(0)
     cnt = 0
     undecided = None    # (tau, theta) of the atom to resume at, and 1 to resume past it
@@ -377,10 +379,9 @@ def simulate_continuous(
                 tail = float(np.dot(kernel.tail_sup(lags, values), weights))
             lam = float(psi(x))
             if lam > ceiling:
-                # backstop: the declared sup norm failed to bound the kernel
+                # backstop: the declared breaks failed to bound the kernel
                 atoms.cover(lam, "intensity")
                 undecided = t_i, theta[i], 0
-                level = np.inf
                 break
             accepted = theta[i] <= lam
             if accepted:
@@ -391,8 +392,7 @@ def simulate_continuous(
                 cnt += 1
                 tail += float(b[i]) * sup_h
             env = envelope(tail)
-            if skips:
-                level = env * slack
+            level = env * slack
             if accepted and env > ceiling:
                 atoms.cover(env, "intensity envelope")
                 undecided = t_i, theta[i], 1
@@ -576,8 +576,6 @@ def simulate_discrete(
             e = min(i + width, last)
             bins = bin_of[i:e]
             levels = psi(feedback[bins])
-            if bins[0] == 1:
-                levels[: bins.searchsorted(2)] = jump_rate.at_zero
             passed = pushing[i:e] <= levels
             k = int(passed.argmax())
             if not passed[k]:
@@ -595,7 +593,6 @@ def simulate_discrete(
             pushes.append((j, m))
             width = _WINDOW
         intensity = psi(feedback)
-        intensity[:2] = jump_rate.at_zero
         over = intensity > ceiling
         if not over.any():
             break

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -362,7 +363,6 @@ class TestPVariation:
         k = hp.custom_kernel(
             lambda t: np.cos(np.asarray(t, dtype=float)),
             2 * math.pi,
-            sup_norm=1.0,
             monotone_breaks=(0.0, math.pi, 2 * math.pi),
         )
         res = p_variation(k, 1.0)
@@ -370,9 +370,7 @@ class TestPVariation:
         assert res.value == pytest.approx(4.0, abs=1e-12)
 
     def test_kernel_without_breaks_refused(self):
-        k = hp.custom_kernel(
-            lambda t: np.cos(np.asarray(t, dtype=float)), 2 * math.pi, sup_norm=1.0
-        )
+        k = hp.custom_kernel(lambda t: np.cos(np.asarray(t, dtype=float)), 2 * math.pi)
         with pytest.raises(ParameterError, match="monotone_breaks"):
             p_variation(k, 1.0)
 
@@ -459,10 +457,30 @@ class TestTailSup:
         values = k.evaluate(u)
         assert k.tail_sup(u, values) is values
 
-    def test_kernel_without_breaks_uses_its_sup_norm(self):
-        k = hp.custom_kernel(lambda t: np.exp(-np.asarray(t, dtype=float)), 5.0, sup_norm=1.0)
-        u = np.array([0.5, 4.0])
-        assert np.array_equal(k.tail_sup(u, k.evaluate(u)), [1.0, 1.0])
+    def test_kernel_without_breaks_refused_by_continuous_thinning(self, unit_marks):
+        # H* is read off the breaks: without them there is no sup norm, and
+        # continuous thinning refuses the kernel before it draws a strip
+        k = hp.custom_kernel(lambda t: np.exp(-np.asarray(t, dtype=float)), 5.0)
+        assert k.sup_norm is None and not k.bounded
+        atoms = hp.sample_atoms(5.0, 0.5, unit_marks, 0)
+        with pytest.raises(ParameterError, match="monotone_breaks"):
+            hp.simulate_continuous(k, hp.relu_affine(4.0), unit_marks, 5.0, atoms)
+        assert len(atoms.strips) == 1
+
+    def test_kernel_infinite_at_zero_refused_without_warning(self, unit_marks):
+        # breaks declared, singular_at_zero not: h(0) = inf leaves it unbounded
+        k = hp.custom_kernel(
+            lambda t: 0.1 / np.sqrt(np.asarray(t, dtype=float)), 5.0, monotone_breaks=(0.0, 5.0)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert k.sup_norm is None and not k.bounded
+            with pytest.raises(InfiniteVariationError):
+                p_variation(k, 1.0)
+            with pytest.raises(ParameterError, match="bounded"):
+                hp.simulate_continuous(
+                    k, hp.relu_affine(1.0), unit_marks, 5.0, hp.sample_atoms(5.0, 1.0, unit_marks, 0)
+                )
 
 
 class TestMetadataAgainstQuadrature:
@@ -484,7 +502,7 @@ class TestMetadataAgainstQuadrature:
                 lambda t: 0.1 / math.sqrt(t),
                 (),
             ),
-            # no closed form: filled by one quadrature at construction
+            # no antiderivative: one quadrature, on first use
             (
                 hp.cosine_decay_kernel(0.6, 5.0),
                 lambda t: 0.6 * math.cos(t) / (1 + t * t),
@@ -498,14 +516,18 @@ class TestMetadataAgainstQuadrature:
         ]
         for kernel, fn, pts in cases:
             oracle = quad_abs_l1(fn, kernel.horizon, points=pts)
-            assert kernel.l1_closed_form == pytest.approx(oracle, rel=1e-6)
+            assert l1_norm(kernel) == pytest.approx(oracle, rel=1e-6)
 
     def test_sup_norms(self, library_kernels):
-        for k in library_kernels.values():
+        # the table's largest |h| is at t = 9, past the horizon 5: on (0, 5]
+        # the sup is |h(5)| = 0.3
+        table = hp.tabulated_kernel([(0, 0.15), (1, 0.25), (2, -0.1), (4, 0), (9, 1.5)], 5.0)
+        for k in (*library_kernels.values(), table):
             ts = np.linspace(1e-9, k.horizon, 200001)
             assert k.sup_norm == pytest.approx(
                 float(np.abs(k.evaluate(ts)).max()), rel=1e-6
             )
+        assert table.sup_norm == abs(float(table.evaluate(np.array([5.0]))[0]))
 
     def test_tabulated_kernel_interpolates(self):
         pts = [(0.0, 1.0), (1.0, 0.5), (2.0, 0.0)]

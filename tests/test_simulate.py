@@ -56,6 +56,15 @@ class TestJumpRates:
         assert float(clip.fn(10.0)) == 2.5
         sig = hp.sigmoid_rate(4.0)
         assert sig.at_zero == 2.0 and sig.sup_norm == 4.0 and sig.lipschitz == 1.0
+        # psi(0) is each family's closed form for the rate of an empty past
+        cap = 4.0
+        for mu in (-0.5, 0.0, 0.7, 5.0):
+            assert hp.relu_affine(mu).at_zero == max(mu, 0.0)
+            assert hp.clipped_affine(mu, cap).at_zero == min(max(mu, 0.0), cap)
+            if mu > 0:
+                assert hp.sigmoid_rate(mu).at_zero == mu / 2.0
+            if mu >= 0:
+                assert hp.constant_rate(mu).at_zero == mu
 
     def test_nonnegative_and_lipschitz_spot_check(self, rng):
         for jr in (hp.relu_affine(0.5), hp.clipped_affine(1.0, 3.0), hp.sigmoid_rate(2.0)):
@@ -125,15 +134,21 @@ class TestSimulateContinuous:
         assert len(atoms.strips) == 1
 
     def test_backstop_resumes_at_the_atom_that_fired_it(self, unit_marks):
-        # h = 0.8 on (0, 0.21] but declares a sup norm of 0.01, so the
-        # envelope 0.5 + 0.01 * mass never leaves the ceiling 1; the atom at
-        # 0.3 sees the intensity 1.3 and fires the backstop, which draws the
-        # strip (1, 2] and accepts that atom under 1.3
+        # h = 0.8 on (0.05, 0.21] but declares the breaks (0, 1), where h is
+        # 0, so H* reads 0 and the envelope stays at 0.5; the atom at 0.3
+        # lies under it, sees the intensity 1.3 and fires the backstop, which
+        # draws the strip (1, 2] and accepts that atom under 1.3
         def h(t):
-            return np.where(np.asarray(t, dtype=float) <= 0.21, 0.8, 0.0)
+            t = np.asarray(t, dtype=float)
+            return np.where((t > 0.05) & (t <= 0.21), 0.8, 0.0)
 
-        kernel = hp.custom_kernel(h, 1.0, sup_norm=0.01, l1_closed_form=0.168)
-        triples = [(0.1, 0.2, 1.0), (0.3, 0.9, 1.0), (0.6, 0.7, 1.0), (0.9, 0.3, 1.0)]
+        # declared antiderivative: a quadrature would sample only zeros of h
+        # and read ||h||_1 = 0
+        kernel = hp.custom_kernel(
+            h, 1.0, monotone_breaks=(0.0, 1.0),
+            abs_antiderivative=lambda x: 0.8 * min(max(x - 0.05, 0.0), 0.16),
+        )
+        triples = [(0.1, 0.2, 1.0), (0.3, 0.4, 1.0), (0.6, 0.7, 1.0), (0.9, 0.3, 1.0)]
         atoms = atoms_from_triples(1.0, 1.0, triples, unit_marks)
         path = simulate_continuous(kernel, hp.relu_affine(0.5), unit_marks, 1.0, atoms)
         assert atoms.ceiling == 2.0 and len(atoms.strips) == 2
@@ -168,6 +183,13 @@ _SCAN_KERNELS = {
     "zero": hp.zero_kernel(_SCAN_T),
     "tabulated": hp.tabulated_kernel([(0, 0.3), (1.1, 0.5), (2.3, -0.1), (5, 0.05)], _SCAN_T),
     "plateau": hp.tabulated_kernel([(0, 0), (1, 0.5), (2, 0.5), (3, 0)], _SCAN_T),
+    # h = 0.8 on [0, 0.21], 0 after: nonincreasing, but not flagged so
+    "step": hp.custom_kernel(
+        lambda t: np.where(np.asarray(t, dtype=float) <= 0.21, 0.8, 0.0),
+        _SCAN_T,
+        monotone_breaks=(0.0, _SCAN_T),
+        abs_antiderivative=lambda x: 0.8 * min(x, 0.21),
+    ),
 }
 _SCAN_RATES = {
     "relu": hp.relu_affine(2.0),
@@ -234,6 +256,10 @@ class TestLocalEnvelope:
             assert env <= atoms.ceiling
             for t in np.linspace(a, b, max(2, int((b - a) / 0.005)))[1:]:
                 assert eval_intensity(path, k, jr, t) <= env * (1 + REL_TOL)
+
+    def test_step_kernel_sup_norm(self):
+        # read off h(0) and the breaks, not declared beside h
+        assert _SCAN_KERNELS["step"].sup_norm == 0.8
 
     def test_long_horizon_reads_and_ceiling(self, unit_marks):
         # T = 200 (seed 2): the global envelope read lambda at 129,072 atoms
