@@ -655,7 +655,7 @@ class _VerifySample(NamedTuple):
     """What one trial contributes to the Monte Carlo verdicts of ``verify``."""
 
     mismatch: list[float]        # risk-increment mismatch on (T/4, 3T/4], per delta
-    intensity: list[float]       # continuous intensity at T k / 20, k = 1..20
+    intensity: np.ndarray        # continuous intensity at T k / 20, k = 1..20
     grid_intensity: np.ndarray   # finest-delta intensity at up to 20 grid points
     xi_continuous: float         # terminal risk minus its compensator
     xi_discrete: float           # the same at the finest delta
@@ -691,7 +691,7 @@ def _verify_sample(
         modulus = modulus_sparse(step_from_jumps(tau, y, T), delta_min)
     return _VerifySample(
         mismatch,
-        [eval_intensity(cont, kernel, jump_rate, u) for u in plan.times],
+        eval_intensity(cont, kernel, jump_rate, plan.times),
         disc.intensity[plan.grid_idx],
         cont.terminal_risk - plan.mark_mean * integrate_intensity(cont, kernel, jump_rate),
         disc.terminal_risk - plan.mark_mean * float(disc.intensity[1:].sum() * delta_min),

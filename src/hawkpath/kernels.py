@@ -199,7 +199,7 @@ class Kernel:
     """An excitation kernel h on [0, T].
 
     ``evaluate`` must accept numpy arrays of lags in [0, T] (in (0, T] for
-    a kernel singular at zero) and return arrays.
+    a kernel singular at zero) of any shape and return arrays of that shape.
     Immutable after construction, so instances are safe to share across
     concurrent trials.
 
@@ -213,10 +213,11 @@ class Kernel:
                                thinning, which needs them,
     - ``support``           -- S with h(t) = 0 for t >= S (compact families),
     - ``nonsmooth_points``  -- kinks / sign changes used to split quadrature panels,
-    - ``monotone_decreasing`` and ``singular_at_zero``.
+    - ``singular_at_zero``.
 
     What follows from these is derived once, on first use: ``sup_norm``,
-    ``l1`` (the integral of |h| over the horizon) and H*.
+    ``l1`` (the integral of |h| over the horizon), ``monotone_decreasing``
+    and H*.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -226,7 +227,6 @@ class Kernel:
     monotone_breaks: tuple[float, ...] | None = None
     support: float | None = None
     nonsmooth_points: tuple[float, ...] = ()
-    monotone_decreasing: bool = False
     singular_at_zero: bool = False
 
     def __post_init__(self) -> None:
@@ -246,6 +246,18 @@ class Kernel:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             head = abs(float(np.asarray(self.evaluate(np.zeros(1)), dtype=float)[0]))
         return max(head, float(self._tail_peaks[1][0])) if math.isfinite(head) else None
+
+    @cached_property
+    def monotone_decreasing(self) -> bool:
+        """Whether h is nonincreasing and nonnegative on [0, T]: h at lag 0 and
+        at the declared breaks never rises, and h(T) >= 0.  False without
+        breaks."""
+        if self.monotone_breaks is None:
+            return False
+        lags = np.concatenate(([0.0], self._tail_peaks[0], [self.horizon]))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            values = np.asarray(self.evaluate(lags), dtype=float)
+            return bool(np.all(np.diff(values) <= 0.0) and values[-1] >= 0.0)
 
     @property
     def bounded(self) -> bool:
@@ -327,7 +339,6 @@ def exponential_kernel(amplitude: float, decay: float, horizon: float) -> Kernel
         family="exponential",
         abs_antiderivative=habs,
         monotone_breaks=(0.0, float(horizon)),
-        monotone_decreasing=a >= 0,
     )
 
 
@@ -437,7 +448,7 @@ def inverse_sqrt_kernel(
         horizon=T,
         family="inverse-sqrt",
         abs_antiderivative=habs,
-        monotone_decreasing=True,
+        monotone_breaks=(0.0, T),
         singular_at_zero=True,
     )
 
@@ -465,7 +476,6 @@ def compact_kernel(amplitude: float, support: float, horizon: float) -> Kernel:
         monotone_breaks=breaks,
         support=S,
         nonsmooth_points=(S,) if S < T else (),
-        monotone_decreasing=a >= 0,
     )
 
 
@@ -482,7 +492,6 @@ def constant_kernel(value: float, horizon: float) -> Kernel:
         family="custom",
         abs_antiderivative=lambda x: abs(v) * x,
         monotone_breaks=(0.0, T),
-        monotone_decreasing=v >= 0,
     )
 
 
@@ -652,11 +661,12 @@ def shift_modulus(
     """sup over eps in [0, delta] of the L1 shift difference of h on [0, T - delta].
 
     The supremum is approximated on a ``grid``-point eps mesh including both
-    endpoints, then refined locally around the maximizer.  Kernels declared
-    monotone decreasing use the exact telescoping identity per eps, for which
-    the maximizer is the right endpoint.  The integrals of the mesh, and of
-    each refinement's three interior eps, are computed as one quadrature
-    batch; a refinement's endpoints are mesh points already integrated.
+    endpoints, then refined locally around the maximizer.  A nonincreasing
+    nonnegative kernel (``monotone_decreasing``) with a declared antiderivative
+    uses the exact telescoping identity per eps, for which the maximizer is
+    the right endpoint.  The integrals of the mesh, and of each refinement's
+    three interior eps, are computed as one quadrature batch; a refinement's
+    endpoints are mesh points already integrated.
     """
     if T is None:
         T = kernel.horizon

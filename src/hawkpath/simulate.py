@@ -424,36 +424,57 @@ def _next_under(theta: np.ndarray, i: int, n: int, level: float) -> int:
     return n
 
 
+def _window(kernel: Kernel, times: np.ndarray, t):
+    """The index range [lo, hi) of the sorted ``times`` that excite the
+    intensity at t (a scalar, or lo and hi arrays at an array of times): the
+    events strictly before t whose lag lies inside the support."""
+    hi = times.searchsorted(t, side="left")
+    if kernel.support is None:
+        return 0 * hi, hi   # zeros of hi's shape, cheaper than np.zeros_like on a scalar
+    return np.minimum(times.searchsorted(t - kernel.support, side="right"), hi), hi
+
+
 def _past(kernel: Kernel, times: np.ndarray, weights: np.ndarray, t: float):
-    """The lags t - times[k] of the sorted ``times`` in (t - support, t), h at
-    them and their weights; None when no time lies there."""
-    j = len(times)
-    if j and times[-1] >= t:   # a scan's atom lies past every accepted time
-        j = int(times.searchsorted(t, side="left"))
-    lo = 0
-    if kernel.support is not None and j > 0:
-        lo = int(times[:j].searchsorted(t - kernel.support, side="right"))
-    if j <= lo:
+    """The lags t - times[k] of the events in ``_window`` at t, h at them and
+    their weights; None when no event lies there."""
+    lo, hi = _window(kernel, times, t)
+    if hi <= lo:
         return None
-    lags = t - times[lo:j]
-    return lags, np.asarray(kernel.evaluate(lags), dtype=float), weights[lo:j]
+    lags = t - times[lo:hi]
+    return lags, np.asarray(kernel.evaluate(lags), dtype=float), weights[lo:hi]
 
 
-def _excitation(kernel: Kernel, times: np.ndarray, weights: np.ndarray, t: float) -> float:
-    """Kernel-weighted past strictly before t: the sum of weights[k] * h(t - times[k])
-    over the sorted ``times`` in (t - support, t)."""
-    past = _past(kernel, times, weights, t)
-    if past is None:
-        return 0.0
-    _, values, weights = past
-    return float(np.dot(values, weights))
+def _excitation(path: ContinuousPath, kernel: Kernel, ts: np.ndarray) -> np.ndarray:
+    """Kernel-weighted past of a finished path at each t of the 1-D ``ts``:
+    the sum of weights[k] * h(t - times[k]) over the events in ``_window``.
+
+    Consecutive times with the same window form a run, read as one block of
+    lags, so memory is run length x window, never times x events.  Each row
+    is summed on its own, so a time's value does not depend on the others.
+    """
+    lo, hi = _window(kernel, path.times, ts)
+    runs = np.flatnonzero((np.diff(lo, prepend=-1) != 0) | (np.diff(hi, prepend=-1) != 0))
+    ends = [*runs[1:].tolist(), len(ts)]
+    out = np.zeros(len(ts))
+    for a, z, k, m in zip(runs.tolist(), ends, lo[runs].tolist(), hi[runs].tolist()):
+        if k < m:
+            values = np.asarray(kernel.evaluate(ts[a:z, None] - path.times[k:m]), dtype=float)
+            out[a:z] = (values * path.weights[k:m]).sum(axis=1)
+    return out
 
 
-def eval_intensity(path: ContinuousPath, kernel: Kernel, jump_rate: JumpRate, t: float) -> float:
-    """Left-limit intensity at t: events strictly before t contribute."""
-    if not 0 <= t <= path.horizon * (1 + REL_TOL):
+def eval_intensity(
+    path: ContinuousPath, kernel: Kernel, jump_rate: JumpRate, t: float | np.ndarray
+) -> float | np.ndarray:
+    """Left-limit intensity at t in [0, T] (events strictly before t, cut at
+    t - support): a float at a scalar t, an array at a 1-D array of times."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ParameterError("t must be a scalar or a 1-D array")
+    if not np.all((0 <= ts) & (ts <= path.horizon * (1 + REL_TOL))):
         raise ParameterError("t must lie in [0, T]")
-    return float(jump_rate.fn(_excitation(kernel, path.times, path.weights, t)))
+    lam = np.asarray(jump_rate.fn(_excitation(path, kernel, ts.reshape(-1))), dtype=float)
+    return float(lam[0]) if ts.ndim == 0 else lam
 
 
 @functools.lru_cache(maxsize=None)
@@ -475,26 +496,22 @@ def integrate_intensity(
 ) -> float:
     """Integral of the intensity over [0, T] by per-segment Gauss-Legendre.
 
-    The intensity is smooth between events for smooth kernels, so a fixed
-    rule per inter-event segment is accurate; singular kernel families are
-    not supported here.
+    T defaults to the path's horizon and must lie in (0, horizon].  The
+    intensity is smooth between events for smooth kernels, so a fixed rule
+    per inter-event segment is accurate; singular kernel families are not
+    supported here.  The nodes are read through ``_excitation``, at most one
+    block per segment, so memory is order x window, never nodes x events.
     """
     if T is None:
         T = path.horizon
+    if not 0 < T <= path.horizon * (1 + REL_TOL):
+        raise ParameterError("T must lie in (0, the path's horizon]")
     edges, _ = distinct(np.concatenate(([0.0], path.times[path.times < T], [T])))
     nodes, weights = _gauss_legendre(order)
     widths = np.diff(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
     ts = (mids[:, None] + 0.5 * widths[:, None] * nodes[None, :]).ravel()
-    if len(path.times):
-        lags = ts[:, None] - path.times[None, :]
-        mask = lags > 0
-        vals = np.zeros_like(lags)
-        safe = np.where(mask, lags, 1.0)
-        vals[mask] = np.asarray(kernel.evaluate(safe), dtype=float)[mask]
-        s = vals @ path.weights
-    else:
-        s = np.zeros_like(ts)
+    s = _excitation(path, kernel, ts)
     lam = np.asarray(jump_rate.fn(s), dtype=float).reshape(len(widths), order)
     return float(((lam @ weights) * 0.5 * widths).sum())
 

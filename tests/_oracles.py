@@ -11,7 +11,9 @@ reachable states, a plain binary search over all critical values instead
 of the value-gap-bracketed one, the dense m x n difference table instead
 of the row-blocked gap enumeration, a Python double loop over every candidate
 instead of the pruned sparse-modulus walk, the atom-by-atom continuous scan
-under the global envelope instead of the local one.
+under the global envelope instead of the local one, the dense masked matrix
+of every time's lag to every event instead of the run-blocked excitation
+read of a finished path.
 """
 
 from __future__ import annotations
@@ -620,6 +622,36 @@ def continuous_scan_reference(kernel, jump_rate, mark_model, T, atoms):
         times=np.array(times), marks=np.array(marks),
         weights=np.array(weights), intensities=np.array(intensities),
     )
+
+
+def dense_excitation(path, kernel, ts):
+    """Kernel-weighted past at each of ``ts`` from the dense masked lag matrix:
+    h at every positive lag to every event (no support cut), one matrix
+    product with the weights."""
+    ts = np.asarray(ts, dtype=float)
+    if not len(path.times):
+        return np.zeros_like(ts)
+    lags = ts[:, None] - path.times[None, :]
+    mask = lags > 0
+    vals = np.zeros_like(lags)
+    safe = np.where(mask, lags, 1.0)
+    vals[mask] = np.asarray(kernel.evaluate(safe), dtype=float)[mask]
+    return vals @ path.weights
+
+
+def dense_compensator(path, kernel, jump_rate, T=None, order=16):
+    """Integral of the intensity over [0, T]: the ``order``-point Gauss-Legendre
+    rule on every inter-event segment, every node read off ``dense_excitation``
+    at once."""
+    if T is None:
+        T = path.horizon
+    edges = np.unique(np.concatenate(([0.0], path.times[path.times < T], [T])))
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    widths = np.diff(edges)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    ts = (mids[:, None] + 0.5 * widths[:, None] * nodes[None, :]).ravel()
+    lam = np.asarray(jump_rate.fn(dense_excitation(path, kernel, ts)), dtype=float)
+    return float(((lam.reshape(len(widths), order) @ weights) * 0.5 * widths).sum())
 
 
 def compound_poisson_scheme(kernel, jump_rate, mark_model, delta, count, seed):

@@ -179,7 +179,7 @@ def _shared_exponential_pass():
     mean_mark = hp.mark_moments(UNIT_MARKS).mean
     for s in range(n):
         cont, disc = hp.couple(_EXP_KERNEL, _EXP_RATE, UNIT_MARKS, T, delta, seed=(55, s))
-        lam[s] = [eval_intensity(cont, _EXP_KERNEL, _EXP_RATE, u) for u in ts]
+        lam[s] = eval_intensity(cont, _EXP_KERNEL, _EXP_RATE, ts)
         lvals[s] = disc.intensity[grid_idx]
         xi_cont[s] = cont.terminal_risk - mean_mark * integrate_intensity(
             cont, _EXP_KERNEL, _EXP_RATE

@@ -483,6 +483,53 @@ class TestTailSup:
                 )
 
 
+_MONOTONE_FAMILIES = {
+    "exponential": lambda T: hp.exponential_kernel(0.604, 1.0, T),
+    "exponential-negative": lambda T: hp.exponential_kernel(-0.5, 2.0, T),
+    "erlang": lambda T: hp.erlang_kernel(0.5, 2, 2.0, T),
+    "erlang-zero": lambda T: hp.erlang_kernel(0.0, 2, 2.0, T),
+    "cosine-decay": lambda T: hp.cosine_decay_kernel(0.6, T),
+    "cosine-decay-zero": lambda T: hp.cosine_decay_kernel(0.0, T),
+    "inverse-sqrt": lambda T: hp.inverse_sqrt_kernel(T, 0.1),
+    "compact-support": lambda T: hp.compact_kernel(0.5, 1.0, T),
+    "compact-negative": lambda T: hp.compact_kernel(-0.5, 1.0, T),
+    "constant": lambda T: hp.constant_kernel(0.1, T),
+    "constant-negative": lambda T: hp.constant_kernel(-0.1, T),
+    "zero": hp.zero_kernel,
+    "table-decreasing": lambda T: hp.tabulated_kernel([(0, 0.5), (T / 2, 0.2), (T, 0.1)], T),
+    "table-plateau": lambda T: hp.tabulated_kernel(
+        [(0, 0), (T / 4, 0.5), (T / 2, 0.5), (3 * T / 4, 0)], T
+    ),
+    # h = 0.8 on (0.05, 0.21]: zero at lag 0, so it rises at the break 0.05
+    "late-step": lambda T: hp.custom_kernel(
+        lambda t: np.where((np.asarray(t) > 0.05) & (np.asarray(t) <= 0.21), 0.8, 0.0),
+        T, monotone_breaks=(0.0, 0.05, 0.21, T),
+    ),
+}
+
+
+class TestMonotoneDecreasing:
+    @pytest.mark.parametrize("T", [0.5, 5.0, 50.0])
+    @pytest.mark.parametrize("family", sorted(_MONOTONE_FAMILIES))
+    def test_flag_matches_dense_samples(self, family, T):
+        # nonincreasing and nonnegative on 100,001 lags, to rounding
+        k = _MONOTONE_FAMILIES[family](T)
+        lags = np.linspace(1e-9 if k.singular_at_zero else 0.0, T, 100_001)
+        h = np.asarray(k.evaluate(lags), dtype=float)
+        slack = 1e-12 * max(float(np.abs(h).max()), 1e-300)
+        expected = bool(np.all(np.diff(h) <= slack) and h.min() >= -slack)
+        assert k.monotone_decreasing is expected
+
+    def test_singular_family_declares_its_breaks(self):
+        k = hp.inverse_sqrt_kernel(2.0, 0.1)
+        assert k.monotone_breaks == (0.0, 2.0) and k.monotone_decreasing
+        assert k.sup_norm is None and not k.bounded
+
+    def test_false_without_breaks(self):
+        k = hp.custom_kernel(lambda t: np.exp(-np.asarray(t, dtype=float)), 5.0)
+        assert not k.monotone_decreasing
+
+
 class TestMetadataAgainstQuadrature:
     def test_l1_closed_forms(self):
         cases = [

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from hawkpath import simulate
 from _oracles import (
     compound_poisson_scheme,
     continuous_scan_reference,
+    dense_compensator,
+    dense_excitation,
     discrete_scheme_reference,
 )
 from hawkpath.errors import (
@@ -23,6 +26,7 @@ from hawkpath.errors import (
 from hawkpath.kernels import REL_TOL, grid_coefficients
 from hawkpath.randomness import ATOM_BUDGET, PoissonAtoms, Strip
 from hawkpath.simulate import (
+    ContinuousPath,
     eval_intensity,
     integrate_intensity,
     make_step_path,
@@ -183,7 +187,7 @@ _SCAN_KERNELS = {
     "zero": hp.zero_kernel(_SCAN_T),
     "tabulated": hp.tabulated_kernel([(0, 0.3), (1.1, 0.5), (2.3, -0.1), (5, 0.05)], _SCAN_T),
     "plateau": hp.tabulated_kernel([(0, 0), (1, 0.5), (2, 0.5), (3, 0)], _SCAN_T),
-    # h = 0.8 on [0, 0.21], 0 after: nonincreasing, but not flagged so
+    # h = 0.8 on [0, 0.21], 0 after: nonincreasing, so ``tail_sup`` is h itself
     "step": hp.custom_kernel(
         lambda t: np.where(np.asarray(t, dtype=float) <= 0.21, 0.8, 0.0),
         _SCAN_T,
@@ -260,6 +264,29 @@ class TestLocalEnvelope:
     def test_step_kernel_sup_norm(self):
         # read off h(0) and the breaks, not declared beside h
         assert _SCAN_KERNELS["step"].sup_norm == 0.8
+
+    def test_late_step_reads_every_atom_under_the_intensity(self, unit_marks):
+        # h = 0.8 on (0.05, 0.21] with its true breaks: declared nonincreasing,
+        # tail_sup took h(lag) for H* and skipped atoms under the intensity on
+        # these seeds (53, 158 and 164 lost their events at 0.644, 0.890 and
+        # 0.453); derived, the flag is False and the path is the full scan's
+        def h(t):
+            t = np.asarray(t, dtype=float)
+            return np.where((t > 0.05) & (t <= 0.21), 0.8, 0.0)
+
+        kernel = hp.custom_kernel(
+            h, 1.0, monotone_breaks=(0.0, 0.05, 0.21, 1.0),
+            abs_antiderivative=lambda x: 0.8 * (min(max(x, 0.05), 0.21) - 0.05),
+        )
+        assert not kernel.monotone_decreasing
+        rate = hp.relu_affine(2.0)
+        for seed, count in ((53, 5), (158, 4), (164, 3)):
+            args = (kernel, rate, unit_marks, 1.0)
+            ref = continuous_scan_reference(*args, hp.sample_atoms(1.0, 2.5, unit_marks, seed))
+            path = simulate_continuous(*args, hp.sample_atoms(1.0, 2.5, unit_marks, seed))
+            assert path.terminal_count == count
+            for field in ("times", "marks", "weights", "intensities"):
+                assert np.array_equal(getattr(path, field), getattr(ref, field)), field
 
     def test_long_horizon_reads_and_ceiling(self, unit_marks):
         # T = 200 (seed 2): the global envelope read lambda at 129,072 atoms
@@ -358,6 +385,94 @@ class TestEvalIntensity:
         rate = hp.constant_rate(2.0)
         path = hp.simulate_continuous(zero, rate, unit_marks, 10.0, atoms)
         assert integrate_intensity(path, zero, rate) == pytest.approx(20.0, abs=1e-9)
+
+
+# The excitation read of a finished path against the dense masked lag matrix
+# (``_oracles.dense_excitation``), which reads every event at every time and
+# has no support cut; the compact kernel's support 0.7 < T exercises the cut.
+_READ_KERNELS = {
+    "exponential": lambda T: hp.exponential_kernel(0.604, 1.0, T),
+    "cosine-decay": lambda T: hp.cosine_decay_kernel(0.6, T),
+    "erlang": lambda T: hp.erlang_kernel(0.8, 2, 2.0, T),
+    "compact-support": lambda T: hp.compact_kernel(0.6, 0.7, T),
+    "tabulated": lambda T: hp.tabulated_kernel(
+        [(0, 0.3), (1.1, 0.5), (2.3, -0.1), (4, 0.05), (6, 0.0)], T
+    ),
+    "zero": hp.zero_kernel,
+}
+_READ_RATES = {"relu": hp.relu_affine(1.0), "sigmoid": hp.sigmoid_rate(4.0)}
+_READ_MARKS = hp.MarkModel("exponential", (1.5,), modulation="absolute-value")
+
+
+class TestExcitationRead:
+    @pytest.mark.parametrize("T", [5.0, 20.0])
+    @pytest.mark.parametrize("rate", sorted(_READ_RATES))
+    @pytest.mark.parametrize("kernel", sorted(_READ_KERNELS))
+    def test_matches_the_dense_oracle(self, kernel, rate, T):
+        k, jr = _READ_KERNELS[kernel](T), _READ_RATES[rate]
+        for seed in range(3):
+            atoms = hp.sample_atoms(T, hp.default_ceiling(jr, k, _READ_MARKS), _READ_MARKS, seed)
+            path = simulate_continuous(k, jr, _READ_MARKS, T, atoms, allow_unstable=True)
+            # a mesh, the event times themselves (left limits) and T / 3
+            ts = np.concatenate((np.linspace(0.0, T, 257), path.times, [T / 3]))
+            lam = eval_intensity(path, k, jr, ts)
+            oracle = np.asarray(jr.fn(dense_excitation(path, k, ts)), dtype=float)
+            np.testing.assert_allclose(lam, oracle, rtol=1e-13, atol=0)
+            # each time's value is its own: read alone, or in any order
+            assert np.array_equal(lam, [eval_intensity(path, k, jr, t) for t in ts])
+            order = np.random.default_rng(seed).permutation(len(ts))
+            assert np.array_equal(eval_intensity(path, k, jr, ts[order]), lam[order])
+            for upto in (None, T / 3):
+                assert integrate_intensity(path, k, jr, upto) == pytest.approx(
+                    dense_compensator(path, k, jr, upto), rel=1e-13, abs=0
+                )
+
+    def test_time_at_an_event_excludes_it(self):
+        k, jr = hp.exponential_kernel(0.5, 2.0, 5.0), hp.relu_affine(1.0)
+        path = ContinuousPath(
+            5.0, np.array([1.0, 2.0]), np.ones(2), np.array([1.0, 0.5]), np.ones(2)
+        )
+        lam = eval_intensity(path, k, jr, np.array([1.0, 2.0, 1.5, 2.0]))
+        h = k.evaluate(np.array([1.0, 0.5]))
+        assert lam.tolist() == [1.0, 1.0 + h[0], 1.0 + h[1], 1.0 + h[0]]
+        assert eval_intensity(path, k, jr, 2.0) == 1.0 + h[0]
+
+    def test_scalar_in_float_out(self):
+        k, jr = hp.exponential_kernel(0.5, 2.0, 5.0), hp.relu_affine(1.0)
+        path = ContinuousPath(5.0, np.array([1.0]), np.ones(1), np.ones(1), np.ones(1))
+        for t in (2.0, np.float64(2.0), np.array(2.0)):
+            assert type(eval_intensity(path, k, jr, t)) is float
+        assert eval_intensity(path, k, jr, [2.0]).shape == (1,)
+        assert eval_intensity(path, k, jr, np.empty(0)).shape == (0,)
+        with pytest.raises(ParameterError, match="1-D"):
+            eval_intensity(path, k, jr, np.ones((2, 2)))
+        with pytest.raises(ParameterError, match=r"\[0, T\]"):
+            eval_intensity(path, k, jr, np.array([1.0, 5.5]))
+
+    def test_integration_refuses_a_horizon_outside_the_path(self, unit_marks):
+        # integrating to 10 read no event after 5 (16.63); to -2 it gave 2.0
+        k, jr = hp.exponential_kernel(0.604, 1.0, 5.0), hp.relu_affine(1.0)
+        path = simulate_continuous(k, jr, unit_marks, 5.0, hp.sample_atoms(5.0, 4.0, unit_marks, 3))
+        assert path.terminal_count == 11
+        for T in (10.0, -2.0, 0.0):
+            with pytest.raises(ParameterError, match="horizon"):
+                integrate_intensity(path, k, jr, T)
+        assert integrate_intensity(path, k, jr, 5.0) == integrate_intensity(path, k, jr)
+
+    def test_integration_memory_is_bounded(self):
+        # 1,041 events on [0, 400]: the dense 16E x E lag matrix peaked at 679 MB
+        rng = np.random.default_rng(0)
+        times = np.sort(rng.uniform(0.0, 400.0, 1041))
+        ones = np.ones(len(times))
+        path = ContinuousPath(400.0, times, ones, ones, ones)
+        kernel = hp.exponential_kernel(0.604, 1.0, 400.0)
+        tracemalloc.start()
+        try:
+            integrate_intensity(path, kernel, hp.relu_affine(1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestSimulateDiscrete:
