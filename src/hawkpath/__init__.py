@@ -78,6 +78,7 @@ from .simulate import (
     sigmoid_rate,
     simulate_continuous,
     simulate_discrete,
+    simulate_ladder,
     step_from_jumps,
 )
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import multiprocessing
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -67,7 +68,7 @@ from .simulate import (
     relu_affine,
     sigmoid_rate,
     simulate_continuous,
-    simulate_discrete,
+    simulate_ladder,
     step_from_jumps,
 )
 
@@ -451,31 +452,53 @@ def _cell_metrics(
     return [None if disc is None else values(disc) for disc in traces]
 
 
+# What the ranges of one process pool share (see ``_map_trials``): the
+# earliest trial at which a range gave up, and the earliest aborted trial of
+# each delta.  None outside a pool worker.
+_POOL: tuple | None = None
+
+
+def _join_pool(gave_up, aborted) -> None:
+    """Process-pool initializer: keep the shared trial marks."""
+    global _POOL
+    _POOL = gave_up, aborted
+
+
 def _run_trials(
     cfg: ExperimentConfig, trials: range, measure: Callable
 ) -> tuple[list[Abort | None], list]:
     """Couple a range of trials across the ladder and measure each one.
 
     Each trial draws its atoms once and thins the continuous path once; the
-    discrete scheme then runs at every delta on those atoms.  This is exact:
-    every process raises the shared ceiling through ``PoissonAtoms.cover``,
-    a ceiling extension is the strip keyed by its index, whichever process
-    asks for it first, and atoms above a process's own ceiling never pass
-    its thinning.  A process whose ceiling would pass the atom budget raises
-    ``RunawayIntensityError``, which aborts its cell.  This is also the
-    process-pool entry point.
+    discrete scheme then runs on those atoms at every delta still running,
+    in one ``simulate_ladder`` call guessed by the continuous path.  This is
+    exact: every process raises the shared ceiling through
+    ``PoissonAtoms.cover``, a ceiling extension is the strip keyed by its
+    index, whichever process asks for it first, and atoms above a process's
+    own ceiling never pass its thinning.  A process whose ceiling would pass
+    the atom budget raises ``RunawayIntensityError``, which aborts its cell.
+    This is also the process-pool entry point.
     ``measure(cfg, trial, cont, traces)``, a module-level function or a
     partial of one, so that a process pool can send it, turns a trial into
     its sample; ``traces`` is None at every delta whose cell has hit the
     runaway guard.  A measure that returns None gives up on the run, which
-    ends the range there.  Returns, per delta, the trial and error that
-    aborted its cell (or None), and the samples in trial order.
+    ends the range there.  In a pool worker the range also skips what
+    another range made unreadable: a delta aborted at an earlier trial, and
+    every trial after one at which a range gave up.  Returns, per delta,
+    the trial and error that aborted its cell (or None), and the samples in
+    trial order.
     """
     run = cfg.run
     aborted: list[Abort | None] = [None] * len(run.grids)
     samples = []
     for trial in trials:
-        if all(a is not None for a in aborted):
+        live = [i for i, a in enumerate(aborted) if a is None]
+        if _POOL is not None:
+            gave_up, earliest = _POOL
+            if gave_up.value < trial:
+                break
+            live = [i for i in live if earliest[i] > trial]
+        if not live:
             break
         atoms = run.atoms(trial)
         try:
@@ -484,23 +507,39 @@ def _run_trials(
                 allow_unstable=cfg.allow_unstable,
             )
         except RunawayIntensityError as exc:
-            aborted = [(trial, exc) if a is None else a for a in aborted]
+            for i in live:
+                aborted[i] = (trial, exc)
+            _share_aborts(trial, live)
             break
         traces: list[DiscreteTrace | None] = [None] * len(run.grids)
-        for i, grid in enumerate(run.grids):
-            if aborted[i] is not None:
-                continue
-            try:
-                traces[i] = simulate_discrete(
-                    grid, run.jump_rate, run.marks, atoms, allow_unstable=cfg.allow_unstable
-                )
-            except RunawayIntensityError as exc:
-                aborted[i] = (trial, exc)
+        ladder = simulate_ladder(
+            [run.grids[i] for i in live], run.jump_rate, run.marks, atoms,
+            guess=cont.times, allow_unstable=cfg.allow_unstable,
+        )
+        for i, disc in zip(live, ladder):
+            if isinstance(disc, RunawayIntensityError):
+                aborted[i] = (trial, disc)
+            else:
+                traces[i] = disc
+        _share_aborts(trial, [i for i in live if traces[i] is None])
         sample = measure(cfg, trial, cont, traces)
         if sample is None:
+            if _POOL is not None:
+                with _POOL[0].get_lock():
+                    _POOL[0].value = min(_POOL[0].value, trial)
             break
         samples.append(sample)
     return aborted, samples
+
+
+def _share_aborts(trial: int, deltas: list[int]) -> None:
+    """Mark ``trial`` as the earliest aborted one of each of ``deltas`` that
+    no earlier trial aborted, for the other ranges of the pool."""
+    if _POOL is not None and deltas:
+        earliest = _POOL[1]
+        with earliest.get_lock():
+            for i in deltas:
+                earliest[i] = min(earliest[i], trial)
 
 
 def _map_trials(
@@ -510,7 +549,10 @@ def _map_trials(
 
     With several workers, one process pool runs contiguous trial ranges
     that each cover the whole ladder; a delta aborted in any range is
-    aborted, with the error of its earliest aborted trial.
+    aborted, with the error of its earliest aborted trial.  The pool shares
+    the earliest trial at which a range gave up and the earliest aborted
+    trial of each delta, so a range skips what no output reads; the samples
+    and errors that are read do not depend on it.
     """
     workers = cfg.effective_workers()
     n = cfg.trials
@@ -518,7 +560,10 @@ def _map_trials(
         return _run_trials(cfg, range(n), measure)
     edges = [n * k // workers for k in range(workers + 1)]
     chunks = [range(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as ex:
+    marks = multiprocessing.Value("q", n), multiprocessing.Array("q", [n] * len(cfg.delta_ladder))
+    with ProcessPoolExecutor(
+        max_workers=len(chunks), initializer=_join_pool, initargs=marks
+    ) as ex:
         results = list(ex.map(_run_trials, [cfg] * len(chunks), chunks, [measure] * len(chunks)))
     aborted = [
         next((a for a in per_range if a is not None), None)

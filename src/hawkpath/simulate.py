@@ -9,14 +9,15 @@ per time bin and accepts bin atoms under that frozen level.
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .bounds import rho_continuous, rho_discrete
-from .errors import InstabilityError, InstabilityWarning, ParameterError
+from .errors import InstabilityError, InstabilityWarning, ParameterError, RunawayIntensityError
 from .kernels import REL_TOL, GridCoefficients, Kernel, grid_coefficients
 from .randomness import MarkModel, PoissonAtoms, sample_atoms
 
@@ -33,6 +34,7 @@ __all__ = [
     "eval_intensity",
     "integrate_intensity",
     "simulate_discrete",
+    "simulate_ladder",
     "couple",
     "default_ceiling",
     "path_to_step",
@@ -150,9 +152,9 @@ class DiscreteTrace:
     slice ``cumsum(events)[n-1]:cumsum(events)[n]``.  ``intensity[n]`` for
     n >= 2 is psi of the feedback sum of ``coeffs[n-1-j] * mass[j]`` over the
     earlier bins j, added in IEEE double oldest bin first.  Filling it costs
-    one psi call per look-ahead window of atoms (one after each bin that
-    moves the feedback, and one more per doubling of the window) and one on
-    the whole grid per pass (one pass, plus one per ceiling extension).
+    one psi call per round of windows, shared by the grids of a ladder, and
+    one on the whole ladder per pass (one pass, plus one per ceiling
+    extension).
     """
 
     grid: GridCoefficients
@@ -275,6 +277,12 @@ def step_from_jumps(times, increments, horizon: float, initial: float = 0.0) -> 
 # the next atom under its envelope, the discrete walk's after a push for the
 # next one that pushes.  Each window that holds none doubles the next one.
 _WINDOW = 64
+# A discrete window read against a guess holds at most _GUESS_ROWS guessed
+# pushes, which bounds the pushes a difference undoes, and ends at the bin
+# holding its _GUESS_WINDOW-th atom, which bounds the (pushes) x (atoms)
+# block its levels may be read from.
+_GUESS_ROWS = 16
+_GUESS_WINDOW = 1024
 
 
 def simulate_continuous(
@@ -526,123 +534,416 @@ def simulate_discrete(
     mark_model: MarkModel,
     atoms: PoissonAtoms,
     *,
+    guess: np.ndarray | None = None,
     allow_unstable: bool = False,
 ) -> DiscreteTrace:
-    """Euler-type scheme: per-bin thinning under the frozen bin intensity.
+    """Euler-type scheme on one grid: ``simulate_ladder`` on the one-grid
+    ladder, raising its ``RunawayIntensityError``.  As there, the trace is
+    the same whatever the ``guess``: only the number of rounds depends on it.
+    """
+    [trace] = simulate_ladder(
+        [grid], jump_rate, mark_model, atoms, guess=guess, allow_unstable=allow_unstable
+    )
+    if isinstance(trace, RunawayIntensityError):
+        raise trace
+    return trace
 
-    ``grid`` holds the bin edges t_0 = 0 < ... < t_count = T and the kernel
+
+def simulate_ladder(
+    grids: Sequence[GridCoefficients],
+    jump_rate: JumpRate,
+    mark_model: MarkModel,
+    atoms: PoissonAtoms,
+    *,
+    guess: np.ndarray | None = None,
+    allow_unstable: bool = False,
+) -> list[DiscreteTrace | RunawayIntensityError]:
+    """Euler-type scheme: per-bin thinning under the frozen bin intensity, on
+    every grid of one horizon, all reading the same atoms; the trace of each
+    grid, or the error that ended it.
+
+    A grid holds the bin edges t_0 = 0 < ... < t_count = T and the kernel
     samples h(t_k), k = 1..count; build it once per delta with
     ``grid_coefficients`` and share it across trials.  Bins are right-closed,
-    (t_{n-1}, t_n].  A bin j < count that accepts a nonzero mass m_j pushes
-    coeffs[:w] * m_j onto the feedback of the next w bins, so every feedback
+    (t_{n-1}, t_n].  A bin j < count whose atoms a..z-1 accept a nonzero
+    mass m_j = ``b[a:z][theta[a:z] <= level].sum()`` pushes coeffs[:w] * m_j
+    onto the feedback of the next w bins, in bin order, so every feedback
     entry is summed oldest bin first (w is the span of nonzero kernel lags:
-    compact-support kernels cost O(r) per push).  Only a push moves a later
-    level, so the walk looks for pushes alone and reads levels only at atoms
-    that could push: after each push it calls psi once on the feedback at
-    the bins of the next ``_WINDOW`` such atoms, doubling the window while
-    none of them is accepted.  The cost is one psi call per window, plus one
-    on the whole feedback at the end of each pass; the push itself is O(w).
+    compact-support kernels cost O(r) per push).  A bin's level is psi of its
+    feedback, so it depends on the earlier bins alone.
 
-    A pass ends after the last atom, or early at a pushing atom whose level
-    is above the ceiling.  If some bin's level is then above the ceiling,
-    ``atoms.cover`` doubles the ceiling up to the first such level, the
-    pushes from that bin on are dropped (the feedback is rebuilt by replaying
-    the earlier ones in bin order) and the next pass walks from that bin with
-    the new strips' atoms; a ceiling past the atom budget raises
-    ``RunawayIntensityError``.  The accepted atoms, their counts and sums are
-    read off in one pass at the end: an atom added by a later ceiling
+    Each grid walks its atoms in windows, and each round reads the levels in
+    every walking grid's window with one psi call.  Without a guess, a
+    window holds the next ``_WINDOW`` atoms, doubling while none of them
+    could push and passes; the first that does ends it, and its bin pushes.
+    ``guess`` holds the times of the atoms the caller expects to be accepted,
+    in practice the continuous path's events on the same atoms.  A guessed
+    window then holds whole bins with at most ``_GUESS_ROWS`` guessed pushes
+    (fewer after a difference) and about ``_GUESS_WINDOW`` atoms, and its
+    levels include the pushes its guessed atoms would make: the pass's last
+    window makes them in place and keeps what they overwrite, any other
+    reads its levels from a block whose rows add them one by one, oldest bin
+    first.  Every bin before the window's first atom whose acceptance differs
+    from the guess, or whose level is above the ceiling, is kept: its level
+    was exact, as every earlier bin was kept, and its atoms, those with
+    b = 0 too, passed exactly as guessed, so its guessed push is the same
+    float as the true one.  The first differing bin, its level being exact,
+    is decided as without a guess.  So the traces never depend on the guess,
+    only the rounds do.  Each push reaches the feedback at most twice in a
+    pass: a window that undoes its in-place pushes makes its kept ones again,
+    and the windows after it read the undone bins from a block.  A guessed
+    window's pushes halve after a difference and double after a whole
+    window.  A grid stops guessing once its guessed windows, from the second
+    on, make fewer than three pushes each, and does not guess where it
+    cannot push or where the guess holds two events per bin or more.
+
+    A pass ends after the last atom, or early at an atom whose level is
+    above the ceiling.  One psi call on every grid's feedback then checks
+    the ceiling.  If some bin's level is above it, ``atoms.cover`` doubles
+    the ceiling up to the first such level, the pushes from that bin on are
+    dropped (the feedback is rebuilt by replaying the earlier ones in bin
+    order) and the next pass walks from that bin with the new strips' atoms;
+    a ceiling past the atom budget ends that grid alone, with the
+    ``RunawayIntensityError``.  Each extension goes to the first doubling
+    above a level of the scheme, so the strips drawn are those of running
+    the grids one by one.  The accepted atoms, their counts and sums are read
+    off for every grid at once at the end: an atom added by a later ceiling
     extension has a theta above every earlier bin intensity, so it passes no
     earlier bin.  An unstable step ratio warns rather than fails;
     allow_unstable acknowledges it and silences the warning.
     """
-    M = grid.count
-    if grid.horizon > atoms.horizon * (1 + REL_TOL):
+    grids = list(grids)
+    if not grids:
+        return []
+    T = grids[0].horizon
+    if any(grid.horizon != T for grid in grids):
+        raise ParameterError("the grids of a ladder share one horizon")
+    if T > atoms.horizon * (1 + REL_TOL):
         raise ParameterError("the grid's horizon exceeds the atoms' horizon")
-    rho = rho_discrete(grid, jump_rate.lipschitz, mark_model)
-    if rho >= 1.0 and not allow_unstable:
-        warnings.warn(
-            f"discrete stability ratio {rho:.4g} >= 1; a smaller step restores it "
-            "for regular kernels",
-            InstabilityWarning,
-            stacklevel=2,
-        )
-
+    for grid in grids:
+        rho = rho_discrete(grid, jump_rate.lipschitz, mark_model)
+        if rho >= 1.0 and not allow_unstable:
+            warnings.warn(
+                f"discrete stability ratio {rho:.4g} >= 1; a smaller step restores it "
+                "for regular kernels",
+                InstabilityWarning,
+                stacklevel=2,
+            )
+    if guess is not None:
+        guess = np.asarray(guess, dtype=float)
     psi = jump_rate.fn
-    coeffs = grid.values
-    span = grid.span
-    feedback = np.zeros(M + 1)      # sum of coeffs[n-1-j] * mass[j], oldest j first
-    pushes = []                     # (j, m_j) of every push, in bin order
-
-    def push(j: int, m: float) -> None:
-        w = min(span, M - j)
-        feedback[j + 1 : j + 1 + w] += coeffs[:w] * m
-
-    start = 1                       # the bin a pass walks from
-    while True:
-        tau, theta, y, _ = atoms.merged()
-        lo, hi = np.searchsorted(tau, (0.0, grid.horizon), side="right").tolist()
-        tau, theta, y = tau[lo:hi], theta[lo:hi], y[lo:hi]
-        b = mark_model.modulate(y)
-        bin_of = np.searchsorted(grid.points, tau, side="left")
-        last = int(bin_of.searchsorted(M)) if span else 0
-        # an atom that cannot push (b = 0, or in bin M) never passes here
-        pushing = np.where(b[:last] > 0.0, theta[:last], np.inf)
+    # a grid guesses where it can push, and where its bins hold fewer than two
+    # guessed events on average: with more, the frozen levels seldom accept
+    # the same atoms as the continuous path
+    walks = [
+        _Walk(grid, guess is not None and grid.span > 0 and len(guess) < 2 * grid.count)
+        for grid in grids
+    ]
+    if not any(walk.guessing for walk in walks):
+        guess = None
+    errors: dict[int, RunawayIntensityError] = {}
+    pending = walks                     # the walks with a pass to make
+    while pending:
+        cut = _Atoms(atoms, T, mark_model, guess)
         ceiling = atoms.ceiling
-        i, width = int(bin_of.searchsorted(start)), _WINDOW
-        while i < last:
-            e = min(i + width, last)
-            bins = bin_of[i:e]
-            levels = psi(feedback[bins])
-            passed = pushing[i:e] <= levels
-            k = int(passed.argmax())
-            if not passed[k]:
-                i, width = e, 2 * width
+        for walk in pending:
+            walk.begin(cut)
+        walking = [walk for walk in pending if walk.i < walk.last]
+        while len(walking) > 1:
+            levels = _psi_each(psi, [walk.window() for walk in walking])
+            walking = [walk for walk, lv in zip(walking, levels) if walk.check(lv, cut, ceiling)]
+        for walk in walking:    # the last one, alone
+            while walk.check(psi(walk.window()), cut, ceiling):
+                pass
+        intensity = psi(np.concatenate([walk.feedback for walk in pending]))
+        ends = _ends(pending, lambda walk: walk.grid.count + 1)
+        over = (intensity > ceiling).nonzero()[0]
+        firsts = over.searchsorted(ends).tolist()
+        again = []
+        for walk, a, z, f, g in zip(pending, ends, ends[1:], firsts, firsts[1:]):
+            walk.intensity = intensity[a:z]
+            if f == g:
                 continue
-            level = levels[k]
-            if level > ceiling:
-                # the ceiling check below extends at this bin or an earlier one
-                break
-            j = int(bins[k])
-            a, i = bin_of.searchsorted((j, j + 1)).tolist()
-            # a lone term sums to itself: numpy adds it onto 0.0
-            m = float(b[a] if i - a == 1 else b[a:i][theta[a:i] <= level].sum())
-            push(j, m)
-            pushes.append((j, m))
-            width = _WINDOW
-        intensity = psi(feedback)
-        over = intensity > ceiling
-        if not over.any():
-            break
-        start = int(over.argmax())
-        atoms.cover(float(intensity[start]), "bin intensity")
-        if pushes and pushes[-1][0] >= start:
-            pushes = [(j, m) for j, m in pushes if j < start]
-            feedback[:] = 0.0
-            for j, m in pushes:
-                push(j, m)
+            start = int(over[f]) - a
+            try:
+                atoms.cover(float(walk.intensity[start]), "bin intensity")
+            except RunawayIntensityError as exc:
+                errors[walks.index(walk)] = exc
+                continue
+            walk.restart(start)
+            again.append(walk)
+        pending = again
+    finished = [walk for k, walk in enumerate(walks) if k not in errors]
+    traces = iter(_read_off(finished, cut, atoms, T, mark_model))
+    return [errors[k] if k in errors else next(traces) for k in range(len(walks))]
 
-    accept = theta <= intensity[bin_of]
-    accepted_bins = bin_of[accept]
-    events = np.bincount(accepted_bins, minlength=M + 1)
-    # per-bin sums equal to numpy's b[a:z][sel].sum(): numpy adds fewer than
-    # 8 terms left to right onto 0.0, as np.add.at does, and more pairwise
-    accepted_b, marks = b[accept], y[accept]
-    mass = np.zeros(M + 1)
-    gain = np.zeros(M + 1)          # mark sum accepted per bin
-    np.add.at(mass, accepted_bins, accepted_b)
-    np.add.at(gain, accepted_bins, marks)
-    for j in (events >= 8).nonzero()[0].tolist():
-        a, z = accepted_bins.searchsorted((j, j + 1)).tolist()
-        mass[j], gain[j] = accepted_b[a:z].sum(), marks[a:z].sum()
-    return DiscreteTrace(
-        grid=grid,
-        intensity=intensity,
-        mass=mass,
-        events=events,
-        risk=np.cumsum(gain),
-        times=tau[accept],
-        marks=marks,
-    )
+
+class _Atoms:
+    """The atoms of one pass in (0, T]: tau, theta, y, b = mark_model.modulate(y),
+    theta where b > 0 (else inf, an atom that cannot push), the guessed ones'
+    indices (None without a guess) and the strip count they were read at."""
+
+    def __init__(self, atoms: PoissonAtoms, T: float, mark_model: MarkModel, guess) -> None:
+        tau, theta, y, _ = atoms.merged()
+        lo, hi = tau.searchsorted((0.0, T), side="right").tolist()
+        self.tau, self.theta, self.y = tau[lo:hi], theta[lo:hi], y[lo:hi]
+        self.b = b = mark_model.modulate(self.y)
+        self.guessed = self.at = None
+        if guess is not None:
+            self.guessed = np.zeros(hi - lo, dtype=bool)
+            at = self.tau.searchsorted(guess)
+            inside = at < hi - lo
+            at = at[inside]
+            self.guessed[at[self.tau[at] == guess[inside]]] = True
+            self.at = self.guessed.nonzero()[0]
+            self.b_at = b[self.at]
+        self.strips = len(atoms.strips)
+
+    @functools.cached_property
+    def pushing(self) -> np.ndarray:
+        return np.where(self.b > 0.0, self.theta, np.inf)
+
+
+class _Walk:
+    """One grid's walk: its feedback and pushes, which outlive a pass, and
+    the window of the pass it reads next."""
+
+    def __init__(self, grid: GridCoefficients, guessing: bool) -> None:
+        self.grid, self.coeffs, self.span, self.M = grid, grid.values, grid.span, grid.count
+        self.feedback = np.zeros(self.M + 1)    # sum of coeffs[n-1-j] * mass[j], oldest j first
+        self.pushes: list[tuple[int, float]] = []   # (j, m_j) of every push, in bin order
+        self.start = 1                      # the bin a pass walks from
+        self.guessing = guessing
+        self.tried = 0                      # the last bin a window pushed in place and undid
+        self.rows = _GUESS_ROWS             # the most guessed pushes the next window makes
+        self.reads = self.made = 0          # guessed windows read, and the pushes they made
+
+    @functools.cached_property
+    def lagged(self) -> np.ndarray:
+        """Entry M - 1 + n - j is the coefficient bin j feeds bin n with, 0 for n <= j."""
+        return np.concatenate((np.zeros(self.M), self.coeffs))
+
+    def push(self, pushes) -> None:
+        """Push each (j, m_j) of ``pushes`` onto the feedback, in order:
+        coeffs[:w] * m_j onto the w bins after j."""
+        feedback, coeffs, span, M = self.feedback, self.coeffs, self.span, self.M
+        for j, m in pushes:
+            w = min(span, M - j)
+            after = feedback[j + 1 : j + 1 + w]
+            after += coeffs[:w] * m     # in place on the view: no copy back
+
+    def restart(self, start: int) -> None:
+        """Drop the pushes from bin ``start`` on, before a pass from there."""
+        self.start = start
+        if self.pushes and self.pushes[-1][0] >= start:
+            self.pushes = [(j, m) for j, m in self.pushes if j < start]
+            self.feedback[:] = 0.0
+            self.push(self.pushes)
+
+    def begin(self, cut: _Atoms) -> None:
+        """Place the walk at its start bin on the pass's atoms, and sum the
+        push each guessed bin would make."""
+        grid = self.grid
+        self.bin_of = bin_of = grid.points.searchsorted(cut.tau)
+        self.strips = cut.strips
+        # an atom in bin M cannot push, so the walk stops before it
+        self.last = int(bin_of.searchsorted(grid.count)) if grid.span else 0
+        self.i = int(bin_of.searchsorted(self.start)) if self.start > 1 else 0
+        self.width = _WINDOW
+        if self.guessing:
+            n = int(cut.at.searchsorted(self.last))
+            self.guessed_atoms = bins, values = bin_of[cut.at[:n]], cut.b_at[:n]
+            sums = np.bincount(bins, weights=values, minlength=grid.count)
+            self.guessed_bins = sums.nonzero()[0]
+            self.guessed_mass = sums[self.guessed_bins]
+            # the rows of 8 or more terms, whose sums a window makes pairwise
+            self.pairwise = []
+            if _runs_of_eight(bins):
+                counts = np.bincount(bins)[self.guessed_bins]
+                self.pairwise = (counts >= 8).nonzero()[0].tolist()[::-1]
+
+    def window(self) -> np.ndarray:
+        """The next window's atoms, i..e, and the feedback at their bins once
+        the window's guessed bins before them have pushed, oldest first."""
+        i, bin_of, last = self.i, self.bin_of, self.last
+        if not self.guessing:
+            self.e = e = min(i + self.width, last)
+            return self.feedback[bin_of[i:e]]
+        guessed = self.guessed_bins
+        e = min(i + _GUESS_WINDOW, last)
+        r0, r1 = guessed.searchsorted((bin_of[i], bin_of[e - 1] + 1)).tolist()
+        if r1 - r0 > self.rows:
+            r1 = r0 + self.rows
+            e = int(bin_of.searchsorted(guessed[r1 - 1], side="right"))
+        elif e < last:
+            e = int(bin_of.searchsorted(bin_of[e - 1], side="right"))     # whole bins
+        bins = bin_of[i:e]
+        while self.pairwise and self.pairwise[-1] < r1:
+            r = self.pairwise.pop()
+            self.guessed_mass[r] = _run_sum(*self.guessed_atoms, self.guessed_bins[r])
+        self.e, self.saved, self.r0 = e, None, r0
+        # the window's guessed pushes (j, m_j), in bin order
+        self.guesses = list(zip(guessed[r0:r1].tolist(), self.guessed_mass[r0:r1].tolist()))
+        if r1 == r0:
+            return self.feedback[bins]
+        if e == last and bins[0] > self.tried:
+            # the pass's last window: its guessed bins push in place, and what
+            # they overwrite, the feedback from its first one on, is kept
+            a = int(guessed[r0]) + 1
+            self.saved = a, self.feedback[a:].copy()
+            self.push(self.guesses)
+            return self.feedback[bins]
+        # else the levels come from a block whose row r + 1 adds the window's
+        # guessed push r onto row r, at the window's atoms or at every bin they
+        # span, whichever are fewer; the feedback then takes the kept pushes
+        s, z = int(bins[0]), int(bins[-1]) + 1
+        at = bins if len(bins) <= z - s else np.arange(s, z)
+        block = np.empty((r1 - r0 + 1, len(at)))
+        block[0] = self.feedback[at]
+        lags = at + (self.M - 1) - guessed[r0:r1, None]
+        np.multiply(self.lagged[lags], self.guessed_mass[r0:r1, None], out=block[1:])
+        x = block.cumsum(axis=0)[-1]
+        return x if at is bins else x[bins - s]
+
+    def check(self, levels: np.ndarray, cut: _Atoms, ceiling: float) -> bool:
+        """Settle the bins the window's levels decide; False once the pass ends."""
+        i, e, guessing = self.i, self.e, self.guessing
+        if guessing:
+            flags = (cut.theta[i:e] <= levels) != cut.guessed[i:e]
+            flags |= levels > ceiling
+        else:
+            flags = cut.pushing[i:e] <= levels
+        k = int(flags.argmax())
+        if not flags[k]:
+            if guessing:
+                self._keep(len(self.guesses))
+                self.rows = min(2 * self.rows, _GUESS_ROWS)
+                self._tally(0)
+            else:
+                self.width *= 2
+            self.i = e
+            return e < self.last
+        j, level = int(self.bin_of[i + k]), levels[k]
+        if guessing:
+            self._keep(int(self.guessed_bins.searchsorted(j)) - self.r0)
+        if level > ceiling:
+            # the ceiling check after the pass extends at this bin or an earlier one
+            return False
+        a, z = self.bin_of.searchsorted((j, j + 1)).tolist()
+        theta, b = cut.theta, cut.b
+        if z - a == 1:      # a lone term sums to itself: numpy adds it onto 0.0
+            m = float(b[a]) if theta[a] <= level else 0.0
+        else:
+            m = float(b[a:z][theta[a:z] <= level].sum())
+        if m:
+            self.push(((j, m),))
+            self.pushes.append((j, m))
+        if guessing:
+            self.rows = max(self.rows // 2, 1)
+            self._tally(m != 0)
+        self.i, self.width = z, _WINDOW
+        return z < self.last
+
+    def _keep(self, n: int) -> None:
+        """Leave the window's first n guessed pushes on the feedback."""
+        kept = self.guesses[:n]
+        if self.saved is None:
+            self.push(kept)
+        elif n < len(self.guesses):
+            # undo the window's pushes in place and make the kept ones again
+            a, old = self.saved
+            self.feedback[a:] = old
+            self.tried = int(self.bin_of[self.e - 1])
+            self.push(kept)
+        self.pushes += kept
+        self.made += n
+
+    def _tally(self, pushed: int) -> None:
+        """Count a guessed window that held guessed pushes, and the pushes it
+        made.  A round without a guess makes one push for less work, so the
+        grid stops guessing once its windows make fewer than three each."""
+        if self.guesses:
+            self.reads += 1
+            self.made += pushed
+            self.guessing = self.reads < 2 or self.made >= 3 * self.reads
+
+
+def _psi_each(psi: Callable, xs: list[np.ndarray]) -> list[np.ndarray]:
+    """psi at each array of ``xs``, in one call on all of them."""
+    if len(xs) == 1:
+        return [psi(xs[0])]
+    flat = psi(np.concatenate(xs))
+    ends = _ends(xs, len)
+    return [flat[a:z] for a, z in zip(ends, ends[1:])]
+
+
+def _ends(items: list, size: Callable) -> list[int]:
+    """Where each item's stretch starts in their concatenation, and where the
+    last one ends."""
+    return list(itertools.accumulate(map(size, items), initial=0))
+
+
+def _bin_sums(bins: np.ndarray, values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-bin sums of ``values`` over the sorted ``bins``, whose bincount is
+    ``counts``, each the float numpy's ``values[a:z].sum()`` gives on its
+    run: numpy adds fewer than 8 terms left to right onto 0.0, as a weighted
+    bincount does, and more pairwise."""
+    out = np.bincount(bins, weights=values, minlength=len(counts))
+    if _runs_of_eight(bins):
+        for j in (counts >= 8).nonzero()[0].tolist():
+            out[j] = _run_sum(bins, values, j)
+    return out
+
+
+def _runs_of_eight(bins: np.ndarray) -> bool:
+    """Whether the sorted ``bins`` hold some bin 8 or more times."""
+    return len(bins) >= 8 and bool((bins[7:] == bins[:-7]).any())
+
+
+def _run_sum(bins: np.ndarray, values: np.ndarray, j: int) -> float:
+    """numpy's sum of the ``values`` on bin j's run of the sorted ``bins``."""
+    a, z = bins.searchsorted((j, j + 1)).tolist()
+    return values[a:z].sum()
+
+
+def _read_off(
+    walks: list[_Walk], cut: _Atoms, atoms: PoissonAtoms, T: float, mark_model: MarkModel
+) -> list[DiscreteTrace]:
+    """The trace of each finished walk, read off the final atoms for all of
+    them at once."""
+    if not walks:
+        return []
+    if cut.strips != len(atoms.strips):
+        cut = _Atoms(atoms, T, mark_model, None)
+    G, n = len(walks), len(cut.tau)
+    offsets = _ends(walks, lambda walk: walk.grid.count + 1)
+    where = np.empty((G, n), dtype=np.intp)     # each atom's bin on each grid, offset
+    for walk, o, row in zip(walks, offsets, where):
+        if walk.strips != cut.strips:
+            walk.bin_of = walk.grid.points.searchsorted(cut.tau)
+        np.add(walk.bin_of, o, out=row)
+    intensity = np.concatenate([walk.intensity for walk in walks])
+    accept = cut.theta <= intensity[where]
+    accepted_bins = where[accept]
+    atom = accept.nonzero()[1]
+    events = np.bincount(accepted_bins, minlength=offsets[-1])
+    marks = cut.y[atom]
+    mass = _bin_sums(accepted_bins, cut.b[atom], events)
+    gain = _bin_sums(accepted_bins, marks, events)      # mark sum accepted per bin
+    times = cut.tau[atom]
+    firsts = accepted_bins.searchsorted(offsets).tolist()
+    return [
+        DiscreteTrace(
+            grid=walk.grid,
+            intensity=intensity[o:z],
+            mass=mass[o:z],
+            events=events[o:z],
+            risk=gain[o:z].cumsum(),
+            times=times[a:c],
+            marks=marks[a:c],
+        )
+        for walk, o, z, a, c in zip(walks, offsets, offsets[1:], firsts, firsts[1:])
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -684,7 +985,10 @@ def couple(
     Either process raises the shared ceiling through ``atoms.cover``, and
     the other sees the new strips; because every extension doubles the top,
     the k-th strip's contents depend only on the seed and k, so the result
-    does not depend on which process triggered which extension.
+    does not depend on which process triggered which extension.  The
+    discrete scheme takes the continuous path's events as its guess, which
+    saves rounds where the two accept the same atoms and never changes the
+    trace.
     """
     grid = grid_coefficients(kernel, delta, T)
     if atoms is None:
@@ -695,7 +999,7 @@ def couple(
         kernel, jump_rate, mark_model, T, atoms, allow_unstable=allow_unstable
     )
     disc = simulate_discrete(
-        grid, jump_rate, mark_model, atoms, allow_unstable=allow_unstable
+        grid, jump_rate, mark_model, atoms, guess=cont.times, allow_unstable=allow_unstable
     )
     return cont, disc
 

@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -204,14 +205,17 @@ class TestRunConvergence:
     def test_runaway_aborts_only_its_cell(self, monkeypatch):
         cfg = exponential_config(trials=12, metrics=["terminal_count", "terminal_risk"])
         clean = run_convergence(cfg).to_csv_text().splitlines()
-        real = harness.simulate_discrete
+        real = harness.simulate_ladder
 
-        def runaway_at_quarter(grid, jump_rate, marks, atoms, **kwargs):
-            if grid.delta == 0.25 and atoms.seed_entropy == (cfg.seed, 5):
-                raise RunawayIntensityError("injected")
-            return real(grid, jump_rate, marks, atoms, **kwargs)
+        def runaway_at_quarter(grids, jump_rate, marks, atoms, **kwargs):
+            traces = real(grids, jump_rate, marks, atoms, **kwargs)
+            return [
+                RunawayIntensityError("injected")
+                if grid.delta == 0.25 and atoms.seed_entropy == (cfg.seed, 5) else disc
+                for grid, disc in zip(grids, traces)
+            ]
 
-        monkeypatch.setattr(harness, "simulate_discrete", runaway_at_quarter)
+        monkeypatch.setattr(harness, "simulate_ladder", runaway_at_quarter)
         patched = run_convergence(cfg).to_csv_text().splitlines()
         assert len(patched) == len(clean) == 1 + 3 * 2
         for before, after in zip(clean, patched):
@@ -367,16 +371,19 @@ class TestVerifyBounds:
 
     def test_runaway_in_one_cell_fails_the_run(self, monkeypatch, tmp_path):
         cfg = exponential_config(trials=12, workers=1)
-        real = harness.simulate_discrete
+        real = harness.simulate_ladder
         simulated = []
 
-        def runaway_at_quarter(grid, jump_rate, marks, atoms, **kwargs):
-            simulated.append(atoms.seed_entropy[1])
-            if grid.delta == 0.25 and atoms.seed_entropy == (cfg.seed, 5):
-                raise RunawayIntensityError("injected")
-            return real(grid, jump_rate, marks, atoms, **kwargs)
+        def runaway_at_quarter(grids, jump_rate, marks, atoms, **kwargs):
+            simulated.extend(atoms.seed_entropy[1] for _ in grids)
+            traces = real(grids, jump_rate, marks, atoms, **kwargs)
+            return [
+                RunawayIntensityError("injected")
+                if grid.delta == 0.25 and atoms.seed_entropy == (cfg.seed, 5) else disc
+                for grid, disc in zip(grids, traces)
+            ]
 
-        monkeypatch.setattr(harness, "simulate_discrete", runaway_at_quarter)
+        monkeypatch.setattr(harness, "simulate_ladder", runaway_at_quarter)
         with pytest.raises(RunawayIntensityError, match="injected"):
             verify_bounds(cfg)
         # the run stops at the failed trial: trials 6-11 are never simulated
@@ -392,17 +399,71 @@ class TestVerifyBounds:
         # trial 5 fails at a fine step, trial 8 (in the second worker's
         # range) at the coarsest: whatever the worker count, trial 5's error
         cfg = exponential_config(trials=12, workers=workers)
-        real = harness.simulate_discrete
+        real = harness.simulate_ladder
 
-        def runaway(grid, jump_rate, marks, atoms, **kwargs):
+        def runaway(grids, jump_rate, marks, atoms, **kwargs):
             trial = atoms.seed_entropy[1]
-            if (trial, grid.delta) in ((5, 0.25), (8, cfg.delta_ladder[0])):
-                raise RunawayIntensityError(f"trial {trial}")
-            return real(grid, jump_rate, marks, atoms, **kwargs)
+            traces = real(grids, jump_rate, marks, atoms, **kwargs)
+            return [
+                RunawayIntensityError(f"trial {trial}")
+                if (trial, grid.delta) in ((5, 0.25), (8, cfg.delta_ladder[0])) else disc
+                for grid, disc in zip(grids, traces)
+            ]
 
-        monkeypatch.setattr(harness, "simulate_discrete", runaway)
+        monkeypatch.setattr(harness, "simulate_ladder", runaway)
         with pytest.raises(RunawayIntensityError, match="trial 5"):
             verify_bounds(cfg)
+
+    @staticmethod
+    def _second_range_waits(monkeypatch, log, until, abort):
+        """Patch the ladder entry: in a pool, the second of two ranges (trials
+        20-39) starts trial 20 only once ``until(marks)`` holds for the
+        pool's shared marks; trial 1 returns a runaway at delta index
+        ``abort``, and every call appends its trial and grid count to ``log``."""
+        real = harness.simulate_ladder
+
+        def ladder(grids, jump_rate, marks, atoms, **kwargs):
+            trial = atoms.seed_entropy[1]
+            deadline = time.monotonic() + 60.0
+            pool = harness._POOL     # None in a run without a pool
+            while trial == 20 and pool and not until(pool) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            with open(log, "a", encoding="utf-8") as f:
+                f.write(f"{trial} {len(grids)}\n")
+            traces = real(grids, jump_rate, marks, atoms, **kwargs)
+            if trial == 1:
+                traces[abort] = RunawayIntensityError("injected")
+            return traces
+
+        monkeypatch.setattr(harness, "simulate_ladder", ladder)
+
+    def test_pool_ranges_stop_after_an_earlier_range_gave_up(self, monkeypatch, tmp_path):
+        # trial 1 aborts a cell, so verify gives up there.  The second range
+        # starts trial 20 once the first has given up, then stops: only trials
+        # 0, 1 and 20 run the discrete scheme
+        log = tmp_path / "runs"
+        self._second_range_waits(monkeypatch, log, lambda pool: pool[0].value == 1, 1)
+        with pytest.raises(RunawayIntensityError, match="injected"):
+            verify_bounds(exponential_config(trials=40, workers=2))
+        runs = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+        assert runs == [(0, 3), (1, 3), (20, 3)]
+
+    def test_pool_ranges_skip_a_delta_aborted_earlier(self, monkeypatch, tmp_path):
+        # trial 1 aborts delta 0.25: after trial 20, which it starts once the
+        # first range has shared that abort, the second range runs the other
+        # two deltas only, and the report equals the one-worker run's
+        log = tmp_path / "runs"
+        self._second_range_waits(monkeypatch, log, lambda pool: pool[1][1] == 1, 1)
+        cfg = exponential_config(trials=40, metrics=["terminal_count", "terminal_risk"])
+        serial = run_convergence(cfg).to_csv_text()
+        log.unlink()
+        pooled = run_convergence(exponential_config(
+            trials=40, metrics=["terminal_count", "terminal_risk"], workers=2,
+        )).to_csv_text()
+        assert pooled == serial and "0.25,terminal_count,nan,nan" in serial
+        runs = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+        assert runs == [(t, 3) for t in (0, 1)] + [(t, 2) for t in range(2, 20)] + [
+            (20, 3)] + [(t, 2) for t in range(21, 40)]
 
     def test_unstable_override_fails_stability_but_completes(self):
         cfg = exponential_config(

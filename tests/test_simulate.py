@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import math
@@ -33,6 +34,7 @@ from hawkpath.simulate import (
     path_to_step,
     simulate_continuous,
     simulate_discrete,
+    simulate_ladder,
     step_from_jumps,
 )
 
@@ -592,7 +594,7 @@ def _assert_matches_reference(kernel, rate, marks, delta, count, make_atoms):
     return disc, atoms
 
 
-def _psi_calls(kernel, rate, marks, delta, count, atoms):
+def _psi_calls(kernel, rate, marks, delta, count, atoms, guess=None):
     """The input length of every jump-rate call of one discrete run, and its
     trace."""
     calls = []
@@ -603,7 +605,7 @@ def _psi_calls(kernel, rate, marks, delta, count, atoms):
 
     disc = simulate_discrete(
         grid_coefficients(kernel, delta, delta * count), dataclasses.replace(rate, fn=counting),
-        marks, atoms, allow_unstable=True,
+        marks, atoms, guess=guess, allow_unstable=True,
     )
     return calls, disc
 
@@ -785,6 +787,126 @@ class TestDiscreteReference:
             assert len(calls) <= passes * (1 + _windows_bound(pushing_bins + 1, n))
 
 
+# The ladder with a guess against the bin-by-bin reference.  A guess only
+# decides which rounds are read, never a level, so every guess gives the
+# reference's bits: none, the continuous path's events on the same atoms,
+# every atom, a random half of them and times that are no atom's.
+_LADDER_MARKS = {
+    "point-mass": hp.MarkModel("point-mass", (1.0,)),
+    "exponential-indicator": _REF_MARKS["exponential-indicator"],
+    "gaussian-absolute": hp.MarkModel("gaussian", (0.2, 1.0), modulation="absolute-value"),
+}
+_GUESSES = ("none", "continuous", "every-atom", "random-half", "no-atom")
+
+
+def _guess(name, cont, atoms, seed):
+    tau = atoms.merged()[0]
+    return {
+        "none": None,
+        "continuous": cont.times,
+        "every-atom": tau,
+        "random-half": tau[np.random.default_rng(seed).random(len(tau)) < 0.5],
+        "no-atom": 0.5 * (tau[1:] + tau[:-1]),
+    }[name]
+
+
+def _assert_trace_is(disc, ref):
+    for field in ("intensity", "mass", "events", "risk"):
+        assert np.array_equal(getattr(disc, field), getattr(ref, field)), field
+    assert np.array_equal(disc.times, np.concatenate(ref.bin_times))
+    assert np.array_equal(disc.marks, np.concatenate(ref.bin_marks))
+
+
+class TestLadder:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kernel=st.sampled_from(sorted(_REF_KERNELS)),
+        rate=st.sampled_from(sorted(_REF_RATES)),
+        marks=st.sampled_from(sorted(_LADDER_MARKS)),
+        deltas=st.lists(st.sampled_from((2.0, 1.0, 0.5, 0.1, 0.02)), min_size=1, max_size=4,
+                        unique=True),
+        ceiling=st.sampled_from((0.25, 1.0, 4.0)),
+        guess=st.sampled_from(_GUESSES),
+        continuous_first=st.booleans(),
+    )
+    def test_bits_match_the_reference_whatever_the_guess(
+        self, seed, kernel, rate, marks, deltas, ceiling, guess, continuous_first
+    ):
+        # ceilings 0.25 and 1 sit below the empty-past rate of every rate
+        # here, so some grid extends; the strips then equal those of running
+        # the grids one by one
+        kernel, rate, model = _REF_KERNELS[kernel], _REF_RATES[rate], _LADDER_MARKS[marks]
+        atoms = hp.sample_atoms(_REF_T, ceiling, model, seed)
+        thinned = copy.deepcopy(atoms)
+        cont = simulate_continuous(kernel, rate, model, _REF_T, thinned, allow_unstable=True)
+        if continuous_first:
+            atoms = thinned
+        grids = [grid_coefficients(kernel, d, _REF_T) for d in deltas]
+        ladder = copy.deepcopy(atoms)
+        traces = simulate_ladder(
+            grids, rate, model, ladder, guess=_guess(guess, cont, atoms, seed), allow_unstable=True
+        )
+        one_by_one = copy.deepcopy(atoms)
+        for grid, disc in zip(grids, traces):
+            simulate_discrete(grid, rate, model, one_by_one, allow_unstable=True)
+            _assert_trace_is(disc, discrete_scheme_reference(
+                kernel, rate, model, grid.delta, grid.count, copy.deepcopy(atoms)
+            ))
+        assert [s.theta_high for s in ladder.strips] == [s.theta_high for s in one_by_one.strips]
+
+    def test_runaway_aborts_only_its_grid(self, unit_marks):
+        # atoms declared over a horizon of 1.5 * 2**24: at delta 0.25 bin 4
+        # needs the doubling to 1, past the atom budget; the one bin of delta
+        # 2 stays under the ceiling 0.5.  Only the fine grid's entry is the
+        # error, at the level the reference records for bin 4
+        kernel, rate = hp.erlang_kernel(1.0, 3, 1.0, 2.0), hp.relu_affine(0.25)
+        triples = [(0.05, 0.01, 1.0), (0.1, 0.01, 1.0), (0.15, 0.01, 1.0)]
+        fine = discrete_scheme_reference(
+            kernel, rate, unit_marks, 0.25, 8, atoms_from_triples(2.0, 0.5, triples, unit_marks)
+        )
+        atoms = atoms_from_triples(1.5 * ATOM_BUDGET, 0.5, triples, unit_marks)
+        coarse, error = simulate_ladder(
+            [grid_coefficients(kernel, d, 2.0) for d in (2.0, 0.25)], rate, unit_marks, atoms,
+            guess=np.array([0.05, 0.1, 0.15]), allow_unstable=True,
+        )
+        assert isinstance(error, RunawayIntensityError)
+        assert str(error).startswith(f"bin intensity {fine.intensity[4]:.4g} needs")
+        _assert_trace_is(coarse, discrete_scheme_reference(
+            kernel, rate, unit_marks, 2.0, 1, atoms_from_triples(2.0, 0.5, triples, unit_marks)
+        ))
+        assert list(coarse.events) == [0, 3] and len(atoms.strips) == 1
+
+    def test_guessed_bin_of_many_marks_pushes_numpys_sum(self):
+        # h = 1 and psi(x) = 1e-20 + x, so bin 6's level is the mass of bin 4
+        # to the last bit.  Bin 4 accepts 8 terms 1 / (k + 3), as guessed, so
+        # its push is the kept guess, and numpy sums them pairwise to another
+        # float than a left-to-right sum
+        model = hp.MarkModel("exponential", (1.0,), modulation="absolute-value")
+        kernel, rate = hp.constant_kernel(1.0, _REF_T), hp.relu_affine(1e-20)
+        terms = [1.0 / (k + 3) for k in range(8)]
+        triples = [(0.5, 1e-21, 1e-20)] + [(1.6 + k * 1e-3, 1e-21, y) for k, y in enumerate(terms)]
+        triples += [(2.75, 0.5, 1.0)]
+        disc = simulate_discrete(
+            grid_coefficients(kernel, 0.5, _REF_T), rate, model,
+            atoms_from_triples(_REF_T, 4.0, triples, model), guess=[t for t, _, _ in triples],
+            allow_unstable=True,
+        )
+        _assert_trace_is(disc, discrete_scheme_reference(
+            kernel, rate, model, 0.5, 8, atoms_from_triples(_REF_T, 4.0, triples, model)
+        ))
+        assert list(disc.events) == [0, 1, 0, 0, 8, 0, 1, 0, 0]
+        assert disc.intensity[6] == np.sum(terms) != np.cumsum(terms)[-1]
+
+    def test_grids_share_their_horizon(self, unit_marks):
+        kernel = hp.exponential_kernel(0.5, 1.0, 4.0)
+        atoms = hp.sample_atoms(4.0, 2.0, unit_marks, 0)
+        grids = [grid_coefficients(kernel, 0.5, 4.0), grid_coefficients(kernel, 0.5, 2.0)]
+        with pytest.raises(ParameterError, match="share one horizon"):
+            simulate_ladder(grids, hp.relu_affine(1.0), unit_marks, atoms)
+        assert simulate_ladder([], hp.relu_affine(1.0), unit_marks, atoms) == []
+
+
 # The criterion-8 process at a long horizon.  After continuous thinning the
 # ceiling (the base strip's 10.1) is above every discrete level at delta =
 # 0.25 (at most 5.5); on the base strip at a ceiling
@@ -839,6 +961,69 @@ class TestDiscreteWalk:
         assert pushes > 500 and calls.count(count + 1) == 1
         assert sum(calls) <= count + 1 + 2 * n + simulate._WINDOW * (pushes + 1)
         assert sum(calls) < count * pushes / 20
+
+    def test_guessed_windows_at_long_horizon(self, long_horizon_atoms):
+        # with the continuous path as the guess, a window of whole bins reads
+        # the levels of up to 16 guessed pushes at once: a few dozen windows
+        # where the walk without a guess reads one per push
+        count = round(_LONG_T / 0.0125)
+        model = hp.MarkModel()
+        cont = simulate_continuous(
+            _LONG_KERNEL, _LONG_RATE, model, _LONG_T, copy.deepcopy(long_horizon_atoms)
+        )
+        guessed, disc = _psi_calls(
+            _LONG_KERNEL, _LONG_RATE, model, 0.0125, count,
+            copy.deepcopy(long_horizon_atoms), guess=cont.times,
+        )
+        walked, _ = _psi_calls(
+            _LONG_KERNEL, _LONG_RATE, model, 0.0125, count, copy.deepcopy(long_horizon_atoms)
+        )
+        pushes = np.count_nonzero(disc.mass[1:count])
+        assert guessed.count(count + 1) == walked.count(count + 1) == 1
+        assert len(walked) - 1 >= pushes > 500
+        assert len(guessed) - 1 <= 50
+
+    def test_every_push_reaches_the_feedback_at_most_twice(self, long_horizon_atoms, monkeypatch):
+        # only a pass's last window pushes its guesses in place; one that
+        # differs from the guess undoes them and makes its kept ones again,
+        # and the windows after it read the undone bins from a block, so no
+        # bin pushes a third time.  On short paths the guess is the trace's
+        # own events and one rejected atom after most of them, where the last
+        # window differs; at T = 200 it is the continuous path
+        model = hp.MarkModel()
+        reached = collections.Counter()
+        real = simulate._Walk.push
+
+        def counting(walk, pushes):
+            pushes = list(pushes)
+            reached.update(j for j, _ in pushes)
+            real(walk, pushes)
+
+        monkeypatch.setattr(simulate._Walk, "push", counting)
+        kernel = hp.exponential_kernel(0.604, 1.0, 5.0)
+        most = []
+        for seed in range(20):
+            atoms = hp.sample_atoms(5.0, 10.0, model, seed)
+            grid = grid_coefficients(kernel, 0.05, 5.0)
+            events = simulate_discrete(grid, _LONG_RATE, model, atoms).times
+            tau = atoms.merged()[0]
+            late = tau[(tau > events[-2]) & ~np.isin(tau, events)][:1]
+            reached.clear()
+            simulate_discrete(grid, _LONG_RATE, model, atoms, guess=np.sort([*events, *late]))
+            assert len(atoms.strips) == 1       # one pass
+            most.append(max(reached.values(), default=0))
+        assert max(most) == 2
+        reached.clear()
+        cont = simulate_continuous(
+            _LONG_KERNEL, _LONG_RATE, model, _LONG_T, copy.deepcopy(long_horizon_atoms)
+        )
+        atoms = copy.deepcopy(long_horizon_atoms)
+        disc = simulate_discrete(
+            grid_coefficients(_LONG_KERNEL, 0.0125, _LONG_T), _LONG_RATE, model, atoms,
+            guess=cont.times,
+        )
+        assert len(atoms.strips) == len(long_horizon_atoms.strips)
+        assert len(reached) == np.count_nonzero(disc.mass[1:-1]) and max(reached.values()) <= 2
 
     def test_many_marks_in_one_bin(self):
         # exponential marks with b = |y|: both per-bin sums hold 8 or more
