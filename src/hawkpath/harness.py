@@ -725,8 +725,10 @@ def _verify_sample(
     inc_c = float(rc.value_at(t) - rc.value_at(s))
     mismatch = []
     for disc in traces:
-        rd = path_to_step(disc, "risk")
-        mismatch.append(abs(inc_c - float(rd.value_at(t) - rd.value_at(s))))
+        # the discrete risk at t and at s: its value at the last grid point
+        # at or before each
+        r_t, r_s = disc.risk[disc.grid.points.searchsorted([t, s], side="right") - 1]
+        mismatch.append(abs(inc_c - float(r_t - r_s)))
     disc = traces[-1]
     # the compound Poisson path draws from its own stream, (seed, trial, 1):
     # every atom under the ceiling ``rate`` is one of its jumps

@@ -213,7 +213,10 @@ class Kernel:
                                thinning, which needs them,
     - ``support``           -- S with h(t) = 0 for t >= S (compact families),
     - ``nonsmooth_points``  -- kinks / sign changes used to split quadrature panels,
-    - ``singular_at_zero``.
+    - ``singular_at_zero``,
+    - ``exponential``       -- (a, beta) when h(t) = a * exp(-beta * t), declared
+                               by ``exponential_kernel``: the excitation of a
+                               path then follows a one-number recursion.
 
     What follows from these is derived once, on first use: ``sup_norm``,
     ``l1`` (the integral of |h| over the horizon), ``monotone_decreasing``
@@ -228,6 +231,7 @@ class Kernel:
     support: float | None = None
     nonsmooth_points: tuple[float, ...] = ()
     singular_at_zero: bool = False
+    exponential: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.horizon <= 0:
@@ -339,6 +343,7 @@ def exponential_kernel(amplitude: float, decay: float, horizon: float) -> Kernel
         family="exponential",
         abs_antiderivative=habs,
         monotone_breaks=(0.0, float(horizon)),
+        exponential=(a, b),
     )
 
 

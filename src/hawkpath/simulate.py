@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -304,7 +305,8 @@ def simulate_continuous(
 
     over the accepted events t_j <= tau, an event just accepted at lag 0
     included; H*(u) = sup over v >= u of |h(v)| (``Kernel.tail_sup``, from
-    the declared monotone breaks).  H* never increases, b >= 0 and
+    the declared monotone breaks; |h| itself for the exponential kernel, so
+    the sum is |x|).  H* never increases, b >= 0 and
     psi(x) <= psi(0) + L|x|, so E bounds the intensity until the next
     acceptance.  After an acceptance ``atoms.cover`` doubles the ladder up
     to E; past decisions stay valid because atoms in the new strips carry
@@ -314,11 +316,15 @@ def simulate_continuous(
     that is singular at lag zero.
 
     An atom with theta above E * (1 + REL_TOL) is rejected unread; the
-    margin is more than the rounding of the intensity's dot product.  The
+    margin is more than the rounding of the intensity's excitation sum.  The
     scan finds the next atom under that level in windows of ``_WINDOW``
     atoms, doubling while none is, so the cost is one intensity read per
-    atom under E plus a linear pass over the thetas.  H* needs the kernel's
-    monotone breaks, so a kernel without them is refused.
+    atom under E plus a linear pass over the thetas.  A read is one step of
+    the excitation state (``_excitation_state``): O(1) for the exponential
+    kernel, nothing for a kernel of support 0, and a sum over the accepted
+    events inside the support for any other, so a full-span kernel of that
+    kind costs O(events) per read.  H* needs the kernel's monotone breaks,
+    so a kernel without them is refused.
 
     A per-atom exceedance check remains as a backstop for kernels whose
     declared breaks are wrong: it covers the intensity at an atom it reads
@@ -354,37 +360,28 @@ def simulate_continuous(
     env = envelope(0.0)
     atoms.cover(env, "intensity envelope")
     level = env * slack     # thetas above it go unread
-    acc_t = acc_y = acc_b = acc_lam = np.empty(0)
-    cnt = 0
+    past = _excitation_state(kernel, np.empty(0), np.empty(0))
+    acc_t, acc_y, acc_b, acc_lam = [], [], [], []
     undecided = None    # (tau, theta) of the atom to resume at, and 1 to resume past it
     # one pass per ceiling: read the atoms up to T, scan until an extension
     while True:
         tau, theta, y, _ = atoms.merged()
         b = mark_model.modulate(y)
         n = int(np.searchsorted(tau, T, side="right"))
-        grown = [np.empty(n) for _ in range(4)]
-        for dst, src in zip(grown, (acc_t, acc_y, acc_b, acc_lam)):
-            dst[:cnt] = src[:cnt]
-        acc_t, acc_y, acc_b, acc_lam = grown
         ceiling = atoms.ceiling
         i = 0
         if undecided is not None:
-            t_u, theta_u, past = undecided
+            t_u, theta_u, skip = undecided
             i = int(np.searchsorted(tau, t_u, side="left"))
             while theta[i] != theta_u:
                 i += 1
-            i += past
+            i += skip
         while i < n:
             if theta[i] > level:
                 i = _next_under(theta, i + 1, n, level)
                 continue
-            t_i = tau[i]
-            x = tail = 0.0      # the excitation, and its bound by H*
-            near = _past(kernel, acc_t[:cnt], acc_b, t_i)
-            if near is not None:
-                lags, values, weights = near
-                x = float(np.dot(values, weights))
-                tail = float(np.dot(kernel.tail_sup(lags, values), weights))
+            t_i = float(tau[i])
+            x, tail = past.at(t_i)      # the excitation, and its bound by H*
             lam = float(psi(x))
             if lam > ceiling:
                 # backstop: the declared breaks failed to bound the kernel
@@ -393,12 +390,13 @@ def simulate_continuous(
                 break
             accepted = theta[i] <= lam
             if accepted:
-                acc_t[cnt] = t_i
-                acc_y[cnt] = y[i]
-                acc_b[cnt] = b[i]
-                acc_lam[cnt] = lam
-                cnt += 1
-                tail += float(b[i]) * sup_h
+                b_i = float(b[i])
+                past.add(t_i, b_i)
+                acc_t.append(t_i)
+                acc_y.append(y[i])
+                acc_b.append(b_i)
+                acc_lam.append(lam)
+                tail += b_i * sup_h
             env = envelope(tail)
             level = env * slack
             if accepted and env > ceiling:
@@ -411,10 +409,10 @@ def simulate_continuous(
 
     return ContinuousPath(
         horizon=float(T),
-        times=acc_t[:cnt].copy(),
-        marks=acc_y[:cnt].copy(),
-        weights=acc_b[:cnt].copy(),
-        intensities=acc_lam[:cnt].copy(),
+        times=np.array(acc_t, dtype=float),
+        marks=np.array(acc_y, dtype=float),
+        weights=np.array(acc_b, dtype=float),
+        intensities=np.array(acc_lam, dtype=float),
     )
 
 
@@ -432,56 +430,141 @@ def _next_under(theta: np.ndarray, i: int, n: int, level: float) -> int:
     return n
 
 
-def _window(kernel: Kernel, times: np.ndarray, t):
-    """The index range [lo, hi) of the sorted ``times`` that excite the
-    intensity at t (a scalar, or lo and hi arrays at an array of times): the
-    events strictly before t whose lag lies inside the support."""
-    hi = times.searchsorted(t, side="left")
-    if kernel.support is None:
-        return 0 * hi, hi   # zeros of hi's shape, cheaper than np.zeros_like on a scalar
-    return np.minimum(times.searchsorted(t - kernel.support, side="right"), hi), hi
+def _excitation_state(kernel: Kernel, times: np.ndarray, weights: np.ndarray):
+    """The excitation x(t) of ``kernel``, the sum of b_k * h(t - t_k) over the
+    events t_k < t whose lag lies inside the support, over the events
+    (``times``, ``weights``) in time order.
 
-
-def _past(kernel: Kernel, times: np.ndarray, weights: np.ndarray, t: float):
-    """The lags t - times[k] of the events in ``_window`` at t, h at them and
-    their weights; None when no event lies there."""
-    lo, hi = _window(kernel, times, t)
-    if hi <= lo:
-        return None
-    lags = t - times[lo:hi]
-    return lags, np.asarray(kernel.evaluate(lags), dtype=float), weights[lo:hi]
-
-
-def _excitation(path: ContinuousPath, kernel: Kernel, ts: np.ndarray) -> np.ndarray:
-    """Kernel-weighted past of a finished path at each t of the 1-D ``ts``:
-    the sum of weights[k] * h(t - times[k]) over the events in ``_window``.
-
-    Consecutive times with the same window form a run, read as one block of
-    lags, so memory is run length x window, never times x events.  Each row
-    is summed on its own, so a time's value does not depend on the others.
+    The state answers three questions: ``at(t)``, x at a time t no earlier
+    than every event held, and its bound sum_k b_k * H*(t - t_k) by the
+    envelope of continuous thinning; ``add(t, b)``, an event at such a time
+    with weight b; and ``read(ts)``, x at each of the 1-D ``ts``, anywhere,
+    each time's value depending on it alone.  It is chosen once per kernel:
+    none for support 0, the recursion for the exponential family, the direct
+    sum for any other.
     """
-    lo, hi = _window(kernel, path.times, ts)
-    runs = np.flatnonzero((np.diff(lo, prepend=-1) != 0) | (np.diff(hi, prepend=-1) != 0))
-    ends = [*runs[1:].tolist(), len(ts)]
-    out = np.zeros(len(ts))
-    for a, z, k, m in zip(runs.tolist(), ends, lo[runs].tolist(), hi[runs].tolist()):
-        if k < m:
-            values = np.asarray(kernel.evaluate(ts[a:z, None] - path.times[k:m]), dtype=float)
-            out[a:z] = (values * path.weights[k:m]).sum(axis=1)
-    return out
+    if kernel.support == 0.0:
+        return _NoExcitation()
+    if kernel.exponential is not None:
+        return _Recursion(kernel, times, weights)
+    return _DirectSum(kernel, times, weights)
+
+
+class _NoExcitation:
+    """A kernel of support 0: no event excites any time."""
+
+    def at(self, t: float) -> tuple[float, float]:
+        return 0.0, 0.0
+
+    def add(self, t: float, b: float) -> None:
+        pass
+
+    def read(self, ts: np.ndarray) -> np.ndarray:
+        return np.zeros(len(ts))
+
+
+class _Recursion:
+    """h(t) = a * exp(-beta * t).  S = x(t_k+) just after the last event t_k
+    gives x(t) = S * exp(-beta * (t - t_k)) until the next, and an event of
+    weight b sets S to x + a * b: O(1) per event and per time (Ozaki 1979;
+    Dassios and Zhao 2013).  |h| is nonincreasing for either sign of a, so
+    H* = |h| and the bound is |x|.  The events' times and S start with S = 0
+    at -inf, so a read takes the last event strictly before each time."""
+
+    def __init__(self, kernel: Kernel, times: np.ndarray, weights: np.ndarray):
+        self.a, self.beta = kernel.exponential
+        self.times, self.levels = [-math.inf], [0.0]
+        for t, b in zip(times.tolist(), weights.tolist()):
+            self.add(t, b)
+
+    def at(self, t: float) -> tuple[float, float]:
+        x = self.levels[-1] * math.exp(-self.beta * (t - self.times[-1]))
+        return x, abs(x)
+
+    def add(self, t: float, b: float) -> None:
+        self.levels.append(self.at(t)[0] + self.a * b)
+        self.times.append(t)
+
+    def read(self, ts: np.ndarray) -> np.ndarray:
+        times = np.array(self.times)
+        last = times.searchsorted(ts, side="left") - 1
+        return np.array(self.levels)[last] * np.exp(-self.beta * (ts - times[last]))
+
+
+class _DirectSum:
+    """Any kernel with declared breaks: x summed over the events in the
+    kernel's window, h evaluated at each of their lags, and H* from
+    ``Kernel.tail_sup``."""
+
+    def __init__(self, kernel: Kernel, times: np.ndarray, weights: np.ndarray):
+        self.kernel = kernel
+        self.times, self.weights = times, weights
+        self.count = len(times)
+
+    def add(self, t: float, b: float) -> None:
+        if self.count == len(self.times):
+            self.times, self.weights = (
+                np.concatenate((v, np.empty(max(len(v), 64)))) for v in (self.times, self.weights)
+            )
+        self.times[self.count] = t
+        self.weights[self.count] = b
+        self.count += 1
+
+    def _window(self, t):
+        """The index range [lo, hi) of the events that excite the intensity at
+        t (a scalar, or lo and hi arrays at an array of times): those strictly
+        before t whose lag lies inside the support."""
+        times = self.times[: self.count]
+        hi = times.searchsorted(t, side="left")
+        if self.kernel.support is None:
+            return 0 * hi, hi   # zeros of hi's shape, cheaper than np.zeros_like on a scalar
+        return np.minimum(times.searchsorted(t - self.kernel.support, side="right"), hi), hi
+
+    def at(self, t: float) -> tuple[float, float]:
+        lo, hi = self._window(t)
+        if hi <= lo:
+            return 0.0, 0.0
+        lags = t - self.times[lo:hi]
+        values = np.asarray(self.kernel.evaluate(lags), dtype=float)
+        weights = self.weights[lo:hi]
+        return (
+            float(np.dot(values, weights)),
+            float(np.dot(self.kernel.tail_sup(lags, values), weights)),
+        )
+
+    def read(self, ts: np.ndarray) -> np.ndarray:
+        """Consecutive times with the same window form a run, read as one
+        block of lags, so memory is run length x window, never times x
+        events.  Each row is summed on its own."""
+        lo, hi = self._window(ts)
+        runs = np.flatnonzero((np.diff(lo, prepend=-1) != 0) | (np.diff(hi, prepend=-1) != 0))
+        ends = [*runs[1:].tolist(), len(ts)]
+        out = np.zeros(len(ts))
+        for a, z, k, m in zip(runs.tolist(), ends, lo[runs].tolist(), hi[runs].tolist()):
+            if k < m:
+                lags = ts[a:z, None] - self.times[k:m]
+                values = np.asarray(self.kernel.evaluate(lags), dtype=float)
+                out[a:z] = (values * self.weights[k:m]).sum(axis=1)
+        return out
 
 
 def eval_intensity(
     path: ContinuousPath, kernel: Kernel, jump_rate: JumpRate, t: float | np.ndarray
 ) -> float | np.ndarray:
     """Left-limit intensity at t in [0, T] (events strictly before t, cut at
-    t - support): a float at a scalar t, an array at a 1-D array of times."""
+    t - support): a float at a scalar t, an array at a 1-D array of times.
+
+    The excitation is read through ``_excitation_state`` on the path's
+    events: for the exponential kernel one pass over the events, then one
+    search and one exponential per time; for any other kernel a sum over
+    each time's past.  Each time's value depends on it alone."""
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
         raise ParameterError("t must be a scalar or a 1-D array")
     if not np.all((0 <= ts) & (ts <= path.horizon * (1 + REL_TOL))):
         raise ParameterError("t must lie in [0, T]")
-    lam = np.asarray(jump_rate.fn(_excitation(path, kernel, ts.reshape(-1))), dtype=float)
+    x = _excitation_state(kernel, path.times, path.weights).read(ts.reshape(-1))
+    lam = np.asarray(jump_rate.fn(x), dtype=float)
     return float(lam[0]) if ts.ndim == 0 else lam
 
 
@@ -507,8 +590,10 @@ def integrate_intensity(
     T defaults to the path's horizon and must lie in (0, horizon].  The
     intensity is smooth between events for smooth kernels, so a fixed rule
     per inter-event segment is accurate; singular kernel families are not
-    supported here.  The nodes are read through ``_excitation``, at most one
-    block per segment, so memory is order x window, never nodes x events.
+    supported here.  The nodes are read at once through ``_excitation_state``:
+    O(events + nodes) for the exponential kernel; for any other kernel at
+    most one block of lags per segment, so memory is order x window, never
+    nodes x events.
     """
     if T is None:
         T = path.horizon
@@ -519,7 +604,7 @@ def integrate_intensity(
     widths = np.diff(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
     ts = (mids[:, None] + 0.5 * widths[:, None] * nodes[None, :]).ravel()
-    s = _excitation(path, kernel, ts)
+    s = _excitation_state(kernel, path.times, path.weights).read(ts)
     lam = np.asarray(jump_rate.fn(s), dtype=float).reshape(len(widths), order)
     return float(((lam @ weights) * 0.5 * widths).sum())
 

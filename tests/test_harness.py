@@ -418,14 +418,21 @@ class TestVerifyBounds:
     def _second_range_waits(monkeypatch, log, until, abort):
         """Patch the ladder entry: in a pool, the second of two ranges (trials
         20-39) starts trial 20 only once ``until(marks)`` holds for the
-        pool's shared marks; trial 1 returns a runaway at delta index
+        pool's shared marks, and the first range runs trial 1 only once trial
+        20 has chosen its grids (else a second range that starts late reads
+        the shared marks first); trial 1 returns a runaway at delta index
         ``abort``, and every call appends its trial and grid count to ``log``."""
         real = harness.simulate_ladder
+        started = log.parent / "trial-20-started"
 
         def ladder(grids, jump_rate, marks, atoms, **kwargs):
             trial = atoms.seed_entropy[1]
             deadline = time.monotonic() + 60.0
             pool = harness._POOL     # None in a run without a pool
+            if trial == 20 and pool:
+                started.touch()
+            while trial == 1 and pool and not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
             while trial == 20 and pool and not until(pool) and time.monotonic() < deadline:
                 time.sleep(0.01)
             with open(log, "a", encoding="utf-8") as f:

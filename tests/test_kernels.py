@@ -500,6 +500,10 @@ _MONOTONE_FAMILIES = {
     "table-plateau": lambda T: hp.tabulated_kernel(
         [(0, 0), (T / 4, 0.5), (T / 2, 0.5), (3 * T / 4, 0)], T
     ),
+    # fixed vertices: turns at 1 and 2, and a rise past T when T < 9
+    "table-past-horizon": lambda T: hp.tabulated_kernel(
+        [(0, 0.15), (1, 0.25), (2, -0.1), (4, 0), (9, 1.5)], T
+    ),
     # h = 0.8 on (0.05, 0.21]: zero at lag 0, so it rises at the break 0.05
     "late-step": lambda T: hp.custom_kernel(
         lambda t: np.where((np.asarray(t) > 0.05) & (np.asarray(t) <= 0.21), 0.8, 0.0),
@@ -517,6 +521,28 @@ class TestMonotoneDecreasing:
         lags = np.linspace(1e-9 if k.singular_at_zero else 0.0, T, 100_001)
         h = np.asarray(k.evaluate(lags), dtype=float)
         slack = 1e-12 * max(float(np.abs(h).max()), 1e-300)
+        expected = bool(np.all(np.diff(h) <= slack) and h.min() >= -slack)
+        assert k.monotone_decreasing is expected
+
+    @pytest.mark.parametrize("T", [1.0, 5.0, 20.0, 200.0])
+    @pytest.mark.parametrize("family", sorted(_MONOTONE_FAMILIES))
+    def test_monotone_between_declared_breaks(self, family, T):
+        # continuous thinning trusts the declared breaks (H*, and |h| for a
+        # nonincreasing kernel): on 4,001 lags from each break to the next, h
+        # never rises or never falls, to rounding, and the derived flag
+        # agrees with the same samples
+        k = _MONOTONE_FAMILIES[family](T)
+        breaks = sorted({min(b, T) for b in k.monotone_breaks})
+        assert breaks[0] == 0.0 and breaks[-1] == T
+        pieces = [
+            np.asarray(k.evaluate(np.linspace(lo, hi, 4001)), dtype=float)
+            for lo, hi in zip([1e-9 if k.singular_at_zero else 0.0, *breaks[1:-1]], breaks[1:])
+        ]
+        h = np.concatenate(pieces)
+        slack = 1e-12 * max(float(np.abs(h).max()), 1e-300)
+        for lo, piece in zip(breaks, pieces):
+            steps = np.diff(piece)
+            assert np.all(steps <= slack) or np.all(steps >= -slack), lo
         expected = bool(np.all(np.diff(h) <= slack) and h.min() >= -slack)
         assert k.monotone_decreasing is expected
 
