@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -147,11 +148,13 @@ class DiscreteTrace:
     """Arrays of the discrete scheme on the points t_0 .. t_count of ``grid``.
 
     Index n holds the bin (t_{n-1}, t_n]; index 0 is the initial state.
-    ``intensity[0] == intensity[1]`` equals the empty-past rate.  ``risk``
-    is the cumulative mark sum at the grid points.  ``times`` and ``marks``
-    hold the accepted atoms in bin order; bin n's atoms are the
-    slice ``cumsum(events)[n-1]:cumsum(events)[n]``.  ``intensity[n]`` for
-    n >= 2 is psi of the feedback sum of ``coeffs[n-1-j] * mass[j]`` over the
+    ``intensity[0] == intensity[1]`` equals the empty-past rate.  ``mass[n]``
+    and bin n's mark gain sum b and y over its accepted atoms left to right
+    from 0.0, oldest first, as a weighted ``np.bincount`` does; ``risk`` is
+    the gains' running sum at the grid points.  ``times`` and ``marks`` hold
+    the accepted atoms in bin order; bin n's atoms are the slice
+    ``cumsum(events)[n-1]:cumsum(events)[n]``.  ``intensity[n]`` for n >= 2
+    is psi of the feedback sum of ``coeffs[n-1-j] * mass[j]`` over the
     earlier bins j, added in IEEE double oldest bin first.  Filling it costs
     one psi call per round of windows, shared by the grids of a ladder, and
     one on the whole ladder per pass (one pass, plus one per ceiling
@@ -253,19 +256,15 @@ def distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[first], order[first]
 
 
-def step_from_jumps(times, increments, horizon: float, initial: float = 0.0) -> StepPath:
-    """Cumulative step path jumping by ``increments`` at ``times`` (sorted)."""
+def step_from_jumps(times, increments, horizon: float) -> StepPath:
+    """Step path from 0 whose value at each of the sorted ``times`` is the
+    running sum, left to right, of the ``increments`` up to its last jump."""
     t = np.asarray(times, dtype=float)
-    inc = np.asarray(increments, dtype=float)
-    if len(t) == 0:
-        return StepPath(np.array([0.0]), np.array([float(initial)]), float(horizon))
-    # collapse simultaneous jumps
-    uniq, start = distinct(t)
-    sums = np.add.reduceat(inc, start)
-    vals = float(initial) + np.cumsum(sums)
+    last = np.ones(len(t), dtype=bool)      # each distinct time's last jump
+    last[:-1] = t[1:] != t[:-1]
     return make_step_path(
-        np.concatenate(([0.0], uniq)),
-        np.concatenate(([float(initial)], vals)),
+        np.concatenate(([0.0], t[last])),
+        np.concatenate(([0.0], np.cumsum(np.asarray(increments, dtype=float))[last])),
         horizon,
     )
 
@@ -650,8 +649,8 @@ def simulate_ladder(
     A grid holds the bin edges t_0 = 0 < ... < t_count = T and the kernel
     samples h(t_k), k = 1..count; build it once per delta with
     ``grid_coefficients`` and share it across trials.  Bins are right-closed,
-    (t_{n-1}, t_n].  A bin j < count whose atoms a..z-1 accept a nonzero
-    mass m_j = ``b[a:z][theta[a:z] <= level].sum()`` pushes coeffs[:w] * m_j
+    (t_{n-1}, t_n].  A bin j < count whose atoms accept a nonzero mass m_j
+    (their b under its level, added left to right) pushes coeffs[:w] * m_j
     onto the feedback of the next w bins, in bin order, so every feedback
     entry is summed oldest bin first (w is the span of nonzero kernel lags:
     compact-support kernels cost O(r) per push).  A bin's level is psi of its
@@ -837,15 +836,9 @@ class _Walk:
         self.width = _WINDOW
         if self.guessing:
             n = int(cut.at.searchsorted(self.last))
-            self.guessed_atoms = bins, values = bin_of[cut.at[:n]], cut.b_at[:n]
-            sums = np.bincount(bins, weights=values, minlength=grid.count)
+            sums = np.bincount(bin_of[cut.at[:n]], weights=cut.b_at[:n], minlength=grid.count)
             self.guessed_bins = sums.nonzero()[0]
             self.guessed_mass = sums[self.guessed_bins]
-            # the rows of 8 or more terms, whose sums a window makes pairwise
-            self.pairwise = []
-            if _runs_of_eight(bins):
-                counts = np.bincount(bins)[self.guessed_bins]
-                self.pairwise = (counts >= 8).nonzero()[0].tolist()[::-1]
 
     def window(self) -> np.ndarray:
         """The next window's atoms, i..e, and the feedback at their bins once
@@ -863,9 +856,6 @@ class _Walk:
         elif e < last:
             e = int(bin_of.searchsorted(bin_of[e - 1], side="right"))     # whole bins
         bins = bin_of[i:e]
-        while self.pairwise and self.pairwise[-1] < r1:
-            r = self.pairwise.pop()
-            self.guessed_mass[r] = _run_sum(*self.guessed_atoms, self.guessed_bins[r])
         self.e, self.saved, self.r0 = e, None, r0
         # the window's guessed pushes (j, m_j), in bin order
         self.guesses = list(zip(guessed[r0:r1].tolist(), self.guessed_mass[r0:r1].tolist()))
@@ -916,10 +906,10 @@ class _Walk:
             return False
         a, z = self.bin_of.searchsorted((j, j + 1)).tolist()
         theta, b = cut.theta, cut.b
-        if z - a == 1:      # a lone term sums to itself: numpy adds it onto 0.0
+        if z - a == 1:      # a lone term sums to itself: 0.0 + x is x
             m = float(b[a]) if theta[a] <= level else 0.0
-        else:
-            m = float(b[a:z][theta[a:z] <= level].sum())
+        else:   # left to right, as a weighted bincount; sum() compensates from Python 3.12
+            m = functools.reduce(operator.add, b[a:z][theta[a:z] <= level].tolist(), 0.0)
         if m:
             self.push(((j, m),))
             self.pushes.append((j, m))
@@ -968,29 +958,6 @@ def _ends(items: list, size: Callable) -> list[int]:
     return list(itertools.accumulate(map(size, items), initial=0))
 
 
-def _bin_sums(bins: np.ndarray, values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-bin sums of ``values`` over the sorted ``bins``, whose bincount is
-    ``counts``, each the float numpy's ``values[a:z].sum()`` gives on its
-    run: numpy adds fewer than 8 terms left to right onto 0.0, as a weighted
-    bincount does, and more pairwise."""
-    out = np.bincount(bins, weights=values, minlength=len(counts))
-    if _runs_of_eight(bins):
-        for j in (counts >= 8).nonzero()[0].tolist():
-            out[j] = _run_sum(bins, values, j)
-    return out
-
-
-def _runs_of_eight(bins: np.ndarray) -> bool:
-    """Whether the sorted ``bins`` hold some bin 8 or more times."""
-    return len(bins) >= 8 and bool((bins[7:] == bins[:-7]).any())
-
-
-def _run_sum(bins: np.ndarray, values: np.ndarray, j: int) -> float:
-    """numpy's sum of the ``values`` on bin j's run of the sorted ``bins``."""
-    a, z = bins.searchsorted((j, j + 1)).tolist()
-    return values[a:z].sum()
-
-
 def _read_off(
     walks: list[_Walk], cut: _Atoms, atoms: PoissonAtoms, T: float, mark_model: MarkModel
 ) -> list[DiscreteTrace]:
@@ -1013,8 +980,8 @@ def _read_off(
     atom = accept.nonzero()[1]
     events = np.bincount(accepted_bins, minlength=offsets[-1])
     marks = cut.y[atom]
-    mass = _bin_sums(accepted_bins, cut.b[atom], events)
-    gain = _bin_sums(accepted_bins, marks, events)      # mark sum accepted per bin
+    mass = np.bincount(accepted_bins, weights=cut.b[atom], minlength=offsets[-1])
+    gain = np.bincount(accepted_bins, weights=marks, minlength=offsets[-1])    # marks per bin
     times = cut.tau[atom]
     firsts = accepted_bins.searchsorted(offsets).tolist()
     return [

@@ -496,8 +496,10 @@ def discrete_scheme_reference(kernel, jump_rate, mark_model, delta, count, atoms
 
     Each bin looks up its atoms with two searches, selects the ones under the
     frozen bin intensity and keeps them as a separate array, so the accepted
-    atoms come out as per-bin lists.  The ceiling is doubled in the bin that
-    needs it, exactly as in the scheme under test.
+    atoms come out as per-bin lists.  A bin's mass and mark gain are summed
+    in an explicit loop, left to right from 0.0, oldest atom first.  The
+    ceiling is doubled in the bin that needs it, exactly as in the scheme
+    under test.
     """
     M = int(count)
     coeffs = grid_coefficients(kernel, delta, M * delta).values
@@ -538,9 +540,13 @@ def discrete_scheme_reference(kernel, jump_rate, mark_model, delta, count, atoms
         lo = int(np.searchsorted(tau, (n - 1) * delta, side="right"))
         hi = int(np.searchsorted(tau, n * delta, side="right"))
         sel = theta[lo:hi] <= l_n
-        mass[n] = float(b[lo:hi][sel].sum())
+        m = gain = 0.0
+        for b_k, y_k in zip(b[lo:hi][sel].tolist(), y[lo:hi][sel].tolist()):
+            m += b_k
+            gain += y_k
+        mass[n] = m
         events[n] = int(sel.sum())
-        risk[n] = risk[n - 1] + float(y[lo:hi][sel].sum())
+        risk[n] = risk[n - 1] + gain
         bin_marks[n] = y[lo:hi][sel].copy()
         bin_times[n] = tau[lo:hi][sel].copy()
 

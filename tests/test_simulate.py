@@ -711,8 +711,8 @@ class TestDiscreteReference:
         )
 
     def test_coarse_bins_hold_many_marks(self):
-        # pins the summation order: from 8 marks on, numpy's pairwise sum
-        # departs from a left-to-right loop, and in this example it shows
+        # pins the summation order: a bin's marks add up left to right, and
+        # here numpy's pairwise sum of the same 8 or more marks is another float
         model = _REF_MARKS["exponential-indicator"]
         disc, atoms = _assert_matches_reference(
             _REF_KERNELS["exponential"], _REF_RATES["relu"], model, 2.0, 2,
@@ -720,7 +720,7 @@ class TestDiscreteReference:
         )
         first_bin = disc.marks[: disc.events[1]]
         assert len(first_bin) >= 8 and len(atoms.strips) > 1
-        assert disc.risk[1] != sum(first_bin.tolist())
+        assert disc.risk[1] == np.cumsum(first_bin)[-1] != np.sum(first_bin)
 
     def test_feedback_summed_oldest_bin_first(self):
         # pins the feedback order: bins 1-3 all feed bin 4, and their
@@ -953,11 +953,11 @@ class TestLadder:
         ))
         assert list(coarse.events) == [0, 3] and len(atoms.strips) == 1
 
-    def test_guessed_bin_of_many_marks_pushes_numpys_sum(self):
+    def test_guessed_bin_of_many_marks_pushes_left_to_right_sum(self):
         # h = 1 and psi(x) = 1e-20 + x, so bin 6's level is the mass of bin 4
         # to the last bit.  Bin 4 accepts 8 terms 1 / (k + 3), as guessed, so
-        # its push is the kept guess, and numpy sums them pairwise to another
-        # float than a left-to-right sum
+        # its push is the kept guess: their left-to-right sum, where numpy's
+        # pairwise sum is another float
         model = hp.MarkModel("exponential", (1.0,), modulation="absolute-value")
         kernel, rate = hp.constant_kernel(1.0, _REF_T), hp.relu_affine(1e-20)
         terms = [1.0 / (k + 3) for k in range(8)]
@@ -972,7 +972,7 @@ class TestLadder:
             kernel, rate, model, 0.5, 8, atoms_from_triples(_REF_T, 4.0, triples, model)
         ))
         assert list(disc.events) == [0, 1, 0, 0, 8, 0, 1, 0, 0]
-        assert disc.intensity[6] == np.sum(terms) != np.cumsum(terms)[-1]
+        assert disc.intensity[6] == np.cumsum(terms)[-1] != np.sum(terms)
 
     def test_grids_share_their_horizon(self, unit_marks):
         kernel = hp.exponential_kernel(0.5, 1.0, 4.0)
@@ -1103,7 +1103,8 @@ class TestDiscreteWalk:
 
     def test_many_marks_in_one_bin(self):
         # exponential marks with b = |y|: both per-bin sums hold 8 or more
-        # non-integer terms, which numpy adds pairwise, not left to right
+        # non-integer terms, added left to right, where numpy's pairwise sum
+        # of the same terms is another float
         model = hp.MarkModel("exponential", (1.0,), modulation="absolute-value")
         disc, _ = _assert_matches_reference(
             _REF_KERNELS["exponential"], _REF_RATES["relu"], model, 2.0, 2,
@@ -1112,34 +1113,35 @@ class TestDiscreteWalk:
         first_bin = disc.marks[: disc.events[1]]
         left_to_right = np.cumsum(first_bin)[-1]
         assert len(first_bin) >= 8
-        assert disc.mass[1] != left_to_right and disc.risk[1] != left_to_right
+        assert disc.mass[1] == disc.risk[1] == left_to_right != np.sum(first_bin)
 
     def test_bins_straddling_window_edges(self):
         # b = |y|.  The first window holds atoms 0-63: bin 2's atoms 60-69 all
         # pass, so its push counts the ones past the window's edge.  The next
-        # windows start at atom 70 and hold 64, then 128 atoms: bin 3 rejects
-        # its atoms 70-131, passes 132-133 (y = 0, so they cannot push) and
-        # then 134-143, so its push sums all 12 terms pairwise, from before
-        # the window that found it.  The last 10 terms alone would sum to
-        # another float, and give bin 4 another level
+        # window starts at atom 70 and holds 64 atoms: bin 3 rejects its atoms
+        # 70-131 and passes 132-133, which push, and 134-143 past the
+        # window's edge, so its push sums all 12 terms left to right (numpy's
+        # pairwise sum is another float).  The terms on either side of the
+        # edge alone would give bin 4 another level
         kernel, rate = hp.exponential_kernel(4.0, 1.5, _REF_T), hp.relu_affine(1e-3)
         model = hp.MarkModel("exponential", (1.0,), modulation="absolute-value")
         assert simulate._WINDOW == 64
-        late = [1.0 / (k + 3) for k in range(10)]
+        early, late = [0.2, 0.9], [1.0 / (k + 3) for k in range(10)]
         triples = [(0.5 + k * 1e-3, 3.0, 1.0) for k in range(60)]
         triples += [(1.5 + k * 1e-3, 1e-4, 1e-4) for k in range(10)]
         triples += [(2.1 + k * 1e-3, 3.9, 1.0) for k in range(62)]
-        triples += [(2.8 + k * 1e-3, 1e-4, 0.0) for k in range(2)]
+        triples += [(2.8 + k * 1e-3, 1e-4, y) for k, y in enumerate(early)]
         triples += [(2.9 + k * 1e-3, 1e-4, y) for k, y in enumerate(late)]
         triples += [(3.5, 0.1, 1.0)]
         disc, _ = _assert_matches_reference(
             kernel, rate, model, 1.0, 4, lambda: atoms_from_triples(_REF_T, 4.0, triples, model),
         )
         assert list(disc.events) == [0, 0, 10, 12, 1]
-        assert disc.mass[3] == np.sum([0.0, 0.0, *late]) != np.sum(late)
+        assert disc.mass[3] == np.cumsum([*early, *late])[-1] != np.sum([*early, *late])
         coeffs = grid_coefficients(kernel, 1.0, _REF_T).values
-        alone = float(rate.fn(coeffs[1] * disc.mass[2] + coeffs[0] * np.sum(late)))
-        assert disc.intensity[4] != alone
+        for part in (early, late):
+            alone = float(rate.fn(coeffs[1] * disc.mass[2] + coeffs[0] * np.cumsum(part)[-1]))
+            assert disc.intensity[4] != alone
 
     def test_extension_drops_later_pushes(self, unit_marks):
         # bin 1 pushes; bin 2, which holds no atom, is over the ceiling 1;
@@ -1337,6 +1339,19 @@ class TestPathToStep:
         sp = path_to_step(path, "count")
         assert np.array_equal(sp.breakpoints, [0.0, 0.3, 0.7])
         assert np.array_equal(sp.values, [0.0, 1.0, 2.0])
+
+    def test_tied_jumps_sum_left_to_right(self):
+        # at a time that several jumps share, the value is the running sum
+        # through its last jump, as a left-to-right loop adds them
+        times = [0.2, 0.5, 0.5, 0.5, 0.8, 0.8]
+        increments = [0.1, 0.2, 0.3, 1.0 / 3.0, 0.7, 0.15]
+        running, expected = 0.0, {}
+        for t, x in zip(times, increments):
+            running += x
+            expected[t] = running
+        sp = step_from_jumps(times, increments, 1.0)
+        assert sp.breakpoints.tolist() == [0.0, *expected]
+        assert sp.values.tolist() == [0.0, *expected.values()]
 
     def test_zero_weight_jumps_merge_away(self):
         sp = step_from_jumps([0.2, 0.5], [0.0, 1.0], 1.0)
