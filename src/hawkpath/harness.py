@@ -352,7 +352,7 @@ class Run:
         return _VerifyPlan(
             rate=rate,
             times=T * np.arange(1, 21) / 20.0,
-            grid_idx=distinct(np.linspace(1, self.grids[-1].count, 20, dtype=int))[0],
+            grid_idx=distinct(np.linspace(1, self.grids[-1].count, 20, dtype=int)),
             mark_mean=mark_moments(self.marks).mean,
         )
 

@@ -4,9 +4,11 @@ All metrics here are exact for step paths: the fractional Sobolev norm
 reduces to a closed-form double sum over segment pairs, the Skorokhod
 distance (at any jump count) to a bracketed search over finitely many
 critical values, each step a feasibility decision computed by dynamic
-programming on the interleaved jumps, and the sparse modulus to a minimax
-partition search over a finite candidate set.  Every operation is a pure
-function, safe for concurrent use.
+programming on the interleaved jumps (one chronological path through its
+states first, which proves a feasible eps in m + n steps, and the sweep of
+every reachable state only when that path stops), and the sparse modulus
+to a minimax partition search over a finite candidate set.  Every
+operation is a pure function, safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -42,14 +44,14 @@ def _require_same_horizon(f: StepPath, g: StepPath) -> float:
 def step_sub(f: StepPath, g: StepPath) -> StepPath:
     """Canonical pointwise difference f - g on the breakpoint union."""
     T = _require_same_horizon(f, g)
-    bp, _ = distinct(np.concatenate((f.breakpoints, g.breakpoints)))
+    bp = distinct(np.concatenate((f.breakpoints, g.breakpoints)))
     return make_step_path(bp, f.value_at(bp) - g.value_at(bp), T)
 
 
 def uniform_distance(f: StepPath, g: StepPath) -> float:
     """sup |f - g|, attained on the breakpoint union."""
     _require_same_horizon(f, g)
-    bp, _ = distinct(np.concatenate((f.breakpoints, g.breakpoints)))
+    bp = distinct(np.concatenate((f.breakpoints, g.breakpoints)))
     return float(np.abs(f.value_at(bp) - g.value_at(bp)).max())
 
 
@@ -107,11 +109,34 @@ def feasible_eps(f: StepPath, g: StepPath, eps: float) -> bool:
     time interval of positive length (a bijection cannot delete a segment).
     States therefore record how they were entered: by an f-jump (position
     fixed at that jump) or by a g-jump (an interval of feasible positions).
-    The states are swept one anti-diagonal i + j at a time, visiting only
-    those the previous diagonal reached, in any order: each field of a next
-    state is written by one state only (its f-entry flags by the state
-    entering it by an f-jump, its g-entry by the one entering it by a
-    g-jump), and flags are only ever set to True.  Monotone in eps.
+    ``moves`` holds the transition rules: what a reached state gives the
+    state after its next f-jump and the one after its next g-jump.  Each
+    field of a state is written by one predecessor only (its f-entry flags
+    by the state entering it by an f-jump, its g-entry by the one entering
+    it by a g-jump).  Monotone in eps.
+
+    Two searches read those rules.  ``_chronological_path`` follows one
+    path from (0, 0): at each state it takes the move whose jump comes
+    first in time (the f-jump on a tie), or the other move when that one is
+    closed, and eps is feasible if it reaches (m, n).  Only when it stops
+    does ``_sweep`` visit every reachable state, one anti-diagonal i + j at
+    a time, and decide.  The path is exact because each of its steps is a
+    step of the sweep.  A state on the path was entered from one
+    predecessor, so it holds a subset of the flags the sweep gives that
+    state, and a g-entry ``lo`` no lower than the sweep's (None, standing
+    for c - eps, counts as lower than any f-jump time within eps of c); no
+    rule closes a move as flags are added or ``lo`` is lowered.  In floats
+    one rule could break that order: leaving a g-entry through a gap tests
+    c - a < eps for None but lo < a for an f-jump time, and c - a may round
+    to eps although lo < a and c - lo <= eps.  Not on the path: it holds an
+    f-jump time where the sweep holds None only after g-moves from states
+    whose values match and whose position is an f-jump time at or below the
+    current one.  The f-move of such a state is open, so the path took each
+    of those g-jumps because it came before the pending f-jump a, and
+    c - a < 0 <= eps.  A path that stops at diagonal k has visited k states,
+    no more than the k diagonals the sweep crosses before it can refute
+    eps.  On coupled paths it reached (m, n) at every feasible eps measured,
+    about m + n states where the sweep visits every reachable one.
 
     A placement is never rounded to the float c - eps or c + eps: whether
     f-jump a lies in the window of g-jump c is decided by comparing the
@@ -134,45 +159,92 @@ def feasible_eps(f: StepPath, g: StepPath, eps: float) -> bool:
     if abs(fv[0] - gv[0]) > eps or abs(fv[m] - gv[n]) > eps:
         return False
 
-    # Reached states of the current diagonal, keyed by i, as [clean, tied,
-    # g-entry].  An f-entry position is always the jump fb[i], so booleans
-    # suffice; "clean" records that the last g-jump sits strictly below it
-    # (a further g-jump may still land on it), "tied" that a g-jump already
-    # occupies that exact position.  A g-entry places the last g-jump gb[j]
-    # at (lo, False), or anywhere in [lo, gb[j] + eps] as (lo, True), where
-    # lo is an f-jump time or None for gb[j] - eps.
-    frontier = {0: [False, False, (0.0, False)]}
+    # A reached state is (clean, tied, g-entry).  An f-entry position is
+    # always the jump fb[i], so booleans suffice; "clean" records that the
+    # last g-jump sits strictly below it (a further g-jump may still land on
+    # it), "tied" that a g-jump already occupies that exact position.  A
+    # g-entry places the last g-jump gb[j] at (lo, False), or anywhere in
+    # [lo, gb[j] + eps] as (lo, True), where lo is an f-jump time or None for
+    # gb[j] - eps.
+    def moves(i, j, clean, tied, entry):
+        """The clean and tied f-entry flags reached state (i, j) gives
+        (i + 1, j), and the g-entry it gives (i, j + 1) or None."""
+        a0, c = fb[i], gb[j]
+        from_f = clean or tied
+        matches = abs(fv[i] - gv[j]) <= eps
+        lo, window = entry if entry is not None else (a0, False)
+        # the lowest position of the last placed jump (None: c - eps)
+        low = lo
+        if from_f and (c - a0 > eps if lo is None else a0 < lo):
+            low = a0
+        f_clean = f_tied = False
+        if i < m:
+            a = fb[i + 1]
+            # leave through a gap of positive width (or a tie from an
+            # f-entry, whose last g-jump is already below a)
+            f_clean = matches and (from_f or (c - a < eps if lo is None else lo < a))
+            # a g-jump placed exactly at a
+            f_tied = window and (lo is None or lo <= a) and abs(a - c) <= eps
+        g_entry = None
+        if j < n:
+            c1 = gb[j + 1]
+            if matches and (low is None or low - c1 <= eps):
+                g_entry = (low if low is not None and c1 - low <= eps else None, True)
+            elif not matches and clean and abs(a0 - c1) <= eps:
+                # place the g-jump exactly on the entering f-jump; legal only
+                # when no g-jump occupies it yet
+                g_entry = (a0, False)
+        return f_clean, f_tied, g_entry
+
+    return _chronological_path(moves, fb, gb) or _sweep(moves, m, n)
+
+
+# ``feasible_eps``'s state (0, 0): entered by no f-jump, the g-jump at time 0
+# placed exactly at 0
+_START = (False, False, (0.0, False))
+
+
+def _chronological_path(moves, fb: list[float], gb: list[float]) -> bool:
+    """Whether one path of ``moves`` from (0, 0) reaches (m, n), taking at
+    each state the move whose jump fb[i + 1] or gb[j + 1] comes first (the
+    f-jump on a tie), or the other move when that one is closed."""
+    m, n = len(fb) - 1, len(gb) - 1
+    i = j = 0
+    clean, tied, entry = _START
+    while i < m or j < n:
+        f_clean, f_tied, g_entry = moves(i, j, clean, tied, entry)
+        if (f_clean or f_tied) and (g_entry is None or fb[i + 1] <= gb[j + 1]):
+            i += 1
+            clean, tied, entry = f_clean, f_tied, None
+        elif g_entry is not None:
+            j += 1
+            clean, tied, entry = False, False, g_entry
+        else:
+            return False
+    return True
+
+
+def _sweep(moves, m: int, n: int) -> bool:
+    """Whether ``moves`` reach (m, n) from (0, 0), visiting every reachable
+    state one anti-diagonal at a time.
+
+    A diagonal is a list of its reached states [i, clean, tied, g-entry] in
+    ascending i.  State i sends its g-entry to i and its f-entry to i + 1 of
+    the next diagonal, so that list comes out ascending too and only its
+    last state can be entered twice.
+    """
+    frontier = [(0, *_START)]
     for diag in range(m + n):
-        reached: dict[int, list] = {}
-        for i, (clean, tied, entry) in frontier.items():
-            j = diag - i
-            a0, c = fb[i], gb[j]
-            from_f = clean or tied
-            matches = abs(fv[i] - gv[j]) <= eps
-            lo, window = entry if entry is not None else (a0, False)
-            # the lowest position of the last placed jump (None: c - eps)
-            low = lo
-            if from_f and (c - a0 > eps if lo is None else a0 < lo):
-                low = a0
-            if i < m:
-                a = fb[i + 1]
-                gap = c - a < eps if lo is None else lo < a
-                at_a = window and (lo is None or lo <= a) and abs(a - c) <= eps
-                # leave through a gap of positive width (or a tie from an
-                # f-entry, whose last g-jump is already below a)
-                if matches and (from_f or gap):
-                    reached.setdefault(i + 1, [False, False, None])[0] = True
-                if at_a:  # a g-jump placed exactly at a
-                    reached.setdefault(i + 1, [False, False, None])[1] = True
-            if j < n:
-                c1 = gb[j + 1]
-                if matches and (low is None or low - c1 <= eps):
-                    lo = low if low is not None and c1 - low <= eps else None
-                    reached.setdefault(i, [False, False, None])[2] = (lo, True)
-                elif not matches and clean and abs(a0 - c1) <= eps:
-                    # place the g-jump exactly on the entering f-jump;
-                    # legal only when no g-jump occupies it yet
-                    reached.setdefault(i, [False, False, None])[2] = (a0, False)
+        reached: list[list] = []
+        for i, clean, tied, entry in frontier:
+            f_clean, f_tied, g_entry = moves(i, diag - i, clean, tied, entry)
+            if g_entry is not None:
+                if reached and reached[-1][0] == i:
+                    reached[-1][3] = g_entry
+                else:
+                    reached.append([i, False, False, g_entry])
+            if f_clean or f_tied:
+                reached.append([i + 1, f_clean, f_tied, None])
         if not reached:
             return False
         frontier = reached
@@ -237,6 +309,11 @@ def skorokhod_distance(f: StepPath, g: StepPath) -> float:
     predicate returns the same critical value.  The gaps up to u come in
     bounded row blocks from ``_gaps_within``, the value gaps from the sorted
     values (the set of gaps does not depend on their order).
+
+    A call that passes costs about m + n states when ``feasible_eps``'s
+    chronological path proves it, as on every coupled pair measured, and a
+    call that fails costs the diagonals its sweep crosses before refuting,
+    plus at most as many path steps.
     """
     T = _require_same_horizon(f, g)
     u = uniform_distance(f, g)
@@ -248,7 +325,7 @@ def skorokhod_distance(f: StepPath, g: StepPath) -> float:
     cands = np.concatenate((
         [0.0], value_gaps, _gaps_within(fa, ga, u), fa, T - fa, ga, T - ga,
     ))
-    crit, _ = distinct(cands[cands <= u])
+    crit = distinct(cands[cands <= u])
 
     def passes(k: int) -> bool:  # is the gap (crit[k], crit[k + 1]) feasible?
         c, nxt = float(crit[k]), float(crit[k + 1])
@@ -267,7 +344,7 @@ def skorokhod_distance(f: StepPath, g: StepPath) -> float:
         return lo
 
     # positions of the value gaps in crit; the last one is u
-    anchors = np.searchsorted(crit, distinct(value_gaps)[0]).tolist()
+    anchors = np.searchsorted(crit, distinct(value_gaps)).tolist()
     s = first_passing(anchors)
     lo = anchors[s - 1] + 1 if s else 0
     hi = anchors[s]  # the answer's position lies in [lo, hi]
@@ -300,18 +377,15 @@ def modulus_sparse(path: StepPath, delta: float) -> float:
     T = path.horizon
     if not 0.0 < delta < T:
         raise ParameterError("need 0 < delta < T")
-    jumps = [float(t) for t in path.breakpoints[1:]]
-    cands = {0.0, T}
-    cands.update(jumps)
-    cands.update(
-        0.5 * (a + b) for a, b in zip(jumps[:-1], jumps[1:])
-    )
-    pos = sorted(c for c in cands if c == 0.0 or delta < c <= T)
     bp = path.breakpoints
+    jumps = bp[1:]
+    cands = distinct(np.concatenate(([0.0, T], jumps, 0.5 * (jumps[:-1] + jumps[1:]))))
+    pos = cands[(cands == 0.0) | ((delta < cands) & (cands <= T))]
     vals = path.values.tolist()
     # segment holding each candidate, and last segment strictly before it
     start_seg = (np.searchsorted(bp, pos, side="right") - 1).tolist()
     end_seg = (np.searchsorted(bp, pos, side="left") - 1).tolist()
+    pos = pos.tolist()
 
     dp = [0.0] + [math.inf] * (len(pos) - 1)
     w = -1  # the last left end c with pos[k] - pos[c] > delta

@@ -140,7 +140,8 @@ class ContinuousPath:
 
     @property
     def terminal_risk(self) -> float:
-        return float(self.marks.sum())
+        """The marks added left to right, the last value of the risk path."""
+        return float(np.cumsum(self.marks)[-1]) if len(self.marks) else 0.0
 
 
 @dataclass(frozen=True)
@@ -243,17 +244,15 @@ def make_step_path(breakpoints, values, horizon: float) -> StepPath:
     return StepPath(b[keep].copy(), v[keep].copy(), float(horizon))
 
 
-def distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct entries of a 1-D array and the index of each one's
-    first occurrence, as ``np.unique(values, return_index=True)`` sorts and
-    picks them, without the import of ``numpy.ma`` that ``np.unique`` makes
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of a 1-D array, as ``np.unique(values)``
+    gives them, without the import of ``numpy.ma`` that ``np.unique`` makes
     on its first call."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
+    ordered = np.sort(values)
     first = np.empty(len(ordered), dtype=bool)
     first[:1] = True
     first[1:] = ordered[1:] != ordered[:-1]
-    return ordered[first], order[first]
+    return ordered[first]
 
 
 def step_from_jumps(times, increments, horizon: float) -> StepPath:
@@ -598,7 +597,7 @@ def integrate_intensity(
         T = path.horizon
     if not 0 < T <= path.horizon * (1 + REL_TOL):
         raise ParameterError("T must lie in (0, the path's horizon]")
-    edges, _ = distinct(np.concatenate(([0.0], path.times[path.times < T], [T])))
+    edges = distinct(np.concatenate(([0.0], path.times[path.times < T], [T])))
     nodes, weights = _gauss_legendre(order)
     widths = np.diff(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])

@@ -545,6 +545,107 @@ class TestFeasibleEps:
             assert feasible_eps(rc, rd, eps) == feasible_eps_grid(rc, rd, eps), eps
 
 
+def refuted_proofs(f, g, probes):
+    """The eps among ``probes`` that ``feasible_eps``'s chronological path
+    proves and its sweep refutes, each search run with the other stubbed out."""
+    with mock.patch.object(metrics, "_sweep", lambda *args: False):
+        proved = [eps for eps in probes if feasible_eps(f, g, eps)]
+    with mock.patch.object(metrics, "_chronological_path", lambda *args: False):
+        return [eps for eps in proved if not feasible_eps(f, g, eps)]
+
+
+def probes_around(crit):
+    """Each of the ascending critical values, the floats next to it and the
+    midpoints between consecutive ones."""
+    probes = [0.5 * (a + b) for a, b in zip(crit[:-1], crit[1:])]
+    for c in crit:
+        probes += [np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf)]
+    return [eps for eps in probes if eps >= 0]
+
+
+@pytest.fixture
+def refuting_sweep(monkeypatch):
+    """``feasible_eps`` whose sweep fails the test on any eps it finds feasible."""
+    real = metrics._sweep
+
+    def refuting(moves, m, n):
+        assert not real(moves, m, n), "a feasible eps reached the sweep"
+        return False
+
+    monkeypatch.setattr(metrics, "_sweep", refuting)
+
+
+@st.composite
+def shared_time_pairs(draw):
+    """f and a g that jumps at some of f's times (and maybe a few of its own),
+    its values off f's by whole units: the tied moves of the DP."""
+    f = draw(st.one_of(step_paths(max_jumps=5), grid_step_paths(max_jumps=5)))
+    times = f.breakpoints[1:].tolist()
+    kept = [t for t in times if draw(st.booleans())]
+    extra = draw(st.lists(st.integers(1, 9).map(lambda k: k * 0.1), max_size=2))
+    bp = np.unique(np.array([0.0, *kept, *extra]))
+    shifts = draw(st.lists(st.integers(-1, 1), min_size=len(bp), max_size=len(bp)))
+    return f, make_step_path(bp, f.value_at(bp) + np.array(shifts, dtype=float), f.horizon)
+
+
+@st.composite
+def coupled_pairs(draw):
+    """Count or risk paths of a rate-2.5 Poisson process with Exp(1) marks
+    (~50 jumps) and of its discrete scheme."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    field = draw(st.sampled_from(["count", "risk"]))
+    delta = draw(st.sampled_from([0.5, 0.1]))
+    cont, disc = hp.couple(
+        hp.zero_kernel(20.0), hp.constant_rate(2.5), hp.MarkModel("exponential", (1.0,)),
+        20.0, delta, seed=seed,
+    )
+    return path_to_step(cont, field), path_to_step(disc, field)
+
+
+class TestChronologicalPath:
+    @settings(max_examples=400, deadline=None)
+    @given(pair=st.one_of(path_pairs, shared_time_pairs()))
+    @example(pair=(
+        make_step_path([0.0, 0.1, 0.5], [0.0, 1.0, 2.0], 1.0),
+        make_step_path([0.0, 0.2, 0.8], [0.0, 1.0, 2.0], 1.0),
+    ))
+    def test_path_never_proves_what_the_sweep_refutes(self, pair):
+        # every critical value, the floats next to it and the midpoints
+        f, g = pair
+        assert not refuted_proofs(f, g, probes_around(critical_values(f, g)))
+
+    @settings(max_examples=10, deadline=None)
+    @given(pair=coupled_pairs())
+    def test_path_never_proves_what_the_sweep_refutes_on_coupled_pairs(self, pair):
+        # the four critical values on either side of the distance
+        f, g = pair
+        crit = critical_values(f, g)
+        k = crit.index(skorokhod_distance(f, g))
+        assert not refuted_proofs(f, g, probes_around(crit[max(k - 4, 0) : k + 5]))
+
+    def test_no_feasible_probe_sweeps_on_coupled_pairs(self, refuting_sweep):
+        for seed in range(20):
+            skorokhod_distance(*poisson_pair(seed))
+
+    @pytest.mark.parametrize("delta, distance", [(0.5, 124.0), (0.0125, 6.0)])
+    def test_long_horizon_distance_without_feasible_sweeps(
+        self, refuting_sweep, delta, distance
+    ):
+        # seed 2 at T = 200 on the criterion-8 kernel, unit marks: the sweep
+        # of the feasible probe visits 60,950 states at delta = 0.5 and 7,871
+        # at 0.0125, the path m + n = 802 and 1,067
+        T = 200.0
+        kernel = hp.exponential_kernel(0.604, 1.0, T)
+        rate, model = hp.relu_affine(1.0), hp.MarkModel()
+        atoms = hp.sample_atoms(T, hp.default_ceiling(rate, kernel, model), model, 2)
+        cont = hp.simulate_continuous(kernel, rate, model, T, atoms)
+        [disc] = hp.simulate_ladder(
+            [hp.grid_coefficients(kernel, delta, T)], rate, model, atoms, guess=cont.times
+        )
+        rc, rd = path_to_step(cont, "risk"), path_to_step(disc, "risk")
+        assert skorokhod_distance(rc, rd) == distance
+
+
 def walk_steps(path, delta):
     """modulus_sparse(path, delta) and the number of left ends its walk visits."""
     code = modulus_sparse.__code__
