@@ -547,14 +547,14 @@ def _map_trials(
 ) -> tuple[list[Abort | None], list]:
     """``_run_trials`` over every trial, in trial order regardless of workers.
 
-    With several workers, one process pool runs contiguous trial ranges
-    that each cover the whole ladder; a delta aborted in any range is
-    aborted, with the error of its earliest aborted trial.  The pool shares
-    the earliest trial at which a range gave up and the earliest aborted
-    trial of each delta, so a range skips what no output reads; the samples
-    and errors that are read do not depend on it.
+    With several workers, at most one per CPU, one process pool runs
+    contiguous trial ranges that each cover the whole ladder; a delta
+    aborted in any range is aborted, with the error of its earliest aborted
+    trial.  The pool shares the earliest trial at which a range gave up and
+    the earliest aborted trial of each delta, so a range skips what no
+    output reads; the samples and errors that are read do not depend on it.
     """
-    workers = cfg.effective_workers()
+    workers = min(cfg.effective_workers(), os.cpu_count() or 1)
     n = cfg.trials
     if workers <= 1:
         return _run_trials(cfg, range(n), measure)
@@ -721,8 +721,11 @@ def _verify_sample(
     T = cfg.horizon
     delta_min = cfg.delta_ladder[-1]
     s, t = 0.25 * T, 0.75 * T
-    rc = path_to_step(cont, "risk")
-    inc_c = float(rc.value_at(t) - rc.value_at(s))
+    # the continuous risk at t and at s: the marks' running sum at the last
+    # jump at or before each, as its step path holds it
+    risk = np.concatenate(([0.0], np.cumsum(cont.marks)))
+    r_t, r_s = risk[cont.times.searchsorted([t, s], side="right")]
+    inc_c = float(r_t - r_s)
     mismatch = []
     for disc in traces:
         # the discrete risk at t and at s: its value at the last grid point

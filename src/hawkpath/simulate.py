@@ -157,9 +157,8 @@ class DiscreteTrace:
     ``cumsum(events)[n-1]:cumsum(events)[n]``.  ``intensity[n]`` for n >= 2
     is psi of the feedback sum of ``coeffs[n-1-j] * mass[j]`` over the
     earlier bins j, added in IEEE double oldest bin first.  Filling it costs
-    one psi call per round of windows, shared by the grids of a ladder, and
-    one on the whole ladder per pass (one pass, plus one per ceiling
-    extension).
+    one psi call per window of its grid's walk, and one on the whole ladder
+    per pass (one pass, plus one per ceiling extension).
     """
 
     grid: GridCoefficients
@@ -622,7 +621,7 @@ def simulate_discrete(
 ) -> DiscreteTrace:
     """Euler-type scheme on one grid: ``simulate_ladder`` on the one-grid
     ladder, raising its ``RunawayIntensityError``.  As there, the trace is
-    the same whatever the ``guess``: only the number of rounds depends on it.
+    the same whatever the ``guess``: only the number of windows depends on it.
     """
     [trace] = simulate_ladder(
         [grid], jump_rate, mark_model, atoms, guess=guess, allow_unstable=allow_unstable
@@ -655,10 +654,10 @@ def simulate_ladder(
     compact-support kernels cost O(r) per push).  A bin's level is psi of its
     feedback, so it depends on the earlier bins alone.
 
-    Each grid walks its atoms in windows, and each round reads the levels in
-    every walking grid's window with one psi call.  Without a guess, a
-    window holds the next ``_WINDOW`` atoms, doubling while none of them
-    could push and passes; the first that does ends it, and its bin pushes.
+    In a pass, each grid walks the atoms on its own, in windows, and reads
+    the levels in each window with one psi call.  Without a guess, a window
+    holds the next ``_WINDOW`` atoms, doubling while none of them could push
+    and passes; the first that does ends it, and its bin pushes.
     ``guess`` holds the times of the atoms the caller expects to be accepted,
     in practice the continuous path's events on the same atoms.  A guessed
     window then holds whole bins with at most ``_GUESS_ROWS`` guessed pushes
@@ -672,7 +671,7 @@ def simulate_ladder(
     b = 0 too, passed exactly as guessed, so its guessed push is the same
     float as the true one.  The first differing bin, its level being exact,
     is decided as without a guess.  So the traces never depend on the guess,
-    only the rounds do.  Each push reaches the feedback at most twice in a
+    only the windows do.  Each push reaches the feedback at most twice in a
     pass: a window that undoes its in-place pushes makes its kept ones again,
     and the windows after it read the undone bins from a block.  A guessed
     window's pushes halve after a difference and double after a whole
@@ -730,16 +729,9 @@ def simulate_ladder(
         cut = _Atoms(atoms, T, mark_model, guess)
         ceiling = atoms.ceiling
         for walk in pending:
-            walk.begin(cut)
-        walking = [walk for walk in pending if walk.i < walk.last]
-        while len(walking) > 1:
-            levels = _psi_each(psi, [walk.window() for walk in walking])
-            walking = [walk for walk, lv in zip(walking, levels) if walk.check(lv, cut, ceiling)]
-        for walk in walking:    # the last one, alone
-            while walk.check(psi(walk.window()), cut, ceiling):
-                pass
+            walk.walk_pass(cut, psi, ceiling)
         intensity = psi(np.concatenate([walk.feedback for walk in pending]))
-        ends = _ends(pending, lambda walk: walk.grid.count + 1)
+        ends = _ends(pending)
         over = (intensity > ceiling).nonzero()[0]
         firsts = over.searchsorted(ends).tolist()
         again = []
@@ -788,8 +780,8 @@ class _Atoms:
 
 
 class _Walk:
-    """One grid's walk: its feedback and pushes, which outlive a pass, and
-    the window of the pass it reads next."""
+    """One grid's walk: its feedback, pushes and guess state, which outlive
+    a pass."""
 
     def __init__(self, grid: GridCoefficients, guessing: bool) -> None:
         self.grid, self.coeffs, self.span, self.M = grid, grid.values, grid.span, grid.count
@@ -823,138 +815,113 @@ class _Walk:
             self.feedback[:] = 0.0
             self.push(self.pushes)
 
-    def begin(self, cut: _Atoms) -> None:
-        """Place the walk at its start bin on the pass's atoms, and sum the
-        push each guessed bin would make."""
-        grid = self.grid
+    def walk_pass(self, cut: _Atoms, psi: Callable, ceiling: float) -> None:
+        """Walk the pass's atoms from the start bin, window by window, each
+        window's levels read with one psi call, until the last atom that can
+        push or an atom whose level is above the ceiling."""
+        grid, feedback = self.grid, self.feedback
+        theta, b = cut.theta, cut.b
         self.bin_of = bin_of = grid.points.searchsorted(cut.tau)
         self.strips = cut.strips
         # an atom in bin M cannot push, so the walk stops before it
-        self.last = int(bin_of.searchsorted(grid.count)) if grid.span else 0
-        self.i = int(bin_of.searchsorted(self.start)) if self.start > 1 else 0
-        self.width = _WINDOW
+        last = int(bin_of.searchsorted(grid.count)) if grid.span else 0
+        i = int(bin_of.searchsorted(self.start)) if self.start > 1 else 0
+        width = _WINDOW
         if self.guessing:
-            n = int(cut.at.searchsorted(self.last))
+            # the push each guessed bin would make
+            n = int(cut.at.searchsorted(last))
             sums = np.bincount(bin_of[cut.at[:n]], weights=cut.b_at[:n], minlength=grid.count)
-            self.guessed_bins = sums.nonzero()[0]
-            self.guessed_mass = sums[self.guessed_bins]
-
-    def window(self) -> np.ndarray:
-        """The next window's atoms, i..e, and the feedback at their bins once
-        the window's guessed bins before them have pushed, oldest first."""
-        i, bin_of, last = self.i, self.bin_of, self.last
-        if not self.guessing:
-            self.e = e = min(i + self.width, last)
-            return self.feedback[bin_of[i:e]]
-        guessed = self.guessed_bins
-        e = min(i + _GUESS_WINDOW, last)
-        r0, r1 = guessed.searchsorted((bin_of[i], bin_of[e - 1] + 1)).tolist()
-        if r1 - r0 > self.rows:
-            r1 = r0 + self.rows
-            e = int(bin_of.searchsorted(guessed[r1 - 1], side="right"))
-        elif e < last:
-            e = int(bin_of.searchsorted(bin_of[e - 1], side="right"))     # whole bins
-        bins = bin_of[i:e]
-        self.e, self.saved, self.r0 = e, None, r0
-        # the window's guessed pushes (j, m_j), in bin order
-        self.guesses = list(zip(guessed[r0:r1].tolist(), self.guessed_mass[r0:r1].tolist()))
-        if r1 == r0:
-            return self.feedback[bins]
-        if e == last and bins[0] > self.tried:
-            # the pass's last window: its guessed bins push in place, and what
-            # they overwrite, the feedback from its first one on, is kept
-            a = int(guessed[r0]) + 1
-            self.saved = a, self.feedback[a:].copy()
-            self.push(self.guesses)
-            return self.feedback[bins]
-        # else the levels come from a block whose row r + 1 adds the window's
-        # guessed push r onto row r, at the window's atoms or at every bin they
-        # span, whichever are fewer; the feedback then takes the kept pushes
-        s, z = int(bins[0]), int(bins[-1]) + 1
-        at = bins if len(bins) <= z - s else np.arange(s, z)
-        block = np.empty((r1 - r0 + 1, len(at)))
-        block[0] = self.feedback[at]
-        lags = at + (self.M - 1) - guessed[r0:r1, None]
-        np.multiply(self.lagged[lags], self.guessed_mass[r0:r1, None], out=block[1:])
-        x = block.cumsum(axis=0)[-1]
-        return x if at is bins else x[bins - s]
-
-    def check(self, levels: np.ndarray, cut: _Atoms, ceiling: float) -> bool:
-        """Settle the bins the window's levels decide; False once the pass ends."""
-        i, e, guessing = self.i, self.e, self.guessing
-        if guessing:
-            flags = (cut.theta[i:e] <= levels) != cut.guessed[i:e]
-            flags |= levels > ceiling
-        else:
-            flags = cut.pushing[i:e] <= levels
-        k = int(flags.argmax())
-        if not flags[k]:
-            if guessing:
-                self._keep(len(self.guesses))
-                self.rows = min(2 * self.rows, _GUESS_ROWS)
-                self._tally(0)
+            guessed = sums.nonzero()[0]
+            guessed_mass = sums[guessed]
+        while i < last:
+            guessing = self.guessing
+            if not guessing:
+                e = min(i + width, last)
+                levels = psi(feedback[bin_of[i:e]])
+                flags = cut.pushing[i:e] <= levels
             else:
-                self.width *= 2
-            self.i = e
-            return e < self.last
-        j, level = int(self.bin_of[i + k]), levels[k]
-        if guessing:
-            self._keep(int(self.guessed_bins.searchsorted(j)) - self.r0)
-        if level > ceiling:
-            # the ceiling check after the pass extends at this bin or an earlier one
-            return False
-        a, z = self.bin_of.searchsorted((j, j + 1)).tolist()
-        theta, b = cut.theta, cut.b
-        if z - a == 1:      # a lone term sums to itself: 0.0 + x is x
-            m = float(b[a]) if theta[a] <= level else 0.0
-        else:   # left to right, as a weighted bincount; sum() compensates from Python 3.12
-            m = functools.reduce(operator.add, b[a:z][theta[a:z] <= level].tolist(), 0.0)
-        if m:
-            self.push(((j, m),))
-            self.pushes.append((j, m))
-        if guessing:
-            self.rows = max(self.rows // 2, 1)
-            self._tally(m != 0)
-        self.i, self.width = z, _WINDOW
-        return z < self.last
+                # whole bins, each atom read after the window's guessed pushes before it
+                e = min(i + _GUESS_WINDOW, last)
+                r0, r1 = guessed.searchsorted((bin_of[i], bin_of[e - 1] + 1)).tolist()
+                if r1 - r0 > self.rows:
+                    r1 = r0 + self.rows
+                    e = int(bin_of.searchsorted(guessed[r1 - 1], side="right"))
+                elif e < last:
+                    e = int(bin_of.searchsorted(bin_of[e - 1], side="right"))     # whole bins
+                bins = bin_of[i:e]
+                saved = None
+                # the window's guessed pushes (j, m_j), in bin order
+                guesses = list(zip(guessed[r0:r1].tolist(), guessed_mass[r0:r1].tolist()))
+                if guesses and e == last and bins[0] > self.tried:
+                    # the pass's last window: its guessed bins push in place, and
+                    # what they overwrite, the feedback from its first one on, is kept
+                    a = int(guessed[r0]) + 1
+                    saved = feedback[a:].copy()
+                    self.push(guesses)
+                if not guesses or saved is not None:
+                    levels = psi(feedback[bins])
+                else:
+                    # else from a block whose row r + 1 adds guessed push r onto
+                    # row r, at the window's atoms or at every bin they span,
+                    # whichever are fewer; the feedback then takes the kept pushes
+                    s, z = int(bins[0]), int(bins[-1]) + 1
+                    at = bins if len(bins) <= z - s else np.arange(s, z)
+                    block = np.empty((r1 - r0 + 1, len(at)))
+                    block[0] = feedback[at]
+                    lags = at + (self.M - 1) - guessed[r0:r1, None]
+                    np.multiply(self.lagged[lags], guessed_mass[r0:r1, None], out=block[1:])
+                    x = block.cumsum(axis=0)[-1]
+                    levels = psi(x if at is bins else x[bins - s])
+                flags = (theta[i:e] <= levels) != cut.guessed[i:e]
+                flags |= levels > ceiling
+            k = int(flags.argmax())
+            hit = bool(flags[k])
+            j = int(bin_of[i + k])
+            if guessing:
+                # keep the guessed pushes before the first differing bin, or all
+                n = int(guessed.searchsorted(j)) - r0 if hit else len(guesses)
+                kept = guesses[:n]
+                if saved is None:
+                    self.push(kept)
+                elif n < len(guesses):
+                    # undo the window's pushes in place and make the kept ones again
+                    feedback[a:] = saved
+                    self.tried = int(bin_of[e - 1])
+                    self.push(kept)
+                self.pushes += kept
+                self.made += n
+            if hit:
+                level = levels[k]
+                if level > ceiling:
+                    # the ceiling check after the pass extends at this bin or an earlier one
+                    return
+                a, z = bin_of.searchsorted((j, j + 1)).tolist()
+                if z - a == 1:      # a lone term sums to itself: 0.0 + x is x
+                    m = float(b[a]) if theta[a] <= level else 0.0
+                else:   # left to right, as a weighted bincount; sum() compensates from Python 3.12
+                    m = functools.reduce(operator.add, b[a:z][theta[a:z] <= level].tolist(), 0.0)
+                if m:
+                    self.push(((j, m),))
+                    self.pushes.append((j, m))
+                i, width = z, _WINDOW
+            else:
+                i = e
+                if not guessing:
+                    width *= 2
+            if guessing:
+                self.rows = max(self.rows // 2, 1) if hit else min(2 * self.rows, _GUESS_ROWS)
+                # a window without a guess makes one push for less work, so
+                # the grid stops guessing once its windows make fewer than three
+                if guesses:
+                    self.reads += 1
+                    self.made += hit and m != 0
+                    self.guessing = self.reads < 2 or self.made >= 3 * self.reads
 
-    def _keep(self, n: int) -> None:
-        """Leave the window's first n guessed pushes on the feedback."""
-        kept = self.guesses[:n]
-        if self.saved is None:
-            self.push(kept)
-        elif n < len(self.guesses):
-            # undo the window's pushes in place and make the kept ones again
-            a, old = self.saved
-            self.feedback[a:] = old
-            self.tried = int(self.bin_of[self.e - 1])
-            self.push(kept)
-        self.pushes += kept
-        self.made += n
 
-    def _tally(self, pushed: int) -> None:
-        """Count a guessed window that held guessed pushes, and the pushes it
-        made.  A round without a guess makes one push for less work, so the
-        grid stops guessing once its windows make fewer than three each."""
-        if self.guesses:
-            self.reads += 1
-            self.made += pushed
-            self.guessing = self.reads < 2 or self.made >= 3 * self.reads
-
-
-def _psi_each(psi: Callable, xs: list[np.ndarray]) -> list[np.ndarray]:
-    """psi at each array of ``xs``, in one call on all of them."""
-    if len(xs) == 1:
-        return [psi(xs[0])]
-    flat = psi(np.concatenate(xs))
-    ends = _ends(xs, len)
-    return [flat[a:z] for a, z in zip(ends, ends[1:])]
-
-
-def _ends(items: list, size: Callable) -> list[int]:
-    """Where each item's stretch starts in their concatenation, and where the
-    last one ends."""
-    return list(itertools.accumulate(map(size, items), initial=0))
+def _ends(walks: list[_Walk]) -> list[int]:
+    """Where each walk's bins start in the concatenation of every walk's
+    bins, and where the last one's end."""
+    return list(itertools.accumulate((walk.M + 1 for walk in walks), initial=0))
 
 
 def _read_off(
@@ -967,7 +934,7 @@ def _read_off(
     if cut.strips != len(atoms.strips):
         cut = _Atoms(atoms, T, mark_model, None)
     G, n = len(walks), len(cut.tau)
-    offsets = _ends(walks, lambda walk: walk.grid.count + 1)
+    offsets = _ends(walks)
     where = np.empty((G, n), dtype=np.intp)     # each atom's bin on each grid, offset
     for walk, o, row in zip(walks, offsets, where):
         if walk.strips != cut.strips:
@@ -1038,7 +1005,7 @@ def couple(
     the k-th strip's contents depend only on the seed and k, so the result
     does not depend on which process triggered which extension.  The
     discrete scheme takes the continuous path's events as its guess, which
-    saves rounds where the two accept the same atoms and never changes the
+    saves windows where the two accept the same atoms and never changes the
     trace.
     """
     grid = grid_coefficients(kernel, delta, T)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -331,3 +332,39 @@ class TestSeedAndReproducibility:
         assert (out_a / "convergence_summary.json").read_bytes() == (
             out_b / "convergence_summary.json"
         ).read_bytes()
+
+
+# The first 16 hex digits of each perfbench workload's output digest at its
+# default seed.  A change that moves these bytes updates the pin and says so.
+BENCH_DIGESTS = {
+    "ladder-count": "03205ac6870d1511",
+    "poisson-metrics": "eb93b63fbe0e55b8",
+    "verify-fine": "ebc5cf305b9dd278",
+}
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    """``perfbench/run.py`` as a module, with its sibling ``tracer`` importable."""
+    here = Path(__file__).resolve().parent.parent / "perfbench"
+    sys.path.insert(0, str(here))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", here / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module     # its dataclasses look their module up
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(here))
+    return module
+
+
+class TestBenchDigests:
+    @pytest.mark.parametrize("name", sorted(BENCH_DIGESTS))
+    def test_workload_outputs_are_pinned(self, name, perfbench, tmp_path):
+        # the workload's config with one worker, run in-process and digested
+        # as the benchmark digests an invocation's outputs
+        work = perfbench.WORKLOADS[name]
+        cfg = write_config(tmp_path, work.document(work.default_seed))
+        out = tmp_path / "out"
+        assert cli_main([work.command, str(cfg), "--output-dir", str(out)]) == 0
+        assert perfbench._digest(out, work.command)[:16] == BENCH_DIGESTS[name]

@@ -24,7 +24,7 @@ from hawkpath.metrics import (
     skorokhod_upper_bound,
     sobolev_distance,
 )
-from hawkpath.simulate import couple, path_to_step
+from hawkpath.simulate import ContinuousPath, couple, path_to_step, simulate_ladder
 
 
 def null_config(**overrides):
@@ -471,6 +471,50 @@ class TestVerifyBounds:
         runs = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
         assert runs == [(t, 3) for t in (0, 1)] + [(t, 2) for t in range(2, 20)] + [
             (20, 3)] + [(t, 2) for t in range(21, 40)]
+
+    def test_risk_increment_reads_tied_jumps_as_the_step_path(self):
+        # two events at 2.0 and one at t = 3.75 itself: the continuous risk
+        # increment on (T/4, 3T/4] is the step path's, to the last bit
+        cfg = exponential_config(delta_ladder=[0.5, 0.125])
+        run = cfg.run
+        times = np.array([0.5, 1.25, 2.0, 2.0, 3.0, 3.75, 4.5])
+        marks = np.array([0.3, 0.7, 0.1, 0.2, 0.45, 1.3, 0.9])
+        cont = ContinuousPath(5.0, times, marks, marks, np.full(len(times), 2.0))
+        traces = simulate_ladder(run.grids, run.jump_rate, run.marks, run.atoms(0))
+        sample = harness._verify_sample(cfg, 0, cont, traces)
+        rc = path_to_step(cont, "risk")
+        inc_c = float(rc.value_at(3.75) - rc.value_at(1.25))
+        assert inc_c == pytest.approx(0.1 + 0.2 + 0.45 + 1.3)
+        for disc, mismatch in zip(traces, sample.mismatch):
+            rd = path_to_step(disc, "risk")
+            assert mismatch == abs(inc_c - float(rd.value_at(3.75) - rd.value_at(1.25)))
+
+    @pytest.mark.parametrize("cpus", [3, None])
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch, cpus):
+        # 10,000 workers ask for a pool of at most the CPU count: 3 ranges on
+        # 3 CPUs, and no pool at all where the count is unknown.  The fake
+        # pool records its size and starts nothing
+        sizes = []
+
+        class Refused(Exception):
+            pass
+
+        class FakePool:
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                raise Refused
+
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        if cpus:
+            with pytest.raises(Refused):
+                run_convergence(exponential_config(trials=10_000, workers=10_000))
+            assert sizes == [cpus]
+        else:
+            pooled = run_convergence(exponential_config(trials=6, workers=10_000))
+            assert sizes == [] and pooled.to_csv_text() == run_convergence(
+                exponential_config(trials=6, workers=1)
+            ).to_csv_text()
 
     def test_unstable_override_fails_stability_but_completes(self):
         cfg = exponential_config(

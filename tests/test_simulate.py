@@ -931,6 +931,37 @@ class TestLadder:
             ))
         assert [s.theta_high for s in ladder.strips] == [s.theta_high for s in one_by_one.strips]
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_each_grid_reads_its_own_windows(self, seed, cos_kernel, unit_marks):
+        # a ladder walks each grid's pass alone: its psi calls are every
+        # grid's one-grid window calls, in grid order, then the one call on
+        # all grids' feedback that checks the ceiling, which none extends
+        rate = hp.relu_affine(1.0)
+        ceiling = hp.default_ceiling(rate, cos_kernel, unit_marks)
+        atoms = hp.sample_atoms(5.0, ceiling, unit_marks, seed)
+        cont = simulate_continuous(cos_kernel, rate, unit_marks, 5.0, atoms)
+        strips = len(atoms.strips)
+        grids = [grid_coefficients(cos_kernel, d, 5.0) for d in (0.5, 0.1, 0.0125)]
+        windows = []
+        for grid in grids:
+            calls, _ = _psi_calls(
+                cos_kernel, rate, unit_marks, grid.delta, grid.count, copy.deepcopy(atoms),
+                guess=cont.times,
+            )
+            assert calls[-1] == grid.count + 1
+            windows += calls[:-1]
+        calls = []
+
+        def counting(x):
+            calls.append(len(x))
+            return rate.fn(x)
+
+        ladder = copy.deepcopy(atoms)
+        simulate_ladder(grids, dataclasses.replace(rate, fn=counting), unit_marks, ladder,
+                        guess=cont.times)
+        assert len(ladder.strips) == strips
+        assert calls == windows + [sum(grid.count + 1 for grid in grids)]
+
     def test_runaway_aborts_only_its_grid(self, unit_marks):
         # atoms declared over a horizon of 1.5 * 2**24: at delta 0.25 bin 4
         # needs the doubling to 1, past the atom budget; the one bin of delta
