@@ -2,13 +2,15 @@
 
 All metrics here are exact for step paths: the fractional Sobolev norm
 reduces to a closed-form double sum over segment pairs, the Skorokhod
-distance (at any jump count) to a bracketed search over finitely many
-critical values, each step a feasibility decision computed by dynamic
-programming on the interleaved jumps (one chronological path through its
-states first, which proves a feasible eps in m + n steps, and the sweep of
-every reachable state only when that path stops), and the sparse modulus
-to a minimax partition search over a finite candidate set.  Every
-operation is a pure function, safe for concurrent use.
+distance (at any jump count) to its lower bound, the Hausdorff distance
+between the two value sets, whenever that bound is feasible, and otherwise
+to a bracketed search over finitely many critical values above it.  Each
+step is a feasibility decision computed by dynamic programming on the
+interleaved jumps (one chronological path through its states first, which
+proves a feasible eps in m + n steps, and the sweep of every reachable
+state only when that path stops).  The sparse modulus reduces to a minimax
+partition search over a finite candidate set.  Every operation is a pure
+function, safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -278,6 +280,17 @@ def _gaps_within(x: np.ndarray, y: np.ndarray, u: float) -> np.ndarray:
     return np.concatenate(gaps)
 
 
+def _farthest_nearest(x: np.ndarray, y: np.ndarray) -> float:
+    """max over x_i of min over y_j of |x_i - y_j|, for sorted nonempty x
+    and y, as the floats ``_gaps_within`` builds value gaps from.  The
+    nearest y_j is a neighbour of x_i's place in y: rounding is monotone,
+    so |x_i - y_j| computed in floats only grows as y_j moves away."""
+    k = np.searchsorted(y, x)
+    below = np.abs(x - y[np.maximum(k - 1, 0)])
+    above = np.abs(x - y[np.minimum(k, len(y) - 1)])
+    return float(np.minimum(below, above).max())
+
+
 def skorokhod_distance(f: StepPath, g: StepPath) -> float:
     """Exact Skorokhod distance between canonical step paths.
 
@@ -294,21 +307,38 @@ def skorokhod_distance(f: StepPath, g: StepPath) -> float:
     infimum.  A gap between two adjacent floats has no midpoint (it rounds
     onto an endpoint) and no eps inside, so it is decided at c_k itself: an
     infeasible c_k sends the search to the gaps above it.  Only critical
-    values up to the uniform distance are kept: the uniform distance is a
-    value gap and always feasible (identity time change), so it is the
-    largest and the answer when no midpoint passes.
+    values up to the uniform distance u are kept: u is a value gap and
+    always feasible (identity time change), so it is the largest and the
+    answer when no midpoint passes.
 
-    The search brackets the answer with the value gaps: a binary search
-    over the gaps just above the value gaps finds the first passing one, at
-    value gap v, and one call on the gap just below v decides whether v is
-    the answer; only if that gap passes too is the rest of the bracket
-    (above the previous value gap) bisected.  That is about
-    log2(#value gaps <= u) + 1 calls when the answer is a value gap, as on
-    coupled count paths, and log2(#critical values in the bracket) more
-    otherwise.  Every search for the first passing gap of this monotone
-    predicate returns the same critical value.  The gaps up to u come in
-    bounded row blocks from ``_gaps_within``, the value gaps from the sorted
-    values (the set of gaps does not depend on their order).
+    The answer is first bounded below by L, the Hausdorff distance between
+    the two value sets: the largest |f_i - g_j| over the values f_i of the
+    nearest g_j to each, and over the values g_j of the nearest f_i.  No eps
+    below L is feasible.  Each segment of either path ends with a move out
+    of it or with the check at T, and each needs a state whose values match
+    within eps (compared as the same float L is built from).  An f-move
+    leaves a matching state, or, tied onto a g-jump, a state entered through
+    a g-window, which only a matching state gives.  A g-move leaves a
+    matching state, or, tied onto the f-jump that entered its state, a clean
+    f-entry, which only a matching state gives.  The last segments, one of
+    zero length when a path jumps at T, are covered by the check at T, and
+    the first by the one at 0.  L is a value gap no larger than u, so a
+    critical value (critical value 0 needs no entry of its own: it matters
+    only as L), and every gap below it fails.  So when eps = L is
+    feasible, L is the answer, with one ``feasible_eps`` call and no u, gap
+    table or sweep; on coupled count and risk paths it is feasible on every
+    pair measured.
+
+    Otherwise the search runs over the critical values in [L, u], bracketed
+    by the value gaps in that range: a binary search over the gaps just
+    above the value gaps finds the first passing one, at value gap v, and
+    one call on the gap just below v decides whether v is the answer; only
+    if that gap passes too is the rest of the bracket (above the previous
+    value gap) bisected.  Every gap below L fails, so the first passing gap,
+    and the critical value returned, are those of a search over every
+    critical value up to u.  When L = u (as when u = 0), u is returned with
+    no further call.  The gaps up to u come in bounded row blocks from
+    ``_gaps_within``.
 
     A call that passes costs about m + n states when ``feasible_eps``'s
     chronological path proves it, as on every coupled pair measured, and a
@@ -316,16 +346,16 @@ def skorokhod_distance(f: StepPath, g: StepPath) -> float:
     plus at most as many path steps.
     """
     T = _require_same_horizon(f, g)
+    fv, gv = distinct(f.values), distinct(g.values)
+    low = max(_farthest_nearest(fv, gv), _farthest_nearest(gv, fv))
+    if feasible_eps(f, g, low):
+        return low
     u = uniform_distance(f, g)
-    if u == 0.0:
-        return 0.0
     fa = f.breakpoints[1:]
     ga = g.breakpoints[1:]
-    value_gaps = _gaps_within(np.sort(f.values), np.sort(g.values), u)
-    cands = np.concatenate((
-        [0.0], value_gaps, _gaps_within(fa, ga, u), fa, T - fa, ga, T - ga,
-    ))
-    crit = distinct(cands[cands <= u])
+    value_gaps = _gaps_within(fv, gv, u)
+    cands = np.concatenate((value_gaps, _gaps_within(fa, ga, u), fa, T - fa, ga, T - ga))
+    crit = distinct(cands[(low <= cands) & (cands <= u)])
 
     def passes(k: int) -> bool:  # is the gap (crit[k], crit[k + 1]) feasible?
         c, nxt = float(crit[k]), float(crit[k + 1])
@@ -343,8 +373,8 @@ def skorokhod_distance(f: StepPath, g: StepPath) -> float:
                 lo = mid + 1
         return lo
 
-    # positions of the value gaps in crit; the last one is u
-    anchors = np.searchsorted(crit, distinct(value_gaps)).tolist()
+    # positions of the value gaps >= L in crit; the first is L, the last u
+    anchors = np.searchsorted(crit, distinct(value_gaps[value_gaps >= low])).tolist()
     s = first_passing(anchors)
     lo = anchors[s - 1] + 1 if s else 0
     hi = anchors[s]  # the answer's position lies in [lo, hi]

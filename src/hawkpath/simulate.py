@@ -54,7 +54,9 @@ class JumpRate:
     """Nonnegative Lipschitz map psi from kernel-weighted past to event rate:
     its family, psi, the Lipschitz constant L and sup psi (``sup_norm``, None
     for unbounded families).  ``at_zero``, the rate of an empty past, is
-    psi(0) itself.
+    psi(0) itself.  A library psi answers a float (continuous thinning reads
+    one excitation at a time) with the bits of its array answer, and builds
+    no array for it.
     """
 
     family: str
@@ -75,6 +77,9 @@ def relu_affine(baseline: float) -> JumpRate:
     mu = float(baseline)
 
     def fn(x):
+        if isinstance(x, float):
+            y = mu + x
+            return 0.0 if y <= 0.0 else y   # np.maximum's: 0.0 for -0.0, NaN kept
         return np.maximum(mu + np.asarray(x, dtype=float), 0.0)
 
     return JumpRate("relu-affine", fn, lipschitz=1.0, sup_norm=None)
@@ -87,6 +92,9 @@ def clipped_affine(baseline: float, cap: float) -> JumpRate:
         raise ParameterError("cap must be positive")
 
     def fn(x):
+        if isinstance(x, float):
+            y = mu + x
+            return 0.0 if y < 0.0 else min(y, c)    # np.clip's: -0.0 and NaN kept
         return np.clip(mu + np.asarray(x, dtype=float), 0.0, c)
 
     return JumpRate("clipped-affine", fn, lipschitz=1.0, sup_norm=c)
@@ -99,7 +107,10 @@ def sigmoid_rate(scale: float) -> JumpRate:
         raise ParameterError("scale must be positive")
 
     def fn(x):
-        return lam / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+        if not isinstance(x, float):
+            x = np.asarray(x, dtype=float)
+        # np.exp, not math.exp, whose last bit can differ
+        return lam / (1.0 + np.exp(-x))
 
     return JumpRate("sigmoid", fn, lipschitz=lam / 4.0, sup_norm=lam)
 
@@ -111,6 +122,8 @@ def constant_rate(value: float) -> JumpRate:
         raise ParameterError("rate must be nonnegative")
 
     def fn(x):
+        if isinstance(x, float):
+            return c
         return np.full_like(np.asarray(x, dtype=float), c)
 
     return JumpRate("constant", fn, lipschitz=0.0, sup_norm=c)

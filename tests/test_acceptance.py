@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import hawkpath as hp
+from hawkpath import harness
 from hawkpath.cli import cli_main
 from hawkpath.harness import ExperimentConfig, run_convergence
 from hawkpath.kernels import c_r
@@ -271,11 +272,14 @@ def test_criterion_9_inverse_sqrt_regularity_exponent():
         assert 0.45 <= fit.exponent <= 0.55
 
 
-def test_criterion_10_cli_reproducibility(tmp_path):
+def test_criterion_10_cli_reproducibility(tmp_path, monkeypatch):
     """Same seed, different worker counts: byte-identical CSV and JSON outputs.
 
     Both commands that run trials, ``convergence`` and ``verify``, are checked.
+    The pool is capped at the CPU count, so three CPUs are declared: the
+    three-worker run uses a pool of three on any host.
     """
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     with criterion(10, "CLI reproducibility across workers"):
         doc = {
             "kernel": {"family": "exponential", "params": {"amplitude": 0.604, "decay": 1.0}},

@@ -449,6 +449,7 @@ class TestVerifyBounds:
         # starts trial 20 once the first has given up, then stops: only trials
         # 0, 1 and 20 run the discrete scheme
         log = tmp_path / "runs"
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # a pool on any host
         self._second_range_waits(monkeypatch, log, lambda pool: pool[0].value == 1, 1)
         with pytest.raises(RunawayIntensityError, match="injected"):
             verify_bounds(exponential_config(trials=40, workers=2))
@@ -460,6 +461,7 @@ class TestVerifyBounds:
         # first range has shared that abort, the second range runs the other
         # two deltas only, and the report equals the one-worker run's
         log = tmp_path / "runs"
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # a pool on any host
         self._second_range_waits(monkeypatch, log, lambda pool: pool[1][1] == 1, 1)
         cfg = exponential_config(trials=40, metrics=["terminal_count", "terminal_risk"])
         serial = run_convergence(cfg).to_csv_text()

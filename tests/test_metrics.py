@@ -131,6 +131,16 @@ def critical_values(f, g):
     return sorted(crit)
 
 
+def value_set_distance(f, g):
+    """The Hausdorff distance between the value sets: the largest distance
+    from a value of either path to the nearest value of the other."""
+    fv, gv = f.values.tolist(), g.values.tolist()
+    return max(
+        max(min(abs(x - y) for y in gv) for x in fv),
+        max(min(abs(x - y) for x in fv) for y in gv),
+    )
+
+
 def poisson_pair(seed, T=20.0, delta=0.5):
     """Risk paths of a rate-2.5 Poisson process and its discrete scheme (~50 jumps)."""
     cont, disc = hp.couple(
@@ -405,19 +415,15 @@ class TestSkorokhodDistance:
         assert skorokhod_distance(f, g) == skorokhod_critical_bisection(f, g)
 
     def test_value_gap_bracket_bounds_feasibility_calls(self, feasibility_calls):
-        # integer-valued coupled paths: the answer is a value gap, found by
-        # bisecting the few value gaps <= u and one call below the winner
-        for seed in range(20):
-            rc, rd = poisson_pair(seed)
+        # coupled paths: the answer is the value-set distance, proved by one
+        # call at it; the bench sweep's 500-jump pairs too, where a plain
+        # search over the critical values needs 12 to 14 calls
+        pairs = [poisson_pair(seed) for seed in range(20)]
+        pairs += [sweep_pair(seed) for seed in (0, 1, 7, 200)]
+        for k, (f, g) in enumerate(pairs):
             feasibility_calls.clear()
-            skorokhod_distance(rc, rd)
-            assert 1 <= len(feasibility_calls) <= 4, seed
-        # the bench sweep's 500-jump pair; a plain search over its critical
-        # values needs 12 to 14 calls
-        for seed in (0, 1, 7, 200):
-            feasibility_calls.clear()
-            skorokhod_distance(*sweep_pair(seed))
-            assert len(feasibility_calls) <= 4, seed
+            d = skorokhod_distance(f, g)
+            assert feasibility_calls == [d] == [value_set_distance(f, g)], k
 
 
 def ulp_neighbours(value, k):
@@ -602,6 +608,49 @@ def coupled_pairs(draw):
     return path_to_step(cont, field), path_to_step(disc, field)
 
 
+@st.composite
+def end_jump_pairs(draw):
+    """Pairs whose last jump sits at T, on one path or on both: a last
+    segment of zero length, seen only by the check at T."""
+    f, g = draw(path_pairs)
+    step = st.integers(-3, 3).filter(bool).map(float)
+
+    def jump_at_end(p):
+        return make_step_path(
+            np.append(p.breakpoints, p.horizon),
+            np.append(p.values, p.values[-1] + draw(step)),
+            p.horizon,
+        )
+
+    return jump_at_end(f), jump_at_end(g) if draw(st.booleans()) else g
+
+
+class TestValueSetBound:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=st.one_of(path_pairs, shared_time_pairs(), end_jump_pairs()))
+    @example(pair=(
+        make_step_path([0.0, 0.5, 1.0], [0.0, 1.0, 3.0], 1.0),
+        make_step_path([0.0, 0.5], [0.0, 1.0], 1.0),
+    ))
+    def test_no_eps_below_the_value_set_distance_is_feasible(self, pair):
+        # every value of either path must meet one of the other within eps
+        # (the zero-length last segment of a jump at T through the check at
+        # T), so the distance is never below the bound; the search starts
+        # there and stops there when the bound is feasible
+        f, g = pair
+        bound = value_set_distance(f, g)
+        assert bound <= skorokhod_critical_bisection(f, g)
+        assert bound == 0.0 or not feasible_eps(f, g, np.nextafter(bound, -np.inf))
+        calls = []
+        with mock.patch.object(
+            metrics, "feasible_eps", lambda f, g, eps: calls.append(eps) or feasible_eps(f, g, eps)
+        ):
+            d = skorokhod_distance(f, g)
+        assert calls[0] == bound
+        if feasible_eps(f, g, bound):
+            assert d == bound and calls == [bound]
+
+
 class TestChronologicalPath:
     @settings(max_examples=400, deadline=None)
     @given(pair=st.one_of(path_pairs, shared_time_pairs()))
@@ -631,19 +680,36 @@ class TestChronologicalPath:
     def test_long_horizon_distance_without_feasible_sweeps(
         self, refuting_sweep, delta, distance
     ):
-        # seed 2 at T = 200 on the criterion-8 kernel, unit marks: the sweep
-        # of the feasible probe visits 60,950 states at delta = 0.5 and 7,871
-        # at 0.0125, the path m + n = 802 and 1,067
-        T = 200.0
-        kernel = hp.exponential_kernel(0.604, 1.0, T)
-        rate, model = hp.relu_affine(1.0), hp.MarkModel()
-        atoms = hp.sample_atoms(T, hp.default_ceiling(rate, kernel, model), model, 2)
-        cont = hp.simulate_continuous(kernel, rate, model, T, atoms)
-        [disc] = hp.simulate_ladder(
-            [hp.grid_coefficients(kernel, delta, T)], rate, model, atoms, guess=cont.times
-        )
-        rc, rd = path_to_step(cont, "risk"), path_to_step(disc, "risk")
-        assert skorokhod_distance(rc, rd) == distance
+        # the sweep of the feasible probe visits 60,950 states at delta = 0.5
+        # and 7,871 at 0.0125, the path m + n = 802 and 1,067
+        assert skorokhod_distance(*long_horizon_pair(delta)) == distance
+
+    def test_long_horizon_distance_in_bounded_memory(self):
+        # one feasible call at the value-set distance and no critical-value
+        # table: the table of the search over [0, u] peaked at 6.1 MB here
+        rc, rd = long_horizon_pair(0.5)
+        tracemalloc.start()
+        try:
+            skorokhod_distance(rc, rd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+
+def long_horizon_pair(delta):
+    """Risk paths of seed 2 at T = 200 on the criterion-8 kernel, unit marks:
+    542 continuous jumps, and 260 (delta = 0.5) or 525 (delta = 0.0125)
+    discrete ones."""
+    T = 200.0
+    kernel = hp.exponential_kernel(0.604, 1.0, T)
+    rate, model = hp.relu_affine(1.0), hp.MarkModel()
+    atoms = hp.sample_atoms(T, hp.default_ceiling(rate, kernel, model), model, 2)
+    cont = hp.simulate_continuous(kernel, rate, model, T, atoms)
+    [disc] = hp.simulate_ladder(
+        [hp.grid_coefficients(kernel, delta, T)], rate, model, atoms, guess=cont.times
+    )
+    return path_to_step(cont, "risk"), path_to_step(disc, "risk")
 
 
 def walk_steps(path, delta):

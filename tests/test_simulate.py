@@ -72,6 +72,20 @@ class TestJumpRates:
             if mu >= 0:
                 assert hp.constant_rate(mu).at_zero == mu
 
+    @pytest.mark.parametrize("param", [-0.5, -0.0, 0.0, 0.7, 5.0])
+    def test_float_answer_has_the_array_answers_bits(self, param):
+        # continuous thinning reads psi at one float excitation at a time
+        rates = [hp.relu_affine(param), hp.clipped_affine(param, 4.0)]
+        if param > 0:
+            rates.append(hp.sigmoid_rate(param))
+        if param >= 0:
+            rates.append(hp.constant_rate(param))
+        for jr in rates:
+            for x in (-param, -0.0, 0.0, 5e-324, 1e-9, 2.5, 1e300, -1e300, math.nan):
+                with np.errstate(over="ignore"):    # sigmoid's exp(1e300)
+                    alone, in_array = jr.fn(x), jr.fn(np.array([x]))
+                assert np.float64(alone).tobytes() == in_array[:1].tobytes(), (jr.family, x)
+
     def test_nonnegative_and_lipschitz_spot_check(self, rng):
         for jr in (hp.relu_affine(0.5), hp.clipped_affine(1.0, 3.0), hp.sigmoid_rate(2.0)):
             x = rng.normal(0, 5, 1000)
