@@ -21,10 +21,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-import multiprocessing
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, NamedTuple
 
@@ -558,6 +556,9 @@ def _map_trials(
     n = cfg.trials
     if workers <= 1:
         return _run_trials(cfg, range(n), measure)
+    import multiprocessing  # the pool's modules load only when a run asks for one
+    from concurrent.futures import ProcessPoolExecutor
+
     edges = [n * k // workers for k in range(workers + 1)]
     chunks = [range(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
     marks = multiprocessing.Value("q", n), multiprocessing.Array("q", [n] * len(cfg.delta_ladder))

@@ -1,16 +1,18 @@
 """Distances between piecewise-constant paths.
 
-All metrics here are exact for step paths: the fractional Sobolev norm
-reduces to a closed-form double sum over segment pairs, the Skorokhod
-distance (at any jump count) to its lower bound, the Hausdorff distance
-between the two value sets, whenever that bound is feasible, and otherwise
+The Sobolev norm and the Skorokhod distance are exact for step paths: the
+fractional Sobolev norm reduces to a closed-form double sum over segment
+pairs (added in row blocks of bounded size), the Skorokhod distance (at any
+jump count) to its lower bound, the Hausdorff distance between the two
+value sets, whenever that bound is feasible, and otherwise
 to a bracketed search over finitely many critical values above it.  Each
 step is a feasibility decision computed by dynamic programming on the
 interleaved jumps (one chronological path through its states first, which
 proves a feasible eps in m + n steps, and the sweep of every reachable
-state only when that path stops).  The sparse modulus reduces to a minimax
-partition search over a finite candidate set.  Every operation is a pure
-function, safe for concurrent use.
+state only when that path stops).  The sparse modulus is a minimax
+partition search over a finite candidate set, an upper bound on the
+infimum over all partitions that can lie above it.  Every operation is a
+pure function, safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -61,6 +63,10 @@ def uniform_distance(f: StepPath, g: StepPath) -> float:
 # Fractional Sobolev norm (q = 1)
 # --------------------------------------------------------------------------
 
+# Most elements in one row block of the Sobolev segment-pair sum.
+_SOBOLEV_BLOCK = 1 << 16
+
+
 def sobolev_norm(path: StepPath, eta: float) -> float:
     """Exact W^{eta,1} norm of a step path on [0, T].
 
@@ -72,21 +78,33 @@ def sobolev_norm(path: StepPath, eta: float) -> float:
 
         [F(t1-s1) + F(t2-s2) - F(t2-s1) - F(t1-s2)] / (eta (1 - eta)),
 
-    doubled for (s, t) symmetry; same-segment pairs vanish.
+    doubled for (s, t) symmetry; same-segment pairs vanish.  The pairs are
+    summed in blocks of rows (the later segment j) of about
+    ``_SOBOLEV_BLOCK`` elements, one row at least, so memory stays bounded
+    and time is O(J^2) for J segments.  A path of up to 255 segments, whose
+    (J + 1)^2 fits the block, is one block, the dense J x J sum; a longer
+    one adds its block sums left to right.
     """
     if not 0.0 < eta < 1.0:
         raise ParameterError("eta must lie in (0, 1)")
     edges = np.append(path.breakpoints, path.horizon)
     v = path.values
     term1 = float(np.dot(np.abs(v), np.diff(edges)))
-    if len(v) == 1:
+    J = len(v)
+    if J == 1:
         return term1
     x = 1.0 - eta
-    P = np.abs(np.subtract.outer(edges, edges)) ** x
-    # rows index the later segment (j), columns the earlier one (i)
-    W = (P[:-1, :-1] + P[1:, 1:] - P[1:, :-1] - P[:-1, 1:]) / (eta * x)
-    dv = np.abs(np.subtract.outer(v, v))
-    return term1 + 2.0 * float(np.tril(dv * W, -1).sum())
+    # P, rows + 1 by at most J + 1, fits the block
+    rows = max(1, _SOBOLEV_BLOCK // (J + 1) - 1)
+    pairs = 0.0
+    for r0 in range(0, J, rows):
+        r1 = min(r0 + rows, J)
+        # rows j in [r0, r1) against columns i < r1, which hold every i < j
+        P = np.abs(np.subtract.outer(edges[r0 : r1 + 1], edges[: r1 + 1])) ** x
+        W = (P[:-1, :-1] + P[1:, 1:] - P[1:, :-1] - P[:-1, 1:]) / (eta * x)
+        dv = np.abs(np.subtract.outer(v[r0:r1], v[:r1]))
+        pairs += float(np.tril(dv * W, r0 - 1).sum())
+    return term1 + 2.0 * pairs
 
 
 def sobolev_distance(f: StepPath, g: StepPath, eta: float) -> float:
@@ -388,11 +406,17 @@ def skorokhod_distance(f: StepPath, g: StepPath) -> float:
 # --------------------------------------------------------------------------
 
 def modulus_sparse(path: StepPath, delta: float) -> float:
-    """Infimum over partitions with all gaps > delta of the worst cell oscillation.
+    """Upper bound on the infimum, over partitions with all gaps > delta, of
+    the worst cell oscillation.
 
-    Exact for step paths: it suffices to search partitions whose points are
-    jump times, midpoints between consecutive jumps, or the endpoints, since
-    a cell's oscillation only changes when a boundary crosses a jump.  Cells
+    The search covers the partitions whose points are jump times, midpoints
+    between consecutive jumps, or the endpoints.  A cell's oscillation only
+    changes when a boundary crosses a jump, but the gaps can pin the best
+    point of a flat stretch away from its midpoint, so the result can lie
+    above the infimum: unit jumps at 0.025, 0.134, 0.156, 0.373 and 0.919 on
+    [0, 1] give 5 at delta = 0.383, where the partition {0, 0.5, 1} reaches
+    4.  ``skorokhod_upper_bound`` stays an upper bound with it, and the
+    ``modulus_poisson`` verdict of ``verify`` is conservative.  Cells
     are right-open, gaps strictly greater than delta.  The minimax DP over
     the sorted candidates walks, for each right end k, the left ends c with
     pos[k] - pos[c] > delta downwards from the last one (a two-pointer, as

@@ -578,13 +578,21 @@ def eval_intensity(
     return float(lam[0]) if ts.ndim == 0 else lam
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the ``order``-point rule on [-1, 1], built on first
-    use; read-only, as every call shares them."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+# The 16-point Gauss-Legendre rule on [-1, 1], bit for bit
+# np.polynomial.legendre.leggauss(16); read-only, as every call shares it.
+_GL_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])
+_GL_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+])
+_GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
 
 
 def integrate_intensity(
@@ -592,17 +600,16 @@ def integrate_intensity(
     kernel: Kernel,
     jump_rate: JumpRate,
     T: float | None = None,
-    *,
-    order: int = 16,
 ) -> float:
-    """Integral of the intensity over [0, T] by per-segment Gauss-Legendre.
+    """Integral of the intensity over [0, T] by the 16-point Gauss-Legendre
+    rule on each inter-event segment.
 
     T defaults to the path's horizon and must lie in (0, horizon].  The
     intensity is smooth between events for smooth kernels, so a fixed rule
     per inter-event segment is accurate; singular kernel families are not
     supported here.  The nodes are read at once through ``_excitation_state``:
     O(events + nodes) for the exponential kernel; for any other kernel at
-    most one block of lags per segment, so memory is order x window, never
+    most one block of lags per segment, so memory is 16 x window, never
     nodes x events.
     """
     if T is None:
@@ -610,13 +617,12 @@ def integrate_intensity(
     if not 0 < T <= path.horizon * (1 + REL_TOL):
         raise ParameterError("T must lie in (0, the path's horizon]")
     edges = distinct(np.concatenate(([0.0], path.times[path.times < T], [T])))
-    nodes, weights = _gauss_legendre(order)
     widths = np.diff(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    ts = (mids[:, None] + 0.5 * widths[:, None] * nodes[None, :]).ravel()
+    ts = (mids[:, None] + 0.5 * widths[:, None] * _GL_NODES[None, :]).ravel()
     s = _excitation_state(kernel, path.times, path.weights).read(ts)
-    lam = np.asarray(jump_rate.fn(s), dtype=float).reshape(len(widths), order)
-    return float(((lam @ weights) * 0.5 * widths).sum())
+    lam = np.asarray(jump_rate.fn(s), dtype=float).reshape(len(widths), len(_GL_NODES))
+    return float(((lam @ _GL_WEIGHTS) * 0.5 * widths).sum())
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,10 @@ full-grid feasibility walk instead of the critical-value search over
 reachable states, a plain binary search over all critical values instead
 of the value-gap-bracketed one, the dense m x n difference table instead
 of the row-blocked gap enumeration, a Python double loop over every candidate
-instead of the pruned sparse-modulus walk, the atom-by-atom continuous scan
+instead of the pruned sparse-modulus walk, every partition of a short path
+by where its points sit (on a jump or inside a flat stretch) instead of the
+jump-and-midpoint candidate set, the dense (J + 1)^2 Sobolev arrays instead
+of the row-blocked sum, the atom-by-atom continuous scan
 under the global envelope instead of the local one, the dense masked matrix
 of every time's lag to every event instead of the run-blocked excitation
 read of a finished path.
@@ -220,6 +223,21 @@ def sobolev_riemann(
             ).clip(min=0)
             total2 += dvv * float((counts * weights[d]).sum())
     return term1 + 2.0 * total2
+
+
+def sobolev_dense(path: StepPath, eta: float) -> float:
+    """The W^{eta,1} norm's closed-form segment-pair sum over dense (J + 1)^2
+    arrays, all at once: the formula ``sobolev_norm`` sums in row blocks."""
+    edges = np.append(path.breakpoints, path.horizon)
+    v = path.values
+    term1 = float(np.dot(np.abs(v), np.diff(edges)))
+    if len(v) == 1:
+        return term1
+    x = 1.0 - eta
+    P = np.abs(np.subtract.outer(edges, edges)) ** x
+    W = (P[:-1, :-1] + P[1:, 1:] - P[1:, :-1] - P[:-1, 1:]) / (eta * x)
+    dv = np.abs(np.subtract.outer(v, v))
+    return term1 + 2.0 * float(np.tril(dv * W, -1).sum())
 
 
 def skorokhod_lattice(f: StepPath, g: StepPath, n: int = 2000) -> float:
@@ -460,6 +478,62 @@ def modulus_sparse_quadratic(path: StepPath, delta: float) -> float:
                 if cand < dp[k]:
                     dp[k] = cand
     return float(dp[-1])
+
+
+def modulus_sparse_brute(path: StepPath, delta: float) -> float:
+    """The exact sparse modulus of a path with at most 5 jumps, by enumeration.
+
+    A cell [a, b) covers the segments from the one holding a to the one
+    holding b-, so its oscillation depends only on where a and b sit: on a
+    jump inside (0, T), or inside an open flat stretch between consecutive
+    breakpoints (0, the jumps, T).  Two points in one stretch are never
+    needed: dropping the first merges two cells into one whose oscillation
+    is that of the second.  So the oracle tries every ordered choice of
+    these places, puts each point as early as gaps > delta allow (a jump at
+    its time, a stretch point just above max(its left end, previous point +
+    delta)), keeps the choices that leave a gap > delta before T, and takes
+    the least worst cell oscillation.
+    """
+    T = path.horizon
+    bp = [float(b) for b in path.breakpoints]
+    vals = [float(v) for v in path.values]
+    if len(bp) > 6:
+        raise ValueError("enumeration is for paths of at most 5 jumps")
+    ends = bp + ([T] if bp[-1] < T else [])
+    # (jump time or stretch's left end, stretch?, segment at the point, segment just before it)
+    places = []
+    for k in range(len(ends) - 1):
+        if k > 0:
+            places.append((ends[k], False, k, k - 1))  # the jump at ends[k]
+        places.append((ends[k], True, k, k))  # the stretch (ends[k], ends[k + 1])
+    last = len(bp) - 1 if bp[-1] < T else len(bp) - 2  # segment holding T-
+
+    def oscillation(first, last_seg):
+        covered = vals[first : last_seg + 1]
+        return max(covered) - min(covered)
+
+    best = math.inf
+    for mask in range(1 << len(places)):
+        q, seg, worst, feasible = 0.0, 0, 0.0, True
+        for i, (left, stretch, first, before) in enumerate(places):
+            if not mask >> i & 1:
+                continue
+            if stretch:
+                right = ends[first + 1]
+                at = max(left, q + delta)
+                if not at < right:
+                    feasible = False
+                    break
+            else:
+                at = left
+                if not at - q > delta:
+                    feasible = False
+                    break
+            worst = max(worst, oscillation(seg, before))
+            q, seg = at, first
+        if feasible and T - q > delta:
+            best = min(best, max(worst, oscillation(seg, last)))
+    return best
 
 
 def brute_uniform(f: StepPath, g: StepPath, n: int = 20001) -> float:

@@ -228,6 +228,26 @@ class TestExitCodes:
         )
         assert result.stdout.split("\n")[-2] == "[0, 0] False", result.stderr
 
+    def test_single_worker_runs_load_no_pool_and_no_polynomial(self, tmp_path):
+        # a one-worker run starts no process pool, so it imports none of its
+        # modules (24, about 1.3 MB of peak memory), and verify's 16-point
+        # rule is a constant, not numpy.polynomial's
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        doc = {**base_doc(tmp_path / "out"), "workers": 1, "trials": 3,
+               "metrics": ["terminal_count", "sobolev", "skorokhod_upper"]}
+        cfg = write_config(tmp_path, doc)
+        unwanted = ("multiprocessing", "concurrent.futures", "numpy.polynomial")
+        script = (
+            "import sys; from hawkpath.cli import cli_main; "
+            f"codes = [cli_main([c, {str(cfg)!r}]) for c in ('convergence', 'verify')]; "
+            f"print(codes, [m for m in {unwanted!r} if m in sys.modules])"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, cwd=tmp_path,
+        )
+        assert result.stdout.split("\n")[-2] == "[0, 0] []", result.stderr
+
 
 class TestSubcommands:
     def test_simulate_writes_trajectories(self, tmp_path):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import pickle
@@ -495,7 +496,8 @@ class TestVerifyBounds:
     def test_pool_is_capped_at_the_cpu_count(self, monkeypatch, cpus):
         # 10,000 workers ask for a pool of at most the CPU count: 3 ranges on
         # 3 CPUs, and no pool at all where the count is unknown.  The fake
-        # pool records its size and starts nothing
+        # pool records its size and starts nothing; harness imports the pool
+        # class only when it starts one, so the patch is on its module
         sizes = []
 
         class Refused(Exception):
@@ -507,7 +509,7 @@ class TestVerifyBounds:
                 raise Refused
 
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         if cpus:
             with pytest.raises(Refused):
                 run_convergence(exponential_config(trials=10_000, workers=10_000))

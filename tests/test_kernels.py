@@ -546,6 +546,26 @@ class TestMonotoneDecreasing:
         expected = bool(np.all(np.diff(h) <= slack) and h.min() >= -slack)
         assert k.monotone_decreasing is expected
 
+    @pytest.mark.parametrize("T", [1.0, 5.0, 20.0])
+    @pytest.mark.parametrize("family", sorted(_MONOTONE_FAMILIES))
+    def test_every_extremum_is_a_declared_break(self, family, T):
+        # a missing break makes sup_norm and tail_sup, and with them exact
+        # continuous thinning, unsound: every local extremum of h on 100,001
+        # lags (where the sign of the nonzero steps turns, at the start of a
+        # flat run between them) lies within one lag step of a declared break
+        k = _MONOTONE_FAMILIES[family](T)
+        if not k.bounded:
+            return
+        lags = np.linspace(0.0, T, 100_001)
+        h = np.asarray(k.evaluate(lags), dtype=float)
+        steps = np.diff(h)
+        moving = np.flatnonzero(np.abs(steps) > 1e-12 * max(float(np.abs(h).max()), 1e-300))
+        sign = np.sign(steps[moving])
+        extrema = lags[moving[:-1][sign[1:] != sign[:-1]] + 1]
+        breaks = np.array(sorted(k.monotone_breaks))
+        for t in extrema:  # one step, to the rounding of the lags
+            assert np.abs(breaks - t).min() <= lags[1] * (1 + 1e-9), (t, breaks)
+
     def test_singular_family_declares_its_breaks(self):
         k = hp.inverse_sqrt_kernel(2.0, 0.1)
         assert k.monotone_breaks == (0.0, 2.0) and k.monotone_decreasing

@@ -1,4 +1,5 @@
 import inspect
+import math
 import sys
 import tracemalloc
 from unittest import mock
@@ -28,11 +29,13 @@ from _oracles import (
     brute_uniform,
     dense_gaps_within,
     feasible_eps_grid,
+    modulus_sparse_brute,
     modulus_sparse_quadratic,
     random_step_path,
     skorokhod_bisection,
     skorokhod_critical_bisection,
     skorokhod_lattice,
+    sobolev_dense,
     sobolev_riemann,
 )
 
@@ -226,6 +229,49 @@ class TestSobolevNorm:
         assert sobolev_norm(scaled, 0.5) == pytest.approx(
             abs(scale) * sobolev_norm(f, 0.5), rel=1e-12, abs=1e-12
         )
+
+
+def long_random_path(seed, segments, T):
+    """Signed step path of ``segments`` segments at uniform times on [0, T]."""
+    rng = np.random.default_rng((seed, segments))
+    times = np.sort(rng.uniform(0.0, T, segments - 1))
+    return make_step_path(np.concatenate(([0.0], times)), rng.normal(size=segments), T)
+
+
+class TestSobolevRowBlocks:
+    # the largest path that sums in one block
+    ONE_BLOCK = math.isqrt(metrics._SOBOLEV_BLOCK) - 1
+
+    @pytest.mark.parametrize("eta", [0.1, 0.25, 0.5, 0.9])
+    def test_one_block_up_to_the_budget(self, eta):
+        # the same floats as the dense arrays on every path that fits, the
+        # ~50-jump paths of the coupled pairs and the largest one included
+        for segments in (2, 60, 150, self.ONE_BLOCK):
+            f = long_random_path(0, segments, 20.0)
+            assert sobolev_norm(f, eta) == sobolev_dense(f, eta)
+        diff = step_sub(*poisson_pair(3))
+        assert sobolev_norm(diff, eta) == sobolev_dense(diff, eta)
+
+    @pytest.mark.parametrize("eta", [0.1, 0.25, 0.5, 0.75])
+    def test_row_blocks_match_the_dense_oracle(self, eta):
+        # ~1,500 segments: many blocks, the sums within 1e-12 of the dense one
+        for seed in range(3):
+            f = long_random_path(seed, 1500, 300.0)
+            assert (len(f.values) + 1) ** 2 > metrics._SOBOLEV_BLOCK
+            assert sobolev_norm(f, eta) == pytest.approx(sobolev_dense(f, eta), rel=1e-12, abs=0)
+
+    def test_long_pair_in_bounded_memory(self):
+        # a 2,000-jump path and its rounding onto the 0.0125-grid differ on
+        # about 4,000 segments: the dense arrays would take about 0.7 GB
+        f, g = sweep_pair(0, size=2000, T=800.0, delta=0.0125)
+        assert len(step_sub(f, g).values) > 3900
+        tracemalloc.start()
+        try:
+            sobolev_distance(f, g, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
 
 class TestSobolevDistance:
@@ -734,6 +780,23 @@ def walk_steps(path, delta):
     return value, steps
 
 
+def best_partition_on(path, delta, points):
+    """Least worst cell oscillation over the partitions of [0, T] whose
+    points are taken from the sorted ``points`` (0 and T among them), with
+    every gap > delta: a direct DP over right ends."""
+    pos = np.asarray(points, dtype=float)
+    first = np.searchsorted(path.breakpoints, pos, side="right") - 1
+    before = np.searchsorted(path.breakpoints, pos, side="left") - 1
+    best = [0.0] + [math.inf] * (len(pos) - 1)
+    for k in range(1, len(pos)):
+        for c in range(k):
+            if pos[k] - pos[c] > delta:
+                covered = path.values[first[c] : before[k] + 1]
+                osc = float(covered.max() - covered.min())
+                best[k] = min(best[k], max(best[c], osc))
+    return best[-1]
+
+
 class TestModulusSparse:
     def test_constant_path(self):
         c = make_step_path([0.0], [3.0], 1.0)
@@ -806,6 +869,40 @@ class TestModulusSparse:
             for path in poisson_pair(seed):
                 for delta in (0.25, 0.5, float(np.diff(path.breakpoints).min())):
                     assert modulus_sparse(path, delta) == modulus_sparse_quadratic(path, delta)
+
+    # unit jumps where the candidate set (jumps and midpoints) misses the
+    # partition {0, 0.5, 1}: 0.5 sits in the flat stretch (0.373, 0.919),
+    # whose midpoint 0.646 leaves too short a last cell
+    MISSED = make_step_path([0.0, 0.025, 0.134, 0.156, 0.373, 0.919], np.arange(6.0), 1.0)
+
+    def test_brute_force_reaches_a_partition_the_candidates_miss(self):
+        # modulus_sparse returns 5.0 here, an upper bound, not the infimum
+        assert modulus_sparse_brute(self.MISSED, 0.383) == 4.0
+        assert best_partition_on(self.MISSED, 0.383, np.linspace(0.0, 1.0, 801)) == 4.0
+        assert modulus_sparse(self.MISSED, 0.383) >= 4.0
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        f=step_paths(max_jumps=5),
+        make_monotone=st.booleans(),
+        ends=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        delta=st.floats(min_value=0.01, max_value=0.7),
+    )
+    @example(f=MISSED, make_monotone=False, ends=(0, 0), delta=0.383)
+    def test_never_below_the_exact_brute_force(self, f, make_monotone, ends, delta):
+        # the candidate set gives an upper bound: never below the infimum
+        # over every partition, and the brute force is no more than the best
+        # partition of a grid holding the jumps
+        if make_monotone:
+            f = monotone(f)
+        points = np.append(f.breakpoints, f.horizon)
+        a, b = sorted(points[i % len(points)] for i in ends)
+        for d in (delta, b - a):
+            if 0.0 < d < f.horizon:
+                exact = modulus_sparse_brute(f, d)
+                assert modulus_sparse(f, d) >= exact
+                grid = np.union1d(np.linspace(0.0, f.horizon, 51), f.breakpoints)
+                assert exact <= best_partition_on(f, d, grid)
 
     def test_walk_steps_on_a_long_path(self):
         # 1,000 unit jumps on [0, 200] at delta = T / 10: no partition has a
