@@ -134,6 +134,10 @@ class ExperimentConfig:
         """Validate every field, and build the run record, before any work."""
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
+        names = {f.name for f in fields(cls)}
+        unknown = [key for key in doc if key not in names]
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}; choose from {sorted(names)}")
         required = ("kernel", "jump_rate", "marks", "horizon", "delta_ladder", "trials")
         for key in required:
             if key not in doc:

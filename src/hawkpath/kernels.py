@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DivergingKernelError, InfiniteVariationError, ParameterError
+from .randomness import ATOM_BUDGET
 
 __all__ = [
     "Kernel",
@@ -587,13 +588,16 @@ def grid_coefficients(kernel: Kernel, delta: float, T: float) -> GridCoefficient
     T is a multiple of delta when T / delta lies within REL_TOL *
     max(T / delta, 1) of an integer M >= 1.  The edges are k*delta for
     k < M and exactly T at k = M, so the last bin ends at T even where
-    M*delta rounds away from it.
+    M*delta rounds away from it.  M past ``ATOM_BUDGET`` is refused before
+    any array is built.
     """
     if not delta > 0:
         raise ParameterError("delta must be positive")
     if T > kernel.horizon * (1 + REL_TOL):
         raise ParameterError("T exceeds the kernel horizon")
     ratio = T / delta
+    if not ratio < ATOM_BUDGET + 0.5:   # an infinite ratio too
+        raise ParameterError(f"T / delta = {ratio:.4g} bins pass the atom budget {ATOM_BUDGET}")
     M = round(ratio)
     if M < 1 or abs(ratio - M) > REL_TOL * max(ratio, 1.0):
         raise ParameterError(f"horizon {T!r} is not an integer multiple of delta={delta!r}")

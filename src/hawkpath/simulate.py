@@ -8,6 +8,7 @@ per time bin and accepts bin atoms under that frozen level.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -288,12 +289,9 @@ def step_from_jumps(times, increments, horizon: float) -> StepPath:
 # the next atom under its envelope, the discrete walk's after a push for the
 # next one that pushes.  Each window that holds none doubles the next one.
 _WINDOW = 64
-# A discrete window read against a guess holds at most _GUESS_ROWS guessed
-# pushes, which bounds the pushes a difference undoes, and ends at the bin
-# holding its _GUESS_WINDOW-th atom, which bounds the (pushes) x (atoms)
-# block its levels may be read from.
+# A discrete window read against a guess makes at most _GUESS_ROWS guessed
+# pushes, which bounds the pushes a difference undoes.
 _GUESS_ROWS = 16
-_GUESS_WINDOW = 1024
 
 
 def simulate_continuous(
@@ -674,29 +672,23 @@ def simulate_ladder(
     feedback, so it depends on the earlier bins alone.
 
     In a pass, each grid walks the atoms on its own, in windows, and reads
-    the levels in each window with one psi call.  Without a guess, a window
-    holds the next ``_WINDOW`` atoms, doubling while none of them could push
-    and passes; the first that does ends it, and its bin pushes.
-    ``guess`` holds the times of the atoms the caller expects to be accepted,
-    in practice the continuous path's events on the same atoms.  A guessed
-    window then holds whole bins with at most ``_GUESS_ROWS`` guessed pushes
-    (fewer after a difference) and about ``_GUESS_WINDOW`` atoms, and its
-    levels include the pushes its guessed atoms would make: the pass's last
-    window makes them in place and keeps what they overwrite, any other
-    reads its levels from a block whose rows add them one by one, oldest bin
-    first.  Every bin before the window's first atom whose acceptance differs
-    from the guess, or whose level is above the ceiling, is kept: its level
-    was exact, as every earlier bin was kept, and its atoms, those with
-    b = 0 too, passed exactly as guessed, so its guessed push is the same
-    float as the true one.  The first differing bin, its level being exact,
-    is decided as without a guess.  So the traces never depend on the guess,
-    only the windows do.  Each push reaches the feedback at most twice in a
-    pass: a window that undoes its in-place pushes makes its kept ones again,
-    and the windows after it read the undone bins from a block.  A guessed
-    window's pushes halve after a difference and double after a whole
-    window.  A grid stops guessing once its guessed windows, from the second
-    on, make fewer than three pushes each, and does not guess where it
-    cannot push or where the guess holds two events per bin or more.
+    the levels in each window with one psi call.  ``guess`` holds the times
+    of the atoms the caller expects to be accepted, in practice the
+    continuous path's events on the same atoms.  While guessed pushes lie
+    ahead, a window makes the next ``_GUESS_ROWS`` of them in place (fewer
+    after a difference, which halves them, until whole windows double them
+    back) and runs up to the next guessed bin.  Its first atom that can
+    push (b > 0) and whose acceptance differs from the guess, or whose level
+    is above the ceiling, is a difference: the window's pushes from its bin
+    on are undone, and those before it kept.  They are the true pushes:
+    every earlier bin was exact, so their levels were, and their atoms that
+    can push passed exactly as guessed, while an atom of b = 0 adds 0.0 to
+    a left-to-right sum, so their guessed push is the same float.  The
+    differing bin, its level being exact, is decided and pushes.  Past the
+    last guessed push, or without a guess, a window holds the next
+    ``_WINDOW`` atoms, doubling while none of them could push and passes;
+    the first that does ends it, and its bin pushes.  So the traces never
+    depend on the guess, only the windows do.
 
     A pass ends after the last atom, or early at an atom whose level is
     above the ceiling.  One psi call on every grid's feedback then checks
@@ -730,18 +722,8 @@ def simulate_ladder(
                 InstabilityWarning,
                 stacklevel=2,
             )
-    if guess is not None:
-        guess = np.asarray(guess, dtype=float)
     psi = jump_rate.fn
-    # a grid guesses where it can push, and where its bins hold fewer than two
-    # guessed events on average: with more, the frozen levels seldom accept
-    # the same atoms as the continuous path
-    walks = [
-        _Walk(grid, guess is not None and grid.span > 0 and len(guess) < 2 * grid.count)
-        for grid in grids
-    ]
-    if not any(walk.guessing for walk in walks):
-        guess = None
+    walks = [_Walk(grid) for grid in grids]
     errors: dict[int, RunawayIntensityError] = {}
     pending = walks                     # the walks with a pass to make
     while pending:
@@ -774,23 +756,22 @@ def simulate_ladder(
 
 class _Atoms:
     """The atoms of one pass in (0, T]: tau, theta, y, b = mark_model.modulate(y),
-    theta where b > 0 (else inf, an atom that cannot push), the guessed ones'
-    indices (None without a guess) and the strip count they were read at."""
+    theta where b > 0 (else inf, an atom that cannot push), whether each is
+    a guessed atom that can push, and the strip count they were read at."""
 
     def __init__(self, atoms: PoissonAtoms, T: float, mark_model: MarkModel, guess) -> None:
         tau, theta, y, _ = atoms.merged()
         lo, hi = tau.searchsorted((0.0, T), side="right").tolist()
         self.tau, self.theta, self.y = tau[lo:hi], theta[lo:hi], y[lo:hi]
-        self.b = b = mark_model.modulate(self.y)
-        self.guessed = self.at = None
+        self.b = mark_model.modulate(self.y)
+        self.guessed = np.zeros(hi - lo, dtype=bool)
         if guess is not None:
-            self.guessed = np.zeros(hi - lo, dtype=bool)
+            guess = np.asarray(guess, dtype=float)
             at = self.tau.searchsorted(guess)
             inside = at < hi - lo
             at = at[inside]
             self.guessed[at[self.tau[at] == guess[inside]]] = True
-            self.at = self.guessed.nonzero()[0]
-            self.b_at = b[self.at]
+            self.guessed &= self.b > 0.0
         self.strips = len(atoms.strips)
 
     @functools.cached_property
@@ -799,23 +780,15 @@ class _Atoms:
 
 
 class _Walk:
-    """One grid's walk: its feedback, pushes and guess state, which outlive
-    a pass."""
+    """One grid's walk: its feedback, pushes and guessed-window size, which
+    outlive a pass."""
 
-    def __init__(self, grid: GridCoefficients, guessing: bool) -> None:
+    def __init__(self, grid: GridCoefficients) -> None:
         self.grid, self.coeffs, self.span, self.M = grid, grid.values, grid.span, grid.count
         self.feedback = np.zeros(self.M + 1)    # sum of coeffs[n-1-j] * mass[j], oldest j first
         self.pushes: list[tuple[int, float]] = []   # (j, m_j) of every push, in bin order
         self.start = 1                      # the bin a pass walks from
-        self.guessing = guessing
-        self.tried = 0                      # the last bin a window pushed in place and undid
         self.rows = _GUESS_ROWS             # the most guessed pushes the next window makes
-        self.reads = self.made = 0          # guessed windows read, and the pushes they made
-
-    @functools.cached_property
-    def lagged(self) -> np.ndarray:
-        """Entry M - 1 + n - j is the coefficient bin j feeds bin n with, 0 for n <= j."""
-        return np.concatenate((np.zeros(self.M), self.coeffs))
 
     def push(self, pushes) -> None:
         """Push each (j, m_j) of ``pushes`` onto the feedback, in order:
@@ -845,71 +818,47 @@ class _Walk:
         # an atom in bin M cannot push, so the walk stops before it
         last = int(bin_of.searchsorted(grid.count)) if grid.span else 0
         i = int(bin_of.searchsorted(self.start)) if self.start > 1 else 0
+        # the push (j, m_j) each guessed bin j before bin M would make, and
+        # the first atom of each such bin, then the end of the walk
+        sums = np.bincount(bin_of[cut.guessed], weights=b[cut.guessed])[: grid.count]
+        at = sums.nonzero()[0]
+        bins = at.tolist()
+        guessed = list(zip(bins, sums[at].tolist()))
+        firsts = [*bin_of.searchsorted(at).tolist(), last]
         width = _WINDOW
-        if self.guessing:
-            # the push each guessed bin would make
-            n = int(cut.at.searchsorted(last))
-            sums = np.bincount(bin_of[cut.at[:n]], weights=cut.b_at[:n], minlength=grid.count)
-            guessed = sums.nonzero()[0]
-            guessed_mass = sums[guessed]
         while i < last:
-            guessing = self.guessing
-            if not guessing:
-                e = min(i + width, last)
-                levels = psi(feedback[bin_of[i:e]])
-                flags = cut.pushing[i:e] <= levels
+            r0 = bisect.bisect_left(bins, int(bin_of[i]))
+            guessing = r0 < len(bins)
+            if guessing:
+                # the next guessed pushes, made in place; the window runs up
+                # to the next guessed bin
+                r1 = min(r0 + self.rows, len(bins))
+                e = firsts[r1]
+                guesses = guessed[r0:r1]
+                reach = slice(guesses[0][0] + 1, guesses[-1][0] + 1 + self.span)
+                saved = feedback[reach].copy()  # what the pushes overwrite
+                self.push(guesses)
             else:
-                # whole bins, each atom read after the window's guessed pushes before it
-                e = min(i + _GUESS_WINDOW, last)
-                r0, r1 = guessed.searchsorted((bin_of[i], bin_of[e - 1] + 1)).tolist()
-                if r1 - r0 > self.rows:
-                    r1 = r0 + self.rows
-                    e = int(bin_of.searchsorted(guessed[r1 - 1], side="right"))
-                elif e < last:
-                    e = int(bin_of.searchsorted(bin_of[e - 1], side="right"))     # whole bins
-                bins = bin_of[i:e]
-                saved = None
-                # the window's guessed pushes (j, m_j), in bin order
-                guesses = list(zip(guessed[r0:r1].tolist(), guessed_mass[r0:r1].tolist()))
-                if guesses and e == last and bins[0] > self.tried:
-                    # the pass's last window: its guessed bins push in place, and
-                    # what they overwrite, the feedback from its first one on, is kept
-                    a = int(guessed[r0]) + 1
-                    saved = feedback[a:].copy()
-                    self.push(guesses)
-                if not guesses or saved is not None:
-                    levels = psi(feedback[bins])
-                else:
-                    # else from a block whose row r + 1 adds guessed push r onto
-                    # row r, at the window's atoms or at every bin they span,
-                    # whichever are fewer; the feedback then takes the kept pushes
-                    s, z = int(bins[0]), int(bins[-1]) + 1
-                    at = bins if len(bins) <= z - s else np.arange(s, z)
-                    block = np.empty((r1 - r0 + 1, len(at)))
-                    block[0] = feedback[at]
-                    lags = at + (self.M - 1) - guessed[r0:r1, None]
-                    np.multiply(self.lagged[lags], guessed_mass[r0:r1, None], out=block[1:])
-                    x = block.cumsum(axis=0)[-1]
-                    levels = psi(x if at is bins else x[bins - s])
-                flags = (theta[i:e] <= levels) != cut.guessed[i:e]
+                e = min(i + width, last)
+            levels = psi(feedback[bin_of[i:e]])
+            flags = cut.pushing[i:e] <= levels
+            if guessing:
+                # a difference: accepted otherwise than guessed, or above the ceiling
+                flags ^= cut.guessed[i:e]
                 flags |= levels > ceiling
             k = int(flags.argmax())
             hit = bool(flags[k])
             j = int(bin_of[i + k])
             if guessing:
                 # keep the guessed pushes before the first differing bin, or all
-                n = int(guessed.searchsorted(j)) - r0 if hit else len(guesses)
-                kept = guesses[:n]
-                if saved is None:
-                    self.push(kept)
-                elif n < len(guesses):
-                    # undo the window's pushes in place and make the kept ones again
-                    feedback[a:] = saved
-                    self.tried = int(bin_of[e - 1])
-                    self.push(kept)
-                self.pushes += kept
-                self.made += n
+                n = bisect.bisect_left(bins, j, r0, r1) - r0 if hit else len(guesses)
+                if n < len(guesses):
+                    feedback[reach] = saved
+                    self.push(guesses[:n])
+                self.pushes += guesses[:n]
+                self.rows = max(self.rows // 2, 1) if hit else min(2 * self.rows, _GUESS_ROWS)
             if hit:
+                # every bin before j pushed exactly, so bin j's level is exact
                 level = levels[k]
                 if level > ceiling:
                     # the ceiling check after the pass extends at this bin or an earlier one
@@ -924,17 +873,7 @@ class _Walk:
                     self.pushes.append((j, m))
                 i, width = z, _WINDOW
             else:
-                i = e
-                if not guessing:
-                    width *= 2
-            if guessing:
-                self.rows = max(self.rows // 2, 1) if hit else min(2 * self.rows, _GUESS_ROWS)
-                # a window without a guess makes one push for less work, so
-                # the grid stops guessing once its windows make fewer than three
-                if guesses:
-                    self.reads += 1
-                    self.made += hit and m != 0
-                    self.guessing = self.reads < 2 or self.made >= 3 * self.reads
+                i, width = e, 2 * width
 
 
 def _ends(walks: list[_Walk]) -> list[int]:
@@ -1024,8 +963,8 @@ def couple(
     the k-th strip's contents depend only on the seed and k, so the result
     does not depend on which process triggered which extension.  The
     discrete scheme takes the continuous path's events as its guess, which
-    saves windows where the two accept the same atoms and never changes the
-    trace.
+    saves windows where the two accept the same atoms of b > 0 and never
+    changes the trace.
     """
     grid = grid_coefficients(kernel, delta, T)
     if atoms is None:

@@ -133,6 +133,28 @@ class TestExitCodes:
         assert err.startswith("config error: atom ceiling 1e+09") == (code == 2)
         assert "Traceback" not in err
 
+    def test_unknown_key_exits_2_without_outputs(self, tmp_path, capsys):
+        # a misspelt "metrics" is refused, not run as the default metric
+        out = tmp_path / "out"
+        out.mkdir()
+        doc = base_doc(out)
+        doc["metric"] = doc.pop("metrics")
+        assert cli_main(["convergence", str(write_config(tmp_path, doc))]) == 2
+        assert list(out.iterdir()) == []
+        assert capsys.readouterr().err.startswith("config error: unknown config keys ['metric']")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bins_past_the_atom_budget_exit_2(self, tmp_path, capsys, command):
+        # T / delta = 1e9 bins: refused before the grid is built, by every command
+        out = tmp_path / "out"
+        out.mkdir()
+        doc = {**base_doc(out), "kernel": {"family": "zero"}, "delta_ladder": [0.5, 5e-9]}
+        assert cli_main([command, str(write_config(tmp_path, doc))]) == 2
+        assert list(out.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith("config error: T / delta = 1e+09 bins pass the atom budget")
+        assert "Traceback" not in err
+
     def test_non_integer_worker_env_exits_2(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         out.mkdir()

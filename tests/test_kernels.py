@@ -247,6 +247,12 @@ class TestGridCoefficients:
         with pytest.raises(ParameterError):
             grid_coefficients(hp.zero_kernel(5.0), 0.5, 5.5)
 
+    @pytest.mark.parametrize("delta", [5e-9, 1e-320])
+    def test_bins_past_the_atom_budget_refused(self, delta):
+        # 1e9 bins, and a ratio that overflows to inf, refused before any array
+        with pytest.raises(ParameterError, match="pass the atom budget"):
+            grid_coefficients(hp.zero_kernel(5.0), delta, 5.0)
+
 
 class TestShiftModulus:
     def test_zero_kernel(self):

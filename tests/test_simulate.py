@@ -880,14 +880,15 @@ _LADDER_MARKS = {
     "exponential-indicator": _REF_MARKS["exponential-indicator"],
     "gaussian-absolute": hp.MarkModel("gaussian", (0.2, 1.0), modulation="absolute-value"),
 }
-_GUESSES = ("none", "continuous", "every-atom", "random-half", "no-atom")
+_GUESSES = ("none", "continuous", "padded", "every-atom", "random-half", "no-atom")
 
 
-def _guess(name, cont, atoms, seed):
-    tau = atoms.merged()[0]
+def _guess(name, cont, atoms, seed, model):
+    tau, _, y, _ = atoms.merged()
     return {
         "none": None,
         "continuous": cont.times,
+        "padded": np.union1d(cont.times, tau[model.modulate(y) == 0.0]),
         "every-atom": tau,
         "random-half": tau[np.random.default_rng(seed).random(len(tau)) < 0.5],
         "no-atom": 0.5 * (tau[1:] + tau[:-1]),
@@ -929,7 +930,8 @@ class TestLadder:
         grids = [grid_coefficients(kernel, d, _REF_T) for d in deltas]
         ladder = copy.deepcopy(atoms)
         traces = simulate_ladder(
-            grids, rate, model, ladder, guess=_guess(guess, cont, atoms, seed), allow_unstable=True
+            grids, rate, model, ladder, guess=_guess(guess, cont, atoms, seed, model),
+            allow_unstable=True,
         )
         one_by_one = copy.deepcopy(atoms)
         for grid, disc in zip(grids, traces):
@@ -1098,13 +1100,14 @@ class TestDiscreteWalk:
         assert len(walked) - 1 >= pushes > 500
         assert len(guessed) - 1 <= 50
 
-    def test_every_push_reaches_the_feedback_at_most_twice(self, long_horizon_atoms, monkeypatch):
-        # only a pass's last window pushes its guesses in place; one that
-        # differs from the guess undoes them and makes its kept ones again,
-        # and the windows after it read the undone bins from a block, so no
-        # bin pushes a third time.  On short paths the guess is the trace's
-        # own events and one rejected atom after most of them, where the last
-        # window differs; at T = 200 it is the continuous path
+    def test_guessed_pushes_made_again_after_a_difference(self, long_horizon_atoms, monkeypatch):
+        # a window pushes its guesses in place and, where they differ from
+        # the trace, undoes them and makes the kept ones again.  On short
+        # paths the guess is the trace's own events and one rejected atom
+        # after most of them, where the last window differs, so some bins
+        # push twice and none more.  At T = 200 the guess is the continuous
+        # path, and at every step the pushes made stay within 2.5 times
+        # the trace's
         model = hp.MarkModel()
         reached = collections.Counter()
         real = simulate._Walk.push
@@ -1128,17 +1131,40 @@ class TestDiscreteWalk:
             assert len(atoms.strips) == 1       # one pass
             most.append(max(reached.values(), default=0))
         assert max(most) == 2
-        reached.clear()
         cont = simulate_continuous(
             _LONG_KERNEL, _LONG_RATE, model, _LONG_T, copy.deepcopy(long_horizon_atoms)
         )
-        atoms = copy.deepcopy(long_horizon_atoms)
-        disc = simulate_discrete(
-            grid_coefficients(_LONG_KERNEL, 0.0125, _LONG_T), _LONG_RATE, model, atoms,
-            guess=cont.times,
-        )
-        assert len(atoms.strips) == len(long_horizon_atoms.strips)
-        assert len(reached) == np.count_nonzero(disc.mass[1:-1]) and max(reached.values()) <= 2
+        for delta in (0.5, 0.1, 0.0125):
+            reached.clear()
+            atoms = copy.deepcopy(long_horizon_atoms)
+            disc = simulate_discrete(
+                grid_coefficients(_LONG_KERNEL, delta, _LONG_T), _LONG_RATE, model, atoms,
+                guess=cont.times,
+            )
+            assert len(atoms.strips) == len(long_horizon_atoms.strips)
+            pushes = disc.mass[1:-1].nonzero()[0] + 1
+            assert set(reached) >= set(pushes.tolist())
+            assert sum(reached.values()) <= 2.5 * len(pushes)
+
+    def test_guessed_atoms_that_cannot_push_cost_no_window(self):
+        # b = 1{y >= 1}: a guess holding the trace's events and every atom of
+        # b = 0 that it rejects reads its levels in one window, as the trace's
+        # own events do: acceptance is compared at atoms that can push alone
+        model = hp.MarkModel("exponential", (1.0,), modulation="indicator", mod_params=(1.0,))
+        kernel = hp.exponential_kernel(0.604, 1.0, _REF_T)
+        for seed in range(30):
+            atoms = hp.sample_atoms(_REF_T, 10.0, model, seed)
+            events = simulate_discrete(
+                grid_coefficients(kernel, 0.5, _REF_T), _LONG_RATE, model, copy.deepcopy(atoms)
+            ).times
+            tau, _, y, _ = atoms.merged()
+            rejected = tau[(model.modulate(y) == 0.0) & ~np.isin(tau, events)]
+            assert len(rejected) > 0
+            for guess in (events, np.sort([*events, *rejected])):
+                calls, _ = _psi_calls(
+                    kernel, _LONG_RATE, model, 0.5, 8, copy.deepcopy(atoms), guess=guess
+                )
+                assert len(calls) == 2, seed
 
     def test_many_marks_in_one_bin(self):
         # exponential marks with b = |y|: both per-bin sums hold 8 or more
