@@ -208,16 +208,44 @@ class ExperimentConfig:
             raise ConfigError(f"HAWKPATH_WORKERS must be an integer, got {raw!r}") from None
 
 
-def _check_numbers(value, what: str) -> None:
-    """Every leaf of a parameter block is a finite number."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _check_numbers(item, f"{what}.{key}")
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            _check_numbers(item, what)
-    else:
-        _finite(value, what)
+def _check_numbers(block: dict, what: str) -> None:
+    """Every value of a parameter block is a finite number or a list of them."""
+
+    def check(value, name: str) -> None:
+        if isinstance(value, (list, tuple)):
+            for item in value:
+                check(item, name)
+        else:
+            _finite(value, name)
+
+    for key, value in block.items():
+        check(value, f"{what}.{key}")
+
+
+class _Reads(dict):
+    """A config block that records the keys its builder reads; its nested
+    blocks are ``_Reads`` too, so a key no builder reads is found at any level."""
+
+    def __init__(self, block: dict, what: str) -> None:
+        super().__init__((k, _Reads(v, f"{what}.{k}") if isinstance(v, dict) else v)
+                         for k, v in block.items())
+        self.what, self.read = what, set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def refuse_unread(self) -> None:
+        for key, value in self.items():
+            if key not in self.read:
+                raise ConfigError(f"{self.what} has unknown key {key!r}; "
+                                  f"it reads {sorted(self.read)}")
+            if isinstance(value, _Reads):
+                value.refuse_unread()
 
 
 def _require(spec: dict, key: str, context: str):
@@ -226,66 +254,59 @@ def _require(spec: dict, key: str, context: str):
     return spec[key]
 
 
-def _params(spec: dict, context: str) -> dict:
-    params = _typed(spec.get("params", {}), dict, f"{context} params")
-    _check_numbers(params, f"{context} params")
-    return params
+# Each family's builder, from its params block (and the horizon, for kernels)
+_KERNELS: dict[str, Callable[..., Kernel]] = {
+    "exponential": lambda p, T: exponential_kernel(p["amplitude"], p["decay"], T),
+    "erlang": lambda p, T: erlang_kernel(p["amplitude"], p["shape"], p["decay"], T),
+    "cosine-decay": lambda p, T: cosine_decay_kernel(p.get("amplitude", 0.6), T),
+    "inverse-sqrt": lambda p, T: (
+        inverse_sqrt_kernel(T, p["coefficient"]) if "coefficient" in p
+        else inverse_sqrt_kernel(T, target_rho=p.get("target_rho", 0.5))
+    ),
+    "compact-support": lambda p, T: compact_kernel(p["amplitude"], p["support"], T),
+    "constant": lambda p, T: constant_kernel(p["value"], T),
+    "zero": lambda p, T: zero_kernel(T),
+    "custom": lambda p, T: tabulated_kernel(p["points"], T),
+}
+_JUMP_RATES: dict[str, Callable[..., JumpRate]] = {
+    "relu-affine": lambda p: relu_affine(p["baseline"]),
+    "clipped-affine": lambda p: clipped_affine(p["baseline"], p["cap"]),
+    "sigmoid": lambda p: sigmoid_rate(p["scale"]),
+    "constant": lambda p: constant_rate(p["value"]),
+}
+
+
+def _build(table: dict, spec: dict, what: str, *args):
+    """The component of config block ``spec`` {family, params}, built by its
+    family's entry of ``table``; a key that the build does not read is refused."""
+    spec = _Reads(_typed(spec, dict, what), what)
+    family = _require(spec, "family", what)
+    params = _typed(spec.get("params", {}), dict, f"{what} params")
+    _check_numbers(params, f"{what} params")
+    build = table.get(family) if isinstance(family, str) else None
+    if build is None:
+        raise ConfigError(f"unknown {what} family {family!r}")
+    try:
+        built = build(params, *args)
+    except KeyError as exc:
+        raise ConfigError(f"{what} family {family!r} is missing parameter {exc}") from exc
+    except ValueError as exc:  # ParameterError, or a ragged point table
+        raise ConfigError(f"{what} family {family!r}: {exc}") from exc
+    spec.refuse_unread()
+    return built
 
 
 def build_kernel(spec: dict, horizon: float) -> Kernel:
     """Construct a kernel from its config block {family, params...}."""
-    family = _require(spec, "family", "kernel")
-    params = _params(spec, "kernel")
-    try:
-        if family == "exponential":
-            return exponential_kernel(params["amplitude"], params["decay"], horizon)
-        if family == "erlang":
-            return erlang_kernel(
-                params["amplitude"], params["shape"], params["decay"], horizon
-            )
-        if family == "cosine-decay":
-            return cosine_decay_kernel(params.get("amplitude", 0.6), horizon)
-        if family == "inverse-sqrt":
-            if "coefficient" in params:
-                return inverse_sqrt_kernel(horizon, params["coefficient"])
-            return inverse_sqrt_kernel(
-                horizon, target_rho=params.get("target_rho", 0.5)
-            )
-        if family == "compact-support":
-            return compact_kernel(params["amplitude"], params["support"], horizon)
-        if family == "constant":
-            return constant_kernel(params["value"], horizon)
-        if family == "zero":
-            return zero_kernel(horizon)
-        if family == "custom":
-            return tabulated_kernel(params["points"], horizon)
-    except KeyError as exc:
-        raise ConfigError(f"kernel family {family!r} is missing parameter {exc}") from exc
-    except ValueError as exc:  # ParameterError, or a ragged point table
-        raise ConfigError(f"kernel family {family!r}: {exc}") from exc
-    raise ConfigError(f"unknown kernel family {family!r}")
+    return _build(_KERNELS, spec, "kernel", horizon)
 
 
 def build_jump_rate(spec: dict) -> JumpRate:
-    family = _require(spec, "family", "jump_rate")
-    params = _params(spec, "jump_rate")
-    try:
-        if family == "relu-affine":
-            return relu_affine(params["baseline"])
-        if family == "clipped-affine":
-            return clipped_affine(params["baseline"], params["cap"])
-        if family == "sigmoid":
-            return sigmoid_rate(params["scale"])
-        if family == "constant":
-            return constant_rate(params["value"])
-    except KeyError as exc:
-        raise ConfigError(f"jump_rate family {family!r} is missing parameter {exc}") from exc
-    except ParameterError as exc:
-        raise ConfigError(f"jump_rate family {family!r}: {exc}") from exc
-    raise ConfigError(f"unknown jump_rate family {family!r}")
+    return _build(_JUMP_RATES, spec, "jump_rate")
 
 
 def build_mark_model(spec: dict) -> MarkModel:
+    spec = _Reads(_typed(spec, dict, "marks"), "marks")
     dist = _typed(_require(spec, "distribution", "marks"), dict, "marks.distribution")
     mod = _typed(spec.get("modulation", {"family": "constant-one"}), dict, "marks.modulation")
     dfam = _require(dist, "family", "marks.distribution")
@@ -311,6 +332,7 @@ def build_mark_model(spec: dict) -> MarkModel:
             raise ConfigError(f"unknown modulation {mfam!r}")
     except KeyError as exc:
         raise ConfigError(f"marks spec is missing parameter {exc}") from exc
+    spec.refuse_unread()
     try:
         return MarkModel(
             distribution=dfam, dist_params=dist_params,
@@ -454,18 +476,6 @@ def _cell_metrics(
     return [None if disc is None else values(disc) for disc in traces]
 
 
-# What the ranges of one process pool share (see ``_map_trials``): the
-# earliest trial at which a range gave up, and the earliest aborted trial of
-# each delta.  None outside a pool worker.
-_POOL: tuple | None = None
-
-
-def _join_pool(gave_up, aborted) -> None:
-    """Process-pool initializer: keep the shared trial marks."""
-    global _POOL
-    _POOL = gave_up, aborted
-
-
 def _run_trials(
     cfg: ExperimentConfig, trials: range, measure: Callable
 ) -> tuple[list[Abort | None], list]:
@@ -484,22 +494,15 @@ def _run_trials(
     partial of one, so that a process pool can send it, turns a trial into
     its sample; ``traces`` is None at every delta whose cell has hit the
     runaway guard.  A measure that returns None gives up on the run, which
-    ends the range there.  In a pool worker the range also skips what
-    another range made unreadable: a delta aborted at an earlier trial, and
-    every trial after one at which a range gave up.  Returns, per delta,
-    the trial and error that aborted its cell (or None), and the samples in
-    trial order.
+    ends the range there.  The range reads nothing of any other range.
+    Returns, per delta, the trial and error that aborted its cell (or None),
+    and the samples in trial order.
     """
     run = cfg.run
     aborted: list[Abort | None] = [None] * len(run.grids)
     samples = []
     for trial in trials:
         live = [i for i, a in enumerate(aborted) if a is None]
-        if _POOL is not None:
-            gave_up, earliest = _POOL
-            if gave_up.value < trial:
-                break
-            live = [i for i in live if earliest[i] > trial]
         if not live:
             break
         atoms = run.atoms(trial)
@@ -511,7 +514,6 @@ def _run_trials(
         except RunawayIntensityError as exc:
             for i in live:
                 aborted[i] = (trial, exc)
-            _share_aborts(trial, live)
             break
         traces: list[DiscreteTrace | None] = [None] * len(run.grids)
         ladder = simulate_ladder(
@@ -523,25 +525,11 @@ def _run_trials(
                 aborted[i] = (trial, disc)
             else:
                 traces[i] = disc
-        _share_aborts(trial, [i for i in live if traces[i] is None])
         sample = measure(cfg, trial, cont, traces)
         if sample is None:
-            if _POOL is not None:
-                with _POOL[0].get_lock():
-                    _POOL[0].value = min(_POOL[0].value, trial)
             break
         samples.append(sample)
     return aborted, samples
-
-
-def _share_aborts(trial: int, deltas: list[int]) -> None:
-    """Mark ``trial`` as the earliest aborted one of each of ``deltas`` that
-    no earlier trial aborted, for the other ranges of the pool."""
-    if _POOL is not None and deltas:
-        earliest = _POOL[1]
-        with earliest.get_lock():
-            for i in deltas:
-                earliest[i] = min(earliest[i], trial)
 
 
 def _map_trials(
@@ -550,25 +538,21 @@ def _map_trials(
     """``_run_trials`` over every trial, in trial order regardless of workers.
 
     With several workers, at most one per CPU, one process pool runs
-    contiguous trial ranges that each cover the whole ladder; a delta
-    aborted in any range is aborted, with the error of its earliest aborted
-    trial.  The pool shares the earliest trial at which a range gave up and
-    the earliest aborted trial of each delta, so a range skips what no
-    output reads; the samples and errors that are read do not depend on it.
+    contiguous trial ranges that each cover the whole ladder and share
+    nothing; a delta aborted in any range is aborted, with the error of its
+    earliest aborted trial, so what an output reads does not depend on the
+    worker count.  A range never learns of another's aborts: it runs on
+    after an earlier range's abort or give-up, and no output reads that work.
     """
     workers = min(cfg.effective_workers(), os.cpu_count() or 1)
     n = cfg.trials
     if workers <= 1:
         return _run_trials(cfg, range(n), measure)
-    import multiprocessing  # the pool's modules load only when a run asks for one
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor  # loaded only when a run asks for a pool
 
     edges = [n * k // workers for k in range(workers + 1)]
     chunks = [range(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
-    marks = multiprocessing.Value("q", n), multiprocessing.Array("q", [n] * len(cfg.delta_ladder))
-    with ProcessPoolExecutor(
-        max_workers=len(chunks), initializer=_join_pool, initargs=marks
-    ) as ex:
+    with ProcessPoolExecutor(max_workers=len(chunks)) as ex:
         results = list(ex.map(_run_trials, [cfg] * len(chunks), chunks, [measure] * len(chunks)))
     aborted = [
         next((a for a in per_range if a is not None), None)
@@ -762,8 +746,8 @@ def verify_bounds(config: ExperimentConfig) -> list[BoundVerdict]:
     3 standard errors``; the increment mismatch at fixed (s, t) = (T/4,
     3T/4) must scale with a log-log slope of at least ``SCALING_SLOPE_MIN``
     across the ladder (zero errors pass trivially).  The trials run on the
-    engine of ``convergence``; a runaway at any delta stops the trials and
-    raises the error of the earliest aborted trial.
+    engine of ``convergence``; a runaway at any delta stops its range of
+    trials and raises the error of the earliest aborted trial.
     """
     run = config.run.thinnable()
     jump_rate, marks = run.jump_rate, run.marks

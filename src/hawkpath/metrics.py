@@ -5,7 +5,7 @@ fractional Sobolev norm reduces to a closed-form double sum over segment
 pairs (added in row blocks of bounded size), the Skorokhod distance (at any
 jump count) to its lower bound, the Hausdorff distance between the two
 value sets, whenever that bound is feasible, and otherwise
-to a bracketed search over finitely many critical values above it.  Each
+to a bisection over finitely many critical values above it.  Each
 step is a feasibility decision computed by dynamic programming on the
 interleaved jumps (one chronological path through its states first, which
 proves a feasible eps in m + n steps, and the sweep of every reachable
@@ -347,16 +347,12 @@ def skorokhod_distance(f: StepPath, g: StepPath) -> float:
     table or sweep; on coupled count and risk paths it is feasible on every
     pair measured.
 
-    Otherwise the search runs over the critical values in [L, u], bracketed
-    by the value gaps in that range: a binary search over the gaps just
-    above the value gaps finds the first passing one, at value gap v, and
-    one call on the gap just below v decides whether v is the answer; only
-    if that gap passes too is the rest of the bracket (above the previous
-    value gap) bisected.  Every gap below L fails, so the first passing gap,
-    and the critical value returned, are those of a search over every
-    critical value up to u.  When L = u (as when u = 0), u is returned with
-    no further call.  The gaps up to u come in bounded row blocks from
-    ``_gaps_within``.
+    Otherwise one bisection over the gaps between the k critical values in
+    [L, u] finds the first passing one, in at most ⌈log₂ k⌉ calls.
+    Every gap below L fails, so it is the first passing gap of a search
+    over every critical value up to u.  When L = u (as when u = 0), u is
+    returned with no further call.  The gaps up to u come in bounded row
+    blocks from ``_gaps_within``.
 
     A call that passes costs about m + n states when ``feasible_eps``'s
     chronological path proves it, as on every coupled pair measured, and a
@@ -371,34 +367,22 @@ def skorokhod_distance(f: StepPath, g: StepPath) -> float:
     u = uniform_distance(f, g)
     fa = f.breakpoints[1:]
     ga = g.breakpoints[1:]
-    value_gaps = _gaps_within(fv, gv, u)
-    cands = np.concatenate((value_gaps, _gaps_within(fa, ga, u), fa, T - fa, ga, T - ga))
+    cands = np.concatenate(
+        (_gaps_within(fv, gv, u), _gaps_within(fa, ga, u), fa, T - fa, ga, T - ga)
+    )
     crit = distinct(cands[(low <= cands) & (cands <= u)])
 
-    def passes(k: int) -> bool:  # is the gap (crit[k], crit[k + 1]) feasible?
+    lo, hi = 0, len(crit) - 1  # crit[hi] is u, which passes
+    while lo < hi:  # the first feasible gap (crit[k], crit[k + 1])
+        k = (lo + hi) // 2
         c, nxt = float(crit[k]), float(crit[k + 1])
         mid = 0.5 * (c + nxt)
         # adjacent floats: no eps lies inside the gap, so decide it at c
-        return feasible_eps(f, g, c if mid in (c, nxt) else mid)
-
-    def first_passing(ks) -> int:  # ks ascending, the last known to pass
-        lo, hi = 0, len(ks) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if passes(ks[mid]):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    # positions of the value gaps >= L in crit; the first is L, the last u
-    anchors = np.searchsorted(crit, distinct(value_gaps[value_gaps >= low])).tolist()
-    s = first_passing(anchors)
-    lo = anchors[s - 1] + 1 if s else 0
-    hi = anchors[s]  # the answer's position lies in [lo, hi]
-    if lo < hi and passes(hi - 1):
-        hi = lo + first_passing(range(lo, hi))
-    return float(crit[hi])
+        if feasible_eps(f, g, c if mid in (c, nxt) else mid):
+            hi = k
+        else:
+            lo = k + 1
+    return float(crit[lo])
 
 
 # --------------------------------------------------------------------------

@@ -143,6 +143,39 @@ class TestExitCodes:
         assert list(out.iterdir()) == []
         assert capsys.readouterr().err.startswith("config error: unknown config keys ['metric']")
 
+    @pytest.mark.parametrize("block, spec, message", [
+        # a misspelt modulation block would run with b = 1
+        ("marks", {"distribution": {"family": "exponential", "rate": 1.0},
+                   "modulaton": {"family": "indicator", "threshold": 1.0}},
+         "marks has unknown key 'modulaton'; it reads ['distribution', 'modulation']"),
+        # a misspelt params block would run at the default amplitude
+        ("kernel", {"family": "cosine-decay", "parms": {"amplitude": 0.3}},
+         "kernel has unknown key 'parms'; it reads ['family', 'params']"),
+        # a misspelt optional parameter would be ignored
+        ("kernel", {"family": "cosine-decay", "params": {"amplitud": 0.3}},
+         "kernel.params has unknown key 'amplitud'; it reads ['amplitude']"),
+        # given both, the coefficient is read and the target ratio is not
+        ("kernel", {"family": "inverse-sqrt", "params": {"coefficient": 0.1, "target_rho": 0.5}},
+         "kernel.params has unknown key 'target_rho'; it reads ['coefficient']"),
+        ("marks", {"distribution": {"family": "exponential", "rate": 1.0, "sd": 1.0}},
+         "marks.distribution has unknown key 'sd'; it reads ['family', 'rate']"),
+        ("jump_rate", {"family": "relu-affine", "params": {"baseline": 1.0, "cap": 2.0}},
+         "jump_rate.params has unknown key 'cap'; it reads ['baseline']"),
+        # a block where a number belongs is mistyped, not a crash
+        ("kernel", {"family": "exponential", "params": {"amplitude": {"value": 0.5}, "decay": 1.0}},
+         "kernel params.amplitude must be a number, got {'value': 0.5}"),
+    ], ids=["marks-block", "kernel-block", "kernel-param", "inverse-sqrt-both",
+            "marks-param", "jump-rate-param", "nested-param"])
+    def test_bad_nested_key_exits_2_without_outputs(
+        self, tmp_path, capsys, block, spec, message
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        doc = {**base_doc(out), block: spec}
+        assert cli_main(["convergence", str(write_config(tmp_path, doc))]) == 2
+        assert list(out.iterdir()) == []
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_bins_past_the_atom_budget_exit_2(self, tmp_path, capsys, command):
         # T / delta = 1e9 bins: refused before the grid is built, by every command

@@ -2,7 +2,6 @@ import concurrent.futures
 import json
 import math
 import pickle
-import time
 from dataclasses import asdict
 
 import numpy as np
@@ -415,65 +414,25 @@ class TestVerifyBounds:
         with pytest.raises(RunawayIntensityError, match="trial 5"):
             verify_bounds(cfg)
 
-    @staticmethod
-    def _second_range_waits(monkeypatch, log, until, abort):
-        """Patch the ladder entry: in a pool, the second of two ranges (trials
-        20-39) starts trial 20 only once ``until(marks)`` holds for the
-        pool's shared marks, and the first range runs trial 1 only once trial
-        20 has chosen its grids (else a second range that starts late reads
-        the shared marks first); trial 1 returns a runaway at delta index
-        ``abort``, and every call appends its trial and grid count to ``log``."""
+    def test_pool_ranges_share_nothing_yet_report_the_serial_csv(self, monkeypatch):
+        # trial 1, in the first of two ranges, aborts delta 0.25; the second
+        # range never learns of it, and the report still equals the
+        # one-worker run's
         real = harness.simulate_ladder
-        started = log.parent / "trial-20-started"
 
         def ladder(grids, jump_rate, marks, atoms, **kwargs):
-            trial = atoms.seed_entropy[1]
-            deadline = time.monotonic() + 60.0
-            pool = harness._POOL     # None in a run without a pool
-            if trial == 20 and pool:
-                started.touch()
-            while trial == 1 and pool and not started.exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            while trial == 20 and pool and not until(pool) and time.monotonic() < deadline:
-                time.sleep(0.01)
-            with open(log, "a", encoding="utf-8") as f:
-                f.write(f"{trial} {len(grids)}\n")
             traces = real(grids, jump_rate, marks, atoms, **kwargs)
-            if trial == 1:
-                traces[abort] = RunawayIntensityError("injected")
+            if atoms.seed_entropy[1] == 1:
+                traces[1] = RunawayIntensityError("injected")
             return traces
 
         monkeypatch.setattr(harness, "simulate_ladder", ladder)
-
-    def test_pool_ranges_stop_after_an_earlier_range_gave_up(self, monkeypatch, tmp_path):
-        # trial 1 aborts a cell, so verify gives up there.  The second range
-        # starts trial 20 once the first has given up, then stops: only trials
-        # 0, 1 and 20 run the discrete scheme
-        log = tmp_path / "runs"
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # a pool on any host
-        self._second_range_waits(monkeypatch, log, lambda pool: pool[0].value == 1, 1)
-        with pytest.raises(RunawayIntensityError, match="injected"):
-            verify_bounds(exponential_config(trials=40, workers=2))
-        runs = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
-        assert runs == [(0, 3), (1, 3), (20, 3)]
-
-    def test_pool_ranges_skip_a_delta_aborted_earlier(self, monkeypatch, tmp_path):
-        # trial 1 aborts delta 0.25: after trial 20, which it starts once the
-        # first range has shared that abort, the second range runs the other
-        # two deltas only, and the report equals the one-worker run's
-        log = tmp_path / "runs"
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # a pool on any host
-        self._second_range_waits(monkeypatch, log, lambda pool: pool[1][1] == 1, 1)
-        cfg = exponential_config(trials=40, metrics=["terminal_count", "terminal_risk"])
-        serial = run_convergence(cfg).to_csv_text()
-        log.unlink()
-        pooled = run_convergence(exponential_config(
-            trials=40, metrics=["terminal_count", "terminal_risk"], workers=2,
-        )).to_csv_text()
-        assert pooled == serial and "0.25,terminal_count,nan,nan" in serial
-        runs = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
-        assert runs == [(t, 3) for t in (0, 1)] + [(t, 2) for t in range(2, 20)] + [
-            (20, 3)] + [(t, 2) for t in range(21, 40)]
+        metrics = ["terminal_count", "terminal_risk"]
+        serial = run_convergence(exponential_config(trials=40, metrics=metrics, workers=1))
+        pooled = run_convergence(exponential_config(trials=40, metrics=metrics, workers=2))
+        assert pooled.to_csv_text() == serial.to_csv_text()
+        assert "0.25,terminal_count,nan,nan" in serial.to_csv_text()
 
     def test_risk_increment_reads_tied_jumps_as_the_step_path(self):
         # two events at 2.0 and one at t = 3.75 itself: the continuous risk

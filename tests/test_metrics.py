@@ -153,6 +153,16 @@ def poisson_pair(seed, T=20.0, delta=0.5):
     return path_to_step(cont, "risk"), path_to_step(disc, "risk")
 
 
+def criterion8_pair(seed, delta, marks):
+    """Risk paths of the criterion-8 process (exponential kernel (0.604, 1),
+    relu baseline 1) and its discrete scheme at T = 20."""
+    T = 20.0
+    cont, disc = hp.couple(
+        hp.exponential_kernel(0.604, 1.0, T), hp.relu_affine(1.0), marks, T, delta, seed=seed
+    )
+    return path_to_step(cont, "risk"), path_to_step(disc, "risk")
+
+
 def sweep_pair(seed, size=500, T=200.0, delta=0.25):
     """Unit-jump path and its rounding up onto the delta-grid, as in the bench sweep."""
     rng = np.random.default_rng((seed, size))
@@ -470,6 +480,26 @@ class TestSkorokhodDistance:
             feasibility_calls.clear()
             d = skorokhod_distance(f, g)
             assert feasibility_calls == [d] == [value_set_distance(f, g)], k
+
+    @pytest.mark.parametrize("marks, delta, seed", [
+        *(("unit", 0.1, seed) for seed in (27, 69, 73, 86)),
+        *(("exp", 0.5, seed) for seed in (17, 73)),
+        *(("exp", 0.1, seed) for seed in (27, 42, 73)),
+    ])
+    def test_fallback_is_one_bisection_over_the_critical_values(
+        self, feasibility_calls, marks, delta, seed
+    ):
+        # the criterion-8 pairs (seeds 0-99, unit and Exp(1) marks, delta 0.5
+        # and 0.1) on which the value-set distance L is infeasible: past the
+        # call at L, one bisection over the critical values in [L, u], with
+        # u known to pass
+        model = {"unit": hp.MarkModel(), "exp": hp.MarkModel("exponential", (1.0,))}[marks]
+        f, g = criterion8_pair(seed, delta, model)
+        low, u = value_set_distance(f, g), uniform_distance(f, g)
+        crit = [c for c in critical_values(f, g) if low <= c <= u]
+        d = skorokhod_distance(f, g)
+        assert feasibility_calls[0] == low and d > low
+        assert len(feasibility_calls) <= 1 + math.ceil(math.log2(len(crit)))
 
 
 def ulp_neighbours(value, k):
