@@ -4,7 +4,6 @@ convergence tooling."""
 
 from .bounds import (
     BoundSet,
-    bound_set,
     bound_sets,
     modulus_poisson_bound,
     rho_continuous,
@@ -23,7 +22,6 @@ from .errors import (
 from .kernels import (
     GridCoefficients,
     Kernel,
-    PVariationResult,
     c_r,
     compact_kernel,
     constant_kernel,
@@ -32,11 +30,9 @@ from .kernels import (
     erlang_kernel,
     exponential_kernel,
     grid_coefficients,
-    grid_projection_modulus,
     inverse_sqrt_kernel,
     l1_norm,
     p_variation,
-    shift_modulus,
     tabulated_kernel,
     zero_kernel,
 )

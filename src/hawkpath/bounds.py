@@ -9,8 +9,8 @@ testable.
 
 ``bound_sets`` evaluates a whole delta ladder from the grid coefficients a
 run has already sampled: what no step changes is computed once, and the
-regularity constants of all steps are one quadrature batch.  ``bound_set``
-is the one-step case.
+regularity constants of all steps are one quadrature batch.  One step is a
+one-grid ladder.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from .errors import InstabilityError, ParameterError
 from .kernels import (
     GridCoefficients,
     Kernel,
-    _c_r_ladder,
     _check_steps,
-    grid_coefficients,
+    c_r,
     integrate,
     l1_norm,
     p_variation,
@@ -38,7 +37,6 @@ __all__ = [
     "BoundSet",
     "rho_continuous",
     "rho_discrete",
-    "bound_set",
     "bound_sets",
     "modulus_poisson_bound",
 ]
@@ -66,7 +64,7 @@ class BoundSet:
     delta: float
     horizon: float
     eta: float
-    p: float
+    p: float                               # 1.0: p_variation_shape is the 1-variation shape
     rho_continuous: float
     rho_discrete: float
     stable_continuous: bool
@@ -94,7 +92,6 @@ def bound_sets(
     jump_rate,
     mark_model: MarkModel,
     eta: float = 0.25,
-    p: float = 1.0,
     *,
     allow_unstable: bool = False,
 ) -> list[BoundSet]:
@@ -126,7 +123,7 @@ def bound_sets(
                 f"stability ratios ({rho:.4g}, {rho_d:.4g}) not both < 1"
             )
 
-    crs = _c_r_ladder(kernel, deltas, T)
+    crs = c_r(kernel, deltas, T)
     mean_cont = psi0 / (1.0 - rho) if stable else None
     shift_const = (moments.mod_mean * L * psi0 / (1.0 - rho)) if stable else None
 
@@ -144,7 +141,7 @@ def bound_sets(
         second_cont = (
             psi0**2 + L**2 * moments.mod_second * (psi0 / (1.0 - rho)) * h2
         ) / (1.0 - rho) ** 2
-    pv = p_variation(kernel, p, T) if kernel.bounded else None
+    pv = p_variation(kernel, T) if kernel.bounded else None
 
     out = []
     for grid, rho_d, cr in zip(grids, rhos_d, crs):
@@ -164,18 +161,13 @@ def bound_sets(
         sk_bounded = None
         if jump_rate.sup_norm is not None:
             sk_bounded = delta * (1.0 + T) * (1.0 + jump_rate.sup_norm) + mart + T * cr
-        pvar_shape = None
-        if pv is not None:
-            pvar_shape = (
-                pv.value * T ** ((p - 1.0) / p) * delta ** (1.0 / p)
-                + delta * kernel.sup_norm
-            )
+        pvar_shape = None if pv is None else pv * delta + delta * kernel.sup_norm
 
         out.append(BoundSet(
             delta=float(delta),
             horizon=float(T),
             eta=float(eta),
-            p=float(p),
+            p=1.0,
             rho_continuous=rho,
             rho_discrete=rho_d,
             stable_continuous=stable,
@@ -194,24 +186,6 @@ def bound_sets(
             p_variation_shape=pvar_shape,
         ))
     return out
-
-
-def bound_set(
-    kernel: Kernel,
-    delta: float,
-    T: float,
-    jump_rate,
-    mark_model: MarkModel,
-    eta: float = 0.25,
-    p: float = 1.0,
-    *,
-    allow_unstable: bool = False,
-) -> BoundSet:
-    """Evaluate every constant and theorem shape for one configuration."""
-    grid = grid_coefficients(kernel, delta, T)
-    return bound_sets(
-        kernel, (grid,), jump_rate, mark_model, eta, p, allow_unstable=allow_unstable
-    )[0]
 
 
 def modulus_poisson_bound(

@@ -239,12 +239,12 @@ class _Reads(dict):
         self.read.add(key)
         return super().get(key, default)
 
-    def refuse_unread(self) -> None:
+    def refuse_unread(self, nested: bool = True) -> None:
         for key, value in self.items():
             if key not in self.read:
                 raise ConfigError(f"{self.what} has unknown key {key!r}; "
                                   f"it reads {sorted(self.read)}")
-            if isinstance(value, _Reads):
+            if nested and isinstance(value, _Reads):
                 value.refuse_unread()
 
 
@@ -254,19 +254,21 @@ def _require(spec: dict, key: str, context: str):
     return spec[key]
 
 
-# Each family's builder, from its params block (and the horizon, for kernels)
+# Each family's builder, from its params block (and, for kernels, the horizon
+# and the run's L and E b(Y), which size inverse-sqrt's target_rho)
 _KERNELS: dict[str, Callable[..., Kernel]] = {
-    "exponential": lambda p, T: exponential_kernel(p["amplitude"], p["decay"], T),
-    "erlang": lambda p, T: erlang_kernel(p["amplitude"], p["shape"], p["decay"], T),
-    "cosine-decay": lambda p, T: cosine_decay_kernel(p.get("amplitude", 0.6), T),
-    "inverse-sqrt": lambda p, T: (
+    "exponential": lambda p, T, *_: exponential_kernel(p["amplitude"], p["decay"], T),
+    "erlang": lambda p, T, *_: erlang_kernel(p["amplitude"], p["shape"], p["decay"], T),
+    "cosine-decay": lambda p, T, *_: cosine_decay_kernel(p.get("amplitude", 0.6), T),
+    "inverse-sqrt": lambda p, T, L, mod_mean: (
         inverse_sqrt_kernel(T, p["coefficient"]) if "coefficient" in p
-        else inverse_sqrt_kernel(T, target_rho=p.get("target_rho", 0.5))
+        else inverse_sqrt_kernel(T, target_rho=p.get("target_rho", 0.5),
+                                 lipschitz=L, mean_modulation=mod_mean)
     ),
-    "compact-support": lambda p, T: compact_kernel(p["amplitude"], p["support"], T),
-    "constant": lambda p, T: constant_kernel(p["value"], T),
-    "zero": lambda p, T: zero_kernel(T),
-    "custom": lambda p, T: tabulated_kernel(p["points"], T),
+    "compact-support": lambda p, T, *_: compact_kernel(p["amplitude"], p["support"], T),
+    "constant": lambda p, T, *_: constant_kernel(p["value"], T),
+    "zero": lambda p, T, *_: zero_kernel(T),
+    "custom": lambda p, T, *_: tabulated_kernel(p["points"], T),
 }
 _JUMP_RATES: dict[str, Callable[..., JumpRate]] = {
     "relu-affine": lambda p: relu_affine(p["baseline"]),
@@ -278,10 +280,12 @@ _JUMP_RATES: dict[str, Callable[..., JumpRate]] = {
 
 def _build(table: dict, spec: dict, what: str, *args):
     """The component of config block ``spec`` {family, params}, built by its
-    family's entry of ``table``; a key that the build does not read is refused."""
+    family's entry of ``table``; a key that the build does not read is refused,
+    a key of the block itself before the build."""
     spec = _Reads(_typed(spec, dict, what), what)
     family = _require(spec, "family", what)
     params = _typed(spec.get("params", {}), dict, f"{what} params")
+    spec.refuse_unread(nested=False)
     _check_numbers(params, f"{what} params")
     build = table.get(family) if isinstance(family, str) else None
     if build is None:
@@ -296,9 +300,13 @@ def _build(table: dict, spec: dict, what: str, *args):
     return built
 
 
-def build_kernel(spec: dict, horizon: float) -> Kernel:
-    """Construct a kernel from its config block {family, params...}."""
-    return _build(_KERNELS, spec, "kernel", horizon)
+def build_kernel(
+    spec: dict, horizon: float, lipschitz: float = 1.0, mean_modulation: float = 1.0
+) -> Kernel:
+    """Construct a kernel from its config block {family, params...}; an
+    inverse-sqrt ``target_rho`` is the ratio L * ||h||_1 * E b(Y) at the given
+    L and E b(Y)."""
+    return _build(_KERNELS, spec, "kernel", horizon, lipschitz, mean_modulation)
 
 
 def build_jump_rate(spec: dict) -> JumpRate:
@@ -348,9 +356,11 @@ class Run:
     def __init__(self, config: ExperimentConfig) -> None:
         T = config.horizon
         self.config = config
-        self.kernel = kernel = build_kernel(config.kernel, T)
         self.jump_rate = jump_rate = build_jump_rate(config.jump_rate)
         self.marks = marks = build_mark_model(config.marks)
+        self.kernel = kernel = build_kernel(
+            config.kernel, T, jump_rate.lipschitz, mark_moments(marks).mod_mean
+        )
         self.ceiling = default_ceiling(jump_rate, kernel, marks)
         try:
             self.grids = tuple(grid_coefficients(kernel, d, T) for d in config.delta_ladder)

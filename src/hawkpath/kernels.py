@@ -12,10 +12,11 @@ The quadrature is adaptive Simpson refined level by level (see
 refinement level on the new midpoints of every open panel of a whole batch
 of integrals.  The regularity constant ``c_r`` is computed for a whole
 delta ladder at once: the head integrals of all deltas form one batch, the
-33 shift integrals of every delta's eps profile another, each of the two
-local refinements another, and the cells of every grid-projection modulus
-a last one.  The six-step cosine-decay ladder thus evaluates its kernel 87
-times, where one delta at a time took 449 calls for the same points.  A
+``_SHIFT_MESH`` shift integrals of every delta's eps profile another, each
+of the two local refinements another, and the cells of every
+grid-projection modulus a last one.  The six-step cosine-decay ladder thus
+evaluates its kernel 87 times, where one delta at a time took 449 calls for
+the same points.  A
 panel refines on its own and each integral adds its panels left to right,
 so every integral is bit-identical to the classic depth-first recursion,
 which the tests keep as their oracle, however the batch is made up;
@@ -37,7 +38,6 @@ from .randomness import ATOM_BUDGET
 __all__ = [
     "Kernel",
     "GridCoefficients",
-    "PVariationResult",
     "exponential_kernel",
     "erlang_kernel",
     "cosine_decay_kernel",
@@ -50,8 +50,6 @@ __all__ = [
     "integrate",
     "l1_norm",
     "grid_coefficients",
-    "shift_modulus",
-    "grid_projection_modulus",
     "c_r",
     "p_variation",
 ]
@@ -273,7 +271,7 @@ class Kernel:
     def l1(self) -> float:
         """Integral of |h| over the horizon: the declared antiderivative, else
         one quadrature."""
-        return _abs_integral(self, 0.0, self.horizon)
+        return _abs_integrals(self, [(0.0, self.horizon)])[0]
 
     @cached_property
     def _tail_peaks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -432,12 +430,14 @@ def inverse_sqrt_kernel(
 
     When ``coefficient`` is omitted it is sized so that the stability ratio
     L * ||h||_1 * E b(Y) equals ``target_rho`` (< 1) for the given Lipschitz
-    constant and mean modulation.
+    constant and mean modulation; no coefficient does when their product is 0.
     """
     T = float(horizon)
     if coefficient is None:
         if not 0 < target_rho < 1:
             raise ParameterError("target_rho must lie in (0, 1)")
+        if not lipschitz * mean_modulation > 0:
+            raise ParameterError("target_rho needs L * E b(Y) > 0; no coefficient reaches it")
         coefficient = target_rho / (lipschitz * 2.0 * math.sqrt(T) * mean_modulation)
     c = float(coefficient)
     if c <= 0:
@@ -566,11 +566,6 @@ def _abs_integrals(
     )
 
 
-def _abs_integral(kernel: Kernel, a: float, b: float, tol: float = 1e-9) -> float:
-    """Integral of |h| over [a, b] <= horizon, closed form when declared."""
-    return _abs_integrals(kernel, [(a, b)], tol)[0]
-
-
 def l1_norm(kernel: Kernel, T: float | None = None, *, tol: float = 1e-9) -> float:
     """Integral of |h| over [0, T] (T defaults to the kernel horizon)."""
     if T is None:
@@ -579,7 +574,7 @@ def l1_norm(kernel: Kernel, T: float | None = None, *, tol: float = 1e-9) -> flo
         raise ParameterError("T exceeds the kernel horizon")
     if T == kernel.horizon:
         return kernel.l1
-    return _abs_integral(kernel, 0.0, T, tol)
+    return _abs_integrals(kernel, [(0.0, T)], tol)[0]
 
 
 def grid_coefficients(kernel: Kernel, delta: float, T: float) -> GridCoefficients:
@@ -638,14 +633,29 @@ def _shift_integrals(kernel: Kernel, eps: np.ndarray, upper: np.ndarray, tol: fl
     return out
 
 
+# Points of the eps mesh on [0, delta] that the shift modulus first integrates
+_SHIFT_MESH = 33
+
+
 def _shift_moduli(
-    kernel: Kernel, deltas: Sequence[float], T: float, grid: int, tol: float
+    kernel: Kernel, deltas: Sequence[float], T: float, tol: float = 1e-9
 ) -> list[float]:
-    """``shift_modulus`` at every delta: the eps meshes of all deltas are one
-    quadrature batch, and so are the interior eps of each local refinement."""
+    """sup over eps in [0, delta] of the L1 shift difference of h on [0, T - delta],
+    at every delta of ``deltas``.
+
+    The supremum is approximated on a ``_SHIFT_MESH``-point eps mesh including
+    both endpoints, then refined locally around the maximizer, twice.  A
+    nonincreasing nonnegative kernel (``monotone_decreasing``) with a declared
+    antiderivative uses the exact telescoping identity per eps, for which the
+    maximizer is the right endpoint.  The eps meshes of all deltas are one
+    quadrature batch, and so are the three interior eps of each delta's
+    refinement; a refinement's endpoints are mesh points already integrated.
+    """
     uppers = np.array([T - delta for delta in deltas])
-    eps = np.array([np.linspace(0.0, delta, grid) for delta in deltas])
-    vals = _shift_integrals(kernel, eps.ravel(), np.repeat(uppers, grid), tol).reshape(eps.shape)
+    eps = np.array([np.linspace(0.0, delta, _SHIFT_MESH) for delta in deltas])
+    vals = _shift_integrals(
+        kernel, eps.ravel(), np.repeat(uppers, _SHIFT_MESH), tol
+    ).reshape(eps.shape)
     best = vals.max(axis=1).tolist()
     rows = np.arange(len(deltas))
     for _ in range(2):
@@ -659,35 +669,17 @@ def _shift_moduli(
     return best
 
 
-def shift_modulus(
-    kernel: Kernel,
-    delta: float,
-    T: float | None = None,
-    *,
-    grid: int = 33,
-    tol: float = 1e-9,
-) -> float:
-    """sup over eps in [0, delta] of the L1 shift difference of h on [0, T - delta].
-
-    The supremum is approximated on a ``grid``-point eps mesh including both
-    endpoints, then refined locally around the maximizer.  A nonincreasing
-    nonnegative kernel (``monotone_decreasing``) with a declared antiderivative
-    uses the exact telescoping identity per eps, for which the maximizer is
-    the right endpoint.  The integrals of the mesh, and of each refinement's
-    three interior eps, are computed as one quadrature batch; a refinement's
-    endpoints are mesh points already integrated.
-    """
-    if T is None:
-        T = kernel.horizon
-    _check_steps((delta,), T)
-    return _shift_moduli(kernel, (delta,), T, grid, tol)[0]
-
-
 def _projection_moduli(
-    kernel: Kernel, deltas: Sequence[float], T: float, tol: float
+    kernel: Kernel, deltas: Sequence[float], T: float, tol: float = 1e-9
 ) -> list[float]:
-    """``grid_projection_modulus`` at every delta; the cells of all deltas are
-    one quadrature batch, their grid targets one kernel call."""
+    """Integral over [0, T - delta] of |h(y) - h((y)_grid + delta)| dy at every
+    delta of ``deltas``.
+
+    (y)_grid is the projection of y onto the delta-grid from below, so each
+    grid cell compares h against its value at the cell's right endpoint.  The
+    cells of all deltas are one quadrature batch, their grid targets one
+    kernel call; each delta's cells are added in order.
+    """
     cells, owner, lags = [], [], []
     for i, delta in enumerate(deltas):
         upper = T - delta
@@ -717,65 +709,36 @@ def _projection_moduli(
     return totals
 
 
-def grid_projection_modulus(
-    kernel: Kernel, delta: float, T: float | None = None, *, tol: float = 1e-9
-) -> float:
-    """Integral over [0, T - delta] of |h(y) - h((y)_grid + delta)| dy.
+def c_r(
+    kernel: Kernel, deltas: Sequence[float], T: float | None = None, *, tol: float = 1e-9
+) -> list[float]:
+    """Kernel-regularity constant at every delta of ``deltas``: head integral +
+    shift modulus + grid projection (T defaults to the kernel horizon).
 
-    (y)_grid is the projection of y onto the delta-grid from below, so each
-    grid cell compares h against its value at the cell's right endpoint.  The
-    cells are integrated as one quadrature batch and added in order.
+    The three terms are the integral of |h| over [0, delta], the sup-shift
+    L1 modulus, and the grid-projection L1 modulus, all on the same horizon.
+    Each quadrature stage (head integrals, shift mesh, each local refinement,
+    projection cells) is one batch over the whole ladder.
     """
     if T is None:
         T = kernel.horizon
-    _check_steps((delta,), T)
-    return _projection_moduli(kernel, (delta,), T, tol)[0]
-
-
-def _c_r_ladder(
-    kernel: Kernel, deltas: Sequence[float], T: float, tol: float = 1e-9
-) -> list[float]:
-    """``c_r`` at every delta of ``deltas``: each quadrature stage (head
-    integrals, shift mesh, each local refinement, projection cells) is one
-    batch over the whole ladder."""
     _check_steps(deltas, T)
     if not deltas:
         return []
     heads = _abs_integrals(kernel, [(0.0, delta) for delta in deltas], tol)
-    shifts = _shift_moduli(kernel, deltas, T, grid=33, tol=tol)
+    shifts = _shift_moduli(kernel, deltas, T, tol)
     projections = _projection_moduli(kernel, deltas, T, tol)
     return [h + s + p for h, s, p in zip(heads, shifts, projections)]
 
 
-def c_r(kernel: Kernel, delta: float, T: float | None = None, *, tol: float = 1e-9) -> float:
-    """Kernel-regularity constant: head integral + shift modulus + grid projection.
+def p_variation(kernel: Kernel, T: float | None = None) -> float:
+    """Total variation (1-variation) of h on [0, T]: the sum of |h(b') - h(b)|
+    over consecutive declared monotone-piece boundaries b < b', exact since h
+    is monotone between them.
 
-    The three terms are the integral of |h| over [0, delta], the sup-shift
-    L1 modulus, and the grid-projection L1 modulus, all on the same horizon.
+    Every bounded built-in family declares its boundaries; a kernel without
+    them, or one unbounded on (0, T], is refused.
     """
-    if T is None:
-        T = kernel.horizon
-    return _c_r_ladder(kernel, (delta,), T, tol)[0]
-
-
-@dataclass(frozen=True)
-class PVariationResult:
-    """p-variation value; ``exact`` is False for certified lower bounds."""
-
-    value: float
-    exact: bool
-
-
-def p_variation(kernel: Kernel, p: float = 1.0, T: float | None = None) -> PVariationResult:
-    """p-variation of h on [0, T], read off the declared monotone-piece boundaries.
-
-    Exact for p = 1 (the supremum is attained on the extrema partition).  For
-    p > 1 the extrema-partition value is returned and flagged as a certified
-    lower bound.  Every bounded built-in family declares its boundaries; a
-    kernel without them is refused.
-    """
-    if p < 1:
-        raise ParameterError("p must be >= 1")
     if T is None:
         T = kernel.horizon
     if kernel.monotone_breaks is None and not kernel.singular_at_zero:
@@ -788,8 +751,4 @@ def p_variation(kernel: Kernel, p: float = 1.0, T: float | None = None) -> PVari
         )
     pts = np.array(sorted({min(b, T) for b in kernel.monotone_breaks} | {0.0, T}))
     vals = np.asarray(kernel.evaluate(np.maximum(pts, 1e-300)), dtype=float)
-    if p == 1.0:
-        return PVariationResult(float(np.abs(np.diff(vals)).sum()), exact=True)
-    return PVariationResult(
-        float((np.abs(np.diff(vals)) ** p).sum() ** (1.0 / p)), exact=False
-    )
+    return float(np.abs(np.diff(vals)).sum())

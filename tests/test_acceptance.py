@@ -267,7 +267,7 @@ def test_criterion_9_inverse_sqrt_regularity_exponent():
     with criterion(9, "inverse-sqrt regularity exponent"):
         kernel = hp.inverse_sqrt_kernel(2.0, 0.1)
         ladder = [0.1, 0.05, 0.025, 0.0125, 0.00625]
-        points = [(d, c_r(kernel, d, 2.0)) for d in ladder]
+        points = list(zip(ladder, c_r(kernel, ladder, 2.0)))
         fit = fit_powerlaw(points)
         assert 0.45 <= fit.exponent <= 0.55
 

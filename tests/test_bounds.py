@@ -6,16 +6,23 @@ import pytest
 import hawkpath as hp
 from hawkpath import bounds
 from hawkpath.bounds import (
-    bound_set,
     bound_sets,
     modulus_poisson_bound,
     rho_continuous,
     rho_discrete,
 )
 from hawkpath.errors import InstabilityError, ParameterError
-from hawkpath.kernels import c_r, grid_coefficients, grid_projection_modulus, p_variation
+from hawkpath.kernels import _projection_moduli, c_r, grid_coefficients, p_variation
 
 from _oracles import adaptive_simpson_reference
+
+
+def bound_set(kernel, delta, T, jump_rate, mark_model, eta=0.25, *, allow_unstable=False):
+    """The bound set at one step: ``bound_sets`` on a one-grid ladder."""
+    grid = grid_coefficients(kernel, delta, T)
+    return bound_sets(
+        kernel, (grid,), jump_rate, mark_model, eta, allow_unstable=allow_unstable
+    )[0]
 
 
 class TestStabilityRatios:
@@ -58,7 +65,7 @@ class TestStabilityRatios:
             for delta in (0.5, 0.1, 0.05):
                 grid = grid_coefficients(k, delta, 5.0)
                 rho_d = rho_discrete(grid, 1.0, unit_marks)
-                proj = grid_projection_modulus(k, delta, 5.0)
+                [proj] = _projection_moduli(k, (delta,), 5.0)
                 assert rho_d <= rho + proj + 1e-9
 
     def test_small_step_restores_discrete_stability(self, library_kernels, unit_marks):
@@ -199,14 +206,14 @@ class TestBoundSets:
 
     def test_run_invariants_computed_once(self, cos_kernel, unit_marks, monkeypatch):
         calls = []
-        for name in ("rho_continuous", "integrate", "p_variation", "_c_r_ladder"):
+        for name in ("rho_continuous", "integrate", "p_variation", "c_r"):
             real = getattr(bounds, name)
             monkeypatch.setattr(
                 bounds, name,
                 lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k),
             )
         bound_sets(cos_kernel, ladder_grids(cos_kernel), hp.relu_affine(1.0), unit_marks)
-        assert sorted(calls) == ["_c_r_ladder", "integrate", "p_variation", "rho_continuous"]
+        assert sorted(calls) == ["c_r", "integrate", "p_variation", "rho_continuous"]
 
     def test_every_step_checked_before_quadrature(self, unit_marks, monkeypatch):
         # the finest step is stable, the coarsest is not: no constant is
@@ -220,7 +227,7 @@ class TestBoundSets:
         def never(*args, **kwargs):
             raise AssertionError("quadrature before the stability check")
 
-        monkeypatch.setattr(bounds, "_c_r_ladder", never)
+        monkeypatch.setattr(bounds, "c_r", never)
         with pytest.raises(InstabilityError):
             bound_sets(k, grids[::-1], hp.relu_affine(1.0), unit_marks)
         # grids of two horizons
@@ -250,11 +257,11 @@ class TestPVariationDomination:
         ]
         ladder = (0.5, 0.25, 0.125, 0.0625, 0.03125)
         for k in kernels:
-            pv = p_variation(k, 1.0, 5.0).value
+            pv = p_variation(k, 5.0)
             ratios = []
-            for delta in ladder:
+            for delta, cr in zip(ladder, c_r(k, ladder, 5.0)):
                 shape = pv * delta + delta * k.sup_norm
-                ratios.append(c_r(k, delta, 5.0) / shape)
+                ratios.append(cr / shape)
             assert max(ratios) / min(ratios) <= 2.0
 
 

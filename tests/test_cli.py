@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hawkpath import bounds, harness
+from hawkpath import harness
 from hawkpath.cli import cli_main
 
 COMMANDS = ("simulate", "couple", "convergence", "bounds", "verify")
@@ -116,6 +116,33 @@ class TestExitCodes:
         assert cli_main([command, str(cfg)]) == code
         assert (list(out.iterdir()) == []) == (code == 2)
 
+    @pytest.mark.parametrize("jump_rate, marks", [
+        # L = 8 / 4 = 2
+        ({"family": "sigmoid", "params": {"scale": 8.0}},
+         {"distribution": {"family": "point-mass", "value": 1.0}}),
+        # E b(Y) = P(Y > 1) = 1 / e
+        ({"family": "relu-affine", "params": {"baseline": 1.0}},
+         {"distribution": {"family": "exponential", "rate": 1.0},
+          "modulation": {"family": "indicator", "threshold": 1.0}}),
+    ], ids=["sigmoid", "indicator"])
+    def test_target_rho_is_the_runs_stability_ratio(self, tmp_path, jump_rate, marks):
+        out = tmp_path / "out"
+        doc = {**base_doc(out), "horizon": 2.0, "jump_rate": jump_rate, "marks": marks,
+               "kernel": {"family": "inverse-sqrt", "params": {"target_rho": 0.5}}}
+        assert cli_main(["bounds", str(write_config(tmp_path, doc))]) == 0
+        for bset in json.loads((out / "bounds.json").read_text()).values():
+            assert bset["rho_continuous"] == pytest.approx(0.5, rel=0.0, abs=1e-12)
+
+    def test_target_rho_without_excitation_exits_2(self, tmp_path, capsys):
+        # a constant jump rate has L = 0: no coefficient reaches the target
+        out = tmp_path / "out"
+        doc = {**base_doc(out), "horizon": 2.0,
+               "jump_rate": {"family": "constant", "params": {"value": 1.0}},
+               "kernel": {"family": "inverse-sqrt", "params": {"target_rho": 0.5}}}
+        assert cli_main(["bounds", str(write_config(tmp_path, doc))]) == 2
+        assert not out.exists()
+        assert "target_rho needs L * E b(Y) > 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, code",
         [("convergence", 2), ("verify", 2), ("couple", 2), ("simulate", 2), ("bounds", 0)],
@@ -151,6 +178,9 @@ class TestExitCodes:
         # a misspelt params block would run at the default amplitude
         ("kernel", {"family": "cosine-decay", "parms": {"amplitude": 0.3}},
          "kernel has unknown key 'parms'; it reads ['family', 'params']"),
+        # ... and is named before the build misses a required parameter
+        ("kernel", {"family": "exponential", "parms": {"amplitude": 0.5, "decay": 1.0}},
+         "kernel has unknown key 'parms'; it reads ['family', 'params']"),
         # a misspelt optional parameter would be ignored
         ("kernel", {"family": "cosine-decay", "params": {"amplitud": 0.3}},
          "kernel.params has unknown key 'amplitud'; it reads ['amplitude']"),
@@ -164,7 +194,8 @@ class TestExitCodes:
         # a block where a number belongs is mistyped, not a crash
         ("kernel", {"family": "exponential", "params": {"amplitude": {"value": 0.5}, "decay": 1.0}},
          "kernel params.amplitude must be a number, got {'value': 0.5}"),
-    ], ids=["marks-block", "kernel-block", "kernel-param", "inverse-sqrt-both",
+    ], ids=["marks-block", "kernel-block", "kernel-block-required", "kernel-param",
+            "inverse-sqrt-both",
             "marks-param", "jump-rate-param", "nested-param"])
     def test_bad_nested_key_exits_2_without_outputs(
         self, tmp_path, capsys, block, spec, message
@@ -218,9 +249,9 @@ class TestExitCodes:
         kernels, grids = [], []
         build_kernel, grid_coefficients = harness.build_kernel, harness.grid_coefficients
 
-        def counting_kernel(spec, horizon):
+        def counting_kernel(spec, *args):
             kernels.append(spec)
-            return build_kernel(spec, horizon)
+            return build_kernel(spec, *args)
 
         def counting_grid(kernel, delta, T):
             grids.append(delta)
@@ -228,7 +259,6 @@ class TestExitCodes:
 
         monkeypatch.setattr(harness, "build_kernel", counting_kernel)
         monkeypatch.setattr(harness, "grid_coefficients", counting_grid)
-        monkeypatch.setattr(bounds, "grid_coefficients", counting_grid)
         doc = {**base_doc(tmp_path / "out"), "workers": 1, "trials": 4}
         assert cli_main([command, str(write_config(tmp_path, doc))]) == 0
         assert len(kernels) == 1

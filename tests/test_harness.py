@@ -2,12 +2,13 @@ import concurrent.futures
 import json
 import math
 import pickle
+import sys
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from hawkpath import harness
+from hawkpath import harness, kernels
 from hawkpath.cli import cli_main
 from hawkpath.errors import ConfigError, RunawayIntensityError
 from hawkpath.harness import (
@@ -232,15 +233,34 @@ class TestRunConvergence:
         calls = []
         real = harness.build_kernel
 
-        def counting(spec, horizon):
+        def counting(spec, *args):
             calls.append(spec)
-            return real(spec, horizon)
+            return real(spec, *args)
 
         monkeypatch.setattr(harness, "build_kernel", counting)
         aborted, samples = harness._run_trials(cfg, range(1, 3), harness._cell_metrics)
         assert len(calls) == 1
         assert aborted == [None] * len(cfg.delta_ladder)
         assert [len(cells) for cells in samples] == [len(cfg.delta_ladder)] * 2
+
+    def test_regularity_constants_are_one_call_for_the_ladder(self, monkeypatch):
+        # patched where a tracer patches it, in every hawkpath namespace that
+        # binds kernels.c_r: the run asks for the whole ladder at once
+        calls = []
+        real = kernels.c_r
+
+        def counting(kernel, deltas, *args, **kwargs):
+            calls.append(list(deltas))
+            return real(kernel, deltas, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if module is not None and (name == "hawkpath" or name.startswith("hawkpath.")):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, counting)
+        cfg = exponential_config(trials=4)
+        run_convergence(cfg)
+        assert calls == [list(cfg.delta_ladder)]
 
     def test_deterministic_rerun(self):
         a = run_convergence(null_config()).to_csv_text()

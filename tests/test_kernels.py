@@ -15,15 +15,15 @@ from hawkpath.errors import DivergingKernelError, InfiniteVariationError, Parame
 from hawkpath.kernels import (
     _CHUNK,
     _MAX_FRONTIER,
-    _abs_integral,
+    _abs_integrals,
+    _projection_moduli,
     _shift_integrals,
+    _shift_moduli,
     c_r,
     grid_coefficients,
-    grid_projection_modulus,
     integrate,
     l1_norm,
     p_variation,
-    shift_modulus,
 )
 
 from _oracles import (
@@ -49,7 +49,7 @@ class TestL1Norm:
             points=cos_kernel.nonsmooth_points,
         )
         # bypass metadata to exercise the quadrature path
-        assert _abs_integral(cos_kernel, 0.0, 5.0) == pytest.approx(oracle, abs=1e-8)
+        assert _abs_integrals(cos_kernel, [(0.0, 5.0)])[0] == pytest.approx(oracle, abs=1e-8)
         assert l1_norm(cos_kernel) == pytest.approx(oracle, abs=1e-8)
 
     def test_partial_horizon_uses_antiderivative(self):
@@ -155,9 +155,9 @@ class TestQuadratureMatchesRecursion:
         T = kernel.horizon
         delta = frac * T
         head, shift, proj = regularity_terms_reference(kernel, delta, T, tol)
-        assert shift_modulus(kernel, delta, T, tol=tol) == shift
-        assert grid_projection_modulus(kernel, delta, T, tol=tol) == proj
-        assert c_r(kernel, delta, T, tol=tol) == head + shift + proj
+        assert _shift_moduli(kernel, (delta,), T, tol) == [shift]
+        assert _projection_moduli(kernel, (delta,), T, tol) == [proj]
+        assert c_r(kernel, (delta,), T, tol=tol) == [head + shift + proj]
 
     def test_frontier_cap_stops_an_integrand_that_never_converges(self):
         # nan everywhere fails every error test, so the open panels double per
@@ -186,7 +186,7 @@ class TestQuadratureMatchesRecursion:
         # constant is the sum of its own three scalar-recursion terms
         T = kernel.horizon
         ladder = tuple(f * T for f in sorted(fracs))
-        got = kernels._c_r_ladder(kernel, ladder, T, tol)
+        got = c_r(kernel, ladder, T, tol=tol)
         assert len(got) == len(ladder)
         for delta, value in zip(ladder, got):
             head, shift, proj = regularity_terms_reference(kernel, delta, T, tol)
@@ -203,12 +203,12 @@ class TestQuadratureMatchesRecursion:
             return kernel.evaluate(t)
 
         ladder = (0.5, 0.25, 0.1, 0.05, 0.025, 0.0125)
-        kernels._c_r_ladder(replace(kernel, evaluate=counting), ladder, 5.0)
+        c_r(replace(kernel, evaluate=counting), ladder, 5.0)
         assert len(calls) <= 100
 
     def test_ladder_batch_checks_every_step_first(self, cos_kernel):
         with pytest.raises(ParameterError):
-            kernels._c_r_ladder(cos_kernel, (0.5, 5.0), 5.0)
+            c_r(cos_kernel, (0.5, 5.0), 5.0)
 
     def test_c_r_calls_the_kernel_once_per_refinement_level(self):
         kernel = hp.cosine_decay_kernel(0.6, 5.0)
@@ -218,7 +218,7 @@ class TestQuadratureMatchesRecursion:
             calls.append(np.size(t))
             return kernel.evaluate(t)
 
-        c_r(replace(kernel, evaluate=counting), 0.0125, 5.0)
+        c_r(replace(kernel, evaluate=counting), (0.0125,), 5.0)
         assert len(calls) <= 200
 
 
@@ -256,14 +256,14 @@ class TestGridCoefficients:
 
 class TestShiftModulus:
     def test_zero_kernel(self):
-        assert shift_modulus(hp.zero_kernel(5.0), 0.1) == 0.0
+        assert _shift_moduli(hp.zero_kernel(5.0), (0.1,), 5.0) == [0.0]
 
     def test_inverse_sqrt_telescoping(self):
         c, T, d = 0.1, 2.0, 0.1
         k = hp.inverse_sqrt_kernel(T, c)
         # decreasing kernel: sup at eps = delta, difference of two integrals
         expected = 2 * c * (math.sqrt(T - d) - math.sqrt(T) + math.sqrt(d))
-        got = shift_modulus(k, d, T)
+        [got] = _shift_moduli(k, (d,), T)
         assert got == pytest.approx(expected, abs=1e-12)
         oracle = dense_shift_modulus(lambda t: c / math.sqrt(t), d, T)
         assert got == pytest.approx(oracle, abs=1e-6)
@@ -271,7 +271,7 @@ class TestShiftModulus:
 
     def test_cosine_decay_vs_dense_grid_oracle(self, cos_kernel):
         d = 0.1
-        got = shift_modulus(cos_kernel, d, 5.0)
+        [got] = _shift_moduli(cos_kernel, (d,), 5.0)
         oracle = dense_shift_modulus(
             lambda t: 0.6 * math.cos(t) / (1 + t * t), d, 5.0,
             points=cos_kernel.nonsmooth_points,
@@ -295,31 +295,32 @@ class TestShiftModulus:
         monkeypatch.setattr(kernels, "_shift_integrals", counting)
         for delta in (0.5, 0.25, 0.1, 0.05, 0.025, 0.0125):
             counted.clear()
-            shift_modulus(cos_kernel, delta, 5.0)
+            _shift_moduli(cos_kernel, (delta,), 5.0)
             assert counted == [32, 3, 3]
 
     def test_log_slope_near_one_for_cosine_decay(self, cos_kernel):
         # bounded-variation kernels have a shift modulus linear in the step
         deltas = [0.2, 0.1, 0.05, 0.025]
-        vals = [shift_modulus(cos_kernel, d, 5.0) for d in deltas]
+        vals = _shift_moduli(cos_kernel, deltas, 5.0)
         slope = np.polyfit(np.log(deltas), np.log(vals), 1)[0]
         assert 0.9 <= slope <= 1.1
 
 
 class TestGridProjectionModulus:
     def test_constant_kernel(self):
-        assert grid_projection_modulus(hp.constant_kernel(3.0, 5.0), 0.5) == pytest.approx(0.0, abs=1e-12)
+        [got] = _projection_moduli(hp.constant_kernel(3.0, 5.0), (0.5,), 5.0)
+        assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_kernel_triangle_areas(self):
         # h(t) = t on [0, 1], delta = 0.25: cells of [0, T - delta] each
         # contribute delta^2 / 2, three cells in total
         k = hp.custom_kernel(lambda t: np.asarray(t, dtype=float), 1.0)
-        assert grid_projection_modulus(k, 0.25, 1.0) == pytest.approx(
+        assert _projection_moduli(k, (0.25,), 1.0)[0] == pytest.approx(
             3 * 0.25**2 / 2, abs=1e-10
         )
 
     def test_cosine_decay_vs_riemann_oracle(self, cos_kernel):
-        got = grid_projection_modulus(cos_kernel, 0.05, 5.0)
+        [got] = _projection_moduli(cos_kernel, (0.05,), 5.0)
         oracle = riemann_projection_modulus(
             lambda t: 0.6 * np.cos(t) / (1 + t * t), 0.05, 5.0
         )
@@ -327,43 +328,42 @@ class TestGridProjectionModulus:
 
     def test_vanishes_with_step(self, library_kernels):
         for k in library_kernels.values():
-            assert grid_projection_modulus(k, 0.0125, 5.0) < grid_projection_modulus(
-                k, 0.1, 5.0
-            )
+            fine, coarse = _projection_moduli(k, (0.0125, 0.1), 5.0)
+            assert fine < coarse
 
 
 class TestRegularityConstant:
     def test_zero_kernel(self):
-        assert c_r(hp.zero_kernel(5.0), 0.1) == 0.0
+        assert c_r(hp.zero_kernel(5.0), (0.1,)) == [0.0]
 
     def test_additivity_of_terms(self, exp_kernel):
         d = 0.1
-        total = c_r(exp_kernel, d, 5.0)
+        [total] = c_r(exp_kernel, (d,), 5.0)
         parts = (
-            _abs_integral(exp_kernel, 0.0, d)
-            + shift_modulus(exp_kernel, d, 5.0)
-            + grid_projection_modulus(exp_kernel, d, 5.0)
+            _abs_integrals(exp_kernel, [(0.0, d)])[0]
+            + _shift_moduli(exp_kernel, (d,), 5.0)[0]
+            + _projection_moduli(exp_kernel, (d,), 5.0)[0]
         )
         assert total == pytest.approx(parts, abs=1e-12)
 
     def test_monotone_shrinkage_on_halving(self, cos_kernel):
         for d in (0.4, 0.2, 0.1):
-            assert c_r(cos_kernel, d / 2, 5.0) <= c_r(cos_kernel, d, 5.0) + 1e-9
+            half, whole = c_r(cos_kernel, (d / 2, d), 5.0)
+            assert half <= whole + 1e-9
 
     def test_head_integral_monotone_in_delta(self, library_kernels):
         for k in library_kernels.values():
-            assert _abs_integral(k, 0.0, 0.05) <= _abs_integral(k, 0.0, 0.1) + 1e-15
+            short, long = _abs_integrals(k, [(0.0, 0.05), (0.0, 0.1)])
+            assert short <= long + 1e-15
 
 
 class TestPVariation:
     def test_constant_kernel(self):
-        assert p_variation(hp.constant_kernel(2.0, 5.0), 1.0).value == 0.0
+        assert p_variation(hp.constant_kernel(2.0, 5.0)) == 0.0
 
     def test_monotone_exponential(self):
         k = hp.exponential_kernel(1.0, 1.0, 5.0)
-        res = p_variation(k, 1.0)
-        assert res.exact
-        assert res.value == pytest.approx(1.0 - math.exp(-5.0), abs=1e-12)
+        assert p_variation(k) == pytest.approx(1.0 - math.exp(-5.0), abs=1e-12)
 
     def test_plain_cosine_total_variation(self):
         k = hp.custom_kernel(
@@ -371,35 +371,28 @@ class TestPVariation:
             2 * math.pi,
             monotone_breaks=(0.0, math.pi, 2 * math.pi),
         )
-        res = p_variation(k, 1.0)
-        assert res.exact
-        assert res.value == pytest.approx(4.0, abs=1e-12)
+        assert p_variation(k) == pytest.approx(4.0, abs=1e-12)
 
     def test_kernel_without_breaks_refused(self):
         k = hp.custom_kernel(lambda t: np.cos(np.asarray(t, dtype=float)), 2 * math.pi)
         with pytest.raises(ParameterError, match="monotone_breaks"):
-            p_variation(k, 1.0)
+            p_variation(k)
 
     def test_extremum_on_a_plateau(self):
         # the slope goes 1, 0, -1: the maximum is the flat run [1, 2], whose
         # start is the break
         k = hp.tabulated_kernel([(0, 0), (1, 1), (2, 1), (3, 0)], 3.0)
         assert k.monotone_breaks == (0.0, 1.0, 3.0)
-        assert p_variation(k, 1.0) == hp.PVariationResult(2.0, exact=True)
+        assert p_variation(k) == 2.0
 
     def test_tabulated_breaks_clamped_to_the_horizon(self):
         # the minimum at t = 3 lies past the horizon 2.5
         k = hp.tabulated_kernel([(0, 0), (1, 1), (2, 1), (3, 0), (6, 2)], 2.5)
         assert k.monotone_breaks == (0.0, 1.0, 2.5)
 
-    def test_p_above_one_flagged_lower_bound(self, cos_kernel):
-        res = p_variation(cos_kernel, 2.0, 5.0)
-        assert not res.exact
-        assert res.value > 0.0
-
     def test_unbounded_family_rejected(self):
         with pytest.raises(InfiniteVariationError):
-            p_variation(hp.inverse_sqrt_kernel(2.0, 0.1), 1.0)
+            p_variation(hp.inverse_sqrt_kernel(2.0, 0.1))
 
 
 _TAIL_KERNELS = {
@@ -482,7 +475,7 @@ class TestTailSup:
             warnings.simplefilter("error")
             assert k.sup_norm is None and not k.bounded
             with pytest.raises(InfiniteVariationError):
-                p_variation(k, 1.0)
+                p_variation(k)
             with pytest.raises(ParameterError, match="bounded"):
                 hp.simulate_continuous(
                     k, hp.relu_affine(1.0), unit_marks, 5.0, hp.sample_atoms(5.0, 1.0, unit_marks, 0)

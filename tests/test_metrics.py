@@ -470,7 +470,7 @@ class TestSkorokhodDistance:
         g = make_step_path(np.concatenate(([0.0], times)), scale * f.values, f.horizon)
         assert skorokhod_distance(f, g) == skorokhod_critical_bisection(f, g)
 
-    def test_value_gap_bracket_bounds_feasibility_calls(self, feasibility_calls):
+    def test_coupled_pairs_proved_by_one_call_at_the_value_set_bound(self, feasibility_calls):
         # coupled paths: the answer is the value-set distance, proved by one
         # call at it; the bench sweep's 500-jump pairs too, where a plain
         # search over the critical values needs 12 to 14 calls
