@@ -248,6 +248,20 @@ class _Reads(dict):
                 value.refuse_unread()
 
 
+def _missing(exc: KeyError, *blocks) -> str:
+    """The parameter a build missed, named with the unread key of ``blocks``
+    closest to it: most likely that parameter misspelt."""
+    from difflib import get_close_matches  # only on this failure path
+
+    key = exc.args[0]
+    for block in blocks:
+        if isinstance(block, _Reads):
+            near = get_close_matches(key, [k for k in block if k not in block.read], n=1)
+            if near:
+                return f"{key!r}; {block.what} has unknown key {near[0]!r}"
+    return repr(key)
+
+
 def _require(spec: dict, key: str, context: str):
     if key not in spec:
         raise ConfigError(f"{context} spec is missing {key!r}")
@@ -293,7 +307,9 @@ def _build(table: dict, spec: dict, what: str, *args):
     try:
         built = build(params, *args)
     except KeyError as exc:
-        raise ConfigError(f"{what} family {family!r} is missing parameter {exc}") from exc
+        raise ConfigError(
+            f"{what} family {family!r} is missing parameter {_missing(exc, params)}"
+        ) from exc
     except ValueError as exc:  # ParameterError, or a ragged point table
         raise ConfigError(f"{what} family {family!r}: {exc}") from exc
     spec.refuse_unread()
@@ -339,7 +355,7 @@ def build_mark_model(spec: dict) -> MarkModel:
         else:
             raise ConfigError(f"unknown modulation {mfam!r}")
     except KeyError as exc:
-        raise ConfigError(f"marks spec is missing parameter {exc}") from exc
+        raise ConfigError(f"marks spec is missing parameter {_missing(exc, dist, mod)}") from exc
     spec.refuse_unread()
     try:
         return MarkModel(

@@ -397,8 +397,17 @@ def _local_extrema(fn, T: float) -> tuple[float, ...]:
 
 
 def cosine_decay_kernel(amplitude: float = 0.6, horizon: float = 5.0) -> Kernel:
-    """h(t) = amplitude * cos(t) / (1 + t^2); oscillating, bounded variation."""
+    """h(t) = amplitude * cos(t) / (1 + t^2); oscillating, bounded variation.
+
+    The extrema scan samples max(4096, 16 T) points: a horizon that needs
+    more than ``ATOM_BUDGET`` of them is refused before any is taken.
+    """
     a, T = float(amplitude), float(horizon)
+    if not 16.0 * T <= ATOM_BUDGET:  # an infinite or nan horizon too
+        raise ParameterError(
+            f"horizon {T:.4g} needs {16.0 * T:.4g} kernel samples, "
+            f"past the atom budget {ATOM_BUDGET}"
+        )
 
     def h(t):
         t = np.asarray(t, dtype=float)

@@ -95,15 +95,27 @@ def sobolev_norm(path: StepPath, eta: float) -> float:
         return term1
     x = 1.0 - eta
     # P, rows + 1 by at most J + 1, fits the block
-    rows = max(1, _SOBOLEV_BLOCK // (J + 1) - 1)
+    rows = min(J, max(1, _SOBOLEV_BLOCK // (J + 1) - 1))
+    # the pairs i >= j of a block: the upper triangle of its last columns
+    later = np.tri(rows, dtype=bool).T
     pairs = 0.0
     for r0 in range(0, J, rows):
         r1 = min(r0 + rows, J)
-        # rows j in [r0, r1) against columns i < r1, which hold every i < j
-        P = np.abs(np.subtract.outer(edges[r0 : r1 + 1], edges[: r1 + 1])) ** x
-        W = (P[:-1, :-1] + P[1:, 1:] - P[1:, :-1] - P[:-1, 1:]) / (eta * x)
-        dv = np.abs(np.subtract.outer(v[r0:r1], v[:r1]))
-        pairs += float(np.tril(dv * W, r0 - 1).sum())
+        # rows j in [r0, r1) against columns i < r1, which hold every i < j;
+        # each array formed in place, by the operations of
+        # W = (P[:-1, :-1] + P[1:, 1:] - P[1:, :-1] - P[:-1, 1:]) / (eta x)
+        P = np.subtract.outer(edges[r0 : r1 + 1], edges[: r1 + 1])
+        np.abs(P, out=P)
+        P **= x
+        W = P[:-1, :-1] + P[1:, 1:]
+        W -= P[1:, :-1]
+        W -= P[:-1, 1:]
+        W /= eta * x
+        dv = np.subtract.outer(v[r0:r1], v[:r1])
+        np.abs(dv, out=dv)
+        dv *= W
+        np.copyto(dv[:, r0:], 0.0, where=later[: r1 - r0, : r1 - r0])
+        pairs += float(dv.sum())
     return term1 + 2.0 * pairs
 
 
@@ -425,30 +437,37 @@ def modulus_sparse(path: StepPath, delta: float) -> float:
     end_seg = (np.searchsorted(bp, pos, side="left") - 1).tolist()
     pos = pos.tolist()
 
-    dp = [0.0] + [math.inf] * (len(pos) - 1)
-    w = -1  # the last left end c with pos[k] - pos[c] > delta
+    inf = math.inf
+    dp = [0.0] + [inf] * (len(pos) - 1)
+    # the last left end c with pos[k] - pos[c] > delta; every right end has
+    # one, as pos[1] > delta
+    w = -1
     for k in range(1, len(pos)):
-        while pos[k] - pos[w + 1] > delta:
+        p = pos[k]
+        while p - pos[w + 1] > delta:
             w += 1
-        if w < 0:
-            continue
-        # segments [a, end_seg[k]] meet the cell [pos[c], pos[k]), c = w first
-        a = start_seg[w]
-        covered = vals[a : end_seg[k] + 1]
-        lo, hi = min(covered), max(covered)
-        best = math.inf
+        # segments [a, b] meet the cell [pos[c], pos[k]), c = w first
+        a, b = start_seg[w], end_seg[k]
+        if a == b:
+            lo = hi = vals[a]
+        else:
+            covered = vals[a : b + 1]
+            lo, hi = min(covered), max(covered)
+        best = inf
         for c in range(w, -1, -1):
             while start_seg[c] < a:  # the segments the cell now also covers
                 a -= 1
-                if vals[a] < lo:
-                    lo = vals[a]
-                elif vals[a] > hi:
-                    hi = vals[a]
+                y = vals[a]
+                if y < lo:
+                    lo = y
+                elif y > hi:
+                    hi = y
             osc = hi - lo
             if osc >= best:
                 break
-            if dp[c] < best:
-                best = max(dp[c], osc)
+            d = dp[c]
+            if d < best:
+                best = osc if osc > d else d
         dp[k] = best
     return float(dp[-1])
 

@@ -254,7 +254,7 @@ def make_step_path(breakpoints, values, horizon: float) -> StepPath:
         v = np.concatenate(([v[0] if len(v) else 0.0], v))
     keep = np.ones(len(v), dtype=bool)
     keep[1:] = v[1:] != v[:-1]
-    return StepPath(b[keep].copy(), v[keep].copy(), float(horizon))
+    return StepPath(b[keep], v[keep], float(horizon))
 
 
 def distinct(values: np.ndarray) -> np.ndarray:

@@ -194,9 +194,25 @@ class TestExitCodes:
         # a block where a number belongs is mistyped, not a crash
         ("kernel", {"family": "exponential", "params": {"amplitude": {"value": 0.5}, "decay": 1.0}},
          "kernel params.amplitude must be a number, got {'value': 0.5}"),
+        # a misspelt required parameter is named, not only the one it misses,
+        # whichever key the build reads first
+        ("kernel", {"family": "exponential", "params": {"decay": 1.0, "amplitde": 0.6}},
+         "kernel family 'exponential' is missing parameter 'amplitude'; "
+         "kernel.params has unknown key 'amplitde'"),
+        ("jump_rate", {"family": "relu-affine", "params": {"basline": 1.0}},
+         "jump_rate family 'relu-affine' is missing parameter 'baseline'; "
+         "jump_rate.params has unknown key 'basline'"),
+        ("marks", {"distribution": {"family": "exponential", "rat": 1.0}},
+         "marks spec is missing parameter 'rate'; marks.distribution has unknown key 'rat'"),
+        ("marks", {"distribution": {"family": "exponential", "rate": 1.0},
+                   "modulation": {"family": "indicator", "treshold": 1.0}},
+         "marks spec is missing parameter 'threshold'; "
+         "marks.modulation has unknown key 'treshold'"),
     ], ids=["marks-block", "kernel-block", "kernel-block-required", "kernel-param",
             "inverse-sqrt-both",
-            "marks-param", "jump-rate-param", "nested-param"])
+            "marks-param", "jump-rate-param", "nested-param",
+            "kernel-misspelt-required", "jump-rate-misspelt-required",
+            "marks-misspelt-required", "modulation-misspelt-required"])
     def test_bad_nested_key_exits_2_without_outputs(
         self, tmp_path, capsys, block, spec, message
     ):
@@ -217,6 +233,19 @@ class TestExitCodes:
         assert list(out.iterdir()) == []
         err = capsys.readouterr().err
         assert err.startswith("config error: T / delta = 1e+09 bins pass the atom budget")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_cosine_decay_horizon_past_the_atom_budget_exit_2(self, tmp_path, capsys, command):
+        # T = 2e6 would scan 3.2e7 kernel samples: refused before any is taken
+        out = tmp_path / "out"
+        out.mkdir()
+        doc = {**base_doc(out), "kernel": {"family": "cosine-decay"}, "horizon": 2e6,
+               "delta_ladder": [1.0, 0.5]}
+        assert cli_main([command, str(write_config(tmp_path, doc))]) == 2
+        assert list(out.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith("config error: kernel family 'cosine-decay': horizon 2e+06 needs")
         assert "Traceback" not in err
 
     def test_non_integer_worker_env_exits_2(self, tmp_path, monkeypatch):
@@ -440,11 +469,18 @@ class TestSeedAndReproducibility:
 
 
 # The first 16 hex digits of each perfbench workload's output digest at its
-# default seed.  A change that moves these bytes updates the pin and says so.
+# default seed, and at seed 7, which no workload defaults to.  A change that
+# moves these bytes updates the pin and says so.
 BENCH_DIGESTS = {
     "ladder-count": "03205ac6870d1511",
     "poisson-metrics": "eb93b63fbe0e55b8",
     "verify-fine": "ebc5cf305b9dd278",
+}
+HELD_OUT_SEED = 7
+HELD_OUT_DIGESTS = {
+    "ladder-count": "c7f809a3f1dc9f8f",
+    "poisson-metrics": "e921c231b07d6c51",
+    "verify-fine": "ffa1fa7b41ceca43",
 }
 
 
@@ -463,13 +499,24 @@ def perfbench():
     return module
 
 
+def workload_digest(perfbench, tmp_path, name, seed):
+    """The workload's config at ``seed`` with one worker, run in-process and
+    digested as the benchmark digests an invocation's outputs."""
+    work = perfbench.WORKLOADS[name]
+    cfg = write_config(tmp_path, work.document(seed))
+    out = tmp_path / "out"
+    assert cli_main([work.command, str(cfg), "--output-dir", str(out)]) == 0
+    return perfbench._digest(out, work.command)[:16]
+
+
 class TestBenchDigests:
     @pytest.mark.parametrize("name", sorted(BENCH_DIGESTS))
     def test_workload_outputs_are_pinned(self, name, perfbench, tmp_path):
-        # the workload's config with one worker, run in-process and digested
-        # as the benchmark digests an invocation's outputs
-        work = perfbench.WORKLOADS[name]
-        cfg = write_config(tmp_path, work.document(work.default_seed))
-        out = tmp_path / "out"
-        assert cli_main([work.command, str(cfg), "--output-dir", str(out)]) == 0
-        assert perfbench._digest(out, work.command)[:16] == BENCH_DIGESTS[name]
+        seed = perfbench.WORKLOADS[name].default_seed
+        assert workload_digest(perfbench, tmp_path, name, seed) == BENCH_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(HELD_OUT_DIGESTS))
+    def test_held_out_seed_outputs_are_pinned(self, name, perfbench, tmp_path):
+        # a byte drift the default seeds happen to miss
+        assert perfbench.WORKLOADS[name].default_seed != HELD_OUT_SEED
+        assert workload_digest(perfbench, tmp_path, name, HELD_OUT_SEED) == HELD_OUT_DIGESTS[name]

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -441,6 +442,21 @@ class TestTailSup:
         # of 3,183 at T = 10,000 and 1,823 of 6,366 at T = 20,000
         k = hp.cosine_decay_kernel(0.6, T)
         assert len(k.monotone_breaks) - 2 == int(T / math.pi)
+
+    def test_cosine_decay_horizon_past_the_budget_refused_before_sampling(self):
+        # T = 2e6 needs 3.2e7 scan samples, past the atom budget of 2**24:
+        # refused before the scan (0.5 GB) or the zeros below T are formed
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ParameterError, match="past the atom budget"):
+                hp.cosine_decay_kernel(0.6, 2e6)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 100_000
 
     def test_plateau_table(self):
         # |h| rises to the plateau [1, 2], so H* is 1 up to its end

@@ -270,6 +270,36 @@ class TestSobolevRowBlocks:
             assert (len(f.values) + 1) ** 2 > metrics._SOBOLEV_BLOCK
             assert sobolev_norm(f, eta) == pytest.approx(sobolev_dense(f, eta), rel=1e-12, abs=0)
 
+    # the norms on paths of several blocks, pinned bit for bit: a signed
+    # path of 256 segments (two blocks), one of 700 and the 2,043-segment
+    # difference of a 1,200-jump unit path and its rounding onto the 0.25-grid
+    MULTI_BLOCK = {
+        "signed-256": {
+            0.1: "0x1.1ba61a915e3e9p+8", 0.25: "0x1.55a7d11bfb9a6p+8",
+            0.5: "0x1.245f9bef4be43p+9", 0.9: "0x1.37be08f1b8f1ep+12",
+        },
+        "signed-700": {
+            0.1: "0x1.60da1ed480afbp+10", 0.25: "0x1.71211c6d9ab51p+10",
+            0.5: "0x1.023d3c9beab97p+11", 0.9: "0x1.a899d63d5b190p+13",
+        },
+        "rounded-2043": {
+            0.1: "0x1.c29a080905837p+11", 0.25: "0x1.d3ff98377244cp+11",
+            0.5: "0x1.598c1736080b1p+12", 0.9: "0x1.3fdfcd647a2a3p+15",
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(MULTI_BLOCK))
+    def test_multi_block_sums_are_pinned(self, name):
+        f = {
+            "signed-256": lambda: long_random_path(4, 256, 20.0),
+            "signed-700": lambda: long_random_path(5, 700, 100.0),
+            "rounded-2043": lambda: step_sub(*sweep_pair(1, size=1200, T=400.0, delta=0.25)),
+        }[name]()
+        assert (len(f.values) + 1) ** 2 > metrics._SOBOLEV_BLOCK
+        assert {eta: sobolev_norm(f, eta).hex() for eta in self.MULTI_BLOCK[name]} == (
+            self.MULTI_BLOCK[name]
+        )
+
     def test_long_pair_in_bounded_memory(self):
         # a 2,000-jump path and its rounding onto the 0.0125-grid differ on
         # about 4,000 segments: the dense arrays would take about 0.7 GB

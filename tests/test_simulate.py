@@ -1433,6 +1433,13 @@ class TestPathToStep:
         with pytest.raises(ParameterError):
             hp.StepPath(np.array([0.0, 0.5, 0.5]), np.array([0.0, 1.0, 2.0]), 1.0)
 
+    def test_owns_its_arrays(self):
+        # already canonical input: the path still holds copies, not the input
+        b, v = np.array([0.0, 0.4, 0.6]), np.array([1.0, 2.0, 3.0])
+        sp = make_step_path(b, v, 1.0)
+        assert not np.shares_memory(sp.breakpoints, b)
+        assert not np.shares_memory(sp.values, v)
+
 
 # The trial-major ladder rests on this invariance: for one seed, the
 # continuous path and every delta's discrete trace are the same whichever
