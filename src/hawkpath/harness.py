@@ -62,7 +62,6 @@ from .simulate import (
     distinct,
     eval_intensity,
     integrate_intensity,
-    path_to_step,
     relu_affine,
     sigmoid_rate,
     simulate_continuous,
@@ -100,9 +99,11 @@ def _finite(value, what: str) -> float:
     return number
 
 
-def _integer(value, what: str) -> int:
+def _integer(value, what: str, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{what} must be >= {least}, got {value!r}")
     return int(value)
 
 
@@ -156,9 +157,7 @@ class ExperimentConfig:
         for d in ladder:
             if not 0 < d < horizon:
                 raise ConfigError(f"delta={d} must lie in (0, horizon)")
-        trials = _integer(doc["trials"], "trials")
-        if trials < 2:
-            raise ConfigError("trials must be >= 2")
+        trials = _integer(doc["trials"], "trials", 2)
         metrics = tuple(_typed(doc.get("metrics", ["terminal_count"]), (list, tuple), "metrics"))
         for m in metrics:
             if not isinstance(m, str) or m not in METRICS:
@@ -168,9 +167,7 @@ class ExperimentConfig:
         eta = _finite(doc.get("sobolev_eta", 0.25), "sobolev_eta")
         if not 0.0 < eta < 1.0:
             raise ConfigError("sobolev_eta must lie in (0, 1)")
-        seed = _integer(doc.get("seed", 0), "seed")
-        if seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        seed = _integer(doc.get("seed", 0), "seed", 0)
         workers = doc.get("workers")
         cfg = cls(
             kernel=dict(_typed(doc["kernel"], dict, "kernel")),
@@ -184,7 +181,7 @@ class ExperimentConfig:
             seed=seed,
             allow_unstable=_typed(doc.get("allow_unstable", False), bool, "allow_unstable"),
             output_dir=_typed(doc.get("output_dir"), (str, type(None)), "output_dir"),
-            workers=None if workers is None else _integer(workers, "workers"),
+            workers=None if workers is None else _integer(workers, "workers", 1),
         )
         cfg.run  # fail fast on bad component specs; the record is kept
         return cfg
@@ -200,12 +197,11 @@ class ExperimentConfig:
 
     def effective_workers(self) -> int:
         if self.workers is not None:
-            return max(1, self.workers)
+            return self.workers
         raw = os.environ.get("HAWKPATH_WORKERS", "1")
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ConfigError(f"HAWKPATH_WORKERS must be an integer, got {raw!r}") from None
+        if not raw.strip().isdecimal() or int(raw) < 1:
+            raise ConfigError(f"HAWKPATH_WORKERS must be an integer >= 1, got {raw!r}")
+        return int(raw)
 
 
 def _check_numbers(block: dict, what: str) -> None:
@@ -433,14 +429,12 @@ class Run:
 # --------------------------------------------------------------------------
 
 class Metric(NamedTuple):
-    """One convergence metric: ``measure(ref, approx, ref_risk, approx_risk, eta)``
-    on a (reference, approximation) pair, ref a continuous path or a discrete
-    trace and approx a discrete trace; the theorem ``shape`` that bounds it;
-    and whether it reads the pair's risk step paths (else they are None)."""
+    """One convergence metric: ``measure(ref, approx, eta)`` on a (reference,
+    approximation) pair, ref a continuous path or a discrete trace and approx a
+    discrete trace, reading their ``risk_path``; and the ``shape`` that bounds it."""
 
     measure: Callable[..., float]
     shape: Callable[[BoundSet], float]
-    reads_paths: bool
 
 
 def _increment_shape(bset: BoundSet) -> float:
@@ -457,21 +451,21 @@ def _skorokhod_shape(bset: BoundSet) -> float:
 # metric functions up when called, so a patched module attribute is seen.
 METRICS: dict[str, Metric] = {
     "terminal_count": Metric(
-        lambda ref, approx, rr, ra, eta: float(abs(ref.terminal_count - approx.terminal_count)),
-        _increment_shape, False),
+        lambda ref, approx, eta: float(abs(ref.terminal_count - approx.terminal_count)),
+        _increment_shape),
     "terminal_risk": Metric(
-        lambda ref, approx, rr, ra, eta: abs(ref.terminal_risk - approx.terminal_risk),
-        _increment_shape, False),
+        lambda ref, approx, eta: abs(ref.terminal_risk - approx.terminal_risk), _increment_shape),
     "sobolev": Metric(
-        lambda ref, approx, rr, ra, eta: sobolev_distance(rr, ra, eta),
-        lambda bset: bset.sobolev_shape, True),
+        lambda ref, approx, eta: sobolev_distance(ref.risk_path, approx.risk_path, eta),
+        lambda bset: bset.sobolev_shape),
     "skorokhod_exact": Metric(
-        lambda ref, approx, rr, ra, eta: skorokhod_distance(rr, ra), _skorokhod_shape, True),
+        lambda ref, approx, eta: skorokhod_distance(ref.risk_path, approx.risk_path),
+        _skorokhod_shape),
     "skorokhod_upper": Metric(
-        lambda ref, approx, rr, ra, eta: skorokhod_upper_bound(
-            rr.value_at(approx.grid.points), approx.risk,
-            modulus_sparse(rr, approx.delta), approx.delta),
-        _skorokhod_shape, True),
+        lambda ref, approx, eta: skorokhod_upper_bound(
+            ref.risk_path.value_at(approx.grid.points), approx.risk,
+            modulus_sparse(ref.risk_path, approx.delta), approx.delta),
+        _skorokhod_shape),
 }
 
 # A ladder cell stopped by the runaway guard: (trial, error)
@@ -486,20 +480,14 @@ def _cell_metrics(
 ) -> list[dict[str, float] | None]:
     """One trial of ``convergence``: every requested metric at each delta still
     running (None at an aborted one), with the continuous path as reference.
-    Its risk step path is embedded once per trial and each trace's once per
-    cell, only when a requested metric reads them; ``skorokhod_upper`` takes
-    one sparse modulus per cell.
+    A path embeds its risk step path when a row first reads it: the continuous
+    path's once per trial, each trace's once per cell, none if no row reads it.
     """
-    rows = {name: METRICS[name] for name in cfg.metrics}
-    paths = any(row.reads_paths for row in rows.values())
-    rc = path_to_step(cont, "risk") if paths else None
-    eta = cfg.sobolev_eta
-
-    def values(disc: DiscreteTrace) -> dict[str, float]:
-        rd = path_to_step(disc, "risk") if paths else None
-        return {name: row.measure(cont, disc, rc, rd, eta) for name, row in rows.items()}
-
-    return [None if disc is None else values(disc) for disc in traces]
+    return [
+        None if disc is None
+        else {name: METRICS[name].measure(cont, disc, cfg.sobolev_eta) for name in cfg.metrics}
+        for disc in traces
+    ]
 
 
 def _run_trials(
@@ -559,7 +547,7 @@ def _run_trials(
 
 
 def _map_trials(
-    cfg: ExperimentConfig, measure: Callable
+    cfg: ExperimentConfig, measure: Callable, workers: int
 ) -> tuple[list[Abort | None], list]:
     """``_run_trials`` over every trial, in trial order regardless of workers.
 
@@ -570,7 +558,7 @@ def _map_trials(
     worker count.  A range never learns of another's aborts: it runs on
     after an earlier range's abort or give-up, and no output reads that work.
     """
-    workers = min(cfg.effective_workers(), os.cpu_count() or 1)
+    workers = min(workers, os.cpu_count() or 1)
     n = cfg.trials
     if workers <= 1:
         return _run_trials(cfg, range(n), measure)
@@ -653,8 +641,9 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     affected ladder cell only; its rows carry NaN statistics and an
     ``aborted`` flag.
     """
+    workers = config.effective_workers()  # a bad count is refused before any work
     bsets = config.run.thinnable().bound_sets
-    aborted, per_trial = _map_trials(config, _cell_metrics)
+    aborted, per_trial = _map_trials(config, _cell_metrics, workers)
     report = ConvergenceReport(trials=config.trials)
     for i, (delta, bset) in enumerate(zip(config.delta_ladder, bsets)):
         cell = None if aborted[i] else [cells[i] for cells in per_trial]
@@ -775,6 +764,7 @@ def verify_bounds(config: ExperimentConfig) -> list[BoundVerdict]:
     engine of ``convergence``; a runaway at any delta stops its range of
     trials and raises the error of the earliest aborted trial.
     """
+    workers = config.effective_workers()  # a bad count is refused before any work
     run = config.run.thinnable()
     jump_rate, marks = run.jump_rate, run.marks
     T = config.horizon
@@ -797,7 +787,7 @@ def verify_bounds(config: ExperimentConfig) -> list[BoundVerdict]:
     # each trial also samples the modulus of a compound Poisson path at the
     # dominating rate, for the constant-free modulus bound
     rate = run.verify_plan.rate
-    aborted, per_trial = _map_trials(config, _verify_sample)
+    aborted, per_trial = _map_trials(config, _verify_sample, workers)
     failed = [a for a in aborted if a is not None]
     if failed:
         raise min(failed, key=lambda a: a[0])[1]

@@ -157,6 +157,11 @@ class ContinuousPath:
         """The marks added left to right, the last value of the risk path."""
         return float(np.cumsum(self.marks)[-1]) if len(self.marks) else 0.0
 
+    @functools.cached_property
+    def risk_path(self) -> StepPath:
+        """The risk step path, embedded on first read and kept."""
+        return path_to_step(self, "risk")
+
 
 @dataclass(frozen=True)
 class DiscreteTrace:
@@ -202,6 +207,10 @@ class DiscreteTrace:
     @property
     def terminal_risk(self) -> float:
         return float(self.risk[-1])
+
+    @functools.cached_property
+    def risk_path(self) -> StepPath:
+        return path_to_step(self, "risk")
 
 
 @dataclass(frozen=True)

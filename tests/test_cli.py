@@ -248,13 +248,27 @@ class TestExitCodes:
         assert err.startswith("config error: kernel family 'cosine-decay': horizon 2e+06 needs")
         assert "Traceback" not in err
 
-    def test_non_integer_worker_env_exits_2(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["convergence", "verify"])
+    @pytest.mark.parametrize(
+        "env, workers", [("two", None), ("0", None), ("-2", None), (None, 0), (None, -3)]
+    )
+    def test_non_integer_worker_env_exits_2(self, tmp_path, monkeypatch, command, env, workers):
+        # a worker count that is not an integer >= 1, from the environment or
+        # the config, is refused before the bound sets or rho are computed
         out = tmp_path / "out"
         out.mkdir()
-        cfg = write_config(tmp_path, base_doc(out))
-        monkeypatch.setenv("HAWKPATH_WORKERS", "two")
-        assert cli_main(["convergence", str(cfg)]) == 2
+        doc = base_doc(out) if workers is None else {**base_doc(out), "workers": workers}
+        cfg = write_config(tmp_path, doc)
+        if env is None:
+            monkeypatch.delenv("HAWKPATH_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("HAWKPATH_WORKERS", env)
+        reached = []
+        for name in ("bound_sets", "rho_continuous", "rho_discrete"):
+            monkeypatch.setattr(harness, name, lambda *a, name=name, **k: reached.append(name))
+        assert cli_main([command, str(cfg)]) == 2
         assert list(out.iterdir()) == []
+        assert reached == []
 
     def test_unstable_exits_3(self, tmp_path):
         out = tmp_path / "out"

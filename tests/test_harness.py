@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from hawkpath import harness, kernels
+from hawkpath import harness, kernels, simulate
 from hawkpath.cli import cli_main
 from hawkpath.errors import ConfigError, RunawayIntensityError
 from hawkpath.harness import (
@@ -321,13 +321,13 @@ class TestMetricTable:
         # one reference path per trial and one per ladder cell, none when no
         # requested metric reads them
         calls = []
-        real = harness.path_to_step
+        real = simulate.path_to_step
 
         def counting(path, field):
             calls.append(field)
             return real(path, field)
 
-        monkeypatch.setattr(harness, "path_to_step", counting)
+        monkeypatch.setattr(simulate, "path_to_step", counting)
         cfg = exponential_config(trials=5, metrics=metrics)
         run_convergence(cfg)
         assert calls == ["risk"] * cfg.trials * per_trial
@@ -346,8 +346,7 @@ class TestMetricTable:
         _, disc = self.coupled_pair()
         risk = path_to_step(disc, "risk")
         for name, metric in harness.METRICS.items():
-            paths = (risk, risk) if metric.reads_paths else (None, None)
-            value = metric.measure(disc, disc, *paths, 0.25)
+            value = metric.measure(disc, disc, 0.25)
             if name == "skorokhod_upper":
                 assert value == disc.delta + modulus_sparse(risk, disc.delta) > disc.delta
             else:
@@ -369,7 +368,7 @@ class TestMetricTable:
         assert list(harness.METRICS) == list(direct)
         assert all(value > 0 for value in direct.values())
         for name, metric in harness.METRICS.items():
-            assert metric.measure(cont, disc, rc, rd, 0.25) == direct[name], name
+            assert metric.measure(cont, disc, 0.25) == direct[name], name
 
 
 class TestVerifyBounds:

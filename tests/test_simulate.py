@@ -1441,6 +1441,27 @@ class TestPathToStep:
         assert not np.shares_memory(sp.values, v)
 
 
+class TestRiskPath:
+    def test_coupled_pair_embeds_its_risk_once(self, exp_kernel):
+        marks = hp.MarkModel("exponential", (1.0,))
+        cont, disc = hp.couple(exp_kernel, hp.relu_affine(1.0), marks, 5.0, 0.125, seed=7)
+        assert cont.terminal_count > 0 and disc.terminal_count > 0
+        for path in (cont, disc):
+            risk = path.risk_path
+            assert risk.equals(path_to_step(path, "risk"))
+            assert path.risk_path is risk
+
+    def test_no_events_give_the_zero_path(self, unit_marks):
+        atoms = atoms_from_triples(2.0, 1.0, [], unit_marks)
+        cont, disc = hp.couple(
+            hp.zero_kernel(2.0), hp.constant_rate(0.5), unit_marks, 2.0, 0.5, atoms=atoms
+        )
+        for path in (cont, disc):
+            assert np.array_equal(path.risk_path.breakpoints, [0.0])
+            assert np.array_equal(path.risk_path.values, [0.0])
+            assert path.risk_path.horizon == 2.0
+
+
 # The trial-major ladder rests on this invariance: for one seed, the
 # continuous path and every delta's discrete trace are the same whichever
 # process extended the shared atom ceiling first.  A ceiling of 0.5 sits
