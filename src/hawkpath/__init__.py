@@ -73,7 +73,6 @@ from .simulate import (
     relu_affine,
     sigmoid_rate,
     simulate_continuous,
-    simulate_discrete,
     simulate_ladder,
     step_from_jumps,
 )

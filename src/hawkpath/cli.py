@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, HawkpathError, InstabilityError
+from .errors import ConfigError, HawkpathError, InstabilityError, RunawayIntensityError
 from .harness import (
     ExperimentConfig,
     run_convergence,
@@ -78,10 +78,13 @@ def _cmd_couple(cfg: ExperimentConfig, out: Path) -> int:
     run = cfg.run.thinnable()
     delta = cfg.delta_ladder[-1]
     atoms = run.atoms(0)
-    cont, disc = couple(
-        run.kernel, run.jump_rate, run.marks, cfg.horizon, delta,
-        atoms=atoms, allow_unstable=cfg.allow_unstable,
+    # the finest grid alone: the atom dump holds the strips that pair drew
+    cont, [disc] = couple(
+        run.kernel, run.jump_rate, run.marks, run.grids[-1:], atoms,
+        allow_unstable=cfg.allow_unstable,
     )
+    if isinstance(disc, RunawayIntensityError):
+        raise disc
     tau, theta, y, strip = atoms.merged()
     atom_lines = ["tau,theta,y,strip"]
     for row in zip(tau, theta, y, strip):
@@ -178,6 +181,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     out = Path(args.output_dir or cfg.output_dir or ".")
+    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+        print(f"config error: output directory {out} is or lies below a file", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:

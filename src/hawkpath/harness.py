@@ -58,14 +58,13 @@ from .simulate import (
     StepPath,
     clipped_affine,
     constant_rate,
+    couple,
     default_ceiling,
     distinct,
     eval_intensity,
     integrate_intensity,
     relu_affine,
     sigmoid_rate,
-    simulate_continuous,
-    simulate_ladder,
     step_from_jumps,
 )
 
@@ -390,11 +389,17 @@ class Run:
 
     @functools.cached_property
     def verify_plan(self) -> "_VerifyPlan":
-        """What every trial of ``verify`` reads, built once per process."""
+        """What every trial of ``verify`` reads, built once per process; a
+        compound Poisson path whose strip passes the atom budget is refused."""
         T = self.config.horizon
         rho = rho_continuous(self.kernel, self.jump_rate.lipschitz, self.marks)
         # the dominating rate of the compound Poisson path whose modulus is sampled
         rate = self.jump_rate.at_zero / (1.0 - rho) if rho < 1.0 else self.jump_rate.at_zero
+        if rate * T > ATOM_BUDGET:
+            raise ConfigError(
+                f"the comparison path's rate {rate:.4g} over the horizon {T:.4g} passes "
+                f"the atom budget {ATOM_BUDGET}; `verify` cannot sample its modulus"
+            )
         return _VerifyPlan(
             rate=rate,
             times=T * np.arange(1, 21) / 20.0,
@@ -495,14 +500,14 @@ def _run_trials(
 ) -> tuple[list[Abort | None], list]:
     """Couple a range of trials across the ladder and measure each one.
 
-    Each trial draws its atoms once and thins the continuous path once; the
-    discrete scheme then runs on those atoms at every delta still running,
-    in one ``simulate_ladder`` call guessed by the continuous path.  This is
-    exact: every process raises the shared ceiling through
-    ``PoissonAtoms.cover``, a ceiling extension is the strip keyed by its
-    index, whichever process asks for it first, and atoms above a process's
-    own ceiling never pass its thinning.  A process whose ceiling would pass
-    the atom budget raises ``RunawayIntensityError``, which aborts its cell.
+    Each trial draws its atoms once; ``couple`` thins the continuous path
+    once on them and runs the discrete scheme at every delta still running in
+    one ladder call guessed by that path.  This is exact: every process raises
+    the shared ceiling through ``PoissonAtoms.cover``, a ceiling extension is
+    the strip keyed by its index, whichever process asks for it first, and
+    atoms above a process's own ceiling never pass its thinning.  A runaway
+    past the atom budget aborts its grid's cell, or every live cell if the
+    continuous path ran away.
     This is also the process-pool entry point.
     ``measure(cfg, trial, cont, traces)``, a module-level function or a
     partial of one, so that a process pool can send it, turns a trial into
@@ -519,21 +524,16 @@ def _run_trials(
         live = [i for i, a in enumerate(aborted) if a is None]
         if not live:
             break
-        atoms = run.atoms(trial)
         try:
-            cont = simulate_continuous(
-                run.kernel, run.jump_rate, run.marks, cfg.horizon, atoms,
-                allow_unstable=cfg.allow_unstable,
+            cont, ladder = couple(
+                run.kernel, run.jump_rate, run.marks, [run.grids[i] for i in live],
+                run.atoms(trial), allow_unstable=cfg.allow_unstable,
             )
         except RunawayIntensityError as exc:
             for i in live:
                 aborted[i] = (trial, exc)
             break
         traces: list[DiscreteTrace | None] = [None] * len(run.grids)
-        ladder = simulate_ladder(
-            [run.grids[i] for i in live], run.jump_rate, run.marks, atoms,
-            guess=cont.times, allow_unstable=cfg.allow_unstable,
-        )
         for i, disc in zip(live, ladder):
             if isinstance(disc, RunawayIntensityError):
                 aborted[i] = (trial, disc)

@@ -21,8 +21,8 @@ import numpy as np
 
 from .bounds import rho_continuous, rho_discrete
 from .errors import InstabilityError, InstabilityWarning, ParameterError, RunawayIntensityError
-from .kernels import REL_TOL, GridCoefficients, Kernel, grid_coefficients
-from .randomness import MarkModel, PoissonAtoms, sample_atoms
+from .kernels import REL_TOL, GridCoefficients, Kernel
+from .randomness import MarkModel, PoissonAtoms
 
 __all__ = [
     "JumpRate",
@@ -36,7 +36,6 @@ __all__ = [
     "simulate_continuous",
     "eval_intensity",
     "integrate_intensity",
-    "simulate_discrete",
     "simulate_ladder",
     "couple",
     "default_ceiling",
@@ -636,27 +635,6 @@ def integrate_intensity(
 # Discrete scheme
 # --------------------------------------------------------------------------
 
-def simulate_discrete(
-    grid: GridCoefficients,
-    jump_rate: JumpRate,
-    mark_model: MarkModel,
-    atoms: PoissonAtoms,
-    *,
-    guess: np.ndarray | None = None,
-    allow_unstable: bool = False,
-) -> DiscreteTrace:
-    """Euler-type scheme on one grid: ``simulate_ladder`` on the one-grid
-    ladder, raising its ``RunawayIntensityError``.  As there, the trace is
-    the same whatever the ``guess``: only the number of windows depends on it.
-    """
-    [trace] = simulate_ladder(
-        [grid], jump_rate, mark_model, atoms, guess=guess, allow_unstable=allow_unstable
-    )
-    if isinstance(trace, RunawayIntensityError):
-        raise trace
-    return trace
-
-
 def simulate_ladder(
     grids: Sequence[GridCoefficients],
     jump_rate: JumpRate,
@@ -759,7 +737,7 @@ def simulate_ladder(
             again.append(walk)
         pending = again
     finished = [walk for k, walk in enumerate(walks) if k not in errors]
-    traces = iter(_read_off(finished, cut, atoms, T, mark_model))
+    traces = iter(_read_off(finished, cut))
     return [errors[k] if k in errors else next(traces) for k in range(len(walks))]
 
 
@@ -891,15 +869,11 @@ def _ends(walks: list[_Walk]) -> list[int]:
     return list(itertools.accumulate((walk.M + 1 for walk in walks), initial=0))
 
 
-def _read_off(
-    walks: list[_Walk], cut: _Atoms, atoms: PoissonAtoms, T: float, mark_model: MarkModel
-) -> list[DiscreteTrace]:
+def _read_off(walks: list[_Walk], cut: _Atoms) -> list[DiscreteTrace]:
     """The trace of each finished walk, read off the final atoms for all of
-    them at once."""
+    them at once: the last pass's, as every extension starts another pass."""
     if not walks:
         return []
-    if cut.strips != len(atoms.strips):
-        cut = _Atoms(atoms, T, mark_model, None)
     G, n = len(walks), len(cut.tau)
     offsets = _ends(walks)
     where = np.empty((G, n), dtype=np.intp)     # each atom's bin on each grid, offset
@@ -956,16 +930,14 @@ def couple(
     kernel: Kernel,
     jump_rate: JumpRate,
     mark_model: MarkModel,
-    T: float,
-    delta: float,
-    seed: int | tuple[int, ...] | None = None,
+    grids: Sequence[GridCoefficients],
+    atoms: PoissonAtoms,
     *,
-    atoms: PoissonAtoms | None = None,
     allow_unstable: bool = False,
-) -> tuple[ContinuousPath, DiscreteTrace]:
-    """Run both simulators on one shared atom ladder: ``atoms`` when given
-    (the ``seed`` is then unused), else the base strip of ``seed`` at the
-    default ceiling.
+) -> tuple[ContinuousPath, list[DiscreteTrace | RunawayIntensityError]]:
+    """Run both simulators on one shared atom ladder: the continuous path up
+    to the grids' shared horizon, then ``simulate_ladder`` on every grid,
+    each trace or the error that ended it.
 
     Either process raises the shared ceiling through ``atoms.cover``, and
     the other sees the new strips; because every extension doubles the top,
@@ -973,20 +945,16 @@ def couple(
     does not depend on which process triggered which extension.  The
     discrete scheme takes the continuous path's events as its guess, which
     saves windows where the two accept the same atoms of b > 0 and never
-    changes the trace.
+    changes the traces.
     """
-    grid = grid_coefficients(kernel, delta, T)
-    if atoms is None:
-        if seed is None:
-            raise ParameterError("either atoms or seed must be given")
-        atoms = sample_atoms(T, default_ceiling(jump_rate, kernel, mark_model), mark_model, seed)
+    if not grids:
+        raise ParameterError("a coupling needs at least one grid")
     cont = simulate_continuous(
-        kernel, jump_rate, mark_model, T, atoms, allow_unstable=allow_unstable
+        kernel, jump_rate, mark_model, grids[0].horizon, atoms, allow_unstable=allow_unstable
     )
-    disc = simulate_discrete(
-        grid, jump_rate, mark_model, atoms, guess=cont.times, allow_unstable=allow_unstable
+    return cont, simulate_ladder(
+        grids, jump_rate, mark_model, atoms, guess=cont.times, allow_unstable=allow_unstable
     )
-    return cont, disc
 
 
 # --------------------------------------------------------------------------

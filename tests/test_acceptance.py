@@ -32,6 +32,7 @@ from hawkpath.simulate import (
     path_to_step,
 )
 
+from _coupling import couple_step
 from _oracles import random_step_path, skorokhod_lattice, sobolev_riemann
 from test_metrics import indicator_norm_closed_form, indicator_path
 
@@ -56,7 +57,7 @@ def test_criterion_1_poisson_null_exactness():
         delta, M = 0.5, 20
         grid = delta * np.arange(M + 1)
         for s in range(10_000):
-            cont, disc = hp.couple(zero, rate, UNIT_MARKS, 10.0, delta, seed=(81, s))
+            cont, disc = couple_step(zero, rate, UNIT_MARKS, 10.0, delta, seed=(81, s))
             assert np.array_equal(disc.times, cont.times)  # identical atom sets
             assert abs(cont.terminal_count - disc.terminal_count) == 0
             assert cont.terminal_risk == disc.terminal_risk
@@ -179,7 +180,7 @@ def _shared_exponential_pass():
     xi_disc = np.empty(n)
     mean_mark = hp.mark_moments(UNIT_MARKS).mean
     for s in range(n):
-        cont, disc = hp.couple(_EXP_KERNEL, _EXP_RATE, UNIT_MARKS, T, delta, seed=(55, s))
+        cont, disc = couple_step(_EXP_KERNEL, _EXP_RATE, UNIT_MARKS, T, delta, seed=(55, s))
         lam[s] = eval_intensity(cont, _EXP_KERNEL, _EXP_RATE, ts)
         lvals[s] = disc.intensity[grid_idx]
         xi_cont[s] = cont.terminal_risk - mean_mark * integrate_intensity(

@@ -1,5 +1,7 @@
+import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -101,6 +103,36 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {**base_doc(out), **override})
         assert cli_main(["convergence", str(cfg)]) == 2
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_output_dir_below_a_file_exits_2_without_outputs(
+        self, tmp_path, capsys, command, via
+    ):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file", encoding="utf-8")
+        out = blocker / "out"
+        cfg = write_config(tmp_path, base_doc(out if via == "config" else None))
+        flag = ["--output-dir", str(out)] if via == "flag" else []
+        assert cli_main([command, str(cfg), *flag]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
+        assert blocker.read_text(encoding="utf-8") == "a regular file"
+
+    def test_verify_refuses_a_comparison_path_past_the_atom_budget(self, tmp_path):
+        # rho = 1 - 1e-7: the atom ceiling is the cap 4, but the compound
+        # Poisson path of verify runs at psi(0) / (1 - rho) = 1e7, and
+        # 1e7 * 5 passes the atom budget 2**24; convergence never draws it
+        out = tmp_path / "out"
+        doc = base_doc(out)
+        amplitude = (1.0 - 1e-7) / (1.0 - math.exp(-5.0))
+        doc["kernel"] = {"family": "exponential", "params": {"amplitude": amplitude, "decay": 1.0}}
+        doc["jump_rate"] = {"family": "clipped-affine", "params": {"baseline": 1.0, "cap": 4.0}}
+        cfg = write_config(tmp_path, doc)
+        assert cli_main(["verify", str(cfg)]) == 2
+        assert not out.exists()
+        assert cli_main(["convergence", str(cfg)]) == 0
 
     @pytest.mark.parametrize(
         "command, code",
@@ -534,3 +566,32 @@ class TestBenchDigests:
         # a byte drift the default seeds happen to miss
         assert perfbench.WORKLOADS[name].default_seed != HELD_OUT_SEED
         assert workload_digest(perfbench, tmp_path, name, HELD_OUT_SEED) == HELD_OUT_DIGESTS[name]
+
+
+# The first 16 hex digits of the sha256 over the output files of ``simulate``
+# and ``couple`` on ``base_doc`` with Exp(1) marks, at its seed and at the
+# held-out seed.  A change that moves these bytes updates the pin and says so.
+COMMAND_DIGESTS = {
+    ("simulate", 11): "7d5aa20d51869b5a",
+    ("simulate", HELD_OUT_SEED): "9951dee25db04209",
+    ("couple", 11): "928f6976a0bab313",
+    ("couple", HELD_OUT_SEED): "588b0e2dc40e2439",
+}
+
+
+def command_digest(tmp_path, command, seed):
+    out = tmp_path / "out"
+    doc = {**base_doc(out), "marks": {"distribution": {"family": "exponential", "rate": 1.0}}}
+    assert doc["seed"] == 11
+    assert cli_main([command, str(write_config(tmp_path, doc)), "--seed", str(seed)]) == 0
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()[:16]
+
+
+class TestCommandDigests:
+    @pytest.mark.parametrize("command, seed", sorted(COMMAND_DIGESTS))
+    def test_outputs_are_pinned(self, command, seed, tmp_path):
+        assert command_digest(tmp_path, command, seed) == COMMAND_DIGESTS[command, seed]

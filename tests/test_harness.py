@@ -25,7 +25,8 @@ from hawkpath.metrics import (
     skorokhod_upper_bound,
     sobolev_distance,
 )
-from hawkpath.simulate import ContinuousPath, couple, path_to_step, simulate_ladder
+from hawkpath.simulate import ContinuousPath, path_to_step, simulate_ladder
+from _coupling import couple_step
 
 
 def null_config(**overrides):
@@ -206,7 +207,7 @@ class TestRunConvergence:
     def test_runaway_aborts_only_its_cell(self, monkeypatch):
         cfg = exponential_config(trials=12, metrics=["terminal_count", "terminal_risk"])
         clean = run_convergence(cfg).to_csv_text().splitlines()
-        real = harness.simulate_ladder
+        real = simulate.simulate_ladder
 
         def runaway_at_quarter(grids, jump_rate, marks, atoms, **kwargs):
             traces = real(grids, jump_rate, marks, atoms, **kwargs)
@@ -216,7 +217,7 @@ class TestRunConvergence:
                 for grid, disc in zip(grids, traces)
             ]
 
-        monkeypatch.setattr(harness, "simulate_ladder", runaway_at_quarter)
+        monkeypatch.setattr(simulate, "simulate_ladder", runaway_at_quarter)
         patched = run_convergence(cfg).to_csv_text().splitlines()
         assert len(patched) == len(clean) == 1 + 3 * 2
         for before, after in zip(clean, patched):
@@ -336,7 +337,7 @@ class TestMetricTable:
     def coupled_pair():
         cfg = exponential_config(marks={"distribution": {"family": "exponential", "rate": 1.0}})
         run = cfg.run
-        cont, disc = couple(run.kernel, run.jump_rate, run.marks, T=5.0, delta=0.125, seed=7)
+        cont, disc = couple_step(run.kernel, run.jump_rate, run.marks, T=5.0, delta=0.125, seed=7)
         assert cont.terminal_count > 0 and disc.terminal_count > 0
         return cont, disc
 
@@ -390,7 +391,7 @@ class TestVerifyBounds:
 
     def test_runaway_in_one_cell_fails_the_run(self, monkeypatch, tmp_path):
         cfg = exponential_config(trials=12, workers=1)
-        real = harness.simulate_ladder
+        real = simulate.simulate_ladder
         simulated = []
 
         def runaway_at_quarter(grids, jump_rate, marks, atoms, **kwargs):
@@ -402,7 +403,7 @@ class TestVerifyBounds:
                 for grid, disc in zip(grids, traces)
             ]
 
-        monkeypatch.setattr(harness, "simulate_ladder", runaway_at_quarter)
+        monkeypatch.setattr(simulate, "simulate_ladder", runaway_at_quarter)
         with pytest.raises(RunawayIntensityError, match="injected"):
             verify_bounds(cfg)
         # the run stops at the failed trial: trials 6-11 are never simulated
@@ -418,7 +419,7 @@ class TestVerifyBounds:
         # trial 5 fails at a fine step, trial 8 (in the second worker's
         # range) at the coarsest: whatever the worker count, trial 5's error
         cfg = exponential_config(trials=12, workers=workers)
-        real = harness.simulate_ladder
+        real = simulate.simulate_ladder
 
         def runaway(grids, jump_rate, marks, atoms, **kwargs):
             trial = atoms.seed_entropy[1]
@@ -429,7 +430,7 @@ class TestVerifyBounds:
                 for grid, disc in zip(grids, traces)
             ]
 
-        monkeypatch.setattr(harness, "simulate_ladder", runaway)
+        monkeypatch.setattr(simulate, "simulate_ladder", runaway)
         with pytest.raises(RunawayIntensityError, match="trial 5"):
             verify_bounds(cfg)
 
@@ -437,7 +438,7 @@ class TestVerifyBounds:
         # trial 1, in the first of two ranges, aborts delta 0.25; the second
         # range never learns of it, and the report still equals the
         # one-worker run's
-        real = harness.simulate_ladder
+        real = simulate.simulate_ladder
 
         def ladder(grids, jump_rate, marks, atoms, **kwargs):
             traces = real(grids, jump_rate, marks, atoms, **kwargs)
@@ -445,7 +446,7 @@ class TestVerifyBounds:
                 traces[1] = RunawayIntensityError("injected")
             return traces
 
-        monkeypatch.setattr(harness, "simulate_ladder", ladder)
+        monkeypatch.setattr(simulate, "simulate_ladder", ladder)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # a pool on any host
         metrics = ["terminal_count", "terminal_risk"]
         serial = run_convergence(exponential_config(trials=40, metrics=metrics, workers=1))

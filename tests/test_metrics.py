@@ -25,6 +25,7 @@ from hawkpath.metrics import (
 )
 from hawkpath.simulate import make_step_path, path_to_step, step_from_jumps
 
+from _coupling import couple_step
 from _oracles import (
     brute_uniform,
     dense_gaps_within,
@@ -146,7 +147,7 @@ def value_set_distance(f, g):
 
 def poisson_pair(seed, T=20.0, delta=0.5):
     """Risk paths of a rate-2.5 Poisson process and its discrete scheme (~50 jumps)."""
-    cont, disc = hp.couple(
+    cont, disc = couple_step(
         hp.zero_kernel(T), hp.constant_rate(2.5), hp.MarkModel("point-mass", (1.0,)),
         T, delta, seed=seed,
     )
@@ -157,7 +158,7 @@ def criterion8_pair(seed, delta, marks):
     """Risk paths of the criterion-8 process (exponential kernel (0.604, 1),
     relu baseline 1) and its discrete scheme at T = 20."""
     T = 20.0
-    cont, disc = hp.couple(
+    cont, disc = couple_step(
         hp.exponential_kernel(0.604, 1.0, T), hp.relu_affine(1.0), marks, T, delta, seed=seed
     )
     return path_to_step(cont, "risk"), path_to_step(disc, "risk")
@@ -325,7 +326,7 @@ class TestSobolevDistance:
         assert sobolev_distance(f, zero, 0.5) == sobolev_norm(f, 0.5)
 
     def test_coupled_pair_vs_riemann_oracle(self, exp_kernel, unit_marks):
-        cont, disc = hp.couple(
+        cont, disc = couple_step(
             exp_kernel, hp.relu_affine(1.0), unit_marks, 5.0, 0.25, seed=5
         )
         rc = snap_to_grid(path_to_step(cont, "risk"), 10_000)
@@ -707,7 +708,7 @@ def coupled_pairs(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     field = draw(st.sampled_from(["count", "risk"]))
     delta = draw(st.sampled_from([0.5, 0.1]))
-    cont, disc = hp.couple(
+    cont, disc = couple_step(
         hp.zero_kernel(20.0), hp.constant_rate(2.5), hp.MarkModel("exponential", (1.0,)),
         20.0, delta, seed=seed,
     )
@@ -992,7 +993,7 @@ class TestSkorokhodUpperBound:
         jr = hp.relu_affine(1.0)
         delta, M = 0.25, 20
         for s in range(100):
-            cont, disc = hp.couple(exp_kernel, jr, unit_marks, 5.0, delta, seed=(3, s))
+            cont, disc = couple_step(exp_kernel, jr, unit_marks, 5.0, delta, seed=(3, s))
             rc = path_to_step(cont, "risk")
             rd = path_to_step(disc, "risk")
             exact = skorokhod_distance(rc, rd)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import hawkpath as hp
 from hawkpath import simulate
+from _coupling import couple_step
 from _oracles import (
     compound_poisson_scheme,
     continuous_scan_reference,
@@ -33,7 +34,6 @@ from hawkpath.simulate import (
     make_step_path,
     path_to_step,
     simulate_continuous,
-    simulate_discrete,
     simulate_ladder,
     step_from_jumps,
 )
@@ -567,15 +567,17 @@ class TestSimulateDiscrete:
         rate = hp.constant_rate(2.0)
         atoms = hp.sample_atoms(10.0, 4.0, unit_marks, 21)
         cont = hp.simulate_continuous(zero, rate, unit_marks, 10.0, atoms)
-        disc = hp.simulate_discrete(hp.grid_coefficients(zero, 0.5, 10.0), rate, unit_marks, atoms)
+        [disc] = hp.simulate_ladder(
+            [hp.grid_coefficients(zero, 0.5, 10.0)], rate, unit_marks, atoms
+        )
         assert disc.terminal_count == cont.terminal_count
         assert disc.terminal_risk == cont.terminal_risk
         assert np.array_equal(disc.times, cont.times)
 
     def test_no_atoms(self, unit_marks):
         atoms = atoms_from_triples(3.0, 4.0, [], unit_marks)
-        disc = hp.simulate_discrete(
-            hp.grid_coefficients(hp.exponential_kernel(0.5, 1.0, 3.0), 0.5, 3.0),
+        [disc] = hp.simulate_ladder(
+            [hp.grid_coefficients(hp.exponential_kernel(0.5, 1.0, 3.0), 0.5, 3.0)],
             hp.relu_affine(1.0), unit_marks, atoms,
         )
         assert np.all(disc.intensity == 1.0)
@@ -588,7 +590,7 @@ class TestSimulateDiscrete:
         atoms = atoms_from_triples(
             3.0, 4.0, [(0.5, 0.01, 1.0), (1.5, 0.01, 1.0)], unit_marks
         )
-        disc = hp.simulate_discrete(hp.grid_coefficients(kernel, 1.0, 3.0), jr, unit_marks, atoms)
+        [disc] = hp.simulate_ladder([hp.grid_coefficients(kernel, 1.0, 3.0)], jr, unit_marks, atoms)
         assert disc.intensity[0] == disc.intensity[1] == 1.0
         assert disc.mass[0] == 0.0 and disc.events[0] == 0
         assert disc.intensity[2] == pytest.approx(1.0 + math.exp(-1.0), abs=1e-12)
@@ -599,8 +601,8 @@ class TestSimulateDiscrete:
     def test_bins_right_closed(self, unit_marks):
         # an atom exactly at a grid point belongs to the earlier bin
         atoms = atoms_from_triples(2.0, 4.0, [(1.0, 0.01, 1.0)], unit_marks)
-        disc = hp.simulate_discrete(
-            hp.grid_coefficients(hp.zero_kernel(2.0), 1.0, 2.0), hp.constant_rate(1.0),
+        [disc] = hp.simulate_ladder(
+            [hp.grid_coefficients(hp.zero_kernel(2.0), 1.0, 2.0)], hp.constant_rate(1.0),
             unit_marks, atoms,
         )
         assert disc.events[1] == 1 and disc.events[2] == 0
@@ -609,7 +611,7 @@ class TestSimulateDiscrete:
         jr = hp.relu_affine(1.0)
         atoms = hp.sample_atoms(5.0, 8.0, unit_marks, 31)
         grid = hp.grid_coefficients(exp_kernel, 0.25, 5.0)
-        disc = hp.simulate_discrete(grid, jr, unit_marks, atoms)
+        [disc] = hp.simulate_ladder([grid], jr, unit_marks, atoms)
         coeffs = grid.values
         for n in range(1, 20):
             s = sum(coeffs[n - k] * disc.mass[k] for k in range(1, n + 1))
@@ -621,8 +623,8 @@ class TestSimulateDiscrete:
         jr = hp.relu_affine(1.0)
         a1 = hp.sample_atoms(5.0, 8.0, unit_marks, 17)
         a2 = hp.sample_atoms(5.0, 8.0, unit_marks, 17)
-        d1 = hp.simulate_discrete(hp.grid_coefficients(compact, 0.125, 5.0), jr, unit_marks, a1)
-        d2 = hp.simulate_discrete(hp.grid_coefficients(dense, 0.125, 5.0), jr, unit_marks, a2)
+        [d1] = hp.simulate_ladder([hp.grid_coefficients(compact, 0.125, 5.0)], jr, unit_marks, a1)
+        [d2] = hp.simulate_ladder([hp.grid_coefficients(dense, 0.125, 5.0)], jr, unit_marks, a2)
         assert np.allclose(d1.intensity, d2.intensity, atol=1e-12)
         assert np.array_equal(d1.events, d2.events)
 
@@ -630,13 +632,13 @@ class TestSimulateDiscrete:
         grid = hp.grid_coefficients(hp.constant_kernel(0.25, 5.0), 0.5, 5.0)  # ratio 1.25
         atoms = hp.sample_atoms(5.0, 4.0, unit_marks, 2)
         with pytest.warns(InstabilityWarning):
-            hp.simulate_discrete(grid, hp.relu_affine(1.0), unit_marks, atoms)
+            hp.simulate_ladder([grid], hp.relu_affine(1.0), unit_marks, atoms)
         # an explicit override acknowledges the instability and silences it
         import warnings
 
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            hp.simulate_discrete(grid, hp.relu_affine(1.0), unit_marks,
+            hp.simulate_ladder([grid], hp.relu_affine(1.0), unit_marks,
                                  hp.sample_atoms(5.0, 4.0, unit_marks, 3),
                                  allow_unstable=True)
         assert not [w for w in record if issubclass(w.category, InstabilityWarning)]
@@ -668,8 +670,8 @@ _REF_MARKS = {
 def _assert_matches_reference(kernel, rate, marks, delta, count, make_atoms):
     ref = discrete_scheme_reference(kernel, rate, marks, delta, count, make_atoms())
     atoms = make_atoms()
-    disc = simulate_discrete(
-        grid_coefficients(kernel, delta, delta * count), rate, marks, atoms, allow_unstable=True
+    [disc] = simulate_ladder(
+        [grid_coefficients(kernel, delta, delta * count)], rate, marks, atoms, allow_unstable=True
     )
     for field in ("intensity", "mass", "events", "risk"):
         assert np.array_equal(getattr(disc, field), getattr(ref, field)), field
@@ -687,8 +689,8 @@ def _psi_calls(kernel, rate, marks, delta, count, atoms, guess=None):
         calls.append(len(x))
         return rate.fn(x)
 
-    disc = simulate_discrete(
-        grid_coefficients(kernel, delta, delta * count), dataclasses.replace(rate, fn=counting),
+    [disc] = simulate_ladder(
+        [grid_coefficients(kernel, delta, delta * count)], dataclasses.replace(rate, fn=counting),
         marks, atoms, guess=guess, allow_unstable=True,
     )
     return calls, disc
@@ -768,8 +770,9 @@ class TestDiscreteReference:
             kernel, rate, unit_marks, 0.25, 8, atoms_from_triples(2.0, 0.5, triples, unit_marks)
         )
         atoms = atoms_from_triples(1.5 * ATOM_BUDGET, 0.5, triples, unit_marks)
-        with pytest.raises(RunawayIntensityError, match=f"^bin intensity {ref.intensity[4]:.4g} "):
-            simulate_discrete(grid_coefficients(kernel, 0.25, 2.0), rate, unit_marks, atoms)
+        [error] = simulate_ladder([grid_coefficients(kernel, 0.25, 2.0)], rate, unit_marks, atoms)
+        assert isinstance(error, RunawayIntensityError)
+        assert str(error).startswith(f"bin intensity {ref.intensity[4]:.4g} ")
         assert len(atoms.strips) == 1
         assert np.all(ref.intensity[:4] <= 0.5)
 
@@ -935,7 +938,7 @@ class TestLadder:
         )
         one_by_one = copy.deepcopy(atoms)
         for grid, disc in zip(grids, traces):
-            simulate_discrete(grid, rate, model, one_by_one, allow_unstable=True)
+            simulate_ladder([grid], rate, model, one_by_one, allow_unstable=True)
             _assert_trace_is(disc, discrete_scheme_reference(
                 kernel, rate, model, grid.delta, grid.count, copy.deepcopy(atoms)
             ))
@@ -1004,8 +1007,8 @@ class TestLadder:
         terms = [1.0 / (k + 3) for k in range(8)]
         triples = [(0.5, 1e-21, 1e-20)] + [(1.6 + k * 1e-3, 1e-21, y) for k, y in enumerate(terms)]
         triples += [(2.75, 0.5, 1.0)]
-        disc = simulate_discrete(
-            grid_coefficients(kernel, 0.5, _REF_T), rate, model,
+        [disc] = simulate_ladder(
+            [grid_coefficients(kernel, 0.5, _REF_T)], rate, model,
             atoms_from_triples(_REF_T, 4.0, triples, model), guess=[t for t, _, _ in triples],
             allow_unstable=True,
         )
@@ -1123,11 +1126,12 @@ class TestDiscreteWalk:
         for seed in range(20):
             atoms = hp.sample_atoms(5.0, 10.0, model, seed)
             grid = grid_coefficients(kernel, 0.05, 5.0)
-            events = simulate_discrete(grid, _LONG_RATE, model, atoms).times
+            [disc] = simulate_ladder([grid], _LONG_RATE, model, atoms)
+            events = disc.times
             tau = atoms.merged()[0]
             late = tau[(tau > events[-2]) & ~np.isin(tau, events)][:1]
             reached.clear()
-            simulate_discrete(grid, _LONG_RATE, model, atoms, guess=np.sort([*events, *late]))
+            simulate_ladder([grid], _LONG_RATE, model, atoms, guess=np.sort([*events, *late]))
             assert len(atoms.strips) == 1       # one pass
             most.append(max(reached.values(), default=0))
         assert max(most) == 2
@@ -1137,8 +1141,8 @@ class TestDiscreteWalk:
         for delta in (0.5, 0.1, 0.0125):
             reached.clear()
             atoms = copy.deepcopy(long_horizon_atoms)
-            disc = simulate_discrete(
-                grid_coefficients(_LONG_KERNEL, delta, _LONG_T), _LONG_RATE, model, atoms,
+            [disc] = simulate_ladder(
+                [grid_coefficients(_LONG_KERNEL, delta, _LONG_T)], _LONG_RATE, model, atoms,
                 guess=cont.times,
             )
             assert len(atoms.strips) == len(long_horizon_atoms.strips)
@@ -1154,9 +1158,10 @@ class TestDiscreteWalk:
         kernel = hp.exponential_kernel(0.604, 1.0, _REF_T)
         for seed in range(30):
             atoms = hp.sample_atoms(_REF_T, 10.0, model, seed)
-            events = simulate_discrete(
-                grid_coefficients(kernel, 0.5, _REF_T), _LONG_RATE, model, copy.deepcopy(atoms)
-            ).times
+            [disc] = simulate_ladder(
+                [grid_coefficients(kernel, 0.5, _REF_T)], _LONG_RATE, model, copy.deepcopy(atoms)
+            )
+            events = disc.times
             tau, _, y, _ = atoms.merged()
             rejected = tau[(model.modulate(y) == 0.0) & ~np.isin(tau, events)]
             assert len(rejected) > 0
@@ -1231,8 +1236,11 @@ class TestDiscreteWalk:
         level = str(ref.value).split(" needs")[0]
         assert level == f"bin intensity {disc.intensity[2]:.4g}"
         atoms = atoms_from_triples(huge, 1.0, triples, unit_marks)
-        with pytest.raises(RunawayIntensityError, match=f"^{level} needs"):
-            simulate_discrete(grid_coefficients(kernel, 0.25, _REF_T), rate, unit_marks, atoms)
+        [error] = simulate_ladder(
+            [grid_coefficients(kernel, 0.25, _REF_T)], rate, unit_marks, atoms
+        )
+        assert isinstance(error, RunawayIntensityError)
+        assert str(error).startswith(f"{level} needs")
         assert len(atoms.strips) == 1
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -1241,8 +1249,8 @@ class TestDiscreteWalk:
         # first 600 bins of the trace on [0, 80]
         kernel = hp.exponential_kernel(0.604, 1.0, 80.0)
         atoms = hp.sample_atoms(80.0, 4.0, unit_marks, seed)
-        long = simulate_discrete(
-            grid_coefficients(kernel, 0.05, 80.0), _LONG_RATE, unit_marks, atoms
+        [long] = simulate_ladder(
+            [grid_coefficients(kernel, 0.05, 80.0)], _LONG_RATE, unit_marks, atoms
         )
         short, _ = _assert_matches_reference(
             kernel, _LONG_RATE, unit_marks, 0.05, 600, lambda: atoms
@@ -1269,13 +1277,14 @@ class TestDiscreteLaw:
                 kernel, jr, unit_marks, 0.25, 20, seed=(s, 0)
             ).sum()
             atoms = hp.sample_atoms(5.0, 10.0, unit_marks, (s, 1))
-            thinned[s] = hp.simulate_discrete(grid, jr, unit_marks, atoms).terminal_count
+            [disc] = hp.simulate_ladder([grid], jr, unit_marks, atoms)
+            thinned[s] = disc.terminal_count
         assert _two_sample_chisquare_pvalue(sampled, thinned) > 0.01
 
 
 class TestCouple:
     def test_flat_rate_perfect_coupling(self, unit_marks):
-        cont, disc = hp.couple(
+        cont, disc = couple_step(
             hp.zero_kernel(10.0), hp.constant_rate(2.0), unit_marks, 10.0, 0.5, seed=40
         )
         assert cont.terminal_count == disc.terminal_count
@@ -1291,13 +1300,13 @@ class TestCouple:
         # these 200 seeds it misses the left-to-right risk path's last bits
         rate, marks = hp.relu_affine(1.0), hp.MarkModel("exponential", (1.0,))
         for seed in range(200):
-            cont, _ = hp.couple(exp_kernel, rate, marks, 5.0, 0.5, seed=seed)
+            cont, _ = couple_step(exp_kernel, rate, marks, 5.0, 0.5, seed=seed)
             assert cont.terminal_risk == path_to_step(cont, "risk").values[-1], seed
 
     def test_same_seed_bit_identical(self, cos_kernel, unit_marks):
         jr = hp.relu_affine(1.0)
-        a = hp.couple(cos_kernel, jr, unit_marks, 5.0, 0.25, seed=9)
-        b = hp.couple(cos_kernel, jr, unit_marks, 5.0, 0.25, seed=9)
+        a = couple_step(cos_kernel, jr, unit_marks, 5.0, 0.25, seed=9)
+        b = couple_step(cos_kernel, jr, unit_marks, 5.0, 0.25, seed=9)
         assert np.array_equal(a[0].times, b[0].times)
         assert np.array_equal(a[0].marks, b[0].marks)
         assert np.array_equal(a[1].mass, b[1].mass)
@@ -1308,7 +1317,7 @@ class TestCouple:
         gaps = {0.5: [], 0.01: []}
         for delta in gaps:
             for s in range(200):
-                cont, disc = hp.couple(cos_kernel, jr, unit_marks, 5.0, delta, seed=(1000, s))
+                cont, disc = couple_step(cos_kernel, jr, unit_marks, 5.0, delta, seed=(1000, s))
                 gaps[delta].append(abs(cont.terminal_count - disc.terminal_count))
         assert np.mean(gaps[0.01]) < np.mean(gaps[0.5])
 
@@ -1319,7 +1328,7 @@ class TestCouple:
         for delta in ladder:
             vals = np.array([
                 abs(np.subtract(*[
-                    p.terminal_count for p in hp.couple(
+                    p.terminal_count for p in couple_step(
                         cos_kernel, jr, unit_marks, 5.0, delta, seed=(77, s))
                 ]))
                 for s in range(200)
@@ -1331,7 +1340,12 @@ class TestCouple:
 
     def test_horizon_multiple_precondition(self, unit_marks):
         with pytest.raises(ParameterError):
-            hp.couple(hp.zero_kernel(5.0), hp.constant_rate(1.0), unit_marks, 5.0, 0.3, seed=1)
+            couple_step(hp.zero_kernel(5.0), hp.constant_rate(1.0), unit_marks, 5.0, 0.3, seed=1)
+
+    def test_empty_ladder_is_refused(self, exp_kernel, unit_marks):
+        atoms = hp.sample_atoms(5.0, 4.0, unit_marks, 0)
+        with pytest.raises(ParameterError, match="at least one grid"):
+            hp.couple(exp_kernel, hp.relu_affine(1.0), unit_marks, [], atoms)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1344,13 +1358,13 @@ class TestCouple:
         kernel = hp.exponential_kernel(0.5, 1.0, T)
         grid = hp.grid_coefficients(kernel, T / k, T)
         assert grid.count == k and grid.points[-1] == T
-        cont, disc = hp.couple(
+        cont, disc = couple_step(
             kernel, hp.relu_affine(0.5), _REF_MARKS["point-mass"], T, T / k, seed=seed
         )
         assert disc.horizon == cont.horizon == T
         # without feedback both processes accept the same atoms, the last
         # bin's up to T included
-        cont, disc = hp.couple(
+        cont, disc = couple_step(
             hp.zero_kernel(T), hp.constant_rate(2.0), _REF_MARKS["point-mass"], T, T / k,
             seed=seed,
         )
@@ -1376,8 +1390,8 @@ class TestPathToStep:
         )
         sp = path_to_step(cont, "count")
         assert sp.jump_count == 0 and sp.values[0] == 0.0
-        disc = hp.simulate_discrete(
-            hp.grid_coefficients(hp.zero_kernel(2.0), 0.5, 2.0), hp.constant_rate(0.5),
+        [disc] = hp.simulate_ladder(
+            [hp.grid_coefficients(hp.zero_kernel(2.0), 0.5, 2.0)], hp.constant_rate(0.5),
             unit_marks, atoms,
         )
         lam = path_to_step(disc, "intensity")
@@ -1444,7 +1458,7 @@ class TestPathToStep:
 class TestRiskPath:
     def test_coupled_pair_embeds_its_risk_once(self, exp_kernel):
         marks = hp.MarkModel("exponential", (1.0,))
-        cont, disc = hp.couple(exp_kernel, hp.relu_affine(1.0), marks, 5.0, 0.125, seed=7)
+        cont, disc = couple_step(exp_kernel, hp.relu_affine(1.0), marks, 5.0, 0.125, seed=7)
         assert cont.terminal_count > 0 and disc.terminal_count > 0
         for path in (cont, disc):
             risk = path.risk_path
@@ -1453,8 +1467,9 @@ class TestRiskPath:
 
     def test_no_events_give_the_zero_path(self, unit_marks):
         atoms = atoms_from_triples(2.0, 1.0, [], unit_marks)
-        cont, disc = hp.couple(
-            hp.zero_kernel(2.0), hp.constant_rate(0.5), unit_marks, 2.0, 0.5, atoms=atoms
+        grid = hp.grid_coefficients(hp.zero_kernel(2.0), 0.5, 2.0)
+        cont, [disc] = hp.couple(
+            hp.zero_kernel(2.0), hp.constant_rate(0.5), unit_marks, [grid], atoms
         )
         for path in (cont, disc):
             assert np.array_equal(path.risk_path.breakpoints, [0.0])
@@ -1482,10 +1497,10 @@ def _inv_continuous(atoms):
 
 
 def _inv_discrete(delta, atoms):
-    return simulate_discrete(
-        grid_coefficients(_INV_KERNEL, delta, _INV_T), _INV_RATE, _INV_MARKS,
-        atoms,
+    [trace] = simulate_ladder(
+        [grid_coefficients(_INV_KERNEL, delta, _INV_T)], _INV_RATE, _INV_MARKS, atoms
     )
+    return trace
 
 
 def _same_arrays(a, b, fields):
