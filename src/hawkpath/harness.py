@@ -50,7 +50,14 @@ from .metrics import (
     skorokhod_upper_bound,
     sobolev_distance,
 )
-from .randomness import ATOM_BUDGET, MarkModel, PoissonAtoms, mark_moments, sample_atoms
+from .randomness import (
+    ATOM_BUDGET,
+    MODULUS_BUDGET,
+    MarkModel,
+    PoissonAtoms,
+    mark_moments,
+    sample_atoms,
+)
 from .simulate import (
     ContinuousPath,
     DiscreteTrace,
@@ -390,8 +397,9 @@ class Run:
     @functools.cached_property
     def verify_plan(self) -> "_VerifyPlan":
         """What every trial of ``verify`` reads, built once per process; a
-        compound Poisson path whose strip passes the atom budget is refused."""
-        T = self.config.horizon
+        compound Poisson path whose strip passes the atom budget, or whose
+        sparse-modulus walk passes the modulus budget, is refused."""
+        T, delta_min = self.config.horizon, self.config.delta_ladder[-1]
         rho = rho_continuous(self.kernel, self.jump_rate.lipschitz, self.marks)
         # the dominating rate of the compound Poisson path whose modulus is sampled
         rate = self.jump_rate.at_zero / (1.0 - rho) if rho < 1.0 else self.jump_rate.at_zero
@@ -399,6 +407,12 @@ class Run:
             raise ConfigError(
                 f"the comparison path's rate {rate:.4g} over the horizon {T:.4g} passes "
                 f"the atom budget {ATOM_BUDGET}; `verify` cannot sample its modulus"
+            )
+        if (rate * T) * (rate * delta_min) > MODULUS_BUDGET:
+            raise ConfigError(
+                f"the comparison path's rate {rate:.4g} gives {rate * T:.4g} jumps, "
+                f"{rate * delta_min:.4g} per delta {delta_min:g}: its sparse modulus walk "
+                f"passes the modulus budget {MODULUS_BUDGET} steps; `verify` cannot sample it"
             )
         return _VerifyPlan(
             rate=rate,

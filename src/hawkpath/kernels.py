@@ -16,11 +16,20 @@ delta ladder at once: the head integrals of all deltas form one batch, the
 of the two local refinements another, and the cells of every
 grid-projection modulus a last one.  The six-step cosine-decay ladder thus
 evaluates its kernel 87 times, where one delta at a time took 449 calls for
-the same points.  A
-panel refines on its own and each integral adds its panels left to right,
-so every integral is bit-identical to the classic depth-first recursion,
-which the tests keep as their oracle, however the batch is made up;
-``_MAX_FRONTIER`` caps the open panels of one level.
+the same points.  A panel refines on its own and each integral adds its
+panels left to right, so every integral is bit-identical to the classic
+depth-first recursion, which the tests keep as their oracle, however the
+batch is made up; ``_MAX_FRONTIER`` caps the open panels of one level.
+
+A batch is built from arrays: its panels (each integral's ends and the
+breakpoints strictly inside), the projection cells and their targets, and
+the per-integral and per-delta sums (``np.add.at``, which adds in index
+order); each level refines the halves of all open panels as one array.
+Only a declared antiderivative is called once per cell end.  So ``c_r``
+costs O(cells) numpy work besides its refinement levels.  On a 2-core Xeon
+the cosine-decay ladder at T = 80, delta = 0.1 / 2^k for k = 0..6 (51,200
+cells at the finest), takes about 0.07 s, and 2^17 cells at T = 5 take
+about 0.04 s and a 22 MB traced peak.
 """
 
 from __future__ import annotations
@@ -90,21 +99,19 @@ def _simpson_levels(f, a, b, tol, owner) -> np.ndarray:
     fx = np.asarray(f(x, at), dtype=float)
     fa, fb, fm = fx[:n], fx[n:2 * n], fx[2 * n:]
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    node = np.stack((a, fa, m, fm, b, fb, whole, tol))
     levels = []
     depth = _MAX_DEPTH
     while True:
-        a, fa, m, fm, b, fb, whole, tol = node
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        x, at = np.concatenate((lm, rm)), np.concatenate((owner,) * 2)
-        fx = np.asarray(f(x, at), dtype=float)
-        flm, frm = fx[:n], fx[n:]
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        err = left + right - whole
+        # the halves [a, m] and [m, b] of every open panel, left halves first
+        lo, hi = np.concatenate((a, m)), np.concatenate((m, b))
+        flo, fhi = np.concatenate((fa, fm)), np.concatenate((fm, fb))
+        mid = 0.5 * (lo + hi)
+        fmid = np.asarray(f(mid, np.concatenate((owner, owner))), dtype=float)
+        half = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+        both = half[:n] + half[n:]
+        err = both - whole
         split = np.flatnonzero(~(np.abs(err) <= 15.0 * tol))
-        levels.append((left + right + err / 15.0, split))
+        levels.append((both + err / 15.0, split))
         if len(split) == 0:
             break
         if depth <= 0 or 2 * len(split) > _MAX_FRONTIER:
@@ -116,17 +123,12 @@ def _simpson_levels(f, a, b, tol, owner) -> np.ndarray:
                 f"quadrature did not converge on [{a[i]:g}, {b[i]:g}] (residual "
                 f"{abs(err[i]):.3e}){why}; kernel may have a non-integrable singularity"
             )
-        # each split node's left child (a, lm, m), then its right child
-        # (m, rm, b), both at half its tolerance
-        cols = np.stack(
-            (a, fa, lm, flm, m, fm, left, rm, frm, b, fb, right, 0.5 * tol)
-        )[:, split]
-        node = np.empty((8, len(split), 2))
-        node[:, :, 0] = cols[[0, 1, 2, 3, 4, 5, 6, 12]]
-        node[:, :, 1] = cols[[4, 5, 7, 8, 9, 10, 11, 12]]
-        node = node.reshape(8, -1)
+        # each split panel's left half, then its right half, at half its tolerance
+        kids = np.column_stack((split, split + n)).ravel()
+        a, fa, m, fm, b, fb, whole = (v[kids] for v in (lo, flo, mid, fmid, hi, fhi, half))
+        tol = np.repeat(0.5 * tol[split], 2)
         owner = np.repeat(owner[split], 2)
-        n = 2 * len(split)
+        n = len(kids)
         depth -= 1
     total = levels[-1][0]
     for value, split in reversed(levels[:-1]):
@@ -135,30 +137,46 @@ def _simpson_levels(f, a, b, tol, owner) -> np.ndarray:
     return total
 
 
-def _integrate_batch(f, spans, tol: float) -> list[float]:
-    """Integral j of ``f(x, j)`` over ``spans[j] = (a, b, breakpoints)``, all batched.
+def _integrate_batch(f, a, b, cuts, tol: float) -> np.ndarray:
+    """Integral j of ``f(x, j)`` over [a_j, b_j] for every j, all batched.
 
-    Each integral is split at its breakpoints inside (a, b) into panels of
-    tolerance tol / (number of panels); its panel values are added left to
-    right, starting from 0.  At most ``_CHUNK`` panels are refined together.
+    ``cuts`` holds the breakpoints: one sequence shared by every integral, or
+    one row per integral, ascending but for nan entries, which are never
+    cuts.  Integral j is split at its cuts strictly inside (a_j, b_j),
+    ascending, into panels of tolerance tol / (number of panels); its panel
+    values are added left to right, starting from 0, and it is 0 where
+    b_j <= a_j.  At most ``_CHUNK`` panels are refined together.
     """
-    lo, hi, ptol, owner = [], [], [], []
-    for j, (a, b, breakpoints) in enumerate(spans):
-        if b <= a:
-            continue
-        edges = [a, *sorted(p for p in breakpoints if a < p < b), b]
-        lo += edges[:-1]
-        hi += edges[1:]
-        ptol += [tol / (len(edges) - 1)] * (len(edges) - 1)
-        owner += [j] * (len(edges) - 1)
-    lo, hi, ptol = (np.array(x, dtype=float) for x in (lo, hi, ptol))
-    at = np.array(owner, dtype=int)
-    out = [0.0] * len(spans)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = np.zeros(len(a))
+    live = np.flatnonzero(b > a)
+    a, b = a[live], b[live]
+    # integral j's cuts are cuts[first_j:stop_j]
+    if np.ndim(cuts) == 1:
+        # sorted by Python: a count ladder calls no numpy sort otherwise, and
+        # the first one adds about 0.2 MB of its code to the peak RSS
+        cuts = np.array(sorted(filter(math.isfinite, cuts)), dtype=float)
+        first, stop = cuts.searchsorted(a, side="right"), cuts.searchsorted(b, side="left")
+    else:
+        rows = np.asarray(cuts, dtype=float)[live]
+        inside = (a[:, None] < rows) & (rows < b[:, None])
+        cuts, within = rows[inside], inside.sum(axis=1)
+        stop = np.cumsum(within)
+        first = stop - within
+    count = stop - first + 1                        # panels per integral
+    owner = np.repeat(live, count)
+    # each panel's place in its integral and the flat index of its right cut
+    place = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+    right = np.repeat(first, count) + place
+    cuts = np.append(cuts, np.nan)                  # so a take from no cuts is valid
+    lo = np.where(place == 0, np.repeat(a, count), cuts.take(right - 1, mode="clip"))
+    hi = np.where(right == np.repeat(stop, count), np.repeat(b, count), cuts.take(right))
+    ptol = np.repeat(tol / count, count)
     for i in range(0, len(lo), _CHUNK):
         chunk = slice(i, i + _CHUNK)
-        values = _simpson_levels(f, lo[chunk], hi[chunk], ptol[chunk], at[chunk])
-        for j, v in zip(owner[chunk], values.tolist()):
-            out[j] += v
+        values = _simpson_levels(f, lo[chunk], hi[chunk], ptol[chunk], owner[chunk])
+        # unbuffered, in panel order: each integral sums its panels left to right
+        np.add.at(out, owner[chunk], values)
     return out
 
 
@@ -186,7 +204,7 @@ def integrate(
     open at ``_MAX_DEPTH`` levels, or a level that would hold more than
     ``_MAX_FRONTIER`` panels, raises ``DivergingKernelError``.
     """
-    return _integrate_batch(lambda x, _: f(x), [(a, b, breakpoints)], tol)[0]
+    return float(_integrate_batch(lambda x, _: f(x), [a], [b], breakpoints, tol)[0])
 
 
 # --------------------------------------------------------------------------
@@ -569,10 +587,10 @@ def _abs_integrals(
         return [H(b) - H(a) if b > a else 0.0 for a, b in ends]
     if kernel.singular_at_zero and any(a <= 0.0 and b > a for a, b in ends):
         raise DivergingKernelError("singular kernel without a declared antiderivative")
-    pts = kernel.nonsmooth_points
+    a, b = np.array(ends, dtype=float).reshape(-1, 2).T
     return _integrate_batch(
-        lambda t, _: np.abs(kernel.evaluate(t)), [(a, b, pts) for a, b in ends], tol
-    )
+        lambda t, _: np.abs(kernel.evaluate(t)), a, b, kernel.nonsmooth_points, tol
+    ).tolist()
 
 
 def l1_norm(kernel: Kernel, T: float | None = None, *, tol: float = 1e-9) -> float:
@@ -623,22 +641,27 @@ def _shift_integrals(kernel: Kernel, eps: np.ndarray, upper: np.ndarray, tol: fl
     the integrals of the nonzero eps are one quadrature batch."""
     out = np.zeros(len(eps))
     live = np.flatnonzero(eps != 0.0)
-    shifts = eps[live]
-    uppers = upper[live].tolist()
+    shifts, uppers = eps[live], upper[live]
     H = kernel.abs_antiderivative
     if kernel.monotone_decreasing and H is not None:
         # decreasing h >= 0: |h(y+eps) - h(y)| telescopes to a difference of
         # two integrals of h itself, which survives the singular families
-        out[live] = [H(u) - (H(u + e) - H(e)) for e, u in zip(shifts.tolist(), uppers)]
+        out[live] = [
+            H(u) - (H(u + e) - H(e)) for e, u in zip(shifts.tolist(), uppers.tolist())
+        ]
         return out
-    pts = kernel.nonsmooth_points
-    spans = [(0.0, u, tuple({*pts, *(p - e for p in pts)})) for e, u in zip(shifts, uppers)]
+    # each eps's cuts are the set of pts and pts - eps: its row sorted by
+    # Python (see _integrate_batch), a repeat blanked
+    pts = np.array(list(filter(math.isfinite, kernel.nonsmooth_points)), dtype=float)
+    rows = np.hstack((np.tile(pts, (len(shifts), 1)), pts - shifts[:, None]))
+    cuts = np.array(list(map(sorted, rows.tolist())), dtype=float).reshape(rows.shape)
+    cuts[:, 1:][cuts[:, 1:] == cuts[:, :-1]] = np.nan
 
     def g(y: np.ndarray, j: np.ndarray) -> np.ndarray:
         pair = kernel.evaluate(np.concatenate((y + shifts[j], np.maximum(y, 1e-300))))
         return np.abs(pair[:len(y)] - pair[len(y):])
 
-    out[live] = _integrate_batch(g, spans, tol)
+    out[live] = _integrate_batch(g, np.zeros(len(live)), uppers, cuts, tol)
     return out
 
 
@@ -689,33 +712,32 @@ def _projection_moduli(
     cells of all deltas are one quadrature batch, their grid targets one
     kernel call; each delta's cells are added in order.
     """
-    cells, owner, lags = [], [], []
-    for i, delta in enumerate(deltas):
-        upper = T - delta
-        k = 1
-        while (k - 1) * delta < upper - 1e-15:
-            cells.append(((k - 1) * delta, min(k * delta, upper)))
-            k += 1
-        owner += [i] * (k - 1)
-        lags.append(delta * np.arange(1, k))
-    targets = np.asarray(kernel.evaluate(np.concatenate(lags)), dtype=float)
+    lo, lags = [], []
+    for delta in deltas:
+        # cell k = 1, 2, ... while (k - 1) * delta < T - delta - 1e-15: a
+        # prefix of the grid, as k * delta never falls as k grows
+        edge = T - delta - 1e-15
+        grid = delta * np.arange(math.ceil(edge / delta) + 2)
+        k = np.count_nonzero(grid < edge)
+        lo.append(grid[:k])
+        lags.append(grid[1:k + 1])
+    owner = np.repeat(np.arange(len(deltas)), [len(x) for x in lo])
+    lo, lags = np.concatenate(lo), np.concatenate(lags)
+    hi = np.minimum(lags, T - np.asarray(deltas, dtype=float)[owner])
+    targets = np.asarray(kernel.evaluate(lags), dtype=float)
     H = kernel.abs_antiderivative
     if kernel.monotone_decreasing and H is not None:
         # h >= target on the whole cell: the absolute value drops
-        parts = [
-            (H(hi) - H(lo)) - (hi - lo) * c for (lo, hi), c in zip(cells, targets.tolist())
-        ]
+        ends = np.array([H(x) for x in np.concatenate((hi, lo)).tolist()]).reshape(2, -1)
+        parts = (ends[0] - ends[1]) - (hi - lo) * targets
     else:
         def g(y: np.ndarray, j: np.ndarray) -> np.ndarray:
             return np.abs(kernel.evaluate(np.maximum(y, 1e-300)) - targets[j])
 
-        parts = _integrate_batch(
-            g, [(lo, hi, kernel.nonsmooth_points) for lo, hi in cells], tol
-        )
-    totals = [0.0] * len(deltas)
-    for i, part in zip(owner, parts):
-        totals[i] += part
-    return totals
+        parts = _integrate_batch(g, lo, hi, kernel.nonsmooth_points, tol)
+    totals = np.zeros(len(deltas))
+    np.add.at(totals, owner, parts)   # each delta's cells in order
+    return totals.tolist()
 
 
 def c_r(

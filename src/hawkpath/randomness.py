@@ -19,6 +19,7 @@ from .errors import ParameterError, RunawayIntensityError
 
 __all__ = [
     "ATOM_BUDGET",
+    "MODULUS_BUDGET",
     "MarkModel",
     "MarkMoments",
     "PoissonAtoms",
@@ -155,6 +156,17 @@ def mark_moments(model: MarkModel) -> MarkMoments:
 # The most atoms a ladder may be expected to hold, ceiling * horizon.  It
 # bounds the memory of a runaway trial, not its time.
 ATOM_BUDGET = 2**24
+# The most steps the sparse-modulus walk of a compound Poisson path may be
+# expected to take: rate * T right ends, each walking over about rate * delta
+# left ends.  Uniform jumps with unit and Exp(1) marks, on a 2-core Xeon:
+#     jumps   per delta   steps    seconds
+#     4e4     25          1e6      0.29-0.37
+#     1e5     62.5        6.3e6    1.2-1.6
+#     2e4     1000        2e7      2.1-2.4
+#     2e5     160         3.2e7    5.4-6.7
+# so a walk within the budget takes seconds.  Its part linear in the jumps,
+# a few us each, is bounded by ATOM_BUDGET.
+MODULUS_BUDGET = 2**25
 
 _NO_ATOMS = (np.empty(0), np.empty(0), np.empty(0), np.empty(0, dtype=int))
 

@@ -5,12 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from hawkpath import harness
 from hawkpath.cli import cli_main
+from hawkpath.errors import ConfigError
+from hawkpath.randomness import MODULUS_BUDGET
 
 COMMANDS = ("simulate", "couple", "convergence", "bounds", "verify")
 
@@ -133,6 +136,44 @@ class TestExitCodes:
         assert cli_main(["verify", str(cfg)]) == 2
         assert not out.exists()
         assert cli_main(["convergence", str(cfg)]) == 0
+
+    def test_verify_refuses_a_sparse_modulus_walk_past_its_budget(self, tmp_path, capsys):
+        # rho = 0.99998: the comparison path runs at psi(0) / (1 - rho) = 42,561,
+        # 2.1e5 jumps inside the atom budget, but its walk at delta = 0.25 would
+        # take about 2.1e5 * 1.1e4 = 2.3e9 steps, minutes; refused before any trial
+        out = tmp_path / "out"
+        doc = base_doc(out)
+        doc["kernel"] = {"family": "exponential", "params": {"amplitude": 1.00676, "decay": 1.0}}
+        doc["jump_rate"] = {"family": "clipped-affine", "params": {"baseline": 1.0, "cap": 4.0}}
+        cfg = write_config(tmp_path, doc)
+        start = time.perf_counter()
+        assert cli_main(["verify", str(cfg)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the comparison path's rate 4.256e+04")
+        assert f"modulus budget {MODULUS_BUDGET} steps" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("rate, refused", [(5000.0, False), (5300.0, True)])
+    def test_modulus_budget_edge(self, tmp_path, rate, refused):
+        # no excitation: the comparison path runs at the constant rate r, and
+        # its walk takes about r * 5 * r * 0.25 steps, 3.1e7 and 3.5e7 here
+        doc = {**base_doc(tmp_path / "out"), "kernel": {"family": "zero"},
+               "jump_rate": {"family": "constant", "params": {"value": rate}}}
+        run = harness.ExperimentConfig.from_dict(doc).run
+        if refused:
+            with pytest.raises(ConfigError, match="modulus budget"):
+                run.verify_plan
+        else:
+            assert run.verify_plan.rate == rate
+
+    def test_reference_verify_configs_pass_the_modulus_budget(self, perfbench):
+        # the verify-fine workload, criterion 8's config under `verify`: 12.5
+        # expected jumps, 0.008 per finest delta
+        doc = perfbench.WORKLOADS["verify-fine"].document(88)
+        plan = harness.ExperimentConfig.from_dict(doc).run.verify_plan
+        steps = plan.rate * doc["horizon"] * plan.rate * doc["delta_ladder"][-1]
+        assert steps < 1e-6 * MODULUS_BUDGET
 
     @pytest.mark.parametrize(
         "command, code",

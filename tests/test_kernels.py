@@ -223,6 +223,123 @@ class TestQuadratureMatchesRecursion:
         assert len(calls) <= 200
 
 
+LADDER_COUNT_STEPS = (0.5, 0.25, 0.1, 0.05, 0.025, 0.0125)
+
+# c_r on the ladder of the ladder-count bench workload, as hex: any change to
+# the quadrature's panels, tolerances, depth or summation order moves these
+C_R_PINS = {
+    # every term by quadrature, split at the zeros of cos
+    "cosine-decay": (
+        lambda: hp.cosine_decay_kernel(0.6, 5.0),
+        ["0x1.90f6250ede20cp-1", "0x1.aae388018923ap-2", "0x1.5c5fd3c459a86p-3",
+         "0x1.5d7f6bae66fa4p-4", "0x1.5dd370c85d970p-5", "0x1.5dee6de80549dp-6"],
+    ),
+    # a closed-form head, the moduli by quadrature
+    "erlang": (
+        lambda: hp.erlang_kernel(0.3, 2, 1.0, 5.0),
+        ["0x1.93c296631edd8p-3", "0x1.9d622af71c5bcp-4", "0x1.4ea656bc7c074p-5",
+         "0x1.4fdc5e5321522p-6", "0x1.5072abb927be6p-7", "0x1.50bcab49265d5p-8"],
+    ),
+    # every term in closed form
+    "exponential": (
+        lambda: hp.exponential_kernel(0.604, 1.0, 5.0),
+        ["0x1.381dac4908aacp-1", "0x1.59e4183787fb4p-2", "0x1.26eb90e731bfap-3",
+         "0x1.2d5c3ebffbd87p-4", "0x1.30a768297ce0cp-5", "0x1.3251cbead3023p-6"],
+    ),
+}
+
+
+def _kinked(T):
+    """|sin 2t| e^-t with its kink at pi/2 declared three times and 0.3 T twice."""
+    def h(t):
+        t = np.asarray(t, dtype=float)
+        return np.abs(np.sin(2.0 * t)) * np.exp(-t)
+
+    pts = (math.pi / 2, math.pi / 2, math.pi, 0.3 * T, 0.3 * T, math.pi / 2)
+    return hp.custom_kernel(h, T, nonsmooth_points=pts)
+
+
+class TestQuadratureBookkeeping:
+    """What the array-built panels, cells and sums keep of the scalar recursion."""
+
+    @pytest.mark.parametrize("family", sorted(C_R_PINS))
+    def test_c_r_pinned(self, family):
+        make, pins = C_R_PINS[family]
+        assert [v.hex() for v in c_r(make(), LADDER_COUNT_STEPS, 5.0)] == pins
+
+    def test_duplicate_breakpoints_are_zero_width_panels(self):
+        # each repeat is a zero-width panel that still counts in tol / n
+        f = _kinked(3.0).evaluate
+        bp = (math.pi / 2, math.pi / 2, 1.0, 7.0, -1.0, math.pi / 2)
+        got = integrate(f, 0.0, 3.0, breakpoints=bp)
+        assert got == adaptive_simpson_reference(lambda t: float(f(t)), 0.0, 3.0, breakpoints=bp)
+        assert got != integrate(f, 0.0, 3.0, breakpoints=(1.0, math.pi / 2))
+
+    @pytest.mark.parametrize("T", [2.0, 5.0])
+    def test_duplicate_nonsmooth_points_in_c_r(self, T):
+        # the shift integrals cut at the set of pts and pts - eps, the head and
+        # projection integrals at the declared tuple, repeats included
+        kernel = _kinked(T)
+        ladder = (0.1 * T, 0.03 * T)
+        for delta, value in zip(ladder, c_r(kernel, ladder, T)):
+            assert value == sum(regularity_terms_reference(kernel, delta, T))
+
+    def test_empty_and_reversed_spans_are_zero(self):
+        kernel = _kinked(5.0)
+        ends = [(0.0, 1.0), (2.0, 1.0), (1.0, 1.0), (1.0, 3.0)]
+        got = _abs_integrals(kernel, ends)
+        assert got[1:3] == [0.0, 0.0]
+        for (a, b), value in zip(ends, got):
+            assert value == adaptive_simpson_reference(
+                lambda t: abs(float(kernel.evaluate(t))), a, b,
+                breakpoints=kernel.nonsmooth_points,
+            )
+        assert integrate(kernel.evaluate, 2.0, 1.0, breakpoints=(1.5,)) == 0.0
+
+    def test_batch_of_more_panels_than_a_chunk(self):
+        # the panels of many integrals refined in several chunks: each still
+        # sums its own panels in order
+        kernel = _kinked(5.0)
+        edges = np.linspace(0.0, 5.0, _CHUNK + 500)
+        got = _abs_integrals(kernel, list(zip(edges[:-1].tolist(), edges[1:].tolist())))
+        assert len(got) > _CHUNK
+        for a, b, value in zip(edges[:-1].tolist(), edges[1:].tolist(), got):
+            assert value == adaptive_simpson_reference(
+                lambda t: abs(float(kernel.evaluate(t))), a, b,
+                breakpoints=kernel.nonsmooth_points,
+            )
+
+    @pytest.mark.parametrize("run, message", [
+        # the frontier cap, on one integral and on the first of a c_r batch
+        (lambda: integrate(lambda x: np.full_like(x, np.nan), 0.0, 1.0),
+         "[0, 7.62939e-06] (residual nan) with more than 131072 panels open"),
+        (lambda: integrate(lambda x: np.where(x > 0.3, np.nan, x), 0.0, 1.0),
+         "[0.299995, 0.300003] (residual nan) with more than 131072 panels open"),
+        (lambda: c_r(hp.custom_kernel(lambda t: np.full_like(t, np.nan), 5.0),
+                     LADDER_COUNT_STEPS, 5.0),
+         "[0, 3.05176e-05] (residual nan) with more than 131072 panels open"),
+        # the depth cap
+        (lambda: integrate(lambda x: 1.0 / np.abs(x - 0.3) ** 1.5, 0.0, 1.0),
+         "[0.299997, 0.299997] (residual 2.647e-23);"),
+    ], ids=["nan", "nan-right", "c_r-nan", "depth"])
+    def test_divergence_names_the_panel(self, run, message):
+        with pytest.raises(DivergingKernelError) as info:
+            run()
+        assert f"quadrature did not converge on {message}" in str(info.value)
+
+    def test_fine_ladder_memory(self):
+        # 2**17 projection cells: their panels, targets and sums are arrays of
+        # about 1 MB each, and the traced peak stays near 22 MB
+        kernel = hp.cosine_decay_kernel(0.6, 5.0)
+        tracemalloc.start()
+        try:
+            c_r(kernel, (5.0 / 2**17,), 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+
 class TestGridCoefficients:
     def test_zero_kernel(self):
         g = grid_coefficients(hp.zero_kernel(5.0), 0.5, 5.0)
