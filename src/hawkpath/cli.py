@@ -78,11 +78,15 @@ def _cmd_couple(cfg: ExperimentConfig, out: Path) -> int:
     run = cfg.run.thinnable()
     delta = cfg.delta_ladder[-1]
     atoms = run.atoms(0)
-    # the finest grid alone: the atom dump holds the strips that pair drew
-    cont, [disc] = couple(
-        run.kernel, run.jump_rate, run.marks, run.grids[-1:], atoms,
+    # the finest grid alone, in a batch of one: the atom dump holds the
+    # strips that pair drew
+    [coupled] = couple(
+        run.kernel, run.jump_rate, run.marks, run.grids[-1:], [atoms],
         allow_unstable=cfg.allow_unstable,
     )
+    if isinstance(coupled, RunawayIntensityError):
+        raise coupled
+    cont, [disc] = coupled
     if isinstance(disc, RunawayIntensityError):
         raise disc
     tau, theta, y, strip = atoms.merged()

@@ -70,6 +70,7 @@ from .simulate import (
     distinct,
     eval_intensity,
     integrate_intensity,
+    ladder_batch,
     relu_affine,
     sigmoid_rate,
     step_from_jumps,
@@ -514,50 +515,77 @@ def _run_trials(
 ) -> tuple[list[Abort | None], list]:
     """Couple a range of trials across the ladder and measure each one.
 
-    Each trial draws its atoms once; ``couple`` thins the continuous path
-    once on them and runs the discrete scheme at every delta still running in
-    one ladder call guessed by that path.  This is exact: every process raises
-    the shared ceiling through ``PoissonAtoms.cover``, a ceiling extension is
+    Trials run in batches of consecutive trials, as many as ``ladder_batch``
+    fits on the deltas still running and the atoms of their base strips
+    (``simulate.LADDER_BATCH_BINS``, with its measured table).  ``couple``
+    thins each trial's continuous path once on its own atoms, in trial
+    order, then runs the discrete scheme at every delta still running in one
+    ladder call for the whole batch, each trial guessed by its own path.
+    The batch shares numpy calls, never a float: its first pass costs
+    O(deltas) numpy calls where the walks agree with their guesses, instead
+    of O(trials x deltas) (``simulate_ladder``), and every trial's traces,
+    errors and strips are those of a batch of one.  This is exact: every process raises its
+    trial's ceiling through ``PoissonAtoms.cover``, a ceiling extension is
     the strip keyed by its index, whichever process asks for it first, and
-    atoms above a process's own ceiling never pass its thinning.  A runaway
-    past the atom budget aborts its grid's cell, or every live cell if the
-    continuous path ran away.
+    atoms above a process's own ceiling never pass its thinning.
+    The trials are then measured in order.  A runaway past the atom budget
+    aborts its grid's cell, and the later trials of its batch draw no strip
+    for that grid; a continuous runaway aborts every live cell and ends the
+    batch at its trial.
     This is also the process-pool entry point.
     ``measure(cfg, trial, cont, traces)``, a module-level function or a
     partial of one, so that a process pool can send it, turns a trial into
     its sample; ``traces`` is None at every delta whose cell has hit the
     runaway guard.  A measure that returns None gives up on the run, which
-    ends the range there.  The range reads nothing of any other range.
+    ends the range there: the rest of its batch was simulated, and is
+    dropped.  The range reads nothing of any other range.
     Returns, per delta, the trial and error that aborted its cell (or None),
     and the samples in trial order.
     """
     run = cfg.run
     aborted: list[Abort | None] = [None] * len(run.grids)
     samples = []
-    for trial in trials:
+    first = 0
+    while first < len(trials):
         live = [i for i, a in enumerate(aborted) if a is None]
         if not live:
             break
-        try:
-            cont, ladder = couple(
-                run.kernel, run.jump_rate, run.marks, [run.grids[i] for i in live],
-                run.atoms(trial), allow_unstable=cfg.allow_unstable,
-            )
-        except RunawayIntensityError as exc:
-            for i in live:
-                aborted[i] = (trial, exc)
+        grids = [run.grids[i] for i in live]
+        batch = trials[first : first + ladder_batch(grids, run.ceiling * cfg.horizon)]
+        first += len(batch)
+        # the batch's paths go with the call, so none outlives it
+        if not _measure_batch(cfg, measure, batch, live, aborted, samples, couple(
+            run.kernel, run.jump_rate, run.marks, grids,
+            [run.atoms(trial) for trial in batch], allow_unstable=cfg.allow_unstable,
+        )):
             break
-        traces: list[DiscreteTrace | None] = [None] * len(run.grids)
+    return aborted, samples
+
+
+def _measure_batch(cfg, measure, batch, live, aborted, samples, coupled) -> bool:
+    """Measure the coupled trials of ``batch`` in order, recording each
+    abort; whether the range goes on after them."""
+    for trial, pair in zip(batch, coupled):
+        if all(a is not None for a in aborted):
+            return False
+        if isinstance(pair, RunawayIntensityError):
+            for i in live:
+                aborted[i] = aborted[i] or (trial, pair)
+            return False
+        cont, ladder = pair
+        traces: list[DiscreteTrace | None] = [None] * len(aborted)
         for i, disc in zip(live, ladder):
+            if aborted[i] is not None:
+                continue
             if isinstance(disc, RunawayIntensityError):
                 aborted[i] = (trial, disc)
             else:
                 traces[i] = disc
         sample = measure(cfg, trial, cont, traces)
         if sample is None:
-            break
+            return False
         samples.append(sample)
-    return aborted, samples
+    return True
 
 
 def _map_trials(

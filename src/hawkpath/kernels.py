@@ -395,23 +395,51 @@ def erlang_kernel(amplitude: float, shape: int, decay: float, horizon: float) ->
     )
 
 
+# Samples of one chunk of the extrema scan, and brackets refined together
+_SCAN_CHUNK = 1 << 16
+_BRACKET_CHUNK = 1 << 10
+
+
 def _local_extrema(fn, T: float) -> tuple[float, ...]:
     """Interior extrema of fn on [0, T]: a sign-change scan of the steps
     between max(4096, 16 T) samples brackets each (so extrema of fn at least
     1/8 apart are all found), then every bracket shrinks to the neighbours of
     its most extreme of 65 samples, eight times over.  The value found is the
     extreme one to rounding, though values tell points near an extremum
-    apart only to about sqrt(machine eps) of its position."""
-    ts = np.linspace(0.0, T, max(4096, math.ceil(16 * T)))
-    sign = np.sign(np.diff(fn(ts)))
-    turns = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-    rows = np.arange(len(turns))
-    a, b = ts[turns], ts[turns + 2]
+    apart only to about sqrt(machine eps) of its position.
+
+    The scan reads ``_SCAN_CHUNK`` samples at a time, each chunk overlapping
+    the next by the 2 samples a turn reads past its own, and each round
+    refines ``_BRACKET_CHUNK`` brackets at a time, so memory stays flat in T.
+    The samples are those of one ``np.linspace`` over [0, T], and a bracket's
+    samples and argmax are its own, so the extrema are those of one pass
+    while no bracket shrinks to zero width (``np.linspace`` would then take
+    another formula for every row of its call); none does for cosine decay
+    at any horizon it accepts, up to 2^20."""
+    n = max(4096, math.ceil(16 * T))
+    step = T / (n - 1)      # np.linspace(0.0, T, n) is i * step, then T at its end
+    lo, hi, signs = [], [], []
+    for s in range(0, n - 2, _SCAN_CHUNK - 2):
+        ts = np.arange(s, min(s + _SCAN_CHUNK, n), dtype=float) * step
+        if s + _SCAN_CHUNK >= n:
+            ts[-1] = T
+        sign = np.sign(np.diff(fn(ts)))
+        turns = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+        lo.append(ts[turns])
+        hi.append(ts[turns + 2])
+        signs.append(sign[turns])
+    a, b, sign = np.concatenate(lo), np.concatenate(hi), np.concatenate(signs)
     for _ in range(8):
-        samples = np.linspace(a, b, 65, axis=1)
-        k = np.argmax(sign[turns, None] * fn(samples), axis=1)
-        a, b = samples[rows, np.maximum(k - 1, 0)], samples[rows, np.minimum(k + 1, 64)]
-    return tuple(samples[rows, k].tolist())
+        found = []
+        for r in range(0, len(a), _BRACKET_CHUNK):
+            chunk = slice(r, r + _BRACKET_CHUNK)
+            samples = np.linspace(a[chunk], b[chunk], 65, axis=1)
+            k = np.argmax(sign[chunk, None] * fn(samples), axis=1)
+            rows = np.arange(len(k))
+            found.append((samples[rows, np.maximum(k - 1, 0)], samples[rows, k],
+                          samples[rows, np.minimum(k + 1, 64)]))
+        a, best, b = (np.concatenate(v) for v in zip(*found)) if found else (a, a, b)
+    return tuple(best.tolist())
 
 
 def cosine_decay_kernel(amplitude: float = 0.6, horizon: float = 5.0) -> Kernel:

@@ -639,14 +639,17 @@ def simulate_ladder(
     grids: Sequence[GridCoefficients],
     jump_rate: JumpRate,
     mark_model: MarkModel,
-    atoms: PoissonAtoms,
+    atoms: PoissonAtoms | Sequence[PoissonAtoms],
     *,
-    guess: np.ndarray | None = None,
+    guess: np.ndarray | Sequence[np.ndarray | None] | None = None,
     allow_unstable: bool = False,
-) -> list[DiscreteTrace | RunawayIntensityError]:
+) -> list:
     """Euler-type scheme: per-bin thinning under the frozen bin intensity, on
     every grid of one horizon, all reading the same atoms; the trace of each
-    grid, or the error that ended it.
+    grid, or the error that ended it.  ``atoms`` is one trial's ladder, or a
+    batch: a sequence of trials' ladders, with ``guess`` None or one guess
+    (or None) per trial, which gives one such list per trial, in which a grid
+    whose walk ran away at an earlier trial of the batch is None.
 
     A grid holds the bin edges t_0 = 0 < ... < t_count = T and the kernel
     samples h(t_k), k = 1..count; build it once per delta with
@@ -658,47 +661,66 @@ def simulate_ladder(
     compact-support kernels cost O(r) per push).  A bin's level is psi of its
     feedback, so it depends on the earlier bins alone.
 
-    In a pass, each grid walks the atoms on its own, in windows, and reads
-    the levels in each window with one psi call.  ``guess`` holds the times
-    of the atoms the caller expects to be accepted, in practice the
-    continuous path's events on the same atoms.  While guessed pushes lie
-    ahead, a window makes the next ``_GUESS_ROWS`` of them in place (fewer
-    after a difference, which halves them, until whole windows double them
-    back) and runs up to the next guessed bin.  Its first atom that can
-    push (b > 0) and whose acceptance differs from the guess, or whose level
-    is above the ceiling, is a difference: the window's pushes from its bin
-    on are undone, and those before it kept.  They are the true pushes:
-    every earlier bin was exact, so their levels were, and their atoms that
-    can push passed exactly as guessed, while an atom of b = 0 adds 0.0 to
-    a left-to-right sum, so their guessed push is the same float.  The
-    differing bin, its level being exact, is decided and pushes.  Past the
-    last guessed push, or without a guess, a window holds the next
-    ``_WINDOW`` atoms, doubling while none of them could push and passes;
-    the first that does ends it, and its bin pushes.  So the traces never
-    depend on the guess, only the windows do.
+    In a pass, each (trial, grid) walk walks its trial's atoms on its own, in
+    windows, and reads the levels in each window with one psi call.
+    ``guess`` holds the times of the atoms the caller expects to be accepted,
+    in practice the continuous path's events on the same atoms.  While
+    guessed pushes lie ahead, a window makes the next ``_GUESS_ROWS`` of them
+    in place (fewer after a difference, which halves them, until whole
+    windows double them back) and runs up to the next guessed bin.  Its first
+    atom that can push (b > 0) and whose acceptance differs from the guess,
+    or whose level is above the ceiling, is a difference: the window's
+    pushes from its bin on are undone, and those before it kept.  They are
+    the true pushes: every earlier bin was exact, so their levels were, and
+    their atoms that can push passed exactly as guessed, while an atom of
+    b = 0 adds 0.0 to a left-to-right sum, so their guessed push is the same
+    float.  The differing bin, its level being exact, is decided and pushes.
+    Past the last guessed push, or without a guess, a window holds the next
+    ``_WINDOW`` atoms, doubling while none of them could push and passes; the
+    first that does ends it, and its bin pushes.  So the traces never depend
+    on the guess, only the windows do.
+
+    The first pass of a batch of two or more trials reads the first window
+    of every walk at once: one ``searchsorted`` per grid bins the batch's
+    atoms, one ``bincount`` sums every guessed push, and one gather, psi
+    call and flag pass read every window, each walk making its pushes on its
+    own slice of one feedback array.  Only a walk that differs from its
+    guess, or has more guessed pushes ahead, walks on by itself.  A grid of
+    span 0 reads no window, and a batch of one walks each grid alone, as a
+    later pass does.  So where the walks agree with their guesses a batch
+    costs O(grids) numpy calls, not O(trials x grids), besides its pushes
+    and Python bookkeeping; its arrays hold sum(count + 1) entries per
+    trial, which ``LADDER_BATCH_BINS`` bounds in the engine's batches.
 
     A pass ends after the last atom, or early at an atom whose level is
-    above the ceiling.  One psi call on every grid's feedback then checks
-    the ceiling.  If some bin's level is above it, ``atoms.cover`` doubles
-    the ceiling up to the first such level, the pushes from that bin on are
-    dropped (the feedback is rebuilt by replaying the earlier ones in bin
-    order) and the next pass walks from that bin with the new strips' atoms;
-    a ceiling past the atom budget ends that grid alone, with the
-    ``RunawayIntensityError``.  Each extension goes to the first doubling
-    above a level of the scheme, so the strips drawn are those of running
-    the grids one by one.  The accepted atoms, their counts and sums are read
-    off for every grid at once at the end: an atom added by a later ceiling
-    extension has a theta above every earlier bin intensity, so it passes no
-    earlier bin.  An unstable step ratio warns rather than fails;
+    above the ceiling.  One psi call on every walk's feedback then checks
+    the ceilings, and each trial, in order, extends its own: if some bin's
+    level is above its ceiling, ``atoms.cover`` doubles the ceiling up to
+    the first such level, the pushes from that bin on are dropped (the
+    feedback is rebuilt by replaying the earlier ones in bin order) and the
+    trial's next pass walks from that bin with the new strips' atoms; a
+    ceiling past the atom budget ends that walk alone, with the
+    ``RunawayIntensityError``, and the later trials of the batch draw no
+    strip for its grid.  Each extension goes to the first doubling above a
+    level of the scheme, so the strips drawn are those of running the grids
+    one by one.  The accepted atoms, their counts and sums are read off for
+    every walk of the batch at once at the end: an atom added by a later
+    ceiling extension has a theta above every earlier bin intensity, so it
+    passes no earlier bin.  An unstable step ratio warns rather than fails;
     allow_unstable acknowledges it and silences the warning.
     """
+    single = isinstance(atoms, PoissonAtoms)
+    ladders = [atoms] if single else list(atoms)
+    guesses = [guess] if single else [None] * len(ladders) if guess is None else list(guess)
     grids = list(grids)
-    if not grids:
-        return []
-    T = grids[0].horizon
+    if not grids or not ladders:
+        return [] if single else [[] for _ in ladders]
+    T, n, G = grids[0].horizon, len(ladders), len(grids)
+    if len(guesses) != n:
+        raise ParameterError("a batch takes one guess, or None, per trial")
     if any(grid.horizon != T for grid in grids):
         raise ParameterError("the grids of a ladder share one horizon")
-    if T > atoms.horizon * (1 + REL_TOL):
+    if any(T > ladder.horizon * (1 + REL_TOL) for ladder in ladders):
         raise ParameterError("the grid's horizon exceeds the atoms' horizon")
     for grid in grids:
         rho = rho_discrete(grid, jump_rate.lipschitz, mark_model)
@@ -710,72 +732,165 @@ def simulate_ladder(
                 stacklevel=2,
             )
     psi = jump_rate.fn
-    walks = [_Walk(grid) for grid in grids]
-    errors: dict[int, RunawayIntensityError] = {}
-    pending = walks                     # the walks with a pass to make
-    while pending:
-        cut = _Atoms(atoms, T, mark_model, guess)
-        ceiling = atoms.ceiling
-        for walk in pending:
-            walk.walk_pass(cut, psi, ceiling)
-        intensity = psi(np.concatenate([walk.feedback for walk in pending]))
-        ends = _ends(pending)
-        over = (intensity > ceiling).nonzero()[0]
-        firsts = over.searchsorted(ends).tolist()
-        again = []
-        for walk, a, z, f, g in zip(pending, ends, ends[1:], firsts, firsts[1:]):
-            walk.intensity = intensity[a:z]
-            if f == g:
-                continue
-            start = int(over[f]) - a
-            try:
-                atoms.cover(float(walk.intensity[start]), "bin intensity")
-            except RunawayIntensityError as exc:
-                errors[walks.index(walk)] = exc
-                continue
-            walk.restart(start)
-            again.append(walk)
-        pending = again
-    finished = [walk for k, walk in enumerate(walks) if k not in errors]
-    traces = iter(_read_off(finished, cut))
-    return [errors[k] if k in errors else next(traces) for k in range(len(walks))]
+    cut = _Atoms(ladders, T, mark_model, guesses)
+    # walk g * n + k is grid g's on trial k: grid-major, so its bins are the
+    # entries ends[g * n + k]:ends[g * n + k + 1] of the batch's feedback
+    walks = [_Walk(grid) for grid in grids for _ in ladders]
+    ends = _ends(walks)
+    feedback = np.zeros(ends[-1])
+    for walk, a, z in zip(walks, ends, ends[1:]):
+        walk.feedback = feedback[a:z]   # sum of coeffs[n-1-j] * mass[j], oldest j first
+    ceilings = [ladder.ceiling for ladder in ladders]
+    bins, where = _where(grids, cut, ends)
+    if n == 1:      # a walk alone reads its first window as a later pass does
+        for walk, row in zip(walks, bins):
+            walk.walk_pass(cut, psi, ceilings[0], row)
+    elif any(grid.span for grid in grids):
+        _first_windows(walks, bins, where, cut, ceilings, psi, feedback, ends)
+    intensity = psi(feedback)
+    _set_levels(walks, intensity, ends, ceilings * G)
+    ran_away = [n] * G      # the trial at which each grid's walk ran away
+    extended = False
+    for k, ladder in enumerate(ladders):
+        pending = _extend([walks[g * n + k] for g in range(G) if ran_away[g] > k], ladder)
+        while pending:
+            extended = True
+            trial = _Atoms([ladder], T, mark_model, [guesses[k]])
+            for walk in pending:
+                walk.walk_pass(trial, psi, ladder.ceiling)
+            level = psi(np.concatenate([walk.feedback for walk in pending]))
+            _set_levels(pending, level, _ends(pending), [ladder.ceiling] * len(pending))
+            pending = _extend(pending, ladder)
+        for g in range(G):
+            if ran_away[g] == n and walks[g * n + k].error is not None:
+                ran_away[g] = k
+    if extended:    # read off every trial's final atoms and levels
+        cut = _Atoms(ladders, T, mark_model, guesses)
+        where = _where(grids, cut, ends)[1]
+        intensity = np.concatenate([walk.intensity for walk in walks])
+    traces = _read_off(grids, cut, where, intensity, ends)
+    out = [
+        [
+            walks[g * n + k].error if ran_away[g] == k
+            else None if ran_away[g] < k
+            else traces[g * n + k]
+            for g in range(G)
+        ]
+        for k in range(n)
+    ]
+    return out[0] if single else out
+
+
+# The most feedback entries and base-strip atoms of one batch of the engine's
+# trials, and the most trials, which bounds what extensions add to them.  A
+# batch keeps about 40 bytes per feedback entry alive at once (feedback,
+# levels, counts and sums).  perfbench at its 30 s against one trial per
+# ladder call, as the engine ran before batches; 2-core Xeon VM, 2 pairs a
+# cell (10, 4, 4 at 2^14): trials/s and peak RSS per workload, with its
+# batch size.  At one or two trials a batch is slower.
+#     bound  ladder-count          verify-fine           poisson-metrics
+#     2^12   4:  +4.0%, +0.67 MB   1:  -3.0%, +0.28 MB   23: +23.7%, +0.42 MB
+#     2^13   9:  +6.9%, +0.71 MB   2:  -3.0%, +0.32 MB   32: +11.6%, +0.41 MB
+#     2^14   19: +11.1%, +0.92 MB  5:  +1.4%, +0.36 MB   32: +14.7%, +0.43 MB
+LADDER_BATCH_BINS = 2**14
+LADDER_BATCH_TRIALS = 32
+
+
+def ladder_batch(grids: Sequence[GridCoefficients], atoms: float) -> int:
+    """How many trials one ``simulate_ladder`` call of the engine takes on
+    ``grids``, for trials of about ``atoms`` atoms each: as many as
+    ``LADDER_BATCH_BINS`` feedback entries and atoms hold, at least one and
+    at most ``LADDER_BATCH_TRIALS``."""
+    per_trial = sum(grid.count + 1 for grid in grids) + atoms
+    return max(1, min(LADDER_BATCH_TRIALS, int(LADDER_BATCH_BINS // per_trial)))
+
+
+def _set_levels(walks: list["_Walk"], levels: np.ndarray, ends: list[int], ceilings) -> None:
+    """Give each walk w its levels ``levels[ends[w]:ends[w + 1]]``, and the
+    first of its bins whose level is above its ceiling, ``ceilings[w]``."""
+    low = min(ceilings)
+    over = (levels > low).nonzero()[0]
+    if max(ceilings) > low:
+        over = over[levels[over] > np.take(ceilings, np.searchsorted(ends, over, "right") - 1)]
+    firsts = over.searchsorted(ends).tolist()
+    for walk, a, z, f, g in zip(walks, ends, ends[1:], firsts, firsts[1:]):
+        walk.intensity = levels[a:z]
+        walk.over = int(over[f]) - a if f < g else None
+
+
+def _extend(walks: list["_Walk"], atoms: PoissonAtoms) -> list["_Walk"]:
+    """Cover, in order, the first level above the ceiling of each walk that
+    has one, and restart it there; the walks that pass again.  A walk whose
+    level passes the atom budget keeps the error instead."""
+    again = []
+    for walk in walks:
+        if walk.over is None:
+            continue
+        try:
+            atoms.cover(float(walk.intensity[walk.over]), "bin intensity")
+        except RunawayIntensityError as exc:
+            walk.error = exc
+            continue
+        walk.restart(walk.over)
+        again.append(walk)
+    return again
 
 
 class _Atoms:
-    """The atoms of one pass in (0, T]: tau, theta, y, b = mark_model.modulate(y),
-    theta where b > 0 (else inf, an atom that cannot push), whether each is
-    a guessed atom that can push, and the strip count they were read at."""
+    """The atoms in (0, T] of a batch of trials' ladders, concatenated in
+    trial order, trial k's at ``starts[k]:starts[k + 1]``: tau, theta, y,
+    b = mark_model.modulate(y), whether each is a guessed atom that can push,
+    and theta where b > 0 (else inf, an atom that cannot push)."""
 
-    def __init__(self, atoms: PoissonAtoms, T: float, mark_model: MarkModel, guess) -> None:
-        tau, theta, y, _ = atoms.merged()
-        lo, hi = tau.searchsorted((0.0, T), side="right").tolist()
-        self.tau, self.theta, self.y = tau[lo:hi], theta[lo:hi], y[lo:hi]
+    def __init__(self, ladders, T: float, mark_model: MarkModel, guesses) -> None:
+        cols = []
+        for ladder, guess in zip(ladders, guesses):
+            tau, theta, y, _ = ladder.merged()
+            lo, hi = tau.searchsorted((0.0, T), side="right").tolist()
+            tau = tau[lo:hi]
+            guessed = np.zeros(hi - lo, dtype=bool)
+            if guess is not None:
+                guess = np.asarray(guess, dtype=float)
+                at = tau.searchsorted(guess)
+                inside = at < hi - lo
+                at = at[inside]
+                guessed[at[tau[at] == guess[inside]]] = True
+            cols.append((tau, theta[lo:hi], y[lo:hi], guessed))
+        self.starts = list(itertools.accumulate((len(c[0]) for c in cols), initial=0))
+        self.tau, self.theta, self.y, self.guessed = (
+            cols[0] if len(cols) == 1 else [np.concatenate(c) for c in zip(*cols)]
+        )
         self.b = mark_model.modulate(self.y)
-        self.guessed = np.zeros(hi - lo, dtype=bool)
-        if guess is not None:
-            guess = np.asarray(guess, dtype=float)
-            at = self.tau.searchsorted(guess)
-            inside = at < hi - lo
-            at = at[inside]
-            self.guessed[at[self.tau[at] == guess[inside]]] = True
-            self.guessed &= self.b > 0.0
-        self.strips = len(atoms.strips)
+        self.guessed &= self.b > 0.0
 
     @functools.cached_property
     def pushing(self) -> np.ndarray:
         return np.where(self.b > 0.0, self.theta, np.inf)
 
 
+def _where(grids, cut: _Atoms, ends: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each atom's bin on each grid, and its feedback entry: the bin plus the
+    first entry of its trial's walk on that grid.  The walks are grid-major,
+    so the entries ascend along each grid's row and over the whole array."""
+    n = len(cut.starts) - 1
+    trial_of = np.repeat(np.arange(n), np.diff(cut.starts))
+    bins = np.array([grid.points.searchsorted(cut.tau) for grid in grids], dtype=np.intp)
+    bins.shape = len(grids), len(cut.tau)
+    return bins, bins + np.reshape(ends[:-1], (len(grids), n))[:, trial_of]
+
+
 class _Walk:
-    """One grid's walk: its feedback, pushes and guessed-window size, which
-    outlive a pass."""
+    """One (trial, grid) walk: its feedback (a slice of its batch's), levels,
+    pushes and guessed-window size, which outlive a pass, and the error that
+    ended it."""
 
     def __init__(self, grid: GridCoefficients) -> None:
         self.grid, self.coeffs, self.span, self.M = grid, grid.values, grid.span, grid.count
-        self.feedback = np.zeros(self.M + 1)    # sum of coeffs[n-1-j] * mass[j], oldest j first
         self.pushes: list[tuple[int, float]] = []   # (j, m_j) of every push, in bin order
         self.start = 1                      # the bin a pass walks from
         self.rows = _GUESS_ROWS             # the most guessed pushes the next window makes
+        self.over: int | None = None        # the first bin above the ceiling after a pass
+        self.error: RunawayIntensityError | None = None
 
     def push(self, pushes) -> None:
         """Push each (j, m_j) of ``pushes`` onto the feedback, in order:
@@ -794,73 +909,149 @@ class _Walk:
             self.feedback[:] = 0.0
             self.push(self.pushes)
 
-    def walk_pass(self, cut: _Atoms, psi: Callable, ceiling: float) -> None:
-        """Walk the pass's atoms from the start bin, window by window, each
-        window's levels read with one psi call, until the last atom that can
-        push or an atom whose level is above the ceiling."""
-        grid, feedback = self.grid, self.feedback
-        theta, b = cut.theta, cut.b
-        self.bin_of = bin_of = grid.points.searchsorted(cut.tau)
-        self.strips = cut.strips
+    def walk_pass(self, cut: _Atoms, psi: Callable, ceiling: float, bin_of=None) -> None:
+        """Walk the atoms of ``cut``, one trial's (binned ``bin_of``, if
+        given), from the start bin."""
+        grid = self.grid
+        if bin_of is None:
+            bin_of = grid.points.searchsorted(cut.tau)
         # an atom in bin M cannot push, so the walk stops before it
         last = int(bin_of.searchsorted(grid.count)) if grid.span else 0
-        i = int(bin_of.searchsorted(self.start)) if self.start > 1 else 0
-        # the push (j, m_j) each guessed bin j before bin M would make, and
-        # the first atom of each such bin, then the end of the walk
-        sums = np.bincount(bin_of[cut.guessed], weights=b[cut.guessed])[: grid.count]
+        # the push (j, m_j) each guessed bin j before bin M would make
+        sums = np.bincount(bin_of[cut.guessed], weights=cut.b[cut.guessed])[: grid.count]
         at = sums.nonzero()[0]
-        bins = at.tolist()
-        guessed = list(zip(bins, sums[at].tolist()))
-        firsts = [*bin_of.searchsorted(at).tolist(), last]
-        width = _WINDOW
-        while i < last:
-            r0 = bisect.bisect_left(bins, int(bin_of[i]))
-            guessing = r0 < len(bins)
-            if guessing:
-                # the next guessed pushes, made in place; the window runs up
-                # to the next guessed bin
-                r1 = min(r0 + self.rows, len(bins))
-                e = firsts[r1]
-                guesses = guessed[r0:r1]
-                reach = slice(guesses[0][0] + 1, guesses[-1][0] + 1 + self.span)
-                saved = feedback[reach].copy()  # what the pushes overwrite
-                self.push(guesses)
+        self.begin(cut, 0, bin_of, last, at.tolist(), sums[at].tolist(),
+                   bin_of.searchsorted(at).tolist())
+        self.walk(psi, ceiling)
+
+    def begin(self, cut: _Atoms, a: int, bin_of, last: int, bins, sums, firsts) -> None:
+        """Start a pass over the atoms of ``cut`` from atom ``a`` on, binned
+        ``bin_of``, that ends before their atom ``last``: the guessed pushes
+        (j, m_j) of ``bins`` and ``sums``, and the first atom of each bin."""
+        z = a + len(bin_of)
+        self.bin_of, self.last = bin_of, last
+        self.theta, self.b = cut.theta[a:z], cut.b[a:z]
+        self.pushing, self.guessed_at = cut.pushing[a:z], cut.guessed[a:z]
+        self.bins, self.guessed, self.firsts = bins, list(zip(bins, sums)), [*firsts, last]
+        self.i = int(bin_of.searchsorted(self.start)) if self.start > 1 else 0
+        self.width = _WINDOW
+
+    def plan(self) -> tuple[int, bool]:
+        """Open the next window: its end, and whether it reads against the
+        guess, in which case it runs up to the next guessed bin and its
+        guessed pushes are made in place."""
+        i, bins = self.i, self.bins
+        r0 = bisect.bisect_left(bins, int(self.bin_of[i]))
+        if r0 == len(bins):
+            self.open = None
+            return min(i + self.width, self.last), False
+        r1 = min(r0 + self.rows, len(bins))
+        guesses = self.guessed[r0:r1]
+        reach = slice(guesses[0][0] + 1, guesses[-1][0] + 1 + self.span)
+        self.open = r0, r1, guesses, reach, self.feedback[reach].copy()  # what the pushes overwrite
+        self.push(guesses)
+        return self.firsts[r1], True
+
+    def walk(self, psi: Callable, ceiling: float, read=None) -> None:
+        """Walk on, window by window, each window's levels read with one psi
+        call, until the last atom that can push or an atom whose level is
+        above the ceiling.  ``read`` is (end, first flagged atom or None, its
+        level) of a window already opened and read, closed first."""
+        bin_of, feedback = self.bin_of, self.feedback
+        while read is not None or self.i < self.last:
+            i = self.i
+            if read is None:
+                e, guessing = self.plan()
+                levels = psi(feedback[bin_of[i:e]])
+                flags = self.pushing[i:e] <= levels
+                if guessing:
+                    # a difference: accepted otherwise than guessed, or above the ceiling
+                    flags ^= self.guessed_at[i:e]
+                    flags |= levels > ceiling
+                k = int(flags.argmax())
+                hit = bool(flags[k])
+                level = levels[k]
             else:
-                e = min(i + width, last)
-            levels = psi(feedback[bin_of[i:e]])
-            flags = cut.pushing[i:e] <= levels
-            if guessing:
-                # a difference: accepted otherwise than guessed, or above the ceiling
-                flags ^= cut.guessed[i:e]
-                flags |= levels > ceiling
-            k = int(flags.argmax())
-            hit = bool(flags[k])
-            j = int(bin_of[i + k])
-            if guessing:
+                (e, k, level), read = read, None
+                hit = k is not None
+            j = int(bin_of[i + k]) if hit else None
+            if self.open is not None:
                 # keep the guessed pushes before the first differing bin, or all
-                n = bisect.bisect_left(bins, j, r0, r1) - r0 if hit else len(guesses)
+                (r0, r1, guesses, reach, saved), self.open = self.open, None
+                n = bisect.bisect_left(self.bins, j, r0, r1) - r0 if hit else len(guesses)
                 if n < len(guesses):
                     feedback[reach] = saved
                     self.push(guesses[:n])
                 self.pushes += guesses[:n]
                 self.rows = max(self.rows // 2, 1) if hit else min(2 * self.rows, _GUESS_ROWS)
-            if hit:
-                # every bin before j pushed exactly, so bin j's level is exact
-                level = levels[k]
-                if level > ceiling:
-                    # the ceiling check after the pass extends at this bin or an earlier one
-                    return
-                a, z = bin_of.searchsorted((j, j + 1)).tolist()
-                if z - a == 1:      # a lone term sums to itself: 0.0 + x is x
-                    m = float(b[a]) if theta[a] <= level else 0.0
-                else:   # left to right, as a weighted bincount; sum() compensates from Python 3.12
-                    m = functools.reduce(operator.add, b[a:z][theta[a:z] <= level].tolist(), 0.0)
-                if m:
-                    self.push(((j, m),))
-                    self.pushes.append((j, m))
-                i, width = z, _WINDOW
-            else:
-                i, width = e, 2 * width
+            if not hit:
+                self.i, self.width = e, 2 * self.width
+                continue
+            if level > ceiling:
+                # the ceiling check after the pass extends at this bin or an earlier one
+                return
+            # every bin before j pushed exactly, so bin j's level is exact
+            theta, b = self.theta, self.b
+            a, z = bin_of.searchsorted((j, j + 1)).tolist()
+            if z - a == 1:      # a lone term sums to itself: 0.0 + x is x
+                m = float(b[a]) if theta[a] <= level else 0.0
+            else:   # left to right, as a weighted bincount; sum() compensates from Python 3.12
+                m = functools.reduce(operator.add, b[a:z][theta[a:z] <= level].tolist(), 0.0)
+            if m:
+                self.push(((j, m),))
+                self.pushes.append((j, m))
+            self.i, self.width = z, _WINDOW
+
+
+def _first_windows(walks, bins, where, cut: _Atoms, ceilings, psi, feedback, ends) -> None:
+    """The first window of the first pass of every walk of a batch of two or
+    more trials, read at once, each walk then walking on by itself.  The
+    entries of ``where`` (``_where``) ascend over the whole batch, so one
+    search finds every walk's end, one ``bincount`` sums every guessed
+    push, and one gather, psi call and flag pass read every window."""
+    G, N = where.shape
+    n = len(cut.starts) - 1
+    flat = where.ravel()
+    # each walk's first atom, as a position in flat
+    firsts = (np.arange(0, G * N, N)[:, None] + cut.starts[:-1]).ravel()
+    # each walk's first atom in bin M, which cannot push; none for span 0
+    lasts = flat.searchsorted([z - 1 if w.span else a for w, a, z in zip(walks, ends, ends[1:])])
+    # the push (j, m_j) each guessed bin j before bin M would make
+    sums = np.bincount(where[:, cut.guessed].ravel(), weights=np.tile(cut.b[cut.guessed], G),
+                       minlength=ends[-1])
+    sums[np.subtract(ends[1:], 1)] = 0.0
+    at = sums.nonzero()[0]
+    walk_of = np.searchsorted(ends, at, side="right") - 1
+    heads = (flat.searchsorted(at) - firsts[walk_of]).tolist()
+    local, masses = (at - np.take(ends, walk_of)).tolist(), sums[at].tolist()
+    splits = walk_of.searchsorted(np.arange(len(walks) + 1)).tolist()
+    lasts, firsts = (lasts - firsts).tolist(), firsts.tolist()
+    hi, caps = [], []
+    for w, walk in enumerate(walks):   # each walks from its first atom
+        g, k = divmod(w, n)
+        a, z, c, d = cut.starts[k], cut.starts[k + 1], splits[w], splits[w + 1]
+        walk.begin(cut, a, bins[g, a:z], lasts[w], local[c:d], masses[c:d], heads[c:d])
+        e, guessing = walk.plan() if walk.last else (0, False)
+        hi.append(firsts[w] + e)
+        caps.append(ceilings[k] if guessing else math.inf)
+    counts = np.subtract(hi, firsts)
+    offsets = [0, *itertools.accumulate(counts.tolist())]
+    if offsets[-1]:
+        sel = np.arange(offsets[-1]) + np.repeat(np.subtract(firsts, offsets[:-1]), counts)
+        levels = psi(feedback[flat[sel]])
+        atom = sel % N
+        flags = cut.pushing[atom] <= levels
+        flags ^= cut.guessed[atom]      # no guessed atom lies in a window read without a guess
+        flags |= levels > np.repeat(caps, counts)
+        hits = flags.nonzero()[0]
+        first_hit = hits.searchsorted(offsets[:-1]).tolist()
+        hits = hits.tolist()
+    for w, walk in enumerate(walks):
+        if offsets[w] == offsets[w + 1]:
+            continue
+        h = hits[first_hit[w]] if first_hit[w] < len(hits) else offsets[-1]
+        read = (h - offsets[w], levels[h]) if h < offsets[w + 1] else (None, None)
+        walk.walk(psi, ceilings[w % n], (hi[w] - firsts[w], *read))
 
 
 def _ends(walks: list[_Walk]) -> list[int]:
@@ -869,39 +1060,32 @@ def _ends(walks: list[_Walk]) -> list[int]:
     return list(itertools.accumulate((walk.M + 1 for walk in walks), initial=0))
 
 
-def _read_off(walks: list[_Walk], cut: _Atoms) -> list[DiscreteTrace]:
-    """The trace of each finished walk, read off the final atoms for all of
-    them at once: the last pass's, as every extension starts another pass."""
-    if not walks:
-        return []
-    G, n = len(walks), len(cut.tau)
-    offsets = _ends(walks)
-    where = np.empty((G, n), dtype=np.intp)     # each atom's bin on each grid, offset
-    for walk, o, row in zip(walks, offsets, where):
-        if walk.strips != cut.strips:
-            walk.bin_of = walk.grid.points.searchsorted(cut.tau)
-        np.add(walk.bin_of, o, out=row)
-    intensity = np.concatenate([walk.intensity for walk in walks])
+def _read_off(grids, cut: _Atoms, where: np.ndarray, intensity: np.ndarray, ends: list[int]):
+    """The trace of every walk of the batch, in walk order, read off its
+    trial's final atoms at once, at their feedback entries ``where``."""
+    n = len(cut.starts) - 1
     accept = cut.theta <= intensity[where]
     accepted_bins = where[accept]
     atom = accept.nonzero()[1]
-    events = np.bincount(accepted_bins, minlength=offsets[-1])
+    events = np.bincount(accepted_bins, minlength=ends[-1])
     marks = cut.y[atom]
-    mass = np.bincount(accepted_bins, weights=cut.b[atom], minlength=offsets[-1])
-    gain = np.bincount(accepted_bins, weights=marks, minlength=offsets[-1])    # marks per bin
+    mass = np.bincount(accepted_bins, weights=cut.b[atom], minlength=ends[-1])
+    gain = np.bincount(accepted_bins, weights=marks, minlength=ends[-1])    # marks per bin
     times = cut.tau[atom]
-    firsts = accepted_bins.searchsorted(offsets).tolist()
+    firsts = accepted_bins.searchsorted(ends).tolist()
     return [
         DiscreteTrace(
-            grid=walk.grid,
+            grid=grid,
             intensity=intensity[o:z],
             mass=mass[o:z],
             events=events[o:z],
-            risk=gain[o:z].cumsum(),
+            risk=np.cumsum(gain[o:z], out=gain[o:z]),
             times=times[a:c],
             marks=marks[a:c],
         )
-        for walk, o, z, a, c in zip(walks, offsets, offsets[1:], firsts, firsts[1:])
+        for grid, o, z, a, c in zip(
+            (grid for grid in grids for _ in range(n)), ends, ends[1:], firsts, firsts[1:]
+        )
     ]
 
 
@@ -931,30 +1115,51 @@ def couple(
     jump_rate: JumpRate,
     mark_model: MarkModel,
     grids: Sequence[GridCoefficients],
-    atoms: PoissonAtoms,
+    atoms: PoissonAtoms | Sequence[PoissonAtoms],
     *,
     allow_unstable: bool = False,
-) -> tuple[ContinuousPath, list[DiscreteTrace | RunawayIntensityError]]:
-    """Run both simulators on one shared atom ladder: the continuous path up
-    to the grids' shared horizon, then ``simulate_ladder`` on every grid,
-    each trace or the error that ended it.
+):
+    """Run both simulators on shared atom ladders: each trial's continuous
+    path up to the grids' shared horizon, in trial order, then one
+    ``simulate_ladder`` call on every grid of every trial, each trace or the
+    error that ended it.
 
-    Either process raises the shared ceiling through ``atoms.cover``, and
+    ``atoms`` is one trial's ladder, which gives its (path, traces) and
+    raises a continuous runaway, or a batch of trials' ladders, which gives
+    a list of (path, traces), one per trial: a continuous runaway ends the
+    batch at its trial, and is then the list's last entry.
+
+    Either process raises a trial's ceiling through ``atoms.cover``, and
     the other sees the new strips; because every extension doubles the top,
     the k-th strip's contents depend only on the seed and k, so the result
     does not depend on which process triggered which extension.  The
     discrete scheme takes the continuous path's events as its guess, which
     saves windows where the two accept the same atoms of b > 0 and never
-    changes the traces.
+    changes the traces; nor does the batch, whose trials share only the
+    numpy calls of the ladder's first pass.
     """
     if not grids:
         raise ParameterError("a coupling needs at least one grid")
-    cont = simulate_continuous(
-        kernel, jump_rate, mark_model, grids[0].horizon, atoms, allow_unstable=allow_unstable
+    single = isinstance(atoms, PoissonAtoms)
+    ladders = [atoms] if single else list(atoms)
+    paths, runaway = [], []
+    for ladder in ladders:
+        try:
+            paths.append(simulate_continuous(
+                kernel, jump_rate, mark_model, grids[0].horizon, ladder,
+                allow_unstable=allow_unstable,
+            ))
+        except RunawayIntensityError as exc:
+            if single:
+                raise
+            runaway.append(exc)
+            break
+    traces = simulate_ladder(
+        grids, jump_rate, mark_model, ladders[: len(paths)],
+        guess=[path.times for path in paths], allow_unstable=allow_unstable,
     )
-    return cont, simulate_ladder(
-        grids, jump_rate, mark_model, atoms, guess=cont.times, allow_unstable=allow_unstable
-    )
+    pairs = list(zip(paths, traces))
+    return pairs[0] if single else pairs + runaway
 
 
 # --------------------------------------------------------------------------

@@ -752,3 +752,18 @@ def compound_poisson_scheme(kernel, jump_rate, mark_model, delta, count, seed):
         events[n] = d
         mass[n] = float(mark_model.modulate(mark_model.sample(rng, d)).sum())
     return events
+
+
+def local_extrema_one_pass(fn, T):
+    """``kernels._local_extrema`` in one pass over every sample and every
+    bracket at once, as it ran before it read them in chunks."""
+    ts = np.linspace(0.0, T, max(4096, math.ceil(16 * T)))
+    sign = np.sign(np.diff(fn(ts)))
+    turns = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+    rows = np.arange(len(turns))
+    a, b = ts[turns], ts[turns + 2]
+    for _ in range(8):
+        samples = np.linspace(a, b, 65, axis=1)
+        k = np.argmax(sign[turns, None] * fn(samples), axis=1)
+        a, b = samples[rows, np.maximum(k - 1, 0)], samples[rows, np.minimum(k + 1, 64)]
+    return tuple(samples[rows, k].tolist())

@@ -3,14 +3,15 @@ import json
 import math
 import pickle
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from hawkpath import harness, kernels, simulate
+from hawkpath import harness, kernels, randomness, simulate
 from hawkpath.cli import cli_main
-from hawkpath.errors import ConfigError, RunawayIntensityError
+from hawkpath.errors import ConfigError, InstabilityWarning, RunawayIntensityError
 from hawkpath.harness import (
     ExperimentConfig,
     build_jump_rate,
@@ -27,6 +28,7 @@ from hawkpath.metrics import (
 )
 from hawkpath.simulate import ContinuousPath, path_to_step, simulate_ladder
 from _coupling import couple_step
+from test_cli import perfbench  # noqa: F401  (the fixture)
 
 
 def null_config(**overrides):
@@ -210,11 +212,13 @@ class TestRunConvergence:
         real = simulate.simulate_ladder
 
         def runaway_at_quarter(grids, jump_rate, marks, atoms, **kwargs):
-            traces = real(grids, jump_rate, marks, atoms, **kwargs)
             return [
-                RunawayIntensityError("injected")
-                if grid.delta == 0.25 and atoms.seed_entropy == (cfg.seed, 5) else disc
-                for grid, disc in zip(grids, traces)
+                [
+                    RunawayIntensityError("injected")
+                    if grid.delta == 0.25 and trial.seed_entropy == (cfg.seed, 5) else disc
+                    for grid, disc in zip(grids, traces)
+                ]
+                for trial, traces in zip(atoms, real(grids, jump_rate, marks, atoms, **kwargs))
             ]
 
         monkeypatch.setattr(simulate, "simulate_ladder", runaway_at_quarter)
@@ -395,18 +399,22 @@ class TestVerifyBounds:
         simulated = []
 
         def runaway_at_quarter(grids, jump_rate, marks, atoms, **kwargs):
-            simulated.extend(atoms.seed_entropy[1] for _ in grids)
-            traces = real(grids, jump_rate, marks, atoms, **kwargs)
+            simulated.extend(trial.seed_entropy[1] for trial in atoms for _ in grids)
             return [
-                RunawayIntensityError("injected")
-                if grid.delta == 0.25 and atoms.seed_entropy == (cfg.seed, 5) else disc
-                for grid, disc in zip(grids, traces)
+                [
+                    RunawayIntensityError("injected")
+                    if grid.delta == 0.25 and trial.seed_entropy == (cfg.seed, 5) else disc
+                    for grid, disc in zip(grids, traces)
+                ]
+                for trial, traces in zip(atoms, real(grids, jump_rate, marks, atoms, **kwargs))
             ]
 
         monkeypatch.setattr(simulate, "simulate_ladder", runaway_at_quarter)
+        # batches of three trials, so trial 5 ends the second
+        monkeypatch.setattr(simulate, "LADDER_BATCH_TRIALS", 3)
         with pytest.raises(RunawayIntensityError, match="injected"):
             verify_bounds(cfg)
-        # the run stops at the failed trial: trials 6-11 are never simulated
+        # the run stops with the failed trial's batch: trials 6-11 are never simulated
         assert simulated == [t for t in range(6) for _ in cfg.delta_ladder]
         path = tmp_path / "config.json"
         path.write_text(json.dumps(asdict(cfg)), encoding="utf-8")
@@ -422,12 +430,16 @@ class TestVerifyBounds:
         real = simulate.simulate_ladder
 
         def runaway(grids, jump_rate, marks, atoms, **kwargs):
-            trial = atoms.seed_entropy[1]
-            traces = real(grids, jump_rate, marks, atoms, **kwargs)
             return [
-                RunawayIntensityError(f"trial {trial}")
-                if (trial, grid.delta) in ((5, 0.25), (8, cfg.delta_ladder[0])) else disc
-                for grid, disc in zip(grids, traces)
+                [
+                    RunawayIntensityError(f"trial {trial}")
+                    if (trial, grid.delta) in ((5, 0.25), (8, cfg.delta_ladder[0])) else disc
+                    for grid, disc in zip(grids, traces)
+                ]
+                for trial, traces in zip(
+                    (ladder.seed_entropy[1] for ladder in atoms),
+                    real(grids, jump_rate, marks, atoms, **kwargs),
+                )
             ]
 
         monkeypatch.setattr(simulate, "simulate_ladder", runaway)
@@ -441,10 +453,11 @@ class TestVerifyBounds:
         real = simulate.simulate_ladder
 
         def ladder(grids, jump_rate, marks, atoms, **kwargs):
-            traces = real(grids, jump_rate, marks, atoms, **kwargs)
-            if atoms.seed_entropy[1] == 1:
-                traces[1] = RunawayIntensityError("injected")
-            return traces
+            ladders = real(grids, jump_rate, marks, atoms, **kwargs)
+            for trial, traces in zip(atoms, ladders):
+                if trial.seed_entropy[1] == 1:
+                    traces[1] = RunawayIntensityError("injected")
+            return ladders
 
         monkeypatch.setattr(simulate, "simulate_ladder", ladder)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # a pool on any host
@@ -508,3 +521,162 @@ class TestVerifyBounds:
         verdicts = {v.name: v for v in verify_bounds(cfg)}
         assert not verdicts["stability_continuous"].passed
         assert len(verdicts) >= 6  # the suite still ran to completion
+
+
+# A tent of height 200 at lag 0.5 (||h||_1 = 0.4): every grid with a point at
+# lag 0.5 feeds each event's bin into the next but one with weight 200, so
+# under an atom budget of 2**13 (ceilings up to 1,638 at T = 5) its delta-0.5
+# walk runs away at trial 0 of every seed below; the grids of delta 1 and 0.2
+# read h = 0.  Five events within 0.5 of each other take the continuous
+# envelope to 1,001, past the budget too: at seed 1 at trial 5, never at seed 2.
+_TENT = {
+    "kernel": {"family": "custom", "params": {"points": [
+        [0.0, 0.0], [0.498, 0.0], [0.5, 200.0], [0.502, 0.0], [5.0, 0.0]]}},
+    "jump_rate": {"family": "relu-affine", "params": {"baseline": 1.0}},
+    "marks": {"distribution": {"family": "point-mass", "value": 1.0}},
+    "horizon": 5.0,
+    "delta_ladder": [1.0, 0.5, 0.2],
+    "trials": 12,
+    "allow_unstable": True,
+}
+_INDICATOR_MARKS = {
+    "distribution": {"family": "exponential", "rate": 1.0},
+    "modulation": {"family": "indicator", "threshold": 0.5},
+}
+
+
+def _coupled_trials(monkeypatch, cfg, batch):
+    """Every trial of ``cfg`` through ``_run_trials`` in batches of ``batch``
+    trials: its aborts, each trial's continuous path and traces as bytes
+    (None where aborted), and the strips each trial's atoms end with."""
+    monkeypatch.setattr(simulate, "LADDER_BATCH_BINS", 2**40)
+    monkeypatch.setattr(simulate, "LADDER_BATCH_TRIALS", batch)
+    run, drawn = cfg.run, {}
+    draw = run.atoms
+    monkeypatch.setattr(run, "atoms", lambda trial: drawn.setdefault(trial, draw(trial)))
+
+    def record(cfg, trial, cont, traces):
+        fields = ("intensity", "mass", "events", "risk", "times", "marks")
+        return trial, [cont.times.tobytes(), cont.marks.tobytes(), cont.intensities.tobytes()], [
+            None if disc is None else [getattr(disc, f).tobytes() for f in fields]
+            for disc in traces
+        ]
+
+    aborted, samples = harness._run_trials(cfg, range(cfg.trials), record)
+    monkeypatch.undo()
+    aborts = [None if a is None else (a[0], type(a[1]), str(a[1])) for a in aborted]
+    return aborts, samples, {trial: len(atoms.strips) for trial, atoms in drawn.items()}
+
+
+def _batch_configs(perfbench):
+    """Each batch-invariance case by name: its config and atom budget (None
+    for the library's)."""
+    cases = {name: (work.document(work.default_seed), None)
+             for name, work in perfbench.WORKLOADS.items()}
+    heavy = {
+        "kernel": {"family": "exponential", "params": {"amplitude": 0.9, "decay": 1.0}},
+        "jump_rate": {"family": "relu-affine", "params": {"baseline": 1.0}},
+        "marks": _INDICATOR_MARKS, "horizon": 5.0, "delta_ladder": [0.5, 0.1, 0.02],
+        "trials": 12, "seed": 5,
+    }
+    for ceiling in (0.25, 1.0):
+        cases[f"extensions-{ceiling}"] = {**heavy, "ceiling": ceiling}, None
+    for seed in (1, 2):
+        cases[f"runaway-{seed}"] = {**_TENT, "seed": seed}, 2**13
+    return cases
+
+
+class TestBatches:
+    @pytest.mark.parametrize("name", [
+        "ladder-count", "poisson-metrics", "verify-fine", "extensions-0.25", "extensions-1.0",
+        "runaway-1", "runaway-2",
+    ])
+    def test_a_batch_of_trials_is_batches_of_one(self, name, perfbench, monkeypatch):
+        # same array bytes, runaway messages and strip counts in batches of
+        # 1, 3 and every trial: the three bench configs, ceilings of 0.25 and
+        # 1 below the empty-past rate with indicator marks (every trial
+        # extends), and the tent, where delta 0.5 runs away at trial 0 (and
+        # at seed 1 the continuous path at trial 5)
+        doc, budget = _batch_configs(perfbench)[name]
+        doc = dict(doc)
+        ceiling = doc.pop("ceiling", None)
+        runs = []
+        for batch in (1, 3, doc["trials"]):
+            cfg = ExperimentConfig.from_dict(doc)
+            if ceiling is not None:
+                cfg.run.ceiling = ceiling
+            if budget is not None:
+                monkeypatch.setattr(randomness, "ATOM_BUDGET", budget)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", InstabilityWarning)
+                runs.append(_coupled_trials(monkeypatch, cfg, batch))
+        aborts, samples, strips = runs[0]
+        for other in runs[1:]:
+            assert other[:2] == runs[0][:2], name
+            # a batch draws its trials' base strips up front: those past a
+            # continuous runaway keep theirs alone
+            assert {trial: other[2][trial] for trial in strips} == strips, name
+            assert all(other[2][trial] == 1 for trial in other[2].keys() - strips.keys())
+        if name.startswith("extensions"):
+            assert min(strips.values()) > 1
+        if name.startswith("runaway"):
+            assert aborts[1][:2] == (0, RunawayIntensityError)
+        if name == "runaway-1":
+            assert aborts[0][:2] == aborts[2][:2] == (5, RunawayIntensityError)
+            assert len(samples) == 5
+        if name == "runaway-2":
+            assert aborts[0] is None and aborts[2] is None and len(samples) == 12
+
+    def test_an_aborted_grid_draws_no_strip_for_later_trials_of_its_batch(self, monkeypatch):
+        # the tent at seed 2: delta 0.5 runs away at trial 0 of the one batch
+        # of 12; no later trial covers a bin intensity (the other grids read
+        # h = 0, so delta 0.5 alone asks for it), while later trials running
+        # delta 0.5 on their own do cover
+        monkeypatch.setattr(randomness, "ATOM_BUDGET", 2**13)
+        covers = []
+        real = randomness.PoissonAtoms.cover
+
+        def counting(atoms, level, what):
+            covers.append((atoms.seed_entropy[1], what))
+            return real(atoms, level, what)
+
+        monkeypatch.setattr(randomness.PoissonAtoms, "cover", counting)
+        cfg = ExperimentConfig.from_dict({**_TENT, "seed": 2})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InstabilityWarning)
+            aborted, samples = harness._run_trials(cfg, range(12), harness._cell_metrics)
+        assert aborted[1][0] == 0 and aborted[0] is None and aborted[2] is None
+        assert len(samples) == 12 and all(cells[1] is None for cells in samples)
+        assert {trial for trial, what in covers if what == "bin intensity"} == {0}
+        covers.clear()
+        run = cfg.run
+        for trial in range(1, 12):
+            simulate.couple(run.kernel, run.jump_rate, run.marks, run.grids[1:2],
+                            run.atoms(trial), allow_unstable=True)
+        assert "bin intensity" in {what for _, what in covers}
+
+    def test_a_continuous_runaway_ends_the_batch_at_its_trial(self, monkeypatch):
+        # trial 5 of 12, one batch: the ladder reads trials 0-4 alone, every
+        # cell still running is aborted with trial 5's error and trials 6-11
+        # are never thinned
+        cfg = exponential_config(trials=12)
+        thinned, laddered = [], []
+        real_thin, real_ladder = simulate.simulate_continuous, simulate.simulate_ladder
+
+        def thin(kernel, jump_rate, marks, T, atoms, **kwargs):
+            trial = atoms.seed_entropy[1]
+            thinned.append(trial)
+            if trial == 5:
+                raise RunawayIntensityError("injected at trial 5")
+            return real_thin(kernel, jump_rate, marks, T, atoms, **kwargs)
+
+        def ladder(grids, jump_rate, marks, atoms, **kwargs):
+            laddered.append([trial.seed_entropy[1] for trial in atoms])
+            return real_ladder(grids, jump_rate, marks, atoms, **kwargs)
+
+        monkeypatch.setattr(simulate, "simulate_continuous", thin)
+        monkeypatch.setattr(simulate, "simulate_ladder", ladder)
+        aborted, samples = harness._run_trials(cfg, range(12), harness._cell_metrics)
+        assert thinned == [0, 1, 2, 3, 4, 5] and laddered == [[0, 1, 2, 3, 4]]
+        assert len(samples) == 5
+        assert [(trial, str(exc)) for trial, exc in aborted] == [(5, "injected at trial 5")] * 3

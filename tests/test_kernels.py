@@ -30,6 +30,7 @@ from hawkpath.kernels import (
 from _oracles import (
     adaptive_simpson_reference,
     dense_shift_modulus,
+    local_extrema_one_pass,
     quad_abs_l1,
     regularity_terms_reference,
     riemann_projection_modulus,
@@ -559,6 +560,30 @@ class TestTailSup:
         # of 3,183 at T = 10,000 and 1,823 of 6,366 at T = 20,000
         k = hp.cosine_decay_kernel(0.6, T)
         assert len(k.monotone_breaks) - 2 == int(T / math.pi)
+
+    @pytest.mark.parametrize("T", [5.0, 80.0, 10_000.0])
+    def test_chunked_extrema_scan_is_the_one_pass_scan(self, T):
+        # the scan and the refinement read chunks of samples and brackets:
+        # every extremum is the float a single pass over all of them finds
+        def h(t):
+            t = np.asarray(t, dtype=float)
+            return 0.6 * np.cos(t) / (1.0 + t * t)
+
+        extrema = kernels._local_extrema(h, T)
+        assert extrema == local_extrema_one_pass(h, T)
+        assert hp.cosine_decay_kernel(0.6, T).monotone_breaks == (0.0, *extrema, T)
+
+    def test_long_horizon_extrema_scan_memory_is_bounded(self):
+        # T = 1e5: 1.6e6 scan samples and 31,830 brackets, which one pass
+        # held at once (a 73 MB traced peak); in chunks, a few MB
+        tracemalloc.start()
+        try:
+            k = hp.cosine_decay_kernel(0.6, 1e5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(k.monotone_breaks) - 2 == int(1e5 / math.pi)
+        assert peak < 16 * 2**20
 
     def test_cosine_decay_horizon_past_the_budget_refused_before_sampling(self):
         # T = 2e6 needs 3.2e7 scan samples, past the atom budget of 2**24:

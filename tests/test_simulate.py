@@ -1537,3 +1537,68 @@ class TestSharedAtomInvariance:
             assert _same_arrays(
                 fresh, shared, ("intensity", "mass", "events", "risk", "times", "marks")
             )
+
+
+class _CountingPoints(np.ndarray):
+    """Grid points that count the ``searchsorted`` calls made on them."""
+
+    calls = 0
+
+    def searchsorted(self, *args, **kwargs):
+        _CountingPoints.calls += 1
+        return np.asarray(self).searchsorted(*args, **kwargs)
+
+
+class TestBatchedLadder:
+    def test_an_agreeing_batch_costs_calls_per_grid_not_per_trial(self, unit_marks):
+        # a constant rate of 1 accepts the atoms under it in every bin of
+        # every grid, as each trial's guess says, so no walk differs.  One
+        # trial makes one psi call per grid, for its one window, and one for
+        # every ceiling; a batch of 6 makes one for every first window and
+        # one for every ceiling.  Both bin their atoms once per grid, and
+        # each trial's traces are its own alone
+        kernel, rate = hp.exponential_kernel(0.5, 1.0, 5.0), hp.constant_rate(1.0)
+        calls = []
+        counting = dataclasses.replace(rate, fn=lambda x: calls.append(len(x)) or rate.fn(x))
+        grids = [
+            dataclasses.replace(grid, points=grid.points.view(_CountingPoints))
+            for grid in (grid_coefficients(kernel, d, 5.0) for d in (0.5, 0.1, 0.02))
+        ]
+        batch = [hp.sample_atoms(5.0, 2.0, unit_marks, seed) for seed in range(6)]
+        guesses = [a.merged()[0][a.merged()[1] <= 1.0] for a in batch]
+        assert 0 < min(map(len, guesses)) and max(map(len, guesses)) <= simulate._GUESS_ROWS
+        for trials in (1, 6):
+            calls.clear()
+            _CountingPoints.calls = 0
+            ladders = simulate_ladder(
+                grids, counting, unit_marks, batch[:trials], guess=guesses[:trials]
+            )
+            assert len(calls) == (len(grids) if trials == 1 else 1) + 1
+            assert _CountingPoints.calls == len(grids)
+        for atoms, guess, traces in zip(batch, guesses, ladders):
+            alone = simulate_ladder(grids, rate, unit_marks, copy.deepcopy(atoms), guess=guess)
+            for disc, ref in zip(traces, alone):
+                assert np.array_equal(disc.times, guess)
+                for field in ("intensity", "mass", "events", "risk", "times", "marks"):
+                    assert getattr(disc, field).tobytes() == getattr(ref, field).tobytes()
+
+    def test_a_grid_that_ran_away_is_none_for_later_trials(self, unit_marks):
+        # test_runaway_aborts_only_its_grid's atoms, then the same atoms
+        # within the atom budget: in one batch the second trial's delta-0.25
+        # walk is dropped, so its one strip stays, while alone it would cover
+        kernel, rate = hp.erlang_kernel(1.0, 3, 1.0, 2.0), hp.relu_affine(0.25)
+        triples = [(0.05, 0.01, 1.0), (0.1, 0.01, 1.0), (0.15, 0.01, 1.0)]
+        grids = [grid_coefficients(kernel, d, 2.0) for d in (2.0, 0.25)]
+        runaway = atoms_from_triples(1.5 * ATOM_BUDGET, 0.5, triples, unit_marks)
+        later = atoms_from_triples(2.0, 0.5, triples, unit_marks)
+        (coarse, error), (again, dropped) = simulate_ladder(
+            grids, rate, unit_marks, [runaway, later], allow_unstable=True
+        )
+        assert isinstance(error, RunawayIntensityError) and dropped is None
+        assert len(runaway.strips) == len(later.strips) == 1
+        _assert_trace_is(again, discrete_scheme_reference(
+            kernel, rate, unit_marks, 2.0, 1, atoms_from_triples(2.0, 0.5, triples, unit_marks)
+        ))
+        alone = atoms_from_triples(2.0, 0.5, triples, unit_marks)
+        simulate_ladder(grids, rate, unit_marks, alone, allow_unstable=True)
+        assert len(alone.strips) > 1
