@@ -1136,7 +1136,10 @@ def couple(
     discrete scheme takes the continuous path's events as its guess, which
     saves windows where the two accept the same atoms of b > 0 and never
     changes the traces; nor does the batch, whose trials share only the
-    numpy calls of the ladder's first pass.
+    numpy calls of the ladder's first pass.  That pass costs O(grids) numpy
+    calls for the batch, not per trial, where the walks agree with their
+    guesses; the engine's batches are sized by ``ladder_batch``, whose bound
+    ``LADDER_BATCH_BINS`` carries the measured table.
     """
     if not grids:
         raise ParameterError("a coupling needs at least one grid")
