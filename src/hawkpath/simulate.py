@@ -680,17 +680,22 @@ def simulate_ladder(
     first that does ends it, and its bin pushes.  So the traces never depend
     on the guess, only the windows do.
 
-    The first pass of a batch of two or more trials reads the first window
-    of every walk at once: one ``searchsorted`` per grid bins the batch's
-    atoms, one ``bincount`` sums every guessed push, and one gather, psi
-    call and flag pass read every window, each walk making its pushes on its
-    own slice of one feedback array.  Only a walk that differs from its
-    guess, or has more guessed pushes ahead, walks on by itself.  A grid of
-    span 0 reads no window, and a batch of one walks each grid alone, as a
-    later pass does.  So where the walks agree with their guesses a batch
-    costs O(grids) numpy calls, not O(trials x grids), besides its pushes
-    and Python bookkeeping; its arrays hold sum(count + 1) entries per
-    trial, which ``LADDER_BATCH_BINS`` bounds in the engine's batches.
+    The first pass of a batch of two or more trials makes and reads the
+    first window of every walk as arrays: one ``searchsorted`` per grid
+    bins the batch's atoms, one ``bincount`` sums every guessed push, one
+    loop over the batch's pushes makes each window's guessed ones, a slice
+    add each on its walk's slice of one feedback array, and one gather, psi
+    call and flag pass read every window.  A walk whose window confirms its
+    guess up to its last atom is done; only a walk that differs from its
+    guess, or has more guessed pushes ahead, becomes a walker
+    (``_Walk.begin``) and walks on by itself.  A grid of span 0 reads no
+    window, and a batch of one walks each grid alone, as a later pass does.
+    So where the walks agree with their guesses a batch costs O(grids)
+    numpy calls and no walker, not O(trials x grids) of each: what is left
+    per walk is one slice add per push, its trace and a few Python steps of
+    bookkeeping.  Its arrays hold
+    sum(count + 1) entries per trial, which ``LADDER_BATCH_BINS`` bounds in
+    the engine's batches.
 
     A pass ends after the last atom, or early at an atom whose level is
     above the ceiling.  One psi call on every walk's feedback then checks
@@ -746,7 +751,7 @@ def simulate_ladder(
         for walk, row in zip(walks, bins):
             walk.walk_pass(cut, psi, ceilings[0], row)
     elif any(grid.span for grid in grids):
-        _first_windows(walks, bins, where, cut, ceilings, psi, feedback, ends)
+        _first_windows(walks, grids, bins, where, cut, ceilings, psi, feedback, ends)
     intensity = psi(feedback)
     _set_levels(walks, intensity, ends, ceilings * G)
     ran_away = [n] * G      # the trial at which each grid's walk ran away
@@ -886,7 +891,9 @@ class _Walk:
 
     def __init__(self, grid: GridCoefficients) -> None:
         self.grid, self.coeffs, self.span, self.M = grid, grid.values, grid.span, grid.count
-        self.pushes: list[tuple[int, float]] = []   # (j, m_j) of every push, in bin order
+        # (j, m_j) of every push, in bin order; a walk done in its batch's
+        # first window keeps them as the arrays of j and m_j until a restart
+        self.pushes: list[tuple[int, float]] | tuple[np.ndarray, np.ndarray] = []
         self.start = 1                      # the bin a pass walks from
         self.rows = _GUESS_ROWS             # the most guessed pushes the next window makes
         self.over: int | None = None        # the first bin above the ceiling after a pass
@@ -894,16 +901,15 @@ class _Walk:
 
     def push(self, pushes) -> None:
         """Push each (j, m_j) of ``pushes`` onto the feedback, in order:
-        coeffs[:w] * m_j onto the w bins after j."""
-        feedback, coeffs, span, M = self.feedback, self.coeffs, self.span, self.M
-        for j, m in pushes:
-            w = min(span, M - j)
-            after = feedback[j + 1 : j + 1 + w]
-            after += coeffs[:w] * m     # in place on the view: no copy back
+        coeffs[:w] * m_j onto the w bins after j, w = min(span, M - j)."""
+        span, M = self.span, self.M
+        _push(self.feedback, self.coeffs, ((j, min(span, M - j), m) for j, m in pushes))
 
     def restart(self, start: int) -> None:
         """Drop the pushes from bin ``start`` on, before a pass from there."""
         self.start = start
+        if isinstance(self.pushes, tuple):
+            self.pushes = list(zip(*(v.tolist() for v in self.pushes)))
         if self.pushes and self.pushes[-1][0] >= start:
             self.pushes = [(j, m) for j, m in self.pushes if j < start]
             self.feedback[:] = 0.0
@@ -936,10 +942,11 @@ class _Walk:
         self.i = int(bin_of.searchsorted(self.start)) if self.start > 1 else 0
         self.width = _WINDOW
 
-    def plan(self) -> tuple[int, bool]:
+    def plan(self, made: bool = False) -> tuple[int, bool]:
         """Open the next window: its end, and whether it reads against the
         guess, in which case it runs up to the next guessed bin and its
-        guessed pushes are made in place."""
+        guessed pushes are made in place, unless ``made`` (a batch's first
+        window, made on a feedback of zeros)."""
         i, bins = self.i, self.bins
         r0 = bisect.bisect_left(bins, int(self.bin_of[i]))
         if r0 == len(bins):
@@ -948,20 +955,22 @@ class _Walk:
         r1 = min(r0 + self.rows, len(bins))
         guesses = self.guessed[r0:r1]
         reach = slice(guesses[0][0] + 1, guesses[-1][0] + 1 + self.span)
-        self.open = r0, r1, guesses, reach, self.feedback[reach].copy()  # what the pushes overwrite
-        self.push(guesses)
+        saved = 0.0 if made else self.feedback[reach].copy()    # what the pushes overwrite
+        if not made:
+            self.push(guesses)
+        self.open = r0, r1, guesses, reach, saved
         return self.firsts[r1], True
 
     def walk(self, psi: Callable, ceiling: float, read=None) -> None:
         """Walk on, window by window, each window's levels read with one psi
         call, until the last atom that can push or an atom whose level is
-        above the ceiling.  ``read`` is (end, first flagged atom or None, its
-        level) of a window already opened and read, closed first."""
+        above the ceiling.  ``read`` is (first flagged atom or None, its
+        level) of a first window already made and read, closed first."""
         bin_of, feedback = self.bin_of, self.feedback
         while read is not None or self.i < self.last:
             i = self.i
+            e, guessing = self.plan(read is not None)
             if read is None:
-                e, guessing = self.plan()
                 levels = psi(feedback[bin_of[i:e]])
                 flags = self.pushing[i:e] <= levels
                 if guessing:
@@ -972,7 +981,7 @@ class _Walk:
                 hit = bool(flags[k])
                 level = levels[k]
             else:
-                (e, k, level), read = read, None
+                (k, level), read = read, None
                 hit = k is not None
             j = int(bin_of[i + k]) if hit else None
             if self.open is not None:
@@ -1003,55 +1012,80 @@ class _Walk:
             self.i, self.width = z, _WINDOW
 
 
-def _first_windows(walks, bins, where, cut: _Atoms, ceilings, psi, feedback, ends) -> None:
+def _first_windows(walks, grids, bins, where, cut: _Atoms, ceilings, psi, feedback, ends) -> None:
     """The first window of the first pass of every walk of a batch of two or
-    more trials, read at once, each walk then walking on by itself.  The
-    entries of ``where`` (``_where``) ascend over the whole batch, so one
-    search finds every walk's end, one ``bincount`` sums every guessed
-    push, and one gather, psi call and flag pass read every window."""
+    more trials, made and read as arrays.  The entries of ``where``
+    (``_where``) ascend over the whole batch, so one search bounds every
+    walk's window, one ``bincount`` sums every guessed push, one loop over
+    the batch's pushes makes the windows' guessed ones through ``_push``, and
+    one gather, psi call and flag pass read every window.  A walk whose
+    window holds no flag and ends at its last atom is done: its pushes are
+    its guesses, kept as arrays.  Only the others begin a walk and walk on
+    from the window read."""
     G, N = where.shape
     n = len(cut.starts) - 1
+    edges = np.array(ends)
+    stops = edges[1:] - 1       # each walk's bin M, whose atoms cannot push
+    spans = np.repeat([grid.span for grid in grids], n)
     flat = where.ravel()
-    # each walk's first atom, as a position in flat
-    firsts = (np.arange(0, G * N, N)[:, None] + cut.starts[:-1]).ravel()
-    # each walk's first atom in bin M, which cannot push; none for span 0
-    lasts = flat.searchsorted([z - 1 if w.span else a for w, a, z in zip(walks, ends, ends[1:])])
+    # each walk's first atom, as a position in flat, and its last: its first
+    # atom in bin M, or its first for span 0, whose walk reads no window
+    firsts = (np.arange(G)[:, None] * N + cut.starts[:-1]).ravel()
+    lasts = np.where(spans > 0, flat.searchsorted(stops) - firsts, 0)
     # the push (j, m_j) each guessed bin j before bin M would make
-    sums = np.bincount(where[:, cut.guessed].ravel(), weights=np.tile(cut.b[cut.guessed], G),
-                       minlength=ends[-1])
-    sums[np.subtract(ends[1:], 1)] = 0.0
+    rows = where[:, cut.guessed][[grid.span > 0 for grid in grids]]
+    sums = np.bincount(rows.ravel(), weights=np.tile(cut.b[cut.guessed], len(rows)),
+                       minlength=edges[-1])
+    sums[stops] = 0.0
     at = sums.nonzero()[0]
-    walk_of = np.searchsorted(ends, at, side="right") - 1
-    heads = (flat.searchsorted(at) - firsts[walk_of]).tolist()
-    local, masses = (at - np.take(ends, walk_of)).tolist(), sums[at].tolist()
-    splits = walk_of.searchsorted(np.arange(len(walks) + 1)).tolist()
-    lasts, firsts = (lasts - firsts).tolist(), firsts.tolist()
-    hi, caps = [], []
-    for w, walk in enumerate(walks):   # each walks from its first atom
-        g, k = divmod(w, n)
-        a, z, c, d = cut.starts[k], cut.starts[k + 1], splits[w], splits[w + 1]
-        walk.begin(cut, a, bins[g, a:z], lasts[w], local[c:d], masses[c:d], heads[c:d])
-        e, guessing = walk.plan() if walk.last else (0, False)
-        hi.append(firsts[w] + e)
-        caps.append(ceilings[k] if guessing else math.inf)
-    counts = np.subtract(hi, firsts)
+    walk_of = edges.searchsorted(at, side="right") - 1
+    splits = walk_of.searchsorted(np.arange(len(walks) + 1))
+    guessed = np.diff(splits)
+    heads = flat.searchsorted(at) - firsts[walk_of]     # each guessed bin's first atom
+    local, masses = at - edges[walk_of], sums[at]
+    # a window makes up to _GUESS_ROWS guessed pushes and runs to the next
+    # guessed bin, or without a guess holds up to _WINDOW atoms
+    counts = np.where(guessed > 0, lasts, np.minimum(lasts, _WINDOW))
+    more = (guessed > _GUESS_ROWS).nonzero()[0]
+    counts[more] = heads[splits[more] + _GUESS_ROWS]
+    made = np.arange(len(at)) - splits[walk_of] < _GUESS_ROWS
+    js, ms, of = at[made], masses[made], walk_of[made]
+    ws = np.minimum(spans[of], stops[of] - js)      # as many bins as follow j in its walk
+    cuts = js.searchsorted(edges[::n]).tolist()     # each grid's pushes
+    js, ws, ms = js.tolist(), ws.tolist(), ms.tolist()
+    for grid, a, z in zip(grids, cuts, cuts[1:]):
+        _push(feedback, grid.values, zip(js[a:z], ws[a:z], ms[a:z]))
+    walking = counts < lasts
     offsets = [0, *itertools.accumulate(counts.tolist())]
     if offsets[-1]:
-        sel = np.arange(offsets[-1]) + np.repeat(np.subtract(firsts, offsets[:-1]), counts)
+        sel = np.arange(offsets[-1]) + np.repeat(firsts - offsets[:-1], counts)
         levels = psi(feedback[flat[sel]])
         atom = sel % N
         flags = cut.pushing[atom] <= levels
         flags ^= cut.guessed[atom]      # no guessed atom lies in a window read without a guess
-        flags |= levels > np.repeat(caps, counts)
-        hits = flags.nonzero()[0]
-        first_hit = hits.searchsorted(offsets[:-1]).tolist()
-        hits = hits.tolist()
-    for w, walk in enumerate(walks):
-        if offsets[w] == offsets[w + 1]:
-            continue
-        h = hits[first_hit[w]] if first_hit[w] < len(hits) else offsets[-1]
+        flags |= levels > np.repeat(np.where(guessed > 0, np.tile(ceilings, G), np.inf), counts)
+        hits = np.append(flags.nonzero()[0], offsets[-1])
+        hits = hits[hits.searchsorted(offsets[:-1])].tolist()   # each window's first flag, or past
+        walking |= np.less(hits, offsets[1:])
+    splits = splits.tolist()
+    for w in (~walking & (guessed > 0)).nonzero()[0].tolist():     # done: its pushes are made
+        walks[w].pushes = local[splits[w] : splits[w + 1]], masses[splits[w] : splits[w + 1]]
+    lasts, local, masses, heads = lasts.tolist(), local.tolist(), masses.tolist(), heads.tolist()
+    for w in walking.nonzero()[0].tolist():
+        g, k = divmod(w, n)
+        a, z, c, d = cut.starts[k], cut.starts[k + 1], splits[w], splits[w + 1]
+        walks[w].begin(cut, a, bins[g, a:z], lasts[w], local[c:d], masses[c:d], heads[c:d])
+        h = hits[w]
         read = (h - offsets[w], levels[h]) if h < offsets[w + 1] else (None, None)
-        walk.walk(psi, ceilings[w % n], (hi[w] - firsts[w], *read))
+        walks[w].walk(psi, ceilings[k], read)
+
+
+def _push(feedback: np.ndarray, coeffs: np.ndarray, pushes) -> None:
+    """Push each (j, w, m_j) of ``pushes`` onto ``feedback``, in order:
+    coeffs[:w] * m_j onto the w entries after entry j."""
+    for j, w, m in pushes:
+        after = feedback[j + 1 : j + 1 + w]
+        after += coeffs[:w] * m     # in place on the view: no copy back
 
 
 def _ends(walks: list[_Walk]) -> list[int]:
@@ -1062,7 +1096,8 @@ def _ends(walks: list[_Walk]) -> list[int]:
 
 def _read_off(grids, cut: _Atoms, where: np.ndarray, intensity: np.ndarray, ends: list[int]):
     """The trace of every walk of the batch, in walk order, read off its
-    trial's final atoms at once, at their feedback entries ``where``."""
+    trial's final atoms at once, at their feedback entries ``where``: risk
+    is one running sum along the rows of each grid's (trials x bins) block."""
     n = len(cut.starts) - 1
     accept = cut.theta <= intensity[where]
     accepted_bins = where[accept]
@@ -1071,6 +1106,9 @@ def _read_off(grids, cut: _Atoms, where: np.ndarray, intensity: np.ndarray, ends
     marks = cut.y[atom]
     mass = np.bincount(accepted_bins, weights=cut.b[atom], minlength=ends[-1])
     gain = np.bincount(accepted_bins, weights=marks, minlength=ends[-1])    # marks per bin
+    for grid, a, z in zip(grids, ends[::n], ends[n::n]):
+        block = gain[a:z].reshape(n, grid.count + 1)
+        np.cumsum(block, axis=1, out=block)
     times = cut.tau[atom]
     firsts = accepted_bins.searchsorted(ends).tolist()
     return [
@@ -1079,7 +1117,7 @@ def _read_off(grids, cut: _Atoms, where: np.ndarray, intensity: np.ndarray, ends
             intensity=intensity[o:z],
             mass=mass[o:z],
             events=events[o:z],
-            risk=np.cumsum(gain[o:z], out=gain[o:z]),
+            risk=gain[o:z],
             times=times[a:c],
             marks=marks[a:c],
         )
@@ -1094,11 +1132,13 @@ def _read_off(grids, cut: _Atoms, where: np.ndarray, intensity: np.ndarray, ends
 # --------------------------------------------------------------------------
 
 def default_ceiling(jump_rate: JumpRate, kernel: Kernel, mark_model: MarkModel) -> float:
-    """Four times the stationary mean-intensity bound, floored at 1.
+    """The atom ceiling: 4 psi(0) / (1 - rho), four times the stationary
+    mean-intensity bound, or 8 psi(0) when rho >= 1; 1 when psi(0) <= 0.
 
     Keeps the expected number of ladder extensions O(1) per trial; the
     ladder doubles on exhaustion anyway.  A bounded jump rate caps the
-    ceiling at its sup, which then dominates the intensity outright.
+    ceiling at its sup, which then dominates the intensity outright.  The
+    ceiling has no floor, so a small psi(0) draws few atoms, or none.
     """
     rho = rho_continuous(kernel, jump_rate.lipschitz, mark_model)
     base = jump_rate.at_zero

@@ -492,6 +492,23 @@ class TestSubcommands:
         names = {line.split(",")[0] for line in lines[1:]}
         assert "mean_intensity_continuous" in names
 
+    def test_convergence_on_trials_without_atoms(self, tmp_path, capsys):
+        # a baseline of 1e-6 gives a ceiling near 1e-5: none of the 8 trials
+        # draws an atom in (0, 5], so the ladder's one batch holds none
+        out = tmp_path / "out"
+        doc = {
+            **base_doc(out), "jump_rate": {"family": "relu-affine", "params": {"baseline": 1e-6}},
+            "delta_ladder": [0.5, 0.25, 0.1], "trials": 8, "metrics": ["terminal_count"],
+            "seed": 3,
+        }
+        assert cli_main(["convergence", str(write_config(tmp_path, doc))]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rows = (out / "convergence.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3
+        for row in rows:
+            delta, metric, mean, stderr, _, flag = row.split(",")
+            assert (metric, mean, stderr, flag) == ("terminal_count", "0.0", "0.0", "")
+
 
 class TestDegenerateMarks:
     @pytest.mark.parametrize(

@@ -1602,3 +1602,196 @@ class TestBatchedLadder:
         alone = atoms_from_triples(2.0, 0.5, triples, unit_marks)
         simulate_ladder(grids, rate, unit_marks, alone, allow_unstable=True)
         assert len(alone.strips) > 1
+
+
+_BATCH_FIELDS = ("intensity", "mass", "events", "risk", "times", "marks")
+_INDICATOR = hp.MarkModel("exponential", (1.0,), modulation="indicator", mod_params=(0.5,))
+
+
+def _assert_batch_is_one_by_one(grids, rate, model, batch, guesses=None):
+    """One ``simulate_ladder`` call on the batch gives every trial the
+    traces, errors and strips of running it alone, byte for byte; the
+    batch's traces and its trials' atoms after it.  A runaway trial, whose
+    grid is None for later trials of the batch, goes last."""
+    ladders = copy.deepcopy(batch)
+    together = simulate_ladder(grids, rate, model, ladders, guess=guesses, allow_unstable=True)
+    for k, (atoms, ladder, traces) in enumerate(zip(batch, ladders, together)):
+        alone = copy.deepcopy(atoms)
+        ref = simulate_ladder(grids, rate, model, alone, allow_unstable=True,
+                              guess=None if guesses is None else guesses[k])
+        assert [s.theta_high for s in ladder.strips] == [s.theta_high for s in alone.strips]
+        for disc, want in zip(traces, ref):
+            if isinstance(want, RunawayIntensityError):
+                assert type(disc) is RunawayIntensityError and str(disc) == str(want)
+                continue
+            for field in _BATCH_FIELDS:
+                assert getattr(disc, field).tobytes() == getattr(want, field).tobytes(), field
+    return together, ladders
+
+
+def _thinned_batch(kernel, rate, model, T, ceiling, seeds, thin_copies=False):
+    """Each seed's atoms after continuous thinning (before it, if
+    ``thin_copies``), and its path's events."""
+    batch = [hp.sample_atoms(T, ceiling, model, seed) for seed in seeds]
+    paths = [simulate_continuous(kernel, rate, model, T, copy.deepcopy(atoms) if thin_copies
+                                 else atoms, allow_unstable=True) for atoms in batch]
+    return batch, [path.times for path in paths]
+
+
+def _batch_case(name):
+    """A batch-invariance case by name: grids, jump rate, marks, the trials'
+    atoms and their guesses."""
+    unit = hp.MarkModel("point-mass", (1.0,))
+    cos, relu = hp.cosine_decay_kernel(0.6, 5.0), hp.relu_affine(1.0)
+    cos_grids = [grid_coefficients(cos, d, 5.0) for d in (0.5, 0.1, 0.0125)]
+    ceiling = hp.default_ceiling(relu, cos, unit)
+    if name in ("differ", "no-guess", "atom-free-trial"):
+        batch, guesses = _thinned_batch(cos, relu, unit, 5.0, ceiling, range(8))
+        if name == "no-guess":
+            guesses = None
+        if name == "atom-free-trial":
+            batch.insert(2, atoms_from_triples(5.0, ceiling, [], unit))
+            guesses.insert(2, np.empty(0))
+        return cos_grids, relu, unit, batch, guesses
+    if name == "many-guesses":
+        kernel, rate = hp.exponential_kernel(0.5, 1.0, 5.0), hp.relu_affine(4.0)
+        batch, guesses = _thinned_batch(kernel, rate, unit, 5.0, 16.0, range(6))
+        assert min(map(len, guesses)) > simulate._GUESS_ROWS
+        return ([grid_coefficients(kernel, d, 5.0) for d in (0.5, 0.1, 0.02)],
+                rate, unit, batch, guesses)
+    if name == "span-0":
+        kernel = hp.compact_kernel(0.6, 0.3, 5.0)
+        grids = [grid_coefficients(kernel, d, 5.0) for d in (0.5, 0.1, 0.02)]
+        assert grids[0].span == 0 < grids[1].span
+        batch, guesses = _thinned_batch(kernel, relu, unit, 5.0, 4.0, range(6))
+        return grids, relu, unit, batch, guesses
+    if name == "extensions":
+        kernel = hp.exponential_kernel(0.9, 1.0, 5.0)
+        batch, guesses = _thinned_batch(kernel, relu, _INDICATOR, 5.0, 0.25, range(6), True)
+        return ([grid_coefficients(kernel, d, 5.0) for d in (0.5, 0.1, 0.02)],
+                relu, _INDICATOR, batch, guesses)
+    if name == "done-walk-extends":
+        # delta 0.5: the atoms in bins 1 and 3 pass as guessed under the
+        # ceiling 1.2, so each first window confirms its guess to the last
+        # atom, yet bin 2's level 1 + h(0.5) is above 1.2: the walk restarts
+        # there after the pass, dropping its push at bin 3
+        kernel = hp.exponential_kernel(0.5, 1.0, 5.0)
+        triples = [(0.05, 0.5, 1.0), (1.2, 0.5, 1.0)]
+        batch = [atoms_from_triples(5.0, 1.2, triples, unit) for _ in range(2)]
+        return ([grid_coefficients(kernel, d, 5.0) for d in (0.5, 0.1)], relu, unit, batch,
+                [np.array([0.05, 1.2])] * 2)
+    if name == "runaway":
+        # test_runaway_aborts_only_its_grid's atoms last, after three trials
+        # within the atom budget
+        kernel, rate = hp.erlang_kernel(1.0, 3, 1.0, 2.0), hp.relu_affine(0.25)
+        triples = [(0.05, 0.01, 1.0), (0.1, 0.01, 1.0), (0.15, 0.01, 1.0)]
+        batch = [hp.sample_atoms(2.0, 0.5, unit, seed) for seed in range(3)]
+        batch.append(atoms_from_triples(1.5 * ATOM_BUDGET, 0.5, triples, unit))
+        return [grid_coefficients(kernel, d, 2.0) for d in (2.0, 0.25)], rate, unit, batch, None
+    raise KeyError(name)
+
+
+class TestBatchedWalks:
+    @pytest.mark.parametrize("name", [
+        "differ", "many-guesses", "no-guess", "span-0", "extensions", "done-walk-extends",
+        "runaway", "atom-free-trial",
+    ])
+    def test_a_batch_is_its_trials_one_by_one(self, name):
+        grids, rate, model, batch, guesses = _batch_case(name)
+        traces, ladders = _assert_batch_is_one_by_one(grids, rate, model, batch, guesses)
+        if name in ("extensions", "done-walk-extends"):     # the ladder draws strips
+            assert all(len(a.strips) > len(b.strips) for a, b in zip(ladders, batch))
+        if name == "runaway":
+            assert isinstance(traces[-1][1], RunawayIntensityError)
+
+    def test_a_batch_without_atoms_is_its_trials_one_by_one(self, unit_marks):
+        # no trial holds an atom in (0, T]: every walk reads nothing and
+        # every trace is the empty-past rate and zeros
+        kernel, rate = hp.exponential_kernel(0.604, 1.0, 5.0), hp.relu_affine(1e-6)
+        grids = [grid_coefficients(kernel, d, 5.0) for d in (0.5, 0.25, 0.1)]
+        batch = [atoms_from_triples(5.0, 1.0, [], unit_marks) for _ in range(3)]
+        for guesses in (None, [np.empty(0)] * 3):
+            for traces in _assert_batch_is_one_by_one(grids, rate, unit_marks, batch, guesses)[0]:
+                for disc in traces:
+                    assert not disc.events.any() and not disc.risk.any()
+                    assert np.all(disc.intensity == 1e-6)
+
+    def test_a_walk_begins_only_where_it_differs_or_outlives_its_first_window(
+        self, unit_marks, monkeypatch
+    ):
+        # TestBatchedLadder's agreeing batch begins no walk: every first
+        # window ends at its last atom and confirms its guess.  Dropping one
+        # trial's first guessed atom makes its three walks differ, and a
+        # rate of 4 gives some walks more than _GUESS_ROWS guessed bins
+        begun = []
+        real = simulate._Walk.begin
+
+        def counting(walk, *args):
+            begun.append(walk.grid.delta)
+            real(walk, *args)
+
+        monkeypatch.setattr(simulate._Walk, "begin", counting)
+        kernel = hp.exponential_kernel(0.5, 1.0, 5.0)
+        grids = [grid_coefficients(kernel, d, 5.0) for d in (0.5, 0.1, 0.02)]
+        for value, ceiling, seeds in ((1.0, 2.0, range(6)), (4.0, 4.0, range(4))):
+            rate = hp.constant_rate(value)
+            batch = [hp.sample_atoms(5.0, ceiling, unit_marks, seed) for seed in seeds]
+            guesses = [a.merged()[0][a.merged()[1] <= value] for a in batch]
+            outliving = sum(
+                len(np.unique(bins[bins < grid.count])) > simulate._GUESS_ROWS
+                for grid in grids for bins in (grid.points.searchsorted(g) for g in guesses)
+            )
+            begun.clear()
+            simulate_ladder(grids, rate, unit_marks, batch, guess=guesses)
+            assert len(begun) == outliving
+            if value == 1.0:
+                assert outliving == 0
+                assert guesses[2][0] < 5.0 - grids[0].delta
+                guesses[2] = guesses[2][1:]
+                begun.clear()
+                simulate_ladder(grids, rate, unit_marks, batch, guess=guesses)
+                assert sorted(begun) == sorted(grid.delta for grid in grids)
+            else:
+                assert 0 < outliving < len(grids) * len(batch)
+
+    def test_risk_is_each_traces_running_sum_of_its_gains(self):
+        # the read-off sums each grid's (trials x bins) block of mark gains
+        # along its rows at once: the bytes of one running sum per trace
+        model = hp.MarkModel("gaussian", (0.2, 1.0), modulation="absolute-value")
+        kernel, rate = hp.exponential_kernel(0.5, 1.0, 5.0), hp.relu_affine(1.0)
+        batch, guesses = _thinned_batch(kernel, rate, model, 5.0, 8.0, range(5))
+        grids = [grid_coefficients(kernel, d, 5.0) for d in (0.5, 0.1, 0.02)]
+        for traces in simulate_ladder(grids, rate, model, batch, guess=guesses):
+            for grid, disc in zip(grids, traces):
+                bins = grid.points.searchsorted(disc.times)
+                gains = np.bincount(bins, weights=disc.marks, minlength=grid.count + 1)
+                assert disc.risk.tobytes() == np.cumsum(gains).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kernel=st.sampled_from(sorted(_REF_KERNELS)),
+        rate=st.sampled_from(sorted(_REF_RATES)),
+        marks=st.sampled_from(sorted(_LADDER_MARKS)),
+        deltas=st.lists(st.sampled_from((2.0, 1.0, 0.5, 0.1, 0.02)), min_size=1, max_size=4,
+                        unique=True),
+        ceiling=st.sampled_from((0.25, 1.0, 4.0)),
+        guess=st.sampled_from(_GUESSES),
+        trials=st.integers(2, 4),
+        empty=st.booleans(),
+    )
+    def test_any_batch_is_its_trials_one_by_one(
+        self, seed, kernel, rate, marks, deltas, ceiling, guess, trials, empty
+    ):
+        kernel, rate, model = _REF_KERNELS[kernel], _REF_RATES[rate], _LADDER_MARKS[marks]
+        batch, guesses = [], []
+        for k in range(trials):
+            atoms = hp.sample_atoms(_REF_T, ceiling, model, (seed, k))
+            cont = simulate_continuous(kernel, rate, model, _REF_T, atoms, allow_unstable=True)
+            batch.append(atoms)
+            guesses.append(_guess(guess, cont, atoms, seed, model))
+        if empty:
+            batch.insert(1, atoms_from_triples(_REF_T, ceiling, [], model))
+            guesses.insert(1, None)
+        grids = [grid_coefficients(kernel, d, _REF_T) for d in deltas]
+        _assert_batch_is_one_by_one(grids, rate, model, batch, guesses)
