@@ -46,6 +46,7 @@ from .metrics import (
     PowerLawFit,
     fit_powerlaw,
     modulus_sparse,
+    modulus_zero,
     skorokhod_distance,
     skorokhod_upper_bound,
     sobolev_distance,
@@ -66,10 +67,9 @@ from .simulate import (
     clipped_affine,
     constant_rate,
     couple,
+    _read_intensity,
     default_ceiling,
     distinct,
-    eval_intensity,
-    integrate_intensity,
     ladder_batch,
     relu_affine,
     sigmoid_rate,
@@ -417,6 +417,8 @@ class Run:
             )
         return _VerifyPlan(
             rate=rate,
+            risk_at=[grid.points.searchsorted([0.75 * T, 0.25 * T], side="right") - 1
+                     for grid in self.grids],
             times=T * np.arange(1, 21) / 20.0,
             grid_idx=distinct(np.linspace(1, self.grids[-1].count, 20, dtype=int)),
             mark_mean=mark_moments(self.marks).mean,
@@ -522,8 +524,8 @@ def _run_trials(
     order, then runs the discrete scheme at every delta still running in one
     ladder call for the whole batch, each trial guessed by its own path.
     The batch shares numpy calls, never a float: its first pass costs
-    O(deltas) numpy calls where the walks agree with their guesses, instead
-    of O(trials x deltas) (``simulate_ladder``), and every trial's traces,
+    O(trials + deltas) numpy calls where the walks agree with their guesses,
+    instead of O(trials x deltas) (``simulate_ladder``), and every trial's traces,
     errors and strips are those of a batch of one.  This is exact: every process raises its
     trial's ceiling through ``PoissonAtoms.cover``, a ceiling extension is
     the strip keyed by its index, whichever process asks for it first, and
@@ -737,6 +739,7 @@ class _VerifyPlan(NamedTuple):
     """What every trial of ``verify`` shares (``Run.verify_plan``)."""
 
     rate: float                  # rate of the compound Poisson path, 0 for none
+    risk_at: list[np.ndarray]    # per grid, its last points at or before 3T/4 and T/4
     times: np.ndarray            # T k / 20, k = 1..20: continuous intensity reads
     grid_idx: np.ndarray         # up to 20 finest-grid bins: discrete intensity reads
     mark_mean: float             # E Y, for the compensators
@@ -773,10 +776,10 @@ def _verify_sample(
     r_t, r_s = risk[cont.times.searchsorted([t, s], side="right")]
     inc_c = float(r_t - r_s)
     mismatch = []
-    for disc in traces:
+    for disc, at in zip(traces, plan.risk_at):
         # the discrete risk at t and at s: its value at the last grid point
         # at or before each
-        r_t, r_s = disc.risk[disc.grid.points.searchsorted([t, s], side="right") - 1]
+        r_t, r_s = disc.risk[at]
         mismatch.append(abs(inc_c - float(r_t - r_s)))
     disc = traces[-1]
     # the compound Poisson path draws from its own stream, (seed, trial, 1):
@@ -784,12 +787,14 @@ def _verify_sample(
     modulus = math.nan
     if plan.rate > 0:
         tau, _, y, _ = sample_atoms(T, plan.rate, marks, (cfg.seed, trial, 1)).merged()
-        modulus = modulus_sparse(step_from_jumps(tau, y, T), delta_min)
+        modulus = 0.0 if modulus_zero(tau, T, delta_min) else modulus_sparse(
+            step_from_jumps(tau, y, T), delta_min)
+    intensity, compensator = _read_intensity(cont, kernel, jump_rate, plan.times, cont.horizon)
     return _VerifySample(
         mismatch,
-        eval_intensity(cont, kernel, jump_rate, plan.times),
+        intensity,
         disc.intensity[plan.grid_idx],
-        cont.terminal_risk - plan.mark_mean * integrate_intensity(cont, kernel, jump_rate),
+        cont.terminal_risk - plan.mark_mean * compensator,
         disc.terminal_risk - plan.mark_mean * float(disc.intensity[1:].sum() * delta_min),
         modulus,
     )

@@ -232,8 +232,13 @@ class PoissonAtoms:
 
         A strip is sorted and its thetas top every earlier strip's, so each new
         strip's atoms go in after the merged atoms of equal or smaller tau: a
-        linear merge, in the order a stable sort of the whole ladder gives."""
+        linear merge, in the order a stable sort of the whole ladder gives.
+        Strip 0 merges into nothing, so its columns are its own arrays (drawn
+        read-only) and a strip index of zeros."""
         done, cols = self._merged
+        if done == 0 and self.strips:
+            s = self.strips[0]
+            done, cols = 1, (s.tau, s.theta, s.y, np.zeros(len(s.tau), dtype=int))
         for i in range(done, len(self.strips)):
             s = self.strips[i]
             at = np.searchsorted(cols[0], s.tau, side="right") + np.arange(len(s.tau))
@@ -266,7 +271,10 @@ def _draw_strip(
     theta = theta_low + (theta_high - theta_low) * (1.0 - rng.random(count))
     y = mark_model.sample(rng, count)
     order = np.lexsort((theta, tau))
-    return Strip(theta_low, theta_high, tau[order], theta[order], y[order])
+    cols = tau[order], theta[order], y[order]
+    for col in cols:    # merged() hands them out: no reader may write into them
+        col.flags.writeable = False
+    return Strip(theta_low, theta_high, *cols)
 
 
 def sample_atoms(

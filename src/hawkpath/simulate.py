@@ -622,13 +622,23 @@ def integrate_intensity(
         T = path.horizon
     if not 0 < T <= path.horizon * (1 + REL_TOL):
         raise ParameterError("T must lie in (0, the path's horizon]")
+    return _read_intensity(path, kernel, jump_rate, np.empty(0), T)[1]
+
+
+def _read_intensity(path: ContinuousPath, kernel: Kernel, jump_rate: JumpRate, ts, T: float):
+    """The intensity at each of the 1-D ``ts``, and its integral over [0, T]:
+    one excitation state and one psi call read the Gauss-Legendre nodes of
+    ``integrate_intensity``, then ``ts``.
+    Each time's value depends on it alone and the rule's sums read the nodes
+    alone, so both are the floats of separate reads."""
     edges = distinct(np.concatenate(([0.0], path.times[path.times < T], [T])))
     widths = np.diff(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    ts = (mids[:, None] + 0.5 * widths[:, None] * _GL_NODES[None, :]).ravel()
-    s = _excitation_state(kernel, path.times, path.weights).read(ts)
-    lam = np.asarray(jump_rate.fn(s), dtype=float).reshape(len(widths), len(_GL_NODES))
-    return float(((lam @ _GL_WEIGHTS) * 0.5 * widths).sum())
+    nodes = (mids[:, None] + 0.5 * widths[:, None] * _GL_NODES[None, :]).ravel()
+    s = _excitation_state(kernel, path.times, path.weights).read(np.concatenate((nodes, ts)))
+    lam = np.asarray(jump_rate.fn(s), dtype=float)
+    cells = lam[: len(nodes)].reshape(len(widths), len(_GL_NODES))
+    return lam[len(nodes) :].copy(), float(((cells @ _GL_WEIGHTS) * 0.5 * widths).sum())
 
 
 # --------------------------------------------------------------------------
@@ -690,12 +700,12 @@ def simulate_ladder(
     guess, or has more guessed pushes ahead, becomes a walker
     (``_Walk.begin``) and walks on by itself.  A grid of span 0 reads no
     window, and a batch of one walks each grid alone, as a later pass does.
-    So where the walks agree with their guesses a batch costs O(grids)
-    numpy calls and no walker, not O(trials x grids) of each: what is left
-    per walk is one slice add per push, its trace and a few Python steps of
-    bookkeeping.  Its arrays hold
-    sum(count + 1) entries per trial, which ``LADDER_BATCH_BINS`` bounds in
-    the engine's batches.
+    So where the walks agree with their guesses a batch costs O(trials +
+    grids) numpy calls (``_Atoms`` cuts each trial's atoms with a few) and no
+    walker, not O(trials x grids) of each: what is left per walk is one slice
+    add per push, its trace and a few Python steps of bookkeeping.  Its
+    arrays hold sum(count + 1) entries per trial, which ``LADDER_BATCH_BINS``
+    bounds in the engine's batches.
 
     A pass ends after the last atom, or early at an atom whose level is
     above the ceiling.  One psi call on every walk's feedback then checks
@@ -1176,10 +1186,10 @@ def couple(
     discrete scheme takes the continuous path's events as its guess, which
     saves windows where the two accept the same atoms of b > 0 and never
     changes the traces; nor does the batch, whose trials share only the
-    numpy calls of the ladder's first pass.  That pass costs O(grids) numpy
-    calls for the batch, not per trial, where the walks agree with their
-    guesses; the engine's batches are sized by ``ladder_batch``, whose bound
-    ``LADDER_BATCH_BINS`` carries the measured table.
+    numpy calls of the ladder's first pass.  That pass costs O(trials +
+    grids) numpy calls, not O(trials x grids), where the walks agree with
+    their guesses; the engine's batches are sized by ``ladder_batch``,
+    whose bound ``LADDER_BATCH_BINS`` carries the measured table.
     """
     if not grids:
         raise ParameterError("a coupling needs at least one grid")

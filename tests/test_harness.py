@@ -26,7 +26,7 @@ from hawkpath.metrics import (
     skorokhod_upper_bound,
     sobolev_distance,
 )
-from hawkpath.simulate import ContinuousPath, path_to_step, simulate_ladder
+from hawkpath.simulate import ContinuousPath, path_to_step, simulate_ladder, step_from_jumps
 from _coupling import couple_step
 from test_cli import perfbench  # noqa: F401  (the fixture)
 
@@ -521,6 +521,76 @@ class TestVerifyBounds:
         verdicts = {v.name: v for v in verify_bounds(cfg)}
         assert not verdicts["stability_continuous"].passed
         assert len(verdicts) >= 6  # the suite still ran to completion
+
+
+# One verify kernel per excitation state: the exponential recursion, the
+# direct sum over the whole past (cosine decay) and inside a support window
+# (compact support), and no excitation at all.
+_VERIFY_KERNELS = {
+    "exponential": {"family": "exponential", "params": {"amplitude": 0.604, "decay": 1.0}},
+    "cosine-decay": {"family": "cosine-decay", "params": {"amplitude": 0.6}},
+    "compact-support": {"family": "compact-support", "params": {"amplitude": 0.6, "support": 0.7}},
+    "zero": {"family": "zero"},
+}
+
+
+class TestVerifySample:
+    @pytest.mark.parametrize("jump_rate", [
+        {"family": "relu-affine", "params": {"baseline": 1.0}},
+        {"family": "sigmoid", "params": {"scale": 3.0}},
+    ])
+    @pytest.mark.parametrize("kernel", sorted(_VERIFY_KERNELS))
+    def test_one_excitation_read_gives_the_separate_reads_bits(
+        self, kernel, jump_rate, monkeypatch
+    ):
+        # the 20 intensity reads and the compensator's nodes go through one
+        # excitation state, and each is the float that eval_intensity and
+        # integrate_intensity give on their own
+        cfg = exponential_config(
+            kernel=_VERIFY_KERNELS[kernel], jump_rate=jump_rate,
+            marks={"distribution": {"family": "exponential", "rate": 1.5}},
+        )
+        run, plan = cfg.run, cfg.run.verify_plan
+        real, states = simulate._excitation_state, []
+        for trial in range(8):
+            cont, traces = simulate.couple(
+                run.kernel, run.jump_rate, run.marks, run.grids, run.atoms(trial)
+            )
+            monkeypatch.setattr(
+                simulate, "_excitation_state", lambda *a: states.append(a) or real(*a)
+            )
+            sample = harness._verify_sample(cfg, trial, cont, traces)
+            monkeypatch.undo()
+            assert len(states) == trial + 1
+            lam = simulate.eval_intensity(cont, run.kernel, run.jump_rate, plan.times)
+            assert sample.intensity.tobytes() == lam.tobytes()
+            compensator = simulate.integrate_intensity(cont, run.kernel, run.jump_rate)
+            xi = cont.terminal_risk - plan.mark_mean * compensator
+            assert np.float64(sample.xi_continuous).tobytes() == np.float64(xi).tobytes()
+
+    def test_comparison_paths_whose_jumps_clear_delta_min_are_not_walked(
+        self, perfbench, monkeypatch
+    ):
+        # verify-fine at its seed: 45 of the 50 compound Poisson paths have
+        # every jump more than delta_min from its neighbours, 0 and T, and
+        # read 0.0 with no step path; the walk runs on the other 5.  Every
+        # modulus is the walk's float.
+        cfg = ExperimentConfig.from_dict(perfbench.WORKLOADS["verify-fine"].document(88))
+        plan, T, delta = cfg.run.verify_plan, cfg.horizon, cfg.delta_ladder[-1]
+        calls = []
+        monkeypatch.setattr(
+            harness, "modulus_sparse", lambda *a: calls.append(a) or modulus_sparse(*a)
+        )
+        aborted, samples = harness._run_trials(cfg, range(cfg.trials), harness._verify_sample)
+        assert aborted == [None] * len(cfg.delta_ladder)
+        assert len(calls) == 5
+        for trial, sample in enumerate(samples):
+            tau, _, y, _ = randomness.sample_atoms(
+                T, plan.rate, cfg.run.marks, (cfg.seed, trial, 1)
+            ).merged()
+            walked = modulus_sparse(step_from_jumps(tau, y, T), delta)
+            assert np.float64(sample.modulus).tobytes() == np.float64(walked).tobytes()
+        assert sum(s.modulus == 0.0 for s in samples) >= 45
 
 
 # A tent of height 200 at lag 0.5 (||h||_1 = 0.4): every grid with a point at

@@ -16,6 +16,7 @@ from hawkpath.metrics import (
     feasible_eps,
     fit_powerlaw,
     modulus_sparse,
+    modulus_zero,
     skorokhod_distance,
     skorokhod_upper_bound,
     sobolev_distance,
@@ -973,6 +974,82 @@ class TestModulusSparse:
         rng = np.random.default_rng((200, 1000))
         f = step_from_jumps(np.sort(rng.uniform(0.0, 200.0, 1000)), np.ones(1000), 200.0)
         assert walk_steps(f, 20.0) == (118.0, 35748)
+
+
+def clearing_delta(path, fraction):
+    """A delta below the least gap between 0, the path's jumps and T, where
+    ``modulus_zero`` holds: ``fraction`` of that gap, strictly inside it."""
+    gap = float(np.diff(np.append(path.breakpoints, path.horizon)).min())
+    return min(fraction * gap, float(np.nextafter(gap, 0.0)))
+
+
+class TestModulusZero:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        f=step_paths(max_jumps=5),
+        make_monotone=st.booleans(),
+        fraction=st.floats(min_value=0.05, max_value=1.0),
+    )
+    def test_equals_the_brute_force_where_the_jumps_clear_delta(self, f, make_monotone, fraction):
+        if make_monotone:
+            f = monotone(f)
+        delta = clearing_delta(f, fraction)
+        assert modulus_zero(f.breakpoints[1:], f.horizon, delta)
+        # no walk step, and the exact infimum as +0.0, the walk's bits
+        value, steps = walk_steps(f, delta)
+        assert steps == 0 and value == modulus_sparse_brute(f, delta) == 0.0
+        assert math.copysign(1.0, value) == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=step_paths(max_jumps=40), fraction=st.floats(min_value=0.05, max_value=1.0))
+    def test_equals_the_quadratic_oracle_on_longer_paths(self, f, fraction):
+        delta = clearing_delta(f, fraction)
+        assert modulus_zero(f.breakpoints[1:], f.horizon, delta)
+        assert walk_steps(f, delta) == (modulus_sparse_quadratic(f, delta), 0)
+
+    @pytest.mark.parametrize("jumps, delta, clear, value", [
+        ([0.25, 0.5, 0.75], 0.25, False, 1.0),                  # gaps of exactly delta
+        ([0.25, 0.5, 0.75], float(np.nextafter(0.25, 0.0)), True, 0.0),
+        ([0.25, 0.75], 0.25, False, 1.0),                       # first jump at delta
+        ([0.375, 0.75], 0.25, False, 1.0),                      # T - last jump is delta
+        ([0.375, 0.75], 0.125, True, 0.0),
+        ([0.5, 1.0], 0.25, False, 0.0),     # a jump at T, which no cell holds
+        ([], 0.5, True, 0.0),                                   # a constant path
+    ])
+    def test_boundaries_fall_back_to_the_walk(self, jumps, delta, clear, value):
+        # on [0, 1], the gaps are exact binary fractions: equal to delta as floats
+        f = step_from_jumps(jumps, np.ones(len(jumps)), 1.0)
+        assert modulus_zero(np.array(jumps), 1.0, delta) is clear
+        assert walk_steps(f, delta)[0] == value
+        assert (walk_steps(f, delta)[1] == 0) is clear
+        assert modulus_sparse_brute(f, delta) == modulus_sparse_quadratic(f, delta) == value
+
+    @pytest.mark.parametrize("times, marks", [
+        ([0.25, 0.5, 0.5, 0.75], [1.0, 1.0, 2.0, 1.0]),         # a tie
+        ([0.25, 0.3, 0.75], [1.0, 0.0, 1.0]),                   # a zero mark
+    ])
+    def test_raw_times_with_a_tie_or_a_zero_mark_fail_yet_the_path_reads_zero(self, times, marks):
+        # the raw times hold a gap the canonical path does not: the raw test
+        # fails, and the walk (or the path's own test) still reads 0.0
+        f = step_from_jumps(times, marks, 1.0)
+        assert not modulus_zero(np.array(times), 1.0, 0.2)
+        assert modulus_zero(f.breakpoints[1:], 1.0, 0.2)
+        assert modulus_sparse(f, 0.2) == modulus_sparse_brute(f, 0.2) == 0.0
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        jumps=st.lists(st.integers(1, 40), max_size=8),
+        zeros=st.lists(st.booleans(), min_size=8, max_size=8),
+        delta=st.sampled_from([0.01, 0.025, 0.05, 0.1]),
+    )
+    def test_raw_times_that_clear_delta_clear_the_canonical_path(self, jumps, zeros, delta):
+        # ties and zero marks only drop breakpoints, so a raw pass is a pass
+        times = np.sort(np.array(jumps, dtype=float)) / 40.0
+        marks = np.where(zeros[: len(times)], 0.0, 1.0)
+        f = step_from_jumps(times, marks, 1.0)
+        if modulus_zero(times, 1.0, delta):
+            assert modulus_zero(f.breakpoints[1:], 1.0, delta)
+            assert modulus_sparse(f, delta) == modulus_sparse_quadratic(f, delta) == 0.0
 
 
 class TestSkorokhodUpperBound:

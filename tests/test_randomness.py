@@ -191,6 +191,50 @@ class TestMerged:
             assert all(np.array_equal(a, b) for a, b in zip(atoms.merged(), _lexsorted(atoms)))
 
 
+    def test_a_lone_strip_is_its_own_merge(self, unit_marks):
+        # strip 0 merges into nothing: its own read-only arrays, with the
+        # values, order and int strip index of the general merge
+        atoms = hp.sample_atoms(4.0, 3.0, unit_marks, 5)
+        strip = atoms.strips[0]
+        merged = atoms.merged()
+        assert all(a is b for a, b in zip(merged, (strip.tau, strip.theta, strip.y)))
+        assert all(
+            a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            for a, b in zip(merged, _lexsorted(atoms))
+        )
+        assert merged[3].dtype == np.dtype(int) and not merged[3].any()
+        for col in (strip.tau, strip.theta, strip.y):
+            with pytest.raises(ValueError, match="read-only"):
+                col[:1] = 0.0
+        # a later extension merges into those columns as a full lexsort
+        hp.extend_ceiling(atoms, 6.0)
+        assert all(
+            a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            for a, b in zip(atoms.merged(), _lexsorted(atoms))
+        )
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_a_couple_leaves_every_strip_as_drawn(self, unit_marks, batch):
+        # a ceiling of 0.5 under the empty-past rate 1: every trial extends,
+        # and each strip still holds the bytes its stream draws
+        kernel, jr = hp.exponential_kernel(0.9, 1.0, 5.0), hp.relu_affine(1.0)
+        grids = [hp.grid_coefficients(kernel, d, 5.0) for d in (0.5, 0.1)]
+        ladders = [hp.sample_atoms(5.0, 0.5, unit_marks, seed) for seed in range(3)]
+        if batch:
+            hp.couple(kernel, jr, unit_marks, grids, ladders)
+        else:
+            for atoms in ladders:
+                hp.couple(kernel, jr, unit_marks, grids, atoms)
+        for atoms in ladders:
+            assert len(atoms.strips) > 1
+            for i, s in enumerate(atoms.strips):
+                drawn = randomness._draw_strip(
+                    5.0, s.theta_low, s.theta_high, unit_marks, atoms.seed_entropy, i
+                )
+                for c in ("tau", "theta", "y"):
+                    assert getattr(s, c).tobytes() == getattr(drawn, c).tobytes()
+
+
 class TestCover:
     def test_level_under_the_ceiling_draws_nothing(self, unit_marks):
         atoms = hp.sample_atoms(10.0, 3.0, unit_marks, 4)

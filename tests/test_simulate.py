@@ -513,6 +513,23 @@ class TestExcitationRead:
                     dense_compensator(path, k, jr, upto), rel=1e-13, abs=0
                 )
 
+    @pytest.mark.parametrize("rate", sorted(_READ_RATES))
+    def test_one_read_of_nodes_and_times_gives_the_separate_reads_bits(self, rate):
+        # every event before T / 20 under a full-span kernel: the last nodes
+        # and the first times share one window, so one block of lags holds
+        # both, and each row still sums to its own float
+        k, jr, T = hp.cosine_decay_kernel(0.6, 5.0), _READ_RATES[rate], 5.0
+        ts = T * np.arange(1, 21) / 20.0
+        for n in (1, 9, 30):
+            rng = np.random.default_rng(n)
+            w = rng.exponential(1.0, n)
+            path = ContinuousPath(T, np.sort(rng.uniform(0.0, 0.24, n)), w, w, np.ones(n))
+            lam, integral = simulate._read_intensity(path, k, jr, ts, T)
+            assert lam.tobytes() == eval_intensity(path, k, jr, ts).tobytes()
+            assert np.float64(integral).tobytes() == np.float64(
+                integrate_intensity(path, k, jr)
+            ).tobytes()
+
     def test_time_at_an_event_excludes_it(self):
         k, jr = hp.exponential_kernel(0.5, 2.0, 5.0), hp.relu_affine(1.0)
         path = ContinuousPath(
