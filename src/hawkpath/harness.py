@@ -415,9 +415,11 @@ class Run:
                 f"{rate * delta_min:.4g} per delta {delta_min:g}: its sparse modulus walk "
                 f"passes the modulus budget {MODULUS_BUDGET} steps; `verify` cannot sample it"
             )
+        risk_times = [0.75 * T, 0.25 * T]
         return _VerifyPlan(
             rate=rate,
-            risk_at=[grid.points.searchsorted([0.75 * T, 0.25 * T], side="right") - 1
+            risk_times=risk_times,
+            risk_at=[grid.points.searchsorted(risk_times, side="right") - 1
                      for grid in self.grids],
             times=T * np.arange(1, 21) / 20.0,
             grid_idx=distinct(np.linspace(1, self.grids[-1].count, 20, dtype=int)),
@@ -739,7 +741,8 @@ class _VerifyPlan(NamedTuple):
     """What every trial of ``verify`` shares (``Run.verify_plan``)."""
 
     rate: float                  # rate of the compound Poisson path, 0 for none
-    risk_at: list[np.ndarray]    # per grid, its last points at or before 3T/4 and T/4
+    risk_times: list[float]      # [3T/4, T/4]: the risk increment's ends
+    risk_at: list[np.ndarray]    # per grid, its last points at or before risk_times
     times: np.ndarray            # T k / 20, k = 1..20: continuous intensity reads
     grid_idx: np.ndarray         # up to 20 finest-grid bins: discrete intensity reads
     mark_mean: float             # E Y, for the compensators
@@ -769,11 +772,10 @@ def _verify_sample(
     kernel, jump_rate, marks, plan = run.kernel, run.jump_rate, run.marks, run.verify_plan
     T = cfg.horizon
     delta_min = cfg.delta_ladder[-1]
-    s, t = 0.25 * T, 0.75 * T
-    # the continuous risk at t and at s: the marks' running sum at the last
-    # jump at or before each, as its step path holds it
+    # the continuous risk at t = 3T/4 and s = T/4: the marks' running sum at
+    # the last jump at or before each, as its step path holds it
     risk = np.concatenate(([0.0], np.cumsum(cont.marks)))
-    r_t, r_s = risk[cont.times.searchsorted([t, s], side="right")]
+    r_t, r_s = risk[cont.times.searchsorted(plan.risk_times, side="right")]
     inc_c = float(r_t - r_s)
     mismatch = []
     for disc, at in zip(traces, plan.risk_at):

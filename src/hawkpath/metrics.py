@@ -11,9 +11,9 @@ interleaved jumps (one chronological path through its states first, which
 proves a feasible eps in m + n steps, and the sweep of every reachable
 state only when that path stops).  The sparse modulus is a minimax
 partition search over a finite candidate set, an upper bound on the
-infimum over all partitions that can lie above it (0, with no search, when
-the jumps clear delta).  Every operation is a pure function, safe for
-concurrent use.
+infimum over all partitions that can lie above it; ``modulus_zero`` tells,
+with no search, when jump times that clear delta make it 0.  Every
+operation is a pure function, safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -435,15 +435,12 @@ def modulus_sparse(path: StepPath, delta: float) -> float:
     first gap exceeds delta, so no partition has a point in (0, delta]:
     those candidates are left out, and a walk past the first candidate
     beyond delta steps straight to 0, still covering every segment between.
-    Jumps that clear delta (``modulus_zero``) give the walk's 0.0 without it.
     """
     T = path.horizon
     if not 0.0 < delta < T:
         raise ParameterError("need 0 < delta < T")
     bp = path.breakpoints
     jumps = bp[1:]
-    if modulus_zero(jumps, T, delta):
-        return 0.0
     cands = distinct(np.concatenate(([0.0, T], jumps, 0.5 * (jumps[:-1] + jumps[1:]))))
     pos = cands[(cands == 0.0) | ((delta < cands) & (cands <= T))]
     vals = path.values.tolist()

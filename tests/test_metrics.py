@@ -995,9 +995,9 @@ class TestModulusZero:
             f = monotone(f)
         delta = clearing_delta(f, fraction)
         assert modulus_zero(f.breakpoints[1:], f.horizon, delta)
-        # no walk step, and the exact infimum as +0.0, the walk's bits
-        value, steps = walk_steps(f, delta)
-        assert steps == 0 and value == modulus_sparse_brute(f, delta) == 0.0
+        # the closed form's +0.0 is the walk's bits and the exact infimum
+        value = modulus_sparse(f, delta)
+        assert value == modulus_sparse_brute(f, delta) == 0.0
         assert math.copysign(1.0, value) == 1.0
 
     @settings(max_examples=60, deadline=None)
@@ -1005,7 +1005,9 @@ class TestModulusZero:
     def test_equals_the_quadratic_oracle_on_longer_paths(self, f, fraction):
         delta = clearing_delta(f, fraction)
         assert modulus_zero(f.breakpoints[1:], f.horizon, delta)
-        assert walk_steps(f, delta) == (modulus_sparse_quadratic(f, delta), 0)
+        value = modulus_sparse(f, delta)
+        assert value == modulus_sparse_quadratic(f, delta) == 0.0
+        assert math.copysign(1.0, value) == 1.0
 
     @pytest.mark.parametrize("jumps, delta, clear, value", [
         ([0.25, 0.5, 0.75], 0.25, False, 1.0),                  # gaps of exactly delta
@@ -1016,12 +1018,11 @@ class TestModulusZero:
         ([0.5, 1.0], 0.25, False, 0.0),     # a jump at T, which no cell holds
         ([], 0.5, True, 0.0),                                   # a constant path
     ])
-    def test_boundaries_fall_back_to_the_walk(self, jumps, delta, clear, value):
+    def test_a_gap_of_exactly_delta_does_not_clear(self, jumps, delta, clear, value):
         # on [0, 1], the gaps are exact binary fractions: equal to delta as floats
         f = step_from_jumps(jumps, np.ones(len(jumps)), 1.0)
         assert modulus_zero(np.array(jumps), 1.0, delta) is clear
-        assert walk_steps(f, delta)[0] == value
-        assert (walk_steps(f, delta)[1] == 0) is clear
+        assert modulus_sparse(f, delta) == value
         assert modulus_sparse_brute(f, delta) == modulus_sparse_quadratic(f, delta) == value
 
     @pytest.mark.parametrize("times, marks", [
